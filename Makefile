@@ -1,16 +1,14 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race differential golden check-faults check-obs check-prof check-fusion check-durable check-benchdb fuzz-smoke bench bench-matrix bench-hotpath bench-obs bench-scaling bench-fusion bench-durable bench-benchdb bench-watch clean
+.PHONY: check fmt vet build test race differential golden check-faults check-obs check-prof check-fusion check-durable bench-module fuzz-smoke clean
 
 # check is the full pre-merge gate: formatting, static checks, build,
 # the race-enabled test suite (including the differential, golden,
 # fault-injection, observability, profiler, fusion and durability
 # suites, run explicitly so a -run filter can never silently drop
-# them), a short instrumented benchmark run that exercises the
-# manifest path end to end (BENCH_PR1.json), and the uniform
-# bench-watch regression gate over the committed BENCH_*.json
-# trajectory.
-check: fmt vet build race differential golden check-faults check-obs check-prof check-fusion check-durable check-benchdb bench bench-watch
+# them), and the vet and tests of the nested bench/ module, which the
+# root ./... patterns do not reach. It writes nothing into the tree.
+check: fmt vet build race differential golden check-faults check-obs check-prof check-fusion check-durable bench-module
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -45,7 +43,9 @@ golden:
 # check-faults runs the fault-injection and shutdown-path suites under
 # the race detector: matrix survival with injected decode/memory/panic
 # faults, retry and watchdog behaviour, pool drain on cancel, and the
-# hardened ELF reader's malformed-input tests.
+# hardened ELF reader's malformed-input tests. The armed-but-not-firing
+# watchdog byte-identity row lives in TestParallelByteIdentical
+# (differential).
 check-faults:
 	$(GO) test -race -count=1 ./internal/faultinject
 	$(GO) test -race -count=1 -run 'TestMatrixSurvives|TestRetry|TestHungCell|TestSlowCell|TestBudget|TestFailFast|TestValidate|TestFailedRow' ./internal/report
@@ -55,17 +55,16 @@ check-faults:
 # check-obs runs the observability suites under the race detector:
 # Prometheus exposition goldens, status board and SSE semantics, the
 # live-matrix HTTP round trip with injected faults, the flight
-# recorder, bench-watch rules, structured logging, manifest v1
-# compatibility — and the goroutine-leak shutdown contract
-# (TestObsShutdown: the server follows experiment-context
-# cancellation and Close leaves nothing behind).
+# recorder, structured logging, manifest v1 compatibility — and the
+# goroutine-leak shutdown contract (TestObsShutdown: the server follows
+# experiment-context cancellation and Close leaves nothing behind).
 check-obs:
 	$(GO) test -race -count=1 ./internal/obs/...
 	$(GO) test -race -count=1 -run 'TestReadManifest|TestCanonicalize' ./internal/telemetry
 
 # check-prof runs the span-profiler suites under the race detector:
-# the prof package itself (ring/totals semantics, occupancy, Amdahl
-# fit, zero-allocation and nil-hook cost pins), worker-lane and
+# the prof package itself (ring/totals semantics, Chrome-trace export,
+# zero-allocation and nil-hook cost pins), worker-lane and
 # queue-wait accounting in the pool, timed fan-out, the concurrent
 # sharded-windowed-CP cells, and the matrix-level contracts — profile
 # on/off byte-identity and the <= 1% disabled-profiler overhead gate.
@@ -98,18 +97,6 @@ check-durable:
 	$(GO) test -race -count=1 -run 'TestDiskFault|TestTearJournalTail|TestOpenFaultFile' ./internal/faultinject
 	$(GO) test -race -count=1 -run 'TestDurable|TestDrainInterruptsRetryBackoff|TestChaos' ./internal/report
 
-# check-benchdb runs the benchmark-observatory suites under the race
-# detector: the benchdb package itself (ledger append/replay with
-# torn-tail and corruption semantics, host fingerprinting, the noise
-# probe, robust statistics, drift detection), and the obs-level
-# contracts — noise-aware bench-watch gating, the host-drift refusal,
-# v1/v2 schema-family compatibility, the /benchz endpoint (golden text
-# table, JSON round trip) and its Prometheus gauges, including the
-# concurrent live-ledger scrape test.
-check-benchdb:
-	$(GO) test -race -count=1 ./internal/benchdb
-	$(GO) test -race -count=1 -run 'TestWatch|TestBenchz|TestNaturalLess|TestServedCells' ./internal/obs
-
 # fuzz-smoke runs each native fuzz target briefly. Longer campaigns:
 #	$(GO) test -fuzz FuzzDecodeA64 -fuzztime 5m ./internal/a64
 fuzz-smoke:
@@ -118,98 +105,13 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzELF -fuzztime 5s ./internal/elfio
 	$(GO) test -fuzz FuzzFusionStream -fuzztime 5s ./internal/fusion
 	$(GO) test -fuzz FuzzJournalReplay -fuzztime 5s ./internal/durable
-	$(GO) test -fuzz FuzzBenchLedgerReplay -fuzztime 5s ./internal/benchdb
 
-# bench writes a run manifest for the benchmark trajectory: one
-# instrumented run per workload at small scale, plus the telemetry
-# overhead micro-benchmark printed for eyeballing.
-bench:
-	$(GO) run ./cmd/isacmp run -scale tiny -target all -metrics-json BENCH_PR1.json
-	$(GO) test -run xxx -bench BenchmarkTelemetryOverhead -benchtime 1s .
-
-# bench-matrix times the full analysis matrix sequentially and with
-# the worker pool, verifies the outputs are byte-identical, and writes
-# the comparison (speedup, worker utilization) to BENCH_PR2.json; it
-# then times the matrix with the resilience watchdogs disarmed vs
-# armed (deadline, budget, retries — none firing) and writes the
-# overhead comparison against the <= 2% budget to BENCH_PR3.json.
-bench-matrix:
-	$(GO) run ./cmd/isacmp bench-matrix -scale small -o BENCH_PR2.json
-	$(GO) run ./cmd/isacmp bench-resilience -scale small -o BENCH_PR3.json
-
-# bench-hotpath times the full matrix through the per-Step reference
-# loop and through the batched StepN hot path (both single-threaded),
-# verifies the two are byte-identical, and writes the comparison plus
-# the speedup over the committed PR 2 sequential baseline to
-# BENCH_PR4.json. Regenerate (and commit) after an intentional
-# hot-path change.
-bench-hotpath:
-	$(GO) run ./cmd/isacmp bench-hotpath -scale small -o BENCH_PR4.json
-
-# bench-obs times the matrix bare and with the whole control plane
-# live (registry, status board metered on the hot path, HTTP server on
-# loopback), verifies byte-identity and writes the serve-mode overhead
-# against the <= 2% budget to BENCH_PR5.json. Regenerate (and commit)
-# after an intentional control-plane change.
-bench-obs:
-	$(GO) run ./cmd/isacmp bench-obs -scale small -o BENCH_PR5.json
-
-# bench-scaling sweeps the full matrix over worker counts with the
-# span profiler live: per-point stage breakdown and occupancy, an
-# Amdahl serial-fraction fit, the profiler's own measured on-cost
-# against the <= 3% budget, the estimated off-cost, and a ranked
-# attribution of lost parallelism naming the dominant bottleneck.
-# Writes BENCH_PR6.json; regenerate (and commit) after an intentional
-# execution-path change.
-bench-scaling:
-	$(GO) run ./cmd/isacmp scalebench -scale small -o BENCH_PR6.json
-
-# bench-fusion times the full matrix with fusion off (adapter elided)
-# and with an attached-but-inert scan-only pass, verifies the two are
-# byte-identical and the scan overhead stays under the <= 1% budget,
-# then runs the matrix once with every RV64 rule live and records the
-# per-kernel effective path lengths and per-rule hit totals to
-# BENCH_PR7.json. Regenerate (and commit) after an intentional fusion
-# or hot-path change.
-bench-fusion:
-	$(GO) run ./cmd/isacmp bench-fusion -scale small -o BENCH_PR7.json
-
-# bench-durable times the full matrix bare and with the write-ahead
-# cell journal armed (fsync per record, cold cache every rep),
-# verifies journal-on output is byte-identical to bare, checks the
-# journal overhead against the <= 2% budget, and verifies a warm-cache
-# second run recomputes zero cells. Writes BENCH_PR8.json; regenerate
-# (and commit) after an intentional durability-layer change.
-bench-durable:
-	$(GO) run ./cmd/isacmp bench-durable -scale small -o BENCH_PR8.json
-
-# bench-benchdb measures the benchdb observatory's own cost: the full
-# matrix timed bare and with the per-bench instrumentation armed (host
-# fingerprint + noise probe + one fsynced ledger append, replay-
-# verified each rep), with bare/armed byte-identity checked and the
-# overhead pinned against the <= 1% budget. Writes BENCH_PR10.json;
-# regenerate (and commit) after an intentional observatory change.
-bench-benchdb:
-	$(GO) run ./cmd/isacmp bench-benchdb -scale small -o BENCH_PR10.json
-
-# bench-watch is the uniform regression gate over the committed
-# benchmark trajectory (replacing the retired ad-hoc hotpath-guard):
-# each watched BENCH_*.json is re-measured into a scratch doc and
-# judged through the per-schema rules — wall-time ratios against the
-# committed baseline, budget fields against the budget recorded in the
-# fresh doc, and the byte-identity flags. Scratch docs are removed so
-# committed baselines are never overwritten by a gate run.
-bench-watch:
-	$(GO) run ./cmd/isacmp bench-hotpath -scale small -o BENCH_PR4.check.json -guard BENCH_PR4.json
-	$(GO) run ./cmd/isacmp bench-obs -scale small -o BENCH_PR5.check.json
-	$(GO) run ./cmd/isacmp bench-watch BENCH_PR5.json BENCH_PR5.check.json
-	$(GO) run ./cmd/isacmp scalebench -scale small -o BENCH_PR6.check.json -guard BENCH_PR6.json
-	$(GO) run ./cmd/isacmp bench-fusion -scale small -o BENCH_PR7.check.json -guard BENCH_PR7.json
-	$(GO) run ./cmd/isacmp bench-durable -scale small -o BENCH_PR8.check.json
-	$(GO) run ./cmd/isacmp bench-watch BENCH_PR8.json BENCH_PR8.check.json
-	$(GO) run ./cmd/isacmp bench-benchdb -scale small -o BENCH_PR10.check.json
-	$(GO) run ./cmd/isacmp bench-watch BENCH_PR10.json BENCH_PR10.check.json
-	rm -f BENCH_PR4.check.json BENCH_PR5.check.json BENCH_PR6.check.json BENCH_PR7.check.json BENCH_PR8.check.json BENCH_PR10.check.json
+# bench-module vets and tests the nested bench/ module (the benchmark
+# harness; see bench/README.md). Run the benchmark itself with
+# `bash bench/run.sh`, and compare two result documents with its
+# compare subcommand.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 clean:
-	rm -f BENCH_PR1.json BENCH_PR2.json BENCH_PR3.json BENCH_PR4.json BENCH_PR5.json BENCH_PR6.json BENCH_PR7.json BENCH_PR8.json BENCH_PR10.json BENCH_PR4.check.json BENCH_PR5.check.json BENCH_PR6.check.json BENCH_PR7.check.json BENCH_PR8.check.json BENCH_PR10.check.json BENCHDB.jsonl
+	rm -rf .bench_build bench/out

@@ -238,9 +238,8 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 // benchFullMatrix runs the complete paper matrix — every workload,
 // every target, all four analyses — through RunMatrix with the given
 // worker count. Tiny scale keeps one iteration under a second so the
-// sequential/parallel pair is cheap to compare (benchstat, or
-// `isacmp bench-matrix`, which also records the speedup and the
-// byte-identity check in BENCH_PR2.json).
+// sequential/parallel pair is cheap to compare with benchstat;
+// TestParallelByteIdentical pins that both produce identical output.
 func benchFullMatrix(b *testing.B, parallel int) {
 	progs := Suite(Tiny)
 	ex := MatrixExperiment{PathLength: true, CritPath: true, Scaled: true, Windowed: true, Parallel: parallel}

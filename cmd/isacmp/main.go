@@ -45,7 +45,6 @@ import (
 	"isacmp"
 
 	"isacmp/internal/a64"
-	"isacmp/internal/benchdb"
 	"isacmp/internal/core"
 	"isacmp/internal/elfio"
 	"isacmp/internal/fusion"
@@ -74,7 +73,6 @@ func main() {
 	kernelFlag := fs.String("kernel", "", "kernel to disassemble (disasm)")
 	targetFlag := fs.String("target", "aarch64-gcc12", "target: {aarch64,rv64}-{gcc9,gcc12}, or \"all\" (run)")
 	dirFlag := fs.String("dir", "results", "output directory (artifacts)")
-	outFlag := fs.String("o", "BENCH_PR2.json", "output file (bench-matrix)")
 	latencyFlag := fs.String("latency-file", "", "latency config file overriding the TX2 model (scaledcp)")
 	countFlag := fs.Int("n", 32, "instructions to print (trace)")
 	strideFlag := fs.Int("stride", 0, "window stride in instructions (windowcp; 0 = size/2)")
@@ -96,8 +94,6 @@ func main() {
 	retryBackoffFlag := fs.Duration("retry-backoff", 100*time.Millisecond, "sleep before the first retry, doubling each further retry")
 	failFastFlag := fs.Bool("fail-fast", false, "cancel the whole matrix on the first cell failure instead of continuing")
 	maxInstFlag := fs.Uint64("max-instructions", 0, "per-cell instruction budget; exceeding it is a FAILED(budget) row (0 disables)")
-	pr2Flag := fs.String("pr2-baseline", "BENCH_PR2.json", "committed bench-matrix doc to compute the hot-path speedup against (bench-hotpath; \"\" skips)")
-	guardFlag := fs.String("guard", "", "committed bench doc to judge the fresh doc against via the bench-watch rules (bench-hotpath)")
 	serveFlag := fs.String("serve", "", "serve the observability endpoints (/metrics, /statusz, /events, /healthz, /debug/pprof) on this address for the duration of the command (e.g. :8080, or :0 for an ephemeral port)")
 	logLevelFlag := fs.String("log-level", "info", "structured log threshold: debug, info, warn or error")
 	logFormatFlag := fs.String("log-format", "text", "structured log encoding on stderr: text or json (JSONL)")
@@ -107,7 +103,6 @@ func main() {
 	profileTraceFlag := fs.String("profile-trace", "", "write the -profile span timelines as Chrome-trace JSON to this file at exit (implies -profile)")
 	durableDirFlag := fs.String("durable-dir", "", "arm crash-safe running: a write-ahead cell journal plus content-addressed result cache in this directory")
 	resumeFlag := fs.String("resume", "", "resume an interrupted run from this durability directory: replay the journal, verify hashes, recompute only unfinished cells")
-	benchdbFlag := fs.String("benchdb", benchdb.DefaultLedgerPath, "append every finished bench document to this benchdb performance ledger (\"none\" disables)")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(report.ExitUsage)
 	}
@@ -116,10 +111,6 @@ func main() {
 	}
 	if *metricsJSONFlag != "" {
 		*jsonFlag = *metricsJSONFlag
-	}
-	benchLedgerPath = *benchdbFlag
-	if benchLedgerPath == "none" {
-		benchLedgerPath = ""
 	}
 
 	scale, err := parseScale(*scaleFlag)
@@ -181,7 +172,6 @@ func main() {
 	if *serveFlag != "" {
 		srv, err := obs.StartServer(obsCtx, obs.ServerConfig{
 			Addr: *serveFlag, Registry: reg, Board: board, Profiler: profiler, Log: log,
-			Bench: &obs.BenchSource{Dir: ".", LedgerPath: benchLedgerPath, Registry: reg},
 		})
 		if err != nil {
 			fatal(err)
@@ -378,74 +368,6 @@ func main() {
 			fatal(err)
 		}
 		failedCells += n
-	case "bench-matrix":
-		if err := benchMatrix(progs, scale, *outFlag, *parallelFlag, text); err != nil {
-			fatal(err)
-		}
-	case "bench-resilience":
-		out := *outFlag
-		if out == "BENCH_PR2.json" { // flag default belongs to bench-matrix
-			out = "BENCH_PR3.json"
-		}
-		if err := benchResilience(progs, scale, out, *parallelFlag, text); err != nil {
-			fatal(err)
-		}
-	case "bench-hotpath":
-		out := *outFlag
-		if out == "BENCH_PR2.json" { // flag default belongs to bench-matrix
-			out = "BENCH_PR4.json"
-		}
-		if err := benchHotpath(progs, scale, out, *pr2Flag, *guardFlag, text); err != nil {
-			fatal(err)
-		}
-	case "bench-obs":
-		out := *outFlag
-		if out == "BENCH_PR2.json" { // flag default belongs to bench-matrix
-			out = "BENCH_PR5.json"
-		}
-		if err := benchObs(progs, scale, out, *parallelFlag, text); err != nil {
-			fatal(err)
-		}
-	case "bench-fusion":
-		out := *outFlag
-		if out == "BENCH_PR2.json" { // flag default belongs to bench-matrix
-			out = "BENCH_PR7.json"
-		}
-		if err := benchFusion(progs, scale, out, *guardFlag, text); err != nil {
-			fatal(err)
-		}
-	case "scalebench":
-		out := *outFlag
-		if out == "BENCH_PR2.json" { // flag default belongs to bench-matrix
-			out = "BENCH_PR6.json"
-		}
-		if err := scaleBench(progs, scale, out, *guardFlag, text); err != nil {
-			fatal(err)
-		}
-	case "bench-durable":
-		out := *outFlag
-		if out == "BENCH_PR2.json" { // flag default belongs to bench-matrix
-			out = "BENCH_PR8.json"
-		}
-		if err := benchDurable(progs, scale, out, *parallelFlag, text); err != nil {
-			fatal(err)
-		}
-	case "bench-benchdb":
-		out := *outFlag
-		if out == "BENCH_PR2.json" { // flag default belongs to bench-matrix
-			out = "BENCH_PR10.json"
-		}
-		if err := benchBenchdb(progs, scale, out, *parallelFlag, text); err != nil {
-			fatal(err)
-		}
-	case "bench-watch":
-		args := fs.Args()
-		if len(args) != 2 {
-			usageFatal(fmt.Errorf("bench-watch wants exactly two arguments: <committed.json> <fresh.json>"))
-		}
-		if err := benchWatch(args[0], args[1], text); err != nil {
-			fatal(err)
-		}
 	case "artifacts":
 		if err := report.WriteArtifacts(*dirFlag, progs); err != nil {
 			fatal(err)
@@ -1119,27 +1041,6 @@ commands:
   windowcp   mean ILP per ROB-sized window            (Figure 2)
   mix        instruction mix and branch density       (section 3.3)
   run        instrumented run: core stats, metrics, pipeline trace
-  bench-matrix  time the full matrix sequential vs parallel (-o, -parallel)
-  bench-resilience  measure the armed-watchdog overhead vs baseline (-o)
-  bench-hotpath  time the batched hot path vs the per-Step loop (-o,
-                 -pr2-baseline, -guard: judge via the bench-watch rules)
-  bench-obs  measure the serve-mode overhead vs baseline (-o)
-  bench-fusion  measure the fusion-off scan overhead vs the <= 1% budget
-             and the fusion-on effective-path-length ratios (-o, -guard)
-  scalebench sweep the matrix over worker counts with the span profiler
-             live: per-stage breakdown, occupancy, Amdahl fit and a
-             ranked attribution of lost parallelism (-o, -guard)
-  bench-durable  measure the write-ahead-journal overhead vs the <= 2%
-             budget, journal-off byte-identity and warm-cache
-             zero-recompute (-o)
-  bench-benchdb  measure the benchdb observatory's own cost — noise
-             probe + fsynced ledger append — vs the <= 1% budget,
-             with bare/armed byte-identity (-o)
-  bench-watch <committed.json> <fresh.json>  fail on regression against
-             the committed benchmark trajectory with noise-aware
-             tolerances; exit 0 pass, 1 regression, 2 usage/parse,
-             3 host drift (fingerprint or noise-probe mismatch —
-             re-baseline, don't debug)
   artifacts  write the four result files of the paper's artifact (A.6)
   trace      print a disassembled execution trace (-n, -kernel, -target)
   blocks     hottest dynamically-discovered basic blocks (-n, -target)
@@ -1164,10 +1065,8 @@ durability: -durable-dir <dir> (write-ahead cell journal + content-
 
 observability: -json <f> (run manifest; "-" = stdout)  -progress
   -cpuprofile <f>  -memprofile <f>
-  -serve <addr> (live /metrics /statusz /profilez /benchz /events
-    /healthz /debug/pprof)
-  -benchdb <f> (bench-document append ledger; default BENCHDB.jsonl,
-    "none" disables; served on /benchz with the committed BENCH_*.json)
+  -serve <addr> (live /metrics /statusz /profilez /events /healthz
+    /debug/pprof)
   -log-level debug|info|warn|error  -log-format text|json
   -flight-dir <dir>  -flight-events <n> (post-mortem ring on cell death)
   -profile (per-stage span timelines; /profilez, /statusz stage_seconds)
@@ -1185,19 +1084,13 @@ func (e usageError) Error() string { return e.err.Error() }
 func (e usageError) Unwrap() error { return e.err }
 
 // fatal prints the error and exits per the documented contract:
-// ExitUsage (2) for bad user input, ExitPartial (3) for a bench-watch
-// comparison refused because the host drifted (the measurement is
-// invalid, not the code — re-baseline rather than debug), ExitFatal
-// (1) for everything else including a genuine gate regression.
+// ExitUsage (2) for bad user input, ExitFatal (1) for everything else.
 func fatal(err error) {
 	var ue usageError
 	if errors.As(err, &ue) {
 		usageFatal(err)
 	}
 	fmt.Fprintln(os.Stderr, "isacmp:", err)
-	if errors.Is(err, obs.ErrHostDrift) {
-		os.Exit(report.ExitPartial)
-	}
 	os.Exit(report.ExitFatal)
 }
 

@@ -1,15 +1,11 @@
 package benchdb
 
 import (
-	"bytes"
-	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"isacmp/internal/durable"
 )
 
 func TestMedianMADCV(t *testing.T) {
@@ -47,23 +43,6 @@ func TestMedianMADCV(t *testing.T) {
 	}
 	if got := Min([]float64{3, 1, 2}); got != 1 {
 		t.Errorf("Min = %v, want 1", got)
-	}
-}
-
-func TestSchemaFamily(t *testing.T) {
-	cases := map[string]string{
-		"isacmp/bench-matrix/v1":    "isacmp/bench-matrix",
-		"isacmp/bench-matrix/v2":    "isacmp/bench-matrix",
-		"isacmp/scaling-report/v12": "isacmp/scaling-report",
-		"isacmp/bench-matrix":       "isacmp/bench-matrix",
-		"isacmp/bench-matrix/vx":    "isacmp/bench-matrix/vx",
-		"isacmp/bench-matrix/v":     "isacmp/bench-matrix/v",
-		"":                          "",
-	}
-	for in, want := range cases {
-		if got := SchemaFamily(in); got != want {
-			t.Errorf("SchemaFamily(%q) = %q, want %q", in, got, want)
-		}
 	}
 }
 
@@ -133,198 +112,6 @@ func TestRunProbe(t *testing.T) {
 	}
 	if d := RunProbe(0); d.Reps != DefaultProbeReps {
 		t.Fatalf("default reps = %d, want %d", d.Reps, DefaultProbeReps)
-	}
-}
-
-func TestLedgerAppendReplayRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ledger.jsonl")
-	l, entries, err := Open(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
-		t.Fatalf("fresh ledger replayed %d entries", len(entries))
-	}
-	fp := Collect()
-	for i, schema := range []string{"isacmp/bench-matrix/v2", "isacmp/bench-obs/v2"} {
-		e := Entry{
-			Time:        "2026-08-08T00:00:00Z",
-			Schema:      schema,
-			Doc:         "BENCH_TEST.json",
-			Metrics:     map[string]float64{"sequential_seconds": 1.5 + float64(i)},
-			Flags:       map[string]bool{"identical": true},
-			Fingerprint: fp,
-			Noise:       &Probe{Reps: 3, MedianSeconds: 0.002, MinSeconds: 0.0019, CV: 0.01},
-		}
-		if err := l.Append(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, torn, err := Replay(path)
-	if err != nil || torn {
-		t.Fatalf("Replay: torn=%v err=%v", torn, err)
-	}
-	if len(got) != 2 || got[0].Seq != 0 || got[1].Seq != 1 {
-		t.Fatalf("replayed %+v", got)
-	}
-	if got[1].Metrics["sequential_seconds"] != 2.5 || !got[0].Flags["identical"] {
-		t.Fatalf("payload mismatch: %+v", got)
-	}
-	if got[0].Fingerprint == nil || got[0].Fingerprint.Key() != fp.Key() {
-		t.Fatalf("fingerprint did not round-trip: %+v", got[0].Fingerprint)
-	}
-
-	// Re-open continues the sequence.
-	l2, entries, err := Open(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 2 {
-		t.Fatalf("re-open replayed %d entries", len(entries))
-	}
-	if err := l2.Append(Entry{Schema: "isacmp/bench-matrix/v2"}); err != nil {
-		t.Fatal(err)
-	}
-	l2.Close()
-	got, _, err = Replay(path)
-	if err != nil || len(got) != 3 || got[2].Seq != 2 {
-		t.Fatalf("continued replay: %+v err=%v", got, err)
-	}
-}
-
-func TestLedgerTornTailTolerated(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ledger.jsonl")
-	l, _, err := Open(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := l.Append(Entry{Schema: "isacmp/bench-matrix/v2", Metrics: map[string]float64{"x": float64(i)}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	l.Close()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Tear the final line mid-record.
-	torn := data[:len(data)-10]
-	entries, tornTail, err := ReplayData(torn)
-	if err != nil {
-		t.Fatalf("torn tail must be tolerated: %v", err)
-	}
-	if !tornTail || len(entries) != 2 {
-		t.Fatalf("tornTail=%v entries=%d, want true/2", tornTail, len(entries))
-	}
-
-	// The same tear mid-file is corruption, not a tolerated tear.
-	lines := bytes.SplitAfter(data, []byte{'\n'})
-	corrupt := append(append([]byte{}, lines[0][:len(lines[0])-10]...), '\n')
-	corrupt = append(corrupt, lines[1]...)
-	corrupt = append(corrupt, lines[2]...)
-	if _, _, err := ReplayData(corrupt); err == nil {
-		t.Fatal("mid-file corruption must be an error")
-	}
-
-	// A stale sequence number is corruption even at the tail.
-	dup := append(append([]byte{}, data...), lines[0]...)
-	if _, _, err := ReplayData(dup); err == nil {
-		t.Fatal("stale sequence must be an error")
-	}
-
-	// Compact drops the tear and renumbers.
-	if _, err := Compact(path, entries); err != nil {
-		t.Fatal(err)
-	}
-	got, tornTail, err := Replay(path)
-	if err != nil || tornTail || len(got) != 2 {
-		t.Fatalf("post-compact: entries=%d torn=%v err=%v", len(got), tornTail, err)
-	}
-}
-
-func TestLedgerNoSync(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ledger.jsonl")
-	l, _, err := Open(path, &durable.Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append(Entry{Schema: "isacmp/bench-matrix/v2"}); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-	if entries, _, err := Replay(path); err != nil || len(entries) != 1 {
-		t.Fatalf("nosync replay: %v %v", entries, err)
-	}
-}
-
-func TestEntryFromDoc(t *testing.T) {
-	raw := `{
-		"schema": "isacmp/bench-matrix/v2",
-		"scale": "small",
-		"sequential_seconds": 12.5,
-		"workers": 8,
-		"identical": true,
-		"rows": [{"ignored": 1}],
-		"fingerprint": {"cpu_model": "Example CPU", "num_cpu": 8, "gomaxprocs": 8, "go_version": "go1.22", "os": "linux", "arch": "amd64"},
-		"noise": {"reps": 7, "median_seconds": 0.002, "min_seconds": 0.0019, "cv": 0.015}
-	}`
-	var doc map[string]any
-	if err := json.Unmarshal([]byte(raw), &doc); err != nil {
-		t.Fatal(err)
-	}
-	e := EntryFromDoc(doc, "BENCH_PR2.json")
-	if e.Schema != "isacmp/bench-matrix/v2" || e.Doc != "BENCH_PR2.json" {
-		t.Fatalf("identity: %+v", e)
-	}
-	if e.Metrics["sequential_seconds"] != 12.5 || e.Metrics["workers"] != 8 {
-		t.Fatalf("metrics: %+v", e.Metrics)
-	}
-	if _, ok := e.Metrics["scale"]; ok {
-		t.Fatal("string field leaked into metrics")
-	}
-	if !e.Flags["identical"] {
-		t.Fatalf("flags: %+v", e.Flags)
-	}
-	if e.Fingerprint == nil || e.Fingerprint.CPUModel != "Example CPU" {
-		t.Fatalf("fingerprint: %+v", e.Fingerprint)
-	}
-	if e.Noise == nil || e.Noise.CV != 0.015 {
-		t.Fatalf("noise: %+v", e.Noise)
-	}
-}
-
-func TestBuildSeries(t *testing.T) {
-	entries := []Entry{
-		{Schema: "isacmp/bench-matrix/v1", Doc: "BENCH_PR2.json", Metrics: map[string]float64{"sequential_seconds": 10, "parallel_seconds": 4}},
-		{Schema: "isacmp/bench-matrix/v2", Doc: "BENCH_PR2b.json", Metrics: map[string]float64{"sequential_seconds": 12}},
-		{Schema: "isacmp/bench-obs/v2", Doc: "BENCH_PR5.json", Metrics: map[string]float64{"overhead_percent": 0.5}},
-	}
-	series := BuildSeries(entries)
-	if len(series) != 3 {
-		t.Fatalf("series count = %d: %+v", len(series), series)
-	}
-	// v1 and v2 collapse into one family series, in schema/metric order.
-	var seq *Series
-	for i := range series {
-		if series[i].Schema == "isacmp/bench-matrix" && series[i].Metric == "sequential_seconds" {
-			seq = &series[i]
-		}
-	}
-	if seq == nil {
-		t.Fatalf("no family series: %+v", series)
-	}
-	if len(seq.Values) != 2 || seq.Values[0] != 10 || seq.Values[1] != 12 {
-		t.Fatalf("values: %+v", seq)
-	}
-	if seq.Median != 11 || seq.Latest != 12 || math.Abs(seq.Trend-12.0/11.0) > 1e-12 {
-		t.Fatalf("summary: %+v", seq)
-	}
-	if seq.Docs[1] != "BENCH_PR2b.json" {
-		t.Fatalf("docs: %+v", seq.Docs)
 	}
 }
 

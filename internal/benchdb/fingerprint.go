@@ -1,11 +1,11 @@
-// Package benchdb is the benchmark observatory: an append-only,
-// crash-safe performance ledger that every bench writer appends to,
-// plus the host-fingerprint and noise-probe provenance that makes a
-// recorded number auditable. The paper's headline claims are ratio
-// measurements; this package is the controlled measurement around
-// them — it records *where* a number was measured (fingerprint),
-// *how noisy* the host was at the time (probe), and keeps the whole
-// longitudinal trajectory replayable after a crash (ledger).
+// Package benchdb is host provenance and drift detection for the
+// bench/ harness: a fingerprint of the measurement host, a calibrated
+// noise probe of how quiet that host was, robust (median/MAD-based)
+// statistics over small samples, and DetectDrift, which tells host
+// drift from a code regression when two result documents are compared.
+// The paper's headline claims are ratio measurements; this package
+// records *where* a number was measured and *how noisy* the host was,
+// so a ratio between two runs is only trusted when both are known.
 package benchdb
 
 import (

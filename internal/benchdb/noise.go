@@ -16,11 +16,10 @@ const (
 	// contemporary hardware — long enough to ride over timer and
 	// scheduler granularity, short enough that a full probe
 	// (DefaultProbeReps reps plus warmup) costs ~10–20 ms and stays
-	// well under the 1% overhead budget of a seconds-long bench run
-	// (BENCH_PR10 pins this).
+	// well under 1% of a seconds-long bench run.
 	probeIters = 1 << 20
-	// DefaultProbeReps is how many timed reps writers use (plus one
-	// untimed warmup).
+	// DefaultProbeReps is how many timed reps RunProbe takes by default
+	// (plus one untimed warmup).
 	DefaultProbeReps = 5
 )
 

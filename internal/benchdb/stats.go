@@ -68,69 +68,6 @@ func RobustCV(xs []float64) float64 {
 	return madToSigma * MAD(xs) / med
 }
 
-// Series is the longitudinal view of one (schema, metric) pair across
-// ledger entries, oldest first.
-type Series struct {
-	Schema string `json:"schema"`
-	Metric string `json:"metric"`
-	// Docs and Values are parallel: Docs[i] names the source document
-	// of Values[i] ("" when the entry carried no document name).
-	Docs   []string  `json:"docs"`
-	Values []float64 `json:"values"`
-	// Median and CV summarize the whole series; Latest is the newest
-	// value and Trend its ratio to the series median (1.0 = flat,
-	// >1 = the metric grew).
-	Median float64 `json:"median"`
-	CV     float64 `json:"cv"`
-	Latest float64 `json:"latest"`
-	Trend  float64 `json:"trend"`
-}
-
-// BuildSeries groups ledger entries into per-(schema family, metric)
-// series, ordered by schema then metric. Schema versions collapse
-// into one family series — a v1→v2 bump must not sever the metric's
-// history.
-func BuildSeries(entries []Entry) []Series {
-	type key struct{ schema, metric string }
-	idx := make(map[key]int)
-	var out []Series
-	for _, e := range entries {
-		fam := SchemaFamily(e.Schema)
-		metrics := make([]string, 0, len(e.Metrics))
-		for m := range e.Metrics {
-			metrics = append(metrics, m)
-		}
-		sort.Strings(metrics)
-		for _, m := range metrics {
-			k := key{fam, m}
-			i, ok := idx[k]
-			if !ok {
-				i = len(out)
-				idx[k] = i
-				out = append(out, Series{Schema: fam, Metric: m})
-			}
-			out[i].Docs = append(out[i].Docs, e.Doc)
-			out[i].Values = append(out[i].Values, e.Metrics[m])
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Schema != out[j].Schema {
-			return out[i].Schema < out[j].Schema
-		}
-		return out[i].Metric < out[j].Metric
-	})
-	for i := range out {
-		s := &out[i]
-		s.Median = Median(s.Values)
-		s.CV = RobustCV(s.Values)
-		s.Latest = s.Values[len(s.Values)-1]
-		if s.Median > 0 {
-			s.Trend = s.Latest / s.Median
-		}
-	}
-	return out
-}
-
 // NoiseDriftTolerance is how far the fresh noise-probe median may
 // move from the baseline's before the host is judged to have drifted
 // (frequency scaling, thermal throttling, a co-tenant): the probe

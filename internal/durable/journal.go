@@ -90,17 +90,6 @@ func (o *Options) open(path string) (File, error) {
 	return os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 }
 
-// OpenAppendFile opens path for appending through the Options hook.
-// It is the shared open path for the cell journal and the benchdb
-// performance ledger, so both see the same fault-injection wrappers
-// and the same NoSync escape hatch.
-func OpenAppendFile(path string, opts *Options) (File, error) {
-	if opts == nil {
-		opts = &Options{}
-	}
-	return opts.open(path)
-}
-
 // JournalPath returns the journal file location inside a run
 // directory.
 func JournalPath(dir string) string { return filepath.Join(dir, "journal.jsonl") }

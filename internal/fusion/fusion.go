@@ -108,10 +108,6 @@ type Config struct {
 	// Rules is the enabled rule set (AllRules via ParseSpec unless the
 	// spec names specific rules).
 	Rules RuleSet
-	// Attach forces the pass onto in-scope targets even when no rule
-	// can fire there — the bench-fusion hook for measuring the bare
-	// scan cost of an interposed pass that fuses nothing.
-	Attach bool
 }
 
 // Enabled reports whether the config turns fusion on for any target.
@@ -139,15 +135,7 @@ func (c Config) RulesFor(arch isa.Arch) RuleSet {
 // architecture. When false the caller wires the sinks directly — the
 // disabled pass costs nothing, which is the fusion-off byte-identity
 // contract.
-func (c Config) Active(arch isa.Arch) bool {
-	if c.RulesFor(arch) != 0 {
-		return true
-	}
-	if !c.Attach {
-		return false
-	}
-	return (arch == isa.RV64 && c.RV64) || (arch == isa.AArch64 && c.A64)
-}
+func (c Config) Active(arch isa.Arch) bool { return c.RulesFor(arch) != 0 }
 
 // ParseSpec parses the -fusion flag: "off" (or ""), or a scope
 // "rv64" | "a64" | "both", optionally followed by ":rule,rule,..."

@@ -367,24 +367,6 @@ func TestRuleMaskRestricts(t *testing.T) {
 	}
 }
 
-func TestAttachInert(t *testing.T) {
-	cfg := Config{RV64: true, A64: true, Attach: true}
-	if !cfg.Active(isa.RV64) || !cfg.Active(isa.AArch64) {
-		t.Fatalf("attach-only config must be active")
-	}
-	in := []isa.Event{
-		evLoad(0x100, isa.IntReg(5), isa.IntReg(10), 0x8000, 8),
-		evLoad(0x104, isa.IntReg(6), isa.IntReg(10), 0x9000, 8),
-	}
-	out, st := run(t, cfg, isa.RV64, in)
-	if len(out) != 2 || st.Pairs() != 0 || st.EventsIn != 2 || st.EventsOut != 2 {
-		t.Fatalf("inert pass rewrote the stream: %d events, %+v", len(out), st)
-	}
-	if !reflect.DeepEqual(out, in) {
-		t.Fatalf("inert pass altered events")
-	}
-}
-
 // TestBatchSplitEquivalence delivers the same stream (a) as one batch,
 // (b) split at every possible seam, (c) per-event through Event — the
 // output and stats must be identical regardless. This pins the

@@ -6,8 +6,7 @@
 // and the stdlib pprof handlers (/debug/pprof); a status Board that
 // the report runner drives through cell transitions; a bounded
 // flight recorder producing post-mortem JSON artifacts for cells that
-// die with a SimError; and the bench-watch regression comparator over
-// the committed BENCH_*.json trajectory.
+// die with a SimError.
 //
 // Layering: telemetry stays passive (counters you read after the run);
 // obs makes the same registry queryable while the matrix is running.

@@ -32,9 +32,6 @@ type ServerConfig struct {
 	// be nil (-profile off); /profilez then reports the profiler as
 	// disabled and /statusz omits stage_seconds.
 	Profiler *prof.Profiler
-	// Bench backs /benchz: the committed BENCH_*.json trajectory plus
-	// the benchdb ledger. May be nil; /benchz then returns 404.
-	Bench *BenchSource
 	// Log receives server lifecycle lines. Nil means silent.
 	Log *slog.Logger
 }
@@ -56,7 +53,6 @@ type Server struct {
 	board    *Board
 	reg      *telemetry.Registry
 	profiler *prof.Profiler
-	bench    *BenchSource
 	log      *slog.Logger
 	ready    atomic.Bool
 	shutdown chan struct{} // closed exactly once, by Close
@@ -78,7 +74,6 @@ func StartServer(ctx context.Context, cfg ServerConfig) (*Server, error) {
 		board:    cfg.Board,
 		reg:      cfg.Registry,
 		profiler: cfg.Profiler,
-		bench:    cfg.Bench,
 		log:      slogx.OrNop(cfg.Log),
 		shutdown: make(chan struct{}),
 		served:   make(chan struct{}),
@@ -90,7 +85,6 @@ func StartServer(ctx context.Context, cfg ServerConfig) (*Server, error) {
 	mux.HandleFunc("/readyz", s.handleReadyz)
 	mux.HandleFunc("/statusz", s.handleStatusz)
 	mux.HandleFunc("/profilez", s.handleProfilez)
-	mux.HandleFunc("/benchz", s.handleBenchz)
 	mux.HandleFunc("/events", s.handleEvents)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

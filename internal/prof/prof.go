@@ -1,9 +1,7 @@
 // Package prof is the performance-attribution span profiler of the
 // execution engine: per-worker timelines of coarse stage spans (setup,
 // simulate, fan-out delivery, per-analysis sink, retry backoff,
-// manifest write) recorded for every matrix cell, plus the derived
-// worker-occupancy and Amdahl serial-fraction models the scalebench
-// sweep reports on.
+// manifest write) recorded for every matrix cell.
 //
 // Design constraints mirror internal/telemetry: the profiler is a pure
 // observer (it can never change a result byte), every method is safe

@@ -202,76 +202,6 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 }
 
-func TestOccupancyFromSched(t *testing.T) {
-	st := telemetry.SchedStats{
-		Workers:           2,
-		WallSeconds:       10,
-		WorkerUtilization: []float64{0.8, 0.2},
-		WorkerBlocked:     []float64{0.1, 0.7},
-	}
-	occ := OccupancyFromSched(st)
-	if len(occ) != 2 {
-		t.Fatalf("occupancy rows = %d", len(occ))
-	}
-	if math.Abs(occ[0].Busy-0.8) > 1e-12 || math.Abs(occ[0].Blocked-0.1) > 1e-12 || math.Abs(occ[0].Idle-0.1) > 1e-12 {
-		t.Fatalf("worker 0 occupancy = %+v", occ[0])
-	}
-	if math.Abs(occ[1].Busy-0.2) > 1e-12 || math.Abs(occ[1].Blocked-0.7) > 1e-12 {
-		t.Fatalf("worker 1 occupancy = %+v", occ[1])
-	}
-	if OccupancyFromSched(telemetry.SchedStats{}) != nil {
-		t.Fatal("empty stats should yield nil occupancy")
-	}
-	// Over-subscribed busy clamps idle at zero rather than going negative.
-	over := OccupancyFromSched(telemetry.SchedStats{WallSeconds: 1, WorkerUtilization: []float64{1.5}})
-	if over[0].Idle != 0 {
-		t.Fatalf("idle not clamped: %+v", over[0])
-	}
-}
-
-func TestAmdahlSerialFraction(t *testing.T) {
-	// Perfect Amdahl data with s = 0.3 must be recovered exactly.
-	s := 0.3
-	walls := map[int]float64{}
-	for _, w := range []int{1, 2, 4, 8} {
-		walls[w] = 10 * (s + (1-s)/float64(w))
-	}
-	if got := AmdahlSerialFraction(walls); math.Abs(got-s) > 1e-9 {
-		t.Fatalf("AmdahlSerialFraction = %v, want %v", got, s)
-	}
-	// Perfectly parallel.
-	for _, w := range []int{1, 2, 4} {
-		walls[w] = 10 / float64(w)
-	}
-	delete(walls, 8)
-	if got := AmdahlSerialFraction(walls); math.Abs(got) > 1e-9 {
-		t.Fatalf("parallel fit = %v, want 0", got)
-	}
-	// No speedup at all (single-CPU host shape): s clamps to 1.
-	if got := AmdahlSerialFraction(map[int]float64{1: 10, 2: 10.5, 4: 10.4}); got != 1 {
-		t.Fatalf("flat fit = %v, want clamp to 1", got)
-	}
-	// Degenerate inputs.
-	if got := AmdahlSerialFraction(map[int]float64{2: 5}); got != -1 {
-		t.Fatalf("missing baseline: %v, want -1", got)
-	}
-	if got := AmdahlSerialFraction(map[int]float64{1: 10}); got != -1 {
-		t.Fatalf("no multi-worker points: %v, want -1", got)
-	}
-}
-
-func TestEfficiency(t *testing.T) {
-	if got := Efficiency(10, 5, 2); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("perfect scaling efficiency = %v, want 1", got)
-	}
-	if got := Efficiency(10, 10, 4); math.Abs(got-0.25) > 1e-12 {
-		t.Fatalf("flat scaling efficiency = %v, want 0.25", got)
-	}
-	if Efficiency(0, 1, 1) != 0 || Efficiency(1, 0, 1) != 0 {
-		t.Fatal("degenerate efficiency not 0")
-	}
-}
-
 func BenchmarkStartEnd(b *testing.B) {
 	p := New(4, DefaultLaneSpans)
 	b.ReportAllocs()

@@ -164,7 +164,7 @@ func TestDurableWarmCacheZeroRecompute(t *testing.T) {
 
 // TestDurableOffIdentity pins that arming durability changes no output
 // byte relative to a plain run — the journal-off byte-identity
-// contract bench-durable enforces at scale.
+// contract.
 func TestDurableOffIdentity(t *testing.T) {
 	progs := resilienceProgs(t)
 	plain, _, err := RunSuite(progs, durableEx())

@@ -9,18 +9,6 @@ package report
 //	2  usage error: unknown flag values rejected by validation
 //	3  partial failure: the matrix completed but one or more cells are
 //	   FAILED rows (continue-on-error mode)
-//
-// bench-watch reuses the same four codes with gate-specific meanings:
-//
-//	0  every rule passed against the committed baseline
-//	1  a genuine gate regression (a ratio, floor, budget, pin or flag
-//	   rule fired beyond its noise-aware tolerance)
-//	2  usage or parse failure: missing documents, malformed JSON, a
-//	   schema with no registered rule family
-//	3  comparison refused on host drift: the two documents carry
-//	   mismatched host fingerprints or noise-probe medians, so any
-//	   ratio between them measures the host, not the code — the fix
-//	   is re-baselining, never debugging (obs.ErrHostDrift)
 const (
 	ExitOK      = 0
 	ExitFatal   = 1

@@ -124,8 +124,8 @@ type Experiment struct {
 	Parallel int
 	// StepLoop forces the core's per-Step reference loop instead of
 	// the batched StepN fast path. Results are byte-identical either
-	// way (pinned by tests); bench-hotpath uses it to measure the
-	// batching win.
+	// way (pinned by TestParallelByteIdentical and the simeng
+	// equivalence tests); production runs leave it false.
 	StepLoop bool
 	// Fusion configures the macro-op fusion pass (internal/fusion):
 	// a stream rewrite interposed between the core and the analyses

@@ -135,8 +135,8 @@ type EmulationCore struct {
 	Ctx context.Context
 	// StepLoop forces the per-Step reference loop even when the
 	// machine supports batching. The batched/stepwise equivalence
-	// tests and the bench-hotpath baseline use it; production runs
-	// leave it false.
+	// tests use it as the reference loop; production runs leave it
+	// false.
 	StepLoop bool
 	// Log, when set, receives one structured line per run: a debug
 	// completion record, or a warning carrying the classified failure.

@@ -4,26 +4,17 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+	"time"
 
 	"isacmp/internal/prof"
 	"isacmp/internal/report"
 	"isacmp/internal/telemetry"
 )
 
-// matrixArtifacts runs the full tiny matrix at the given worker count
-// and renders the two deterministic artifact forms: the text reports
-// exactly as the CLIs print them, and the canonicalized run manifest
-// JSON.
-func matrixArtifacts(t *testing.T, parallel int) (text, manifest []byte) {
-	t.Helper()
-	return matrixArtifactsEx(t, MatrixExperiment{
-		PathLength: true, CritPath: true, Scaled: true, Windowed: true,
-		Parallel: parallel,
-	})
-}
-
-// matrixArtifactsEx is matrixArtifacts over an arbitrary experiment —
-// the fusion suites reuse it with Fusion, StepLoop and Parallel set.
+// matrixArtifactsEx runs the full tiny matrix under the given
+// experiment and renders the two deterministic artifact forms: the
+// text reports exactly as the CLIs print them, and the canonicalized
+// run manifest JSON.
 func matrixArtifactsEx(t *testing.T, ex MatrixExperiment) (text, manifest []byte) {
 	t.Helper()
 	progs := Suite(Tiny)
@@ -50,20 +41,39 @@ func matrixArtifactsEx(t *testing.T, ex MatrixExperiment) (text, manifest []byte
 	return buf.Bytes(), mbuf.Bytes()
 }
 
-// TestParallelByteIdentical enforces the -parallel determinism
-// contract: the full analysis matrix run sequentially and run over a
-// multi-worker pool (with per-cell trace fan-out and sharded windowed
-// CP) must produce byte-identical report text and byte-identical
-// canonicalized manifests.
+// TestParallelByteIdentical enforces the execution-path invariance
+// contract: the full analysis matrix run sequentially on the batched
+// StepN hot path is the reference, and every variant below must
+// produce byte-identical report text and byte-identical canonicalized
+// manifests — a multi-worker pool (per-cell trace fan-out and sharded
+// windowed CP), the fusion-off per-Step reference loop, and the
+// resilience watchdogs armed but never firing.
 func TestParallelByteIdentical(t *testing.T) {
-	seqText, seqManifest := matrixArtifacts(t, 1)
-	for _, workers := range []int{2, 5} {
-		parText, parManifest := matrixArtifacts(t, workers)
-		if !bytes.Equal(seqText, parText) {
-			t.Fatalf("parallel=%d: report text differs from sequential", workers)
+	base := MatrixExperiment{PathLength: true, CritPath: true, Scaled: true, Windowed: true, Parallel: 1}
+	with := func(f func(*MatrixExperiment)) MatrixExperiment {
+		ex := base
+		f(&ex)
+		return ex
+	}
+	variants := []struct {
+		name string
+		ex   MatrixExperiment
+	}{
+		{"parallel=2", with(func(ex *MatrixExperiment) { ex.Parallel = 2 })},
+		{"parallel=5", with(func(ex *MatrixExperiment) { ex.Parallel = 5 })},
+		{"steploop", with(func(ex *MatrixExperiment) { ex.StepLoop = true })},
+		{"watchdogs armed", with(func(ex *MatrixExperiment) {
+			ex.Parallel, ex.CellTimeout, ex.MaxInstructions, ex.Retries = 2, time.Hour, 1<<62, 2
+		})},
+	}
+	baseText, baseManifest := matrixArtifactsEx(t, base)
+	for _, v := range variants {
+		text, manifest := matrixArtifactsEx(t, v.ex)
+		if !bytes.Equal(baseText, text) {
+			t.Errorf("%s: report text differs from the sequential StepN run", v.name)
 		}
-		if !bytes.Equal(seqManifest, parManifest) {
-			t.Fatalf("parallel=%d: canonicalized manifest differs from sequential", workers)
+		if !bytes.Equal(baseManifest, manifest) {
+			t.Errorf("%s: canonicalized manifest differs from the sequential StepN run", v.name)
 		}
 	}
 }
