@@ -29,9 +29,12 @@ race:
 	$(GO) test -race ./...
 
 # differential runs the cross-core / cross-ISA trace-equivalence
-# harness and the -parallel determinism tests under the race detector.
+# harness, the -parallel determinism tests and the diff of the
+# critical-path analyses against their naive reference under the race
+# detector.
 differential:
 	$(GO) test -race -count=1 -run 'TestDifferential|TestParallel|TestRunInstrumentedParallel' .
+	$(GO) test -race -count=1 -run 'TestOracle' ./internal/core
 
 # golden checks the pinned paper artifacts (Table 1/2, Figure 1/2,
 # canonical manifest) under the race detector. Regenerate after an
