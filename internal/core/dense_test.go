@@ -123,77 +123,117 @@ func TestCritPathEventsZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestMemScratchEpochReuse checks that epoch-stamped reset really
-// empties the table: values written before a reset are invisible
-// after it, and slots are reusable without clearing.
-func TestMemScratchEpochReuse(t *testing.T) {
-	m := newMemScratch()
-	m.set(0x1000, 7)
-	m.set(0x2000, 9)
-	if got := m.get(0x1000); got != 7 {
-		t.Fatalf("get = %d, want 7", got)
+// TestWordTableRebuild: a rebuild keeps a writer the next event can
+// still reach and drops one too old to share a window with it, and
+// does not grow the table when few entries survive.
+func TestWordTableRebuild(t *testing.T) {
+	const oldest = 1000 // writers before this are out of reach
+	tab := newWordTable()
+	size := len(tab.slots)
+	tab.set(0, oldest, 0)   // live; word 0 is storable
+	tab.set(8, oldest-1, 0) // dead
+	for w := uint64(16); tab.used < size/2; w += 8 {
+		tab.set(w, oldest-1, 0)
 	}
-	m.reset()
-	if got := m.get(0x1000); got != 0 {
-		t.Fatalf("stale value %d visible after reset", got)
+	tab.set(1<<20, oldest+5, oldest) // the table is half full: rebuild
+	if got := tab.get(0); got != oldest {
+		t.Fatalf("live writer = %d after rebuild, want %d", got, oldest)
 	}
-	m.set(0x1000, 3)
-	if got := m.get(0x1000); got != 3 {
-		t.Fatalf("get after reuse = %d, want 3", got)
+	if got := tab.get(8); got != 0 {
+		t.Fatalf("dead writer %d survived the rebuild", got)
 	}
-	if got := m.get(0x2000); got != 0 {
-		t.Fatalf("other stale value %d visible after reset", got)
+	if got := tab.get(1 << 20); got != oldest+5 {
+		t.Fatalf("writer stored at the rebuild = %d, want %d", got, oldest+5)
 	}
-}
-
-// TestMemScratchGrowth fills the table past its load factor and
-// checks every live entry survives the rehash.
-func TestMemScratchGrowth(t *testing.T) {
-	m := newMemScratch()
-	initial := len(m.slots)
-	n := uint64(initial) // enough to force at least one doubling
-	for i := uint64(0); i < n; i++ {
-		m.set(0x1000+8*i, i+1)
-	}
-	if len(m.slots) <= initial {
-		t.Fatalf("table did not grow: %d slots for %d entries", len(m.slots), n)
-	}
-	for i := uint64(0); i < n; i++ {
-		if got := m.get(0x1000 + 8*i); got != i+1 {
-			t.Fatalf("entry %d = %d after growth, want %d", i, got, i+1)
-		}
-	}
-	// Overwrites must not grow the live count.
-	used := m.used
-	m.set(0x1000, 99)
-	if m.used != used {
-		t.Fatal("overwrite counted as a new entry")
-	}
-	if got := m.get(0x1000); got != 99 {
-		t.Fatalf("overwrite lost: %d", got)
+	if len(tab.slots) != size || tab.used != 2 {
+		t.Fatalf("after rebuild: %d slots, %d used; want %d and 2", len(tab.slots), tab.used, size)
 	}
 }
 
-// TestWindowedRingPowerOfTwo pins the ring invariants the masked
-// indexing relies on.
-func TestWindowedRingPowerOfTwo(t *testing.T) {
-	for _, sizes := range [][]int{{4}, {5}, {3, 2000}, PaperWindowSizes()} {
-		w := NewWindowedCritPath(sizes)
-		n := len(w.ring)
-		if n&(n-1) != 0 {
-			t.Fatalf("sizes %v: ring length %d not a power of two", sizes, n)
-		}
-		maxSize := 1
-		for _, s := range sizes {
-			if s > maxSize {
-				maxSize = s
+// TestResolverReachAcrossRebuilds: a burst of wide stores rebuilds
+// the word table several times, and a writer the largest window can
+// still reach survives every rebuild; one event later it is dropped.
+func TestResolverReachAcrossRebuilds(t *testing.T) {
+	const maxDist = 64
+	r := newResolver(maxDist)
+	st := storeEv(0x10, 8)
+	dist := r.resolve(&st, nil)
+	for i := uint64(0); i < maxDist-2; i++ {
+		wide := storeEv(0x100000+256*i, 255) // 32 new words each
+		dist = r.resolve(&wide, dist[:0])
+	}
+	if cap(r.mem.spare) == 0 {
+		t.Fatal("the stores never rebuilt the table")
+	}
+	ld := loadEv(0x10, 8)
+	if dist = r.resolve(&ld, dist[:0]); len(dist) != 1 || dist[0] != maxDist-1 {
+		t.Fatalf("load %d events after the store resolves to %v, want [%d]", maxDist-1, dist, maxDist-1)
+	}
+	if dist = r.resolve(&ld, dist[:0]); len(dist) != 0 {
+		t.Fatalf("load %d events after the store resolves to %v, want none", maxDist, dist)
+	}
+}
+
+// TestWordTableBounded: a stream storing to far more distinct words
+// than the table holds keeps the table sized by the largest window.
+func TestWordTableBounded(t *testing.T) {
+	const maxDist, n = 2000, 1 << 18
+	r := newResolver(maxDist)
+	var dist []uint32
+	for i := uint64(0); i < n; i++ {
+		ev := storeEv(0x100000+8*i, 8)
+		dist = r.resolve(&ev, dist[:0])
+	}
+	// At most maxDist words are live, and the table grows only while
+	// they fill a quarter of it.
+	if got := len(r.mem.slots); got > 4*2048 {
+		t.Fatalf("table holds %d slots after %d distinct words, want <= %d", got, n, 4*2048)
+	}
+}
+
+// TestWindowedEventsZeroAlloc: once the run, the word table and its
+// spare have reached their steady sizes, windowed CP allocates
+// nothing, even on a stream that keeps storing to new words.
+func TestWindowedEventsZeroAlloc(t *testing.T) {
+	w := NewWindowedCritPath(PaperWindowSizes())
+	evs := make([]isa.Event, 4096)
+	next := uint64(0x100000)
+	advance := func() {
+		for i := range evs {
+			if i%2 == 0 {
+				evs[i] = storeEv(next, 16)
+				next += 16
+			} else {
+				evs[i] = loadEv(next-8, 8)
 			}
 		}
-		if n < maxSize {
-			t.Fatalf("sizes %v: ring %d smaller than max window %d", sizes, n, maxSize)
-		}
-		if w.ringMask != uint64(n-1) {
-			t.Fatalf("sizes %v: mask %#x for length %d", sizes, w.ringMask, n)
+	}
+	for i := 0; i < 64; i++ { // warm up
+		advance()
+		w.Events(evs)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		advance()
+		w.Events(evs)
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state Events allocates %v times per run", allocs)
+	}
+}
+
+// TestWindowedRunHoldsLargestWindow pins the invariant every window
+// evaluation relies on: the run of resolved events always holds the
+// last max-window-size events, and it never holds twice as many.
+func TestWindowedRunHoldsLargestWindow(t *testing.T) {
+	for _, sizes := range [][]int{{4}, {5}, {3, 2000}, PaperWindowSizes()} {
+		w := NewWindowedCritPath(sizes)
+		maxSize := uint64(maxWindow(sizes))
+		for i, ev := range randEvents(5, 2*shardChunk+3000) {
+			w.Event(ev)
+			held := w.pos - w.run.base
+			if held < min(w.pos, maxSize) || held > 2*maxSize || w.run.end() != w.pos {
+				t.Fatalf("sizes %v, event %d: run holds [%d, %d) at pos %d", sizes, i, w.run.base, w.run.end(), w.pos)
+			}
 		}
 	}
 }

@@ -219,3 +219,91 @@ func TestOracleTinyWorkloads(t *testing.T) {
 		}
 	}
 }
+
+// FuzzWindowedCP decodes bytes into an event stream and checks that
+// the sequential and sharded windowed analyses both match the
+// reference. The first byte picks the stride; each event is a flags
+// byte (bits 0-2 sources, 3-4 destinations, 5 load, 6 second load, 7
+// store), its register bytes, then an offset and a size byte per
+// access. Offsets fall in one 512-byte range, so words collide, and
+// sizes reach 255 bytes, so a fused load pair can have four register
+// and dozens of memory producers.
+func FuzzWindowedCP(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 0xff, 1, 2, 3, 4, 5, 6, 0, 0xff, 7, 0xff, 9, 0xff, 0xe2, 1, 2, 0x10, 0xf0, 0x33, 0x80, 0x11, 0x40})
+	// Five-deep chain stored to one word, then nine shallow stores and
+	// four shallow register writes: the final fused load pair has
+	// fourteen distinct producers, and its deepest is the last found.
+	seed := []byte{0}
+	for i := 0; i < 5; i++ {
+		seed = append(seed, 0x09, 1, 1)
+	}
+	seed = append(seed, 0x81, 1, 0xf8, 8)
+	for off := byte(0); off <= 0x40; off += 8 {
+		seed = append(seed, 0x80, off, 8)
+	}
+	for r := byte(2); r <= 5; r++ {
+		seed = append(seed, 0x08, r)
+	}
+	f.Add(append(seed, 0x6c, 2, 3, 4, 5, 6, 0, 72, 0xf8, 8))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		stride, data := int(data[0]%4), data[1:]
+		next := func() (byte, bool) {
+			if len(data) == 0 {
+				return 0, false
+			}
+			b := data[0]
+			data = data[1:]
+			return b, true
+		}
+		access := func() (uint64, uint8, bool) {
+			off, ok1 := next()
+			size, ok2 := next()
+			return 0x1000 + uint64(off), max(size, 1), ok1 && ok2
+		}
+		var evs []isa.Event
+		for {
+			flags, ok := next()
+			if !ok {
+				break
+			}
+			var ev isa.Event
+			for i := 0; i < min(int(flags&7), 4); i++ {
+				r, _ := next()
+				ev.AddSrc(isa.Reg(r % isa.NumRegs))
+			}
+			for i := 0; i < min(int(flags>>3&3), 2); i++ {
+				r, _ := next()
+				ev.AddDst(isa.Reg(r % isa.NumRegs))
+			}
+			if flags&0x20 != 0 {
+				ev.LoadAddr, ev.LoadSize, ok = access()
+			}
+			if flags&0x40 != 0 {
+				ev.Load2Addr, ev.Load2Size, ok = access()
+			}
+			if flags&0x80 != 0 {
+				ev.StoreAddr, ev.StoreSize, ok = access()
+			}
+			if !ok {
+				break
+			}
+			evs = append(evs, ev)
+		}
+		sizes := []int{1, 2, 3, 4, 7, 16, 64}
+		want := refWindows(evs, sizes, stride)
+		seq := NewWindowedCritPathStride(sizes, stride)
+		seq.Events(evs)
+		sharded := NewShardedWindowedCP(sizes, stride, 2)
+		sharded.Events(evs)
+		for i, got := range seq.Results() {
+			if shard := sharded.Results()[i]; got != want[i] || shard != want[i] {
+				t.Fatalf("size %d: sequential %+v, sharded %+v, reference %+v", sizes[i], got, shard, want[i])
+			}
+		}
+	})
+}

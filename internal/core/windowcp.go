@@ -19,209 +19,222 @@ import "isacmp/internal/isa"
 // windows by their true length when averaging ILP.
 //
 // Several window sizes are evaluated simultaneously in one pass over
-// the stream, sharing a ring buffer sized for the largest window.
+// the stream. Each event's RAW producers are resolved once, on
+// arrival (see resolver), and every window is then one pass of
+// prodRun.cp over the resolved events, with no hashing and no state to
+// reset between windows.
 type WindowedCritPath struct {
 	sizes   []int
 	strides []uint64
-	ring    []wev
-	// ringMask is len(ring)-1; the ring is sized to a power of two so
-	// the per-event index and the per-step window scans mask instead of
-	// dividing (a hardware divide per step is measurable here — the
-	// smallest paper window re-scans every other instruction).
-	ringMask uint64
-	pos      uint64 // total events seen
+	maxSize uint64
+	pos     uint64 // total events seen
 	// next[i] is the pos value at which the next window of sizes[i]
 	// completes (size, size+stride, size+2*stride, ...), precomputed so
-	// the per-event due-check is a compare, not a modulo.
+	// the due-check is a compare, not a modulo; due is the smallest.
 	next    []uint64
+	due     uint64
 	results []windowAccum
 
-	scratch cpScratch
+	res resolver
+	run prodRun  // events [run.base, pos): the last maxSize to 2*maxSize
+	dp  []uint32 // depth scratch for prodRun.cp
 }
 
-type wev struct {
-	srcs   [4]isa.Reg
-	dsts   [2]isa.Reg
-	nsrc   uint8
-	ndst   uint8
-	lsize  uint8
-	l2size uint8
-	ssize  uint8
-	laddr  uint64
-	l2addr uint64
-	saddr  uint64
+// resolver turns each event's register sources and load words (both
+// accesses of a fused load pair) into distances back to the events
+// that last wrote them: the event's RAW producers. A producer maxDist
+// or more events back shares no window with its reader, so its edge
+// is dropped; the rest are deduplicated.
+//
+// Events are numbered from maxDist on, so the zero "never written"
+// writer is always out of reach, like any writer too old to share a
+// window with its reader.
+type resolver struct {
+	maxDist uint64
+	n       uint64              // number of the last event resolved
+	reg     [isa.NumRegs]uint64 // last writer of each register
+	mem     wordTable
 }
 
-// fill copies the dependence-relevant fields of one event.
-func (s *wev) fill(ev *isa.Event) {
-	s.srcs = ev.Srcs
-	s.dsts = ev.Dsts
-	s.nsrc, s.ndst = ev.NSrcs, ev.NDsts
-	s.lsize, s.l2size, s.ssize = ev.LoadSize, ev.Load2Size, ev.StoreSize
-	s.laddr, s.l2addr, s.saddr = ev.LoadAddr, ev.Load2Addr, ev.StoreAddr
+func newResolver(maxDist uint64) resolver {
+	return resolver{maxDist: maxDist, n: maxDist - 1, mem: newWordTable()}
 }
 
-// cpScratch is the dependence-tracking state one window evaluation
-// needs: the completion depth of every register and of every touched
-// memory word. It is reset per window and reused across windows.
-// Resets are epoch-stamped: bumping the epoch invalidates every
-// register and memory entry in O(1), so the per-window reset — which
-// runs every other instruction for the smallest paper window — costs
-// two increments instead of a register sweep plus a map clear.
-type cpScratch struct {
-	reg      [isa.NumRegs]uint64
-	regEpoch [isa.NumRegs]uint64
-	epoch    uint64
-	mem      memScratch
-}
-
-func newCPScratch() cpScratch {
-	return cpScratch{epoch: 1, mem: newMemScratch()}
-}
-
-func (c *cpScratch) reset() {
-	c.epoch++
-	c.mem.reset()
-}
-
-// step folds one event into the dependence state and returns its
-// completion depth. Both the sequential and the sharded windowed-CP
-// implementations fold windows with exactly this function, which is
-// what makes their results bit-identical.
-func (c *cpScratch) step(e *wev) uint64 {
-	var longest uint64
-	for s := uint8(0); s < e.nsrc; s++ {
-		r := e.srcs[s]
-		if c.regEpoch[r] == c.epoch {
-			if v := c.reg[r]; v > longest {
-				longest = v
-			}
-		}
+// resolve appends the next event's producer distances to dist and
+// records the event as the last writer of its destinations.
+func (r *resolver) resolve(ev *isa.Event, dist []uint32) []uint32 {
+	k, start := r.n+1, len(dist)
+	for i := uint8(0); i < ev.NSrcs; i++ {
+		dist = r.producer(dist, start, k-r.reg[ev.Srcs[i]])
 	}
-	if e.lsize != 0 {
-		first, last := wordSpan(e.laddr, e.lsize)
+	if ev.LoadSize != 0 {
+		first, last := wordSpan(ev.LoadAddr, ev.LoadSize)
 		for a := first; a <= last; a += 8 {
-			if v := c.mem.get(a); v > longest {
-				longest = v
-			}
+			dist = r.producer(dist, start, k-r.mem.get(a))
 		}
 	}
-	if e.l2size != 0 { // second access of a fused load pair
-		first, last := wordSpan(e.l2addr, e.l2size)
+	if ev.Load2Size != 0 { // second access of a fused load pair
+		first, last := wordSpan(ev.Load2Addr, ev.Load2Size)
 		for a := first; a <= last; a += 8 {
-			if v := c.mem.get(a); v > longest {
-				longest = v
-			}
+			dist = r.producer(dist, start, k-r.mem.get(a))
 		}
 	}
-	v := longest + 1
-	for d := uint8(0); d < e.ndst; d++ {
-		r := e.dsts[d]
-		c.reg[r] = v
-		c.regEpoch[r] = c.epoch
+	r.n = k
+	for i := uint8(0); i < ev.NDsts; i++ {
+		r.reg[ev.Dsts[i]] = k
 	}
-	if e.ssize != 0 {
-		first, last := wordSpan(e.saddr, e.ssize)
+	if ev.StoreSize != 0 {
+		// Writers before oldest are out of reach of every later event.
+		oldest := k + 2 - r.maxDist
+		first, last := wordSpan(ev.StoreAddr, ev.StoreSize)
 		for a := first; a <= last; a += 8 {
-			c.mem.set(a, v)
+			r.mem.set(a, k, oldest)
 		}
 	}
-	return v
+	return dist
 }
 
-// memScratch is an epoch-stamped open-addressing hash table from
-// 8-byte-aligned addresses to chain depths, replacing the Go map the
-// scratch previously cleared per window. A slot whose epoch differs
-// from the current one is empty, so reset is a single increment; the
-// table grows by doubling when the live load factor passes 3/4 and
-// then stays sized for the largest window, so the steady-state hot
-// loop performs no allocation.
-type memScratch struct {
-	slots []memSlot
-	epoch uint64
-	used  int // live entries in the current epoch
-}
-
-type memSlot struct {
-	key   uint64
-	val   uint64
-	epoch uint64
-}
-
-// newMemScratch sizes the table for a mid-size window; one doubling
-// reaches the largest paper window (2000 distinct words).
-func newMemScratch() memScratch {
-	return memScratch{slots: make([]memSlot, 1<<11), epoch: 1}
-}
-
-func (m *memScratch) reset() {
-	m.epoch++
-	m.used = 0
-}
-
-// memHash spreads word addresses over the table (64-bit finalizer;
-// the low 3 address bits are always zero and carry no entropy).
-func memHash(key uint64) uint64 {
-	h := key >> 3
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	return h
-}
-
-// get returns the depth recorded at key in the current epoch, or 0.
-func (m *memScratch) get(key uint64) uint64 {
-	mask := uint64(len(m.slots) - 1)
-	for i := memHash(key) & mask; ; i = (i + 1) & mask {
-		s := &m.slots[i]
-		if s.epoch != m.epoch {
-			return 0 // stale slot terminates the probe chain
+// producer appends distance d to the list dist[start:] unless it is
+// out of reach or already listed.
+func (r *resolver) producer(dist []uint32, start int, d uint64) []uint32 {
+	if d >= r.maxDist {
+		return dist
+	}
+	for _, x := range dist[start:] {
+		if x == uint32(d) {
+			return dist
 		}
-		if s.key == key {
-			return s.val
+	}
+	return append(dist, uint32(d))
+}
+
+// wordTable maps 8-byte-aligned words to their last writer. It is an
+// open-addressing table that never deletes: a writer too old to be
+// anyone's producer is dead, and each rebuild drops the dead entries.
+// The table is therefore sized by the words stored within the largest
+// window, not by the data footprint, and a rebuild that does not grow
+// it reuses the table and a retained spare, so the steady state
+// allocates nothing.
+type wordTable struct {
+	slots []wordSlot
+	spare []wordSlot // holds the live entries during a rebuild
+	shift uint8      // 64 - log2(len(slots)): the hash keeps the top bits
+	used  int
+}
+
+// wordSlot holds word|1 as its key, so 0 marks an empty slot (whose
+// writer, 0, reads as "never written") and word 0 stays storable.
+type wordSlot struct{ key, writer uint64 }
+
+func newWordTable() wordTable {
+	const bits = 10
+	return wordTable{slots: make([]wordSlot, 1<<bits), shift: 64 - bits}
+}
+
+// find returns word's slot, or the empty slot that ends its probe.
+func (t *wordTable) find(word uint64) *wordSlot {
+	mask := uint64(len(t.slots) - 1)
+	for i := (word >> 3) * 0x9e3779b97f4a7c15 >> t.shift; ; i = (i + 1) & mask {
+		if s := &t.slots[i]; s.key == word|1 || s.key == 0 {
+			return s
 		}
 	}
 }
 
-// set records the depth at key in the current epoch.
-func (m *memScratch) set(key, val uint64) {
-	mask := uint64(len(m.slots) - 1)
-	for i := memHash(key) & mask; ; i = (i + 1) & mask {
-		s := &m.slots[i]
-		if s.epoch != m.epoch {
-			if m.used >= len(m.slots)*3/4 {
-				m.grow()
-				m.set(key, val)
-				return
+func (t *wordTable) get(word uint64) uint64 { return t.find(word).writer }
+
+// set records writer at word. Writers before oldest are dead.
+func (t *wordTable) set(word, writer, oldest uint64) {
+	s := t.find(word)
+	if s.key == 0 {
+		if t.used >= len(t.slots)/2 {
+			t.rebuild(oldest)
+			s = t.find(word)
+		}
+		s.key = word | 1
+		t.used++
+	}
+	s.writer = writer
+}
+
+// rebuild re-inserts the live entries, doubling the table when they
+// fill a quarter of it; at most half is ever in use, so probes stay
+// short and the amortised cost per insert is constant.
+func (t *wordTable) rebuild(oldest uint64) {
+	t.spare = t.spare[:0]
+	for _, s := range t.slots {
+		if s.key != 0 && s.writer >= oldest {
+			t.spare = append(t.spare, s)
+		}
+	}
+	if len(t.spare) >= len(t.slots)/4 {
+		t.slots, t.shift = make([]wordSlot, 2*len(t.slots)), t.shift-1
+	} else {
+		clear(t.slots)
+	}
+	for _, s := range t.spare {
+		*t.find(s.key &^ 1) = s
+	}
+	t.used = len(t.spare)
+}
+
+// prodRun holds the resolved events [base, base+len(off)-1): event
+// base+i depends on the events base+i-d for each d in
+// dist[off[i]:off[i+1]].
+type prodRun struct {
+	base uint64
+	off  []uint32
+	dist []uint32
+}
+
+// newProdRun returns an empty run with room for n events.
+func newProdRun(n uint64) *prodRun {
+	return &prodRun{off: make([]uint32, 1, n+1), dist: make([]uint32, 0, 2*n)}
+}
+
+func (p *prodRun) end() uint64 { return p.base + uint64(len(p.off)-1) }
+
+// add resolves ev and appends it to the run.
+func (p *prodRun) add(r *resolver, ev *isa.Event) {
+	p.dist = r.resolve(ev, p.dist)
+	p.off = append(p.off, uint32(len(p.dist)))
+}
+
+// carry makes p hold the last n events of src, which may be p itself.
+func (p *prodRun) carry(src *prodRun, n uint64) {
+	from := uint64(len(src.off)-1) - n
+	off, o := src.off[from:], src.off[from]
+	p.base = src.base + from
+	p.dist = append(p.dist[:0], src.dist[o:]...)
+	p.off = p.off[:0]
+	for _, x := range off {
+		p.off = append(p.off, x-o)
+	}
+}
+
+// cp returns the critical path of the events [lo, hi), which must lie
+// in the run, using dp (at least hi-lo long) as scratch: each event's
+// depth is one more than the deepest of its producers at or after lo.
+// This is exact: a producer is the last writer of its value before
+// the reader, so when it precedes lo the window holds no writer of
+// that value at all, just as a window evaluated from empty state
+// would find. Both windowed analyzers fold every window with this
+// function, which is what makes their results bit-identical.
+func (p *prodRun) cp(lo, hi uint64, dp []uint32) uint64 {
+	off, dist := p.off[lo-p.base:hi-p.base+1], p.dist
+	dp = dp[:hi-lo]
+	var longest uint32
+	for j := range dp {
+		var in uint32
+		for _, d := range dist[off[j]:off[j+1]] {
+			if int(d) <= j {
+				in = max(in, dp[j-int(d)])
 			}
-			*s = memSlot{key: key, val: val, epoch: m.epoch}
-			m.used++
-			return
 		}
-		if s.key == key {
-			s.val = val
-			return
-		}
+		dp[j] = in + 1
+		longest = max(longest, in+1)
 	}
-}
-
-// grow doubles the table, rehashing the current epoch's live entries.
-func (m *memScratch) grow() {
-	old := m.slots
-	m.slots = make([]memSlot, 2*len(old))
-	m.used = 0
-	mask := uint64(len(m.slots) - 1)
-	for j := range old {
-		if old[j].epoch != m.epoch {
-			continue
-		}
-		i := memHash(old[j].key) & mask
-		for m.slots[i].epoch == m.epoch {
-			i = (i + 1) & mask
-		}
-		m.slots[i] = old[j]
-		m.used++
-	}
+	return uint64(longest)
 }
 
 type windowAccum struct {
@@ -311,16 +324,7 @@ func NewWindowedCritPath(sizes []int) *WindowedCritPath {
 // limits and leaves varying it to future work — this constructor makes
 // that experiment possible.
 func NewWindowedCritPathStride(sizes []int, stride int) *WindowedCritPath {
-	maxSize := 1
-	for _, s := range sizes {
-		if s > maxSize {
-			maxSize = s
-		}
-	}
-	ringLen := 1
-	for ringLen < maxSize {
-		ringLen <<= 1
-	}
+	maxSize := maxWindow(sizes)
 	next := make([]uint64, len(sizes))
 	for i, s := range sizes {
 		if s <= 0 {
@@ -330,14 +334,24 @@ func NewWindowedCritPathStride(sizes []int, stride int) *WindowedCritPath {
 		next[i] = uint64(s)
 	}
 	return &WindowedCritPath{
-		sizes:    append([]int(nil), sizes...),
-		strides:  windowStrides(sizes, stride),
-		ring:     make([]wev, ringLen),
-		ringMask: uint64(ringLen - 1),
-		next:     next,
-		results:  make([]windowAccum, len(sizes)),
-		scratch:  newCPScratch(),
+		sizes:   append([]int(nil), sizes...),
+		strides: windowStrides(sizes, stride),
+		maxSize: maxSize,
+		next:    next,
+		results: make([]windowAccum, len(sizes)),
+		res:     newResolver(maxSize),
+		run:     *newProdRun(2 * maxSize),
+		dp:      make([]uint32, maxSize),
 	}
+}
+
+// maxWindow returns the largest window size, at least 1.
+func maxWindow(sizes []int) uint64 {
+	m := 1
+	for _, s := range sizes {
+		m = max(m, s)
+	}
+	return uint64(m)
 }
 
 // Events buffers a whole batch of instructions — the isa.BatchSink
@@ -348,44 +362,32 @@ func (w *WindowedCritPath) Events(evs []isa.Event) {
 	}
 }
 
-// Event buffers one instruction and evaluates any windows that are due.
+// Event resolves one instruction and evaluates any windows that are
+// due.
 func (w *WindowedCritPath) Event(ev *isa.Event) {
-	w.ring[w.pos&w.ringMask].fill(ev)
+	if w.pos-w.run.base == 2*w.maxSize {
+		w.run.carry(&w.run, w.maxSize)
+	}
+	w.run.add(&w.res, ev)
 	w.pos++
-
-	for i := range w.next {
+	if w.pos < w.due {
+		return
+	}
+	w.due = ^uint64(0)
+	for i, next := range w.next {
 		// A window [pos-size, pos) completes when pos >= size and
 		// (pos - size) is a multiple of the stride; next holds that
 		// arithmetic progression precomputed.
-		if w.pos == w.next[i] {
-			w.next[i] += w.strides[i]
+		if w.pos == next {
 			size := uint64(w.sizes[i])
-			cp := w.windowCP(size)
-			w.results[i].sumCP += cp
+			w.results[i].sumCP += w.run.cp(w.pos-size, w.pos, w.dp)
 			w.results[i].sumLen += size
 			w.results[i].windows++
+			next += w.strides[i]
+			w.next[i] = next
 		}
+		w.due = min(w.due, next)
 	}
-}
-
-// windowCP computes the unweighted critical path of the most recent
-// `size` buffered events.
-func (w *WindowedCritPath) windowCP(size uint64) uint64 {
-	return w.cpRange(w.pos-size, w.pos)
-}
-
-// cpRange computes the critical path of the buffered events with
-// absolute indices [lo, hi); they must still be resident in the ring.
-func (w *WindowedCritPath) cpRange(lo, hi uint64) uint64 {
-	w.scratch.reset()
-	mask := w.ringMask
-	var maxCP uint64
-	for k := lo; k < hi; k++ {
-		if v := w.scratch.step(&w.ring[k&mask]); v > maxCP {
-			maxCP = v
-		}
-	}
-	return maxCP
 }
 
 // tailSpan returns the absolute index range of the final window for a
@@ -417,7 +419,7 @@ func (w *WindowedCritPath) Results() []WindowResult {
 		acc := w.results[i]
 		if size > 0 {
 			if lo, hi, ok := tailSpan(w.pos, uint64(size), w.strides[i]); ok {
-				acc.add(windowAccum{sumCP: w.cpRange(lo, hi), sumLen: hi - lo, windows: 1})
+				acc.add(windowAccum{sumCP: w.run.cp(lo, hi, w.dp), sumLen: hi - lo, windows: 1})
 			}
 		}
 		out[i] = finishWindowResult(size, acc)

@@ -8,20 +8,22 @@ import (
 )
 
 // shardChunk is the number of window-start positions one shard job
-// covers. Each job carries a private copy of the events its windows
-// can reach (shardChunk + max window size), so the constant trades
-// per-job copy overhead against scheduling granularity.
+// covers. Each job carries the resolved events its windows can reach
+// (shardChunk + max window size), so the constant trades per-job copy
+// overhead against scheduling granularity.
 const shardChunk = 8192
 
 // ShardedWindowedCP computes exactly the same Figure 2 aggregates as
 // WindowedCritPath, but concurrently: windows at different start
 // positions are independent (paper section 6), so the stream is split
 // into chunks of consecutive window starts and each chunk is evaluated
-// by a shard worker with its own dependence scratch. Per-size sums and
-// window counts are integers, so merging shard results is exact and
-// independent of completion order — parallel results are bit-identical
-// to the sequential implementation (enforced by tests and by the
-// -parallel determinism contract in the README).
+// by a shard worker. The calling goroutine resolves every event's
+// producers once, as WindowedCritPath does, and ships runs of resolved
+// events to the shards, which fold windows with the same prodRun.cp.
+// Per-size sums and window counts are integers, so merging shard
+// results is exact and independent of completion order — parallel
+// results are bit-identical to the sequential implementation (enforced
+// by tests and by the -parallel determinism contract in the README).
 //
 // Event must be called from a single goroutine. Results flushes the
 // final chunk and the partial tail window, waits for every shard, and
@@ -31,11 +33,14 @@ type ShardedWindowedCP struct {
 	strides []uint64
 	maxSize uint64
 
-	buf  []wev  // events [base, pos)
-	base uint64 // absolute index of buf[0]
-	pos  uint64 // total events seen
+	res resolver
+	run *prodRun // events [run.base, pos)
+	pos uint64   // total events seen
 
 	jobs chan windowJob
+	// free hands runs back from the shards once they are done with
+	// them; it holds at most as many as jobs can queue.
+	free chan *prodRun
 	wg   sync.WaitGroup
 
 	mu  sync.Mutex
@@ -47,10 +52,9 @@ type ShardedWindowedCP struct {
 
 // windowJob asks a shard to evaluate, for every size, the complete
 // windows whose start index lies in [lo, hi) and whose events are
-// fully contained in the carried slice.
+// fully contained in the carried run.
 type windowJob struct {
-	events []wev  // events [base, base+len(events))
-	base   uint64 // absolute index of events[0]
+	run    *prodRun
 	lo, hi uint64 // absolute window-start range
 }
 
@@ -61,18 +65,15 @@ func NewShardedWindowedCP(sizes []int, stride, shards int) *ShardedWindowedCP {
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	maxSize := 1
-	for _, s := range sizes {
-		if s > maxSize {
-			maxSize = s
-		}
-	}
+	maxSize := maxWindow(sizes)
 	w := &ShardedWindowedCP{
 		sizes:   append([]int(nil), sizes...),
 		strides: windowStrides(sizes, stride),
-		maxSize: uint64(maxSize),
-		buf:     make([]wev, 0, shardChunk+maxSize),
+		maxSize: maxSize,
+		res:     newResolver(maxSize),
+		run:     newProdRun(shardChunk + maxSize),
 		jobs:    make(chan windowJob, 2*shards),
+		free:    make(chan *prodRun, 2*shards),
 		acc:     make([]windowAccum, len(sizes)),
 	}
 	for i := 0; i < shards; i++ {
@@ -81,10 +82,10 @@ func NewShardedWindowedCP(sizes []int, stride, shards int) *ShardedWindowedCP {
 	return w
 }
 
-// shard drains jobs, folding windows with a private scratch and
-// merging integer sums into the shared accumulators.
+// shard drains jobs, folding windows into local sums, merging them
+// into the shared accumulators and recycling each job's run.
 func (w *ShardedWindowedCP) shard() {
-	scratch := newCPScratch()
+	dp := make([]uint32, w.maxSize)
 	for job := range w.jobs {
 		local := make([]windowAccum, len(w.sizes))
 		for i, size := range w.sizes {
@@ -92,20 +93,12 @@ func (w *ShardedWindowedCP) shard() {
 				continue
 			}
 			s, st := uint64(size), w.strides[i]
-			avail := job.base + uint64(len(job.events))
+			avail := job.run.end()
 			// First window start in [lo, hi) that is a multiple of the
 			// stride.
 			k := (job.lo + st - 1) / st * st
 			for ; k < job.hi && k+s <= avail; k += st {
-				ev := job.events[k-job.base : k-job.base+s]
-				scratch.reset()
-				var maxCP uint64
-				for j := range ev {
-					if v := scratch.step(&ev[j]); v > maxCP {
-						maxCP = v
-					}
-				}
-				local[i].add(windowAccum{sumCP: maxCP, sumLen: s, windows: 1})
+				local[i].add(windowAccum{sumCP: job.run.cp(k, k+s, dp), sumLen: s, windows: 1})
 			}
 		}
 		w.mu.Lock()
@@ -113,6 +106,10 @@ func (w *ShardedWindowedCP) shard() {
 			w.acc[i].add(local[i])
 		}
 		w.mu.Unlock()
+		select {
+		case w.free <- job.run:
+		default:
+		}
 		w.wg.Done()
 	}
 }
@@ -125,24 +122,26 @@ func (w *ShardedWindowedCP) Events(evs []isa.Event) {
 	}
 }
 
-// Event buffers one instruction and dispatches a chunk of window
+// Event resolves one instruction and dispatches a chunk of window
 // starts to the shards once every window starting in it is complete.
 func (w *ShardedWindowedCP) Event(ev *isa.Event) {
-	var slot wev
-	slot.fill(ev)
-	w.buf = append(w.buf, slot)
+	w.run.add(&w.res, ev)
 	w.pos++
 
 	// Windows starting in [base, base+shardChunk) reach at most event
-	// base+shardChunk+maxSize-2, so once the buffer holds
+	// base+shardChunk+maxSize-2, so once the run holds
 	// shardChunk+maxSize events the whole chunk is evaluable.
-	if w.pos-w.base == shardChunk+w.maxSize {
+	if w.pos-w.run.base == shardChunk+w.maxSize {
 		w.wg.Add(1)
-		w.jobs <- windowJob{events: w.buf, base: w.base, lo: w.base, hi: w.base + shardChunk}
-		next := make([]wev, w.maxSize, shardChunk+w.maxSize)
-		copy(next, w.buf[shardChunk:])
-		w.base += shardChunk
-		w.buf = next
+		w.jobs <- windowJob{run: w.run, lo: w.run.base, hi: w.run.base + shardChunk}
+		var next *prodRun
+		select {
+		case next = <-w.free:
+		default:
+			next = newProdRun(shardChunk + w.maxSize)
+		}
+		next.carry(w.run, w.maxSize)
+		w.run = next
 	}
 }
 
@@ -154,39 +153,28 @@ func (w *ShardedWindowedCP) Results() []WindowResult {
 	if w.done {
 		return w.results
 	}
-	if w.pos > w.base {
+	if w.pos > w.run.base {
 		// Remaining complete windows: starts in [base, pos); the job
-		// bound k+s <= base+len(events) == pos keeps partial ones out.
+		// bound k+s <= run.end() == pos keeps partial ones out.
 		w.wg.Add(1)
-		w.jobs <- windowJob{events: w.buf, base: w.base, lo: w.base, hi: w.pos}
+		w.jobs <- windowJob{run: w.run, lo: w.run.base, hi: w.pos}
 	}
 	close(w.jobs)
 	w.wg.Wait()
 
+	// The tail window lies in the last maxSize events, which the run
+	// always holds.
+	dp := make([]uint32, w.maxSize)
 	w.results = make([]WindowResult, len(w.sizes))
 	for i, size := range w.sizes {
 		acc := w.acc[i]
 		if size > 0 {
 			if lo, hi, ok := tailSpan(w.pos, uint64(size), w.strides[i]); ok {
-				acc.add(windowAccum{sumCP: w.tailCP(lo, hi), sumLen: hi - lo, windows: 1})
+				acc.add(windowAccum{sumCP: w.run.cp(lo, hi, dp), sumLen: hi - lo, windows: 1})
 			}
 		}
 		w.results[i] = finishWindowResult(size, acc)
 	}
 	w.done = true
 	return w.results
-}
-
-// tailCP computes the critical path of the absolute event range
-// [lo, hi), which is always still resident in the carry buffer (the
-// buffer keeps the last maxSize events and lo >= pos - maxSize).
-func (w *ShardedWindowedCP) tailCP(lo, hi uint64) uint64 {
-	scratch := newCPScratch()
-	var maxCP uint64
-	for k := lo; k < hi; k++ {
-		if v := scratch.step(&w.buf[k-w.base]); v > maxCP {
-			maxCP = v
-		}
-	}
-	return maxCP
 }

@@ -287,7 +287,7 @@ func TestPoolStatsBlocked(t *testing.T) {
 // TestFanoutTimedStats: the timed fan-out fills delivery and per-sink
 // busy time while preserving the complete ordered streams.
 func TestFanoutTimedStats(t *testing.T) {
-	const n = 2*fanoutBatch + 5
+	const n = 3*fanoutBatch + 5 // four batches, each with a slow-sink sleep
 	slow := &slowSink{}
 	fast := &orderSink{}
 	var fs FanoutStats
@@ -322,13 +322,14 @@ func TestFanoutTimedNilStats(t *testing.T) {
 	}
 }
 
-// slowSink burns a little time per batch so timed fan-out has
-// something to measure.
+// slowSink sleeps at the start of every batch, so over several
+// batches its busy time dominates the fast sink's by construction,
+// even when a loaded host deschedules the fast consumer.
 type slowSink struct{ pcs []uint64 }
 
 func (s *slowSink) Event(ev *isa.Event) {
-	s.pcs = append(s.pcs, ev.PC)
 	if len(s.pcs)%fanoutBatch == 0 {
-		time.Sleep(time.Millisecond)
+		time.Sleep(2 * time.Millisecond)
 	}
+	s.pcs = append(s.pcs, ev.PC)
 }
