@@ -86,8 +86,9 @@ func NewShardedWindowedCP(sizes []int, stride, shards int) *ShardedWindowedCP {
 // into the shared accumulators and recycling each job's run.
 func (w *ShardedWindowedCP) shard() {
 	dp := make([]uint32, w.maxSize)
+	local := make([]windowAccum, len(w.sizes))
 	for job := range w.jobs {
-		local := make([]windowAccum, len(w.sizes))
+		clear(local)
 		for i, size := range w.sizes {
 			if size <= 0 {
 				continue

@@ -26,6 +26,7 @@ package fusion
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -234,30 +235,55 @@ func (s Stats) Pairs() uint64 {
 // call Flush once simulation has finished so the final carried event
 // is delivered. A Pass is single-goroutine, like any sink.
 type Pass struct {
-	rules RuleSet
-	arch  isa.Arch
-	down  isa.Sink
+	// byGroup[g] is the enabled rules whose first event must be in
+	// group g (see firstGroup). It is indexed by a uint8 Group, so any
+	// value is in range.
+	byGroup [1 << 8]RuleSet
+	down    isa.Sink
 
 	pending    isa.Event
 	hasPending bool
-	buf        []isa.Event
-	stats      Stats
+	// buf holds a batch's rewritten prefix; it always has room for the
+	// carried event plus the whole batch.
+	buf []isa.Event
+	// single is the event Event delivers.
+	single isa.Event
+	stats  Stats
+}
+
+// firstGroup is the group each rule requires of a pair's first event.
+// Every rule names exactly one, so trying only the rules of the first
+// event's group, in rule order, keeps the priority order.
+var firstGroup = [NumRules]isa.Group{
+	RuleLoadPair:  isa.GroupLoad,
+	RuleStorePair: isa.GroupStore,
+	RuleAddLd:     isa.GroupIntSimple,
+	RuleAddSt:     isa.GroupIntSimple,
+	RuleSlliAdd:   isa.GroupIntSimple,
+	RuleLuiAddi:   isa.GroupIntSimple,
+	RuleCmpBranch: isa.GroupIntSimple,
 }
 
 // NewPass builds a pass for one machine. Callers should interpose one
 // only when cfg.Active(arch); rules outside the architecture's scope
 // are masked off regardless.
 func NewPass(cfg Config, arch isa.Arch, down isa.Sink) *Pass {
-	return &Pass{rules: cfg.RulesFor(arch), arch: arch, down: down}
+	p := &Pass{down: down}
+	rules := cfg.RulesFor(arch)
+	for r := Rule(0); r < NumRules; r++ {
+		if rules.Has(r) {
+			p.byGroup[firstGroup[r]] |= 1 << r
+		}
+	}
+	return p
 }
 
 // Stats returns the pass counters accumulated so far.
 func (p *Pass) Stats() Stats { return p.stats }
 
-// Event observes one retired instruction — the unbatched path. The
-// output is identical to delivering the same stream through Events in
-// any batching (both implement the same greedy left-to-right pairing
-// with a one-event carry).
+// Event observes one retired instruction — the unbatched path. It
+// pairs with the same matcher as Events, so the output is identical
+// in any batching, and delivers downstream one event at a time.
 func (p *Pass) Event(ev *isa.Event) {
 	p.stats.EventsIn++
 	if !p.hasPending {
@@ -265,79 +291,65 @@ func (p *Pass) Event(ev *isa.Event) {
 		p.hasPending = true
 		return
 	}
-	if fused, _, ok := p.tryFuse(&p.pending, ev); ok {
+	if p.fuse(&p.single, &p.pending, ev) {
 		p.hasPending = false
-		p.stats.EventsOut++
-		p.down.Event(&fused)
-		return
+	} else {
+		p.single = p.pending
+		p.pending = *ev
 	}
-	out := p.pending
-	p.pending = *ev
 	p.stats.EventsOut++
-	p.down.Event(&out)
+	p.down.Event(&p.single)
 }
 
 // Events observes a batch of retired instructions — the isa.BatchSink
-// fast path. The rewritten batch is delivered downstream in one call;
-// at most one trailing event is carried to the next batch so a fusible
-// pair straddling a StepN buffer seam fuses exactly as it would
-// unbatched.
+// fast path. It pairs greedily left to right in one pass and builds
+// each fused event in the output slot it will occupy. At most one
+// trailing event is carried to the next batch, so a fusible pair
+// straddling a StepN buffer seam fuses exactly as it would unbatched.
 func (p *Pass) Events(evs []isa.Event) {
 	if len(evs) == 0 {
 		return
 	}
 	p.stats.EventsIn += uint64(len(evs))
-
-	// Zero-copy fast path: when nothing in this batch can fuse, the
-	// rewrite is the identity — deliver the carried event and then the
-	// caller's own slice (minus the new carry) without rebuilding the
-	// stream. matchAny ignores merge feasibility, so a hit here only
-	// means falling back to the copying path, never a missed fusion.
-	if !p.anyFusible(evs) {
-		n := len(evs) - 1
-		if p.hasPending {
-			out := p.pending
-			p.stats.EventsOut++
-			p.down.Event(&out)
-		}
-		p.pending = evs[n]
-		p.hasPending = true
-		if n > 0 {
-			p.stats.EventsOut += uint64(n)
-			isa.DeliverBatch(p.down, evs[:n])
-		}
-		return
+	if len(p.buf) < len(evs)+1 {
+		p.buf = make([]isa.Event, len(evs)+1)
 	}
-
-	out := p.buf[:0]
-	i := 0
+	out, n, i := p.buf, 0, 0
 	if p.hasPending {
 		p.hasPending = false
-		if fused, _, ok := p.tryFuse(&p.pending, &evs[0]); ok {
-			out = append(out, fused)
+		if p.fuse(&out[0], &p.pending, &evs[0]) {
 			i = 1
 		} else {
-			out = append(out, p.pending)
+			out[0] = p.pending
 		}
+		n = 1
 	}
-	for i < len(evs) {
-		if i == len(evs)-1 {
-			p.pending = evs[i]
-			p.hasPending = true
-			break
-		}
-		if fused, _, ok := p.tryFuse(&evs[i], &evs[i+1]); ok {
-			out = append(out, fused)
+	// evs[from:i] pass through unchanged. They are copied into out only
+	// when a later pair fuses, so a batch in which nothing fuses is
+	// delivered from the caller's own slice. The group test repeats
+	// fuse's first check so that events no rule starts skip the call.
+	from := i
+	for i+1 < len(evs) {
+		if p.byGroup[evs[i].Group] != 0 && p.fuse(&out[n+i-from], &evs[i], &evs[i+1]) {
+			n += copy(out[n:], evs[from:i]) + 1
 			i += 2
-			continue
+			from = i
+		} else {
+			i++
 		}
-		out = append(out, evs[i])
-		i++
 	}
-	p.buf = out // keep the grown buffer for the next batch
-	if len(out) > 0 {
-		p.stats.EventsOut += uint64(len(out))
-		isa.DeliverBatch(p.down, out)
+	end := len(evs)
+	if i < end {
+		end--
+		p.pending = evs[end]
+		p.hasPending = true
+	}
+	p.stats.EventsOut += uint64(n + end - from)
+	if n > 0 {
+		isa.DeliverBatch(p.down, out[:n])
+	}
+	if end > from {
+		isa.DeliverBatch(p.down, evs[from:end])
 	}
 }
 
@@ -353,62 +365,38 @@ func (p *Pass) Flush() {
 	p.down.Event(&out)
 }
 
-// anyFusible reports whether any adjacent pair in (carry, evs) matches
-// an enabled rule — the guard on the zero-copy identity path. An inert
-// pass (no rules) never scans at all.
-func (p *Pass) anyFusible(evs []isa.Event) bool {
-	if p.rules == 0 {
-		return false
-	}
-	if p.hasPending && p.matchAny(&p.pending, &evs[0]) {
-		return true
-	}
-	for i := 0; i+1 < len(evs); i++ {
-		if p.matchAny(&evs[i], &evs[i+1]) {
-			return true
-		}
-	}
-	return false
-}
-
-// matchAny is tryFuse without the merge step or hit accounting.
-func (p *Pass) matchAny(a, b *isa.Event) bool {
-	if b.PC != a.PC+4 || a.Branch || a.Fused != 0 || b.Fused != 0 {
-		return false
-	}
-	for r := Rule(0); r < NumRules; r++ {
-		if p.rules.Has(r) && p.match(r, a, b) {
-			return true
-		}
-	}
-	return false
-}
-
-// tryFuse decides whether the adjacent pair (a, b) fuses under the
-// enabled rules and, if so, builds the merged event. It records the
-// rule hit.
-func (p *Pass) tryFuse(a, b *isa.Event) (isa.Event, Rule, bool) {
+// fuse reports whether the adjacent pair (a, b) fuses under the
+// enabled rules and, if so, builds the fused event in *f, which must
+// alias neither, and records the rule hit. Only the rules of a's group
+// are tried.
+func (p *Pass) fuse(f, a, b *isa.Event) bool {
+	rules := p.byGroup[a.Group]
 	// Dynamic basic-block constraint: b must have retired by falling
 	// through from a. Already-fused events (possible in hand-built
 	// streams) never re-fuse.
-	if b.PC != a.PC+4 || a.Branch || a.Fused != 0 || b.Fused != 0 {
-		return isa.Event{}, 0, false
+	if rules == 0 || b.PC != a.PC+4 || a.Branch || a.Fused != 0 || b.Fused != 0 {
+		return false
 	}
-	for r := Rule(0); r < NumRules; r++ {
-		if !p.rules.Has(r) || !p.match(r, a, b) {
+	for ; rules != 0; rules &= rules - 1 {
+		r := Rule(bits.TrailingZeros16(uint16(rules)))
+		if !match(r, a, b) {
 			continue
 		}
-		if fused, ok := merge(r, a, b); ok {
-			p.stats.Hits[r]++
-			return fused, r, true
+		// The merged register sets do not depend on the rule, so a pair
+		// whose merge overflows fuses under no later rule either.
+		if !merge(r, f, a, b) {
+			return false
 		}
+		p.stats.Hits[r]++
+		return true
 	}
-	return isa.Event{}, 0, false
+	return false
 }
 
 // match checks the rule-specific pattern (register-width merge
-// feasibility is checked later, in merge).
-func (p *Pass) match(r Rule, a, b *isa.Event) bool {
+// feasibility is checked later, in merge). Architecture scoping is the
+// rule mask's job (Config.RulesFor).
+func match(r Rule, a, b *isa.Event) bool {
 	switch r {
 	case RuleLoadPair:
 		// Two independent loads of the same width; a dual-ported LSU
@@ -434,13 +422,17 @@ func (p *Pass) match(r Rule, a, b *isa.Event) bool {
 		return a.StoreAddr+uint64(a.StoreSize) == b.StoreAddr ||
 			b.StoreAddr+uint64(b.StoreSize) == a.StoreAddr
 	case RuleAddLd:
+		if b.Group != isa.GroupLoad || b.Branch || b.Load2Size != 0 {
+			return false
+		}
 		rd, ok := rvAdd(a)
-		return ok && b.Group == isa.GroupLoad && !b.Branch &&
-			b.Load2Size == 0 && rvLoadZeroOff(b) == rd
+		return ok && rvLoadZeroOff(b) == rd
 	case RuleAddSt:
+		if b.Group != isa.GroupStore || b.Branch {
+			return false
+		}
 		rd, ok := rvAdd(a)
-		return ok && b.Group == isa.GroupStore && !b.Branch &&
-			rvStoreZeroOff(b) == rd
+		return ok && rvStoreZeroOff(b) == rd
 	case RuleSlliAdd:
 		rd, ok := rvShiftSLLI(a)
 		if !ok {
@@ -460,10 +452,9 @@ func (p *Pass) match(r Rule, a, b *isa.Event) bool {
 	case RuleCmpBranch:
 		// AArch64 only: a sets NZCV, b is the conditional branch that
 		// reads it.
-		return p.arch == isa.AArch64 &&
-			a.Group == isa.GroupIntSimple && writesReg(a, isa.RegNZCV) &&
+		return b.Branch && a.Group == isa.GroupIntSimple &&
 			a.LoadSize == 0 && a.StoreSize == 0 &&
-			b.Branch && readsReg(b, isa.RegNZCV)
+			writesReg(a, isa.RegNZCV) && readsReg(b, isa.RegNZCV)
 	}
 	return false
 }
@@ -472,31 +463,32 @@ func (p *Pass) match(r Rule, a, b *isa.Event) bool {
 // set is a.Srcs ∪ (b.Srcs − a.Dsts) — values a produces for b are
 // internal to the macro-op — and the merged destination set is
 // a.Dsts ∪ b.Dsts. A pair whose merged sets exceed the event's
-// capacity does not fuse.
-func merge(r Rule, a, b *isa.Event) (isa.Event, bool) {
-	f := isa.Event{PC: a.PC, Word: a.Word, Fused: 2}
+// capacity does not fuse. The event is built in *f, which must alias
+// neither a nor b; on failure *f holds a partial merge.
+func merge(r Rule, f, a, b *isa.Event) bool {
+	*f = isa.Event{PC: a.PC, Word: a.Word, Fused: 2}
 
 	for k := uint8(0); k < a.NDsts; k++ {
-		if !addDst(&f, a.Dsts[k]) {
-			return isa.Event{}, false
+		if !addDst(f, a.Dsts[k]) {
+			return false
 		}
 	}
 	for k := uint8(0); k < b.NDsts; k++ {
-		if !addDst(&f, b.Dsts[k]) {
-			return isa.Event{}, false
+		if !addDst(f, b.Dsts[k]) {
+			return false
 		}
 	}
 	for k := uint8(0); k < a.NSrcs; k++ {
-		if !addSrc(&f, a.Srcs[k]) {
-			return isa.Event{}, false
+		if !addSrc(f, a.Srcs[k]) {
+			return false
 		}
 	}
 	for k := uint8(0); k < b.NSrcs; k++ {
 		if writesReg(a, b.Srcs[k]) {
 			continue // internal edge
 		}
-		if !addSrc(&f, b.Srcs[k]) {
-			return isa.Event{}, false
+		if !addSrc(f, b.Srcs[k]) {
+			return false
 		}
 	}
 
@@ -524,7 +516,7 @@ func merge(r Rule, a, b *isa.Event) (isa.Event, bool) {
 		f.Group = isa.GroupBranch
 		f.Branch, f.Taken = true, b.Taken
 	}
-	return f, true
+	return true
 }
 
 // addSrc appends a deduplicated source, reporting overflow.

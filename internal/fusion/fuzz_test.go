@@ -1,14 +1,16 @@
 package fusion
 
 import (
+	"slices"
 	"testing"
 
 	"isacmp/internal/isa"
 )
 
 // FuzzFusionStream feeds the pass pseudo-random but well-formed event
-// streams, chopped into pseudo-random batches, and checks the
-// rule-independent invariants:
+// streams, chopped into pseudo-random batches, and requires the output
+// and Stats, batched and per event, to equal refFuse's exactly. It
+// also checks the rule-independent invariants:
 //
 //   - the event count never increases, and stats agree with it;
 //   - every unfused output event is byte-identical to its input;
@@ -47,6 +49,21 @@ func FuzzFusionStream(f *testing.F) {
 		}
 		p.Flush()
 		out, st := c.evs, p.Stats()
+
+		want, wantSt := refFuse(allRV, isa.RV64, in)
+		if !slices.Equal(out, want) || st != wantSt {
+			t.Fatalf("batched output or stats differ from the reference: %+v vs %+v", st, wantSt)
+		}
+		var one capture
+		q := NewPass(allRV, isa.RV64, &one)
+		for i := range in {
+			ev := in[i]
+			q.Event(&ev)
+		}
+		q.Flush()
+		if !slices.Equal(one.evs, want) || q.Stats() != wantSt {
+			t.Fatalf("per-event output or stats differ from the reference: %+v vs %+v", q.Stats(), wantSt)
+		}
 
 		if len(out) > len(in) {
 			t.Fatalf("event count grew: %d -> %d", len(in), len(out))

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"isacmp/internal/isa"
@@ -16,8 +17,10 @@ const fanoutBatch = 8192
 
 // fanoutDepth is the per-consumer channel depth in batches; the
 // slowest consumer applies backpressure to the generator once it falls
-// this far behind, which bounds fan-out memory at
-// consumers * depth * batch events.
+// this far behind. Batches are shared by every consumer and recycled,
+// so a fan-out holds at most depth+2 batches whatever the number of
+// consumers: depth queued for the slowest consumer, the one it is
+// working on, and the one the generator is filling.
 const fanoutDepth = 4
 
 // Fanout runs gen once and replays its event stream into every sink
@@ -28,7 +31,10 @@ const fanoutDepth = 4
 //
 // Batches are shared read-only between consumers — sinks must treat
 // the *isa.Event they receive as immutable, which the isa.Sink
-// contract already demands. With zero or one sink the fan-out
+// contract already demands. Once every consumer has returned from a
+// batch it is refilled with later events, which the same contract
+// (an event is invalid once the callback returns) allows; memory is
+// bounded at fanoutDepth+2 batches. With zero or one sink the fan-out
 // machinery is skipped entirely and gen runs with the sink attached
 // directly.
 //
@@ -78,17 +84,23 @@ func FanoutTimed(gen func(isa.Sink) error, fs *FanoutStats, sinks ...isa.Sink) (
 		return c.n, err
 	}
 
-	chans := make([]chan []isa.Event, len(live))
+	b := &broadcastSink{
+		chans: make([]chan *sharedBatch, len(live)),
+		// Sized to every batch that can exist, so a release never
+		// finds it full.
+		free:  make(chan *sharedBatch, fanoutDepth+2),
+		timed: fs != nil,
+	}
 	consumerErrs := make([]error, len(live))
 	var wg sync.WaitGroup
 	for i, s := range live {
-		chans[i] = make(chan []isa.Event, fanoutDepth)
+		b.chans[i] = make(chan *sharedBatch, fanoutDepth)
 		wg.Add(1)
 		var busySlot *int64
 		if fs != nil {
 			busySlot = &fs.SinkBusyNs[i]
 		}
-		go func(ch chan []isa.Event, s isa.Sink, errSlot *error, busySlot *int64) {
+		go func(ch chan *sharedBatch, s isa.Sink, errSlot *error, busySlot *int64) {
 			defer wg.Done()
 			// Busy time accumulates in a local and is stored once at
 			// exit; the caller reads it after wg.Wait, so no atomics.
@@ -99,36 +111,35 @@ func FanoutTimed(gen func(isa.Sink) error, fs *FanoutStats, sinks ...isa.Sink) (
 			// A batch-capable sink consumes each shared batch in one
 			// call; the slice is read-only between consumers either way.
 			bs, batched := s.(isa.BatchSink)
-			for batch := range ch {
-				if *errSlot != nil {
-					continue // dead consumer: drain and discard
-				}
-				batch := batch
-				var t0 time.Time
-				if busySlot != nil {
-					t0 = time.Now()
-				}
-				*errSlot = simeng.Guard(func() error {
-					if batched {
-						bs.Events(batch)
+			for sb := range ch {
+				// A dead consumer only drains, but still releases.
+				if *errSlot == nil {
+					var t0 time.Time
+					if busySlot != nil {
+						t0 = time.Now()
+					}
+					*errSlot = simeng.Guard(func() error {
+						if batched {
+							bs.Events(sb.evs)
+							return nil
+						}
+						for j := range sb.evs {
+							s.Event(&sb.evs[j])
+						}
 						return nil
+					})
+					if busySlot != nil {
+						busy += time.Since(t0).Nanoseconds()
 					}
-					for j := range batch {
-						s.Event(&batch[j])
-					}
-					return nil
-				})
-				if busySlot != nil {
-					busy += time.Since(t0).Nanoseconds()
 				}
+				b.release(sb)
 			}
-		}(chans[i], s, &consumerErrs[i], busySlot)
+		}(b.chans[i], s, &consumerErrs[i], busySlot)
 	}
 
-	b := &broadcastSink{chans: chans, timed: fs != nil}
 	err := gen(b)
 	b.flush()
-	for _, ch := range chans {
+	for _, ch := range b.chans {
 		close(ch)
 	}
 	wg.Wait()
@@ -166,13 +177,23 @@ func (c *countingSink) Events(evs []isa.Event) {
 	isa.DeliverBatch(c.sink, evs)
 }
 
+// sharedBatch is one broadcast batch. refs counts the consumers that
+// have not yet finished with it.
+type sharedBatch struct {
+	evs  []isa.Event
+	refs atomic.Int32
+}
+
 // broadcastSink buffers events into batches and sends each full batch
 // to every consumer channel. Cores reuse one Event value, so the
 // batch append copies it; consumers receive pointers into the shared
-// batch and must not mutate them.
+// batch and must not mutate them. The last consumer to release a
+// batch puts it on free, where the generator takes it before
+// allocating a new one.
 type broadcastSink struct {
-	chans []chan []isa.Event
-	batch []isa.Event
+	chans []chan *sharedBatch
+	free  chan *sharedBatch
+	cur   *sharedBatch // the batch being filled; nil before the first event
 	n     uint64
 	// timed enables the per-send clock pair feeding deliverNs — the
 	// generator-side broadcast time, including back-pressure stalls.
@@ -181,12 +202,12 @@ type broadcastSink struct {
 }
 
 func (b *broadcastSink) Event(ev *isa.Event) {
-	if b.batch == nil {
-		b.batch = make([]isa.Event, 0, fanoutBatch)
+	if b.cur == nil {
+		b.cur = b.get()
 	}
-	b.batch = append(b.batch, *ev)
+	b.cur.evs = append(b.cur.evs, *ev)
 	b.n++
-	if len(b.batch) == fanoutBatch {
+	if len(b.cur.evs) == fanoutBatch {
 		b.send()
 	}
 }
@@ -196,28 +217,47 @@ func (b *broadcastSink) Event(ev *isa.Event) {
 // per-event appends.
 func (b *broadcastSink) Events(evs []isa.Event) {
 	for len(evs) > 0 {
-		if b.batch == nil {
-			b.batch = make([]isa.Event, 0, fanoutBatch)
+		if b.cur == nil {
+			b.cur = b.get()
 		}
-		take := min(fanoutBatch-len(b.batch), len(evs))
-		b.batch = append(b.batch, evs[:take]...)
+		take := min(fanoutBatch-len(b.cur.evs), len(evs))
+		b.cur.evs = append(b.cur.evs, evs[:take]...)
 		b.n += uint64(take)
 		evs = evs[take:]
-		if len(b.batch) == fanoutBatch {
+		if len(b.cur.evs) == fanoutBatch {
 			b.send()
 		}
 	}
 }
 
+// get returns an empty batch, a released one when there is one.
+func (b *broadcastSink) get() *sharedBatch {
+	select {
+	case sb := <-b.free:
+		sb.evs = sb.evs[:0]
+		return sb
+	default:
+		return &sharedBatch{evs: make([]isa.Event, 0, fanoutBatch)}
+	}
+}
+
+// release ends one consumer's use of sb; the last release recycles it.
+func (b *broadcastSink) release(sb *sharedBatch) {
+	if sb.refs.Add(-1) == 0 {
+		b.free <- sb
+	}
+}
+
 func (b *broadcastSink) send() {
-	batch := b.batch
-	b.batch = nil
+	sb := b.cur
+	b.cur = nil
+	sb.refs.Store(int32(len(b.chans)))
 	var t0 time.Time
 	if b.timed {
 		t0 = time.Now()
 	}
 	for _, ch := range b.chans {
-		ch <- batch
+		ch <- sb
 	}
 	if b.timed {
 		b.deliverNs += time.Since(t0).Nanoseconds()
@@ -225,7 +265,7 @@ func (b *broadcastSink) send() {
 }
 
 func (b *broadcastSink) flush() {
-	if len(b.batch) > 0 {
+	if b.cur != nil {
 		b.send()
 	}
 }

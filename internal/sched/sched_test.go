@@ -2,6 +2,9 @@ package sched
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -332,4 +335,142 @@ func (s *slowSink) Event(ev *isa.Event) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	s.pcs = append(s.pcs, ev.PC)
+}
+
+// richEvent is event i of a stream in which every field that varies
+// with i differs from its neighbours', so a consumer handed a batch
+// that was refilled under it sees the wrong event.
+func richEvent(i int) isa.Event {
+	u := uint64(i)
+	ev := isa.Event{PC: u, Word: uint32(u * 2654435761), LoadAddr: u * 8, StoreAddr: ^u}
+	ev.AddSrc(isa.IntReg(uint8(u % 31)))
+	return ev
+}
+
+// genRich streams n rich events through the batched path, in chunks
+// that do not divide fanoutBatch so batch seams fall mid-chunk.
+func genRich(n int) func(isa.Sink) error {
+	return func(s isa.Sink) error {
+		chunk := make([]isa.Event, 1000)
+		for i := 0; i < n; {
+			k := min(len(chunk), n-i)
+			for j := range chunk[:k] {
+				chunk[j] = richEvent(i + j)
+			}
+			isa.DeliverBatch(s, chunk[:k])
+			i += k
+		}
+		return nil
+	}
+}
+
+// checkSink verifies, event for event and without allocating, that it
+// sees exactly the genRich stream. pause runs before each batch (or,
+// per event, every fanoutBatch events) to set the consumer's speed.
+type checkSink struct {
+	n     int
+	pause func()
+	err   error
+}
+
+func (c *checkSink) Event(ev *isa.Event) {
+	if c.pause != nil && c.n%fanoutBatch == 0 {
+		c.pause()
+	}
+	if c.err == nil && *ev != richEvent(c.n) {
+		c.err = fmt.Errorf("event %d: got %+v, want %+v", c.n, *ev, richEvent(c.n))
+	}
+	c.n++
+}
+
+// batchCheckSink is checkSink on the batched path.
+type batchCheckSink struct{ checkSink }
+
+func (c *batchCheckSink) Events(evs []isa.Event) {
+	if c.pause != nil {
+		c.pause()
+	}
+	for i := range evs {
+		if c.err == nil && evs[i] != richEvent(c.n) {
+			c.err = fmt.Errorf("event %d: got %+v, want %+v", c.n, evs[i], richEvent(c.n))
+		}
+		c.n++
+	}
+}
+
+// batchesAllocated runs f and returns how many fan-out batches' worth
+// of heap it allocated. Everything else a fan-out allocates is a few
+// hundred bytes per consumer or batch, far below one batch, so the
+// quotient counts batches.
+func batchesAllocated(f func()) uint64 {
+	batchBytes := uint64(fanoutBatch) * uint64(reflect.TypeFor[isa.Event]().Size())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / batchBytes
+}
+
+// TestFanoutRecyclesBatches: three consumers of different speeds each
+// see a stream of many batches event for event while the fan-out
+// refills released batches, and no stream length makes it allocate
+// more than fanoutDepth+2 of them.
+func TestFanoutRecyclesBatches(t *testing.T) {
+	for _, batches := range []int{16, 64} {
+		n := batches*fanoutBatch + 17
+		fast := &batchCheckSink{}
+		medium := &checkSink{pause: func() { time.Sleep(50 * time.Microsecond) }}
+		slow := &batchCheckSink{checkSink{pause: func() { time.Sleep(200 * time.Microsecond) }}}
+		var count uint64
+		var err error
+		allocs := batchesAllocated(func() {
+			count, err = Fanout(genRich(n), fast, medium, slow)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if count != uint64(n) {
+			t.Fatalf("%d batches: broadcast %d of %d events", batches, count, n)
+		}
+		for name, c := range map[string]*checkSink{"fast": &fast.checkSink, "medium": medium, "slow": &slow.checkSink} {
+			if c.err != nil {
+				t.Fatalf("%d batches: %s consumer: %v", batches, name, c.err)
+			}
+			if c.n != n {
+				t.Fatalf("%d batches: %s consumer saw %d of %d events", batches, name, c.n, n)
+			}
+		}
+		if allocs > fanoutDepth+2 {
+			t.Fatalf("%d batches: allocated %d batches, want at most %d", batches, allocs, fanoutDepth+2)
+		}
+	}
+}
+
+// nopSink is a batch-capable consumer that does nothing.
+type nopSink struct{}
+
+func (nopSink) Event(*isa.Event)   {}
+func (nopSink) Events([]isa.Event) {}
+
+// BenchmarkFanoutBroadcast times the broadcast alone: a 64-batch stream
+// handed over in the emulation core's 4096-event chunks to five no-op
+// consumers. B/op is per Fanout call, so it shows the batch recycling.
+func BenchmarkFanoutBroadcast(b *testing.B) {
+	const n = 64 * fanoutBatch
+	chunk := make([]isa.Event, 4096)
+	gen := func(s isa.Sink) error {
+		for i := 0; i < n; i += len(chunk) {
+			isa.DeliverBatch(s, chunk)
+		}
+		return nil
+	}
+	sinks := []isa.Sink{nopSink{}, nopSink{}, nopSink{}, nopSink{}, nopSink{}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if _, err := Fanout(gen, sinks...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/event")
 }

@@ -164,14 +164,19 @@ func (s *panicSink) Event(*isa.Event) {
 
 // TestFanoutPanickedConsumerDrains: one consumer dying mid-stream must
 // not block the generator or the healthy consumers, and its panic must
-// surface as an ErrPanic-kind error.
+// surface as an ErrPanic-kind error. The dead consumer still releases
+// every batch, so the run stays within the fan-out's batch bound.
 func TestFanoutPanickedConsumerDrains(t *testing.T) {
-	// Enough events for many batches so the dead consumer would wedge
-	// the broadcast if it stopped receiving.
-	const n = 5 * fanoutBatch
+	// Many more batches than the bound, so a dead consumer that kept
+	// its batches would either wedge the broadcast or force new ones.
+	const n = 8 * (fanoutDepth + 2) * fanoutBatch
 	healthy := [2]countOnlySink{}
 	dead := &panicSink{at: 100}
-	count, err := Fanout(genEvents(n), &healthy[0], dead, &healthy[1])
+	var count uint64
+	var err error
+	allocs := batchesAllocated(func() {
+		count, err = Fanout(genRich(n), &healthy[0], dead, &healthy[1])
+	})
 	if count != n {
 		t.Fatalf("broadcast %d of %d events", count, n)
 	}
@@ -182,6 +187,9 @@ func TestFanoutPanickedConsumerDrains(t *testing.T) {
 		if healthy[i].n != n {
 			t.Fatalf("healthy consumer %d saw %d of %d events", i, healthy[i].n, n)
 		}
+	}
+	if allocs > fanoutDepth+2 {
+		t.Fatalf("allocated %d batches, want at most %d", allocs, fanoutDepth+2)
 	}
 }
 
