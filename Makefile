@@ -34,7 +34,7 @@ race:
 # detector.
 differential:
 	$(GO) test -race -count=1 -run 'TestDifferential|TestParallel|TestRunInstrumentedParallel' .
-	$(GO) test -race -count=1 -run 'TestOracle|FuzzWindowedCP' ./internal/core
+	$(GO) test -race -count=1 -run 'TestOracle|FuzzWindowedCP|FuzzCritPath' ./internal/core
 
 # golden checks the pinned paper artifacts (Table 1/2, Figure 1/2,
 # canonical manifest) under the race detector. Regenerate after an
@@ -109,6 +109,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzFusionStream -fuzztime 5s ./internal/fusion
 	$(GO) test -fuzz FuzzJournalReplay -fuzztime 5s ./internal/durable
 	$(GO) test -fuzz FuzzWindowedCP -fuzztime 5s ./internal/core
+	$(GO) test -fuzz FuzzCritPath -fuzztime 5s ./internal/core
 
 # bench-module vets and tests the nested bench/ module (the benchmark
 # harness; see bench/README.md). Run the benchmark itself with

@@ -326,7 +326,11 @@ func BenchmarkStepVsStepN(b *testing.B) {
 // every real run uses) against the sparse map fallback, in ns per
 // event over a strided load/store stream. The dense path is
 // allocation-free once the touched pages exist
-// (TestCritPathEventsZeroAlloc asserts it exactly).
+// (TestCritPathEventsZeroAlloc asserts it exactly). The joint case
+// tracks Table 1's and Table 2's chains in one dense tracker, as a run
+// that asks for both does; separate runs the two one-chain trackers
+// one after the other over the same stream, the work the joint
+// tracker replaces.
 func BenchmarkCritPathDenseVsMap(b *testing.B) {
 	const base = 0x200000
 	const span = 1 << 22 // 4 MiB array span
@@ -341,21 +345,29 @@ func BenchmarkCritPathDenseVsMap(b *testing.B) {
 			ev.AddDst(isa.IntReg(1))
 		}
 	}
-	run := func(b *testing.B, c *core.CritPath) {
-		c.Events(evs) // warm up: materialize pages / seed the map
+	dense := func(c *core.CritPath) *core.CritPath {
+		c.SetDenseRange(base, span)
+		return c
+	}
+	run := func(b *testing.B, cs ...*core.CritPath) {
+		for _, c := range cs {
+			c.Events(evs) // warm up: materialize pages / seed the map
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for n := 0; n < b.N; n += len(evs) {
-			c.Events(evs)
+			for _, c := range cs {
+				c.Events(evs)
+			}
 		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
 	}
-	b.Run("dense", func(b *testing.B) {
-		c := core.NewCritPath()
-		c.SetDenseRange(base, span)
-		run(b, c)
-	})
-	b.Run("map", func(b *testing.B) {
-		run(b, core.NewCritPath())
+	lat := simeng.TX2Latencies()
+	b.Run("dense", func(b *testing.B) { run(b, dense(core.NewCritPath())) })
+	b.Run("map", func(b *testing.B) { run(b, core.NewCritPath()) })
+	b.Run("joint", func(b *testing.B) { run(b, dense(core.NewJointCritPath(lat))) })
+	b.Run("separate", func(b *testing.B) {
+		run(b, dense(core.NewCritPath()), dense(core.NewScaledCritPath(lat)))
 	})
 }
 

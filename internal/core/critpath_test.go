@@ -198,13 +198,24 @@ func TestILPIdentity(t *testing.T) {
 	}
 }
 
+// heavyLatencies is the TX2 model with simple integer work weighing 3,
+// so a stream of simple-integer events has a scaled chain that differs
+// from its unit chain.
+func heavyLatencies() *simeng.LatencyModel {
+	lat := simeng.TX2Latencies()
+	lat[isa.GroupIntSimple] = 3
+	return lat
+}
+
 // TestDenseRangeEquivalence: dense and map-backed tracking must give
-// identical critical paths.
+// identical critical paths, one chain per tracker or both in one.
 func TestDenseRangeEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
-	sparse := NewCritPath()
-	dense := NewCritPath()
+	lat := heavyLatencies()
+	sparse, scaled := NewCritPath(), NewScaledCritPath(lat)
+	dense, jointSparse, jointDense := NewCritPath(), NewJointCritPath(lat), NewJointCritPath(lat)
 	dense.SetDenseRange(0x1000, 0x1000)
+	jointDense.SetDenseRange(0x1000, 0x1000)
 	for i := 0; i < 5000; i++ {
 		ev := &isa.Event{Group: isa.GroupIntSimple}
 		ev.AddSrc(isa.IntReg(uint8(r.Intn(8) + 1)))
@@ -219,13 +230,19 @@ func TestDenseRangeEquivalence(t *testing.T) {
 		if r.Intn(8) == 0 {
 			ev.LoadAddr, ev.LoadSize = 0x900000+uint64(r.Intn(16))*8, 8
 		}
-		sparse.Event(ev)
-		dense.Event(ev)
+		for _, c := range []*CritPath{sparse, scaled, dense, jointSparse, jointDense} {
+			c.Event(ev)
+		}
 	}
 	if sparse.CP() != dense.CP() {
 		t.Fatalf("sparse CP %d != dense CP %d", sparse.CP(), dense.CP())
 	}
 	if sparse.Instructions() != dense.Instructions() {
 		t.Fatal("instruction counts differ")
+	}
+	for name, j := range map[string]*CritPath{"sparse": jointSparse, "dense": jointDense} {
+		if j.CP() != sparse.CP() || j.ScaledCP() != scaled.CP() || j.Instructions() != sparse.Instructions() {
+			t.Fatalf("%s joint CP %d / scaled %d, one-chain trackers %d / %d", name, j.CP(), j.ScaledCP(), sparse.CP(), scaled.CP())
+		}
 	}
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"isacmp/internal/isa"
+	"isacmp/internal/simeng"
 )
 
 // storeLoad builds a store event followed by a dependent load at the
@@ -24,7 +26,7 @@ func loadEv(addr uint64, size uint8) isa.Event {
 // TestCritPathPageTable drives chains through addresses in different
 // pages of the dense span and through wild addresses outside it, and
 // checks the page table and the map fallback agree with a plain
-// map-only tracker.
+// map-only tracker, for one chain and for both chains in one tracker.
 func TestCritPathPageTable(t *testing.T) {
 	const base = 0x100000
 	const size = 3*8*cpPageWords + 40 // three pages and change
@@ -39,13 +41,17 @@ func TestCritPathPageTable(t *testing.T) {
 		0xdeadbeef000,             // wild: far away
 	}
 
-	dense := NewCritPath()
-	dense.SetDenseRange(base, size)
-	plain := NewCritPath()
+	lat := heavyLatencies()
+	dense, plain := NewCritPath(), NewCritPath()
+	scaled := NewScaledCritPath(lat)
+	joint, jointPlain := NewJointCritPath(lat), NewJointCritPath(lat)
+	for _, c := range []*CritPath{dense, scaled, joint} {
+		c.SetDenseRange(base, size)
+	}
 
 	for round := 0; round < 3; round++ {
 		for _, a := range addrs {
-			for _, c := range []*CritPath{dense, plain} {
+			for _, c := range []*CritPath{dense, plain, scaled, joint, jointPlain} {
 				st := storeEv(a, 8)
 				c.Event(&st)
 				ld := loadEv(a, 8)
@@ -59,36 +65,51 @@ func TestCritPathPageTable(t *testing.T) {
 	if dense.Instructions() != plain.Instructions() {
 		t.Fatalf("instruction counts differ")
 	}
-
-	st := dense.TrackerStats()
-	if want := int((size + 7) / 8); st.DenseWords != want {
-		t.Fatalf("DenseWords = %d, want %d", st.DenseWords, want)
+	if scaled.CP() == plain.CP() {
+		t.Fatalf("scaled CP %d equals the unit CP: the weights never differed", scaled.CP())
 	}
-	if st.MapEntries != 3 {
-		t.Fatalf("MapEntries = %d, want the 3 wild addresses", st.MapEntries)
+	for name, j := range map[string]*CritPath{"paged": joint, "map": jointPlain} {
+		if j.CP() != plain.CP() || j.ScaledCP() != scaled.CP() {
+			t.Fatalf("%s joint CP %d / scaled %d, one-chain trackers %d / %d", name, j.CP(), j.ScaledCP(), plain.CP(), scaled.CP())
+		}
+	}
+
+	for _, c := range []*CritPath{dense, joint} {
+		st := c.TrackerStats()
+		if want := int((size + 7) / 8); st.DenseWords != want {
+			t.Fatalf("DenseWords = %d, want %d", st.DenseWords, want)
+		}
+		if st.MapEntries != 3 {
+			t.Fatalf("MapEntries = %d, want the 3 wild addresses", st.MapEntries)
+		}
 	}
 	// Pages materialize lazily: the span holds 4 page slots and all
 	// were touched here, but an untouched span must allocate none.
-	fresh := NewCritPath()
-	fresh.SetDenseRange(base, size)
-	for _, p := range fresh.pages {
-		if p != nil {
-			t.Fatal("page materialized before any write")
+	for _, fresh := range []*CritPath{NewCritPath(), NewJointCritPath(lat)} {
+		fresh.SetDenseRange(base, size)
+		for _, p := range fresh.pages {
+			if p != nil {
+				t.Fatal("page materialized before any write")
+			}
 		}
 	}
 }
 
 // TestCritPathUnalignedSpan checks accesses straddling 8-byte word
-// and page boundaries land on the same words in both trackers.
+// and page boundaries land on the same words in the paged and the
+// map-only trackers, one-chain and joint.
 func TestCritPathUnalignedSpan(t *testing.T) {
 	const base = 0x1000
-	dense := NewCritPath()
-	dense.SetDenseRange(base, 16*8*cpPageWords)
-	plain := NewCritPath()
+	lat := heavyLatencies()
+	dense, plain := NewCritPath(), NewCritPath()
+	scaled, joint := NewScaledCritPath(lat), NewJointCritPath(lat)
+	for _, c := range []*CritPath{dense, scaled, joint} {
+		c.SetDenseRange(base, 16*8*cpPageWords)
+	}
 	// A 4-byte store crossing the first page's last word into the
 	// second page, then loads of each half.
 	edge := uint64(base + 8*cpPageWords - 2)
-	for _, c := range []*CritPath{dense, plain} {
+	for _, c := range []*CritPath{dense, plain, scaled, joint} {
 		st := storeEv(edge, 4)
 		c.Event(&st)
 		lo := loadEv(edge, 1)
@@ -99,14 +120,17 @@ func TestCritPathUnalignedSpan(t *testing.T) {
 	if dense.CP() != plain.CP() {
 		t.Fatalf("paged CP %d != map CP %d across page boundary", dense.CP(), plain.CP())
 	}
+	if joint.CP() != plain.CP() || joint.ScaledCP() != scaled.CP() {
+		t.Fatalf("joint CP %d / scaled %d across page boundary, one-chain trackers %d / %d",
+			joint.CP(), joint.ScaledCP(), plain.CP(), scaled.CP())
+	}
 }
 
 // TestCritPathEventsZeroAlloc proves the batch path of the tracker is
-// allocation-free once the touched pages exist.
+// allocation-free once the touched pages exist, with one chain and
+// with both.
 func TestCritPathEventsZeroAlloc(t *testing.T) {
 	const base = 0x1000
-	c := NewCritPath()
-	c.SetDenseRange(base, 1<<20)
 	evs := make([]isa.Event, 256)
 	for i := range evs {
 		a := base + uint64(i%1024)*8
@@ -116,10 +140,47 @@ func TestCritPathEventsZeroAlloc(t *testing.T) {
 			evs[i] = loadEv(a, 8)
 		}
 	}
-	c.Events(evs) // warm up: materializes the touched pages
-	allocs := testing.AllocsPerRun(100, func() { c.Events(evs) })
-	if allocs != 0 {
-		t.Fatalf("steady-state Events allocates %v times per run", allocs)
+	for _, c := range []*CritPath{NewCritPath(), NewJointCritPath(simeng.TX2Latencies())} {
+		c.SetDenseRange(base, 1<<20)
+		c.Events(evs) // warm up: materializes the touched pages
+		allocs := testing.AllocsPerRun(100, func() { c.Events(evs) })
+		if allocs != 0 {
+			t.Fatalf("steady-state Events (joint %v) allocates %v times per run", c.joint, allocs)
+		}
+	}
+}
+
+// TestCritPathPageBytes: materialising a page of the dense table
+// allocates 8 bytes per word (32 KiB) for a one-chain tracker and 16
+// (64 KiB) for a joint one, and nothing else. TotalAlloc also counts
+// what other goroutines allocate meanwhile (those an earlier test left
+// finishing), which only adds, so the least of a few fresh trackers'
+// deltas is the page's.
+func TestCritPathPageBytes(t *testing.T) {
+	lat := simeng.TX2Latencies()
+	for _, tc := range []struct {
+		name string
+		c    func() *CritPath
+		want uint64
+	}{
+		{"unit", NewCritPath, 32 << 10},
+		{"scaled", func() *CritPath { return NewScaledCritPath(lat) }, 32 << 10},
+		{"joint", func() *CritPath { return NewJointCritPath(lat) }, 64 << 10},
+	} {
+		least := ^uint64(0)
+		for try := 0; try < 5; try++ {
+			c := tc.c()
+			c.SetDenseRange(0x1000, 8*cpPageWords)
+			st := storeEv(0x1000, 8)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			c.Event(&st)
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if least != tc.want {
+			t.Errorf("%s: materialising a page allocated %d bytes, want %d", tc.name, least, tc.want)
+		}
 	}
 }
 

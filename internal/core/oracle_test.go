@@ -122,11 +122,43 @@ func checkOracle(t *testing.T, name string, evs []isa.Event, sizes []int, stride
 	}
 	lat := simeng.TX2Latencies()
 	cp, scaled := NewCritPath(), NewScaledCritPath(lat)
-	cp.Events(evs)
-	scaled.Events(evs)
-	if wantCP, wantScaled := refCP(evs, lat); cp.CP() != wantCP || scaled.CP() != wantScaled {
+	joint, paged := NewJointCritPath(lat), NewJointCritPath(lat)
+	// paged keeps the lower half of the stream's address span in the
+	// page table and the rest in the map.
+	lo, hi := addrSpan(evs)
+	paged.SetDenseRange(lo, (hi-lo)/2)
+	for _, c := range []*CritPath{cp, scaled, joint, paged} {
+		c.Events(evs)
+	}
+	wantCP, wantScaled := refCP(evs, lat)
+	if cp.CP() != wantCP || scaled.CP() != wantScaled {
 		t.Fatalf("%s: CP %d / scaled %d, reference %d / %d", name, cp.CP(), scaled.CP(), wantCP, wantScaled)
 	}
+	for which, j := range map[string]*CritPath{"joint": joint, "paged joint": paged} {
+		if j.CP() != wantCP || j.ScaledCP() != wantScaled {
+			t.Fatalf("%s: %s CP %d / scaled %d, reference %d / %d", name, which, j.CP(), j.ScaledCP(), wantCP, wantScaled)
+		}
+	}
+}
+
+// addrSpan returns the lowest and one past the highest byte address
+// evs access, or 0, 0 for a stream without memory accesses.
+func addrSpan(evs []isa.Event) (lo, hi uint64) {
+	lo = ^uint64(0)
+	for i := range evs {
+		ev := &evs[i]
+		for _, a := range [][2]uint64{
+			{ev.LoadAddr, uint64(ev.LoadSize)}, {ev.Load2Addr, uint64(ev.Load2Size)}, {ev.StoreAddr, uint64(ev.StoreSize)},
+		} {
+			if a[1] != 0 {
+				lo, hi = min(lo, a[0]), max(hi, a[0]+a[1])
+			}
+		}
+	}
+	if hi == 0 {
+		return 0, 0
+	}
+	return lo, hi
 }
 
 // randStream builds a stream whose memory accesses are unaligned,
@@ -220,80 +252,109 @@ func TestOracleTinyWorkloads(t *testing.T) {
 	}
 }
 
-// FuzzWindowedCP decodes bytes into an event stream and checks that
-// the sequential and sharded windowed analyses both match the
-// reference. The first byte picks the stride; each event is a flags
-// byte (bits 0-2 sources, 3-4 destinations, 5 load, 6 second load, 7
+// An access the fuzz decoder places lands at fuzzBase plus its offset,
+// or, with its placement bit set, at fuzzSeam-256 plus its offset: on
+// either side of the 32 KiB seam between the first two pages of the
+// dense range FuzzCritPath sets up, or past that range's end, which
+// lies 128 bytes beyond the seam.
+const (
+	fuzzBase     = 0x1000
+	fuzzSeam     = fuzzBase + 8*cpPageWords
+	fuzzDenseEnd = fuzzSeam + 128
+)
+
+// decodeEvents decodes fuzz bytes into an event stream. Each event is
+// a flags byte (bits 0-2 sources, 3-4 destinations, 5 load, 6 second
+// load, 7 store), a kind byte (bits 0-3 the group, modulo the group
+// count; bits 4-6 the placement of the load, the second load and the
 // store), its register bytes, then an offset and a size byte per
-// access. Offsets fall in one 512-byte range, so words collide, and
-// sizes reach 255 bytes, so a fused load pair can have four register
-// and dozens of memory producers.
-func FuzzWindowedCP(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{3, 0xff, 1, 2, 3, 4, 5, 6, 0, 0xff, 7, 0xff, 9, 0xff, 0xe2, 1, 2, 0x10, 0xf0, 0x33, 0x80, 0x11, 0x40})
-	// Five-deep chain stored to one word, then nine shallow stores and
-	// four shallow register writes: the final fused load pair has
-	// fourteen distinct producers, and its deepest is the last found.
-	seed := []byte{0}
-	for i := 0; i < 5; i++ {
-		seed = append(seed, 0x09, 1, 1)
+// access. Offsets fall in one 256-byte range per placement, so words
+// collide, and sizes reach 255 bytes, so a fused load pair can have
+// four register and dozens of memory producers. Decoding stops at the
+// first event the bytes do not complete.
+func decodeEvents(data []byte) []isa.Event {
+	next := func() (byte, bool) {
+		if len(data) == 0 {
+			return 0, false
+		}
+		b := data[0]
+		data = data[1:]
+		return b, true
 	}
-	seed = append(seed, 0x81, 1, 0xf8, 8)
+	access := func(far bool) (uint64, uint8, bool) {
+		off, ok1 := next()
+		size, ok2 := next()
+		base := uint64(fuzzBase)
+		if far {
+			base = fuzzSeam - 256
+		}
+		return base + uint64(off), max(size, 1), ok1 && ok2
+	}
+	var evs []isa.Event
+	for {
+		flags, ok1 := next()
+		kind, ok2 := next()
+		if !ok1 || !ok2 {
+			return evs
+		}
+		ev := isa.Event{Group: isa.Group(kind&15) % isa.NumGroups}
+		for i := 0; i < min(int(flags&7), 4); i++ {
+			r, _ := next()
+			ev.AddSrc(isa.Reg(r % isa.NumRegs))
+		}
+		for i := 0; i < min(int(flags>>3&3), 2); i++ {
+			r, _ := next()
+			ev.AddDst(isa.Reg(r % isa.NumRegs))
+		}
+		ok := true
+		if flags&0x20 != 0 {
+			ev.LoadAddr, ev.LoadSize, ok = access(kind&0x10 != 0)
+		}
+		if flags&0x40 != 0 && ok {
+			ev.Load2Addr, ev.Load2Size, ok = access(kind&0x20 != 0)
+		}
+		if flags&0x80 != 0 && ok {
+			ev.StoreAddr, ev.StoreSize, ok = access(kind&0x40 != 0)
+		}
+		if !ok {
+			return evs
+		}
+		evs = append(evs, ev)
+	}
+}
+
+// chainSeed is a decodeEvents stream whose last event, a fused load
+// pair, has fourteen distinct producers and finds its deepest last: a
+// five-deep chain stored to one word, then nine shallow stores and
+// four shallow register writes. kind is every event's kind byte.
+func chainSeed(kind byte) []byte {
+	var seed []byte
+	for i := 0; i < 5; i++ {
+		seed = append(seed, 0x09, kind, 1, 1)
+	}
+	seed = append(seed, 0x81, kind, 1, 0xf8, 8)
 	for off := byte(0); off <= 0x40; off += 8 {
-		seed = append(seed, 0x80, off, 8)
+		seed = append(seed, 0x80, kind, off, 8)
 	}
 	for r := byte(2); r <= 5; r++ {
-		seed = append(seed, 0x08, r)
+		seed = append(seed, 0x08, kind, r)
 	}
-	f.Add(append(seed, 0x6c, 2, 3, 4, 5, 6, 0, 72, 0xf8, 8))
+	return append(seed, 0x6c, kind, 2, 3, 4, 5, 6, 0, 72, 0xf8, 8)
+}
+
+// FuzzWindowedCP decodes bytes into an event stream (decodeEvents,
+// after a first byte that picks the stride) and checks that the
+// sequential and sharded windowed analyses both match the reference.
+func FuzzWindowedCP(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 0xff, 0x13, 1, 2, 3, 4, 5, 6, 0, 0xff, 7, 0xff, 9, 0xff, 0xe2, 0x47, 1, 2, 0x10, 0xf0, 0x33, 0x80, 0x11, 0x40})
+	f.Add(append([]byte{0}, chainSeed(0)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
-		stride, data := int(data[0]%4), data[1:]
-		next := func() (byte, bool) {
-			if len(data) == 0 {
-				return 0, false
-			}
-			b := data[0]
-			data = data[1:]
-			return b, true
-		}
-		access := func() (uint64, uint8, bool) {
-			off, ok1 := next()
-			size, ok2 := next()
-			return 0x1000 + uint64(off), max(size, 1), ok1 && ok2
-		}
-		var evs []isa.Event
-		for {
-			flags, ok := next()
-			if !ok {
-				break
-			}
-			var ev isa.Event
-			for i := 0; i < min(int(flags&7), 4); i++ {
-				r, _ := next()
-				ev.AddSrc(isa.Reg(r % isa.NumRegs))
-			}
-			for i := 0; i < min(int(flags>>3&3), 2); i++ {
-				r, _ := next()
-				ev.AddDst(isa.Reg(r % isa.NumRegs))
-			}
-			if flags&0x20 != 0 {
-				ev.LoadAddr, ev.LoadSize, ok = access()
-			}
-			if flags&0x40 != 0 {
-				ev.Load2Addr, ev.Load2Size, ok = access()
-			}
-			if flags&0x80 != 0 {
-				ev.StoreAddr, ev.StoreSize, ok = access()
-			}
-			if !ok {
-				break
-			}
-			evs = append(evs, ev)
-		}
+		stride, evs := int(data[0]%4), decodeEvents(data[1:])
 		sizes := []int{1, 2, 3, 4, 7, 16, 64}
 		want := refWindows(evs, sizes, stride)
 		seq := NewWindowedCritPathStride(sizes, stride)
@@ -304,6 +365,50 @@ func FuzzWindowedCP(f *testing.F) {
 			if shard := sharded.Results()[i]; got != want[i] || shard != want[i] {
 				t.Fatalf("size %d: sequential %+v, sharded %+v, reference %+v", sizes[i], got, shard, want[i])
 			}
+		}
+	})
+}
+
+// FuzzCritPath decodes bytes into an event stream (decodeEvents) and
+// checks the Table 1 and Table 2 trackers against the reference: the
+// one-chain trackers and a joint one over the dense range, whose seam
+// and end the placement bits reach, and a joint one on the map alone.
+// The paged joint tracker must also report the one-chain footprint.
+func FuzzCritPath(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0x13, 1, 2, 3, 4, 5, 6, 0, 0xff, 7, 0xff, 9, 0xff, 0xe2, 0x47, 1, 2, 0x10, 0xf0, 0x33, 0x80, 0x11, 0x40})
+	f.Add(chainSeed(byte(isa.GroupFPAdd)))
+	// A chain through stores and loads that cross the dense range's
+	// first page seam and run past its end.
+	f.Add([]byte{
+		0x09, 0x02, 1, 1, // x1 = f(x1), an integer divide
+		0x81, 0x42, 1, 0xf0, 0xa0, // store x1 across the seam and the end
+		0x29, 0x17, 2, 2, 0xff, 0xff, // x2 = f(x2, load across both)
+		0xa9, 0x47, 2, 3, 0x10, 8, 0xff, 0x90, // x3 = f(x2, near load); store x3 across both
+		0x69, 0x39, 3, 4, 0xf8, 0x10, 0xf0, 0xa0, // x4 = f(x3, fused pair across both)
+	})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		evs := decodeEvents(data)
+		lat := simeng.TX2Latencies()
+		wantCP, wantScaled := refCP(evs, lat)
+		unit, scaled, joint, jointMap := NewCritPath(), NewScaledCritPath(lat), NewJointCritPath(lat), NewJointCritPath(lat)
+		for _, c := range []*CritPath{unit, scaled, joint} {
+			c.SetDenseRange(fuzzBase, fuzzDenseEnd-fuzzBase)
+		}
+		for _, c := range []*CritPath{unit, scaled, joint, jointMap} {
+			c.Events(evs)
+		}
+		if unit.CP() != wantCP || scaled.CP() != wantScaled {
+			t.Fatalf("CP %d / scaled %d, reference %d / %d", unit.CP(), scaled.CP(), wantCP, wantScaled)
+		}
+		for name, j := range map[string]*CritPath{"paged": joint, "map": jointMap} {
+			if j.CP() != wantCP || j.ScaledCP() != wantScaled {
+				t.Fatalf("%s joint CP %d / scaled %d, reference %d / %d", name, j.CP(), j.ScaledCP(), wantCP, wantScaled)
+			}
+		}
+		if joint.TrackerStats() != unit.TrackerStats() {
+			t.Fatalf("joint footprint %+v, one-chain %+v", joint.TrackerStats(), unit.TrackerStats())
 		}
 	})
 }

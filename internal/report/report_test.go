@@ -27,25 +27,44 @@ func tinyProgram() *ir.Program {
 }
 
 func TestRunAllAnalyses(t *testing.T) {
-	rows, err := Run(tinyProgram(), Experiment{
-		PathLength: true, CritPath: true, Scaled: true,
-		Windowed: true, WindowSizes: []int{4}, Mix: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.PathLen == 0 || r.CP == 0 || r.ScaledCP == 0 {
-			t.Fatalf("%s: incomplete row %+v", r.Target, r)
+	for _, parallel := range []int{1, 2} {
+		rows, err := Run(tinyProgram(), Experiment{
+			PathLength: true, CritPath: true, Scaled: true,
+			Windowed: true, WindowSizes: []int{4}, Mix: true, Parallel: parallel,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(r.Windows) != 1 || len(r.MixCounts) == 0 {
-			t.Fatalf("%s: missing windows or mix", r.Target)
+		if len(rows) != 4 {
+			t.Fatalf("rows = %d", len(rows))
 		}
-		if r.BranchDensity <= 0 || r.BranchDensity >= 1 {
-			t.Fatalf("%s: branch density %v", r.Target, r.BranchDensity)
+		for _, r := range rows {
+			if r.PathLen == 0 || r.CP == 0 || r.ScaledCP == 0 {
+				t.Fatalf("%s: incomplete row %+v", r.Target, r)
+			}
+			if len(r.Windows) != 1 || len(r.MixCounts) == 0 {
+				t.Fatalf("%s: missing windows or mix", r.Target)
+			}
+			if r.BranchDensity <= 0 || r.BranchDensity >= 1 {
+				t.Fatalf("%s: branch density %v", r.Target, r.BranchDensity)
+			}
+			// One tracker walks the events for Table 1 and Table 2, yet
+			// both keep their sink row: critpath's carries the pass's
+			// sampled time, scaledcp's counts the events and no time.
+			var names []string
+			for _, s := range r.Sinks {
+				names = append(names, s.Name)
+			}
+			if got := strings.Join(names, ","); got != "pathlen,critpath,scaledcp,windowcp,mix,branch" {
+				t.Fatalf("parallel %d, %s: sink rows %s", parallel, r.Target, got)
+			}
+			cp, scaled := r.Sinks[1], r.Sinks[2]
+			if scaled.Events != cp.Events || scaled.SampledEvents != 0 || scaled.SampledNs != 0 {
+				t.Fatalf("parallel %d, %s: scaledcp row %+v beside critpath row %+v", parallel, r.Target, scaled, cp)
+			}
+			if parallel == 1 && cp.SampledEvents != cp.Events {
+				t.Fatalf("%s: critpath row %+v did not time the joint pass", r.Target, cp)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"slices"
 	"time"
 
 	"isacmp/internal/isa"
@@ -209,6 +210,19 @@ func (t *Tee) Stats() []SinkStats {
 		out[i] = s
 	}
 	return out
+}
+
+// AddCarriedRow inserts a row named name after the row named host, for
+// an analysis the host's sink computes in the same pass. The new row
+// counts the host's events and carries no sampled time: the host's row
+// holds the time of the whole pass.
+func AddCarriedRow(rows []SinkStats, host, name string) []SinkStats {
+	for i, r := range rows {
+		if r.Name == host {
+			return slices.Insert(rows, i+1, SinkStats{Name: name, Events: r.Events})
+		}
+	}
+	return rows
 }
 
 // RunMetrics is the standard event-stream instrumentation: a sink

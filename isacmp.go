@@ -363,17 +363,26 @@ func (b *Binary) newAnalysisSet(sel Analyses, parallel int) *analysisSet {
 		a.pl = core.NewPathLength(b.compiled.File.Symbols)
 		a.add("pathlen", a.pl)
 	}
-	if sel.CritPath {
+	// Asked for Table 1 and Table 2, one tracker walks the events once
+	// for both (cp == scp); its row carries the joint pass's time.
+	lat := sel.Latencies
+	if lat == nil {
+		lat = simeng.TX2Latencies()
+	}
+	switch {
+	case sel.CritPath && sel.ScaledCritPath:
+		a.cp = core.NewJointCritPath(lat)
+		a.scp = a.cp
+	case sel.CritPath:
 		a.cp = core.NewCritPath()
+	case sel.ScaledCritPath:
+		a.scp = core.NewScaledCritPath(lat)
+	}
+	if a.cp != nil {
 		a.cp.SetDenseRange(cc.TextBase, b.compiled.MemSize)
 		a.add("critpath", a.cp)
 	}
-	if sel.ScaledCritPath {
-		lat := sel.Latencies
-		if lat == nil {
-			lat = simeng.TX2Latencies()
-		}
-		a.scp = core.NewScaledCritPath(lat)
+	if a.scp != nil && a.scp != a.cp {
 		a.scp.SetDenseRange(cc.TextBase, b.compiled.MemSize)
 		a.add("scaledcp", a.scp)
 	}
@@ -416,9 +425,9 @@ func (a *analysisSet) collect(res *Result) {
 		res.RuntimeSeconds = a.cp.RuntimeSeconds()
 	}
 	if a.scp != nil {
-		res.ScaledCP = a.scp.CP()
-		res.ScaledILP = a.scp.ILP()
-		res.ScaledRuntimeSeconds = a.scp.RuntimeSeconds()
+		res.ScaledCP = a.scp.ScaledCP()
+		res.ScaledILP = a.scp.ScaledILP()
+		res.ScaledRuntimeSeconds = a.scp.ScaledRuntimeSeconds()
 	}
 	if a.win != nil {
 		res.Windows = a.win.Results()
@@ -1030,6 +1039,9 @@ func (b *Binary) RunInstrumented(cfg RunConfig) (*Result, RunRecord, error) {
 		if len(as.sinks) > 0 {
 			rec.Sinks = tee.Stats()
 		}
+	}
+	if as.cp != nil && as.cp == as.scp {
+		rec.Sinks = telemetry.AddCarriedRow(rec.Sinks, "critpath", "scaledcp")
 	}
 	wall := time.Since(start)
 	if rm != nil {
