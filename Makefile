@@ -1,14 +1,15 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race differential golden check-faults check-obs check-prof check-fusion check-durable bench-module fuzz-smoke clean
+.PHONY: check fmt vet build test race differential golden check-faults check-obs check-prof check-fusion check-durable bench-smoke bench-module fuzz-smoke clean
 
 # check is the full pre-merge gate: formatting, static checks, build,
 # the race-enabled test suite (including the differential, golden,
 # fault-injection, observability, profiler, fusion and durability
 # suites, run explicitly so a -run filter can never silently drop
-# them), and the vet and tests of the nested bench/ module, which the
-# root ./... patterns do not reach. It writes nothing into the tree.
-check: fmt vet build race differential golden check-faults check-obs check-prof check-fusion check-durable bench-module
+# them), one run of every benchmark, and the vet and tests of the
+# nested bench/ module, which the root ./... patterns do not reach. It
+# writes nothing into the tree.
+check: fmt vet build race differential golden check-faults check-obs check-prof check-fusion check-durable bench-smoke bench-module
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -110,6 +111,12 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzJournalReplay -fuzztime 5s ./internal/durable
 	$(GO) test -fuzz FuzzWindowedCP -fuzztime 5s ./internal/core
 	$(GO) test -fuzz FuzzCritPath -fuzztime 5s ./internal/core
+
+# bench-smoke runs every go test benchmark once, so a benchmark that
+# panics or no longer matches the API it calls fails the gate. It
+# measures nothing; see bench/README.md for the benchmark proper.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # bench-module vets and tests the nested bench/ module (the benchmark
 # harness; see bench/README.md). Run the benchmark itself with

@@ -371,6 +371,50 @@ func BenchmarkCritPathDenseVsMap(b *testing.B) {
 	})
 }
 
+// BenchmarkWindowedCP measures the windowed-CP layer alone, in ns per
+// event: the first 2^20 events of one cell (LBM, RV64 GCC 12.2; 56 MiB
+// recorded once, of 3.7 M at Small scale) are replayed through a
+// WindowedCritPath in 4096-event batches, wrapping at the end. paper
+// runs the paper's sizes at stride W/2, which fold by lanes; stride1
+// runs them at stride 1, whose lane ring would exceed its budget, so
+// they keep the per-window fold. Both are allocation-free in steady
+// state (TestWindowedEventsZeroAlloc asserts it exactly).
+func BenchmarkWindowedCP(b *testing.B) {
+	bin, err := Compile(Workload("lbm", benchScale), Target{Arch: RV64, Flavor: GCC12})
+	if err != nil {
+		b.Fatal(err)
+	}
+	evs := make([]Event, 0, 1<<20)
+	record := SinkFunc(func(ev *Event) {
+		if len(evs) < cap(evs) {
+			evs = append(evs, *ev)
+		}
+	})
+	if _, err := bin.Run(record); err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		stride int
+	}{{"paper", 0}, {"stride1", 1}} {
+		b.Run(c.name, func(b *testing.B) {
+			w := core.NewWindowedCritPathStride(core.PaperWindowSizes(), c.stride)
+			b.ReportAllocs()
+			b.ResetTimer()
+			n, at := 0, 0
+			for n < b.N {
+				batch := evs[at:min(at+4096, len(evs))]
+				w.Events(batch)
+				n += len(batch)
+				if at += len(batch); at == len(evs) {
+					at = 0
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/event")
+		})
+	}
+}
+
 // BenchmarkCompile measures compilation cost (IR to ELF).
 func BenchmarkCompile(b *testing.B) {
 	for _, name := range Workloads() {

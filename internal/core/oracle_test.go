@@ -193,12 +193,22 @@ func randStream(seed int64, n int) []isa.Event {
 
 // TestOracleRandomStreams diffs the optimised analyses against the
 // reference on seeded random streams long enough to cross several
-// shard chunks, with the paper's stride and explicit ones.
+// shard chunks, with the paper's stride and explicit ones. The
+// sequential analyzer folds by lanes in every case but the last, whose
+// ring is over budget: odd sizes at the paper's stride and a stride
+// that divides no size leave lanes idle between windows.
 func TestOracleRandomStreams(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		evs := randStream(seed, 2*shardChunk+2500)
 		checkOracle(t, "random", evs, PaperWindowSizes(), 0)
 		checkOracle(t, "random", evs[:777], []int{1, 3, 4, 16, 64}, int(seed))
+	}
+	evs := randStream(4, 4500)
+	checkOracle(t, "odd sizes", evs, []int{3, 7, 201, 1999}, 0)
+	checkOracle(t, "stride 333", evs, []int{3, 7, 200, 2000}, 333)
+	checkOracle(t, "stride 1", evs, PaperWindowSizes(), 1)
+	if NewWindowedCritPath(PaperWindowSizes()).lanes == nil || NewWindowedCritPathStride(PaperWindowSizes(), 1).lanes != nil {
+		t.Fatal("the paper's sizes must fold by lanes at stride W/2 and per window at stride 1")
 	}
 }
 
@@ -344,7 +354,8 @@ func chainSeed(kind byte) []byte {
 
 // FuzzWindowedCP decodes bytes into an event stream (decodeEvents,
 // after a first byte that picks the stride) and checks that the
-// sequential and sharded windowed analyses both match the reference.
+// sequential and sharded windowed analyses both match the reference,
+// on two size sets that between them reach both sequential folds.
 func FuzzWindowedCP(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0xff, 0x13, 1, 2, 3, 4, 5, 6, 0, 0xff, 7, 0xff, 9, 0xff, 0xe2, 0x47, 1, 2, 0x10, 0xf0, 0x33, 0x80, 0x11, 0x40})
@@ -355,15 +366,19 @@ func FuzzWindowedCP(f *testing.F) {
 			return
 		}
 		stride, evs := int(data[0]%4), decodeEvents(data[1:])
-		sizes := []int{1, 2, 3, 4, 7, 16, 64}
-		want := refWindows(evs, sizes, stride)
-		seq := NewWindowedCritPathStride(sizes, stride)
-		seq.Events(evs)
-		sharded := NewShardedWindowedCP(sizes, stride, 2)
-		sharded.Events(evs)
-		for i, got := range seq.Results() {
-			if shard := sharded.Results()[i]; got != want[i] || shard != want[i] {
-				t.Fatalf("size %d: sequential %+v, sharded %+v, reference %+v", sizes[i], got, shard, want[i])
+		// The sequential analyzer folds the first set by lanes at every
+		// stride; the second set's ring exceeds the lane budget at
+		// strides 1 and 2, so it folds per window there.
+		for _, sizes := range [][]int{{1, 2, 3, 4, 7, 16, 64}, {1, 3, 600}} {
+			want := refWindows(evs, sizes, stride)
+			seq := NewWindowedCritPathStride(sizes, stride)
+			seq.Events(evs)
+			sharded := NewShardedWindowedCP(sizes, stride, 2)
+			sharded.Events(evs)
+			for i, got := range seq.Results() {
+				if shard := sharded.Results()[i]; got != want[i] || shard != want[i] {
+					t.Fatalf("sizes %v size %d: sequential %+v, sharded %+v, reference %+v", sizes, sizes[i], got, shard, want[i])
+				}
 			}
 		}
 	})

@@ -1,6 +1,11 @@
 package core
 
-import "isacmp/internal/isa"
+import (
+	"fmt"
+	"math/bits"
+
+	"isacmp/internal/isa"
+)
 
 // WindowedCritPath slides fixed-size windows over the dynamic
 // instruction stream and computes the critical path within each
@@ -20,14 +25,20 @@ import "isacmp/internal/isa"
 //
 // Several window sizes are evaluated simultaneously in one pass over
 // the stream. Each event's RAW producers are resolved once, on
-// arrival (see resolver), and every window is then one pass of
-// prodRun.cp over the resolved events, with no hashing and no state to
-// reset between windows.
+// arrival (see resolver). When its ring fits laneBudget, a laneFold
+// then extends every window open at the event in one pass over its
+// lanes; otherwise each window is one pass of prodRun.cp over the
+// resolved events once it completes. Either way there is no hashing
+// and no state to reset between windows, and the two folds give every
+// window the same critical path (see laneFold).
 type WindowedCritPath struct {
 	sizes   []int
 	strides []uint64
 	maxSize uint64
 	pos     uint64 // total events seen
+	// lanes folds the windows; when it is nil, the per-window fold
+	// does, at the positions next holds.
+	lanes *laneFold
 	// next[i] is the pos value at which the next window of sizes[i]
 	// completes (size, size+stride, size+2*stride, ...), precomputed so
 	// the due-check is a compare, not a modulo; due is the smallest.
@@ -218,8 +229,9 @@ func (p *prodRun) carry(src *prodRun, n uint64) {
 // This is exact: a producer is the last writer of its value before
 // the reader, so when it precedes lo the window holds no writer of
 // that value at all, just as a window evaluated from empty state
-// would find. Both windowed analyzers fold every window with this
-// function, which is what makes their results bit-identical.
+// would find. laneFold applies the same rule lane by lane, so every
+// fold — per window here, by lanes, or in shards — gives a window the
+// same critical path.
 func (p *prodRun) cp(lo, hi uint64, dp []uint32) uint64 {
 	off, dist := p.off[lo-p.base:hi-p.base+1], p.dist
 	dp = dp[:hi-lo]
@@ -235,6 +247,172 @@ func (p *prodRun) cp(lo, hi uint64, dp []uint32) uint64 {
 		longest = max(longest, in+1)
 	}
 	return uint64(longest)
+}
+
+// laneBudget caps the lane fold's ring in bytes. The ring grows with
+// size²/stride: the paper's sizes need 112 KiB at stride W/2 and about
+// 30 MiB at stride 1. Sizes and a stride whose ring would exceed the
+// cap keep the per-window fold, which holds no ring.
+const laneBudget = 1 << 20
+
+// laneFold folds every window of every size in one pass per event.
+// Each size owns ceil(size/stride) lanes, and its window m runs in lane
+// m mod that count: window m+count starts count*stride >= size events
+// after window m, so a lane holds one window at a time. A ring holds
+// each lane's depth of each event in rows, a power of two more of them
+// than the largest window: row t&mask holds event t, because every
+// producer the resolver keeps lies less than the largest window back.
+//
+// Event k's depth in a lane is one more than the deepest of its
+// producers in that lane, where a producer before the lane's window
+// start reads as 0: the prodRun.cp rule, so each lane's running peak
+// at its window's end is that window's critical path. A lane is handed
+// its next window as soon as its window ends; until that window starts
+// every producer is masked and the lane's depths stay 1, which no
+// window's critical path is below, so the gap cannot change a peak.
+type laneFold struct {
+	n    uint64     // lanes
+	mask uint64     // rows - 1
+	ring []uint32   // rows × n depths
+	lo   []uint64   // each lane's window start
+	peak []uint32   // each lane's deepest depth since its window was handed over
+	size []laneSize // one per window size, in the caller's order
+	// cal[e&mask] heads the list, linked through laneSize.link, of the
+	// sizes whose next window ends at event position e, or is -1. Ends
+	// lie at most the largest window ahead, so a slot only ever lists
+	// sizes that end at the same position.
+	cal []int32
+}
+
+// laneSize is one window size's share of a laneFold; a size that is
+// not positive has no lanes and is never due.
+type laneSize struct {
+	size, stride uint64
+	first, count uint64 // its lanes are [first, first+count)
+	next         uint64 // the lane, from first, of the window ending next
+	link         int32  // next size in the same calendar slot, or -1
+}
+
+// newLaneFold returns the lane fold of sizes at strides, or nil when
+// its ring would exceed laneBudget.
+func newLaneFold(sizes []int, strides []uint64, maxSize uint64) *laneFold {
+	const maxDepths = laneBudget / 4
+	if maxSize >= maxDepths {
+		return nil
+	}
+	rows := uint64(1) << bits.Len64(maxSize)
+	f := &laneFold{mask: rows - 1, cal: make([]int32, rows)}
+	for i := range f.cal {
+		f.cal[i] = -1
+	}
+	f.size = make([]laneSize, len(sizes))
+	for i, s := range sizes {
+		ls := &f.size[i]
+		ls.link = -1
+		if s <= 0 {
+			continue
+		}
+		ls.size, ls.stride, ls.first = uint64(s), strides[i], f.n
+		ls.count = (ls.size + ls.stride - 1) / ls.stride
+		if f.n += ls.count; f.n > maxDepths/rows {
+			return nil
+		}
+		for m := uint64(0); m < ls.count; m++ {
+			f.lo = append(f.lo, m*ls.stride)
+		}
+		// The first window ends at size.
+		ls.link, f.cal[ls.size] = f.cal[ls.size], int32(i)
+	}
+	f.ring = make([]uint32, rows*f.n)
+	f.peak = make([]uint32, f.n)
+	return f
+}
+
+// extend computes event k's depth in every lane from its producer
+// distances ds and raises the lanes' peaks. Each producer count has its
+// own loop, which loads every producer row and selects 0 for masked
+// lanes by comparison, so the loops carry no branch.
+func (f *laneFold) extend(k uint64, ds []uint32) {
+	n := f.n
+	cur := f.ring[(k&f.mask)*n:][:n]
+	lo, peak := f.lo[:len(cur)], f.peak[:len(cur)]
+	row := func(t uint64) []uint32 { return f.ring[(t&f.mask)*n:][:len(cur)] }
+	switch len(ds) {
+	case 0:
+		for l := range cur {
+			cur[l] = 1
+			peak[l] = max(peak[l], 1)
+		}
+	case 1:
+		ta := k - uint64(ds[0])
+		a := row(ta)
+		for l := range cur {
+			x := a[l]
+			if ta < lo[l] {
+				x = 0
+			}
+			x++
+			cur[l] = x
+			peak[l] = max(peak[l], x)
+		}
+	case 2:
+		ta, tb := k-uint64(ds[0]), k-uint64(ds[1])
+		a, b := row(ta), row(tb)
+		for l := range cur {
+			x, y := a[l], b[l]
+			if ta < lo[l] {
+				x = 0
+			}
+			if tb < lo[l] {
+				y = 0
+			}
+			x = max(x, y) + 1
+			cur[l] = x
+			peak[l] = max(peak[l], x)
+		}
+	default:
+		clear(cur)
+		for _, d := range ds {
+			t := k - uint64(d)
+			a := row(t)
+			for l := range cur {
+				x := a[l]
+				if t < lo[l] {
+					x = 0
+				}
+				cur[l] = max(cur[l], x)
+			}
+		}
+		for l := range cur {
+			x := cur[l] + 1
+			cur[l] = x
+			peak[l] = max(peak[l], x)
+		}
+	}
+}
+
+// end adds the peaks of the windows ending at event position pos to
+// acc and hands each of their lanes its next window.
+func (f *laneFold) end(pos uint64, acc []windowAccum) {
+	slot := pos & f.mask
+	i := f.cal[slot]
+	f.cal[slot] = -1
+	for i >= 0 {
+		ls := &f.size[i]
+		l := ls.first + ls.next
+		acc[i].sumCP += uint64(f.peak[l])
+		acc[i].sumLen += ls.size
+		acc[i].windows++
+		f.peak[l] = 0
+		f.lo[l] += ls.count * ls.stride
+		if ls.next++; ls.next == ls.count {
+			ls.next = 0
+		}
+		next := ls.link
+		s := (pos + ls.stride) & f.mask
+		ls.link, f.cal[s] = f.cal[s], i
+		i = next
+	}
 }
 
 type windowAccum struct {
@@ -292,6 +470,22 @@ type WindowAnalyzer interface {
 // PaperWindowSizes are the window sizes evaluated in the paper.
 func PaperWindowSizes() []int { return []int{4, 16, 64, 200, 500, 1000, 2000} }
 
+// ValidateWindows rejects window settings the windowed analyzers
+// would otherwise run silently: a negative stride, which would clamp
+// to disjoint windows, and a size that is not positive, which would
+// give an empty row.
+func ValidateWindows(sizes []int, stride int) error {
+	if stride < 0 {
+		return fmt.Errorf("window stride %d is negative (-stride 0 selects the paper's size/2)", stride)
+	}
+	for _, s := range sizes {
+		if s <= 0 {
+			return fmt.Errorf("window size %d is not positive", s)
+		}
+	}
+	return nil
+}
+
 // windowStrides resolves the per-size stride: an explicit stride is
 // clamped to [1, size]; stride 0 selects the paper's size/2.
 func windowStrides(sizes []int, stride int) []uint64 {
@@ -323,26 +517,32 @@ func NewWindowedCritPath(sizes []int) *WindowedCritPath {
 // size/2; the paper notes it models commit width or execution-unit
 // limits and leaves varying it to future work — this constructor makes
 // that experiment possible.
+//
+// The sizes and stride also pick the fold: lanes when their ring fits
+// laneBudget, which the paper's sizes at the paper's stride do, and the
+// per-window fold otherwise. Both give identical results.
 func NewWindowedCritPathStride(sizes []int, stride int) *WindowedCritPath {
 	maxSize := maxWindow(sizes)
-	next := make([]uint64, len(sizes))
-	for i, s := range sizes {
-		if s <= 0 {
-			next[i] = ^uint64(0) // never due
-			continue
-		}
-		next[i] = uint64(s)
-	}
-	return &WindowedCritPath{
+	w := &WindowedCritPath{
 		sizes:   append([]int(nil), sizes...),
 		strides: windowStrides(sizes, stride),
 		maxSize: maxSize,
-		next:    next,
 		results: make([]windowAccum, len(sizes)),
 		res:     newResolver(maxSize),
 		run:     *newProdRun(2 * maxSize),
 		dp:      make([]uint32, maxSize),
 	}
+	if w.lanes = newLaneFold(sizes, w.strides, maxSize); w.lanes == nil {
+		w.next = make([]uint64, len(sizes))
+		for i, s := range sizes {
+			if s <= 0 {
+				w.next[i] = ^uint64(0) // never due
+				continue
+			}
+			w.next[i] = uint64(s)
+		}
+	}
+	return w
 }
 
 // maxWindow returns the largest window size, at least 1.
@@ -362,14 +562,21 @@ func (w *WindowedCritPath) Events(evs []isa.Event) {
 	}
 }
 
-// Event resolves one instruction and evaluates any windows that are
-// due.
+// Event resolves one instruction and folds it into the windows.
 func (w *WindowedCritPath) Event(ev *isa.Event) {
 	if w.pos-w.run.base == 2*w.maxSize {
 		w.run.carry(&w.run, w.maxSize)
 	}
+	from := len(w.run.dist)
 	w.run.add(&w.res, ev)
 	w.pos++
+	if f := w.lanes; f != nil {
+		f.extend(w.pos-1, w.run.dist[from:])
+		if f.cal[w.pos&f.mask] >= 0 {
+			f.end(w.pos, w.results)
+		}
+		return
+	}
 	if w.pos < w.due {
 		return
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -219,5 +220,27 @@ func TestWindowStrideMatchesDefault(t *testing.T) {
 	ra, rb := a.Results()[0], b.Results()[0]
 	if ra.Windows != rb.Windows || ra.MeanCP != rb.MeanCP {
 		t.Fatalf("default %+v != explicit %+v", ra, rb)
+	}
+}
+
+// TestLaneRingBudget pins the edges of the lane fold's memory budget:
+// a ring of exactly laneBudget bytes folds by lanes, a larger one keeps
+// the per-window fold, and the check does not overflow for any
+// positive size.
+func TestLaneRingBudget(t *testing.T) {
+	for _, c := range []struct {
+		sizes  []int
+		stride int
+		lanes  bool
+	}{
+		{[]int{1<<18 - 1}, 1<<18 - 1, true}, // one lane of 2^18 rows: 1 MiB
+		{[]int{1 << 18}, 1 << 18, false},
+		{[]int{1 << 17, 1 << 17}, 1 << 17, false},
+		{[]int{math.MaxInt, 4}, 1, false},
+	} {
+		f := newLaneFold(c.sizes, windowStrides(c.sizes, c.stride), maxWindow(c.sizes))
+		if (f != nil) != c.lanes || f != nil && 4*len(f.ring) > laneBudget {
+			t.Errorf("sizes %v stride %d: lanes %v, want %v", c.sizes, c.stride, f != nil, c.lanes)
+		}
 	}
 }

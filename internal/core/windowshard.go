@@ -19,8 +19,9 @@ const shardChunk = 8192
 // into chunks of consecutive window starts and each chunk is evaluated
 // by a shard worker. The calling goroutine resolves every event's
 // producers once, as WindowedCritPath does, and ships runs of resolved
-// events to the shards, which fold windows with the same prodRun.cp.
-// Per-size sums and window counts are integers, so merging shard
+// events to the shards, which fold each window with prodRun.cp. That
+// gives every window the CP WindowedCritPath's lanes give it, and
+// per-size sums and window counts are integers, so merging shard
 // results is exact and independent of completion order — parallel
 // results are bit-identical to the sequential implementation (enforced
 // by tests and by the -parallel determinism contract in the README).

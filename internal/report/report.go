@@ -234,13 +234,8 @@ func (ex Experiment) Validate() error {
 	if ex.Parallel < 0 {
 		return fmt.Errorf("report: -parallel %d is negative (0 selects all CPUs, 1 is sequential)", ex.Parallel)
 	}
-	if ex.WindowStride < 0 {
-		return fmt.Errorf("report: -stride %d is negative (0 selects the paper's size/2)", ex.WindowStride)
-	}
-	for _, s := range ex.WindowSizes {
-		if s <= 0 {
-			return fmt.Errorf("report: window size %d is not positive", s)
-		}
+	if err := core.ValidateWindows(ex.WindowSizes, ex.WindowStride); err != nil {
+		return fmt.Errorf("report: %w", err)
 	}
 	if ex.CellTimeout < 0 {
 		return fmt.Errorf("report: -cell-timeout %v is negative (0 disables the watchdog)", ex.CellTimeout)

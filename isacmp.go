@@ -448,6 +448,9 @@ func (a *analysisSet) collect(res *Result) {
 
 // Analyse runs the binary once with the selected analyses attached.
 func (b *Binary) Analyse(sel Analyses) (*Result, error) {
+	if err := core.ValidateWindows(sel.WindowSizes, sel.WindowStride); err != nil {
+		return nil, fmt.Errorf("isacmp: %w", err)
+	}
 	res := &Result{Target: b.compiled.Target}
 	as := b.newAnalysisSet(sel, 1)
 	stats, err := b.Run(as.sinks...)
@@ -819,6 +822,9 @@ type RunConfig struct {
 func (b *Binary) RunInstrumented(cfg RunConfig) (*Result, RunRecord, error) {
 	workload, target := b.prog.Name, b.compiled.Target.String()
 	rec := RunRecord{Workload: workload, Target: target}
+	if err := core.ValidateWindows(cfg.Analyses.WindowSizes, cfg.Analyses.WindowStride); err != nil {
+		return nil, rec, fmt.Errorf("isacmp: %w", err)
+	}
 	mach, _, err := b.NewMachine()
 	if err != nil {
 		return nil, rec, err

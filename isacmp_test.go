@@ -387,6 +387,29 @@ func TestWindowStrideAPI(t *testing.T) {
 	}
 }
 
+// TestWindowSettingsRejected: Analyse and RunInstrumented reject the
+// window settings report.Experiment.Validate rejects, instead of
+// running a negative stride as disjoint windows or returning empty
+// rows for sizes that are not positive.
+func TestWindowSettingsRejected(t *testing.T) {
+	prog := Workload("stream", Tiny)
+	bin, err := Compile(prog, Target{Arch: AArch64, Flavor: GCC12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sel := range []Analyses{
+		{Windowed: true, WindowSizes: []int{16}, WindowStride: -1},
+		{Windowed: true, WindowSizes: []int{0, -4}},
+	} {
+		if _, err := bin.Analyse(sel); err == nil {
+			t.Errorf("Analyse(%+v) accepted the window settings", sel)
+		}
+		if _, _, err := bin.RunInstrumented(RunConfig{Analyses: sel}); err == nil {
+			t.Errorf("RunInstrumented(%+v) accepted the window settings", sel)
+		}
+	}
+}
+
 // TestMultiSinkRun: multiple sinks attached through the public API see
 // the same stream.
 func TestMultiSinkRun(t *testing.T) {
