@@ -30,12 +30,13 @@ race:
 	$(GO) test -race ./...
 
 # differential runs the cross-core / cross-ISA trace-equivalence
-# harness, the -parallel determinism tests and the diff of the
-# critical-path analyses against their naive reference under the race
-# detector.
+# harness, the -parallel determinism tests, the diff of the
+# critical-path analyses against their naive reference and the
+# sharded-against-sequential windowed CP across shard chunk seams
+# under the race detector.
 differential:
 	$(GO) test -race -count=1 -run 'TestDifferential|TestParallel|TestRunInstrumentedParallel' .
-	$(GO) test -race -count=1 -run 'TestOracle|FuzzWindowedCP|FuzzCritPath' ./internal/core
+	$(GO) test -race -count=1 -run 'TestOracle|FuzzWindowedCP|FuzzCritPath|TestShardedMatchesSequential' ./internal/core
 
 # golden checks the pinned paper artifacts (Table 1/2, Figure 1/2,
 # canonical manifest) under the race detector. Regenerate after an
@@ -46,13 +47,14 @@ golden:
 
 # check-faults runs the fault-injection and shutdown-path suites under
 # the race detector: matrix survival with injected decode/memory/panic
-# faults, retry and watchdog behaviour, pool drain on cancel, and the
-# hardened ELF reader's malformed-input tests. The armed-but-not-firing
-# watchdog byte-identity row lives in TestParallelByteIdentical
-# (differential).
+# faults, retry and watchdog behaviour, pool drain on cancel, failed
+# runs stopping their windowed-CP shards, and the hardened ELF reader's
+# malformed-input tests. The armed-but-not-firing watchdog
+# byte-identity row lives in TestParallelByteIdentical (differential).
 check-faults:
 	$(GO) test -race -count=1 ./internal/faultinject
-	$(GO) test -race -count=1 -run 'TestMatrixSurvives|TestRetry|TestHungCell|TestSlowCell|TestBudget|TestFailFast|TestValidate|TestFailedRow' ./internal/report
+	$(GO) test -race -count=1 -run 'TestMatrixSurvives|TestRetry|TestHungCell|TestSlowCell|TestBudget|TestFailFast|TestValidate|TestFailedRow|TestFailedAttemptReleasesShards' ./internal/report
+	$(GO) test -race -count=1 -run 'TestRunInstrumentedReleasesShards' .
 	$(GO) test -race -count=1 -run 'TestPool|TestFanout' ./internal/sched
 	$(GO) test -race -count=1 -run 'TestReject|TestTruncated' ./internal/elfio
 

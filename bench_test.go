@@ -2,6 +2,7 @@ package isacmp
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"isacmp/internal/core"
@@ -374,11 +375,13 @@ func BenchmarkCritPathDenseVsMap(b *testing.B) {
 // BenchmarkWindowedCP measures the windowed-CP layer alone, in ns per
 // event: the first 2^20 events of one cell (LBM, RV64 GCC 12.2; 56 MiB
 // recorded once, of 3.7 M at Small scale) are replayed through a
-// WindowedCritPath in 4096-event batches, wrapping at the end. paper
+// windowed analyzer in 4096-event batches, wrapping at the end. paper
 // runs the paper's sizes at stride W/2, which fold by lanes; stride1
 // runs them at stride 1, whose lane ring would exceed its budget, so
 // they keep the per-window fold. Both are allocation-free in steady
-// state (TestWindowedEventsZeroAlloc asserts it exactly).
+// state (TestWindowedEventsZeroAlloc asserts it exactly). sharded runs
+// the paper's sizes through a ShardedWindowedCP on GOMAXPROCS shards,
+// its final Results included.
 func BenchmarkWindowedCP(b *testing.B) {
 	bin, err := Compile(Workload("lbm", benchScale), Target{Arch: RV64, Flavor: GCC12})
 	if err != nil {
@@ -393,26 +396,29 @@ func BenchmarkWindowedCP(b *testing.B) {
 	if _, err := bin.Run(record); err != nil {
 		b.Fatal(err)
 	}
-	for _, c := range []struct {
-		name   string
-		stride int
-	}{{"paper", 0}, {"stride1", 1}} {
-		b.Run(c.name, func(b *testing.B) {
-			w := core.NewWindowedCritPathStride(core.PaperWindowSizes(), c.stride)
-			b.ReportAllocs()
-			b.ResetTimer()
-			n, at := 0, 0
-			for n < b.N {
-				batch := evs[at:min(at+4096, len(evs))]
-				w.Events(batch)
-				n += len(batch)
-				if at += len(batch); at == len(evs) {
-					at = 0
-				}
+	run := func(b *testing.B, w interface {
+		Events([]Event)
+		Results() []core.WindowResult
+	}) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		n, at := 0, 0
+		for n < b.N {
+			batch := evs[at:min(at+4096, len(evs))]
+			w.Events(batch)
+			n += len(batch)
+			if at += len(batch); at == len(evs) {
+				at = 0
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/event")
-		})
+		}
+		w.Results()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/event")
 	}
+	b.Run("paper", func(b *testing.B) { run(b, core.NewWindowedCritPathStride(core.PaperWindowSizes(), 0)) })
+	b.Run("stride1", func(b *testing.B) { run(b, core.NewWindowedCritPathStride(core.PaperWindowSizes(), 1)) })
+	b.Run("sharded", func(b *testing.B) {
+		run(b, core.NewShardedWindowedCP(core.PaperWindowSizes(), 0, runtime.GOMAXPROCS(0)))
+	})
 }
 
 // BenchmarkCompile measures compilation cost (IR to ELF).

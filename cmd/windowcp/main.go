@@ -12,8 +12,9 @@
 // gracefully; a second signal aborts in-flight cells.
 //
 // -parallel fans the (benchmark, target) matrix over n analysis
-// workers and shards the windowed-CP computation itself (0, the
-// default, uses every CPU; 1 is strictly sequential). Results and
+// workers (0, the default, uses every CPU; 1 is strictly sequential),
+// and shards each cell's windowed-CP computation over the workers the
+// cells leave idle, when that is at least two per cell. Results and
 // report text are byte-identical for every value.
 //
 // -stride overrides the paper's size/2 window stride (the

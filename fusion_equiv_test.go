@@ -243,8 +243,9 @@ func TestFusionStepLoopByteIdentical(t *testing.T) {
 
 // TestFusionParallelByteIdentical extends the -parallel determinism
 // contract to fusion-on runs: the rewritten stream must feed the
-// fan-out and the sharded windowed CP exactly as it feeds the
-// sequential tee.
+// fan-out, and the windowed CP both inline (2 and 5 workers on the 20
+// cells) and sharded (64 workers), exactly as it feeds the sequential
+// tee.
 func TestFusionParallelByteIdentical(t *testing.T) {
 	ex := MatrixExperiment{
 		PathLength: true, CritPath: true, Scaled: true, Windowed: true,
@@ -252,7 +253,7 @@ func TestFusionParallelByteIdentical(t *testing.T) {
 		Parallel: 1,
 	}
 	seqText, seqManifest := matrixArtifactsEx(t, ex)
-	for _, workers := range []int{2, 5} {
+	for _, workers := range []int{2, 5, 64} {
 		par := ex
 		par.Parallel = workers
 		parText, parManifest := matrixArtifactsEx(t, par)

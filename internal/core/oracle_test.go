@@ -355,7 +355,9 @@ func chainSeed(kind byte) []byte {
 // FuzzWindowedCP decodes bytes into an event stream (decodeEvents,
 // after a first byte that picks the stride) and checks that the
 // sequential and sharded windowed analyses both match the reference,
-// on two size sets that between them reach both sequential folds.
+// on two size sets that between them reach both folds. Its streams
+// never reach a shard chunk seam, so each sharded run folds one job
+// from position 0; TestShardedMatchesSequential covers the restarts.
 func FuzzWindowedCP(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0xff, 0x13, 1, 2, 3, 4, 5, 6, 0, 0xff, 7, 0xff, 9, 0xff, 0xe2, 0x47, 1, 2, 0x10, 0xf0, 0x33, 0x80, 0x11, 0x40})

@@ -25,30 +25,19 @@ import (
 //
 // Several window sizes are evaluated simultaneously in one pass over
 // the stream. Each event's RAW producers are resolved once, on
-// arrival (see resolver). When its ring fits laneBudget, a laneFold
-// then extends every window open at the event in one pass over its
-// lanes; otherwise each window is one pass of prodRun.cp over the
-// resolved events once it completes. Either way there is no hashing
-// and no state to reset between windows, and the two folds give every
-// window the same critical path (see laneFold).
+// arrival (see resolver), and a windowFold started at position 0
+// folds the event into every window open at it: by lanes when their
+// ring fits laneBudget, otherwise with one pass of prodRun.cp over
+// each window once it completes. Either way there is no hashing and no
+// state to reset between windows, and the two folds give every window
+// the same critical path (see laneFold).
 type WindowedCritPath struct {
-	sizes   []int
-	strides []uint64
-	maxSize uint64
+	windowFold
 	pos     uint64 // total events seen
-	// lanes folds the windows; when it is nil, the per-window fold
-	// does, at the positions next holds.
-	lanes *laneFold
-	// next[i] is the pos value at which the next window of sizes[i]
-	// completes (size, size+stride, size+2*stride, ...), precomputed so
-	// the due-check is a compare, not a modulo; due is the smallest.
-	next    []uint64
-	due     uint64
 	results []windowAccum
 
 	res resolver
-	run prodRun  // events [run.base, pos): the last maxSize to 2*maxSize
-	dp  []uint32 // depth scratch for prodRun.cp
+	run prodRun // events [run.base, pos): the last maxSize to 2*maxSize
 }
 
 // resolver turns each event's register sources and load words (both
@@ -229,9 +218,9 @@ func (p *prodRun) carry(src *prodRun, n uint64) {
 // This is exact: a producer is the last writer of its value before
 // the reader, so when it precedes lo the window holds no writer of
 // that value at all, just as a window evaluated from empty state
-// would find. laneFold applies the same rule lane by lane, so every
-// fold — per window here, by lanes, or in shards — gives a window the
-// same critical path.
+// would find. laneFold applies the same rule lane by lane, so a window
+// gets the same critical path whichever fold computes it, and wherever
+// that fold last restarted.
 func (p *prodRun) cp(lo, hi uint64, dp []uint32) uint64 {
 	off, dist := p.off[lo-p.base:hi-p.base+1], p.dist
 	dp = dp[:hi-lo]
@@ -256,12 +245,13 @@ func (p *prodRun) cp(lo, hi uint64, dp []uint32) uint64 {
 const laneBudget = 1 << 20
 
 // laneFold folds every window of every size in one pass per event.
-// Each size owns ceil(size/stride) lanes, and its window m runs in lane
-// m mod that count: window m+count starts count*stride >= size events
-// after window m, so a lane holds one window at a time. A ring holds
-// each lane's depth of each event in rows, a power of two more of them
-// than the largest window: row t&mask holds event t, because every
-// producer the resolver keeps lies less than the largest window back.
+// Each size owns ceil(size/stride) lanes, and from a restart on the
+// size's windows take its lanes in turn: window m+count starts
+// count*stride >= size events after window m, so a lane holds one
+// window at a time. A ring holds each lane's depth of each event in
+// rows, a power of two more of them than the largest window: row
+// t&mask holds event t, because every producer the resolver keeps lies
+// less than the largest window back.
 //
 // Event k's depth in a lane is one more than the deepest of its
 // producers in that lane, where a producer before the lane's window
@@ -277,11 +267,15 @@ type laneFold struct {
 	lo   []uint64   // each lane's window start
 	peak []uint32   // each lane's deepest depth since its window was handed over
 	size []laneSize // one per window size, in the caller's order
-	// cal[e&mask] heads the list, linked through laneSize.link, of the
-	// sizes whose next window ends at event position e, or is -1. Ends
-	// lie at most the largest window ahead, so a slot only ever lists
+	// cal[e&calMask] heads the list, linked through laneSize.link, of
+	// the sizes whose next window ends at event position e, or is -1.
+	// A size's first window after a restart at p ends before
+	// p+2*maxSize, and each later one at most a stride after the last,
+	// so the pending ends span fewer than 2*maxSize positions. The
+	// calendar has at least that many slots, so a slot only ever lists
 	// sizes that end at the same position.
-	cal []int32
+	cal     []int32
+	calMask uint64
 }
 
 // laneSize is one window size's share of a laneFold; a size that is
@@ -301,31 +295,49 @@ func newLaneFold(sizes []int, strides []uint64, maxSize uint64) *laneFold {
 		return nil
 	}
 	rows := uint64(1) << bits.Len64(maxSize)
-	f := &laneFold{mask: rows - 1, cal: make([]int32, rows)}
-	for i := range f.cal {
-		f.cal[i] = -1
-	}
-	f.size = make([]laneSize, len(sizes))
+	f := &laneFold{mask: rows - 1, size: make([]laneSize, len(sizes))}
 	for i, s := range sizes {
-		ls := &f.size[i]
-		ls.link = -1
 		if s <= 0 {
 			continue
 		}
+		ls := &f.size[i]
 		ls.size, ls.stride, ls.first = uint64(s), strides[i], f.n
 		ls.count = (ls.size + ls.stride - 1) / ls.stride
 		if f.n += ls.count; f.n > maxDepths/rows {
 			return nil
 		}
-		for m := uint64(0); m < ls.count; m++ {
-			f.lo = append(f.lo, m*ls.stride)
-		}
-		// The first window ends at size.
-		ls.link, f.cal[ls.size] = f.cal[ls.size], int32(i)
 	}
+	slots := uint64(1) << bits.Len64(2*maxSize-1)
+	f.cal, f.calMask = make([]int32, slots), slots-1
 	f.ring = make([]uint32, rows*f.n)
+	f.lo = make([]uint64, f.n)
 	f.peak = make([]uint32, f.n)
+	f.restart(0)
 	return f
+}
+
+// restart hands each size's lanes, in turn, its first windows that
+// start at or after event position p, and forgets every window in
+// flight. The ring needs no clearing: every lane's window now starts
+// at or after p, so extend masks every producer before p.
+func (f *laneFold) restart(p uint64) {
+	for i := range f.cal {
+		f.cal[i] = -1
+	}
+	clear(f.peak)
+	for i := range f.size {
+		ls := &f.size[i]
+		ls.link, ls.next = -1, 0
+		if ls.count == 0 {
+			continue
+		}
+		start := (p + ls.stride - 1) / ls.stride * ls.stride
+		for m := uint64(0); m < ls.count; m++ {
+			f.lo[ls.first+m] = start + m*ls.stride
+		}
+		e := (start + ls.size) & f.calMask
+		ls.link, f.cal[e] = f.cal[e], int32(i)
+	}
 }
 
 // extend computes event k's depth in every lane from its producer
@@ -394,7 +406,7 @@ func (f *laneFold) extend(k uint64, ds []uint32) {
 // end adds the peaks of the windows ending at event position pos to
 // acc and hands each of their lanes its next window.
 func (f *laneFold) end(pos uint64, acc []windowAccum) {
-	slot := pos & f.mask
+	slot := pos & f.calMask
 	i := f.cal[slot]
 	f.cal[slot] = -1
 	for i >= 0 {
@@ -409,10 +421,110 @@ func (f *laneFold) end(pos uint64, acc []windowAccum) {
 			ls.next = 0
 		}
 		next := ls.link
-		s := (pos + ls.stride) & f.mask
+		s := (pos + ls.stride) & f.calMask
 		ls.link, f.cal[s] = f.cal[s], i
 		i = next
 	}
+}
+
+// windowFold is the one fold both windowed analyzers drive over a
+// prodRun: WindowedCritPath from position 0 with no upper bound, one
+// event at a time, and each ShardedWindowedCP job from a restart at
+// its first window start (see jobFold). It folds by lanes when their
+// ring fits laneBudget, and otherwise with prodRun.cp once per window,
+// at the window ends next holds.
+type windowFold struct {
+	sizes   []int
+	strides []uint64
+	maxSize uint64
+	// lanes folds the windows; when it is nil, the per-window fold
+	// does.
+	lanes *laneFold
+	// next[i] is the position at which the next window of sizes[i]
+	// ends, so the due-check is a compare, not a modulo; due is the
+	// smallest.
+	next []uint64
+	due  uint64
+	dp   []uint32 // depth scratch for prodRun.cp
+}
+
+func newWindowFold(sizes []int, strides []uint64, maxSize uint64) windowFold {
+	f := windowFold{sizes: sizes, strides: strides, maxSize: maxSize, dp: make([]uint32, maxSize)}
+	if f.lanes = newLaneFold(sizes, strides, maxSize); f.lanes == nil {
+		f.next = make([]uint64, len(sizes))
+		f.restart(0)
+	}
+	return f
+}
+
+// restart makes the fold count, from event position p on, the windows
+// that start at or after p.
+func (f *windowFold) restart(p uint64) {
+	if f.lanes != nil {
+		f.lanes.restart(p)
+		return
+	}
+	f.due = ^uint64(0)
+	for i, s := range f.sizes {
+		f.next[i] = ^uint64(0) // a size that is not positive is never due
+		if s > 0 {
+			st := f.strides[i]
+			f.next[i] = (p+st-1)/st*st + uint64(s)
+		}
+		f.due = min(f.due, f.next[i])
+	}
+}
+
+// fold folds the events [from, to) of run, which follow the last event
+// folded or a restart at from, and adds each window that ends by to
+// to acc.
+func (f *windowFold) fold(run *prodRun, from, to uint64, acc []windowAccum) {
+	if l := f.lanes; l != nil {
+		off, dist := run.off[from-run.base:to-run.base+1], run.dist
+		for k := from; k < to; k++ {
+			l.extend(k, dist[off[0]:off[1]])
+			off = off[1:]
+			if l.cal[(k+1)&l.calMask] >= 0 {
+				l.end(k+1, acc)
+			}
+		}
+		return
+	}
+	for f.due <= to {
+		f.windows(run, f.due, acc)
+	}
+}
+
+// windows adds every window that ends at pos, which must be due, to
+// acc, each folded with prodRun.cp, and schedules each size's next.
+func (f *windowFold) windows(run *prodRun, pos uint64, acc []windowAccum) {
+	f.due = ^uint64(0)
+	for i, next := range f.next {
+		if pos == next {
+			size := uint64(f.sizes[i])
+			acc[i].add(windowAccum{sumCP: run.cp(pos-size, pos, f.dp), sumLen: size, windows: 1})
+			next += f.strides[i]
+			f.next[i] = next
+		}
+		f.due = min(f.due, next)
+	}
+}
+
+// finish adds each size's tail window over a stream of n events to
+// its sums in acc and returns the aggregates. The tail window lies in
+// the last maxSize events, which run must hold.
+func (f *windowFold) finish(run *prodRun, n uint64, acc []windowAccum) []WindowResult {
+	out := make([]WindowResult, len(f.sizes))
+	for i, size := range f.sizes {
+		a := acc[i]
+		if size > 0 {
+			if lo, hi, ok := tailSpan(n, uint64(size), f.strides[i]); ok {
+				a.add(windowAccum{sumCP: run.cp(lo, hi, f.dp), sumLen: hi - lo, windows: 1})
+			}
+		}
+		out[i] = finishWindowResult(size, a)
+	}
+	return out
 }
 
 type windowAccum struct {
@@ -523,26 +635,12 @@ func NewWindowedCritPath(sizes []int) *WindowedCritPath {
 // per-window fold otherwise. Both give identical results.
 func NewWindowedCritPathStride(sizes []int, stride int) *WindowedCritPath {
 	maxSize := maxWindow(sizes)
-	w := &WindowedCritPath{
-		sizes:   append([]int(nil), sizes...),
-		strides: windowStrides(sizes, stride),
-		maxSize: maxSize,
-		results: make([]windowAccum, len(sizes)),
-		res:     newResolver(maxSize),
-		run:     *newProdRun(2 * maxSize),
-		dp:      make([]uint32, maxSize),
+	return &WindowedCritPath{
+		windowFold: newWindowFold(append([]int(nil), sizes...), windowStrides(sizes, stride), maxSize),
+		results:    make([]windowAccum, len(sizes)),
+		res:        newResolver(maxSize),
+		run:        *newProdRun(2 * maxSize),
 	}
-	if w.lanes = newLaneFold(sizes, w.strides, maxSize); w.lanes == nil {
-		w.next = make([]uint64, len(sizes))
-		for i, s := range sizes {
-			if s <= 0 {
-				w.next[i] = ^uint64(0) // never due
-				continue
-			}
-			w.next[i] = uint64(s)
-		}
-	}
-	return w
 }
 
 // maxWindow returns the largest window size, at least 1.
@@ -562,7 +660,9 @@ func (w *WindowedCritPath) Events(evs []isa.Event) {
 	}
 }
 
-// Event resolves one instruction and folds it into the windows.
+// Event resolves one instruction and folds it into the windows. The
+// lane step is windowFold.fold's, written out so the per-event path
+// makes no call it does not need.
 func (w *WindowedCritPath) Event(ev *isa.Event) {
 	if w.pos-w.run.base == 2*w.maxSize {
 		w.run.carry(&w.run, w.maxSize)
@@ -570,30 +670,15 @@ func (w *WindowedCritPath) Event(ev *isa.Event) {
 	from := len(w.run.dist)
 	w.run.add(&w.res, ev)
 	w.pos++
-	if f := w.lanes; f != nil {
-		f.extend(w.pos-1, w.run.dist[from:])
-		if f.cal[w.pos&f.mask] >= 0 {
-			f.end(w.pos, w.results)
+	if l := w.lanes; l != nil {
+		l.extend(w.pos-1, w.run.dist[from:])
+		if l.cal[w.pos&l.calMask] >= 0 {
+			l.end(w.pos, w.results)
 		}
 		return
 	}
-	if w.pos < w.due {
-		return
-	}
-	w.due = ^uint64(0)
-	for i, next := range w.next {
-		// A window [pos-size, pos) completes when pos >= size and
-		// (pos - size) is a multiple of the stride; next holds that
-		// arithmetic progression precomputed.
-		if w.pos == next {
-			size := uint64(w.sizes[i])
-			w.results[i].sumCP += w.run.cp(w.pos-size, w.pos, w.dp)
-			w.results[i].sumLen += size
-			w.results[i].windows++
-			next += w.strides[i]
-			w.next[i] = next
-		}
-		w.due = min(w.due, next)
+	if w.pos >= w.due {
+		w.windows(&w.run, w.pos, w.results)
 	}
 }
 
@@ -621,15 +706,5 @@ func tailSpan(n, size, stride uint64) (lo, hi uint64, ok bool) {
 // the sizes were given. It may be called repeatedly; the stream can
 // keep growing between calls.
 func (w *WindowedCritPath) Results() []WindowResult {
-	out := make([]WindowResult, len(w.sizes))
-	for i, size := range w.sizes {
-		acc := w.results[i]
-		if size > 0 {
-			if lo, hi, ok := tailSpan(w.pos, uint64(size), w.strides[i]); ok {
-				acc.add(windowAccum{sumCP: w.run.cp(lo, hi, w.dp), sumLen: hi - lo, windows: 1})
-			}
-		}
-		out[i] = finishWindowResult(size, acc)
-	}
-	return out
+	return w.finish(&w.run, w.pos, w.results)
 }

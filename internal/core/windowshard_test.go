@@ -2,7 +2,9 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"isacmp/internal/isa"
 	"isacmp/internal/sched"
@@ -61,13 +63,28 @@ func wantEqualResults(t *testing.T, seq, shard []WindowResult) {
 // analysis level: the sharded implementation must be bit-identical to
 // the sequential one — same windows, same integer sums, same float
 // divisions — for streams long enough to cross several chunk
-// dispatches.
+// dispatches. Every seam restarts a shard's fold. The paper's strides
+// 2, 8 and 32 divide the seams and 100, 250, 500 and 1000 do not, so a
+// restart whose first window starts after the seam is covered; odd
+// sizes at stride W/2 leave lanes idle between windows; stride 333
+// restarts inside windows; and at stride 1 the ring exceeds laneBudget,
+// so the shards fold per window.
 func TestShardedMatchesSequential(t *testing.T) {
 	const n = 3*shardChunk + 1234 // several dispatched chunks plus a remainder
 	events := randEvents(1, n)
-	for _, shards := range []int{1, 2, 3, 7} {
-		seq, shard := runBoth(t, events, PaperWindowSizes(), 0, shards)
-		wantEqualResults(t, seq, shard)
+	for _, c := range []struct {
+		sizes  []int
+		stride int
+	}{
+		{PaperWindowSizes(), 0},
+		{[]int{3, 7, 201, 1999}, 0},
+		{[]int{3, 7, 200, 2000}, 333},
+		{[]int{1, 3, 600}, 1},
+	} {
+		for _, shards := range []int{1, 2, 3, 7} {
+			seq, shard := runBoth(t, events, c.sizes, c.stride, shards)
+			wantEqualResults(t, seq, shard)
+		}
 	}
 }
 
@@ -195,6 +212,25 @@ func TestShardedResultsIdempotent(t *testing.T) {
 	a := s.Results()
 	b := s.Results()
 	wantEqualResults(t, a, b)
+}
+
+// TestShardedClose: Close, called in place of Results with chunks
+// dispatched and likely still queued, returns with every shard stopped.
+func TestShardedClose(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := NewShardedWindowedCP(PaperWindowSizes(), 0, 2)
+	for _, ev := range randEvents(3, 5*shardChunk) {
+		s.Event(ev)
+	}
+	s.Close()
+	s.Close() // a second Close does nothing
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines outlive Close", runtime.NumGoroutine()-before)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 // TestSequentialResultsStreamable: the sequential implementation

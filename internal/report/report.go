@@ -114,9 +114,14 @@ type Experiment struct {
 	// stderr is not a terminal so piped output is not spammed.
 	ProgressFinalOnly bool
 	// Parallel is the worker count of the analysis engine: (workload,
-	// target) cells are fanned out over this many pool workers, each
-	// cell's trace is simulated once and replayed into its analyses
-	// concurrently, and the windowed-CP computation is sharded. 1 runs
+	// target) cells are fanned out over this many pool workers, and
+	// each cell's trace is simulated once and replayed into its
+	// analyses concurrently. A cell's windowed CP is sharded only over
+	// the workers its cells leave idle: with at least two workers per
+	// cell (workers / cells, rounded down), each cell gets that many
+	// shards; otherwise the cells already keep every worker busy, and
+	// the cell folds its windows inline on its fan-out consumer, which
+	// costs less CPU per event than any sharded fold. 1 runs
 	// everything strictly sequentially; 0 selects GOMAXPROCS.
 	// Negative values are rejected by Validate. Results are
 	// byte-identical for every value (see the README's determinism
@@ -224,6 +229,23 @@ type Experiment struct {
 	// observers it is a pure pass-through: it cannot change a result
 	// byte.
 	Prof *prof.Profiler
+
+	// shards is the windowed-CP shard count of each cell, set by
+	// RunSuite (see windowShards); below 2 a cell folds its windows
+	// inline.
+	shards int
+}
+
+// windowShards is the number of shards each of cells gets for its
+// windowed CP on workers pool workers: the workers the cells leave
+// idle, when that is at least two per cell, and 0 otherwise. A cell's
+// fan-out already runs each analysis on its own goroutine, so on a
+// saturated pool shards would only add a second fold's CPU.
+func windowShards(workers, cells int) int {
+	if cells == 0 || workers/cells < 2 {
+		return 0
+	}
+	return workers / cells
 }
 
 // Validate rejects experiment configurations that would otherwise
@@ -325,6 +347,7 @@ func RunSuite(progs []*ir.Program, ex Experiment) ([][]Row, *telemetry.SchedStat
 		return nil, nil, err
 	}
 	targets := ex.Targets()
+	ex.shards = windowShards(sched.DefaultWorkers(ex.Parallel), len(progs)*len(targets))
 	all := make([][]Row, len(progs))
 	root := ex.Ctx
 	if root == nil {
@@ -589,8 +612,9 @@ func runOne(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment,
 
 	// parallel > 1 selects the fan-out engine: the cell's trace is
 	// simulated once and replayed into every analysis concurrently,
-	// with the windowed-CP computation itself sharded. parallel == 1
-	// is the strictly sequential reference path (one goroutine, the
+	// with the windowed-CP computation itself sharded when RunSuite
+	// found workers the cells leave idle. parallel == 1 is the
+	// strictly sequential reference path (one goroutine, the
 	// instrumented tee); both produce identical analysis results.
 	parallel := sched.DefaultWorkers(ex.Parallel)
 
@@ -635,8 +659,12 @@ func runOne(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment,
 		if sizes == nil {
 			sizes = core.PaperWindowSizes()
 		}
-		if parallel > 1 {
-			win = core.NewShardedWindowedCP(sizes, ex.WindowStride, parallel)
+		if ex.shards > 1 {
+			sharded := core.NewShardedWindowedCP(sizes, ex.WindowStride, ex.shards)
+			// A failed attempt returns before Results; Close stops the
+			// shards then.
+			defer sharded.Close()
+			win = sharded
 		} else {
 			win = core.NewWindowedCritPathStride(sizes, ex.WindowStride)
 		}

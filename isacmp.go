@@ -356,7 +356,8 @@ func (a *analysisSet) add(name string, s Sink) {
 
 // newAnalysisSet builds the sinks for one Analyses selection. parallel
 // is the resolved worker count: above 1 the windowed analysis uses the
-// sharded implementation (bit-identical results, see internal/core).
+// sharded implementation on that many shards (bit-identical results,
+// see internal/core), and the caller must close the set.
 func (b *Binary) newAnalysisSet(sel Analyses, parallel int) *analysisSet {
 	a := &analysisSet{}
 	if sel.PathLength {
@@ -411,6 +412,14 @@ func (b *Binary) newAnalysisSet(sel Analyses, parallel int) *analysisSet {
 		a.add("depdist", a.dd)
 	}
 	return a
+}
+
+// close stops a sharded windowed analysis that collect never reached:
+// a run that fails returns before it.
+func (a *analysisSet) close() {
+	if s, ok := a.win.(*core.ShardedWindowedCP); ok {
+		s.Close()
+	}
 }
 
 // collect copies the analysis outputs into res.
@@ -923,6 +932,7 @@ func (b *Binary) RunInstrumented(cfg RunConfig) (*Result, RunRecord, error) {
 
 	parallel := sched.DefaultWorkers(cfg.Parallel)
 	as := b.newAnalysisSet(cfg.Analyses, parallel)
+	defer as.close()
 
 	emu := &simeng.EmulationCore{Ctx: cfg.Ctx, MaxInstructions: cfg.MaxInstructions}
 	if cfg.Log != nil {

@@ -3,6 +3,7 @@ package isacmp
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -45,8 +46,9 @@ func matrixArtifactsEx(t *testing.T, ex MatrixExperiment) (text, manifest []byte
 // contract: the full analysis matrix run sequentially on the batched
 // StepN hot path is the reference, and every variant below must
 // produce byte-identical report text and byte-identical canonicalized
-// manifests — a multi-worker pool (per-cell trace fan-out and sharded
-// windowed CP), the fusion-off per-Step reference loop, and the
+// manifests — a multi-worker pool (per-cell trace fan-out; windowed CP
+// inline on 2 and 5 workers, which the 20 cells saturate, and sharded
+// three ways on 64), the fusion-off per-Step reference loop, and the
 // resilience watchdogs armed but never firing.
 func TestParallelByteIdentical(t *testing.T) {
 	base := MatrixExperiment{PathLength: true, CritPath: true, Scaled: true, Windowed: true, Parallel: 1}
@@ -61,6 +63,7 @@ func TestParallelByteIdentical(t *testing.T) {
 	}{
 		{"parallel=2", with(func(ex *MatrixExperiment) { ex.Parallel = 2 })},
 		{"parallel=5", with(func(ex *MatrixExperiment) { ex.Parallel = 5 })},
+		{"parallel=64, sharded", with(func(ex *MatrixExperiment) { ex.Parallel = 64 })},
 		{"steploop", with(func(ex *MatrixExperiment) { ex.StepLoop = true })},
 		{"watchdogs armed", with(func(ex *MatrixExperiment) {
 			ex.Parallel, ex.CellTimeout, ex.MaxInstructions, ex.Retries = 2, time.Hour, 1<<62, 2
@@ -115,6 +118,30 @@ func TestRunInstrumentedParallelIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(seqManifest, parManifest) {
 		t.Fatalf("canonicalized manifests differ:\n%s\nvs\n%s", seqManifest, parManifest)
+	}
+}
+
+// TestRunInstrumentedReleasesShards: a run that fails returns before
+// its sharded windowed CP's Results, and must still stop the shard
+// goroutines behind it.
+func TestRunInstrumentedReleasesShards(t *testing.T) {
+	bin, err := Compile(Workload("lbm", Small), Target{Arch: RV64, Flavor: GCC12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	for i := 0; i < 3; i++ {
+		cfg := RunConfig{Analyses: Analyses{Windowed: true}, Parallel: 4, MaxInstructions: 50_000}
+		if _, _, err := bin.RunInstrumented(cfg); err == nil {
+			t.Fatal("a run over its instruction budget must fail")
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines outlive three failed runs", runtime.NumGoroutine()-before)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
