@@ -1,15 +1,16 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race differential golden check-faults check-obs check-prof check-fusion check-durable bench-smoke bench-module fuzz-smoke clean
+.PHONY: check fmt vet build test race check-run-patterns differential golden check-faults check-obs check-prof check-fusion check-durable bench-smoke bench-module fuzz-smoke clean
 
 # check is the full pre-merge gate: formatting, static checks, build,
 # the race-enabled test suite (including the differential, golden,
 # fault-injection, observability, profiler, fusion and durability
 # suites, run explicitly so a -run filter can never silently drop
-# them), one run of every benchmark, and the vet and tests of the
-# nested bench/ module, which the root ./... patterns do not reach. It
-# writes nothing into the tree.
-check: fmt vet build race differential golden check-faults check-obs check-prof check-fusion check-durable bench-smoke bench-module
+# them, and a check that every -run filter below names a test), one
+# run of every benchmark, and the vet and tests of the nested bench/
+# module, which the root ./... patterns do not reach. It writes
+# nothing into the tree.
+check: fmt vet build race check-run-patterns differential golden check-faults check-obs check-prof check-fusion check-durable bench-smoke bench-module
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -29,17 +30,25 @@ test:
 race:
 	$(GO) test -race ./...
 
+# check-run-patterns fails when an alternative of a -run filter in
+# this Makefile matches no Test, Fuzz or Example function of its
+# package: go test -run passes when an alternative matches nothing, so
+# a renamed test would silently drop out of the suite that names it.
+check-run-patterns:
+	$(GO) test -count=1 -run 'TestMakefileRunPatterns' .
+
 # differential runs the cross-core / cross-ISA trace-equivalence
 # harness, the -parallel determinism tests, the diff of the
 # critical-path analyses against their naive reference and the
 # sharded-against-sequential windowed CP across shard chunk seams
 # under the race detector.
 differential:
-	$(GO) test -race -count=1 -run 'TestDifferential|TestParallel|TestRunInstrumentedParallel' .
+	$(GO) test -race -count=1 -run 'TestDifferential|TestParallel|TestRunCellParallel' .
 	$(GO) test -race -count=1 -run 'TestOracle|FuzzWindowedCP|FuzzCritPath|TestShardedMatchesSequential' ./internal/core
 
 # golden checks the pinned paper artifacts (Table 1/2, Figure 1/2,
-# canonical manifest) under the race detector. Regenerate after an
+# canonical manifests of the matrix and of the run subcommand) under
+# the race detector. Regenerate after an
 # intentional output change with:
 #	$(GO) test ./internal/report -run TestGolden -update
 golden:
@@ -48,13 +57,12 @@ golden:
 # check-faults runs the fault-injection and shutdown-path suites under
 # the race detector: matrix survival with injected decode/memory/panic
 # faults, retry and watchdog behaviour, pool drain on cancel, failed
-# runs stopping their windowed-CP shards, and the hardened ELF reader's
+# attempts stopping their windowed-CP shards, and the hardened ELF reader's
 # malformed-input tests. The armed-but-not-firing watchdog
 # byte-identity row lives in TestParallelByteIdentical (differential).
 check-faults:
 	$(GO) test -race -count=1 ./internal/faultinject
 	$(GO) test -race -count=1 -run 'TestMatrixSurvives|TestRetry|TestHungCell|TestSlowCell|TestBudget|TestFailFast|TestValidate|TestFailedRow|TestFailedAttemptReleasesShards' ./internal/report
-	$(GO) test -race -count=1 -run 'TestRunInstrumentedReleasesShards' .
 	$(GO) test -race -count=1 -run 'TestPool|TestFanout' ./internal/sched
 	$(GO) test -race -count=1 -run 'TestReject|TestTruncated' ./internal/elfio
 
@@ -100,7 +108,7 @@ check-fusion:
 # resume, diff byte-for-byte against the uninterrupted run).
 check-durable:
 	$(GO) test -race -count=1 ./internal/durable
-	$(GO) test -race -count=1 -run 'TestDiskFault|TestTearJournalTail|TestOpenFaultFile' ./internal/faultinject
+	$(GO) test -race -count=1 -run 'TestDiskFault|TestTearJournalTail' ./internal/faultinject
 	$(GO) test -race -count=1 -run 'TestDurable|TestDrainInterruptsRetryBackoff|TestChaos' ./internal/report
 
 # fuzz-smoke runs each native fuzz target briefly. Longer campaigns:

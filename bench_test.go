@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"isacmp/internal/core"
+	"isacmp/internal/ir"
 	"isacmp/internal/isa"
+	"isacmp/internal/report"
 	"isacmp/internal/simeng"
 	"isacmp/internal/telemetry"
 )
@@ -207,19 +209,21 @@ func BenchmarkSimulatorRate(b *testing.B) {
 
 // BenchmarkTelemetryOverhead measures what observability costs: the
 // same EmulationCore run with the standard analysis set attached bare
-// (the plain isa.MultiSink fan-out Analyse uses) versus behind the
-// instrumented telemetry tee with the run-metrics sink added — the
-// configuration every instrumented CLI run uses. The budget is <= 5%
-// extra wall time; compare the sub-benchmarks' ns/op (benchstat, or
-// by eye).
+// (the plain isa.MultiSink fan-out Analyse uses) versus the matrix
+// runner's sequential cell, behind the instrumented telemetry tee with
+// the run-metrics counting added — the configuration every CLI run
+// uses. The runner also compiles the cell each time. The budget is
+// <= 5% extra wall time; compare the sub-benchmarks' ns/op (benchstat,
+// or by eye).
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	prog := Workload("stream", benchScale)
-	bin, err := Compile(prog, Target{Arch: AArch64, Flavor: GCC12})
+	tgt := Target{Arch: AArch64, Flavor: GCC12}
+	bin, err := Compile(prog, tgt)
 	if err != nil {
 		b.Fatal(err)
 	}
-	sel := Analyses{PathLength: true, CritPath: true, Mix: true, Branches: true}
 	b.Run("bare", func(b *testing.B) {
+		sel := Analyses{PathLength: true, CritPath: true, Mix: true, Branches: true}
 		for i := 0; i < b.N; i++ {
 			if _, err := bin.Analyse(sel); err != nil {
 				b.Fatal(err)
@@ -227,9 +231,12 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 		}
 	})
 	b.Run("tee+metrics", func(b *testing.B) {
-		reg := telemetry.NewRegistry()
+		ex := report.Experiment{
+			PathLength: true, CritPath: true, Mix: true, Columns: []Target{tgt},
+			Parallel: 1, Metrics: telemetry.NewRegistry(),
+		}
 		for i := 0; i < b.N; i++ {
-			if _, _, err := bin.RunInstrumented(RunConfig{Analyses: sel, Metrics: reg}); err != nil {
+			if _, _, err := report.RunSuite([]*ir.Program{prog}, ex); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -237,16 +244,16 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 }
 
 // benchFullMatrix runs the complete paper matrix — every workload,
-// every target, all four analyses — through RunMatrix with the given
-// worker count. Tiny scale keeps one iteration under a second so the
-// sequential/parallel pair is cheap to compare with benchstat;
+// every target, all four analyses — through report.RunSuite with the
+// given worker count. Tiny scale keeps one iteration under a second so
+// the sequential/parallel pair is cheap to compare with benchstat;
 // TestParallelByteIdentical pins that both produce identical output.
 func benchFullMatrix(b *testing.B, parallel int) {
 	progs := Suite(Tiny)
-	ex := MatrixExperiment{PathLength: true, CritPath: true, Scaled: true, Windowed: true, Parallel: parallel}
+	ex := report.Experiment{PathLength: true, CritPath: true, Scaled: true, Windowed: true, Parallel: parallel}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := RunMatrix(progs, ex); err != nil {
+		if _, _, err := report.RunSuite(progs, ex); err != nil {
 			b.Fatal(err)
 		}
 	}

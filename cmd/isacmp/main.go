@@ -1,5 +1,6 @@
 // Command isacmp regenerates every table and figure of the paper from
-// one binary:
+// one binary; run it from the repository root as
+// `go run ./cmd/isacmp <command> [flags]` (the command comes first):
 //
 //	isacmp pathlen  [-scale small] [-bench stream]   Figure 1
 //	isacmp critpath [-scale small] [-bench stream]   Table 1
@@ -11,7 +12,10 @@
 //	isacmp verify   [-scale tiny]                    simulated vs host reference
 //
 // -scale is tiny, small or paper. With no -bench, every benchmark
-// runs.
+// runs. -latency-file replaces the TX2 latencies of Table 2 (scaledcp
+// and all); -stride sets the window stride of Figure 2. Every
+// subcommand that prints a table runs its (benchmark, target) cells
+// through report.RunSuite, run included.
 //
 // Observability flags (every subcommand): -json writes a run manifest
 // (schema isacmp/run-manifest/v2); -progress prints a retire-rate
@@ -25,8 +29,8 @@
 // per-worker lanes (served on /profilez, summarized on /statusz,
 // exported as Chrome-trace JSON via -profile-trace or
 // /profilez?format=chrome). The run subcommand adds -core
-// emulation|inorder|ooo, -cache, -metrics-json (alias of -json),
-// -trace (Chrome-trace JSON of pipeline timing, loadable in
+// emulation|inorder|ooo, -cache, -target <t>|all, -metrics-json (alias
+// of -json), -trace (Chrome-trace JSON of pipeline timing, loadable in
 // chrome://tracing), -trace-format chrome|jsonl, -trace-cap and
 // -trace-sample.
 package main
@@ -36,10 +40,8 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"isacmp"
@@ -73,7 +75,7 @@ func main() {
 	kernelFlag := fs.String("kernel", "", "kernel to disassemble (disasm)")
 	targetFlag := fs.String("target", "aarch64-gcc12", "target: {aarch64,rv64}-{gcc9,gcc12}, or \"all\" (run)")
 	dirFlag := fs.String("dir", "results", "output directory (artifacts)")
-	latencyFlag := fs.String("latency-file", "", "latency config file overriding the TX2 model (scaledcp)")
+	latencyFlag := fs.String("latency-file", "", "latency config file overriding the TX2 model of Table 2 (scaledcp, all)")
 	countFlag := fs.Int("n", 32, "instructions to print (trace)")
 	strideFlag := fs.Int("stride", 0, "window stride in instructions (windowcp; 0 = size/2)")
 	fusionFlag := fs.String("fusion", "off", "macro-op fusion: off, rv64, a64 or both, optionally :rule,rule,... (rules: loadpair, storepair, addld, addst, slliadd, luiaddi, cmpbranch)")
@@ -122,6 +124,43 @@ func main() {
 		usageFatal(err)
 	}
 	progs, err := selectBenchmarks(*benchFlag, scale)
+	if err != nil {
+		usageFatal(err)
+	}
+	if f := *traceFormatFlag; f != "chrome" && f != "jsonl" {
+		usageFatal(fmt.Errorf("unknown trace format %q (want chrome or jsonl)", f))
+	}
+	var lat *simeng.LatencyModel
+	if *latencyFlag != "" {
+		f, err := os.Open(*latencyFlag)
+		if err != nil {
+			fatal(err)
+		}
+		lat, err = simeng.ParseLatencyConfig(f, nil)
+		f.Close()
+		if err != nil {
+			fatal(err)
+		}
+	}
+	// The experiment is selected and validated before any file is
+	// created or any cell runs; the observers and the durability layer
+	// are attached to it below.
+	ex, matrix, err := experiment(cmd, report.Experiment{
+		Fusion:          fusionCfg,
+		Parallel:        *parallelFlag,
+		WindowStride:    *strideFlag,
+		Latencies:       lat,
+		CellTimeout:     *cellTimeoutFlag,
+		MaxInstructions: *maxInstFlag,
+		Retries:         *retriesFlag,
+		RetryBackoff:    *retryBackoffFlag,
+		FailFast:        *failFastFlag,
+		FlightDir:       *flightDirFlag,
+		FlightEvents:    *flightEventsFlag,
+	}, *coreFlag, *cacheFlag, *targetFlag)
+	if err == nil {
+		err = ex.Validate()
+	}
 	if err != nil {
 		usageFatal(err)
 	}
@@ -193,214 +232,90 @@ func main() {
 		defer drun.Close()
 	}
 
-	// Two-stage interrupt contract for long matrix runs: the first
-	// SIGINT/SIGTERM drains (no new cells start; in-flight cells
-	// finish and journal; a valid partial manifest is written; exit
-	// 3), the second hard-cancels in-flight cells, a third falls back
-	// to the default signal disposition. Non-matrix subcommands keep
-	// the default disposition throughout.
-	var hardCtx, drainCtx context.Context
-	switch cmd {
-	case "pathlen", "critpath", "scaledcp", "windowcp", "mix", "all", "run":
-		hardCtx, drainCtx = report.InstallDrainHandler(log)
-	}
-
-	baseEx := report.Experiment{
-		Metrics:         reg,
-		Fusion:          fusionCfg,
-		Parallel:        *parallelFlag,
-		CellTimeout:     *cellTimeoutFlag,
-		MaxInstructions: *maxInstFlag,
-		Retries:         *retriesFlag,
-		RetryBackoff:    *retryBackoffFlag,
-		FailFast:        *failFastFlag,
-		Log:             log,
-		RunID:           runID,
-		Status:          board,
-		FlightDir:       *flightDirFlag,
-		FlightEvents:    *flightEventsFlag,
-		Prof:            profiler,
-		Ctx:             hardCtx,
-		Drain:           drainCtx,
-		Durable:         drun,
-	}
+	ex.Metrics, ex.Log, ex.RunID, ex.Status, ex.Prof, ex.Durable = reg, log, runID, board, profiler, drun
 	if *progressFlag {
-		baseEx.Progress = os.Stderr
-		baseEx.ProgressFinalOnly = !slogx.IsTerminal(os.Stderr)
+		ex.Progress = os.Stderr
+		ex.ProgressFinalOnly = !slogx.IsTerminal(os.Stderr)
 	}
-	if *strideFlag != 0 {
-		baseEx.WindowStride = *strideFlag
+	if cmd == "run" && *traceFlag != "" {
+		ex.Trace = func() *telemetry.PipelineTrace {
+			return telemetry.NewPipelineTrace(*traceCapFlag, *traceSampleFlag)
+		}
 	}
-	if err := baseEx.Validate(); err != nil {
-		usageFatal(err)
-	}
-	// failedCells accumulates FAILED rows across the subcommand; a
-	// partial matrix exits with report.ExitPartial after the manifest
-	// is written.
+	// failedCells counts the FAILED rows of the subcommand; a partial
+	// matrix exits with report.ExitPartial after the manifest is
+	// written.
 	failedCells := 0
 
 	text := *jsonFlag != "-"
-	switch cmd {
-	case "pathlen":
-		ex := baseEx
-		ex.PathLength = true
-		var summaries []report.Summary
-		failedCells += runExperiment(progs, scale, ex, manifest, text, func(p *ir.Program, rows []report.Row) {
-			if text {
-				report.WritePathLengths(os.Stdout, p.Name, rows)
-				report.WriteFusion(os.Stdout, p.Name, rows)
+	if matrix {
+		// Two-stage interrupt contract for long matrix runs: the first
+		// SIGINT/SIGTERM drains (no new cells start; in-flight cells
+		// finish and journal; a valid partial manifest is written; exit
+		// 3), the second hard-cancels in-flight cells, a third falls
+		// back to the default signal disposition. Other subcommands keep
+		// the default disposition throughout.
+		ex.Ctx, ex.Drain = report.InstallDrainHandler(log)
+		if text && cmd != "run" {
+			what := "isacmp"
+			if cmd == "all" {
+				what = "isacmp: full reproduction"
 			}
-			summaries = append(summaries, report.Summarise(p.Name, rows)...)
-		})
-		if text {
-			report.WriteSummaries(os.Stdout, summaries)
+			report.Banner(os.Stdout, what, scale.String())
 		}
-	case "critpath":
-		ex := baseEx
-		ex.CritPath = true
-		failedCells += runExperiment(progs, scale, ex, manifest, text, func(p *ir.Program, rows []report.Row) {
-			if text {
-				report.WriteCritPaths(os.Stdout, p.Name, rows, false)
-				report.WriteFusion(os.Stdout, p.Name, rows)
-			}
-		})
-	case "scaledcp":
-		ex := baseEx
-		ex.Scaled = true
-		if *latencyFlag != "" {
-			f, err := os.Open(*latencyFlag)
-			if err != nil {
-				fatal(err)
-			}
-			lat, err := simeng.ParseLatencyConfig(f, nil)
-			f.Close()
-			if err != nil {
-				fatal(err)
-			}
-			ex.Latencies = lat
-		}
-		failedCells += runExperiment(progs, scale, ex, manifest, text, func(p *ir.Program, rows []report.Row) {
-			if text {
-				report.WriteCritPaths(os.Stdout, p.Name, rows, true)
-			}
-		})
-	case "windowcp":
-		ex := baseEx
-		ex.Windowed, ex.GCC12Only, ex.WindowStride = true, true, *strideFlag
-		failedCells += runExperiment(progs, scale, ex, manifest, text, func(p *ir.Program, rows []report.Row) {
-			if text {
-				report.WriteWindowed(os.Stdout, p.Name, rows)
-			}
-		})
-	case "mix":
-		ex := baseEx
-		ex.Mix = true
-		failedCells += runExperiment(progs, scale, ex, manifest, text, func(p *ir.Program, rows []report.Row) {
-			if text {
-				report.WriteMix(os.Stdout, p.Name, rows)
-			}
-		})
-	case "all":
-		if text {
-			report.Banner(os.Stdout, "isacmp: full reproduction", scale.String())
-		}
-		var summaries []report.Summary
-		ex := baseEx
-		ex.PathLength, ex.CritPath, ex.Scaled, ex.Windowed = true, true, true, true
 		all, st, err := report.RunSuite(progs, ex)
 		if err != nil {
 			fatal(err)
 		}
 		manifest.Sched = st
-		failedCells += report.CountFailures(all)
 		for i, p := range progs {
-			rows := all[i]
-			report.AppendRows(manifest, p.Name, rows)
-			if text {
-				report.WritePathLengths(os.Stdout, p.Name, rows)
-				report.WriteCritPaths(os.Stdout, p.Name, rows, false)
-				report.WriteCritPaths(os.Stdout, p.Name, rows, true)
-				report.WriteFusion(os.Stdout, p.Name, rows)
-			}
-			gcc12 := rows[:0:0]
-			for _, r := range rows {
-				if r.Target.Flavor == isacmp.GCC12 {
-					gcc12 = append(gcc12, r)
-				}
-			}
-			if text {
-				report.WriteWindowed(os.Stdout, p.Name, gcc12)
-			}
-			summaries = append(summaries, report.Summarise(p.Name, rows)...)
+			report.AppendRows(manifest, p.Name, all[i])
 		}
-		if text {
-			report.WriteSummaries(os.Stdout, summaries)
+		failedCells = report.CountFailures(all)
+		if cmd == "run" {
+			err = writeRun(progs, all, text, *traceFlag, *traceFormatFlag)
+		} else if text {
+			writeTables(cmd, progs, all)
 		}
-	case "run":
-		cfg := runCmdConfig{
-			core:         *coreFlag,
-			cache:        *cacheFlag,
-			fusion:       fusionCfg,
-			target:       *targetFlag,
-			trace:        *traceFlag,
-			traceFormat:  *traceFormatFlag,
-			traceCap:     *traceCapFlag,
-			traceSample:  *traceSampleFlag,
-			parallel:     *parallelFlag,
-			progress:     *progressFlag,
-			text:         text,
-			cellTimeout:  *cellTimeoutFlag,
-			maxInst:      *maxInstFlag,
-			retries:      *retriesFlag,
-			backoff:      *retryBackoffFlag,
-			failFast:     *failFastFlag,
-			log:          log,
-			runID:        runID,
-			board:        board,
-			flightDir:    *flightDirFlag,
-			flightEvents: *flightEventsFlag,
-			ctx:          hardCtx,
-			drain:        drainCtx,
-			durable:      drun,
-		}
-		n, err := runInstrumented(progs, cfg, reg, manifest)
 		if err != nil {
 			fatal(err)
 		}
-		failedCells += n
-	case "artifacts":
-		if err := report.WriteArtifacts(*dirFlag, progs); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote kernelCounts.txt, basicCPResult.txt, scaledCPResult.txt, windowAverages.txt to %s/\n", *dirFlag)
-	case "disasm":
-		if err := disasm(progs, *kernelFlag, *targetFlag); err != nil {
-			fatal(err)
-		}
-	case "trace":
-		if err := trace(progs, *kernelFlag, *targetFlag, *countFlag); err != nil {
-			fatal(err)
-		}
-	case "blocks":
-		if err := hotBlocks(progs, *targetFlag, *countFlag); err != nil {
-			fatal(err)
-		}
-	case "verify":
-		for _, p := range progs {
-			for _, tgt := range isacmp.Targets() {
-				bin, err := isacmp.Compile(p, tgt)
-				if err != nil {
-					fatal(err)
-				}
-				if err := bin.Verify(); err != nil {
-					fatal(err)
-				}
-				fmt.Printf("%-12s %-18s OK\n", p.Name, tgt)
+	} else {
+		switch cmd {
+		case "artifacts":
+			if err := report.WriteArtifacts(*dirFlag, progs); err != nil {
+				fatal(err)
 			}
+			fmt.Printf("wrote kernelCounts.txt, basicCPResult.txt, scaledCPResult.txt, windowAverages.txt to %s/\n", *dirFlag)
+		case "disasm":
+			if err := disasm(progs, *kernelFlag, *targetFlag); err != nil {
+				fatal(err)
+			}
+		case "trace":
+			if err := trace(progs, *kernelFlag, *targetFlag, *countFlag); err != nil {
+				fatal(err)
+			}
+		case "blocks":
+			if err := hotBlocks(progs, *targetFlag, *countFlag); err != nil {
+				fatal(err)
+			}
+		case "verify":
+			for _, p := range progs {
+				for _, tgt := range isacmp.Targets() {
+					bin, err := isacmp.Compile(p, tgt)
+					if err != nil {
+						fatal(err)
+					}
+					if err := bin.Verify(); err != nil {
+						fatal(err)
+					}
+					fmt.Printf("%-12s %-18s OK\n", p.Name, tgt)
+				}
+			}
+		default:
+			usage()
+			os.Exit(2)
 		}
-	default:
-		usage()
-		os.Exit(2)
 	}
 
 	if drun != nil {
@@ -438,348 +353,125 @@ func main() {
 	}
 }
 
-// runExperiment fans the whole (workload, target) matrix over the
-// experiment's worker pool, then appends and prints the rows in the
-// fixed workload/target order — output is deterministic regardless of
-// completion order or -parallel value. It returns the number of
-// FAILED cells (continue-on-error mode leaves them as FAILED rows).
-func runExperiment(progs []*ir.Program, scale workloads.Scale, ex report.Experiment, manifest *telemetry.Manifest, text bool, write func(*ir.Program, []report.Row)) int {
-	if text {
-		report.Banner(os.Stdout, "isacmp", scale.String())
-	}
-	all, st, err := report.RunSuite(progs, ex)
-	if err != nil {
-		fatal(err)
-	}
-	manifest.Sched = st
-	for i, p := range progs {
-		report.AppendRows(manifest, p.Name, all[i])
-		write(p, all[i])
-	}
-	return report.CountFailures(all)
-}
-
-// runCmdConfig carries the `run` subcommand's knobs.
-type runCmdConfig struct {
-	core        string
-	cache       bool
-	fusion      fusion.Config
-	target      string
-	trace       string
-	traceFormat string
-	traceCap    int
-	traceSample uint64
-	parallel    int
-	progress    bool
-	text        bool
-	cellTimeout time.Duration
-	maxInst     uint64
-	retries     int
-	backoff     time.Duration
-	failFast    bool
-
-	log          *slog.Logger
-	runID        string
-	board        *obs.Board
-	flightDir    string
-	flightEvents int
-
-	// Durability and interrupt wiring (see installDrainHandler): ctx
-	// hard-cancels in-flight cells, drain stops new work gracefully,
-	// durable is the shared crash-safety handle.
-	ctx     context.Context
-	drain   context.Context
-	durable *isacmp.DurableRun
-}
-
-// instrCell is one (workload, target) slot of the run subcommand.
-type instrCell struct {
-	prog    *ir.Program
-	tgt     isacmp.Target
-	rec     isacmp.RunRecord
-	tracer  *isacmp.PipelineTrace
-	failure *telemetry.FailureRecord
-	// served marks a cell replayed from the durability journal or
-	// content cache instead of computed (nil-Result contract of
-	// RunInstrumented); the status board already saw its terminal
-	// transition.
-	served bool
-}
-
-// runInstrumented is the `run` subcommand: execute each selected
-// benchmark on the chosen core model with full telemetry — whole-run
-// metrics, per-sink overhead, optional pipeline trace — and append
-// one record per run to the manifest. The (workload, target) cells fan
-// out over the -parallel worker pool; records are collected into
-// per-cell slots and printed in the fixed loop order afterwards, so
-// the table and manifest are deterministic for every worker count.
-// With a single cell the parallelism budget moves inside the run (the
-// fan-out analysis engine) instead.
-//
-// Cells run under the same resilience policy as the matrix engine:
-// guarded, retried, deadline-reaped; failed cells print FAILED rows
-// and land in the manifest failures block. The FAILED-cell count is
-// returned so main can exit with the partial code.
-func runInstrumented(progs []*ir.Program, cfg runCmdConfig, reg *telemetry.Registry, manifest *telemetry.Manifest) (int, error) {
-	var targets []isacmp.Target
-	if cfg.target == "all" {
-		targets = isacmp.Targets()
-	} else {
-		tgt, err := parseTarget(cfg.target)
-		if err != nil {
-			return 0, err
-		}
-		targets = []isacmp.Target{tgt}
-	}
-
-	var cells []*instrCell
-	for _, p := range progs {
-		for _, tgt := range targets {
-			cells = append(cells, &instrCell{prog: p, tgt: tgt})
-			cfg.board.Register(p.Name, tgt.String())
-		}
-	}
-	inner := 1
-	if len(cells) == 1 {
-		inner = cfg.parallel
-	}
-	cfg.board.SetWorkers(sched.DefaultWorkers(cfg.parallel))
-
-	root := cfg.ctx
-	if root == nil {
-		root = context.Background()
-	}
-	ctx, cancel := context.WithCancel(root)
-	defer cancel()
-	var firstFail atomic.Value
-	pool := sched.NewPool(cfg.parallel, reg)
-	pool.Log = cfg.log
-	for _, c := range cells {
-		c := c
-		pool.Go(func() {
-			c.failure = runInstrumentedCell(ctx, c, cfg, reg, inner)
-			if c.failure != nil && cfg.failFast {
-				firstFail.CompareAndSwap(nil, c.failure)
-				cancel()
+// experiment returns the matrix experiment subcommand cmd runs: base,
+// which carries the knobs every subcommand shares (the latency model
+// of -latency-file among them), with the analyses and target columns
+// cmd selects, and for run the core, cache and target of run's own
+// flags. ok is false for a subcommand that runs no matrix.
+func experiment(cmd string, base report.Experiment, core string, cache bool, target string) (ex report.Experiment, ok bool, err error) {
+	ex = base
+	switch cmd {
+	case "pathlen":
+		ex.PathLength = true
+	case "critpath":
+		ex.CritPath = true
+	case "scaledcp":
+		ex.Scaled = true
+	case "windowcp":
+		ex.Windowed = true
+		for _, tgt := range isacmp.Targets() {
+			if tgt.Flavor == isacmp.GCC12 {
+				ex.Columns = append(ex.Columns, tgt)
 			}
-		})
+		}
+	case "mix":
+		ex.Mix = true
+	case "all":
+		ex.PathLength, ex.CritPath, ex.Scaled, ex.Windowed = true, true, true, true
+	case "run":
+		ex.Mix, ex.Core, ex.Cache = true, core, cache
+		if target != "all" {
+			tgt, err := parseTarget(target)
+			if err != nil {
+				return ex, true, err
+			}
+			ex.Columns = []isacmp.Target{tgt}
+		}
+	default:
+		return ex, false, nil
 	}
-	pool.Close()
-	st := pool.Stats()
-	manifest.Sched = &st
-	if n, first := pool.Panics(); n > 0 {
-		return 0, fmt.Errorf("%d run cell(s) panicked past every guard; first: %s", n, first)
-	}
-	if f, ok := firstFail.Load().(*telemetry.FailureRecord); ok {
-		return 0, fmt.Errorf("%s/%s failed (%s): %s", f.Workload, f.Target, f.Reason, f.Message)
-	}
+	return ex, true, nil
+}
 
-	failed := 0
-	if cfg.text {
+// writeTables prints the paper tables of subcommand cmd for every
+// program's rows, in the fixed workload/target order, so the text is
+// the same for every -parallel value.
+func writeTables(cmd string, progs []*ir.Program, all [][]report.Row) {
+	w := os.Stdout
+	var summaries []report.Summary
+	for i, p := range progs {
+		rows := all[i]
+		switch cmd {
+		case "pathlen":
+			report.WritePathLengths(w, p.Name, rows)
+			report.WriteFusion(w, p.Name, rows)
+		case "critpath":
+			report.WriteCritPaths(w, p.Name, rows, false)
+			report.WriteFusion(w, p.Name, rows)
+		case "scaledcp":
+			report.WriteCritPaths(w, p.Name, rows, true)
+			report.WriteFusion(w, p.Name, rows)
+		case "windowcp":
+			report.WriteWindowed(w, p.Name, rows)
+		case "mix":
+			report.WriteMix(w, p.Name, rows)
+		case "all":
+			report.WritePathLengths(w, p.Name, rows)
+			report.WriteCritPaths(w, p.Name, rows, false)
+			report.WriteCritPaths(w, p.Name, rows, true)
+			report.WriteFusion(w, p.Name, rows)
+			gcc12 := rows[:0:0]
+			for _, r := range rows {
+				if r.Target.Flavor == isacmp.GCC12 {
+					gcc12 = append(gcc12, r)
+				}
+			}
+			report.WriteWindowed(w, p.Name, gcc12)
+		}
+		summaries = append(summaries, report.Summarise(p.Name, rows)...)
+	}
+	if cmd == "pathlen" || cmd == "all" {
+		report.WriteSummaries(w, summaries)
+	}
+}
+
+// writeRun prints the run subcommand's table, one line of core stats
+// per cell, and writes each traced cell's pipeline trace; with several
+// cells each trace gets its own file (see tracePath).
+func writeRun(progs []*ir.Program, all [][]report.Row, text bool, base, format string) error {
+	if text {
 		fmt.Printf("%-12s %-18s %-10s %14s %14s %8s %10s %10s\n",
 			"workload", "target", "core", "instructions", "cycles", "IPC", "Minst/s", "wall")
 	}
-	for _, c := range cells {
-		if f := c.failure; f != nil {
-			failed++
-			manifest.Failures = append(manifest.Failures, *f)
-			if cfg.text {
-				fmt.Printf("%-12s %-18s FAILED(%s) after %d attempt(s)\n",
-					c.prog.Name, c.tgt, f.Reason, f.Attempts)
+	cells := len(progs) * len(all[0])
+	for i, p := range progs {
+		for _, r := range all[i] {
+			if f := r.Failure; f != nil {
+				if text {
+					fmt.Printf("%-12s %-18s FAILED(%s) after %d attempt(s)\n",
+						p.Name, r.Target, f.Reason, f.Attempts)
+				}
+				continue
 			}
-			continue
-		}
-		manifest.Runs = append(manifest.Runs, c.rec)
-		if cfg.text {
-			fmt.Printf("%-12s %-18s %-10s %14d %14d %8.2f %10.1f %9.3fs\n",
-				c.prog.Name, c.tgt, c.rec.Core.Model, c.rec.Core.Instructions, c.rec.Core.Cycles,
-				c.rec.Core.IPC(), c.rec.MIPS, c.rec.WallSeconds)
-		}
-		if c.tracer != nil {
-			path := tracePath(cfg.trace, c.prog.Name, c.tgt, len(cells))
-			if err := writeTrace(c.tracer, path, cfg.traceFormat); err != nil {
-				return failed, err
+			if text {
+				fmt.Printf("%-12s %-18s %-10s %14d %14d %8.2f %10.1f %9.3fs\n",
+					p.Name, r.Target, r.Core.Model, r.Core.Instructions, r.Core.Cycles,
+					r.Core.IPC(), report.RowRecord(p.Name, r).MIPS, r.WallSeconds)
 			}
-			if cfg.text {
+			if r.Trace == nil {
+				continue
+			}
+			path := tracePath(base, p.Name, r.Target, cells)
+			if err := writeTrace(r.Trace, path, format); err != nil {
+				return err
+			}
+			if text {
 				fmt.Printf("  pipeline trace: %s (%d spans, %d overwritten)\n",
-					path, len(c.tracer.Spans()), c.tracer.Dropped())
+					path, len(r.Trace.Spans()), r.Trace.Dropped())
 			}
 		}
 	}
-	return failed, nil
-}
-
-// runInstrumentedCell runs one cell with retries; it returns nil on
-// success (filling c.rec/c.tracer) or the cell's failure record.
-func runInstrumentedCell(ctx context.Context, c *instrCell, cfg runCmdConfig, reg *telemetry.Registry, inner int) *telemetry.FailureRecord {
-	workload, target := c.prog.Name, c.tgt.String()
-	clog := slogx.OrNop(cfg.log).With(slogx.KeyWorkload, workload, slogx.KeyTarget, target)
-	attempts := cfg.retries + 1
-	var history []telemetry.AttemptRecord
-	var last *simeng.SimError
-	postmortem := ""
-	var drainCh <-chan struct{}
-	if cfg.drain != nil {
-		drainCh = cfg.drain.Done()
-	}
-	for attempt := 1; attempt <= attempts; attempt++ {
-		if attempt > 1 && cfg.backoff > 0 {
-			// Context-aware backoff: a pending sleep never delays
-			// cancellation or a graceful drain.
-			select {
-			case <-time.After(cfg.backoff << (attempt - 2)):
-			case <-ctx.Done():
-			case <-drainCh:
-			}
-		}
-		if cause := ctx.Err(); cause != nil || (cfg.drain != nil && cfg.drain.Err() != nil) {
-			if cause == nil {
-				cause = cfg.drain.Err()
-			}
-			last = simeng.WithCell(&simeng.SimError{Kind: simeng.ErrDeadline, Err: cause},
-				workload, target)
-			history = append(history, telemetry.AttemptRecord{
-				Attempt: attempt, Reason: simeng.Reason(last), Message: last.Error(),
-			})
-			break
-		}
-		cfg.board.Running(workload, target, attempt)
-		err := runInstrumentedAttempt(ctx, c, cfg, reg, inner, attempt)
-		if err == nil {
-			if attempt > 1 {
-				c.rec.Retries = attempt - 1
-			}
-			if c.served {
-				// RunInstrumented already drove the board through its
-				// terminal served transition; feeding the replayed wall
-				// time into the EWMAs would poison the ETA.
-				clog.Debug("run cell served", slogx.KeyAttempt, attempt,
-					"retired", c.rec.Core.Instructions)
-				return nil
-			}
-			cfg.board.Done(workload, target, c.rec.WallSeconds, c.rec.Core.Instructions)
-			clog.Debug("run cell done", slogx.KeyAttempt, attempt,
-				"retired", c.rec.Core.Instructions, "wall_seconds", c.rec.WallSeconds)
-			return nil
-		}
-		last = simeng.WithCell(err, workload, target)
-		// RunInstrumented dumps post-mortems at deterministic paths; a
-		// watchdog-abandoned attempt never dumps, so stat decides.
-		if cfg.flightDir != "" {
-			if p := obs.PostmortemPath(cfg.flightDir, workload, target, attempt); fileExists(p) {
-				postmortem = p
-			}
-		}
-		history = append(history, telemetry.AttemptRecord{
-			Attempt: attempt, Reason: simeng.Reason(last), Message: last.Error(),
-		})
-		clog.Warn("run cell attempt failed", slogx.KeyAttempt, attempt,
-			"reason", simeng.Reason(last), "err", last.Error())
-		if errors.Is(last, simeng.ErrDeadline) && ctx.Err() != nil {
-			break
-		}
-		if attempt < attempts {
-			cfg.board.Retrying(workload, target, attempt, simeng.Reason(last))
-		}
-	}
-	cfg.board.Failed(workload, target, len(history), simeng.Reason(last))
-	clog.Error("run cell failed", "attempts", len(history), "reason", simeng.Reason(last))
-	return &telemetry.FailureRecord{
-		Workload:   workload,
-		Target:     target,
-		Reason:     simeng.Reason(last),
-		Message:    last.Error(),
-		PC:         last.PC,
-		Retired:    last.Retired,
-		Attempts:   len(history),
-		History:    history,
-		Postmortem: postmortem,
-	}
-}
-
-// fileExists reports whether path names an existing file.
-func fileExists(path string) bool {
-	_, err := os.Stat(path)
-	return err == nil
-}
-
-// runInstrumentedAttempt runs one attempt under the panic guard and,
-// when -cell-timeout is set, a watchdog goroutine that reaps hung
-// attempts. Results travel through the buffered channel so an
-// abandoned attempt never races the caller's cell slot.
-func runInstrumentedAttempt(ctx context.Context, c *instrCell, cfg runCmdConfig, reg *telemetry.Registry, inner, attempt int) error {
-	cellCtx := ctx
-	if cfg.cellTimeout > 0 {
-		var cancel context.CancelFunc
-		cellCtx, cancel = context.WithTimeout(ctx, cfg.cellTimeout)
-		defer cancel()
-	}
-	type attemptResult struct {
-		rec    isacmp.RunRecord
-		tracer *isacmp.PipelineTrace
-		served bool
-		err    error
-	}
-	run := func() attemptResult {
-		var res attemptResult
-		res.err = simeng.Guard(func() error {
-			bin, err := isacmp.Compile(c.prog, c.tgt)
-			if err != nil {
-				return err
-			}
-			rc := isacmp.RunConfig{
-				Core:            cfg.core,
-				Cache:           cfg.cache,
-				Fusion:          cfg.fusion,
-				Analyses:        isacmp.Analyses{Mix: true, Branches: true},
-				Metrics:         reg,
-				Parallel:        inner,
-				Ctx:             cellCtx,
-				MaxInstructions: cfg.maxInst,
-				Log:             cfg.log,
-				RunID:           cfg.runID,
-				Attempt:         attempt,
-				Status:          cfg.board,
-				FlightDir:       cfg.flightDir,
-				FlightEvents:    cfg.flightEvents,
-				Durable:         cfg.durable,
-			}
-			if cfg.progress {
-				rc.Progress = os.Stderr
-				rc.ProgressFinalOnly = !slogx.IsTerminal(os.Stderr)
-			}
-			if cfg.trace != "" {
-				res.tracer = isacmp.NewPipelineTrace(cfg.traceCap, cfg.traceSample)
-				rc.Trace = res.tracer
-			}
-			out, rec, err := bin.RunInstrumented(rc)
-			if err != nil {
-				return err
-			}
-			res.rec = rec
-			res.served = out == nil // nil-Result contract: served, not computed
-			return nil
-		})
-		return res
-	}
-	apply := func(res attemptResult) error {
-		if res.err != nil {
-			return res.err
-		}
-		c.rec, c.tracer, c.served = res.rec, res.tracer, res.served
-		return nil
-	}
-	if cfg.cellTimeout <= 0 {
-		return apply(run())
-	}
-	ch := make(chan attemptResult, 1)
-	go func() { ch <- run() }()
-	select {
-	case res := <-ch:
-		return apply(res)
-	case <-cellCtx.Done():
-		return &simeng.SimError{Kind: simeng.ErrDeadline, Err: cellCtx.Err()}
-	}
+	return nil
 }
 
 // tracePath derives a per-run trace filename when several runs would
@@ -797,20 +489,18 @@ func tracePath(base, workload string, tgt isacmp.Target, nruns int) string {
 	return fmt.Sprintf("%s-%s-%s%s", stem, workload, tag, ext)
 }
 
-func writeTrace(t *isacmp.PipelineTrace, path, format string) error {
+// writeTrace writes t to path as Chrome-trace JSON, or as JSONL when
+// format is "jsonl" (main has checked the -trace-format value).
+func writeTrace(t *telemetry.PipelineTrace, path, format string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	switch format {
-	case "", "chrome":
-		return t.WriteChromeTrace(f)
-	case "jsonl":
+	if format == "jsonl" {
 		return t.WriteJSONL(f)
-	default:
-		return fmt.Errorf("unknown trace format %q (want chrome or jsonl)", format)
 	}
+	return t.WriteChromeTrace(f)
 }
 
 func disasm(progs []*ir.Program, kernel, target string) error {
@@ -1051,6 +741,8 @@ commands:
 flags: -scale tiny|small|paper   -bench <name>   -parallel <n> (0 = all CPUs)
   -fusion off|rv64|a64|both[:rule,...] (macro-op fusion pass; rules:
     loadpair storepair addld addst slliadd luiaddi cmpbranch)
+  -latency-file <f> (Table 2 latencies; scaledcp, all)
+  -stride <n> (Figure 2 window stride; windowcp, all)
   (disasm) -kernel <k> -target <a>-<c>
 
 resilience: -cell-timeout <d>  -max-instructions <n>  -retries <n>

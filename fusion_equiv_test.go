@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"isacmp/internal/fusion"
+	"isacmp/internal/ir"
 	"isacmp/internal/isa"
+	"isacmp/internal/report"
 )
 
 // eventCollector records every retired event by value — the pointed-to
@@ -153,19 +155,19 @@ func TestFusionDifferentialEquivalence(t *testing.T) {
 	}
 }
 
-// TestFusionInstrumentedWiring ties the RunConfig.Fusion plumbing to
-// the standalone stream rewrite: the manifest fusion block of an
-// instrumented run must report exactly the event counts the pass
-// produces on the recorded stream, the architectural path length must
-// be unchanged by fusion, and the off-record must carry no fusion
-// block at all.
+// TestFusionInstrumentedWiring ties the Experiment.Fusion plumbing to
+// the standalone stream rewrite: the fusion block of a runner row must
+// report exactly the event counts the pass produces on the recorded
+// stream, the architectural path length must be unchanged by fusion,
+// and the off-row must carry no fusion block at all.
 func TestFusionInstrumentedWiring(t *testing.T) {
 	prog := Workload("stream", Tiny)
-	bin, err := Compile(prog, Target{Arch: RV64, Flavor: GCC12})
+	tgt := Target{Arch: RV64, Flavor: GCC12}
+	bin, err := Compile(prog, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := FusionConfig{RV64: true, Rules: fusion.AllRules}
+	cfg := fusion.Config{RV64: true, Rules: fusion.AllRules}
 
 	base := &eventCollector{}
 	if _, err := bin.Run(base); err != nil {
@@ -177,36 +179,37 @@ func TestFusionInstrumentedWiring(t *testing.T) {
 	pass.Flush()
 	want := pass.Stats()
 
-	sel := Analyses{PathLength: true, CritPath: true}
+	cell := func(ex report.Experiment) report.Row {
+		ex.PathLength, ex.CritPath, ex.Columns = true, true, []Target{tgt}
+		all, _, err := report.RunSuite([]*ir.Program{prog}, ex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return all[0][0]
+	}
 	for _, parallel := range []int{1, 4} {
-		_, offRec, err := bin.RunInstrumented(RunConfig{Analyses: sel, Parallel: parallel})
-		if err != nil {
-			t.Fatal(err)
+		off := cell(report.Experiment{Parallel: parallel})
+		if off.Fusion != nil {
+			t.Fatalf("parallel=%d: fusion-off row carries a fusion block: %+v", parallel, off.Fusion)
 		}
-		if offRec.Fusion != nil {
-			t.Fatalf("parallel=%d: fusion-off record carries a fusion block: %+v", parallel, offRec.Fusion)
+		on := cell(report.Experiment{Fusion: cfg, Parallel: parallel})
+		if on.Fusion == nil {
+			t.Fatalf("parallel=%d: fusion-on row missing its fusion block", parallel)
 		}
-		_, onRec, err := bin.RunInstrumented(RunConfig{Analyses: sel, Fusion: cfg, Parallel: parallel})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if onRec.Fusion == nil {
-			t.Fatalf("parallel=%d: fusion-on record missing its fusion block", parallel)
-		}
-		if onRec.Fusion.EventsIn != want.EventsIn || onRec.Fusion.EventsOut != want.EventsOut {
+		if on.Fusion.EventsIn != want.EventsIn || on.Fusion.EventsOut != want.EventsOut {
 			t.Fatalf("parallel=%d: wired pass saw %d -> %d events, standalone rewrite %d -> %d",
-				parallel, onRec.Fusion.EventsIn, onRec.Fusion.EventsOut, want.EventsIn, want.EventsOut)
+				parallel, on.Fusion.EventsIn, on.Fusion.EventsOut, want.EventsIn, want.EventsOut)
 		}
-		if onRec.Fusion.Spec != cfg.Spec() {
-			t.Fatalf("parallel=%d: fusion spec %q, want %q", parallel, onRec.Fusion.Spec, cfg.Spec())
+		if on.Fusion.Spec != cfg.Spec() {
+			t.Fatalf("parallel=%d: fusion spec %q, want %q", parallel, on.Fusion.Spec, cfg.Spec())
 		}
 		// Fusion rewrites the analysis stream, not the architecture: the
 		// reported path length stays the architectural count.
-		if offRec.Results.PathLen != onRec.Results.PathLen {
+		if off.PathLen != on.PathLen {
 			t.Fatalf("parallel=%d: fusion changed the architectural path length: %d vs %d",
-				parallel, offRec.Results.PathLen, onRec.Results.PathLen)
+				parallel, off.PathLen, on.PathLen)
 		}
-		for _, r := range onRec.Fusion.Rules {
+		for _, r := range on.Fusion.Rules {
 			var ruleHits uint64
 			for rr := fusion.Rule(0); rr < fusion.NumRules; rr++ {
 				if rr.String() == r.Rule {
@@ -225,7 +228,7 @@ func TestFusionInstrumentedWiring(t *testing.T) {
 // manifests with fusion live — the cross-batch carry makes the rewrite
 // batching-invariant on the real matrix, not just in unit tests.
 func TestFusionStepLoopByteIdentical(t *testing.T) {
-	ex := MatrixExperiment{
+	ex := report.Experiment{
 		PathLength: true, CritPath: true, Scaled: true, Windowed: true,
 		Fusion: fusion.Config{RV64: true, A64: true, Rules: fusion.AllRules},
 	}
@@ -247,7 +250,7 @@ func TestFusionStepLoopByteIdentical(t *testing.T) {
 // cells) and sharded (64 workers), exactly as it feeds the sequential
 // tee.
 func TestFusionParallelByteIdentical(t *testing.T) {
-	ex := MatrixExperiment{
+	ex := report.Experiment{
 		PathLength: true, CritPath: true, Scaled: true, Windowed: true,
 		Fusion:   fusion.Config{RV64: true, A64: true, Rules: fusion.AllRules},
 		Parallel: 1,

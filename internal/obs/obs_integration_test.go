@@ -277,7 +277,8 @@ func TestPanickingCellPostmortem(t *testing.T) {
 // TestObsByteIdentity: the full control plane (board, meter, flight
 // recorder) interposed on a fault-free run must not change a single
 // result byte relative to a bare run — the observability layer is a
-// pure observer.
+// pure observer. Both runs carry a metrics registry, because each run
+// record carries the counters the registry collects.
 func TestObsByteIdentity(t *testing.T) {
 	progs := tinyStream(t)
 	canon := func(ex report.Experiment) string {
@@ -295,7 +296,7 @@ func TestObsByteIdentity(t *testing.T) {
 		return string(data)
 	}
 
-	bare := canon(report.Experiment{PathLength: true, CritPath: true, Parallel: 2})
+	bare := canon(report.Experiment{PathLength: true, CritPath: true, Parallel: 2, Metrics: telemetry.NewRegistry()})
 
 	reg := telemetry.NewRegistry()
 	board := obs.NewBoard("run-id", reg)

@@ -11,8 +11,8 @@ import (
 	"isacmp/internal/durable"
 )
 
-// CLI-side durability and interrupt plumbing shared by every command
-// binary (cmd/isacmp, cmd/pathlen, cmd/critpath, cmd/windowcp).
+// CLI-side durability and interrupt plumbing of cmd/isacmp's matrix
+// subcommands.
 
 // ArmDurability opens the crash-safety handle that a CLI's
 // -durable-dir / -resume flags ask for. A non-empty resumeDir wins

@@ -18,18 +18,23 @@ import (
 // cache hit is replayed back into a live matrix byte-identically.
 
 // analysisSpec canonically serializes every experiment knob that can
-// change a cell's result: the analysis selection, window geometry,
-// latency model, retirement budget, and whether metrics counters are
-// collected. Execution-strategy knobs (Parallel, StepLoop) are
-// deliberately excluded — the PR 2 byte-identity contract guarantees
-// they cannot change a result — as are pure observers (progress,
-// status, profiler, flight recorder). Fault-injection hooks poison
-// the spec so an injected run can never seed the cache for a clean
-// one.
+// change a cell's result: the analysis selection, the core and cache
+// models, window geometry, latency model, retirement budget, and
+// whether metrics counters are collected. Execution-strategy knobs
+// (Parallel, StepLoop) are deliberately excluded — the PR 2
+// byte-identity contract guarantees they cannot change a result — as
+// are pure observers (progress, status, profiler, flight recorder) and
+// the target columns, which the key already names. Fault-injection
+// hooks poison the spec so an injected run can never seed the cache
+// for a clean one.
 func analysisSpec(ex Experiment) string {
+	model := ex.Core
+	if model == "" {
+		model = "emulation"
+	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "analysis/v1 pl=%t cp=%t sc=%t win=%t mix=%t gcc12=%t",
-		ex.PathLength, ex.CritPath, ex.Scaled, ex.Windowed, ex.Mix, ex.GCC12Only)
+	fmt.Fprintf(&b, "analysis/v1 pl=%t cp=%t sc=%t win=%t mix=%t core=%s cache=%t",
+		ex.PathLength, ex.CritPath, ex.Scaled, ex.Windowed, ex.Mix, model, ex.Cache)
 	fmt.Fprintf(&b, " sizes=%v stride=%d maxinstr=%d metrics=%t",
 		ex.WindowSizes, ex.WindowStride, ex.MaxInstructions, ex.Metrics != nil)
 	if ex.Latencies != nil {

@@ -162,6 +162,49 @@ func TestDurableWarmCacheZeroRecompute(t *testing.T) {
 	}
 }
 
+// TestDurableCoreModelNotServed: the core and cache models are part of
+// a cell's content address. A warm cache left by an emulation run must
+// not serve a run on the out-of-order model, nor an uncached ooo run
+// one with the L1D attached; and a traced run, whose trace cannot be
+// replayed, is neither served nor journaled.
+func TestDurableCoreModelNotServed(t *testing.T) {
+	progs := resilienceProgs(t)
+	dir := t.TempDir()
+	run := func(ex Experiment) ([][]Row, durable.Stats) {
+		drun, err := durable.Open(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer drun.Close()
+		ex.Mix, ex.Parallel, ex.Durable = true, 1, drun
+		all, _, err := RunSuite(progs, ex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return all, drun.Stats()
+	}
+	if _, st := run(Experiment{}); st.Computed != 8 {
+		t.Fatalf("emulation run computed %d cells, want 8", st.Computed)
+	}
+	for _, ex := range []Experiment{{Core: "ooo"}, {Core: "ooo", Cache: true}} {
+		all, st := run(ex)
+		if st.Cached != 0 || st.Computed != 8 {
+			t.Errorf("core %q cache %t: stats %+v, want 8 computed and none served", ex.Core, ex.Cache, st)
+		}
+		if r := all[0][0]; r.Core.Model != "ooo" || (r.Core.CacheHits > 0) != ex.Cache {
+			t.Errorf("core %q cache %t: row core block %+v", ex.Core, ex.Cache, r.Core)
+		}
+	}
+	traced := Experiment{Core: "ooo", Trace: func() *telemetry.PipelineTrace { return telemetry.NewPipelineTrace(16, 1) }}
+	all, st := run(traced)
+	if st.Cached != 0 || st.Computed != 0 {
+		t.Errorf("traced run: stats %+v, want no cell served or journaled", st)
+	}
+	if all[0][0].Trace == nil {
+		t.Error("traced run returned no trace")
+	}
+}
+
 // TestDurableOffIdentity pins that arming durability changes no output
 // byte relative to a plain run — the journal-off byte-identity
 // contract.

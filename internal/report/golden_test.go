@@ -6,10 +6,12 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"isacmp/internal/cc"
 	"isacmp/internal/durable"
 	"isacmp/internal/fusion"
+	"isacmp/internal/ir"
 	"isacmp/internal/telemetry"
 	"isacmp/internal/workloads"
 )
@@ -164,4 +166,28 @@ func TestGoldenManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "manifest_stream_tiny.json", buf.Bytes())
+}
+
+// TestGoldenRunManifest pins the canonicalized manifest of the run
+// subcommand's configuration: STREAM at tiny scale on all four
+// targets, the out-of-order model with the L1D cache, mix and branch,
+// and a metrics registry whose snapshot Finish attaches.
+func TestGoldenRunManifest(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	start := time.Now()
+	all, _, err := RunSuite([]*ir.Program{workloads.ByName("stream", workloads.Tiny)}, Experiment{
+		Mix: true, Core: "ooo", Cache: true, Metrics: reg, Parallel: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := telemetry.NewManifest("run", "tiny")
+	AppendRows(m, "stream", all[0])
+	m.Finish(start, reg)
+	m.Canonicalize()
+	var buf bytes.Buffer
+	if err := m.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "manifest_run_stream_tiny.json", buf.Bytes())
 }

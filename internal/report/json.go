@@ -20,6 +20,7 @@ func RowRecord(workload string, r Row) telemetry.RunRecord {
 		Sinks:       r.Sinks,
 		Tracker:     r.Tracker,
 		Fusion:      r.Fusion,
+		Counters:    r.Counters,
 	}
 	if r.WallSeconds > 0 {
 		rec.MIPS = float64(r.Core.Instructions) / r.WallSeconds / 1e6

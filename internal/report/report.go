@@ -1,8 +1,10 @@
 // Package report drives the paper's experiments end to end and
 // renders their tables and figure series as text: Figure 1 (per-kernel
 // path lengths), Table 1 (critical paths), Table 2 (scaled critical
-// paths) and Figure 2 (mean ILP per window). The cmd/ tools and the
-// benchmark harness are thin wrappers around this package.
+// paths) and Figure 2 (mean ILP per window). RunSuite is the only way
+// a (benchmark, target) cell runs: cmd/isacmp and the benchmark
+// harness are thin wrappers around it, and the facade's
+// Binary.Analyse builds its sinks from the same analysis table.
 package report
 
 import (
@@ -47,13 +49,16 @@ type Row struct {
 	ScaledRuntime float64
 	Windows       []core.WindowResult
 	MixCounts     []core.GroupCount
+	Branches      uint64
 	BranchDensity float64
 	BranchTaken   float64
 
 	// Core is the uniform per-core stat block of the run.
 	Core simeng.PipelineStats
-	// WallSeconds is the wall time of this run; Sinks the tee's
-	// per-analysis overhead accounting.
+	// WallSeconds is the wall time of this run. Sinks holds each
+	// sink's events and time, in the same fields on both paths: the
+	// tee's timing sequentially, the consumer's busy time on the
+	// fan-out.
 	WallSeconds float64
 	Sinks       []telemetry.SinkStats
 	// Tracker reports the critical-path tracker's footprint when the
@@ -78,6 +83,10 @@ type Row struct {
 	// failed (or the cell was reaped by its deadline). A failed row
 	// carries no analysis data; the rest of the matrix is unaffected.
 	Failure *telemetry.FailureRecord
+
+	// Trace is the pipeline trace of the successful attempt, when the
+	// experiment asked for one (Experiment.Trace).
+	Trace *telemetry.PipelineTrace `json:"-"`
 }
 
 // Failed reports whether the row is a FAILED placeholder rather than
@@ -91,8 +100,24 @@ type Experiment struct {
 	Scaled     bool
 	Windowed   bool
 	Mix        bool
-	// GCC12Only restricts targets to the GCC 12.2 pair (Figure 2).
-	GCC12Only bool
+	// Columns, when non-nil, restricts the experiment to these target
+	// columns, in this order (the GCC 12.2 pair for Figure 2, or the
+	// run subcommand's -target); nil covers the paper's four.
+	Columns []cc.Target
+	// Core selects the timing model of every cell: "" or "emulation"
+	// runs the functional core alone; "inorder" and "ooo" attach the
+	// trace-driven model as a sink after the analyses, and the row's
+	// Core block then carries the model's stats. Validate rejects any
+	// other value.
+	Core string
+	// Cache attaches a default L1D model to the inorder and ooo cores.
+	Cache bool
+	// Trace, when non-nil, gives each cell attempt a pipeline tracer:
+	// the emulation core's observer, or the timing model's. The
+	// successful attempt's tracer comes back in Row.Trace. A traced
+	// cell is never served from or journaled to Durable, because a
+	// trace cannot be replayed.
+	Trace func() *telemetry.PipelineTrace
 	// WindowSizes overrides the paper's window sizes.
 	WindowSizes []int
 	// WindowStride overrides the paper's size/2 window stride (0
@@ -251,7 +276,8 @@ func windowShards(workers, cells int) int {
 // Validate rejects experiment configurations that would otherwise
 // panic or silently misbehave: negative worker counts, negative
 // window strides (which previously wrapped around to huge unsigned
-// strides), non-positive window sizes, and negative resilience knobs.
+// strides), non-positive window sizes, negative resilience knobs, and
+// an unknown core model.
 func (ex Experiment) Validate() error {
 	if ex.Parallel < 0 {
 		return fmt.Errorf("report: -parallel %d is negative (0 selects all CPUs, 1 is sequential)", ex.Parallel)
@@ -272,19 +298,20 @@ func (ex Experiment) Validate() error {
 		return fmt.Errorf("report: -flight-events %d is negative (0 selects the default ring of %d)",
 			ex.FlightEvents, obs.DefaultFlightEvents)
 	}
+	switch ex.Core {
+	case "", "emulation", "inorder", "ooo":
+	default:
+		return fmt.Errorf("report: -core %q is not a core model (want emulation, inorder or ooo)", ex.Core)
+	}
 	return nil
 }
 
 // Targets resolves the target columns an experiment covers.
 func (ex Experiment) Targets() []cc.Target {
-	var targets []cc.Target
-	for _, tgt := range cc.Targets() {
-		if ex.GCC12Only && tgt.Flavor != cc.GCC12 {
-			continue
-		}
-		targets = append(targets, tgt)
+	if ex.Columns != nil {
+		return ex.Columns
 	}
-	return targets
+	return cc.Targets()
 }
 
 // Run compiles and executes prog for every target and collects the
@@ -425,7 +452,7 @@ func runCell(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment
 	// content cache on any run. A computed cell journals cell-started
 	// here and its terminal record as it retires.
 	var dhash string
-	if ex.Durable != nil && ctx.Err() == nil && !ex.drained() {
+	if ex.Durable != nil && ex.Trace == nil && ctx.Err() == nil && !ex.drained() {
 		if h, err := cellHash(prog, tgt, ex); err == nil {
 			dhash = h
 			if hit := ex.Durable.Lookup(prog.Name, tgt.String(), dhash); hit != nil {
@@ -618,66 +645,39 @@ func runOne(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment,
 	// instrumented tee); both produce identical analysis results.
 	parallel := sched.DefaultWorkers(ex.Parallel)
 
-	var names []string
-	var sinks []isa.Sink
-	add := func(name string, s isa.Sink) {
-		names = append(names, name)
-		sinks = append(sinks, s)
-	}
-	var pl *core.PathLength
-	if ex.PathLength {
-		pl = core.NewPathLength(compiled.File.Symbols)
-		add("pathlen", pl)
-	}
-	// Asked for Table 1 and Table 2, one tracker walks the events once
-	// for both (cp == scp); its row carries the joint pass's time.
-	var cp, scp *core.CritPath
-	lat := ex.Latencies
-	if lat == nil {
-		lat = simeng.TX2Latencies()
-	}
-	switch {
-	case ex.CritPath && ex.Scaled:
-		cp = core.NewJointCritPath(lat)
-		scp = cp
-	case ex.CritPath:
-		cp = core.NewCritPath()
-	case ex.Scaled:
-		scp = core.NewScaledCritPath(lat)
-	}
-	if cp != nil {
-		cp.SetDenseRange(cc.TextBase, compiled.MemSize)
-		add("critpath", cp)
-	}
-	if scp != nil && scp != cp {
-		scp.SetDenseRange(cc.TextBase, compiled.MemSize)
-		add("scaledcp", scp)
-	}
-	var win core.WindowAnalyzer
-	if ex.Windowed {
-		sizes := ex.WindowSizes
-		if sizes == nil {
-			sizes = core.PaperWindowSizes()
-		}
-		if ex.shards > 1 {
-			sharded := core.NewShardedWindowedCP(sizes, ex.WindowStride, ex.shards)
-			// A failed attempt returns before Results; Close stops the
-			// shards then.
-			defer sharded.Close()
-			win = sharded
-		} else {
-			win = core.NewWindowedCritPathStride(sizes, ex.WindowStride)
-		}
-		add("windowcp", win)
-	}
+	set := NewAnalysisSet(ex, compiled)
+	defer set.Close()
 
-	var mix *core.Mix
-	var br *core.BranchProfile
-	if ex.Mix {
-		mix = core.NewMix()
-		br = core.NewBranchProfile(nil)
-		add("mix", mix)
-		add("branch", br)
+	emu := &simeng.EmulationCore{
+		MaxInstructions: ex.MaxInstructions, Ctx: ctx, StepLoop: ex.StepLoop,
+		ProfileStages: ex.Prof.Enabled(),
+	}
+	if ex.Log != nil {
+		emu.Log = slogx.WithCell(ex.Log, prog.Name, tgt.String(), attempt)
+	}
+	// The timing model is one more sink after the analyses, and the
+	// source of the row's core stats; the tracer observes whichever
+	// core sets the timing.
+	var trace *telemetry.PipelineTrace
+	var tracer simeng.PipelineObserver
+	if ex.Trace != nil {
+		trace = ex.Trace()
+		tracer = trace
+	}
+	var source simeng.StatsSource = emu
+	switch ex.Core {
+	case "inorder":
+		model := simeng.NewInOrderModel()
+		model.DCache, model.Tracer = l1d(ex.Cache), tracer
+		set.add("inorder-model", model)
+		source = model
+	case "ooo":
+		model := simeng.NewOoOModel()
+		model.DCache, model.Tracer = l1d(ex.Cache), tracer
+		set.add("ooo-model", model)
+		source = model
+	default:
+		emu.Observer = tracer
 	}
 
 	var rm *telemetry.RunMetrics
@@ -696,16 +696,9 @@ func runOne(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment,
 			pg.Log = slogx.WithCell(ex.Log, prog.Name, tgt.String(), attempt)
 		}
 		pg.FinalOnly = ex.ProgressFinalOnly
-		add("progress", pg)
+		set.add("progress", pg)
 	}
 
-	emu := &simeng.EmulationCore{
-		MaxInstructions: ex.MaxInstructions, Ctx: ctx, StepLoop: ex.StepLoop,
-		ProfileStages: ex.Prof.Enabled(),
-	}
-	if ex.Log != nil {
-		emu.Log = slogx.WithCell(ex.Log, prog.Name, tgt.String(), attempt)
-	}
 	// observe interposes the pass-through observers on the cell's
 	// outermost sink: the flight recorder (so the ring holds exactly
 	// what the sinks saw, including the event a faulty sink died on)
@@ -727,16 +720,11 @@ func runOne(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment,
 	runStart := ex.Prof.Now()
 	start := time.Now()
 	if parallel > 1 {
-		consumers := append([]isa.Sink(nil), sinks...)
-		consumerNames := names
+		consumers := append([]isa.Sink(nil), set.sinks...)
 		if rm != nil {
 			consumers = append(consumers, rm)
-			consumerNames = append(append([]string(nil), names...), "runmetrics")
 		}
-		var fs *sched.FanoutStats
-		if ex.Prof.Enabled() {
-			fs = &sched.FanoutStats{}
-		}
+		var fs sched.FanoutStats
 		n, err := sched.FanoutTimed(func(s isa.Sink) error {
 			// The fusion pass wraps the broadcast sink, so every consumer
 			// sees the same rewritten stream and the returned n counts
@@ -759,34 +747,23 @@ func runOne(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment,
 				fus.Flush()
 			}
 			return runErr
-		}, fs, consumers...)
+		}, &fs, consumers...)
 		if err != nil {
 			return row, err
 		}
-		for _, name := range names {
-			row.Sinks = append(row.Sinks, telemetry.SinkStats{Name: name, Events: n})
-		}
-		if fs != nil {
-			// Sink busy times run concurrently in reality; they are laid
-			// out sequentially after simulate/deliver on the cell's lane
-			// so the timeline renders without overlap — the durations,
-			// which is what attribution sums, stay exact.
-			cursor := recordStageSpans(ex.Prof, lane, cell, runStart, emu.Stages)
-			for i, busy := range fs.SinkBusyNs {
-				ex.Prof.Record(lane, prof.StageSink, consumerNames[i], cell, cursor, cursor+busy)
-				cursor += busy
-			}
+		for i, name := range set.names {
+			row.Sinks = append(row.Sinks, busyStats(name, n, fs.SinkBusyNs[i]))
 		}
 	} else {
 		tee := telemetry.NewTee()
-		for i := range sinks {
-			tee.Add(names[i], sinks[i])
+		for i := range set.sinks {
+			tee.Add(set.names[i], set.sinks[i])
 		}
 		if rm != nil {
 			tee.CountRunMetrics(rm)
 		}
 		var sink isa.Sink
-		if len(sinks) > 0 || rm != nil {
+		if len(set.sinks) > 0 || rm != nil {
 			sink = tee
 		}
 		if sink != nil && ex.Fusion.Active(tgt.Arch) {
@@ -805,26 +782,28 @@ func runOne(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment,
 		if fus != nil {
 			fus.Flush() // before reading tee stats or analysis results
 		}
-		if len(sinks) > 0 {
+		if len(set.sinks) > 0 {
 			row.Sinks = tee.Stats()
 		}
-		if ex.Prof.Enabled() {
-			// On the sequential path per-sink cost comes from the tee's
-			// sampled estimate (EstOverheadNs), laid out after
-			// simulate/deliver like the fan-out path.
-			cursor := recordStageSpans(ex.Prof, lane, cell, runStart, emu.Stages)
-			for _, ss := range tee.Stats() {
-				est := int64(ss.EstOverheadNs)
-				ex.Prof.Record(lane, prof.StageSink, ss.Name, cell, cursor, cursor+est)
-				cursor += est
-			}
+	}
+	if ex.Prof.Enabled() {
+		// Each sink's time (the tee's estimate sequentially, its busy
+		// time on the fan-out) is laid out after simulate/deliver on the
+		// cell's lane, so the timeline renders without overlap even
+		// where sinks ran concurrently. The durations, which is what
+		// attribution sums, stay exact.
+		cursor := recordStageSpans(ex.Prof, lane, cell, runStart, emu.Stages)
+		for _, ss := range row.Sinks {
+			est := int64(ss.EstOverheadNs)
+			ex.Prof.Record(lane, prof.StageSink, ss.Name, cell, cursor, cursor+est)
+			cursor += est
 		}
 	}
-	if cp != nil && cp == scp {
+	if ex.joint() {
 		row.Sinks = telemetry.AddCarriedRow(row.Sinks, "critpath", "scaledcp")
 	}
 	row.WallSeconds = time.Since(start).Seconds()
-	row.Core = emu.PipelineStats()
+	row.Core = source.PipelineStats()
 	if rm != nil {
 		row.Counters = rm.Counters()
 		if src, ok := mach.(isa.PredecodeStatsSource); ok {
@@ -841,33 +820,31 @@ func runOne(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment,
 	if pg != nil {
 		pg.Finish()
 	}
-	if cp != nil {
-		ts := cp.TrackerStats()
-		row.Tracker = &telemetry.TrackerStats{MapEntries: ts.MapEntries, DenseWords: ts.DenseWords}
-	} else if scp != nil {
-		ts := scp.TrackerStats()
-		row.Tracker = &telemetry.TrackerStats{MapEntries: ts.MapEntries, DenseWords: ts.DenseWords}
-	}
 	row.PathLen = stats.Instructions
-	if pl != nil {
-		row.Regions = pl.Counts()
-		row.Other = pl.Other()
-	}
-	if cp != nil {
-		row.CP, row.ILP, row.Runtime = cp.CP(), cp.ILP(), cp.RuntimeSeconds()
-	}
-	if scp != nil {
-		row.ScaledCP, row.ScaledILP, row.ScaledRuntime = scp.ScaledCP(), scp.ScaledILP(), scp.ScaledRuntimeSeconds()
-	}
-	if win != nil {
-		row.Windows = win.Results()
-	}
-	if mix != nil {
-		row.MixCounts = mix.Counts()
-		row.BranchDensity = br.Density()
-		row.BranchTaken = br.TakenRate()
-	}
+	set.Fill(&row)
+	row.Trace = trace
 	return row, nil
+}
+
+// l1d returns the default L1D model when a cache is asked for.
+func l1d(on bool) *simeng.Cache {
+	if on {
+		return simeng.NewL1D()
+	}
+	return nil
+}
+
+// busyStats fills a fan-out consumer's sink row in the fields the tee
+// fills: FanoutTimed times every batch, so every event is sampled and
+// the busy time is the sink's whole cost. A consumer that ran without
+// a broadcast (the only one) was not timed and reports zeros.
+func busyStats(name string, events uint64, busyNs int64) telemetry.SinkStats {
+	s := telemetry.SinkStats{Name: name, Events: events}
+	if busyNs > 0 && events > 0 {
+		s.SampledEvents, s.SampledNs, s.EstOverheadNs = events, uint64(busyNs), uint64(busyNs)
+		s.MeanNsPerEvent = float64(busyNs) / float64(events)
+	}
+	return s
 }
 
 // recordStageSpans lays the core's simulate/deliver split onto the

@@ -70,7 +70,13 @@ func TestRunAllAnalyses(t *testing.T) {
 }
 
 func TestRunGCC12Only(t *testing.T) {
-	rows, err := Run(tinyProgram(), Experiment{CritPath: true, GCC12Only: true})
+	var gcc12 []cc.Target
+	for _, tgt := range cc.Targets() {
+		if tgt.Flavor == cc.GCC12 {
+			gcc12 = append(gcc12, tgt)
+		}
+	}
+	rows, err := Run(tinyProgram(), Experiment{CritPath: true, Columns: gcc12})
 	if err != nil {
 		t.Fatal(err)
 	}

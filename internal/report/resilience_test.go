@@ -331,6 +331,7 @@ func TestValidateRejectsBadConfig(t *testing.T) {
 		{"negative timeout", Experiment{CellTimeout: -time.Second}, "-cell-timeout"},
 		{"negative retries", Experiment{Retries: -1}, "-retries"},
 		{"negative backoff", Experiment{RetryBackoff: -time.Second}, "-retry-backoff"},
+		{"unknown core", Experiment{Core: "bogus"}, "-core"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

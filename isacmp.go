@@ -15,30 +15,20 @@
 package isacmp
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"log/slog"
 	"math"
-	"time"
 
 	"isacmp/internal/a64"
 	"isacmp/internal/cc"
 	"isacmp/internal/core"
-	"isacmp/internal/durable"
 	"isacmp/internal/elfio"
-	"isacmp/internal/fusion"
 	"isacmp/internal/ir"
 	"isacmp/internal/isa"
 	"isacmp/internal/mem"
-	"isacmp/internal/obs"
-	"isacmp/internal/obs/slogx"
 	"isacmp/internal/report"
 	"isacmp/internal/rv64"
-	"isacmp/internal/sched"
 	"isacmp/internal/simeng"
-	"isacmp/internal/telemetry"
 	"isacmp/internal/workloads"
 )
 
@@ -69,18 +59,7 @@ type (
 	RegionCount = core.RegionCount
 	// LatencyModel maps instruction groups to execution latencies.
 	LatencyModel = simeng.LatencyModel
-	// FusionConfig configures the macro-op fusion pass: which
-	// architectures it rewrites and which rules apply (see
-	// internal/fusion). The zero value is fusion off.
-	FusionConfig = fusion.Config
-	// FusionStats is the manifest fusion block: spec, raw and fused
-	// event counts, per-rule hits.
-	FusionStats = telemetry.FusionStats
 )
-
-// ParseFusionSpec parses -fusion flag syntax
-// ("off", "rv64", "both:loadpair,slliadd", ...) into a FusionConfig.
-var ParseFusionSpec = fusion.ParseSpec
 
 // Architectures.
 const (
@@ -335,139 +314,43 @@ type Result struct {
 	ShortDepFraction16 float64
 }
 
-// analysisSet is the bundle of analysis sinks one Analyses selection
-// builds, shared by Analyse and RunInstrumented.
-type analysisSet struct {
-	names []string
-	sinks []Sink
-
-	pl      *core.PathLength
-	cp, scp *core.CritPath
-	win     core.WindowAnalyzer
-	mix     *core.Mix
-	br      *core.BranchProfile
-	dd      *core.DepDistance
-}
-
-func (a *analysisSet) add(name string, s Sink) {
-	a.names = append(a.names, name)
-	a.sinks = append(a.sinks, s)
-}
-
-// newAnalysisSet builds the sinks for one Analyses selection. parallel
-// is the resolved worker count: above 1 the windowed analysis uses the
-// sharded implementation on that many shards (bit-identical results,
-// see internal/core), and the caller must close the set.
-func (b *Binary) newAnalysisSet(sel Analyses, parallel int) *analysisSet {
-	a := &analysisSet{}
-	if sel.PathLength {
-		a.pl = core.NewPathLength(b.compiled.File.Symbols)
-		a.add("pathlen", a.pl)
-	}
-	// Asked for Table 1 and Table 2, one tracker walks the events once
-	// for both (cp == scp); its row carries the joint pass's time.
-	lat := sel.Latencies
-	if lat == nil {
-		lat = simeng.TX2Latencies()
-	}
-	switch {
-	case sel.CritPath && sel.ScaledCritPath:
-		a.cp = core.NewJointCritPath(lat)
-		a.scp = a.cp
-	case sel.CritPath:
-		a.cp = core.NewCritPath()
-	case sel.ScaledCritPath:
-		a.scp = core.NewScaledCritPath(lat)
-	}
-	if a.cp != nil {
-		a.cp.SetDenseRange(cc.TextBase, b.compiled.MemSize)
-		a.add("critpath", a.cp)
-	}
-	if a.scp != nil && a.scp != a.cp {
-		a.scp.SetDenseRange(cc.TextBase, b.compiled.MemSize)
-		a.add("scaledcp", a.scp)
-	}
-	if sel.Windowed {
-		sizes := sel.WindowSizes
-		if sizes == nil {
-			sizes = core.PaperWindowSizes()
-		}
-		if parallel > 1 {
-			a.win = core.NewShardedWindowedCP(sizes, sel.WindowStride, parallel)
-		} else {
-			a.win = core.NewWindowedCritPathStride(sizes, sel.WindowStride)
-		}
-		a.add("windowcp", a.win)
-	}
-	if sel.Mix {
-		a.mix = core.NewMix()
-		a.add("mix", a.mix)
-	}
-	if sel.Branches {
-		a.br = core.NewBranchProfile(nil)
-		a.add("branch", a.br)
-	}
-	if sel.DepDistances {
-		a.dd = core.NewDepDistance()
-		a.add("depdist", a.dd)
-	}
-	return a
-}
-
-// close stops a sharded windowed analysis that collect never reached:
-// a run that fails returns before it.
-func (a *analysisSet) close() {
-	if s, ok := a.win.(*core.ShardedWindowedCP); ok {
-		s.Close()
-	}
-}
-
-// collect copies the analysis outputs into res.
-func (a *analysisSet) collect(res *Result) {
-	if a.pl != nil {
-		res.Regions = a.pl.Counts()
-		res.OtherInstructions = a.pl.Other()
-	}
-	if a.cp != nil {
-		res.CP = a.cp.CP()
-		res.ILP = a.cp.ILP()
-		res.RuntimeSeconds = a.cp.RuntimeSeconds()
-	}
-	if a.scp != nil {
-		res.ScaledCP = a.scp.ScaledCP()
-		res.ScaledILP = a.scp.ScaledILP()
-		res.ScaledRuntimeSeconds = a.scp.ScaledRuntimeSeconds()
-	}
-	if a.win != nil {
-		res.Windows = a.win.Results()
-	}
-	if a.mix != nil {
-		res.MixCounts = a.mix.Counts()
-	}
-	if a.br != nil {
-		res.BranchCount = a.br.Branches()
-		res.BranchDensity = a.br.Density()
-		res.BranchTakenRate = a.br.TakenRate()
-	}
-	if a.dd != nil {
-		res.MeanDepDistance = a.dd.Mean()
-		res.ShortDepFraction16 = a.dd.ShortFraction(16)
-	}
-}
-
-// Analyse runs the binary once with the selected analyses attached.
+// Analyse runs the binary once with the selected analyses attached:
+// the sinks the matrix runner attaches for the same selection (see
+// report.NewAnalysisSet), plus DepDistance, which only this API runs.
 func (b *Binary) Analyse(sel Analyses) (*Result, error) {
 	if err := core.ValidateWindows(sel.WindowSizes, sel.WindowStride); err != nil {
 		return nil, fmt.Errorf("isacmp: %w", err)
 	}
-	res := &Result{Target: b.compiled.Target}
-	as := b.newAnalysisSet(sel, 1)
-	stats, err := b.Run(as.sinks...)
+	set := report.NewAnalysisSet(report.Experiment{
+		PathLength: sel.PathLength, CritPath: sel.CritPath, Scaled: sel.ScaledCritPath,
+		Windowed: sel.Windowed, WindowSizes: sel.WindowSizes, WindowStride: sel.WindowStride,
+		Mix: sel.Mix || sel.Branches, Latencies: sel.Latencies,
+	}, b.compiled)
+	sinks := set.Sinks()
+	var dd *core.DepDistance
+	if sel.DepDistances {
+		dd = core.NewDepDistance()
+		sinks = append(sinks, dd)
+	}
+	stats, err := b.Run(sinks...)
 	if err != nil {
 		return nil, err
 	}
-	res.Stats = stats
-	as.collect(res)
+	var row report.Row
+	set.Fill(&row)
+	res := &Result{
+		Target: b.compiled.Target, Stats: stats,
+		Regions: row.Regions, OtherInstructions: row.Other,
+		CP: row.CP, ILP: row.ILP, RuntimeSeconds: row.Runtime,
+		ScaledCP: row.ScaledCP, ScaledILP: row.ScaledILP, ScaledRuntimeSeconds: row.ScaledRuntime,
+		Windows:     row.Windows,
+		MixCounts:   row.MixCounts,
+		BranchCount: row.Branches, BranchDensity: row.BranchDensity, BranchTakenRate: row.BranchTaken,
+	}
+	if dd != nil {
+		res.MeanDepDistance = dd.Mean()
+		res.ShortDepFraction16 = dd.ShortFraction(16)
+	}
 	return res, nil
 }
 
@@ -635,576 +518,4 @@ func (b *Binary) RunOoO(model *OoOModel) (Stats, error) {
 		return Stats{}, err
 	}
 	return model.Stats(), nil
-}
-
-// Observability surface (see internal/telemetry): a metrics registry
-// with JSON snapshots, an instrumented tee sink, a sampled pipeline
-// tracer, run manifests for machine-readable artifacts, and a stderr
-// progress heartbeat.
-type (
-	// MetricsRegistry holds named counters, gauges and histograms.
-	MetricsRegistry = telemetry.Registry
-	// MetricsSnapshot is a point-in-time copy of a registry.
-	MetricsSnapshot = telemetry.Snapshot
-	// RunManifest is the machine-readable record of an invocation.
-	RunManifest = telemetry.Manifest
-	// RunRecord is one simulated execution inside a manifest.
-	RunRecord = telemetry.RunRecord
-	// SinkOverhead is the tee's per-analysis cost accounting.
-	SinkOverhead = telemetry.SinkStats
-	// PipelineTrace records sampled per-instruction pipeline timing
-	// and writes Chrome-trace JSON.
-	PipelineTrace = telemetry.PipelineTrace
-	// PipelineStats is the uniform per-core stat block (shared
-	// instructions/cycles base plus model-specific counters).
-	PipelineStats = simeng.PipelineStats
-)
-
-// NewMetricsRegistry returns an empty metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return telemetry.NewRegistry() }
-
-// NewRunManifest starts a manifest for the named command; call
-// Finish, then Encode or WriteFile.
-func NewRunManifest(command, scale string) *RunManifest {
-	return telemetry.NewManifest(command, scale)
-}
-
-// NewPipelineTrace returns a tracer holding at most capacity spans,
-// recording every sample-th instruction (0 or 1 records all).
-func NewPipelineTrace(capacity int, sample uint64) *PipelineTrace {
-	return telemetry.NewPipelineTrace(capacity, sample)
-}
-
-// Live control-plane surface (see internal/obs): an embedded HTTP
-// server exposing /metrics (Prometheus text), /statusz (live matrix
-// state), /events (SSE cell lifecycle stream), health probes and
-// pprof; a per-run status board; and a per-cell flight recorder that
-// dumps a post-mortem when a cell dies.
-type (
-	// StatusBoard tracks live per-cell matrix state; drive it via
-	// MatrixExperiment.Status or RunConfig.Status and serve it with
-	// StartObsServer. All methods are nil-receiver-safe.
-	StatusBoard = obs.Board
-	// CellEvent is one cell lifecycle transition on the /events stream.
-	CellEvent = obs.Event
-	// StatusDoc is the JSON document /statusz serves.
-	StatusDoc = obs.StatusDoc
-	// ObsServer is the embedded observability HTTP server.
-	ObsServer = obs.Server
-	// ObsServerConfig configures StartObsServer.
-	ObsServerConfig = obs.ServerConfig
-	// FlightRecorder is the bounded per-cell ring of retired events
-	// dumped as a post-mortem on cell death.
-	FlightRecorder = obs.Recorder
-	// Postmortem is the flight recorder's crash-dump artifact.
-	Postmortem = obs.Postmortem
-)
-
-// NewRunID returns a fresh run identifier (UTC timestamp plus random
-// suffix) used to join logs, manifests, post-mortems and /statusz.
-func NewRunID() string { return obs.NewRunID() }
-
-// NewStatusBoard returns a board for one run; reg may be nil.
-func NewStatusBoard(runID string, reg *MetricsRegistry) *StatusBoard {
-	return obs.NewBoard(runID, reg)
-}
-
-// StartObsServer starts the observability HTTP server. It shuts down
-// when ctx is cancelled or Close is called, whichever comes first.
-func StartObsServer(ctx context.Context, cfg ObsServerConfig) (*ObsServer, error) {
-	return obs.StartServer(ctx, cfg)
-}
-
-// WritePrometheusText renders a metrics snapshot in the Prometheus
-// text exposition format (what /metrics serves).
-func WritePrometheusText(w io.Writer, snap MetricsSnapshot) error {
-	return obs.WritePrometheus(w, snap)
-}
-
-// NewLogger builds the leveled structured logger the CLIs use. level
-// is debug/info/warn/error; format is text or json (JSONL).
-func NewLogger(w io.Writer, level, format string) (*slog.Logger, error) {
-	return slogx.New(w, level, format)
-}
-
-// RunConfig configures an instrumented run.
-type RunConfig struct {
-	// Core selects the timing model: "emulation" (default),
-	// "inorder" or "ooo".
-	Core string
-	// Cache attaches a default L1D model to the inorder/ooo cores.
-	Cache bool
-	// Analyses selects paper analyses to attach to the same run.
-	Analyses Analyses
-	// Metrics, when non-nil, receives the standard run counters.
-	Metrics *MetricsRegistry
-	// Trace, when non-nil, records pipeline timing from the core.
-	Trace *PipelineTrace
-	// Progress, when non-nil, receives heartbeat lines during the run
-	// and a final line after it. When Log is also set the heartbeat is
-	// routed through the logger as info-level records, so a logger at
-	// the error level silences it.
-	Progress io.Writer
-	// ProgressFinalOnly suppresses the periodic heartbeat lines and
-	// keeps only the final summary (set when stderr is not a
-	// terminal).
-	ProgressFinalOnly bool
-	// SamplePeriod overrides the tee's overhead-timing interval.
-	SamplePeriod uint64
-	// Parallel selects the analysis engine: 1 runs every sink through
-	// the sequential instrumented tee; above 1 the trace is simulated
-	// once and fanned out to the sinks concurrently, with the windowed
-	// critical-path computation itself sharded over that many workers.
-	// 0 or negative selects GOMAXPROCS. Analysis results are identical
-	// for every value — only per-sink overhead sampling (a telemetry
-	// artifact, zeroed by manifest canonicalization) differs.
-	Parallel int
-	// Fusion configures the macro-op fusion pass interposed between
-	// the core and the analyses, so every attached analysis sees the
-	// fused machine's event stream. The zero value is fusion off: no
-	// adapter is constructed and results are byte-identical to a run
-	// without the feature.
-	Fusion FusionConfig
-	// Ctx, when non-nil, is polled by the core; an expired or cancelled
-	// context reaps the run with an ErrDeadline-kind error (the CLI's
-	// -cell-timeout).
-	Ctx context.Context
-	// MaxInstructions is the retirement budget; exceeding it fails the
-	// run with an ErrBudget-kind error. 0 disables the budget.
-	MaxInstructions uint64
-
-	// Log, when non-nil, receives structured lifecycle lines for the
-	// run, scoped with the cell identity (workload, target, attempt).
-	Log *slog.Logger
-	// RunID stamps post-mortem artifacts; see NewRunID.
-	RunID string
-	// Attempt is the 1-based retry attempt recorded in logs and
-	// post-mortems (0 is treated as 1).
-	Attempt int
-	// Status, when non-nil, sees the run's retired count advance live
-	// (serve it with StartObsServer). Pure observer: analysis results
-	// are byte-identical with or without it.
-	Status *StatusBoard
-	// ServeAddr, when non-empty, serves the observability endpoints
-	// (/metrics, /statusz, /events, health, pprof) for the duration of
-	// this run, on Metrics and Status. The server follows Ctx: a
-	// cancelled run tears it down with no goroutines left behind.
-	ServeAddr string
-	// FlightDir, when non-empty, arms a flight recorder: the last
-	// FlightEvents retired events are kept in a ring and dumped to
-	// FlightDir as a post-mortem JSON if the run fails.
-	FlightDir string
-	// FlightEvents is the recorder ring capacity (0 selects the
-	// default).
-	FlightEvents int
-
-	// Durability (see internal/durable and DESIGN.md §6).
-	//
-	// DurableDir, when non-empty, arms the crash-safety layer for this
-	// run alone: a write-ahead journal plus content-addressed result
-	// cache opened under the directory for the duration of the call.
-	// Drivers sharing one journal across many cells should open a
-	// handle with OpenDurable and set Durable instead.
-	DurableDir string
-	// Resume replays DurableDir's existing journal instead of starting
-	// a fresh one — the API form of the -resume flag. Ignored when
-	// Durable is set (the handle already encodes how it was opened).
-	Resume bool
-	// Durable, when non-nil, is the crash-safety handle this run is
-	// served from and journals into: if an identical run (same
-	// workload, compiled code, core model, analysis and fusion spec,
-	// engine version) already retired, its record is replayed — the
-	// Result is then nil and the RunRecord carries the original
-	// analysis block and counter delta. Runs recording a pipeline
-	// trace (Trace != nil) are never served or journaled: a trace
-	// cannot be replayed from cache.
-	Durable *DurableRun
-}
-
-// RunInstrumented executes the binary once with full telemetry: the
-// selected analyses and timing model observe the run through an
-// instrumented tee (so each sink's overhead is accounted), and the
-// returned RunRecord carries the uniform core stats, retire rate,
-// per-sink overhead, tracker footprint and analysis results — ready
-// to append to a RunManifest. The Result carries the same analysis
-// outputs in their native form.
-func (b *Binary) RunInstrumented(cfg RunConfig) (*Result, RunRecord, error) {
-	workload, target := b.prog.Name, b.compiled.Target.String()
-	rec := RunRecord{Workload: workload, Target: target}
-	if err := core.ValidateWindows(cfg.Analyses.WindowSizes, cfg.Analyses.WindowStride); err != nil {
-		return nil, rec, fmt.Errorf("isacmp: %w", err)
-	}
-	mach, _, err := b.NewMachine()
-	if err != nil {
-		return nil, rec, err
-	}
-
-	attempt := cfg.Attempt
-	if attempt < 1 {
-		attempt = 1
-	}
-
-	// Crash-safety layer: content-address the run and serve it from
-	// the replayed journal or content cache when an identical run
-	// already retired; otherwise journal cell-started now and the
-	// canonical record when it retires.
-	drun := cfg.Durable
-	if drun == nil && cfg.DurableDir != "" {
-		opened, derr := OpenDurable(cfg.DurableDir, cfg.Resume)
-		if derr != nil {
-			return nil, rec, derr
-		}
-		drun = opened
-		defer opened.Close()
-	}
-	dhash := ""
-	if drun != nil && cfg.Trace == nil {
-		dhash = durable.KeyInput{
-			Engine:   durable.EngineVersion,
-			Workload: workload,
-			Target:   target,
-			Code:     b.ELF(),
-			Analysis: runSpec(cfg),
-			Fusion:   cfg.Fusion.Spec(),
-		}.Hash()
-		if hit := drun.Lookup(workload, target, dhash); hit != nil && !hit.Failed {
-			var served RunRecord
-			if jerr := json.Unmarshal(hit.Payload, &served); jerr == nil &&
-				served.Workload == workload && served.Target == target {
-				telemetry.ApplyCounters(cfg.Metrics, served.Counters)
-				if hit.Source == "cache" {
-					drun.CellFinished(workload, target, dhash, hit.Payload, true)
-				}
-				cfg.Status.Served(workload, target, hit.Source, false, "", served.Core.Instructions)
-				if cfg.Log != nil {
-					slogx.WithCell(cfg.Log, workload, target, attempt).Info(
-						"run served", "source", hit.Source, "retired", served.Core.Instructions)
-				}
-				return nil, served, nil
-			}
-			if cfg.Log != nil {
-				slogx.WithCell(cfg.Log, workload, target, attempt).Warn(
-					"durable: replay payload rejected — re-running", "source", hit.Source)
-			}
-		}
-		drun.CellStarted(workload, target, dhash)
-	}
-
-	if cfg.ServeAddr != "" {
-		ctx := cfg.Ctx
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		srv, serr := obs.StartServer(ctx, obs.ServerConfig{
-			Addr: cfg.ServeAddr, Registry: cfg.Metrics, Board: cfg.Status, Log: cfg.Log,
-		})
-		if serr != nil {
-			return nil, rec, serr
-		}
-		srv.SetReady(true)
-		defer srv.Close()
-	}
-	var flight *obs.Recorder
-	if cfg.FlightDir != "" {
-		flight = obs.NewRecorder(cfg.FlightEvents, cfg.RunID, workload, target, attempt, cfg.Metrics)
-	}
-	// dumpFlight writes the post-mortem when an armed run fails; called
-	// on the same goroutine that fed the recorder.
-	dumpFlight := func(runErr error) {
-		if flight != nil && runErr != nil {
-			flight.Dump(cfg.FlightDir, simeng.WithCell(runErr, workload, target),
-				slogx.WithCell(cfg.Log, workload, target, attempt))
-		}
-	}
-	// observe interposes the pure pass-through observers (flight
-	// recorder, live meter) outermost on a run path's sink; analysis
-	// results and event counts are unchanged (the byte-identity
-	// contract).
-	observe := func(s Sink) (Sink, *obs.Meter) {
-		if flight != nil {
-			s = flight.Wrap(s)
-		}
-		if m := obs.NewMeter(cfg.Status, workload, target, s); m != nil {
-			return m, m
-		}
-		return s, nil
-	}
-
-	parallel := sched.DefaultWorkers(cfg.Parallel)
-	as := b.newAnalysisSet(cfg.Analyses, parallel)
-	defer as.close()
-
-	emu := &simeng.EmulationCore{Ctx: cfg.Ctx, MaxInstructions: cfg.MaxInstructions}
-	if cfg.Log != nil {
-		emu.Log = slogx.WithCell(cfg.Log, workload, target, attempt)
-	}
-	var statsSource simeng.StatsSource = emu
-	switch cfg.Core {
-	case "", "emulation":
-		if cfg.Trace != nil {
-			emu.Observer = cfg.Trace
-		}
-	case "inorder":
-		m := simeng.NewInOrderModel()
-		if cfg.Cache {
-			m.DCache = simeng.NewL1D()
-		}
-		if cfg.Trace != nil {
-			m.Tracer = cfg.Trace
-		}
-		as.add("inorder-model", m)
-		statsSource = m
-	case "ooo":
-		m := simeng.NewOoOModel()
-		if cfg.Cache {
-			m.DCache = simeng.NewL1D()
-		}
-		if cfg.Trace != nil {
-			m.Tracer = cfg.Trace
-		}
-		as.add("ooo-model", m)
-		statsSource = m
-	default:
-		return nil, rec, fmt.Errorf("isacmp: unknown core %q (want emulation, inorder or ooo)", cfg.Core)
-	}
-
-	// Cell-mode metrics: counts accumulate locally and reach the
-	// registry only in the ApplyCounters call after the run retires,
-	// so the delta can be journaled and a replayed run re-applies
-	// exactly what the original computed.
-	var rm *telemetry.RunMetrics
-	if cfg.Metrics != nil {
-		rm = telemetry.NewCellMetrics()
-	}
-	var pg *telemetry.Progress
-	if cfg.Progress != nil {
-		pg = telemetry.NewProgress(cfg.Progress, workload+" "+target, 0)
-		if cfg.Log != nil {
-			pg.Log = slogx.WithCell(cfg.Log, workload, target, attempt)
-		}
-		pg.FinalOnly = cfg.ProgressFinalOnly
-		as.add("progress", pg)
-	}
-
-	var stats Stats
-	var fus *fusion.Pass
-	arch := b.compiled.Target.Arch
-	start := time.Now()
-	if parallel > 1 {
-		// Fan-out engine: simulate once, replay the stream into every
-		// sink concurrently. Per-sink overhead sampling does not apply
-		// (sinks no longer run inline with the core), so SinkStats
-		// carries names and event counts only.
-		consumers := append([]Sink(nil), as.sinks...)
-		if rm != nil {
-			consumers = append(consumers, rm)
-		}
-		n, runErr := sched.Fanout(func(s isa.Sink) error {
-			// Fanout runs gen on the caller's goroutine, so the
-			// recorder/meter wrapped here stay single-goroutine; counting
-			// happens below the wrappers, so n is unchanged by them.
-			// The fusion pass wraps the broadcast sink, so n counts
-			// fused events — the effective path length.
-			if cfg.Fusion.Active(arch) {
-				fus = fusion.NewPass(cfg.Fusion, arch, s)
-				s = fus
-			}
-			s, meter := observe(s)
-			var e error
-			stats, e = emu.Run(mach, s)
-			if e == nil && fus != nil {
-				fus.Flush() // while the broadcast is still open
-			}
-			meter.Flush()
-			return e
-		}, consumers...)
-		if runErr != nil {
-			dumpFlight(runErr)
-			return nil, rec, runErr
-		}
-		for _, name := range as.names {
-			rec.Sinks = append(rec.Sinks, telemetry.SinkStats{Name: name, Events: n})
-		}
-	} else {
-		tee := telemetry.NewTee()
-		tee.SamplePeriod = cfg.SamplePeriod
-		for i := range as.sinks {
-			tee.Add(as.names[i], as.sinks[i])
-		}
-		if rm != nil {
-			tee.CountRunMetrics(rm)
-		}
-		var sink Sink
-		if len(as.sinks) > 0 || rm != nil {
-			sink = tee
-		}
-		if sink != nil && cfg.Fusion.Active(arch) {
-			fus = fusion.NewPass(cfg.Fusion, arch, sink)
-			sink = fus
-		}
-		sink, meter := observe(sink)
-		stats, err = emu.Run(mach, sink)
-		meter.Flush()
-		if err != nil {
-			dumpFlight(err)
-			return nil, rec, err
-		}
-		if fus != nil {
-			fus.Flush() // before reading tee stats or analysis results
-		}
-		if len(as.sinks) > 0 {
-			rec.Sinks = tee.Stats()
-		}
-	}
-	if as.cp != nil && as.cp == as.scp {
-		rec.Sinks = telemetry.AddCarriedRow(rec.Sinks, "critpath", "scaledcp")
-	}
-	wall := time.Since(start)
-	if rm != nil {
-		rec.Counters = rm.Counters()
-		if src, ok := mach.(isa.PredecodeStatsSource); ok {
-			telemetry.AddPredecodeCounters(rec.Counters, src.PredecodeStats())
-		}
-	}
-	if pg != nil {
-		pg.Finish()
-	}
-
-	rec.Core = statsSource.PipelineStats()
-	rec.WallSeconds = wall.Seconds()
-	rec.MIPS = telemetry.RateMIPS(stats.Instructions, wall)
-	if tracked := as.cp; tracked != nil {
-		ts := tracked.TrackerStats()
-		rec.Tracker = &telemetry.TrackerStats{MapEntries: ts.MapEntries, DenseWords: ts.DenseWords}
-	} else if tracked := as.scp; tracked != nil {
-		ts := tracked.TrackerStats()
-		rec.Tracker = &telemetry.TrackerStats{MapEntries: ts.MapEntries, DenseWords: ts.DenseWords}
-	}
-	if fus != nil {
-		st := fus.Stats()
-		fsRec := &telemetry.FusionStats{Spec: cfg.Fusion.Spec(), EventsIn: st.EventsIn, EventsOut: st.EventsOut}
-		rules := cfg.Fusion.RulesFor(arch)
-		for r := fusion.Rule(0); r < fusion.NumRules; r++ {
-			if rules.Has(r) {
-				fsRec.Rules = append(fsRec.Rules, telemetry.FusionRuleJSON{Rule: r.String(), Hits: st.Hits[r]})
-			}
-		}
-		rec.Fusion = fsRec
-		if rm != nil {
-			telemetry.AddFusionCounters(rec.Counters, fsRec)
-		}
-	}
-	telemetry.ApplyCounters(cfg.Metrics, rec.Counters)
-
-	res := &Result{Target: b.compiled.Target, Stats: stats}
-	as.collect(res)
-	rec.Results = resultTable(res)
-	if drun != nil && dhash != "" {
-		if data, jerr := json.Marshal(rec); jerr == nil {
-			drun.CellFinished(workload, target, dhash, data, false)
-		} else if cfg.Log != nil {
-			slogx.WithCell(cfg.Log, workload, target, attempt).Warn(
-				"durable: record encode failed — run not journaled", "err", jerr)
-		}
-	}
-	return res, rec, nil
-}
-
-// Durability surface (see internal/durable): crash-safe runs that
-// journal every retired cell and can resume after a kill.
-type (
-	// DurableRun is the crash-safety handle: a write-ahead cell
-	// journal plus a content-addressed result cache rooted in one
-	// directory. Share one handle across the cells of a matrix.
-	DurableRun = durable.Run
-	// DurableStats summarises what a DurableRun served versus
-	// computed; it is the manifest `durable` block.
-	DurableStats = durable.Stats
-)
-
-// OpenDurable arms the crash-safety layer in dir. With resume=false a
-// fresh journal is started (the content cache persists and still
-// serves identical cells — the warm-cache path); with resume=true the
-// existing journal is replayed, verified and compacted first, so
-// already-retired cells are served instead of recomputed — the
-// -resume flag.
-func OpenDurable(dir string, resume bool) (*DurableRun, error) {
-	if resume {
-		return durable.Resume(dir, nil)
-	}
-	return durable.Open(dir, nil)
-}
-
-// runSpec canonically serializes every RunConfig knob that can change
-// an instrumented run's record — core model, cache model, analysis
-// selection, retirement budget, metrics collection — for the content
-// address. Execution-strategy and observer knobs (Parallel, progress,
-// status, serve, flight recorder) are excluded: the byte-identity
-// contract guarantees they cannot change a result.
-func runSpec(cfg RunConfig) string {
-	s := fmt.Sprintf("run/v1 core=%s cache=%t pl=%t cp=%t scp=%t win=%t sizes=%v stride=%d mix=%t br=%t dep=%t maxinstr=%d metrics=%t",
-		cfg.Core, cfg.Cache, cfg.Analyses.PathLength, cfg.Analyses.CritPath,
-		cfg.Analyses.ScaledCritPath, cfg.Analyses.Windowed, cfg.Analyses.WindowSizes,
-		cfg.Analyses.WindowStride, cfg.Analyses.Mix, cfg.Analyses.Branches,
-		cfg.Analyses.DepDistances, cfg.MaxInstructions, cfg.Metrics != nil)
-	if cfg.Analyses.Latencies != nil {
-		s += fmt.Sprintf(" lat=%v", *cfg.Analyses.Latencies)
-	}
-	return s
-}
-
-// Parallel matrix surface (see internal/report and internal/sched):
-// the full workload x ISA x compiler x analysis matrix fanned out over
-// a worker pool, with each cell's trace simulated once.
-type (
-	// MatrixExperiment selects the analyses, targets and worker count
-	// for a matrix run. Parallel: 1 is strictly sequential, 0 or
-	// negative selects GOMAXPROCS; results are byte-identical for every
-	// value.
-	MatrixExperiment = report.Experiment
-	// MatrixRow is one (workload, target) cell's results.
-	MatrixRow = report.Row
-	// SchedStats summarises the worker pool of a matrix run for the
-	// manifest: cells, per-worker utilization and busy time.
-	SchedStats = telemetry.SchedStats
-)
-
-// RunMatrix executes every (workload, target) cell of the matrix over
-// the experiment's worker pool and returns rows indexed
-// [workload][target] plus the pool's utilization summary.
-func RunMatrix(progs []*Program, ex MatrixExperiment) ([][]MatrixRow, *SchedStats, error) {
-	return report.RunSuite(progs, ex)
-}
-
-// resultTable converts a Result into the manifest's analysis block.
-func resultTable(res *Result) *telemetry.ResultTable {
-	rt := &telemetry.ResultTable{
-		PathLen:         res.Stats.Instructions,
-		Other:           res.OtherInstructions,
-		CP:              res.CP,
-		ILP:             res.ILP,
-		RuntimeMS:       res.RuntimeSeconds * 1e3,
-		ScaledCP:        res.ScaledCP,
-		ScaledILP:       res.ScaledILP,
-		ScaledRuntimeMS: res.ScaledRuntimeSeconds * 1e3,
-		BranchDensity:   res.BranchDensity,
-		BranchTaken:     res.BranchTakenRate,
-	}
-	for _, rc := range res.Regions {
-		rt.Regions = append(rt.Regions, telemetry.RegionJSON{Kernel: rc.Name, Count: rc.Count})
-	}
-	for _, w := range res.Windows {
-		rt.Windows = append(rt.Windows, telemetry.WindowJSON{
-			Size: w.Size, Windows: w.Windows, MeanCP: w.MeanCP, MeanILP: w.MeanILP,
-		})
-	}
-	for _, gc := range res.MixCounts {
-		if gc.Count == 0 {
-			continue
-		}
-		rt.Mix = append(rt.Mix, telemetry.MixJSON{
-			Group: gc.Group.String(), Count: gc.Count, Fraction: gc.Fraction,
-		})
-	}
-	return rt
 }

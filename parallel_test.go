@@ -3,10 +3,10 @@ package isacmp
 import (
 	"bytes"
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
 
+	"isacmp/internal/ir"
 	"isacmp/internal/prof"
 	"isacmp/internal/report"
 	"isacmp/internal/telemetry"
@@ -16,10 +16,10 @@ import (
 // experiment and renders the two deterministic artifact forms: the
 // text reports exactly as the CLIs print them, and the canonicalized
 // run manifest JSON.
-func matrixArtifactsEx(t *testing.T, ex MatrixExperiment) (text, manifest []byte) {
+func matrixArtifactsEx(t *testing.T, ex report.Experiment) (text, manifest []byte) {
 	t.Helper()
 	progs := Suite(Tiny)
-	rows, _, err := RunMatrix(progs, ex)
+	rows, _, err := report.RunSuite(progs, ex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,21 +51,21 @@ func matrixArtifactsEx(t *testing.T, ex MatrixExperiment) (text, manifest []byte
 // three ways on 64), the fusion-off per-Step reference loop, and the
 // resilience watchdogs armed but never firing.
 func TestParallelByteIdentical(t *testing.T) {
-	base := MatrixExperiment{PathLength: true, CritPath: true, Scaled: true, Windowed: true, Parallel: 1}
-	with := func(f func(*MatrixExperiment)) MatrixExperiment {
+	base := report.Experiment{PathLength: true, CritPath: true, Scaled: true, Windowed: true, Parallel: 1}
+	with := func(f func(*report.Experiment)) report.Experiment {
 		ex := base
 		f(&ex)
 		return ex
 	}
 	variants := []struct {
 		name string
-		ex   MatrixExperiment
+		ex   report.Experiment
 	}{
-		{"parallel=2", with(func(ex *MatrixExperiment) { ex.Parallel = 2 })},
-		{"parallel=5", with(func(ex *MatrixExperiment) { ex.Parallel = 5 })},
-		{"parallel=64, sharded", with(func(ex *MatrixExperiment) { ex.Parallel = 64 })},
-		{"steploop", with(func(ex *MatrixExperiment) { ex.StepLoop = true })},
-		{"watchdogs armed", with(func(ex *MatrixExperiment) {
+		{"parallel=2", with(func(ex *report.Experiment) { ex.Parallel = 2 })},
+		{"parallel=5", with(func(ex *report.Experiment) { ex.Parallel = 5 })},
+		{"parallel=64, sharded", with(func(ex *report.Experiment) { ex.Parallel = 64 })},
+		{"steploop", with(func(ex *report.Experiment) { ex.StepLoop = true })},
+		{"watchdogs armed", with(func(ex *report.Experiment) {
 			ex.Parallel, ex.CellTimeout, ex.MaxInstructions, ex.Retries = 2, time.Hour, 1<<62, 2
 		})},
 	}
@@ -81,92 +81,73 @@ func TestParallelByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRunInstrumentedParallelIdentical: the instrumented single-run
-// path (RunConfig.Parallel) must also be invariant — same Result, and
-// byte-identical canonicalized manifest — whether the sinks run
-// inline behind the tee or concurrently behind the fan-out.
-func TestRunInstrumentedParallelIdentical(t *testing.T) {
-	prog := Workload("stream", Tiny)
-	bin, err := Compile(prog, Target{Arch: RV64, Flavor: GCC12})
+// runCell runs one (workload, target) cell through the matrix runner
+// and returns its row with the canonical manifest of that row.
+func runCell(t *testing.T, prog *ir.Program, tgt Target, ex report.Experiment) (report.Row, []byte) {
+	t.Helper()
+	ex.Columns = []Target{tgt}
+	all, _, err := report.RunSuite([]*ir.Program{prog}, ex)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel := Analyses{
-		PathLength: true, CritPath: true, ScaledCritPath: true,
-		Windowed: true, Mix: true, Branches: true,
+	row := all[0][0]
+	if row.Failed() {
+		t.Fatalf("%s/%s failed: %s", prog.Name, tgt, row.Failure.Message)
+	}
+	m := telemetry.NewManifest("test", "tiny")
+	report.AppendRows(m, prog.Name, all[0])
+	m.Canonicalize()
+	var buf bytes.Buffer
+	if err := m.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return row, buf.Bytes()
+}
+
+// TestRunCellParallelIdentical: one cell must be invariant too — the
+// same row, and a byte-identical canonicalized manifest — whether its
+// sinks run inline behind the tee or concurrently behind the fan-out
+// with windowed CP sharded four ways.
+func TestRunCellParallelIdentical(t *testing.T) {
+	prog := Workload("stream", Tiny)
+	tgt := Target{Arch: RV64, Flavor: GCC12}
+	ex := report.Experiment{PathLength: true, CritPath: true, Scaled: true, Windowed: true, Mix: true}
+
+	run := func(parallel int) (report.Row, []byte) {
+		ex.Parallel = parallel
+		row, manifest := runCell(t, prog, tgt, ex)
+		// Wall time and sink timings vary run to run; the manifest
+		// comparison covers the sink names and event counts.
+		row.WallSeconds, row.Sinks = 0, nil
+		return row, manifest
 	}
 
-	run := func(parallel int) (*Result, []byte) {
-		res, rec, err := bin.RunInstrumented(RunConfig{Analyses: sel, Parallel: parallel})
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := NewRunManifest("test", "tiny")
-		m.Runs = append(m.Runs, rec)
-		m.Canonicalize()
-		var buf bytes.Buffer
-		if err := m.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return res, buf.Bytes()
-	}
-
-	seqRes, seqManifest := run(1)
-	parRes, parManifest := run(4)
-	if !reflect.DeepEqual(seqRes, parRes) {
-		t.Fatalf("results differ:\nsequential %+v\nparallel   %+v", seqRes, parRes)
+	seqRow, seqManifest := run(1)
+	parRow, parManifest := run(4)
+	if !reflect.DeepEqual(seqRow, parRow) {
+		t.Fatalf("rows differ:\nsequential %+v\nparallel   %+v", seqRow, parRow)
 	}
 	if !bytes.Equal(seqManifest, parManifest) {
 		t.Fatalf("canonicalized manifests differ:\n%s\nvs\n%s", seqManifest, parManifest)
 	}
 }
 
-// TestRunInstrumentedReleasesShards: a run that fails returns before
-// its sharded windowed CP's Results, and must still stop the shard
-// goroutines behind it.
-func TestRunInstrumentedReleasesShards(t *testing.T) {
-	bin, err := Compile(Workload("lbm", Small), Target{Arch: RV64, Flavor: GCC12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := runtime.NumGoroutine()
-	for i := 0; i < 3; i++ {
-		cfg := RunConfig{Analyses: Analyses{Windowed: true}, Parallel: 4, MaxInstructions: 50_000}
-		if _, _, err := bin.RunInstrumented(cfg); err == nil {
-			t.Fatal("a run over its instruction budget must fail")
-		}
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines outlive three failed runs", runtime.NumGoroutine()-before)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestRunInstrumentedParallelWithModel: the fan-out path must feed
-// trace-driven timing models the complete stream — cycle counts match
-// the sequential tee run exactly.
-func TestRunInstrumentedParallelWithModel(t *testing.T) {
+// TestRunCellParallelWithModel: the fan-out path must feed trace-driven
+// timing models the complete stream — cycle counts match the
+// sequential tee run exactly.
+func TestRunCellParallelWithModel(t *testing.T) {
 	prog := Workload("stream", Tiny)
-	bin, err := Compile(prog, Target{Arch: AArch64, Flavor: GCC12})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tgt := Target{Arch: AArch64, Flavor: GCC12}
 	for _, core := range []string{"inorder", "ooo"} {
-		_, seqRec, err := bin.RunInstrumented(RunConfig{Core: core, Parallel: 1})
-		if err != nil {
-			t.Fatal(err)
+		seq, _ := runCell(t, prog, tgt, report.Experiment{Core: core, Parallel: 1})
+		par, _ := runCell(t, prog, tgt, report.Experiment{Core: core, Parallel: 4})
+		if seq.Core.Model != core || seq.Core.Cycles == 0 {
+			t.Fatalf("%s: core block %+v does not come from the model", core, seq.Core)
 		}
-		_, parRec, err := bin.RunInstrumented(RunConfig{Core: core, Parallel: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seqRec.Core.Instructions != parRec.Core.Instructions || seqRec.Core.Cycles != parRec.Core.Cycles {
+		if seq.Core.Instructions != par.Core.Instructions || seq.Core.Cycles != par.Core.Cycles {
 			t.Fatalf("%s: sequential %d insts/%d cycles, parallel %d insts/%d cycles",
-				core, seqRec.Core.Instructions, seqRec.Core.Cycles,
-				parRec.Core.Instructions, parRec.Core.Cycles)
+				core, seq.Core.Instructions, seq.Core.Cycles,
+				par.Core.Instructions, par.Core.Cycles)
 		}
 	}
 }
@@ -175,15 +156,15 @@ func TestRunInstrumentedParallelWithModel(t *testing.T) {
 // contract: running the matrix with the span profiler live — at one
 // worker and at several — must change no report byte and no
 // canonicalized manifest byte, while the profiler itself captures a
-// plausible timeline (spans for every stage on valid lanes).
+// plausible timeline: spans for every stage on valid lanes, and setup
+// and simulate spans for every cell. It covers the paper's four
+// analyses and the run subcommand's configuration (the out-of-order
+// model with mix and branch).
 func TestProfiledByteIdentical(t *testing.T) {
 	progs := Suite(Tiny)
-	run := func(parallel int, p *prof.Profiler) (text, manifest []byte) {
-		ex := MatrixExperiment{
-			PathLength: true, CritPath: true, Scaled: true, Windowed: true,
-			Parallel: parallel, Prof: p,
-		}
-		rows, _, err := RunMatrix(progs, ex)
+	run := func(ex report.Experiment, parallel int, p *prof.Profiler) (text, manifest []byte) {
+		ex.Parallel, ex.Prof = parallel, p
+		rows, _, err := report.RunSuite(progs, ex)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,6 +175,7 @@ func TestProfiledByteIdentical(t *testing.T) {
 			report.WriteCritPaths(&buf, pr.Name, rows[i], false)
 			report.WriteCritPaths(&buf, pr.Name, rows[i], true)
 			report.WriteWindowed(&buf, pr.Name, rows[i])
+			report.WriteMix(&buf, pr.Name, rows[i])
 			report.AppendRows(m, pr.Name, rows[i])
 		}
 		m.Canonicalize()
@@ -204,33 +186,55 @@ func TestProfiledByteIdentical(t *testing.T) {
 		return buf.Bytes(), mbuf.Bytes()
 	}
 
-	baseText, baseManifest := run(1, nil)
-	for _, workers := range []int{1, 3} {
-		p := prof.New(workers, 0)
-		text, manifest := run(workers, p)
-		if !bytes.Equal(baseText, text) {
-			t.Fatalf("profile on, parallel=%d: report text differs from unprofiled", workers)
-		}
-		if !bytes.Equal(baseManifest, manifest) {
-			t.Fatalf("profile on, parallel=%d: canonicalized manifest differs from unprofiled", workers)
-		}
-		spans := p.Spans()
-		if len(spans) == 0 {
-			t.Fatalf("parallel=%d: profiler captured no spans", workers)
-		}
-		stages := map[string]bool{}
-		for _, s := range spans {
-			if s.Lane < 0 || s.Lane >= p.Lanes() {
-				t.Fatalf("span %+v on invalid lane (lanes=%d)", s, p.Lanes())
+	for _, c := range []struct {
+		name  string
+		ex    report.Experiment
+		sinks []string
+	}{
+		{"matrix", report.Experiment{PathLength: true, CritPath: true, Scaled: true, Windowed: true},
+			[]string{"sink:pathlen", "sink:windowcp"}},
+		{"run", report.Experiment{Core: "ooo", Mix: true},
+			[]string{"sink:mix", "sink:branch", "sink:ooo-model"}},
+	} {
+		baseText, baseManifest := run(c.ex, 1, nil)
+		for _, workers := range []int{1, 3} {
+			p := prof.New(workers, 0)
+			text, manifest := run(c.ex, workers, p)
+			if !bytes.Equal(baseText, text) {
+				t.Fatalf("%s, profile on, parallel=%d: report text differs from unprofiled", c.name, workers)
 			}
-			if s.Cell == "" {
-				t.Fatalf("span %+v missing its cell", s)
+			if !bytes.Equal(baseManifest, manifest) {
+				t.Fatalf("%s, profile on, parallel=%d: canonicalized manifest differs from unprofiled", c.name, workers)
 			}
-			stages[s.Name] = true
-		}
-		for _, want := range []string{"setup", "simulate", "deliver", "sink:pathlen", "sink:windowcp"} {
-			if !stages[want] {
-				t.Errorf("parallel=%d: no %q spans captured (got %v)", workers, want, stages)
+			spans := p.Spans()
+			if len(spans) == 0 {
+				t.Fatalf("%s, parallel=%d: profiler captured no spans", c.name, workers)
+			}
+			stages := map[string]bool{}
+			cells := map[string]bool{}
+			for _, s := range spans {
+				if s.Lane < 0 || s.Lane >= p.Lanes() {
+					t.Fatalf("span %+v on invalid lane (lanes=%d)", s, p.Lanes())
+				}
+				if s.Cell == "" {
+					t.Fatalf("span %+v missing its cell", s)
+				}
+				stages[s.Name] = true
+				cells[s.Name+" "+s.Cell] = true
+			}
+			for _, want := range append([]string{"setup", "simulate", "deliver"}, c.sinks...) {
+				if !stages[want] {
+					t.Errorf("%s, parallel=%d: no %q spans captured (got %v)", c.name, workers, want, stages)
+				}
+			}
+			for _, pr := range progs {
+				for _, tgt := range Targets() {
+					for _, stage := range []string{"setup", "simulate"} {
+						if cell := pr.Name + "/" + tgt.String(); !cells[stage+" "+cell] {
+							t.Errorf("%s, parallel=%d: no %s span for %s", c.name, workers, stage, cell)
+						}
+					}
+				}
 			}
 		}
 	}

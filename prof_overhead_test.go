@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"isacmp/internal/prof"
+	"isacmp/internal/report"
 )
 
 // TestProfilerOffOverheadBudget is the zero-overhead gate for the
@@ -17,19 +18,19 @@ import (
 // noise cannot flake it.
 func TestProfilerOffOverheadBudget(t *testing.T) {
 	progs := Suite(Tiny)
-	ex := MatrixExperiment{
+	ex := report.Experiment{
 		PathLength: true, CritPath: true, Scaled: true, Windowed: true,
 		Parallel: 1,
 	}
 	start := time.Now()
-	if _, _, err := RunMatrix(progs, ex); err != nil {
+	if _, _, err := report.RunSuite(progs, ex); err != nil {
 		t.Fatal(err)
 	}
 	wall := time.Since(start).Seconds()
 
 	p := prof.New(1, 0)
 	ex.Prof = p
-	if _, _, err := RunMatrix(progs, ex); err != nil {
+	if _, _, err := report.RunSuite(progs, ex); err != nil {
 		t.Fatal(err)
 	}
 	var hookPairs int64
