@@ -48,8 +48,8 @@ differential:
 
 # golden checks the pinned paper artifacts (Table 1/2, Figure 1/2,
 # canonical manifests of the matrix and of the run subcommand) under
-# the race detector. Regenerate after an
-# intentional output change with:
+# the race detector. Regenerate after an intentional output change
+# with:
 #	$(GO) test ./internal/report -run TestGolden -update
 golden:
 	$(GO) test -race -count=1 -run TestGolden ./internal/report
@@ -57,8 +57,8 @@ golden:
 # check-faults runs the fault-injection and shutdown-path suites under
 # the race detector: matrix survival with injected decode/memory/panic
 # faults, retry and watchdog behaviour, pool drain on cancel, failed
-# attempts stopping their windowed-CP shards, and the hardened ELF reader's
-# malformed-input tests. The armed-but-not-firing watchdog
+# attempts stopping their windowed-CP shards, and the hardened ELF
+# reader's malformed-input tests. The armed-but-not-firing watchdog
 # byte-identity row lives in TestParallelByteIdentical (differential).
 check-faults:
 	$(GO) test -race -count=1 ./internal/faultinject
@@ -103,9 +103,10 @@ check-fusion:
 # corruption semantics, content cache, atomic writes), the disk-fault
 # injection tests, and the report-level contracts — resume after a
 # truncated journal, warm-cache zero-recompute, hash-mismatch re-run,
-# failure replay, drain journaling rules, backoff interruption, and
-# the SIGKILL chaos test (kill a live matrix at a randomized point,
-# resume, diff byte-for-byte against the uninterrupted run).
+# no serving across core or cache models and no journaling of traced
+# cells, failure replay, drain journaling rules, backoff interruption,
+# and the SIGKILL chaos test (kill a live matrix at a randomized
+# point, resume, diff byte-for-byte against the uninterrupted run).
 check-durable:
 	$(GO) test -race -count=1 ./internal/durable
 	$(GO) test -race -count=1 -run 'TestDiskFault|TestTearJournalTail' ./internal/faultinject
