@@ -12,10 +12,11 @@
 //	isacmp verify   [-scale tiny]                    simulated vs host reference
 //
 // -scale is tiny, small or paper. With no -bench, every benchmark
-// runs. -latency-file replaces the TX2 latencies of Table 2 (scaledcp
-// and all); -stride sets the window stride of Figure 2. Every
-// subcommand that prints a table runs its (benchmark, target) cells
-// through report.RunSuite, run included.
+// runs. -latency-file replaces the TX2 latencies of Table 2 (scaledcp,
+// all and artifacts); -stride sets the window stride of Figure 2.
+// Every subcommand that prints a table or writes the artifact files
+// runs its (benchmark, target) cells through report.RunSuite, run
+// included.
 //
 // Observability flags (every subcommand): -json writes a run manifest
 // (schema isacmp/run-manifest/v2); -progress prints a retire-rate
@@ -46,20 +47,17 @@ import (
 
 	"isacmp"
 
-	"isacmp/internal/a64"
+	"isacmp/internal/cc"
 	"isacmp/internal/core"
-	"isacmp/internal/elfio"
 	"isacmp/internal/fusion"
 	"isacmp/internal/ir"
 	"isacmp/internal/obs"
 	"isacmp/internal/obs/slogx"
 	"isacmp/internal/prof"
 	"isacmp/internal/report"
-	"isacmp/internal/rv64"
 	"isacmp/internal/sched"
 	"isacmp/internal/simeng"
 	"isacmp/internal/telemetry"
-	"isacmp/internal/workloads"
 )
 
 func main() {
@@ -75,9 +73,9 @@ func main() {
 	kernelFlag := fs.String("kernel", "", "kernel to disassemble (disasm)")
 	targetFlag := fs.String("target", "aarch64-gcc12", "target: {aarch64,rv64}-{gcc9,gcc12}, or \"all\" (run)")
 	dirFlag := fs.String("dir", "results", "output directory (artifacts)")
-	latencyFlag := fs.String("latency-file", "", "latency config file overriding the TX2 model of Table 2 (scaledcp, all)")
+	latencyFlag := fs.String("latency-file", "", "latency config file overriding the TX2 model of Table 2 (scaledcp, all, artifacts)")
 	countFlag := fs.Int("n", 32, "instructions to print (trace)")
-	strideFlag := fs.Int("stride", 0, "window stride in instructions (windowcp; 0 = size/2)")
+	strideFlag := fs.Int("stride", 0, "window stride in instructions (windowcp, all, artifacts; 0 = size/2)")
 	fusionFlag := fs.String("fusion", "off", "macro-op fusion: off, rv64, a64 or both, optionally :rule,rule,... (rules: loadpair, storepair, addld, addst, slliadd, luiaddi, cmpbranch)")
 	jsonFlag := fs.String("json", "", "write a run manifest to this file (\"-\" for stdout)")
 	metricsJSONFlag := fs.String("metrics-json", "", "alias of -json")
@@ -115,7 +113,7 @@ func main() {
 		*jsonFlag = *metricsJSONFlag
 	}
 
-	scale, err := parseScale(*scaleFlag)
+	scale, err := report.ParseScale(*scaleFlag)
 	if err != nil {
 		usageFatal(err)
 	}
@@ -123,7 +121,7 @@ func main() {
 	if err != nil {
 		usageFatal(err)
 	}
-	progs, err := selectBenchmarks(*benchFlag, scale)
+	progs, err := report.SelectBenchmarks(*benchFlag, scale)
 	if err != nil {
 		usageFatal(err)
 	}
@@ -256,7 +254,7 @@ func main() {
 		// back to the default signal disposition. Other subcommands keep
 		// the default disposition throughout.
 		ex.Ctx, ex.Drain = report.InstallDrainHandler(log)
-		if text && cmd != "run" {
+		if text && cmd != "run" && cmd != "artifacts" {
 			what := "isacmp"
 			if cmd == "all" {
 				what = "isacmp: full reproduction"
@@ -272,9 +270,15 @@ func main() {
 			report.AppendRows(manifest, p.Name, all[i])
 		}
 		failedCells = report.CountFailures(all)
-		if cmd == "run" {
+		switch {
+		case cmd == "run":
 			err = writeRun(progs, all, text, *traceFlag, *traceFormatFlag)
-		} else if text {
+		case cmd == "artifacts":
+			err = report.WriteArtifacts(*dirFlag, progs, all)
+			if err == nil && text {
+				fmt.Printf("wrote kernelCounts.txt, basicCPResult.txt, scaledCPResult.txt, windowAverages.txt to %s/\n", *dirFlag)
+			}
+		case text:
 			writeTables(cmd, progs, all)
 		}
 		if err != nil {
@@ -282,11 +286,6 @@ func main() {
 		}
 	} else {
 		switch cmd {
-		case "artifacts":
-			if err := report.WriteArtifacts(*dirFlag, progs); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote kernelCounts.txt, basicCPResult.txt, scaledCPResult.txt, windowAverages.txt to %s/\n", *dirFlag)
 		case "disasm":
 			if err := disasm(progs, *kernelFlag, *targetFlag); err != nil {
 				fatal(err)
@@ -376,7 +375,7 @@ func experiment(cmd string, base report.Experiment, core string, cache bool, tar
 		}
 	case "mix":
 		ex.Mix = true
-	case "all":
+	case "all", "artifacts":
 		ex.PathLength, ex.CritPath, ex.Scaled, ex.Windowed = true, true, true, true
 	case "run":
 		ex.Mix, ex.Core, ex.Cache = true, core, cache
@@ -565,7 +564,7 @@ func trace(progs []*ir.Program, kernel, target string, n int) error {
 			if hi != 0 && (ev.PC < lo || ev.PC >= hi) {
 				return
 			}
-			line := disasmWord(tgt, ev.Word)
+			line := cc.Disasm(tgt.Arch, ev.Word)
 			mem := ""
 			if ev.LoadSize != 0 {
 				mem += fmt.Sprintf("  [load %#x/%d]", ev.LoadAddr, ev.LoadSize)
@@ -623,7 +622,7 @@ func hotBlocks(progs []*ir.Program, target string, n int) error {
 		}
 		if len(blocks) > 0 {
 			fmt.Println("\nhottest block disassembly:")
-			if err := disasmRange(bin, tgt, blocks[0].Start, blocks[0].End); err != nil {
+			if err := bin.DisassembleRange(blocks[0].Start, blocks[0].End, os.Stdout); err != nil {
 				return err
 			}
 		}
@@ -632,65 +631,12 @@ func hotBlocks(progs []*ir.Program, target string, n int) error {
 	return nil
 }
 
-// disasmRange prints the instructions in [lo, hi).
-func disasmRange(bin *isacmp.Binary, tgt isacmp.Target, lo, hi uint64) error {
-	words, base, err := textWords(bin)
-	if err != nil {
-		return err
-	}
-	for pc := lo; pc < hi; pc += 4 {
-		idx := (pc - base) / 4
-		if idx >= uint64(len(words)) {
-			break
-		}
-		fmt.Printf("%#08x: %s\n", pc, disasmWord(tgt, words[idx]))
-	}
-	return nil
-}
-
-// textWords extracts the executable segment of the binary as words.
-func textWords(bin *isacmp.Binary) ([]uint32, uint64, error) {
-	img := bin.ELF()
-	f, err := elfio.Read(img)
-	if err != nil {
-		return nil, 0, err
-	}
-	for _, seg := range f.Segments {
-		if seg.Flags&elfio.PFX != 0 {
-			words := make([]uint32, len(seg.Data)/4)
-			for i := range words {
-				words[i] = uint32(seg.Data[i*4]) | uint32(seg.Data[i*4+1])<<8 |
-					uint32(seg.Data[i*4+2])<<16 | uint32(seg.Data[i*4+3])<<24
-			}
-			return words, seg.Vaddr, nil
-		}
-	}
-	return nil, 0, fmt.Errorf("no text segment")
-}
-
 func kernelSuffix(kernel string) string {
 	if kernel == "" {
 		return ""
 	}
 	return ", kernel " + kernel
 }
-
-func disasmWord(tgt isacmp.Target, word uint32) string {
-	if tgt.Arch == isacmp.AArch64 {
-		inst, err := a64.Decode(word)
-		if err != nil {
-			return fmt.Sprintf(".word %#08x", word)
-		}
-		return inst.String()
-	}
-	inst, err := rv64.Decode(word)
-	if err != nil {
-		return fmt.Sprintf(".word %#08x", word)
-	}
-	return inst.String()
-}
-
-func parseScale(s string) (workloads.Scale, error) { return report.ParseScale(s) }
 
 func parseTarget(s string) (isacmp.Target, error) {
 	parts := strings.SplitN(s, "-", 2)
@@ -717,10 +663,6 @@ func parseTarget(s string) (isacmp.Target, error) {
 	return t, nil
 }
 
-func selectBenchmarks(name string, s workloads.Scale) ([]*ir.Program, error) {
-	return report.SelectBenchmarks(name, s)
-}
-
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: isacmp <command> [flags]
 
@@ -741,8 +683,8 @@ commands:
 flags: -scale tiny|small|paper   -bench <name>   -parallel <n> (0 = all CPUs)
   -fusion off|rv64|a64|both[:rule,...] (macro-op fusion pass; rules:
     loadpair storepair addld addst slliadd luiaddi cmpbranch)
-  -latency-file <f> (Table 2 latencies; scaledcp, all)
-  -stride <n> (Figure 2 window stride; windowcp, all)
+  -latency-file <f> (Table 2 latencies; scaledcp, all, artifacts)
+  -stride <n> (Figure 2 window stride; windowcp, all, artifacts)
   (disasm) -kernel <k> -target <a>-<c>
 
 resilience: -cell-timeout <d>  -max-instructions <n>  -retries <n>

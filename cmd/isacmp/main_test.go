@@ -12,7 +12,8 @@ import (
 // TestExperimentSelection pins what each matrix subcommand runs: its
 // analyses, its target columns, and that every subcommand keeps the
 // shared knobs of the base experiment — the -latency-file model that
-// Table 2 is printed with among them (scaledcp and all print it).
+// Table 2 is printed with among them (scaledcp, all and artifacts
+// print it).
 func TestExperimentSelection(t *testing.T) {
 	lat := simeng.TX2Latencies()
 	base := report.Experiment{Latencies: lat, WindowStride: 3, Parallel: 2}
@@ -31,6 +32,7 @@ func TestExperimentSelection(t *testing.T) {
 		{cmd: "windowcp", win: true, targets: gcc12},
 		{cmd: "mix", mix: true, targets: all},
 		{cmd: "all", pl: true, cp: true, sc: true, win: true, targets: all},
+		{cmd: "artifacts", pl: true, cp: true, sc: true, win: true, targets: all},
 		{cmd: "run", target: "all", mix: true, core: "ooo", targets: all},
 		{cmd: "run", target: "rv64-gcc9", mix: true, core: "ooo", targets: rv9},
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"isacmp/internal/elfio"
+	"isacmp/internal/isa"
 )
 
 // Asm builds an AArch64 text section with label resolution and emits
@@ -14,18 +15,13 @@ type Asm struct {
 	insts  []Inst
 	fixups []fixup
 	labels map[string]int
-	syms   []symMark
+	syms   []isa.Sym
 	errs   []error
 }
 
 type fixup struct {
 	index int
 	label string
-}
-
-type symMark struct {
-	name  string
-	index int
 }
 
 // NewAsm returns an empty assembler.
@@ -50,7 +46,7 @@ func (a *Asm) Label(name string) {
 
 // Symbol marks the current position as the start of a named region.
 func (a *Asm) Symbol(name string) {
-	a.syms = append(a.syms, symMark{name: name, index: len(a.insts)})
+	a.syms = append(a.syms, isa.Sym{Name: name, Index: len(a.insts)})
 }
 
 // Integer ALU helpers (64-bit forms; use Emit for 32-bit variants).
@@ -401,11 +397,7 @@ func (a *Asm) Assemble(base uint64) ([]uint32, error) {
 }
 
 // Program bundles assembled text with a data image.
-type Program struct {
-	TextBase uint64
-	DataBase uint64
-	Data     []byte
-}
+type Program = isa.Program
 
 // Build assembles the text and produces the ELF file.
 func (a *Asm) Build(p Program) (*elfio.File, error) {
@@ -413,35 +405,5 @@ func (a *Asm) Build(p Program) (*elfio.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	text := make([]byte, len(words)*4)
-	for i, w := range words {
-		text[i*4] = byte(w)
-		text[i*4+1] = byte(w >> 8)
-		text[i*4+2] = byte(w >> 16)
-		text[i*4+3] = byte(w >> 24)
-	}
-	f := &elfio.File{
-		Machine: elfio.EMAarch64,
-		Entry:   p.TextBase,
-		Segments: []elfio.Segment{
-			{Vaddr: p.TextBase, Data: text, Flags: elfio.PFR | elfio.PFX, Name: ".text"},
-		},
-	}
-	if len(p.Data) > 0 {
-		f.Segments = append(f.Segments, elfio.Segment{
-			Vaddr: p.DataBase, Data: p.Data, Flags: elfio.PFR | elfio.PFW, Name: ".data",
-		})
-	}
-	for i, s := range a.syms {
-		end := len(a.insts)
-		if i+1 < len(a.syms) {
-			end = a.syms[i+1].index
-		}
-		f.Symbols = append(f.Symbols, elfio.Symbol{
-			Name:  s.name,
-			Value: p.TextBase + uint64(s.index*4),
-			Size:  uint64((end - s.index) * 4),
-		})
-	}
-	return f, nil
+	return p.Image(isa.AArch64, words, a.syms), nil
 }

@@ -11,26 +11,24 @@ import (
 // filling ev with the execution record. It returns done=true once the
 // program has exited.
 func (m *Machine) Step(ev *isa.Event) (done bool, err error) {
-	if m.exited {
+	if m.Halted {
 		return true, nil
 	}
-	idx := (m.PCReg - m.textBase) / 4
-	if m.PCReg < m.textBase || idx >= uint64(len(m.prog)) || m.PCReg%4 != 0 {
-		m.fallbacks++
-		return false, &fetchErr{pc: m.PCReg}
+	idx := (m.PCReg - m.TextBase) / 4
+	if m.PCReg < m.TextBase || idx >= uint64(len(m.Prog)) || m.PCReg%4 != 0 {
+		return false, m.FetchFault()
 	}
-	i := m.prog[idx]
+	i := m.Prog[idx]
 	if i.Op == OpInvalid {
 		// A text word that failed tolerant predecode; it faults only
 		// here, when execution actually reaches it.
-		m.fallbacks++
-		return false, fmt.Errorf("a64: decode at %#x: %w", m.PCReg, m.badErrs[m.PCReg])
+		return false, m.FetchFault()
 	}
 
 	ev.Reset()
 	ev.PC = m.PCReg
-	ev.Word = m.words[idx]
-	ev.Group = m.groups[idx]
+	ev.Word = m.Words[idx]
+	ev.Group = m.Groups[idx]
 
 	nextPC := m.PCReg + 4
 
@@ -273,7 +271,7 @@ func (m *Machine) Step(ev *isa.Event) (done bool, err error) {
 		ev.AddDst(isa.IntReg(30))
 		nextPC = m.xr(i.Rn)
 	case SVC:
-		done, err = m.svc()
+		done, err = m.Syscall(m.X[regX8], &m.X[regX0], m.X[regX1], m.X[regX2])
 		if err != nil {
 			return false, err
 		}
@@ -410,7 +408,7 @@ func (m *Machine) Step(ev *isa.Event) (done bool, err error) {
 	}
 
 	m.PCReg = nextPC
-	m.steps++
+	m.Retired++
 	return false, nil
 }
 
@@ -877,37 +875,6 @@ func (m *Machine) loadStorePair(i *Inst, ev *isa.Event) error {
 		return err
 	}
 	return read(sz, i.Rt2)
-}
-
-// svc dispatches the Linux system calls via x8.
-func (m *Machine) svc() (done bool, err error) {
-	switch m.X[regX8] {
-	case sysExit:
-		m.exited = true
-		m.exitCode = int64(m.X[regX0])
-		m.steps++
-		return true, nil
-	case sysWrite:
-		buf, rerr := m.Mem.ReadBytes(m.X[regX1], int(m.X[regX2]))
-		if rerr != nil {
-			return false, rerr
-		}
-		n, werr := m.Stdout.Write(buf)
-		if werr != nil {
-			return false, werr
-		}
-		m.X[regX0] = uint64(n)
-		return false, nil
-	case sysBrk:
-		req := m.X[regX0]
-		if req != 0 && req >= m.Mem.Base() && req < m.Mem.Base()+m.Mem.Size() {
-			m.Mem.SetBrk(req)
-		}
-		m.X[regX0] = m.Mem.Brk()
-		return false, nil
-	default:
-		return false, fmt.Errorf("a64: unsupported syscall %d at %#x", m.X[regX8], m.PCReg)
-	}
 }
 
 // OpGroup returns the latency class of an instruction.

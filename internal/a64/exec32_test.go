@@ -14,7 +14,7 @@ func run32(t *testing.T, build func(a *Asm)) *Machine {
 	a := NewAsm()
 	build(a)
 	a.MOV64(0, 0)
-	a.MOV64(8, sysExit)
+	a.MOV64(8, isa.SysExit)
 	a.SVC()
 	f, err := a.Build(Program{TextBase: 0x10000})
 	if err != nil {

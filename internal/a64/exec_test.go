@@ -38,7 +38,7 @@ func run(t *testing.T, build func(a *Asm), data []byte) *Machine {
 
 func exit(a *Asm, code int64) {
 	a.MOV64(0, code)
-	a.MOV64(8, sysExit)
+	a.MOV64(8, isa.SysExit)
 	a.SVC()
 }
 
@@ -52,7 +52,7 @@ func TestArithmeticEndToEnd(t *testing.T) {
 		a.SDIV(6, 5, 4) // 42
 		a.SUB(7, 6, 3)  // 0
 		a.MOV(0, 5)
-		a.MOV64(8, sysExit)
+		a.MOV64(8, isa.SysExit)
 		a.SVC()
 	}, nil)
 	if m.ExitCode() != 294 {
@@ -148,7 +148,7 @@ func TestFloatingPoint(t *testing.T) {
 		a.FSUB(5, 4, 2)     // 11
 		a.FMADD(6, 1, 2, 4) // 3*4+15 = 27
 		a.FCVTZS(0, 6)
-		a.MOV64(8, sysExit)
+		a.MOV64(8, isa.SysExit)
 		a.SVC()
 	}, nil)
 	if m.ExitCode() != 27 {
@@ -182,7 +182,7 @@ func TestZeroRegister(t *testing.T) {
 		a.Emit(Inst{Op: ADDr, Sf: true, Rd: ZR, Rn: 1, Rm: 1})  // discarded
 		a.Emit(Inst{Op: ORRr, Sf: true, Rd: 2, Rn: ZR, Rm: ZR}) // x2 = 0
 		a.MOV(0, 2)
-		a.MOV64(8, sysExit)
+		a.MOV64(8, isa.SysExit)
 		a.SVC()
 	}, nil)
 	if m.ExitCode() != 0 {
@@ -266,7 +266,7 @@ func TestWriteSyscall(t *testing.T) {
 	a.MOV64(0, 1)
 	a.MOV64(1, 0x20000)
 	a.MOV64(2, int64(len(msg)))
-	a.MOV64(8, sysWrite)
+	a.MOV64(8, isa.SysWrite)
 	a.SVC()
 	exit(a, 0)
 	f, err := a.Build(Program{TextBase: 0x10000, DataBase: 0x20000, Data: msg})

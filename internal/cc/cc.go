@@ -22,9 +22,13 @@ package cc
 import (
 	"fmt"
 
+	"isacmp/internal/a64"
 	"isacmp/internal/elfio"
 	"isacmp/internal/ir"
 	"isacmp/internal/isa"
+	"isacmp/internal/mem"
+	"isacmp/internal/rv64"
+	"isacmp/internal/simeng"
 )
 
 // Flavor selects which GCC version's idioms the back end reproduces.
@@ -140,6 +144,39 @@ func CompileOpts(p *ir.Program, t Target, opts Options) (*Compiled, error) {
 		MemSize:   lay.end - TextBase + StackHeadroom,
 		Target:    t,
 	}, nil
+}
+
+// NewMachine loads the executable into a fresh memory image and
+// returns its target's machine, ready to Step, with the memory.
+func (c *Compiled) NewMachine() (simeng.Machine, *mem.Memory, error) {
+	m := mem.New(TextBase, c.MemSize)
+	var mach simeng.Machine
+	var err error
+	if c.Target.Arch == isa.AArch64 {
+		mach, err = a64.NewMachine(c.File, m)
+	} else {
+		mach, err = rv64.NewMachine(c.File, m)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return mach, m, nil
+}
+
+// Disasm renders one instruction word of arch in the architecture's
+// assembly syntax, or as a .word directive when it does not decode.
+func Disasm(arch isa.Arch, word uint32) string {
+	var s fmt.Stringer
+	var err error
+	if arch == isa.AArch64 {
+		s, err = a64.Decode(word)
+	} else {
+		s, err = rv64.Decode(word)
+	}
+	if err != nil {
+		return fmt.Sprintf(".word %#08x", word)
+	}
+	return s.String()
 }
 
 // dataLayout assigns array addresses.

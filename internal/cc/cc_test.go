@@ -4,11 +4,9 @@ import (
 	"math"
 	"testing"
 
-	"isacmp/internal/a64"
 	"isacmp/internal/ir"
 	"isacmp/internal/isa"
 	"isacmp/internal/mem"
-	"isacmp/internal/rv64"
 	"isacmp/internal/simeng"
 )
 
@@ -16,14 +14,7 @@ import (
 // the memory image and instruction count.
 func runCompiled(t *testing.T, c *Compiled) (*mem.Memory, simeng.Stats) {
 	t.Helper()
-	m := mem.New(TextBase, c.MemSize)
-	var mach simeng.Machine
-	var err error
-	if c.Target.Arch == isa.AArch64 {
-		mach, err = a64.NewMachine(c.File, m)
-	} else {
-		mach, err = rv64.NewMachine(c.File, m)
-	}
+	mach, m, err := c.NewMachine()
 	if err != nil {
 		t.Fatal(err)
 	}

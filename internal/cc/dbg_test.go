@@ -12,7 +12,6 @@ import (
 	"isacmp/internal/a64"
 	"isacmp/internal/ir"
 	"isacmp/internal/isa"
-	"isacmp/internal/mem"
 	"isacmp/internal/rv64"
 	"isacmp/internal/simeng"
 )
@@ -91,13 +90,7 @@ func TestFuzzDebug(t *testing.T) {
 			t.Logf("%s: compile: %v", tgt, cerr)
 			continue
 		}
-		m := mem.New(TextBase, c.MemSize)
-		var mach simeng.Machine
-		if tgt.Arch == isa.AArch64 {
-			mach, err = a64.NewMachine(c.File, m)
-		} else {
-			mach, err = rv64.NewMachine(c.File, m)
-		}
+		mach, m, err := c.NewMachine()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,11 +6,8 @@ import (
 	"strings"
 	"testing"
 
-	"isacmp/internal/a64"
 	"isacmp/internal/ir"
 	"isacmp/internal/isa"
-	"isacmp/internal/mem"
-	"isacmp/internal/rv64"
 	"isacmp/internal/simeng"
 )
 
@@ -48,13 +45,7 @@ func TestDifferentialFuzz(t *testing.T) {
 				}
 				t.Fatalf("seed %d: %s: compile: %v", seed, tgt, err)
 			}
-			m := mem.New(TextBase, c.MemSize)
-			var mach simeng.Machine
-			if tgt.Arch == isa.AArch64 {
-				mach, err = a64.NewMachine(c.File, m)
-			} else {
-				mach, err = rv64.NewMachine(c.File, m)
-			}
+			mach, m, err := c.NewMachine()
 			if err != nil {
 				t.Fatalf("seed %d: %s: load: %v", seed, tgt, err)
 			}
@@ -116,13 +107,7 @@ func TestDifferentialFuzzAblations(t *testing.T) {
 						}
 						t.Fatalf("seed %d: %s: %v", seed, tgt, err)
 					}
-					m := mem.New(TextBase, c.MemSize)
-					var mach simeng.Machine
-					if tgt.Arch == isa.AArch64 {
-						mach, err = a64.NewMachine(c.File, m)
-					} else {
-						mach, err = rv64.NewMachine(c.File, m)
-					}
+					mach, m, err := c.NewMachine()
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -177,13 +162,7 @@ func TestAblationEffects(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := mem.New(TextBase, comp.MemSize)
-		var mach simeng.Machine
-		if tgt.Arch == isa.AArch64 {
-			mach, err = a64.NewMachine(comp.File, m)
-		} else {
-			mach, err = rv64.NewMachine(comp.File, m)
-		}
+		mach, _, err := comp.NewMachine()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,32 +2,36 @@ package core
 
 import "isacmp/internal/isa"
 
-// DepDistance measures the distance, in retired instructions, between
-// each register value's producer and its consumers — a diagnostic for
-// the dependency locality the paper's Figure 2 discussion reasons
-// about ("local dependent instructions are more distantly spread for
+// DepDistance measures the distance, in retired instructions, from
+// each event back to its RAW producers — a diagnostic for the
+// dependency locality the paper's Figure 2 discussion reasons about
+// ("local dependent instructions are more distantly spread for
 // RISC-V"). Note that window ILP is bounded by the *depth* of chains
 // inside the window, not the raw count of short edges, so this
 // histogram complements rather than replaces the windowed
 // critical-path analysis.
 //
-// Distances are bucketed in powers of two up to 2^16; memory-carried
-// dependencies are tracked the same way through store/load addresses.
+// The producers are the ones the windowed analyses resolve (see
+// resolver), with a reach of 2^16 events: each event records one edge
+// per distinct event fewer than 2^16 events back that last wrote one
+// of its register sources or one of the 8-byte words its loads read.
+// A producer further back records nothing, like a value never
+// written. Distances are bucketed in powers of two.
 type DepDistance struct {
-	// lastWrite[r] is the instruction index that last produced r.
-	lastWrite [isa.NumRegs]uint64
-	written   [isa.NumRegs]bool
-	memWrite  map[uint64]uint64
+	res  resolver
+	dist []uint32 // the current event's producer distances
 
-	idx     uint64
-	buckets [17]uint64 // bucket i: distance in [2^i, 2^(i+1)); last bucket: larger
+	buckets [depReachBits]uint64 // bucket i: distance in [2^i, 2^(i+1))
 	count   uint64
 	sum     uint64
 }
 
+// depReachBits is log2 of DepDistance's reach.
+const depReachBits = 16
+
 // NewDepDistance returns an empty measurement.
 func NewDepDistance() *DepDistance {
-	return &DepDistance{memWrite: make(map[uint64]uint64, 1<<10)}
+	return &DepDistance{res: newResolver(1 << depReachBits)}
 }
 
 // Events observes a whole batch — the isa.BatchSink fast path.
@@ -39,38 +43,9 @@ func (d *DepDistance) Events(evs []isa.Event) {
 
 // Event observes one retired instruction.
 func (d *DepDistance) Event(ev *isa.Event) {
-	d.idx++
-	for k := uint8(0); k < ev.NSrcs; k++ {
-		r := ev.Srcs[k]
-		if d.written[r] {
-			d.record(d.idx - d.lastWrite[r])
-		}
-	}
-	if ev.LoadSize != 0 {
-		first, last := wordSpan(ev.LoadAddr, ev.LoadSize)
-		for w := first; w <= last; w += 8 {
-			if prod, ok := d.memWrite[w]; ok {
-				d.record(d.idx - prod)
-			}
-		}
-	}
-	if ev.Load2Size != 0 { // second access of a fused load pair
-		first, last := wordSpan(ev.Load2Addr, ev.Load2Size)
-		for w := first; w <= last; w += 8 {
-			if prod, ok := d.memWrite[w]; ok {
-				d.record(d.idx - prod)
-			}
-		}
-	}
-	for k := uint8(0); k < ev.NDsts; k++ {
-		d.lastWrite[ev.Dsts[k]] = d.idx
-		d.written[ev.Dsts[k]] = true
-	}
-	if ev.StoreSize != 0 {
-		first, last := wordSpan(ev.StoreAddr, ev.StoreSize)
-		for w := first; w <= last; w += 8 {
-			d.memWrite[w] = d.idx
-		}
+	d.dist = d.res.resolve(ev, d.dist[:0])
+	for _, x := range d.dist {
+		d.record(uint64(x))
 	}
 }
 
@@ -120,7 +95,7 @@ func (d *DepDistance) ShortFraction(n uint64) float64 {
 }
 
 // Buckets returns the power-of-two histogram: Buckets()[i] counts
-// distances in [2^i, 2^(i+1)), with the final bucket open-ended.
+// distances in [2^i, 2^(i+1)).
 func (d *DepDistance) Buckets() []uint64 {
 	out := make([]uint64, len(d.buckets))
 	copy(out, d.buckets[:])

@@ -70,14 +70,12 @@ type BranchProfile struct {
 	total    uint64
 	branches uint64
 	taken    uint64
-
-	perRegion map[string]uint64
 }
 
 // NewBranchProfile builds the profile; syms may be nil for whole-
 // program numbers only.
 func NewBranchProfile(syms []elfio.Symbol) *BranchProfile {
-	bp := &BranchProfile{perRegion: map[string]uint64{}}
+	bp := &BranchProfile{}
 	if len(syms) > 0 {
 		bp.regions = NewPathLength(syms)
 	}

@@ -2,15 +2,14 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
-	"isacmp/internal/a64"
 	"isacmp/internal/cc"
 	"isacmp/internal/fusion"
 	"isacmp/internal/isa"
-	"isacmp/internal/mem"
-	"isacmp/internal/rv64"
 	"isacmp/internal/simeng"
 	"isacmp/internal/workloads"
 )
@@ -61,6 +60,54 @@ func refCP(evs []isa.Event, lat *simeng.LatencyModel) (cp, scaled uint64) {
 		cp, scaled = max(cp, out[0]), max(scaled, out[1])
 	}
 	return cp, scaled
+}
+
+// refDepDist is DepDistance by its definition: each event's edges go
+// to the distinct events fewer than 2^16 back that last wrote one of
+// its register sources or a word one of its loads reads. It returns
+// the edge count, the distance sum and the power-of-two histogram.
+func refDepDist(evs []isa.Event) (count, sum uint64, buckets [16]uint64) {
+	reg := map[isa.Reg]int{}
+	mem := map[uint64]int{}
+	for i := range evs {
+		ev := &evs[i]
+		producers := map[int]bool{}
+		for _, r := range ev.Srcs[:ev.NSrcs] {
+			if p, ok := reg[r]; ok {
+				producers[p] = true
+			}
+		}
+		for _, w := range append(refWords(ev.LoadAddr, ev.LoadSize), refWords(ev.Load2Addr, ev.Load2Size)...) {
+			if p, ok := mem[w]; ok {
+				producers[p] = true
+			}
+		}
+		for p := range producers {
+			if d := i - p; d < 1<<16 {
+				count, sum = count+1, sum+uint64(d)
+				buckets[bits.Len(uint(d))-1]++
+			}
+		}
+		for _, r := range ev.Dsts[:ev.NDsts] {
+			reg[r] = i
+		}
+		for _, w := range refWords(ev.StoreAddr, ev.StoreSize) {
+			mem[w] = i
+		}
+	}
+	return count, sum, buckets
+}
+
+// checkDepDist diffs DepDistance against the reference on one stream.
+func checkDepDist(t *testing.T, name string, evs []isa.Event) {
+	t.Helper()
+	d := NewDepDistance()
+	d.Events(evs)
+	count, sum, buckets := refDepDist(evs)
+	if d.Count() != count || d.sum != sum || !slices.Equal(d.Buckets(), buckets[:]) {
+		t.Fatalf("%s: DepDistance %d edges, sum %d, buckets %v; reference %d, %d, %v",
+			name, d.Count(), d.sum, d.Buckets(), count, sum, buckets)
+	}
 }
 
 // refWindows is Figure 2 by the paper's rule: windows of each size
@@ -139,6 +186,7 @@ func checkOracle(t *testing.T, name string, evs []isa.Event, sizes []int, stride
 			t.Fatalf("%s: %s CP %d / scaled %d, reference %d / %d", name, which, j.CP(), j.ScaledCP(), wantCP, wantScaled)
 		}
 	}
+	checkDepDist(t, name, evs)
 }
 
 // addrSpan returns the lowest and one past the highest byte address
@@ -210,6 +258,19 @@ func TestOracleRandomStreams(t *testing.T) {
 	if NewWindowedCritPath(PaperWindowSizes()).lanes == nil || NewWindowedCritPathStride(PaperWindowSizes(), 1).lanes != nil {
 		t.Fatal("the paper's sizes must fold by lanes at stride W/2 and per window at stride 1")
 	}
+	// A register and a word written once, then read back by a fused
+	// load pair just inside and just outside DepDistance's reach.
+	for _, gap := range []int{1<<16 - 1, 1 << 16} {
+		evs := randStream(5, gap+1)
+		evs[0] = isa.Event{StoreAddr: 0x9000, StoreSize: 8}
+		evs[0].AddDst(40)
+		evs[gap] = isa.Event{LoadAddr: 0x9000, LoadSize: 8, Load2Addr: 0x9004, Load2Size: 8}
+		evs[gap].AddSrc(40)
+		if _, _, b := refDepDist(evs); (b[15] == 1) != (gap < 1<<16) {
+			t.Fatalf("gap %d: reference bucket 15 = %d", gap, b[15])
+		}
+		checkDepDist(t, fmt.Sprintf("gap %d", gap), evs)
+	}
 }
 
 // collector keeps a copy of every event it receives.
@@ -232,13 +293,7 @@ func TestOracleTinyWorkloads(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, fuse := range []bool{false, true} {
-				m := mem.New(cc.TextBase, compiled.MemSize)
-				var mach simeng.Machine
-				if tgt.Arch == isa.AArch64 {
-					mach, err = a64.NewMachine(compiled.File, m)
-				} else {
-					mach, err = rv64.NewMachine(compiled.File, m)
-				}
+				mach, _, err := compiled.NewMachine()
 				if err != nil {
 					t.Fatal(err)
 				}

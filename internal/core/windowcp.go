@@ -43,8 +43,9 @@ type WindowedCritPath struct {
 // resolver turns each event's register sources and load words (both
 // accesses of a fused load pair) into distances back to the events
 // that last wrote them: the event's RAW producers. A producer maxDist
-// or more events back shares no window with its reader, so its edge
-// is dropped; the rest are deduplicated.
+// or more events back is out of reach (for the windowed analyses, it
+// shares no window with its reader), so its edge is dropped; the rest
+// are deduplicated. DepDistance uses it too, with a reach of 2^16.
 //
 // Events are numbered from maxDist on, so the zero "never written"
 // writer is always out of reach, like any writer too old to share a

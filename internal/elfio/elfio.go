@@ -56,6 +56,33 @@ type File struct {
 	Symbols  []Symbol
 }
 
+// Text returns the file's one executable segment.
+func (f *File) Text() (*Segment, error) {
+	var text *Segment
+	for i := range f.Segments {
+		if f.Segments[i].Flags&PFX != 0 {
+			if text != nil {
+				return nil, fmt.Errorf("multiple executable segments")
+			}
+			text = &f.Segments[i]
+		}
+	}
+	if text == nil {
+		return nil, fmt.Errorf("no executable segment")
+	}
+	return text, nil
+}
+
+// Words returns the segment's data as little-endian 32-bit words; a
+// trailing partial word is dropped.
+func (s *Segment) Words() []uint32 {
+	words := make([]uint32, len(s.Data)/4)
+	for i := range words {
+		words[i] = binary.LittleEndian.Uint32(s.Data[4*i:])
+	}
+	return words
+}
+
 const (
 	ehsize    = 64
 	phentsize = 56

@@ -5,12 +5,9 @@ import (
 	"slices"
 	"testing"
 
-	"isacmp/internal/a64"
 	"isacmp/internal/cc"
 	"isacmp/internal/ir"
 	"isacmp/internal/isa"
-	"isacmp/internal/mem"
-	"isacmp/internal/rv64"
 	"isacmp/internal/simeng"
 	"isacmp/internal/workloads"
 )
@@ -104,13 +101,7 @@ func record(tb testing.TB, prog *ir.Program, tgt cc.Target, limit int) []isa.Eve
 	if err != nil {
 		tb.Fatal(err)
 	}
-	m := mem.New(cc.TextBase, compiled.MemSize)
-	var mach simeng.Machine
-	if tgt.Arch == isa.AArch64 {
-		mach, err = a64.NewMachine(compiled.File, m)
-	} else {
-		mach, err = rv64.NewMachine(compiled.File, m)
-	}
+	mach, _, err := compiled.NewMachine()
 	if err != nil {
 		tb.Fatal(err)
 	}

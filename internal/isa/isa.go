@@ -1,7 +1,10 @@
 // Package isa defines the architecture-neutral vocabulary shared by the
 // AArch64 and RV64G front ends and by every analysis: register
 // identifiers, instruction groups (latency classes) and the per-retired
-// instruction execution record that cores stream to analyses.
+// instruction execution record that cores stream to analyses. It also
+// holds the ISA-independent half of both machines (Process): the ELF
+// image an assembler builds, the loader and its predecoded text, and
+// the Linux system calls.
 //
 // Both ISAs map their architectural registers into one flat register
 // space so that analyses such as the critical-path tracker can index a

@@ -12,24 +12,22 @@ import (
 )
 
 // WriteArtifacts reproduces the output layout of the paper's artifact
-// (appendix A.6): a results directory containing kernelCounts.txt
-// (cumulative instruction count per source section), basicCPResult.txt
-// and scaledCPResult.txt (critical-path data and ILP per benchmark)
-// and windowAverages.txt (comma-separated mean CP length per window
-// size, ascending, one line per benchmark+target).
-func WriteArtifacts(dir string, progs []*ir.Program) error {
+// (appendix A.6) from the rows RunSuite returned for progs with the
+// path-length, critical-path, scaled and windowed analyses on: a
+// results directory containing kernelCounts.txt (cumulative
+// instruction count per source section), basicCPResult.txt and
+// scaledCPResult.txt (critical-path data and ILP per benchmark) and
+// windowAverages.txt (comma-separated mean CP length per window size,
+// ascending, one line per benchmark+target). FAILED cells are left
+// out, as the tables leave them out.
+func WriteArtifacts(dir string, progs []*ir.Program, all [][]Row) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	var kernelCounts, basicCP, scaledCP, windowAvg strings.Builder
 
-	for _, p := range progs {
-		rows, err := Run(p, Experiment{
-			PathLength: true, CritPath: true, Scaled: true, Windowed: true,
-		})
-		if err != nil {
-			return err
-		}
+	for pi, p := range progs {
+		rows := healthy(all[pi])
 
 		fmt.Fprintf(&kernelCounts, "# %s\n", p.Name)
 		for _, r := range rows {

@@ -2,11 +2,13 @@ package report
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
 	"isacmp/internal/cc"
 	"isacmp/internal/fusion"
+	"isacmp/internal/ir"
 	"isacmp/internal/isa"
 	"isacmp/internal/telemetry"
 	"isacmp/internal/workloads"
@@ -70,7 +72,7 @@ func TestFusionWriterMixedRows(t *testing.T) {
 // key — the byte-identity contract's manifest half.
 func TestFusionOffRecordOmitted(t *testing.T) {
 	prog := workloads.ByName("stream", workloads.Tiny)
-	rows, err := Run(prog, Experiment{PathLength: true, Parallel: 1})
+	rows, err := run(prog, Experiment{PathLength: true, Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +98,7 @@ func TestFusionOffRecordOmitted(t *testing.T) {
 // the fusion block is deterministic provenance, not volatile timing.
 func TestFusionExperimentRecords(t *testing.T) {
 	prog := workloads.ByName("stream", workloads.Tiny)
-	rows, err := Run(prog, Experiment{
+	rows, err := run(prog, Experiment{
 		PathLength: true, CritPath: true,
 		Fusion:   fusion.Config{RV64: true, Rules: fusion.AllRules},
 		Parallel: 1,
@@ -131,5 +133,33 @@ func TestFusionExperimentRecords(t *testing.T) {
 	}
 	if !bytes.Contains(buf.Bytes(), []byte(`"fusion"`)) {
 		t.Fatal("canonicalization stripped the fusion block")
+	}
+}
+
+// TestFusionWithoutAnalysesParallel: a fusion run with no analyses and
+// no registry builds the same sink chain at every -parallel value, so
+// the sequential rows carry the same fusion blocks as the fan-out's.
+func TestFusionWithoutAnalysesParallel(t *testing.T) {
+	both, err := fusion.ParseSpec("both")
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs := []*ir.Program{workloads.STREAM(200, 1)}
+	var fused [2][]Row
+	for i, parallel := range []int{1, 2} {
+		all, _, err := RunSuite(progs, Experiment{Fusion: both, Parallel: parallel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fused[i] = all[0]
+	}
+	for i, seq := range fused[0] {
+		par := fused[1][i]
+		if seq.Fusion == nil || par.Fusion == nil {
+			t.Fatalf("%s: fusion block at -parallel 1 %v, at 2 %v", seq.Target, seq.Fusion, par.Fusion)
+		}
+		if !reflect.DeepEqual(seq.Fusion, par.Fusion) || seq.PathLen != par.PathLen {
+			t.Errorf("%s: -parallel 1 %+v (path %d), -parallel 2 %+v (path %d)", seq.Target, seq.Fusion, seq.PathLen, par.Fusion, par.PathLen)
+		}
 	}
 }

@@ -34,7 +34,7 @@ func goldenRows(t *testing.T) []Row {
 	if prog == nil {
 		t.Fatal("stream workload missing")
 	}
-	rows, err := Run(prog, Experiment{
+	rows, err := run(prog, Experiment{
 		PathLength: true, CritPath: true, Scaled: true, Windowed: true,
 		Parallel: 1,
 	})
@@ -114,7 +114,7 @@ func goldenFusionRows(t *testing.T) []Row {
 	if prog == nil {
 		t.Fatal("stream workload missing")
 	}
-	rows, err := Run(prog, Experiment{
+	rows, err := run(prog, Experiment{
 		PathLength: true, CritPath: true, Scaled: true, Windowed: true,
 		Fusion:   fusion.Config{RV64: true, A64: true, Rules: fusion.AllRules},
 		Parallel: 1,

@@ -18,18 +18,15 @@ import (
 	"sync/atomic"
 	"time"
 
-	"isacmp/internal/a64"
 	"isacmp/internal/cc"
 	"isacmp/internal/core"
 	"isacmp/internal/durable"
 	"isacmp/internal/fusion"
 	"isacmp/internal/ir"
 	"isacmp/internal/isa"
-	"isacmp/internal/mem"
 	"isacmp/internal/obs"
 	"isacmp/internal/obs/slogx"
 	"isacmp/internal/prof"
-	"isacmp/internal/rv64"
 	"isacmp/internal/sched"
 	"isacmp/internal/simeng"
 	"isacmp/internal/telemetry"
@@ -216,8 +213,7 @@ type Experiment struct {
 	// cells it does not target.
 	WrapMachine func(workload, target string, attempt int, m simeng.Machine) simeng.Machine
 	// WrapSink, when non-nil, wraps the event sink handed to the
-	// core — the sink-fault injection hook. The inner sink may be nil
-	// (a run with no analyses attached).
+	// core — the sink-fault injection hook.
 	WrapSink func(workload, target string, attempt int, s isa.Sink) isa.Sink
 
 	// Observability (see internal/obs). All default to off; none of
@@ -312,18 +308,6 @@ func (ex Experiment) Targets() []cc.Target {
 		return ex.Columns
 	}
 	return cc.Targets()
-}
-
-// Run compiles and executes prog for every target and collects the
-// selected analyses. Targets are fully independent (each gets its own
-// machine and memory image), so they run on the parallel engine; see
-// RunSuite for the full-matrix form.
-func Run(prog *ir.Program, ex Experiment) ([]Row, error) {
-	rows, _, err := RunSuite([]*ir.Program{prog}, ex)
-	if err != nil {
-		return nil, err
-	}
-	return rows[0], nil
 }
 
 // CountFailures reports how many rows across the suite are FAILED
@@ -623,27 +607,13 @@ func runOne(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment,
 	if err != nil {
 		return row, err
 	}
-	m := mem.New(cc.TextBase, compiled.MemSize)
-	var mach simeng.Machine
-	if tgt.Arch == isa.AArch64 {
-		mach, err = a64.NewMachine(compiled.File, m)
-	} else {
-		mach, err = rv64.NewMachine(compiled.File, m)
-	}
+	mach, _, err := compiled.NewMachine()
 	if err != nil {
 		return row, err
 	}
 	if ex.WrapMachine != nil {
 		mach = ex.WrapMachine(prog.Name, tgt.String(), attempt, mach)
 	}
-
-	// parallel > 1 selects the fan-out engine: the cell's trace is
-	// simulated once and replayed into every analysis concurrently,
-	// with the windowed-CP computation itself sharded when RunSuite
-	// found workers the cells leave idle. parallel == 1 is the
-	// strictly sequential reference path (one goroutine, the
-	// instrumented tee); both produce identical analysis results.
-	parallel := sched.DefaultWorkers(ex.Parallel)
 
 	set := NewAnalysisSet(ex, compiled)
 	defer set.Close()
@@ -699,91 +669,74 @@ func runOne(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment,
 		set.add("progress", pg)
 	}
 
-	// observe interposes the pass-through observers on the cell's
-	// outermost sink: the flight recorder (so the ring holds exactly
-	// what the sinks saw, including the event a faulty sink died on)
-	// and the status-board meter. Applied after WrapSink so injected
-	// sink faults are themselves recorded.
-	observe := func(s isa.Sink) (isa.Sink, *obs.Meter) {
-		if rec != nil {
-			s = rec.Wrap(s)
-		}
-		meter := obs.NewMeter(ex.Status, prog.Name, tgt.String(), s)
-		if meter != nil {
-			s = meter
-		}
-		return s, meter
+	// The cell's consumers: every analysis concurrently on the fan-out
+	// engine, which simulates the trace once and replays it into each,
+	// with the windowed-CP computation itself sharded when RunSuite
+	// found workers the cells leave idle. At -parallel 1 the only
+	// consumer is the instrumented tee, so the fan-out runs it directly
+	// on this goroutine: the strictly sequential reference path. Both
+	// produce identical analysis results.
+	consumers := append([]isa.Sink(nil), set.sinks...)
+	if rm != nil {
+		consumers = append(consumers, rm)
 	}
-	var stats simeng.Stats
-	var fus *fusion.Pass
-	setup.End()
-	runStart := ex.Prof.Now()
-	start := time.Now()
-	if parallel > 1 {
-		consumers := append([]isa.Sink(nil), set.sinks...)
-		if rm != nil {
-			consumers = append(consumers, rm)
-		}
-		var fs sched.FanoutStats
-		n, err := sched.FanoutTimed(func(s isa.Sink) error {
-			// The fusion pass wraps the broadcast sink, so every consumer
-			// sees the same rewritten stream and the returned n counts
-			// fused events — the effective path length, matching the
-			// sequential tee's count.
-			if ex.Fusion.Active(tgt.Arch) {
-				fus = fusion.NewPass(ex.Fusion, tgt.Arch, s)
-				s = fus
-			}
-			if ex.WrapSink != nil {
-				s = ex.WrapSink(prog.Name, tgt.String(), attempt, s)
-			}
-			s, meter := observe(s)
-			defer meter.Flush()
-			var runErr error
-			stats, runErr = emu.Run(mach, s)
-			if runErr == nil && fus != nil {
-				// Deliver the carried trailing event while the broadcast
-				// is still open.
-				fus.Flush()
-			}
-			return runErr
-		}, &fs, consumers...)
-		if err != nil {
-			return row, err
-		}
-		for i, name := range set.names {
-			row.Sinks = append(row.Sinks, busyStats(name, n, fs.SinkBusyNs[i]))
-		}
-	} else {
-		tee := telemetry.NewTee()
+	var tee *telemetry.Tee
+	if sched.DefaultWorkers(ex.Parallel) == 1 {
+		tee = telemetry.NewTee()
 		for i := range set.sinks {
 			tee.Add(set.names[i], set.sinks[i])
 		}
 		if rm != nil {
 			tee.CountRunMetrics(rm)
 		}
-		var sink isa.Sink
-		if len(set.sinks) > 0 || rm != nil {
-			sink = tee
-		}
-		if sink != nil && ex.Fusion.Active(tgt.Arch) {
-			fus = fusion.NewPass(ex.Fusion, tgt.Arch, sink)
-			sink = fus
+		consumers = []isa.Sink{tee}
+	}
+	var stats simeng.Stats
+	var fus *fusion.Pass
+	var fs sched.FanoutStats
+	setup.End()
+	runStart := ex.Prof.Now()
+	start := time.Now()
+	n, err := sched.FanoutTimed(func(s isa.Sink) error {
+		// The fusion pass wraps the consumers' sink, so every consumer
+		// sees the same rewritten stream and n counts fused events, the
+		// effective path length. Outside it come the sink-fault hook,
+		// then the pass-through observers: the flight recorder (so its
+		// ring holds exactly what the sinks saw, including the event a
+		// faulty sink died on) and the status-board meter.
+		if ex.Fusion.Active(tgt.Arch) {
+			fus = fusion.NewPass(ex.Fusion, tgt.Arch, s)
+			s = fus
 		}
 		if ex.WrapSink != nil {
-			sink = ex.WrapSink(prog.Name, tgt.String(), attempt, sink)
+			s = ex.WrapSink(prog.Name, tgt.String(), attempt, s)
 		}
-		sink, meter := observe(sink)
-		stats, err = emu.Run(mach, sink)
-		meter.Flush()
-		if err != nil {
-			return row, err
+		if rec != nil {
+			s = rec.Wrap(s)
 		}
-		if fus != nil {
-			fus.Flush() // before reading tee stats or analysis results
+		if meter := obs.NewMeter(ex.Status, prog.Name, tgt.String(), s); meter != nil {
+			s = meter
+			defer meter.Flush()
 		}
+		var runErr error
+		stats, runErr = emu.Run(mach, s)
+		if runErr == nil && fus != nil {
+			// Deliver the carried trailing event while the consumers
+			// still listen.
+			fus.Flush()
+		}
+		return runErr
+	}, &fs, consumers...)
+	if err != nil {
+		return row, err
+	}
+	if tee != nil {
 		if len(set.sinks) > 0 {
 			row.Sinks = tee.Stats()
+		}
+	} else {
+		for i, name := range set.names {
+			row.Sinks = append(row.Sinks, busyStats(name, n, fs.SinkBusyNs[i]))
 		}
 	}
 	if ex.Prof.Enabled() {

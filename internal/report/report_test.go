@@ -1,6 +1,7 @@
 package report
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,8 +9,18 @@ import (
 
 	"isacmp/internal/cc"
 	"isacmp/internal/ir"
+	"isacmp/internal/simeng"
 	"isacmp/internal/workloads"
 )
+
+// run is RunSuite on one program: its row per target.
+func run(prog *ir.Program, ex Experiment) ([]Row, error) {
+	all, _, err := RunSuite([]*ir.Program{prog}, ex)
+	if err != nil {
+		return nil, err
+	}
+	return all[0], nil
+}
 
 func tinyProgram() *ir.Program {
 	p := ir.NewProgram("tinytest")
@@ -28,7 +39,7 @@ func tinyProgram() *ir.Program {
 
 func TestRunAllAnalyses(t *testing.T) {
 	for _, parallel := range []int{1, 2} {
-		rows, err := Run(tinyProgram(), Experiment{
+		rows, err := run(tinyProgram(), Experiment{
 			PathLength: true, CritPath: true, Scaled: true,
 			Windowed: true, WindowSizes: []int{4}, Mix: true, Parallel: parallel,
 		})
@@ -76,7 +87,7 @@ func TestRunGCC12Only(t *testing.T) {
 			gcc12 = append(gcc12, tgt)
 		}
 	}
-	rows, err := Run(tinyProgram(), Experiment{CritPath: true, Columns: gcc12})
+	rows, err := run(tinyProgram(), Experiment{CritPath: true, Columns: gcc12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +102,7 @@ func TestRunGCC12Only(t *testing.T) {
 }
 
 func TestWriters(t *testing.T) {
-	rows, err := Run(tinyProgram(), Experiment{
+	rows, err := run(tinyProgram(), Experiment{
 		PathLength: true, CritPath: true, Scaled: true,
 		Windowed: true, WindowSizes: []int{4, 16}, Mix: true,
 	})
@@ -138,7 +149,7 @@ func TestWriters(t *testing.T) {
 }
 
 func TestSummarise(t *testing.T) {
-	rows, err := Run(tinyProgram(), Experiment{PathLength: true})
+	rows, err := run(tinyProgram(), Experiment{PathLength: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,10 +172,18 @@ func TestSummarise(t *testing.T) {
 	WriteSummaries(&sb, nil)
 }
 
+// artifactExperiment is what isacmp artifacts runs: the four analyses
+// the artifact files print, on all four targets.
+var artifactExperiment = Experiment{PathLength: true, CritPath: true, Scaled: true, Windowed: true}
+
 func TestWriteArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	progs := []*ir.Program{workloads.STREAM(16, 2)}
-	if err := WriteArtifacts(dir, progs); err != nil {
+	all, _, err := RunSuite(progs, artifactExperiment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteArtifacts(dir, progs, all); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{
@@ -191,6 +210,43 @@ func TestWriteArtifacts(t *testing.T) {
 	for _, l := range lines {
 		if !strings.Contains(l, "GCC 12.2") {
 			t.Errorf("non-GCC12 row in windowAverages: %s", l)
+		}
+	}
+}
+
+// TestArtifactsLatencyModel checks that the experiment's latency model
+// reaches scaledCPResult.txt: each line carries its row's scaled CP,
+// which a slow FP adder moves away from the TX2 model's.
+func TestArtifactsLatencyModel(t *testing.T) {
+	progs := []*ir.Program{workloads.STREAM(16, 2)}
+	lat, err := simeng.ParseLatencyConfig(strings.NewReader("int-simple: 7\nfp-add: 50\n"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := artifactExperiment
+	ex.Latencies = lat
+	custom, _, err := RunSuite(progs, ex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx2, _, err := RunSuite(progs, artifactExperiment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := WriteArtifacts(dir, progs, custom); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "scaledCPResult.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range custom[0] {
+		if r.ScaledCP == tx2[0][i].ScaledCP {
+			t.Errorf("%s: scaled CP %d is the TX2 model's", r.Target, r.ScaledCP)
+		}
+		if want := fmt.Sprintf("%s: path=%d cp=%d ", r.Target, r.PathLen, r.ScaledCP); !strings.Contains(string(data), want) {
+			t.Errorf("scaledCPResult.txt lacks %q:\n%s", want, data)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"isacmp/internal/elfio"
+	"isacmp/internal/isa"
 )
 
 // Asm builds an RV64G text section instruction by instruction,
@@ -14,7 +15,7 @@ type Asm struct {
 	insts  []Inst
 	fixups []fixup
 	labels map[string]int // label name -> instruction index
-	syms   []symMark
+	syms   []isa.Sym
 	errs   []error
 }
 
@@ -29,11 +30,6 @@ type fixup struct {
 	index int
 	label string
 	kind  fixupKind
-}
-
-type symMark struct {
-	name  string
-	index int
 }
 
 // NewAsm returns an empty assembler.
@@ -61,7 +57,7 @@ func (a *Asm) Label(name string) {
 // (e.g. a benchmark kernel); the region extends to the next symbol or
 // the end of text. Symbols become ELF symbols.
 func (a *Asm) Symbol(name string) {
-	a.syms = append(a.syms, symMark{name: name, index: len(a.insts)})
+	a.syms = append(a.syms, isa.Sym{Name: name, Index: len(a.insts)})
 }
 
 // Integer register-register operations.
@@ -341,8 +337,8 @@ func (a *Asm) Assemble(base uint64) ([]uint32, error) {
 }
 
 // assemble does the work of Assemble and additionally returns the
-// post-relaxation instruction index of every Symbol mark.
-func (a *Asm) assemble(base uint64) ([]uint32, []int, error) {
+// Symbol marks at their post-relaxation instruction indices.
+func (a *Asm) assemble(base uint64) ([]uint32, []isa.Sym, error) {
 	if len(a.errs) > 0 {
 		return nil, nil, a.errs[0]
 	}
@@ -354,10 +350,7 @@ func (a *Asm) assemble(base uint64) ([]uint32, []int, error) {
 	for k, v := range a.labels {
 		labels[k] = v
 	}
-	symIdx := make([]int, len(a.syms))
-	for i, s := range a.syms {
-		symIdx[i] = s.index
-	}
+	syms := append([]isa.Sym(nil), a.syms...)
 
 	// Iteratively relax out-of-range conditional branches. Each pass
 	// expands at most one branch into two instructions, shifting all
@@ -392,9 +385,9 @@ func (a *Asm) assemble(base uint64) ([]uint32, []int, error) {
 					fixups[fj].index++
 				}
 			}
-			for si := range symIdx {
-				if symIdx[si] > at {
-					symIdx[si]++
+			for si := range syms {
+				if syms[si].Index > at {
+					syms[si].Index++
 				}
 			}
 			// The original fixup now resolves the jal.
@@ -420,53 +413,19 @@ func (a *Asm) assemble(base uint64) ([]uint32, []int, error) {
 		}
 		words[i] = w
 	}
-	return words, symIdx, nil
+	return words, syms, nil
 }
 
 // Program bundles assembled text with a data image into a runnable ELF
 // file.
-type Program struct {
-	TextBase uint64
-	DataBase uint64
-	Data     []byte
-}
+type Program = isa.Program
 
 // Build assembles the text at p.TextBase and produces the ELF file,
 // including one symbol per Symbol call.
 func (a *Asm) Build(p Program) (*elfio.File, error) {
-	words, symIdx, err := a.assemble(p.TextBase)
+	words, syms, err := a.assemble(p.TextBase)
 	if err != nil {
 		return nil, err
 	}
-	text := make([]byte, len(words)*4)
-	for i, w := range words {
-		text[i*4] = byte(w)
-		text[i*4+1] = byte(w >> 8)
-		text[i*4+2] = byte(w >> 16)
-		text[i*4+3] = byte(w >> 24)
-	}
-	f := &elfio.File{
-		Machine: elfio.EMRiscV,
-		Entry:   p.TextBase,
-		Segments: []elfio.Segment{
-			{Vaddr: p.TextBase, Data: text, Flags: elfio.PFR | elfio.PFX, Name: ".text"},
-		},
-	}
-	if len(p.Data) > 0 {
-		f.Segments = append(f.Segments, elfio.Segment{
-			Vaddr: p.DataBase, Data: p.Data, Flags: elfio.PFR | elfio.PFW, Name: ".data",
-		})
-	}
-	for i, s := range a.syms {
-		end := len(words)
-		if i+1 < len(a.syms) {
-			end = symIdx[i+1]
-		}
-		f.Symbols = append(f.Symbols, elfio.Symbol{
-			Name:  s.name,
-			Value: p.TextBase + uint64(symIdx[i]*4),
-			Size:  uint64((end - symIdx[i]) * 4),
-		})
-	}
-	return f, nil
+	return p.Image(isa.RV64, words, syms), nil
 }

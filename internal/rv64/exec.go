@@ -11,26 +11,24 @@ import (
 // filling ev with the execution record. It returns done=true once the
 // program has exited. ev must not be nil.
 func (m *Machine) Step(ev *isa.Event) (done bool, err error) {
-	if m.exited {
+	if m.Halted {
 		return true, nil
 	}
-	idx := (m.PCReg - m.textBase) / 4
-	if m.PCReg < m.textBase || idx >= uint64(len(m.prog)) || m.PCReg%4 != 0 {
-		m.fallbacks++
-		return false, &fetchErr{pc: m.PCReg}
+	idx := (m.PCReg - m.TextBase) / 4
+	if m.PCReg < m.TextBase || idx >= uint64(len(m.Prog)) || m.PCReg%4 != 0 {
+		return false, m.FetchFault()
 	}
-	i := m.prog[idx]
+	i := m.Prog[idx]
 	if i.Op == OpInvalid {
 		// A text word that failed tolerant predecode; it faults only
 		// here, when execution actually reaches it.
-		m.fallbacks++
-		return false, fmt.Errorf("rv64: decode at %#x: %w", m.PCReg, m.badErrs[m.PCReg])
+		return false, m.FetchFault()
 	}
 
 	ev.Reset()
 	ev.PC = m.PCReg
-	ev.Word = m.words[idx]
-	ev.Group = m.groups[idx]
+	ev.Word = m.Words[idx]
+	ev.Group = m.Groups[idx]
 
 	nextPC := m.PCReg + 4
 	x := &m.X
@@ -151,7 +149,7 @@ func (m *Machine) Step(ev *isa.Event) (done bool, err error) {
 		setX(i.Rd, intOp(i.Op, x[i.Rs1], x[i.Rs2]))
 
 	case ECALL:
-		done, err = m.ecall()
+		done, err = m.Syscall(m.X[regA7], &m.X[regA0], m.X[regA1], m.X[regA2])
 		if err != nil {
 			return false, err
 		}
@@ -275,7 +273,7 @@ func (m *Machine) Step(ev *isa.Event) (done bool, err error) {
 	}
 
 	m.PCReg = nextPC
-	m.steps++
+	m.Retired++
 	return false, nil
 }
 
@@ -923,37 +921,6 @@ func (m *Machine) amo(i Inst, ev *isa.Event, setX func(uint8, uint64)) error {
 	ev.StoreAddr, ev.StoreSize = addr, size
 	setX(i.Rd, old)
 	return nil
-}
-
-// ecall dispatches the Linux system calls the simulated programs use.
-func (m *Machine) ecall() (done bool, err error) {
-	switch m.X[regA7] {
-	case sysExit:
-		m.exited = true
-		m.exitCode = int64(m.X[regA0])
-		m.steps++
-		return true, nil
-	case sysWrite:
-		buf, rerr := m.Mem.ReadBytes(m.X[regA1], int(m.X[regA2]))
-		if rerr != nil {
-			return false, rerr
-		}
-		n, werr := m.Stdout.Write(buf)
-		if werr != nil {
-			return false, werr
-		}
-		m.X[regA0] = uint64(n)
-		return false, nil
-	case sysBrk:
-		req := m.X[regA0]
-		if req != 0 && req >= m.Mem.Base() && req < m.Mem.Base()+m.Mem.Size() {
-			m.Mem.SetBrk(req)
-		}
-		m.X[regA0] = m.Mem.Brk()
-		return false, nil
-	default:
-		return false, fmt.Errorf("rv64: unsupported syscall %d at %#x", m.X[regA7], m.PCReg)
-	}
 }
 
 // OpGroup returns the latency class of an operation.

@@ -42,7 +42,7 @@ func run(t *testing.T, build func(a *Asm), data []byte) *Machine {
 // exit emits the exit(code) sequence.
 func exit(a *Asm, code int64) {
 	a.LI(10, code)
-	a.LI(17, sysExit)
+	a.LI(17, isa.SysExit)
 	a.ECALL()
 }
 
@@ -56,7 +56,7 @@ func TestArithmeticEndToEnd(t *testing.T) {
 		a.DIV(30, 29, 28) // 42
 		a.SUB(31, 30, 7)  // 0
 		a.MV(10, 29)
-		a.LI(17, sysExit)
+		a.LI(17, isa.SysExit)
 		a.ECALL()
 	}, nil)
 	if m.ExitCode() != 294 {
@@ -107,7 +107,7 @@ func TestBranchLoop(t *testing.T) {
 		a.ADDI(6, 6, 1)
 		a.BNE(6, 7, "loop")
 		a.MV(10, 5)
-		a.LI(17, sysExit)
+		a.LI(17, isa.SysExit)
 		a.ECALL()
 	}, nil)
 	if m.ExitCode() != 55 {
@@ -131,7 +131,7 @@ func TestFloatingPoint(t *testing.T) {
 		a.FMADDD(7, 1, 2, 4) // 3*4+15 = 27
 		a.FSD(7, 5, 0)
 		a.FCVTLD(10, 7)
-		a.LI(17, sysExit)
+		a.LI(17, isa.SysExit)
 		a.ECALL()
 	}, data)
 	if m.ExitCode() != 27 {
@@ -155,7 +155,7 @@ func TestZeroRegisterInvariant(t *testing.T) {
 		a.ADD(0, 5, 5) // write to x0 discarded
 		a.ADDI(0, 0, 123)
 		a.MV(10, 0) // x0 reads zero
-		a.LI(17, sysExit)
+		a.LI(17, isa.SysExit)
 		a.ECALL()
 	}, nil)
 	if m.ExitCode() != 0 {
@@ -172,7 +172,7 @@ func TestWriteSyscall(t *testing.T) {
 	a.LI(10, 1) // fd
 	a.LI(11, 0x20000)
 	a.LI(12, int64(len(msg)))
-	a.LI(17, sysWrite)
+	a.LI(17, isa.SysWrite)
 	a.ECALL()
 	exit(a, 0)
 	f, err := a.Build(Program{TextBase: 0x10000, DataBase: 0x20000, Data: msg})
@@ -266,7 +266,7 @@ func TestLIQuickProperty(t *testing.T) {
 		a := NewAsm()
 		a.LI(5, v)
 		a.MV(10, 5)
-		a.LI(17, sysExit)
+		a.LI(17, isa.SysExit)
 		a.ECALL()
 		file, err := a.Build(Program{TextBase: 0x10000})
 		if err != nil {

@@ -1,18 +1,15 @@
 package rv64
 
 import (
-	"fmt"
-	"io"
-
 	"isacmp/internal/elfio"
 	"isacmp/internal/isa"
 	"isacmp/internal/mem"
 )
 
 // Machine is the architectural state of a single RV64G hart together
-// with its predecoded program. It implements the simulation engine's
-// Machine interface: Step retires exactly one instruction and reports
-// it through an isa.Event.
+// with its loaded program (isa.Process). It implements the simulation
+// engine's Machine interface: Step retires exactly one instruction and
+// reports it through an isa.Event.
 type Machine struct {
 	// X is the integer register file; X[0] is hard-wired to zero and
 	// kept zero by construction.
@@ -20,32 +17,8 @@ type Machine struct {
 	// F is the floating-point register file holding raw IEEE-754 bits;
 	// single-precision values are NaN-boxed.
 	F [32]uint64
-	// PCReg is the current program counter.
-	PCReg uint64
 
-	// Mem is the memory image the hart executes against.
-	Mem *mem.Memory
-
-	prog     []Inst
-	words    []uint32
-	groups   []isa.Group
-	textBase uint64
-
-	// badErrs records text words that failed to predecode, keyed by
-	// PC. The slot's Inst stays OpInvalid, so Step faults with the
-	// stored decode error only if the word is actually executed. nil
-	// when the whole text predecoded cleanly (the normal case).
-	badErrs map[uint64]error
-	// fallbacks counts fetches the predecode cache could not serve.
-	fallbacks uint64
-
-	exited   bool
-	exitCode int64
-
-	// Stdout receives bytes written through the write system call.
-	Stdout io.Writer
-
-	steps uint64
+	isa.Process[Inst]
 }
 
 // Registers used by the Linux RISC-V syscall ABI.
@@ -57,110 +30,26 @@ const (
 	regSP = 2
 )
 
-// Linux generic syscall numbers (shared by riscv64 and arm64).
-const (
-	sysWrite = 64
-	sysExit  = 93
-	sysBrk   = 214
-)
-
-// NewMachine predecodes the text segment of the loaded ELF file and
-// prepares architectural state: PC at the entry point, SP at the top
-// of the stack.
+// NewMachine loads the ELF file into memory and predecodes the text
+// segment: PC at the entry point, SP at the top of the stack.
 func NewMachine(f *elfio.File, m *mem.Memory) (*Machine, error) {
-	if f.Machine != elfio.EMRiscV {
-		return nil, fmt.Errorf("rv64: ELF machine %d is not RISC-V", f.Machine)
-	}
-	mach := &Machine{Mem: m, PCReg: f.Entry, Stdout: io.Discard}
-	var text *elfio.Segment
-	maxEnd := m.Base()
-	for i := range f.Segments {
-		s := &f.Segments[i]
-		if err := m.WriteBytes(s.Vaddr, s.Data); err != nil {
-			return nil, fmt.Errorf("rv64: loading segment at %#x: %w", s.Vaddr, err)
-		}
-		if end := s.Vaddr + uint64(len(s.Data)); end > maxEnd {
-			maxEnd = end
-		}
-		if s.Flags&elfio.PFX != 0 {
-			if text != nil {
-				return nil, fmt.Errorf("rv64: multiple executable segments")
-			}
-			text = s
-		}
-	}
-	if text == nil {
-		return nil, fmt.Errorf("rv64: no executable segment")
-	}
-	m.SetBrk((maxEnd + 15) &^ 15)
-	mach.textBase = text.Vaddr
-	n := len(text.Data) / 4
-	mach.prog = make([]Inst, n)
-	mach.words = make([]uint32, n)
-	mach.groups = make([]isa.Group, n)
-	for i := 0; i < n; i++ {
-		w := uint32(text.Data[i*4]) | uint32(text.Data[i*4+1])<<8 |
-			uint32(text.Data[i*4+2])<<16 | uint32(text.Data[i*4+3])<<24
-		mach.words[i] = w
-		inst, err := Decode(w)
-		if err != nil {
-			// Tolerant predecode: data or padding islands inside the
-			// text segment must not fail construction. The slot keeps
-			// OpInvalid and the error surfaces from Step only if the
-			// program actually jumps here.
-			if mach.badErrs == nil {
-				mach.badErrs = make(map[uint64]error)
-			}
-			mach.badErrs[text.Vaddr+uint64(i*4)] = err
-			continue
-		}
-		mach.prog[i] = inst
-		mach.groups[i] = OpGroup(inst.Op)
+	mach := &Machine{}
+	if err := mach.Load(isa.RV64, f, m, predecode); err != nil {
+		return nil, err
 	}
 	mach.X[regSP] = m.StackTop()
 	return mach, nil
 }
 
-// PC returns the current program counter.
-func (m *Machine) PC() uint64 { return m.PCReg }
-
-// Exited reports whether the program has invoked the exit system call.
-func (m *Machine) Exited() bool { return m.exited }
-
-// ExitCode returns the status passed to exit.
-func (m *Machine) ExitCode() int64 { return m.exitCode }
-
-// Steps returns the number of retired instructions.
-func (m *Machine) Steps() uint64 { return m.steps }
+// predecode decodes one text word and its latency group for
+// isa.Process.Load.
+func predecode(w uint32) (Inst, isa.Group, error) {
+	inst, err := Decode(w)
+	return inst, OpGroup(inst.Op), err
+}
 
 // Arch returns isa.RV64.
 func (m *Machine) Arch() isa.Arch { return isa.RV64 }
-
-// InstAt returns the predecoded instruction at pc, for disassembly.
-func (m *Machine) InstAt(pc uint64) (Inst, bool) {
-	idx := (pc - m.textBase) / 4
-	if pc < m.textBase || idx >= uint64(len(m.prog)) || pc%4 != 0 {
-		return Inst{}, false
-	}
-	return m.prog[idx], true
-}
-
-// PredecodeStats reports predecode-cache coverage and the fetches the
-// cache could not serve.
-func (m *Machine) PredecodeStats() isa.PredecodeStats {
-	return isa.PredecodeStats{
-		TextWords: uint64(len(m.prog)),
-		BadWords:  uint64(len(m.badErrs)),
-		Fallbacks: m.fallbacks,
-	}
-}
-
-// fetchErr describes a PC outside the text segment.
-type fetchErr struct{ pc uint64 }
-
-func (e *fetchErr) Error() string {
-	return fmt.Sprintf("rv64: PC %#x outside text segment", e.pc)
-}
 
 // addSrc records a register source unless it is x0.
 func addSrc(ev *isa.Event, r uint8) {

@@ -23,30 +23,6 @@ const fanoutBatch = 8192
 // working on, and the one the generator is filling.
 const fanoutDepth = 4
 
-// Fanout runs gen once and replays its event stream into every sink
-// concurrently: the trace is generated (simulated) a single time and
-// each consumer observes the complete stream in retirement order on
-// its own goroutine. It returns the number of events broadcast and
-// gen's error.
-//
-// Batches are shared read-only between consumers — sinks must treat
-// the *isa.Event they receive as immutable, which the isa.Sink
-// contract already demands. Once every consumer has returned from a
-// batch it is refilled with later events, which the same contract
-// (an event is invalid once the callback returns) allows; memory is
-// bounded at fanoutDepth+2 batches. With zero or one sink the fan-out
-// machinery is skipped entirely and gen runs with the sink attached
-// directly.
-//
-// A consumer that panics is isolated: the panic is converted into an
-// ErrPanic-kind simeng error, the dead consumer keeps draining its
-// channel (discarding batches) so the generator and the healthy
-// consumers are never blocked behind it, and the first consumer error
-// is returned once gen's own error (which takes precedence) is nil.
-func Fanout(gen func(isa.Sink) error, sinks ...isa.Sink) (uint64, error) {
-	return FanoutTimed(gen, nil, sinks...)
-}
-
 // FanoutStats is the span profiler's view of one fan-out run, filled
 // by FanoutTimed: how long the generator spent handing batches to the
 // consumer channels (back-pressure included) and how long each sink's
@@ -59,11 +35,29 @@ type FanoutStats struct {
 	SinkBusyNs []int64
 }
 
-// FanoutTimed is Fanout with optional per-stage timing: when fs is
-// non-nil it is filled with the generator's delivery time and each
-// consumer's busy time. Timing reads one clock pair per batch
+// FanoutTimed runs gen once and replays its event stream into every
+// sink concurrently: the trace is generated (simulated) a single time
+// and each consumer observes the complete stream in retirement order
+// on its own goroutine. It returns the number of events broadcast and
+// gen's error, and fills fs with the generator's delivery time and
+// each consumer's busy time. Timing reads one clock pair per batch
 // (fanoutBatch events), so the overhead is fractions of a nanosecond
-// per event; fs == nil skips every clock read.
+// per event.
+//
+// Batches are shared read-only between consumers — sinks must treat
+// the *isa.Event they receive as immutable, which the isa.Sink
+// contract already demands. Once every consumer has returned from a
+// batch it is refilled with later events, which the same contract
+// (an event is invalid once the callback returns) allows; memory is
+// bounded at fanoutDepth+2 batches. With zero or one sink the fan-out
+// machinery is skipped entirely and gen runs with the sink attached
+// directly, untimed.
+//
+// A consumer that panics is isolated: the panic is converted into an
+// ErrPanic-kind simeng error, the dead consumer keeps draining its
+// channel (discarding batches) so the generator and the healthy
+// consumers are never blocked behind it, and the first consumer error
+// is returned once gen's own error (which takes precedence) is nil.
 func FanoutTimed(gen func(isa.Sink) error, fs *FanoutStats, sinks ...isa.Sink) (uint64, error) {
 	live := sinks[:0:0]
 	for _, s := range sinks {
@@ -71,9 +65,7 @@ func FanoutTimed(gen func(isa.Sink) error, fs *FanoutStats, sinks ...isa.Sink) (
 			live = append(live, s)
 		}
 	}
-	if fs != nil {
-		fs.SinkBusyNs = make([]int64, len(live))
-	}
+	fs.SinkBusyNs = make([]int64, len(live))
 	if len(live) <= 1 {
 		var sink isa.Sink
 		if len(live) == 1 {
@@ -88,36 +80,26 @@ func FanoutTimed(gen func(isa.Sink) error, fs *FanoutStats, sinks ...isa.Sink) (
 		chans: make([]chan *sharedBatch, len(live)),
 		// Sized to every batch that can exist, so a release never
 		// finds it full.
-		free:  make(chan *sharedBatch, fanoutDepth+2),
-		timed: fs != nil,
+		free: make(chan *sharedBatch, fanoutDepth+2),
 	}
 	consumerErrs := make([]error, len(live))
 	var wg sync.WaitGroup
 	for i, s := range live {
 		b.chans[i] = make(chan *sharedBatch, fanoutDepth)
 		wg.Add(1)
-		var busySlot *int64
-		if fs != nil {
-			busySlot = &fs.SinkBusyNs[i]
-		}
 		go func(ch chan *sharedBatch, s isa.Sink, errSlot *error, busySlot *int64) {
 			defer wg.Done()
 			// Busy time accumulates in a local and is stored once at
 			// exit; the caller reads it after wg.Wait, so no atomics.
 			var busy int64
-			if busySlot != nil {
-				defer func() { *busySlot = busy }()
-			}
+			defer func() { *busySlot = busy }()
 			// A batch-capable sink consumes each shared batch in one
 			// call; the slice is read-only between consumers either way.
 			bs, batched := s.(isa.BatchSink)
 			for sb := range ch {
 				// A dead consumer only drains, but still releases.
 				if *errSlot == nil {
-					var t0 time.Time
-					if busySlot != nil {
-						t0 = time.Now()
-					}
+					t0 := time.Now()
 					*errSlot = simeng.Guard(func() error {
 						if batched {
 							bs.Events(sb.evs)
@@ -128,13 +110,11 @@ func FanoutTimed(gen func(isa.Sink) error, fs *FanoutStats, sinks ...isa.Sink) (
 						}
 						return nil
 					})
-					if busySlot != nil {
-						busy += time.Since(t0).Nanoseconds()
-					}
+					busy += time.Since(t0).Nanoseconds()
 				}
 				b.release(sb)
 			}
-		}(b.chans[i], s, &consumerErrs[i], busySlot)
+		}(b.chans[i], s, &consumerErrs[i], &fs.SinkBusyNs[i])
 	}
 
 	err := gen(b)
@@ -143,9 +123,7 @@ func FanoutTimed(gen func(isa.Sink) error, fs *FanoutStats, sinks ...isa.Sink) (
 		close(ch)
 	}
 	wg.Wait()
-	if fs != nil {
-		fs.DeliverNs = b.deliverNs
-	}
+	fs.DeliverNs = b.deliverNs
 	if err == nil {
 		for _, cerr := range consumerErrs {
 			if cerr != nil {
@@ -195,9 +173,8 @@ type broadcastSink struct {
 	free  chan *sharedBatch
 	cur   *sharedBatch // the batch being filled; nil before the first event
 	n     uint64
-	// timed enables the per-send clock pair feeding deliverNs — the
-	// generator-side broadcast time, including back-pressure stalls.
-	timed     bool
+	// deliverNs is the generator-side broadcast time, including
+	// back-pressure stalls.
 	deliverNs int64
 }
 
@@ -252,16 +229,11 @@ func (b *broadcastSink) send() {
 	sb := b.cur
 	b.cur = nil
 	sb.refs.Store(int32(len(b.chans)))
-	var t0 time.Time
-	if b.timed {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	for _, ch := range b.chans {
 		ch <- sb
 	}
-	if b.timed {
-		b.deliverNs += time.Since(t0).Nanoseconds()
-	}
+	b.deliverNs += time.Since(t0).Nanoseconds()
 }
 
 func (b *broadcastSink) flush() {

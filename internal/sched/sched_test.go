@@ -151,7 +151,7 @@ func genEvents(n int) func(isa.Sink) error {
 func TestFanoutCompleteOrderedStreams(t *testing.T) {
 	const n = 3*fanoutBatch + 17
 	sinks := []*orderSink{{}, {}, {}}
-	count, err := Fanout(genEvents(n), sinks[0], sinks[1], sinks[2])
+	count, err := FanoutTimed(genEvents(n), &FanoutStats{}, sinks[0], sinks[1], sinks[2])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestFanoutCompleteOrderedStreams(t *testing.T) {
 // but still counts events.
 func TestFanoutSingleSinkDirect(t *testing.T) {
 	s := &orderSink{}
-	count, err := Fanout(genEvents(100), s)
+	count, err := FanoutTimed(genEvents(100), &FanoutStats{}, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestFanoutSingleSinkDirect(t *testing.T) {
 }
 
 func TestFanoutNoSinks(t *testing.T) {
-	count, err := Fanout(genEvents(50))
+	count, err := FanoutTimed(genEvents(50), &FanoutStats{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestFanoutNoSinks(t *testing.T) {
 // see the full stream.
 func TestFanoutNilSinksFiltered(t *testing.T) {
 	s := &orderSink{}
-	count, err := Fanout(genEvents(10), nil, s, nil)
+	count, err := FanoutTimed(genEvents(10), &FanoutStats{}, nil, s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,13 +211,13 @@ func TestFanoutNilSinksFiltered(t *testing.T) {
 func TestFanoutGenError(t *testing.T) {
 	boom := errors.New("boom")
 	s := &orderSink{}
-	_, err := Fanout(func(snk isa.Sink) error {
+	_, err := FanoutTimed(func(snk isa.Sink) error {
 		for i := 0; i < 10; i++ {
 			ev := isa.Event{PC: uint64(i)}
 			snk.Event(&ev)
 		}
 		return boom
-	}, s, &orderSink{})
+	}, &FanoutStats{}, s, &orderSink{})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
@@ -312,16 +312,6 @@ func TestFanoutTimedStats(t *testing.T) {
 	}
 	if fs.DeliverNs <= 0 {
 		t.Fatalf("DeliverNs = %d, want > 0", fs.DeliverNs)
-	}
-}
-
-// TestFanoutTimedNilStats: a nil stats pointer must behave exactly
-// like the untimed path.
-func TestFanoutTimedNilStats(t *testing.T) {
-	s := &orderSink{}
-	count, err := FanoutTimed(genEvents(100), nil, s, &orderSink{})
-	if err != nil || count != 100 || len(s.pcs) != 100 {
-		t.Fatalf("count=%d err=%v seen=%d", count, err, len(s.pcs))
 	}
 }
 
@@ -424,7 +414,7 @@ func TestFanoutRecyclesBatches(t *testing.T) {
 		var count uint64
 		var err error
 		allocs := batchesAllocated(func() {
-			count, err = Fanout(genRich(n), fast, medium, slow)
+			count, err = FanoutTimed(genRich(n), &FanoutStats{}, fast, medium, slow)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -454,7 +444,7 @@ func (nopSink) Events([]isa.Event) {}
 
 // BenchmarkFanoutBroadcast times the broadcast alone: a 64-batch stream
 // handed over in the emulation core's 4096-event chunks to five no-op
-// consumers. B/op is per Fanout call, so it shows the batch recycling.
+// consumers. B/op is per FanoutTimed call, so it shows the batch recycling.
 func BenchmarkFanoutBroadcast(b *testing.B) {
 	const n = 64 * fanoutBatch
 	chunk := make([]isa.Event, 4096)
@@ -468,7 +458,7 @@ func BenchmarkFanoutBroadcast(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {
-		if _, err := Fanout(gen, sinks...); err != nil {
+		if _, err := FanoutTimed(gen, &FanoutStats{}, sinks...); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -175,7 +175,7 @@ func TestFanoutPanickedConsumerDrains(t *testing.T) {
 	var count uint64
 	var err error
 	allocs := batchesAllocated(func() {
-		count, err = Fanout(genRich(n), &healthy[0], dead, &healthy[1])
+		count, err = FanoutTimed(genRich(n), &FanoutStats{}, &healthy[0], dead, &healthy[1])
 	})
 	if count != n {
 		t.Fatalf("broadcast %d of %d events", count, n)

@@ -4,26 +4,17 @@ import (
 	"math"
 	"testing"
 
-	"isacmp/internal/a64"
 	"isacmp/internal/cc"
 	"isacmp/internal/core"
 	"isacmp/internal/ir"
 	"isacmp/internal/isa"
 	"isacmp/internal/mem"
-	"isacmp/internal/rv64"
 	"isacmp/internal/simeng"
 )
 
 func runCompiled(t *testing.T, c *cc.Compiled) (*mem.Memory, simeng.Stats) {
 	t.Helper()
-	m := mem.New(cc.TextBase, c.MemSize)
-	var mach simeng.Machine
-	var err error
-	if c.Target.Arch == isa.AArch64 {
-		mach, err = a64.NewMachine(c.File, m)
-	} else {
-		mach, err = rv64.NewMachine(c.File, m)
-	}
+	mach, m, err := c.NewMachine()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,13 +247,7 @@ func TestUnitLatencyDegeneration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := mem.New(cc.TextBase, c.MemSize)
-		var mach simeng.Machine
-		if tgt.Arch == isa.AArch64 {
-			mach, err = a64.NewMachine(c.File, m)
-		} else {
-			mach, err = rv64.NewMachine(c.File, m)
-		}
+		mach, _, err := c.NewMachine()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,13 +272,7 @@ func TestCoreModelOrdering(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m := mem.New(cc.TextBase, c.MemSize)
-			var mach simeng.Machine
-			if arch == isa.AArch64 {
-				mach, err = a64.NewMachine(c.File, m)
-			} else {
-				mach, err = rv64.NewMachine(c.File, m)
-			}
+			mach, _, err := c.NewMachine()
 			if err != nil {
 				t.Fatal(err)
 			}

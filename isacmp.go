@@ -15,11 +15,11 @@
 package isacmp
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 
-	"isacmp/internal/a64"
 	"isacmp/internal/cc"
 	"isacmp/internal/core"
 	"isacmp/internal/elfio"
@@ -27,7 +27,6 @@ import (
 	"isacmp/internal/isa"
 	"isacmp/internal/mem"
 	"isacmp/internal/report"
-	"isacmp/internal/rv64"
 	"isacmp/internal/simeng"
 	"isacmp/internal/workloads"
 )
@@ -163,23 +162,7 @@ func (b *Binary) ArrayBase(name string) uint64 { return b.compiled.ArrayBase[nam
 
 // NewMachine loads the binary into a fresh memory image and returns
 // the architectural machine, ready to Step.
-func (b *Binary) NewMachine() (simeng.Machine, *mem.Memory, error) {
-	m := mem.New(cc.TextBase, b.compiled.MemSize)
-	var mach simeng.Machine
-	var err error
-	switch b.compiled.Target.Arch {
-	case isa.AArch64:
-		mach, err = a64.NewMachine(b.compiled.File, m)
-	case isa.RV64:
-		mach, err = rv64.NewMachine(b.compiled.File, m)
-	default:
-		err = fmt.Errorf("isacmp: unknown architecture %v", b.compiled.Target.Arch)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return mach, m, nil
-}
+func (b *Binary) NewMachine() (simeng.Machine, *mem.Memory, error) { return b.compiled.NewMachine() }
 
 // Run executes the binary to completion on the emulation core,
 // streaming every retired instruction to the sinks.
@@ -203,41 +186,28 @@ func (b *Binary) Run(sinks ...Sink) (Stats, error) {
 // per line, in the target's conventional assembly syntax — the tool
 // behind the paper's Listings 1 and 2.
 func (b *Binary) Disassemble(kernel string, w io.Writer) error {
-	var sym *elfio.Symbol
-	for i := range b.compiled.File.Symbols {
-		if b.compiled.File.Symbols[i].Name == kernel {
-			sym = &b.compiled.File.Symbols[i]
+	for _, s := range b.compiled.File.Symbols {
+		if s.Name == kernel {
+			return b.DisassembleRange(s.Value, s.Value+s.Size, w)
+		}
+	}
+	return fmt.Errorf("isacmp: no kernel %q in binary", kernel)
+}
+
+// DisassembleRange renders the instructions at [lo, hi) that lie in the
+// text segment, one per line; a word that does not decode renders as a
+// .word directive.
+func (b *Binary) DisassembleRange(lo, hi uint64, w io.Writer) error {
+	text, err := b.compiled.File.Text()
+	if err != nil {
+		return err
+	}
+	for pc := lo; pc < hi; pc += 4 {
+		off := pc - text.Vaddr
+		if pc < text.Vaddr || off+4 > uint64(len(text.Data)) {
 			break
 		}
-	}
-	if sym == nil {
-		return fmt.Errorf("isacmp: no kernel %q in binary", kernel)
-	}
-	var text []byte
-	var textBase uint64
-	for _, seg := range b.compiled.File.Segments {
-		if seg.Flags&elfio.PFX != 0 {
-			text, textBase = seg.Data, seg.Vaddr
-		}
-	}
-	for pc := sym.Value; pc < sym.Value+sym.Size; pc += 4 {
-		off := pc - textBase
-		word := uint32(text[off]) | uint32(text[off+1])<<8 |
-			uint32(text[off+2])<<16 | uint32(text[off+3])<<24
-		var line string
-		if b.compiled.Target.Arch == isa.AArch64 {
-			inst, err := a64.Decode(word)
-			if err != nil {
-				return err
-			}
-			line = inst.String()
-		} else {
-			inst, err := rv64.Decode(word)
-			if err != nil {
-				return err
-			}
-			line = inst.String()
-		}
+		line := cc.Disasm(b.compiled.Target.Arch, binary.LittleEndian.Uint32(text.Data[off:]))
 		if _, err := fmt.Fprintf(w, "%#08x: %s\n", pc, line); err != nil {
 			return err
 		}
@@ -266,7 +236,10 @@ type Analyses struct {
 	// branch accounting).
 	Branches bool
 	// DepDistances measures producer→consumer distances, the quantity
-	// behind the paper's Figure 2 small-window interpretation.
+	// behind the paper's Figure 2 small-window interpretation: one edge
+	// from each instruction to each distinct instruction fewer than
+	// 2^16 back that last wrote one of its register sources or a word
+	// it loads (see core.DepDistance).
 	DepDistances bool
 	// Latencies overrides the TX2 model for the scaled analysis.
 	Latencies *LatencyModel
@@ -308,8 +281,9 @@ type Result struct {
 	BranchTakenRate float64
 
 	// MeanDepDistance is the mean producer→consumer distance in
-	// instructions; ShortDepFraction16 the fraction of dependency
-	// edges shorter than 16 instructions (tight locality).
+	// instructions over the dependency edges DepDistances defines, each
+	// shorter than 2^16 instructions; ShortDepFraction16 is the fraction
+	// of those edges shorter than 16 instructions (tight locality).
 	MeanDepDistance    float64
 	ShortDepFraction16 float64
 }

@@ -15,19 +15,11 @@ import (
 // binary.
 func textSegmentOf(t *testing.T, f *elfio.File) *elfio.Segment {
 	t.Helper()
-	for i := range f.Segments {
-		if f.Segments[i].Flags&elfio.PFX != 0 {
-			return &f.Segments[i]
-		}
+	text, err := f.Text()
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatal("no executable segment")
-	return nil
-}
-
-// leWord reads the little-endian 32-bit word at byte offset off.
-func leWord(data []byte, off int) uint32 {
-	return uint32(data[off]) | uint32(data[off+1])<<8 |
-		uint32(data[off+2])<<16 | uint32(data[off+3])<<24
+	return text
 }
 
 // TestPredecodeSweep is the exhaustive predecode equality check: for
@@ -47,11 +39,10 @@ func TestPredecodeSweep(t *testing.T) {
 				t.Fatalf("%s %s: %v", p.Name, tgt, err)
 			}
 			text := textSegmentOf(t, bin.compiled.File)
-			words := len(text.Data) / 4
+			words := text.Words()
 			bad := 0
-			for i := 0; i < words; i++ {
+			for i, w := range words {
 				pc := text.Vaddr + uint64(i*4)
-				w := leWord(text.Data, i*4)
 				switch tgt.Arch {
 				case isa.AArch64:
 					m := mach.(*a64.Machine)
@@ -90,8 +81,8 @@ func TestPredecodeSweep(t *testing.T) {
 				t.Fatalf("%s %s: machine does not report predecode stats", p.Name, tgt)
 			}
 			st := src.PredecodeStats()
-			if st.TextWords != uint64(words) {
-				t.Fatalf("%s %s: TextWords = %d, want %d", p.Name, tgt, st.TextWords, words)
+			if st.TextWords != uint64(len(words)) {
+				t.Fatalf("%s %s: TextWords = %d, want %d", p.Name, tgt, st.TextWords, len(words))
 			}
 			if st.BadWords != uint64(bad) {
 				t.Fatalf("%s %s: BadWords = %d, sweep found %d", p.Name, tgt, st.BadWords, bad)
