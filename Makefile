@@ -38,13 +38,14 @@ check-run-patterns:
 	$(GO) test -count=1 -run 'TestMakefileRunPatterns' .
 
 # differential runs the cross-core / cross-ISA trace-equivalence
-# harness, the -parallel determinism tests, the diff of the
-# critical-path analyses against their naive reference and the
+# harness, the -parallel determinism tests, the batched run loop's
+# faults against the per-Step loop's, the diff of the critical-path
+# and path-length analyses against their naive references and the
 # sharded-against-sequential windowed CP across shard chunk seams
 # under the race detector.
 differential:
-	$(GO) test -race -count=1 -run 'TestDifferential|TestParallel|TestRunCellParallel' .
-	$(GO) test -race -count=1 -run 'TestOracle|FuzzWindowedCP|FuzzCritPath|TestShardedMatchesSequential' ./internal/core
+	$(GO) test -race -count=1 -run 'TestDifferential|TestParallel|TestRunCellParallel|TestStepNFaultsMatchStepLoop' .
+	$(GO) test -race -count=1 -run 'TestOracle|FuzzWindowedCP|FuzzCritPath|TestShardedMatchesSequential|TestPathLengthMatchesReference|TestBranchProfileMatchesReference' ./internal/core
 
 # golden checks the pinned paper artifacts (Table 1/2, Figure 1/2,
 # canonical manifests of the matrix and of the run subcommand) under

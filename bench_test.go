@@ -272,9 +272,11 @@ func BenchmarkFullMatrixParallel(b *testing.B) { benchFullMatrix(b, 0) }
 
 // BenchmarkStepVsStepN compares the per-Step interface against the
 // batched StepN fast path on the same machine, in ns per retired
-// instruction. Both paths are allocation-free in steady state
-// (allocs/op rounds to 0; TestStepNSteadyStateZeroAlloc asserts it
-// exactly), so the difference is pure call and dispatch overhead.
+// instruction. Step is StepN over one event, so the difference is
+// what a batch saves: a call, the halt check and the loads and stores
+// of the PC and retired count per instruction. Both paths are
+// allocation-free in steady state (allocs/op rounds to 0;
+// TestStepNZeroAllocMachines asserts it exactly).
 func BenchmarkStepVsStepN(b *testing.B) {
 	prog := Workload("stream", benchScale)
 	bin, err := Compile(prog, Target{Arch: AArch64, Flavor: GCC12})
@@ -379,17 +381,11 @@ func BenchmarkCritPathDenseVsMap(b *testing.B) {
 	})
 }
 
-// BenchmarkWindowedCP measures the windowed-CP layer alone, in ns per
-// event: the first 2^20 events of one cell (LBM, RV64 GCC 12.2; 56 MiB
-// recorded once, of 3.7 M at Small scale) are replayed through a
-// windowed analyzer in 4096-event batches, wrapping at the end. paper
-// runs the paper's sizes at stride W/2, which fold by lanes; stride1
-// runs them at stride 1, whose lane ring would exceed its budget, so
-// they keep the per-window fold. Both are allocation-free in steady
-// state (TestWindowedEventsZeroAlloc asserts it exactly). sharded runs
-// the paper's sizes through a ShardedWindowedCP on GOMAXPROCS shards,
-// its final Results included.
-func BenchmarkWindowedCP(b *testing.B) {
+// recordedCell returns the binary of one cell (LBM, RV64 GCC 12.2)
+// and the first 2^20 events of its run (56 MiB, of 3.7 M at Small
+// scale), the stream the layer benchmarks replay.
+func recordedCell(b *testing.B) (*Binary, []Event) {
+	b.Helper()
 	bin, err := Compile(Workload("lbm", benchScale), Target{Arch: RV64, Flavor: GCC12})
 	if err != nil {
 		b.Fatal(err)
@@ -403,29 +399,62 @@ func BenchmarkWindowedCP(b *testing.B) {
 	if _, err := bin.Run(record); err != nil {
 		b.Fatal(err)
 	}
+	return bin, evs
+}
+
+// replay feeds b.N events of evs to a sink's Events in 4096-event
+// batches, wrapping at the end, calls finish, and reports ns/event.
+func replay(b *testing.B, evs []Event, events func([]Event), finish func()) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	n, at := 0, 0
+	for n < b.N {
+		batch := evs[at:min(at+4096, len(evs))]
+		events(batch)
+		n += len(batch)
+		if at += len(batch); at == len(evs) {
+			at = 0
+		}
+	}
+	if finish != nil {
+		finish()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/event")
+}
+
+// BenchmarkWindowedCP measures the windowed-CP layer alone, in ns per
+// event, over the recorded cell (recordedCell). paper runs the paper's
+// sizes at stride W/2, which fold by lanes; stride1 runs them at
+// stride 1, whose lane ring would exceed its budget, so they keep the
+// per-window fold. Both are allocation-free in steady state
+// (TestWindowedEventsZeroAlloc asserts it exactly). sharded runs the
+// paper's sizes through a ShardedWindowedCP on GOMAXPROCS shards, its
+// final Results included.
+func BenchmarkWindowedCP(b *testing.B) {
+	_, evs := recordedCell(b)
 	run := func(b *testing.B, w interface {
 		Events([]Event)
 		Results() []core.WindowResult
 	}) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		n, at := 0, 0
-		for n < b.N {
-			batch := evs[at:min(at+4096, len(evs))]
-			w.Events(batch)
-			n += len(batch)
-			if at += len(batch); at == len(evs) {
-				at = 0
-			}
-		}
-		w.Results()
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/event")
+		replay(b, evs, w.Events, func() { w.Results() })
 	}
 	b.Run("paper", func(b *testing.B) { run(b, core.NewWindowedCritPathStride(core.PaperWindowSizes(), 0)) })
 	b.Run("stride1", func(b *testing.B) { run(b, core.NewWindowedCritPathStride(core.PaperWindowSizes(), 1)) })
 	b.Run("sharded", func(b *testing.B) {
 		run(b, core.NewShardedWindowedCP(core.PaperWindowSizes(), 0, runtime.GOMAXPROCS(0)))
 	})
+}
+
+// BenchmarkPathLength measures the path-length layer alone, in ns per
+// event: the first 2^14 events of the recorded cell (recordedCell)
+// replayed through a PathLength over the cell's symbols. The layer
+// does little per event, so replaying all 56 MiB would time the
+// memory system; 896 KiB stays in L2, as the run loop's 224 KiB
+// batches do. It is allocation-free in steady state
+// (TestPathLengthEventsZeroAlloc asserts it exactly).
+func BenchmarkPathLength(b *testing.B) {
+	bin, evs := recordedCell(b)
+	replay(b, evs[:1<<14], core.NewPathLength(bin.compiled.File.Symbols).Events, nil)
 }
 
 // BenchmarkCompile measures compilation cost (IR to ELF).

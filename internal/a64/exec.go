@@ -3,429 +3,432 @@ package a64
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"isacmp/internal/isa"
 )
 
 // Step retires one instruction, updating architectural state and
-// filling ev with the execution record. It returns done=true once the
-// program has exited.
+// filling ev with the execution record: StepN over one event. It
+// returns done=true once the program has exited.
 func (m *Machine) Step(ev *isa.Event) (done bool, err error) {
-	if m.Halted {
-		return true, nil
-	}
-	idx := (m.PCReg - m.TextBase) / 4
-	if m.PCReg < m.TextBase || idx >= uint64(len(m.Prog)) || m.PCReg%4 != 0 {
-		return false, m.FetchFault()
-	}
-	i := m.Prog[idx]
-	if i.Op == OpInvalid {
-		// A text word that failed tolerant predecode; it faults only
-		// here, when execution actually reaches it.
-		return false, m.FetchFault()
-	}
-
-	ev.Reset()
-	ev.PC = m.PCReg
-	ev.Word = m.Words[idx]
-	ev.Group = m.Groups[idx]
-
-	nextPC := m.PCReg + 4
-
-	switch i.Op {
-	case ADDi, SUBi:
-		// SP-context for both Rn and Rd (this form moves to/from SP).
-		addSPSrc(ev, i.Rn)
-		imm := uint64(i.Imm)
-		if i.ShiftHi {
-			imm <<= 12
-		}
-		v := m.X[i.Rn] + imm
-		if i.Op == SUBi {
-			v = m.X[i.Rn] - imm
-		}
-		if !i.Sf {
-			v = uint64(uint32(v))
-		}
-		m.X[i.Rd] = v
-		addSPDst(ev, i.Rd)
-
-	case ADDSi, SUBSi:
-		addSPSrc(ev, i.Rn)
-		imm := uint64(i.Imm)
-		if i.ShiftHi {
-			imm <<= 12
-		}
-		a := m.X[i.Rn]
-		var v uint64
-		if i.Op == ADDSi {
-			v = m.addWithFlags(a, imm, 0, i.Sf)
-		} else {
-			v = m.addWithFlags(a, ^imm, 1, i.Sf)
-		}
-		m.setX(i.Rd, v, i.Sf)
-		addDst(ev, i.Rd)
-		ev.AddDst(isa.RegNZCV)
-
-	case ANDi, ORRi, EORi, ANDSi:
-		addSrc(ev, i.Rn)
-		a := m.xr(i.Rn)
-		b := uint64(i.Imm)
-		var v uint64
-		switch i.Op {
-		case ANDi, ANDSi:
-			v = a & b
-		case ORRi:
-			v = a | b
-		case EORi:
-			v = a ^ b
-		}
-		if !i.Sf {
-			v = uint64(uint32(v))
-		}
-		if i.Op == ANDSi {
-			m.logicFlags(v, i.Sf)
-			ev.AddDst(isa.RegNZCV)
-		}
-		m.setX(i.Rd, v, i.Sf)
-		addDst(ev, i.Rd)
-
-	case MOVZ:
-		m.setX(i.Rd, uint64(i.Imm)<<(16*uint(i.Hw)), i.Sf)
-		addDst(ev, i.Rd)
-	case MOVN:
-		m.setX(i.Rd, ^(uint64(i.Imm) << (16 * uint(i.Hw))), i.Sf)
-		addDst(ev, i.Rd)
-	case MOVK:
-		addSrc(ev, i.Rd) // movk merges into the destination
-		sh := 16 * uint(i.Hw)
-		v := m.xr(i.Rd)&^(0xffff<<sh) | uint64(i.Imm)<<sh
-		m.setX(i.Rd, v, i.Sf)
-		addDst(ev, i.Rd)
-
-	case SBFM, UBFM:
-		addSrc(ev, i.Rn)
-		regsize := uint(32)
-		if i.Sf {
-			regsize = 64
-		}
-		m.setX(i.Rd, bfm(m.xr(i.Rn), i.ImmR, i.ImmS, regsize, i.Op == SBFM), i.Sf)
-		addDst(ev, i.Rd)
-
-	case ADDr, SUBr:
-		addSrc(ev, i.Rn)
-		addSrc(ev, i.Rm)
-		b := shiftedOperand(m.xr(i.Rm), i.ShiftKind, i.ShiftAmt, i.Sf)
-		v := m.xr(i.Rn) + b
-		if i.Op == SUBr {
-			v = m.xr(i.Rn) - b
-		}
-		m.setX(i.Rd, v, i.Sf)
-		addDst(ev, i.Rd)
-
-	case ADDSr, SUBSr:
-		addSrc(ev, i.Rn)
-		addSrc(ev, i.Rm)
-		b := shiftedOperand(m.xr(i.Rm), i.ShiftKind, i.ShiftAmt, i.Sf)
-		var v uint64
-		if i.Op == ADDSr {
-			v = m.addWithFlags(m.xr(i.Rn), b, 0, i.Sf)
-		} else {
-			v = m.addWithFlags(m.xr(i.Rn), ^b, 1, i.Sf)
-		}
-		m.setX(i.Rd, v, i.Sf)
-		addDst(ev, i.Rd)
-		ev.AddDst(isa.RegNZCV)
-
-	case ANDr, ORRr, EORr, ANDSr, BICr:
-		addSrc(ev, i.Rn)
-		addSrc(ev, i.Rm)
-		b := shiftedOperand(m.xr(i.Rm), i.ShiftKind, i.ShiftAmt, i.Sf)
-		a := m.xr(i.Rn)
-		var v uint64
-		switch i.Op {
-		case ANDr, ANDSr:
-			v = a & b
-		case ORRr:
-			v = a | b
-		case EORr:
-			v = a ^ b
-		case BICr:
-			v = a &^ b
-		}
-		if !i.Sf {
-			v = uint64(uint32(v))
-		}
-		if i.Op == ANDSr {
-			m.logicFlags(v, i.Sf)
-			ev.AddDst(isa.RegNZCV)
-		}
-		m.setX(i.Rd, v, i.Sf)
-		addDst(ev, i.Rd)
-
-	case MADD, MSUB:
-		addSrc(ev, i.Rn)
-		addSrc(ev, i.Rm)
-		addSrc(ev, i.Ra)
-		p := m.xr(i.Rn) * m.xr(i.Rm)
-		var v uint64
-		if i.Op == MADD {
-			v = m.xr(i.Ra) + p
-		} else {
-			v = m.xr(i.Ra) - p
-		}
-		m.setX(i.Rd, v, i.Sf)
-		addDst(ev, i.Rd)
-
-	case SDIV, UDIV:
-		addSrc(ev, i.Rn)
-		addSrc(ev, i.Rm)
-		m.setX(i.Rd, divide(i.Op == SDIV, m.xr(i.Rn), m.xr(i.Rm), i.Sf), i.Sf)
-		addDst(ev, i.Rd)
-
-	case LSLV, LSRV, ASRV:
-		addSrc(ev, i.Rn)
-		addSrc(ev, i.Rm)
-		bits := uint64(63)
-		if !i.Sf {
-			bits = 31
-		}
-		amt := uint(m.xr(i.Rm) & bits)
-		var v uint64
-		switch i.Op {
-		case LSLV:
-			v = m.xr(i.Rn) << amt
-		case LSRV:
-			a := m.xr(i.Rn)
-			if !i.Sf {
-				a = uint64(uint32(a))
-			}
-			v = a >> amt
-		case ASRV:
-			if i.Sf {
-				v = uint64(int64(m.xr(i.Rn)) >> amt)
-			} else {
-				v = uint64(uint32(int32(uint32(m.xr(i.Rn))) >> amt))
-			}
-		}
-		m.setX(i.Rd, v, i.Sf)
-		addDst(ev, i.Rd)
-
-	case CSEL, CSINC, CSINV, CSNEG:
-		addSrc(ev, i.Rn)
-		addSrc(ev, i.Rm)
-		ev.AddSrc(isa.RegNZCV)
-		var v uint64
-		if m.condHolds(i.Cond) {
-			v = m.xr(i.Rn)
-		} else {
-			b := m.xr(i.Rm)
-			switch i.Op {
-			case CSEL:
-				v = b
-			case CSINC:
-				v = b + 1
-			case CSINV:
-				v = ^b
-			case CSNEG:
-				v = -b
-			}
-		}
-		m.setX(i.Rd, v, i.Sf)
-		addDst(ev, i.Rd)
-
-	case B:
-		ev.Branch, ev.Taken = true, true
-		nextPC = m.PCReg + uint64(i.Imm)
-	case BL:
-		ev.Branch, ev.Taken = true, true
-		m.X[30] = m.PCReg + 4
-		ev.AddDst(isa.IntReg(30))
-		nextPC = m.PCReg + uint64(i.Imm)
-	case Bcond:
-		ev.Branch = true
-		ev.AddSrc(isa.RegNZCV)
-		if m.condHolds(i.Cond) {
-			ev.Taken = true
-			nextPC = m.PCReg + uint64(i.Imm)
-		}
-	case CBZ, CBNZ:
-		ev.Branch = true
-		addSrc(ev, i.Rd)
-		v := m.xr(i.Rd)
-		if !i.Sf {
-			v = uint64(uint32(v))
-		}
-		if (v == 0) == (i.Op == CBZ) {
-			ev.Taken = true
-			nextPC = m.PCReg + uint64(i.Imm)
-		}
-	case BR, RET:
-		ev.Branch, ev.Taken = true, true
-		addSrc(ev, i.Rn)
-		nextPC = m.xr(i.Rn)
-	case BLR:
-		ev.Branch, ev.Taken = true, true
-		addSrc(ev, i.Rn)
-		m.X[30] = m.PCReg + 4
-		ev.AddDst(isa.IntReg(30))
-		nextPC = m.xr(i.Rn)
-	case SVC:
-		done, err = m.Syscall(m.X[regX8], &m.X[regX0], m.X[regX1], m.X[regX2])
-		if err != nil {
-			return false, err
-		}
-		if done {
-			return true, nil
-		}
-	case NOP:
-		// nothing
-
-	case LDR, STR, LDRSW:
-		if err := m.loadStore(&i, ev); err != nil {
-			return false, err
-		}
-	case LDP, STP:
-		if err := m.loadStorePair(&i, ev); err != nil {
-			return false, err
-		}
-
-	case FADD, FSUB, FMUL, FDIV, FNMUL, FMAX, FMIN:
-		addFSrc(ev, i.Rn)
-		addFSrc(ev, i.Rm)
-		m.fpBin(&i)
-		addFDst(ev, i.Rd)
-	case FMOVr, FABS, FNEG, FSQRT, FCVTsd, FCVTds:
-		addFSrc(ev, i.Rn)
-		m.fpUn(&i)
-		addFDst(ev, i.Rd)
-	case FCMP, FCMPE:
-		addFSrc(ev, i.Rn)
-		addFSrc(ev, i.Rm)
-		a, b := m.fr(i.Rn, i.Dbl), m.fr(i.Rm, i.Dbl)
-		switch {
-		case math.IsNaN(a) || math.IsNaN(b):
-			m.setFlags(0b0011)
-		case a == b:
-			m.setFlags(0b0110)
-		case a < b:
-			m.setFlags(0b1000)
-		default:
-			m.setFlags(0b0010)
-		}
-		ev.AddDst(isa.RegNZCV)
-	case FCSEL:
-		addFSrc(ev, i.Rn)
-		addFSrc(ev, i.Rm)
-		ev.AddSrc(isa.RegNZCV)
-		if m.condHolds(i.Cond) {
-			m.F[i.Rd] = m.F[i.Rn]
-		} else {
-			m.F[i.Rd] = m.F[i.Rm]
-		}
-		if !i.Dbl {
-			m.F[i.Rd] = uint64(uint32(m.F[i.Rd]))
-		}
-		addFDst(ev, i.Rd)
-	case SCVTF, UCVTF:
-		addSrc(ev, i.Rn)
-		v := m.xr(i.Rn)
-		var f float64
-		if i.Op == SCVTF {
-			if i.Sf {
-				f = float64(int64(v))
-			} else {
-				f = float64(int32(uint32(v)))
-			}
-		} else {
-			if i.Sf {
-				f = float64(v)
-			} else {
-				f = float64(uint32(v))
-			}
-		}
-		m.setF(i.Rd, f, i.Dbl)
-		addFDst(ev, i.Rd)
-	case FCVTZS, FCVTZU:
-		addFSrc(ev, i.Rn)
-		f := math.Trunc(m.fr(i.Rn, i.Dbl))
-		var v uint64
-		if i.Op == FCVTZS {
-			if i.Sf {
-				v = uint64(satS64(f))
-			} else {
-				v = uint64(uint32(satS32(f)))
-			}
-		} else {
-			if i.Sf {
-				v = satU64(f)
-			} else {
-				v = uint64(satU32(f))
-			}
-		}
-		m.setX(i.Rd, v, i.Sf)
-		addDst(ev, i.Rd)
-	case FMOVxf:
-		addFSrc(ev, i.Rn)
-		v := m.F[i.Rn]
-		if !i.Sf {
-			v = uint64(uint32(v))
-		}
-		m.setX(i.Rd, v, i.Sf)
-		addDst(ev, i.Rd)
-	case FMOVfx:
-		addSrc(ev, i.Rn)
-		v := m.xr(i.Rn)
-		if !i.Dbl {
-			v = uint64(uint32(v))
-		}
-		m.F[i.Rd] = v
-		addFDst(ev, i.Rd)
-	case FMOVi:
-		m.setF(i.Rd, math.Float64frombits(uint64(i.Imm)), i.Dbl)
-		addFDst(ev, i.Rd)
-	case FMADD, FMSUB, FNMADD, FNMSUB:
-		addFSrc(ev, i.Rn)
-		addFSrc(ev, i.Rm)
-		addFSrc(ev, i.Ra)
-		a, b, c := m.fr(i.Rn, i.Dbl), m.fr(i.Rm, i.Dbl), m.fr(i.Ra, i.Dbl)
-		var r float64
-		switch i.Op {
-		case FMADD:
-			r = math.FMA(a, b, c)
-		case FMSUB:
-			r = math.FMA(-a, b, c)
-		case FNMADD:
-			r = math.FMA(-a, b, -c)
-		case FNMSUB:
-			r = math.FMA(a, b, -c)
-		}
-		m.setF(i.Rd, r, i.Dbl)
-		addFDst(ev, i.Rd)
-
-	default:
-		return false, fmt.Errorf("a64: unimplemented op %s at %#x", i.Op.Name(), m.PCReg)
-	}
-
-	m.PCReg = nextPC
-	m.Retired++
-	return false, nil
+	_, done, err = m.StepN(unsafe.Slice(ev, 1))
+	return done, err
 }
 
 // StepN retires up to len(evs) instructions, filling evs[:n] in
-// retirement order — the batched fast path of simeng.BatchMachine.
-// done and err describe the machine state after the n filled events;
-// on an error the first n events are still valid and must be
-// delivered before the error is surfaced.
+// retirement order: the machine's one fetch–execute loop, and the
+// batched fast path of simeng.BatchMachine. done and err describe the
+// machine state after the n filled events; on an error the first n
+// events are still valid and must be delivered before the error is
+// surfaced.
+//
+// The PC stays in a local for the whole batch and is stored to PCReg,
+// never reloaded, at every instruction boundary, so a fault or a panic
+// reports the PC of the instruction in flight; Retired advances once
+// per batch, at every return.
 func (m *Machine) StepN(evs []isa.Event) (n int, done bool, err error) {
-	for n < len(evs) {
-		done, err = m.Step(&evs[n])
-		if done || err != nil {
-			return n, done, err
-		}
-		n++
+	if m.Halted {
+		return 0, true, nil
 	}
-	return n, false, nil
+	pc := m.PCReg
+	for ; n < len(evs); n++ {
+		m.PCReg = pc
+		idx := (pc - m.TextBase) / 4
+		if pc < m.TextBase || idx >= uint64(len(m.Prog)) || pc%4 != 0 {
+			return m.EndBatch(n, false, m.FetchFault())
+		}
+		i := &m.Prog[idx]
+		if i.Op == OpInvalid {
+			// A text word that failed tolerant predecode; it faults
+			// only here, when execution actually reaches it.
+			return m.EndBatch(n, false, m.FetchFault())
+		}
+
+		ev := &evs[n]
+		ev.Reset()
+		ev.PC = pc
+		ev.Word = m.Words[idx]
+		ev.Group = m.Groups[idx]
+
+		nextPC := pc + 4
+
+		switch i.Op {
+		case ADDi, SUBi:
+			// SP-context for both Rn and Rd (this form moves to/from SP).
+			addSPSrc(ev, i.Rn)
+			imm := uint64(i.Imm)
+			if i.ShiftHi {
+				imm <<= 12
+			}
+			v := m.X[i.Rn] + imm
+			if i.Op == SUBi {
+				v = m.X[i.Rn] - imm
+			}
+			if !i.Sf {
+				v = uint64(uint32(v))
+			}
+			m.X[i.Rd] = v
+			addSPDst(ev, i.Rd)
+
+		case ADDSi, SUBSi:
+			addSPSrc(ev, i.Rn)
+			imm := uint64(i.Imm)
+			if i.ShiftHi {
+				imm <<= 12
+			}
+			a := m.X[i.Rn]
+			var v uint64
+			if i.Op == ADDSi {
+				v = m.addWithFlags(a, imm, 0, i.Sf)
+			} else {
+				v = m.addWithFlags(a, ^imm, 1, i.Sf)
+			}
+			m.setX(i.Rd, v, i.Sf)
+			addDst(ev, i.Rd)
+			ev.AddDst(isa.RegNZCV)
+
+		case ANDi, ORRi, EORi, ANDSi:
+			addSrc(ev, i.Rn)
+			a := m.xr(i.Rn)
+			b := uint64(i.Imm)
+			var v uint64
+			switch i.Op {
+			case ANDi, ANDSi:
+				v = a & b
+			case ORRi:
+				v = a | b
+			case EORi:
+				v = a ^ b
+			}
+			if !i.Sf {
+				v = uint64(uint32(v))
+			}
+			if i.Op == ANDSi {
+				m.logicFlags(v, i.Sf)
+				ev.AddDst(isa.RegNZCV)
+			}
+			m.setX(i.Rd, v, i.Sf)
+			addDst(ev, i.Rd)
+
+		case MOVZ:
+			m.setX(i.Rd, uint64(i.Imm)<<(16*uint(i.Hw)), i.Sf)
+			addDst(ev, i.Rd)
+		case MOVN:
+			m.setX(i.Rd, ^(uint64(i.Imm) << (16 * uint(i.Hw))), i.Sf)
+			addDst(ev, i.Rd)
+		case MOVK:
+			addSrc(ev, i.Rd) // movk merges into the destination
+			sh := 16 * uint(i.Hw)
+			v := m.xr(i.Rd)&^(0xffff<<sh) | uint64(i.Imm)<<sh
+			m.setX(i.Rd, v, i.Sf)
+			addDst(ev, i.Rd)
+
+		case SBFM, UBFM:
+			addSrc(ev, i.Rn)
+			regsize := uint(32)
+			if i.Sf {
+				regsize = 64
+			}
+			m.setX(i.Rd, bfm(m.xr(i.Rn), i.ImmR, i.ImmS, regsize, i.Op == SBFM), i.Sf)
+			addDst(ev, i.Rd)
+
+		case ADDr, SUBr:
+			addSrc(ev, i.Rn)
+			addSrc(ev, i.Rm)
+			b := shiftedOperand(m.xr(i.Rm), i.ShiftKind, i.ShiftAmt, i.Sf)
+			v := m.xr(i.Rn) + b
+			if i.Op == SUBr {
+				v = m.xr(i.Rn) - b
+			}
+			m.setX(i.Rd, v, i.Sf)
+			addDst(ev, i.Rd)
+
+		case ADDSr, SUBSr:
+			addSrc(ev, i.Rn)
+			addSrc(ev, i.Rm)
+			b := shiftedOperand(m.xr(i.Rm), i.ShiftKind, i.ShiftAmt, i.Sf)
+			var v uint64
+			if i.Op == ADDSr {
+				v = m.addWithFlags(m.xr(i.Rn), b, 0, i.Sf)
+			} else {
+				v = m.addWithFlags(m.xr(i.Rn), ^b, 1, i.Sf)
+			}
+			m.setX(i.Rd, v, i.Sf)
+			addDst(ev, i.Rd)
+			ev.AddDst(isa.RegNZCV)
+
+		case ANDr, ORRr, EORr, ANDSr, BICr:
+			addSrc(ev, i.Rn)
+			addSrc(ev, i.Rm)
+			b := shiftedOperand(m.xr(i.Rm), i.ShiftKind, i.ShiftAmt, i.Sf)
+			a := m.xr(i.Rn)
+			var v uint64
+			switch i.Op {
+			case ANDr, ANDSr:
+				v = a & b
+			case ORRr:
+				v = a | b
+			case EORr:
+				v = a ^ b
+			case BICr:
+				v = a &^ b
+			}
+			if !i.Sf {
+				v = uint64(uint32(v))
+			}
+			if i.Op == ANDSr {
+				m.logicFlags(v, i.Sf)
+				ev.AddDst(isa.RegNZCV)
+			}
+			m.setX(i.Rd, v, i.Sf)
+			addDst(ev, i.Rd)
+
+		case MADD, MSUB:
+			addSrc(ev, i.Rn)
+			addSrc(ev, i.Rm)
+			addSrc(ev, i.Ra)
+			p := m.xr(i.Rn) * m.xr(i.Rm)
+			var v uint64
+			if i.Op == MADD {
+				v = m.xr(i.Ra) + p
+			} else {
+				v = m.xr(i.Ra) - p
+			}
+			m.setX(i.Rd, v, i.Sf)
+			addDst(ev, i.Rd)
+
+		case SDIV, UDIV:
+			addSrc(ev, i.Rn)
+			addSrc(ev, i.Rm)
+			m.setX(i.Rd, divide(i.Op == SDIV, m.xr(i.Rn), m.xr(i.Rm), i.Sf), i.Sf)
+			addDst(ev, i.Rd)
+
+		case LSLV, LSRV, ASRV:
+			addSrc(ev, i.Rn)
+			addSrc(ev, i.Rm)
+			bits := uint64(63)
+			if !i.Sf {
+				bits = 31
+			}
+			amt := uint(m.xr(i.Rm) & bits)
+			var v uint64
+			switch i.Op {
+			case LSLV:
+				v = m.xr(i.Rn) << amt
+			case LSRV:
+				a := m.xr(i.Rn)
+				if !i.Sf {
+					a = uint64(uint32(a))
+				}
+				v = a >> amt
+			case ASRV:
+				if i.Sf {
+					v = uint64(int64(m.xr(i.Rn)) >> amt)
+				} else {
+					v = uint64(uint32(int32(uint32(m.xr(i.Rn))) >> amt))
+				}
+			}
+			m.setX(i.Rd, v, i.Sf)
+			addDst(ev, i.Rd)
+
+		case CSEL, CSINC, CSINV, CSNEG:
+			addSrc(ev, i.Rn)
+			addSrc(ev, i.Rm)
+			ev.AddSrc(isa.RegNZCV)
+			var v uint64
+			if m.condHolds(i.Cond) {
+				v = m.xr(i.Rn)
+			} else {
+				b := m.xr(i.Rm)
+				switch i.Op {
+				case CSEL:
+					v = b
+				case CSINC:
+					v = b + 1
+				case CSINV:
+					v = ^b
+				case CSNEG:
+					v = -b
+				}
+			}
+			m.setX(i.Rd, v, i.Sf)
+			addDst(ev, i.Rd)
+
+		case B:
+			ev.Branch, ev.Taken = true, true
+			nextPC = pc + uint64(i.Imm)
+		case BL:
+			ev.Branch, ev.Taken = true, true
+			m.X[30] = pc + 4
+			ev.AddDst(isa.IntReg(30))
+			nextPC = pc + uint64(i.Imm)
+		case Bcond:
+			ev.Branch = true
+			ev.AddSrc(isa.RegNZCV)
+			if m.condHolds(i.Cond) {
+				ev.Taken = true
+				nextPC = pc + uint64(i.Imm)
+			}
+		case CBZ, CBNZ:
+			ev.Branch = true
+			addSrc(ev, i.Rd)
+			v := m.xr(i.Rd)
+			if !i.Sf {
+				v = uint64(uint32(v))
+			}
+			if (v == 0) == (i.Op == CBZ) {
+				ev.Taken = true
+				nextPC = pc + uint64(i.Imm)
+			}
+		case BR, RET:
+			ev.Branch, ev.Taken = true, true
+			addSrc(ev, i.Rn)
+			nextPC = m.xr(i.Rn)
+		case BLR:
+			ev.Branch, ev.Taken = true, true
+			addSrc(ev, i.Rn)
+			m.X[30] = pc + 4
+			ev.AddDst(isa.IntReg(30))
+			nextPC = m.xr(i.Rn)
+		case SVC:
+			done, err = m.Syscall(m.X[regX8], &m.X[regX0], m.X[regX1], m.X[regX2])
+			if done || err != nil {
+				return m.EndBatch(n, done, err)
+			}
+		case NOP:
+			// nothing
+
+		case LDR, STR, LDRSW:
+			if err := m.loadStore(i, ev); err != nil {
+				return m.EndBatch(n, false, err)
+			}
+		case LDP, STP:
+			if err := m.loadStorePair(i, ev); err != nil {
+				return m.EndBatch(n, false, err)
+			}
+
+		case FADD, FSUB, FMUL, FDIV, FNMUL, FMAX, FMIN:
+			addFSrc(ev, i.Rn)
+			addFSrc(ev, i.Rm)
+			m.fpBin(i)
+			addFDst(ev, i.Rd)
+		case FMOVr, FABS, FNEG, FSQRT, FCVTsd, FCVTds:
+			addFSrc(ev, i.Rn)
+			m.fpUn(i)
+			addFDst(ev, i.Rd)
+		case FCMP, FCMPE:
+			addFSrc(ev, i.Rn)
+			addFSrc(ev, i.Rm)
+			a, b := m.fr(i.Rn, i.Dbl), m.fr(i.Rm, i.Dbl)
+			switch {
+			case math.IsNaN(a) || math.IsNaN(b):
+				m.setFlags(0b0011)
+			case a == b:
+				m.setFlags(0b0110)
+			case a < b:
+				m.setFlags(0b1000)
+			default:
+				m.setFlags(0b0010)
+			}
+			ev.AddDst(isa.RegNZCV)
+		case FCSEL:
+			addFSrc(ev, i.Rn)
+			addFSrc(ev, i.Rm)
+			ev.AddSrc(isa.RegNZCV)
+			if m.condHolds(i.Cond) {
+				m.F[i.Rd] = m.F[i.Rn]
+			} else {
+				m.F[i.Rd] = m.F[i.Rm]
+			}
+			if !i.Dbl {
+				m.F[i.Rd] = uint64(uint32(m.F[i.Rd]))
+			}
+			addFDst(ev, i.Rd)
+		case SCVTF, UCVTF:
+			addSrc(ev, i.Rn)
+			v := m.xr(i.Rn)
+			var f float64
+			if i.Op == SCVTF {
+				if i.Sf {
+					f = float64(int64(v))
+				} else {
+					f = float64(int32(uint32(v)))
+				}
+			} else {
+				if i.Sf {
+					f = float64(v)
+				} else {
+					f = float64(uint32(v))
+				}
+			}
+			m.setF(i.Rd, f, i.Dbl)
+			addFDst(ev, i.Rd)
+		case FCVTZS, FCVTZU:
+			addFSrc(ev, i.Rn)
+			f := math.Trunc(m.fr(i.Rn, i.Dbl))
+			var v uint64
+			if i.Op == FCVTZS {
+				if i.Sf {
+					v = uint64(satS64(f))
+				} else {
+					v = uint64(uint32(satS32(f)))
+				}
+			} else {
+				if i.Sf {
+					v = satU64(f)
+				} else {
+					v = uint64(satU32(f))
+				}
+			}
+			m.setX(i.Rd, v, i.Sf)
+			addDst(ev, i.Rd)
+		case FMOVxf:
+			addFSrc(ev, i.Rn)
+			v := m.F[i.Rn]
+			if !i.Sf {
+				v = uint64(uint32(v))
+			}
+			m.setX(i.Rd, v, i.Sf)
+			addDst(ev, i.Rd)
+		case FMOVfx:
+			addSrc(ev, i.Rn)
+			v := m.xr(i.Rn)
+			if !i.Dbl {
+				v = uint64(uint32(v))
+			}
+			m.F[i.Rd] = v
+			addFDst(ev, i.Rd)
+		case FMOVi:
+			m.setF(i.Rd, math.Float64frombits(uint64(i.Imm)), i.Dbl)
+			addFDst(ev, i.Rd)
+		case FMADD, FMSUB, FNMADD, FNMSUB:
+			addFSrc(ev, i.Rn)
+			addFSrc(ev, i.Rm)
+			addFSrc(ev, i.Ra)
+			a, b, c := m.fr(i.Rn, i.Dbl), m.fr(i.Rm, i.Dbl), m.fr(i.Ra, i.Dbl)
+			var r float64
+			switch i.Op {
+			case FMADD:
+				r = math.FMA(a, b, c)
+			case FMSUB:
+				r = math.FMA(-a, b, c)
+			case FNMADD:
+				r = math.FMA(-a, b, -c)
+			case FNMSUB:
+				r = math.FMA(a, b, -c)
+			}
+			m.setF(i.Rd, r, i.Dbl)
+			addFDst(ev, i.Rd)
+
+		default:
+			return m.EndBatch(n, false, fmt.Errorf("a64: unimplemented op %s at %#x", i.Op.Name(), pc))
+		}
+
+		pc = nextPC
+	}
+	m.PCReg = pc
+	return m.EndBatch(n, false, nil)
 }
 
 // addWithFlags computes a + b + carry, setting NZCV.

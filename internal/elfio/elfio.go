@@ -343,6 +343,27 @@ func Read(b []byte) (*File, error) {
 			f.Symbols = append(f.Symbols, Symbol{Name: name, Value: val, Size: size})
 		}
 	}
+	// Name each loaded segment after the first PROGBITS section at its
+	// address and size, through the section name table; a name table
+	// out of range leaves the names empty.
+	var shstr []byte
+	if shstrndx := uint64(le.Uint16(b[62:])); shstrndx < shnum {
+		sh := shdrs[shstrndx*shentsize : (shstrndx+1)*shentsize]
+		shstr, _ = view(b, le.Uint64(sh[24:]), le.Uint64(sh[32:]), "section name table")
+	}
+	for i := uint64(0); i < shnum; i++ {
+		sh := shdrs[i*shentsize : (i+1)*shentsize]
+		if le.Uint32(sh[4:]) != 1 { // SHT_PROGBITS
+			continue
+		}
+		for j := range f.Segments {
+			s := &f.Segments[j]
+			if s.Name == "" && s.Vaddr == le.Uint64(sh[16:]) && uint64(len(s.Data)) == le.Uint64(sh[32:]) {
+				s.Name = cstr(shstr, le.Uint32(sh[0:]))
+				break
+			}
+		}
+	}
 	sort.Slice(f.Symbols, func(i, j int) bool { return f.Symbols[i].Value < f.Symbols[j].Value })
 	return f, nil
 }

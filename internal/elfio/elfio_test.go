@@ -36,9 +36,13 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("got %d segments", len(got.Segments))
 	}
 	for i, s := range got.Segments {
-		if s.Vaddr != f.Segments[i].Vaddr || !bytes.Equal(s.Data, f.Segments[i].Data) || s.Flags != f.Segments[i].Flags {
+		if s.Vaddr != f.Segments[i].Vaddr || !bytes.Equal(s.Data, f.Segments[i].Data) || s.Flags != f.Segments[i].Flags ||
+			s.Name != f.Segments[i].Name {
 			t.Errorf("segment %d mismatch: %+v", i, s)
 		}
+	}
+	if again := got.Write(); !bytes.Equal(again, img) {
+		t.Error("image read back writes different bytes")
 	}
 	if len(got.Symbols) != 2 {
 		t.Fatalf("got %d symbols: %+v", len(got.Symbols), got.Symbols)

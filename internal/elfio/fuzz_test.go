@@ -7,7 +7,8 @@ import (
 
 // FuzzELF throws arbitrary bytes at the ELF reader. The invariants:
 // Read never panics whatever the input, and an image Read accepts
-// survives a Write/Read round trip with identical segments.
+// survives a Write/Read round trip with identical segments, names
+// included.
 func FuzzELF(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add([]byte("\x7fELF"))
@@ -31,7 +32,8 @@ func FuzzELF(f *testing.F) {
 		}
 		for i := range file.Segments {
 			if again.Segments[i].Vaddr != file.Segments[i].Vaddr ||
-				!bytes.Equal(again.Segments[i].Data, file.Segments[i].Data) {
+				!bytes.Equal(again.Segments[i].Data, file.Segments[i].Data) ||
+				again.Segments[i].Name != file.Segments[i].Name {
 				t.Fatalf("round trip changed segment %d", i)
 			}
 		}

@@ -86,6 +86,30 @@ func TestRejectBadSymtabLink(t *testing.T) {
 	}
 }
 
+// TestTruncatedNameTable points the section name table, and then the
+// header index that selects it, out of range: the image still reads,
+// with unnamed segments.
+func TestTruncatedNameTable(t *testing.T) {
+	img := sampleFile().Write()
+	le := binary.LittleEndian
+	shstr := int(le.Uint64(img[40:])) + int(le.Uint16(img[62:]))*shentsize
+	for _, bad := range [][]byte{
+		corrupt(t, img, shstr+24, ^uint64(0)-16),
+		corrupt(t, img, shstr+32, uint64(len(img))),
+		append(append([]byte(nil), img[:62]...), append([]byte{0xff, 0xff}, img[64:]...)...),
+	} {
+		f, err := Read(bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range f.Segments {
+			if s.Name != "" {
+				t.Errorf("segment %d named %q through a name table out of range", i, s.Name)
+			}
+		}
+	}
+}
+
 // TestRejectOverlappingSegments rewrites the second load segment's
 // vaddr so its range collides with the first.
 func TestRejectOverlappingSegments(t *testing.T) {

@@ -82,9 +82,10 @@ const (
 
 // Process is a loaded program: its memory, its program counter, its
 // predecoded text and the state of its system calls. An ISA's Machine
-// embeds a Process of its instruction type by value, so its Step
-// fetches from Prog, Words and Groups inline and retires an
-// instruction by advancing PCReg and Retired.
+// embeds a Process of its instruction type by value, so its StepN
+// fetches from Prog, Words and Groups inline, stores PCReg at each
+// instruction boundary and adds a batch's retirements to Retired
+// through EndBatch.
 type Process[I any] struct {
 	// PCReg is the program counter.
 	PCReg uint64
@@ -198,6 +199,13 @@ func (p *Process[I]) Syscall(nr uint64, a0 *uint64, a1, a2 uint64) (done bool, e
 		return false, fmt.Errorf("%s: unsupported syscall %d at %#x", prefixes[p.arch], nr, p.PCReg)
 	}
 	return false, nil
+}
+
+// EndBatch ends a StepN batch of n retired instructions: it adds them
+// to Retired and returns StepN's results.
+func (p *Process[I]) EndBatch(n int, done bool, err error) (int, bool, error) {
+	p.Retired += uint64(n)
+	return n, done, err
 }
 
 // PC returns the current program counter.

@@ -198,8 +198,9 @@ func TestSharedMachineLayer(t *testing.T) {
 			}
 			for i, s := range g.Segments {
 				w := f.Segments[i]
-				if s.Vaddr != w.Vaddr || s.Flags != w.Flags || !bytes.Equal(s.Data, w.Data) {
-					t.Errorf("segment %d read back as %#x/%d/%d bytes, built %#x/%d/%d", i, s.Vaddr, s.Flags, len(s.Data), w.Vaddr, w.Flags, len(w.Data))
+				if s.Vaddr != w.Vaddr || s.Flags != w.Flags || !bytes.Equal(s.Data, w.Data) || s.Name != w.Name {
+					t.Errorf("segment %d read back as %q %#x/%d/%d bytes, built %q %#x/%d/%d",
+						i, s.Name, s.Vaddr, s.Flags, len(s.Data), w.Name, w.Vaddr, w.Flags, len(w.Data))
 				}
 			}
 			if want := f.Segments[0].Flags; want != elfio.PFR|elfio.PFX || f.Segments[1].Flags != elfio.PFR|elfio.PFW {

@@ -3,294 +3,298 @@ package rv64
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"isacmp/internal/isa"
 )
 
 // Step retires one instruction, updating architectural state and
-// filling ev with the execution record. It returns done=true once the
-// program has exited. ev must not be nil.
+// filling ev with the execution record: StepN over one event. It
+// returns done=true once the program has exited. ev must not be nil.
 func (m *Machine) Step(ev *isa.Event) (done bool, err error) {
-	if m.Halted {
-		return true, nil
-	}
-	idx := (m.PCReg - m.TextBase) / 4
-	if m.PCReg < m.TextBase || idx >= uint64(len(m.Prog)) || m.PCReg%4 != 0 {
-		return false, m.FetchFault()
-	}
-	i := m.Prog[idx]
-	if i.Op == OpInvalid {
-		// A text word that failed tolerant predecode; it faults only
-		// here, when execution actually reaches it.
-		return false, m.FetchFault()
-	}
-
-	ev.Reset()
-	ev.PC = m.PCReg
-	ev.Word = m.Words[idx]
-	ev.Group = m.Groups[idx]
-
-	nextPC := m.PCReg + 4
-	x := &m.X
-
-	// setX writes an integer destination, honouring the zero register.
-	setX := func(r uint8, v uint64) {
-		if r != 0 {
-			x[r] = v
-		}
-		addDst(ev, r)
-	}
-
-	switch i.Op {
-	case LUI:
-		setX(i.Rd, uint64(i.Imm))
-	case AUIPC:
-		setX(i.Rd, m.PCReg+uint64(i.Imm))
-	case JAL:
-		ev.Branch, ev.Taken = true, true
-		setX(i.Rd, m.PCReg+4)
-		nextPC = m.PCReg + uint64(i.Imm)
-	case JALR:
-		ev.Branch, ev.Taken = true, true
-		addSrc(ev, i.Rs1)
-		t := (x[i.Rs1] + uint64(i.Imm)) &^ 1
-		setX(i.Rd, m.PCReg+4)
-		nextPC = t
-	case BEQ, BNE, BLT, BGE, BLTU, BGEU:
-		ev.Branch = true
-		addSrc(ev, i.Rs1)
-		addSrc(ev, i.Rs2)
-		a, b := x[i.Rs1], x[i.Rs2]
-		var take bool
-		switch i.Op {
-		case BEQ:
-			take = a == b
-		case BNE:
-			take = a != b
-		case BLT:
-			take = int64(a) < int64(b)
-		case BGE:
-			take = int64(a) >= int64(b)
-		case BLTU:
-			take = a < b
-		case BGEU:
-			take = a >= b
-		}
-		if take {
-			ev.Taken = true
-			nextPC = m.PCReg + uint64(i.Imm)
-		}
-
-	case LB, LH, LW, LD, LBU, LHU, LWU:
-		addSrc(ev, i.Rs1)
-		addr := x[i.Rs1] + uint64(i.Imm)
-		v, sz, lerr := m.load(i.Op, addr)
-		if lerr != nil {
-			return false, lerr
-		}
-		ev.LoadAddr, ev.LoadSize = addr, sz
-		setX(i.Rd, v)
-	case SB, SH, SW, SD:
-		addSrc(ev, i.Rs1)
-		addSrc(ev, i.Rs2)
-		addr := x[i.Rs1] + uint64(i.Imm)
-		sz, serr := m.store(i.Op, addr, x[i.Rs2])
-		if serr != nil {
-			return false, serr
-		}
-		ev.StoreAddr, ev.StoreSize = addr, sz
-
-	case ADDI:
-		addSrc(ev, i.Rs1)
-		setX(i.Rd, x[i.Rs1]+uint64(i.Imm))
-	case SLTI:
-		addSrc(ev, i.Rs1)
-		setX(i.Rd, b2u(int64(x[i.Rs1]) < i.Imm))
-	case SLTIU:
-		addSrc(ev, i.Rs1)
-		setX(i.Rd, b2u(x[i.Rs1] < uint64(i.Imm)))
-	case XORI:
-		addSrc(ev, i.Rs1)
-		setX(i.Rd, x[i.Rs1]^uint64(i.Imm))
-	case ORI:
-		addSrc(ev, i.Rs1)
-		setX(i.Rd, x[i.Rs1]|uint64(i.Imm))
-	case ANDI:
-		addSrc(ev, i.Rs1)
-		setX(i.Rd, x[i.Rs1]&uint64(i.Imm))
-	case SLLI:
-		addSrc(ev, i.Rs1)
-		setX(i.Rd, x[i.Rs1]<<uint(i.Imm))
-	case SRLI:
-		addSrc(ev, i.Rs1)
-		setX(i.Rd, x[i.Rs1]>>uint(i.Imm))
-	case SRAI:
-		addSrc(ev, i.Rs1)
-		setX(i.Rd, uint64(int64(x[i.Rs1])>>uint(i.Imm)))
-	case ADDIW:
-		addSrc(ev, i.Rs1)
-		setX(i.Rd, sext32(uint32(x[i.Rs1])+uint32(i.Imm)))
-	case SLLIW:
-		addSrc(ev, i.Rs1)
-		setX(i.Rd, sext32(uint32(x[i.Rs1])<<uint(i.Imm)))
-	case SRLIW:
-		addSrc(ev, i.Rs1)
-		setX(i.Rd, sext32(uint32(x[i.Rs1])>>uint(i.Imm)))
-	case SRAIW:
-		addSrc(ev, i.Rs1)
-		setX(i.Rd, uint64(int64(int32(x[i.Rs1])>>uint(i.Imm))))
-
-	case ADD, SUB, SLL, SLT, SLTU, XOR, SRL, SRA, OR, AND,
-		ADDW, SUBW, SLLW, SRLW, SRAW,
-		MUL, MULH, MULHSU, MULHU, DIV, DIVU, REM, REMU,
-		MULW, DIVW, DIVUW, REMW, REMUW:
-		addSrc(ev, i.Rs1)
-		addSrc(ev, i.Rs2)
-		setX(i.Rd, intOp(i.Op, x[i.Rs1], x[i.Rs2]))
-
-	case ECALL:
-		done, err = m.Syscall(m.X[regA7], &m.X[regA0], m.X[regA1], m.X[regA2])
-		if err != nil {
-			return false, err
-		}
-		if done {
-			return true, nil
-		}
-	case EBREAK:
-		return false, fmt.Errorf("rv64: ebreak at %#x", m.PCReg)
-	case FENCE:
-		// No-op on a single hart.
-
-	case FLW, FLD:
-		addSrc(ev, i.Rs1)
-		addr := x[i.Rs1] + uint64(i.Imm)
-		if i.Op == FLW {
-			v, lerr := m.Mem.Read32(addr)
-			if lerr != nil {
-				return false, lerr
-			}
-			m.F[i.Rd] = nanBox(v)
-			ev.LoadAddr, ev.LoadSize = addr, 4
-		} else {
-			v, lerr := m.Mem.Read64(addr)
-			if lerr != nil {
-				return false, lerr
-			}
-			m.F[i.Rd] = v
-			ev.LoadAddr, ev.LoadSize = addr, 8
-		}
-		addFDst(ev, i.Rd)
-	case FSW, FSD:
-		addSrc(ev, i.Rs1)
-		addFSrc(ev, i.Rs2)
-		addr := x[i.Rs1] + uint64(i.Imm)
-		if i.Op == FSW {
-			if serr := m.Mem.Write32(addr, uint32(m.F[i.Rs2])); serr != nil {
-				return false, serr
-			}
-			ev.StoreAddr, ev.StoreSize = addr, 4
-		} else {
-			if serr := m.Mem.Write64(addr, m.F[i.Rs2]); serr != nil {
-				return false, serr
-			}
-			ev.StoreAddr, ev.StoreSize = addr, 8
-		}
-
-	case FMADDS, FMSUBS, FNMSUBS, FNMADDS, FMADDD, FMSUBD, FNMSUBD, FNMADDD:
-		addFSrc(ev, i.Rs1)
-		addFSrc(ev, i.Rs2)
-		addFSrc(ev, i.Rs3)
-		m.fma(i)
-		addFDst(ev, i.Rd)
-
-	case FADDS, FSUBS, FMULS, FDIVS, FSGNJS, FSGNJNS, FSGNJXS, FMINS, FMAXS,
-		FADDD, FSUBD, FMULD, FDIVD, FSGNJD, FSGNJND, FSGNJXD, FMIND, FMAXD:
-		addFSrc(ev, i.Rs1)
-		addFSrc(ev, i.Rs2)
-		m.fpBin(i)
-		addFDst(ev, i.Rd)
-
-	case FSQRTS:
-		addFSrc(ev, i.Rs1)
-		m.F[i.Rd] = nanBox(math.Float32bits(float32(math.Sqrt(float64(m.getS(i.Rs1))))))
-		addFDst(ev, i.Rd)
-	case FSQRTD:
-		addFSrc(ev, i.Rs1)
-		m.F[i.Rd] = math.Float64bits(math.Sqrt(m.getD(i.Rs1)))
-		addFDst(ev, i.Rd)
-
-	case FEQS, FLTS, FLES, FEQD, FLTD, FLED:
-		addFSrc(ev, i.Rs1)
-		addFSrc(ev, i.Rs2)
-		setX(i.Rd, m.fpCmp(i))
-
-	case FCVTWS, FCVTWUS, FCVTLS, FCVTLUS, FCVTWD, FCVTWUD, FCVTLD, FCVTLUD:
-		addFSrc(ev, i.Rs1)
-		setX(i.Rd, m.fpToInt(i))
-	case FCVTSW, FCVTSWU, FCVTSL, FCVTSLU, FCVTDW, FCVTDWU, FCVTDL, FCVTDLU:
-		addSrc(ev, i.Rs1)
-		m.intToFP(i)
-		addFDst(ev, i.Rd)
-	case FCVTSD:
-		addFSrc(ev, i.Rs1)
-		m.F[i.Rd] = nanBox(math.Float32bits(float32(m.getD(i.Rs1))))
-		addFDst(ev, i.Rd)
-	case FCVTDS:
-		addFSrc(ev, i.Rs1)
-		m.F[i.Rd] = math.Float64bits(float64(m.getS(i.Rs1)))
-		addFDst(ev, i.Rd)
-
-	case FMVXW:
-		addFSrc(ev, i.Rs1)
-		setX(i.Rd, sext32(uint32(m.F[i.Rs1])))
-	case FMVXD:
-		addFSrc(ev, i.Rs1)
-		setX(i.Rd, m.F[i.Rs1])
-	case FMVWX:
-		addSrc(ev, i.Rs1)
-		m.F[i.Rd] = nanBox(uint32(x[i.Rs1]))
-		addFDst(ev, i.Rd)
-	case FMVDX:
-		addSrc(ev, i.Rs1)
-		m.F[i.Rd] = x[i.Rs1]
-		addFDst(ev, i.Rd)
-	case FCLASSS:
-		addFSrc(ev, i.Rs1)
-		setX(i.Rd, classifyS(m.getS(i.Rs1)))
-	case FCLASSD:
-		addFSrc(ev, i.Rs1)
-		setX(i.Rd, classifyD(m.getD(i.Rs1)))
-
-	case LRW, LRD, SCW, SCD,
-		AMOSWAPW, AMOADDW, AMOXORW, AMOANDW, AMOORW, AMOMINW, AMOMAXW, AMOMINUW, AMOMAXUW,
-		AMOSWAPD, AMOADDD, AMOXORD, AMOANDD, AMOORD, AMOMIND, AMOMAXD, AMOMINUD, AMOMAXUD:
-		if aerr := m.amo(i, ev, setX); aerr != nil {
-			return false, aerr
-		}
-
-	default:
-		return false, fmt.Errorf("rv64: unimplemented op %s at %#x", i.Op.Name(), m.PCReg)
-	}
-
-	m.PCReg = nextPC
-	m.Retired++
-	return false, nil
+	_, done, err = m.StepN(unsafe.Slice(ev, 1))
+	return done, err
 }
 
 // StepN retires up to len(evs) instructions, filling evs[:n] in
-// retirement order — the batched fast path of simeng.BatchMachine.
-// done and err describe the machine state after the n filled events;
-// on an error the first n events are still valid and must be
-// delivered before the error is surfaced.
+// retirement order: the machine's one fetch–execute loop, and the
+// batched fast path of simeng.BatchMachine. done and err describe the
+// machine state after the n filled events; on an error the first n
+// events are still valid and must be delivered before the error is
+// surfaced.
+//
+// The PC stays in a local for the whole batch and is stored to PCReg,
+// never reloaded, at every instruction boundary, so a fault or a panic
+// reports the PC of the instruction in flight; Retired advances once
+// per batch, at every return.
 func (m *Machine) StepN(evs []isa.Event) (n int, done bool, err error) {
-	for n < len(evs) {
-		done, err = m.Step(&evs[n])
-		if done || err != nil {
-			return n, done, err
-		}
-		n++
+	if m.Halted {
+		return 0, true, nil
 	}
-	return n, false, nil
+	pc := m.PCReg
+	x := &m.X
+	for ; n < len(evs); n++ {
+		m.PCReg = pc
+		idx := (pc - m.TextBase) / 4
+		if pc < m.TextBase || idx >= uint64(len(m.Prog)) || pc%4 != 0 {
+			return m.EndBatch(n, false, m.FetchFault())
+		}
+		i := m.Prog[idx]
+		if i.Op == OpInvalid {
+			// A text word that failed tolerant predecode; it faults
+			// only here, when execution actually reaches it.
+			return m.EndBatch(n, false, m.FetchFault())
+		}
+
+		ev := &evs[n]
+		ev.Reset()
+		ev.PC = pc
+		ev.Word = m.Words[idx]
+		ev.Group = m.Groups[idx]
+
+		nextPC := pc + 4
+
+		// setX writes an integer destination, honouring the zero
+		// register.
+		setX := func(r uint8, v uint64) {
+			if r != 0 {
+				x[r] = v
+			}
+			addDst(ev, r)
+		}
+
+		switch i.Op {
+		case LUI:
+			setX(i.Rd, uint64(i.Imm))
+		case AUIPC:
+			setX(i.Rd, pc+uint64(i.Imm))
+		case JAL:
+			ev.Branch, ev.Taken = true, true
+			setX(i.Rd, pc+4)
+			nextPC = pc + uint64(i.Imm)
+		case JALR:
+			ev.Branch, ev.Taken = true, true
+			addSrc(ev, i.Rs1)
+			t := (x[i.Rs1] + uint64(i.Imm)) &^ 1
+			setX(i.Rd, pc+4)
+			nextPC = t
+		case BEQ, BNE, BLT, BGE, BLTU, BGEU:
+			ev.Branch = true
+			addSrc(ev, i.Rs1)
+			addSrc(ev, i.Rs2)
+			a, b := x[i.Rs1], x[i.Rs2]
+			var take bool
+			switch i.Op {
+			case BEQ:
+				take = a == b
+			case BNE:
+				take = a != b
+			case BLT:
+				take = int64(a) < int64(b)
+			case BGE:
+				take = int64(a) >= int64(b)
+			case BLTU:
+				take = a < b
+			case BGEU:
+				take = a >= b
+			}
+			if take {
+				ev.Taken = true
+				nextPC = pc + uint64(i.Imm)
+			}
+
+		case LB, LH, LW, LD, LBU, LHU, LWU:
+			addSrc(ev, i.Rs1)
+			addr := x[i.Rs1] + uint64(i.Imm)
+			v, sz, lerr := m.load(i.Op, addr)
+			if lerr != nil {
+				return m.EndBatch(n, false, lerr)
+			}
+			ev.LoadAddr, ev.LoadSize = addr, sz
+			setX(i.Rd, v)
+		case SB, SH, SW, SD:
+			addSrc(ev, i.Rs1)
+			addSrc(ev, i.Rs2)
+			addr := x[i.Rs1] + uint64(i.Imm)
+			sz, serr := m.store(i.Op, addr, x[i.Rs2])
+			if serr != nil {
+				return m.EndBatch(n, false, serr)
+			}
+			ev.StoreAddr, ev.StoreSize = addr, sz
+
+		case ADDI:
+			addSrc(ev, i.Rs1)
+			setX(i.Rd, x[i.Rs1]+uint64(i.Imm))
+		case SLTI:
+			addSrc(ev, i.Rs1)
+			setX(i.Rd, b2u(int64(x[i.Rs1]) < i.Imm))
+		case SLTIU:
+			addSrc(ev, i.Rs1)
+			setX(i.Rd, b2u(x[i.Rs1] < uint64(i.Imm)))
+		case XORI:
+			addSrc(ev, i.Rs1)
+			setX(i.Rd, x[i.Rs1]^uint64(i.Imm))
+		case ORI:
+			addSrc(ev, i.Rs1)
+			setX(i.Rd, x[i.Rs1]|uint64(i.Imm))
+		case ANDI:
+			addSrc(ev, i.Rs1)
+			setX(i.Rd, x[i.Rs1]&uint64(i.Imm))
+		case SLLI:
+			addSrc(ev, i.Rs1)
+			setX(i.Rd, x[i.Rs1]<<uint(i.Imm))
+		case SRLI:
+			addSrc(ev, i.Rs1)
+			setX(i.Rd, x[i.Rs1]>>uint(i.Imm))
+		case SRAI:
+			addSrc(ev, i.Rs1)
+			setX(i.Rd, uint64(int64(x[i.Rs1])>>uint(i.Imm)))
+		case ADDIW:
+			addSrc(ev, i.Rs1)
+			setX(i.Rd, sext32(uint32(x[i.Rs1])+uint32(i.Imm)))
+		case SLLIW:
+			addSrc(ev, i.Rs1)
+			setX(i.Rd, sext32(uint32(x[i.Rs1])<<uint(i.Imm)))
+		case SRLIW:
+			addSrc(ev, i.Rs1)
+			setX(i.Rd, sext32(uint32(x[i.Rs1])>>uint(i.Imm)))
+		case SRAIW:
+			addSrc(ev, i.Rs1)
+			setX(i.Rd, uint64(int64(int32(x[i.Rs1])>>uint(i.Imm))))
+
+		case ADD, SUB, SLL, SLT, SLTU, XOR, SRL, SRA, OR, AND,
+			ADDW, SUBW, SLLW, SRLW, SRAW,
+			MUL, MULH, MULHSU, MULHU, DIV, DIVU, REM, REMU,
+			MULW, DIVW, DIVUW, REMW, REMUW:
+			addSrc(ev, i.Rs1)
+			addSrc(ev, i.Rs2)
+			setX(i.Rd, intOp(i.Op, x[i.Rs1], x[i.Rs2]))
+
+		case ECALL:
+			done, err = m.Syscall(m.X[regA7], &m.X[regA0], m.X[regA1], m.X[regA2])
+			if done || err != nil {
+				return m.EndBatch(n, done, err)
+			}
+		case EBREAK:
+			return m.EndBatch(n, false, fmt.Errorf("rv64: ebreak at %#x", pc))
+		case FENCE:
+			// No-op on a single hart.
+
+		case FLW, FLD:
+			addSrc(ev, i.Rs1)
+			addr := x[i.Rs1] + uint64(i.Imm)
+			if i.Op == FLW {
+				v, lerr := m.Mem.Read32(addr)
+				if lerr != nil {
+					return m.EndBatch(n, false, lerr)
+				}
+				m.F[i.Rd] = nanBox(v)
+				ev.LoadAddr, ev.LoadSize = addr, 4
+			} else {
+				v, lerr := m.Mem.Read64(addr)
+				if lerr != nil {
+					return m.EndBatch(n, false, lerr)
+				}
+				m.F[i.Rd] = v
+				ev.LoadAddr, ev.LoadSize = addr, 8
+			}
+			addFDst(ev, i.Rd)
+		case FSW, FSD:
+			addSrc(ev, i.Rs1)
+			addFSrc(ev, i.Rs2)
+			addr := x[i.Rs1] + uint64(i.Imm)
+			if i.Op == FSW {
+				if serr := m.Mem.Write32(addr, uint32(m.F[i.Rs2])); serr != nil {
+					return m.EndBatch(n, false, serr)
+				}
+				ev.StoreAddr, ev.StoreSize = addr, 4
+			} else {
+				if serr := m.Mem.Write64(addr, m.F[i.Rs2]); serr != nil {
+					return m.EndBatch(n, false, serr)
+				}
+				ev.StoreAddr, ev.StoreSize = addr, 8
+			}
+
+		case FMADDS, FMSUBS, FNMSUBS, FNMADDS, FMADDD, FMSUBD, FNMSUBD, FNMADDD:
+			addFSrc(ev, i.Rs1)
+			addFSrc(ev, i.Rs2)
+			addFSrc(ev, i.Rs3)
+			m.fma(i)
+			addFDst(ev, i.Rd)
+
+		case FADDS, FSUBS, FMULS, FDIVS, FSGNJS, FSGNJNS, FSGNJXS, FMINS, FMAXS,
+			FADDD, FSUBD, FMULD, FDIVD, FSGNJD, FSGNJND, FSGNJXD, FMIND, FMAXD:
+			addFSrc(ev, i.Rs1)
+			addFSrc(ev, i.Rs2)
+			m.fpBin(i)
+			addFDst(ev, i.Rd)
+
+		case FSQRTS:
+			addFSrc(ev, i.Rs1)
+			m.F[i.Rd] = nanBox(math.Float32bits(float32(math.Sqrt(float64(m.getS(i.Rs1))))))
+			addFDst(ev, i.Rd)
+		case FSQRTD:
+			addFSrc(ev, i.Rs1)
+			m.F[i.Rd] = math.Float64bits(math.Sqrt(m.getD(i.Rs1)))
+			addFDst(ev, i.Rd)
+
+		case FEQS, FLTS, FLES, FEQD, FLTD, FLED:
+			addFSrc(ev, i.Rs1)
+			addFSrc(ev, i.Rs2)
+			setX(i.Rd, m.fpCmp(i))
+
+		case FCVTWS, FCVTWUS, FCVTLS, FCVTLUS, FCVTWD, FCVTWUD, FCVTLD, FCVTLUD:
+			addFSrc(ev, i.Rs1)
+			setX(i.Rd, m.fpToInt(i))
+		case FCVTSW, FCVTSWU, FCVTSL, FCVTSLU, FCVTDW, FCVTDWU, FCVTDL, FCVTDLU:
+			addSrc(ev, i.Rs1)
+			m.intToFP(i)
+			addFDst(ev, i.Rd)
+		case FCVTSD:
+			addFSrc(ev, i.Rs1)
+			m.F[i.Rd] = nanBox(math.Float32bits(float32(m.getD(i.Rs1))))
+			addFDst(ev, i.Rd)
+		case FCVTDS:
+			addFSrc(ev, i.Rs1)
+			m.F[i.Rd] = math.Float64bits(float64(m.getS(i.Rs1)))
+			addFDst(ev, i.Rd)
+
+		case FMVXW:
+			addFSrc(ev, i.Rs1)
+			setX(i.Rd, sext32(uint32(m.F[i.Rs1])))
+		case FMVXD:
+			addFSrc(ev, i.Rs1)
+			setX(i.Rd, m.F[i.Rs1])
+		case FMVWX:
+			addSrc(ev, i.Rs1)
+			m.F[i.Rd] = nanBox(uint32(x[i.Rs1]))
+			addFDst(ev, i.Rd)
+		case FMVDX:
+			addSrc(ev, i.Rs1)
+			m.F[i.Rd] = x[i.Rs1]
+			addFDst(ev, i.Rd)
+		case FCLASSS:
+			addFSrc(ev, i.Rs1)
+			setX(i.Rd, classifyS(m.getS(i.Rs1)))
+		case FCLASSD:
+			addFSrc(ev, i.Rs1)
+			setX(i.Rd, classifyD(m.getD(i.Rs1)))
+
+		case LRW, LRD, SCW, SCD,
+			AMOSWAPW, AMOADDW, AMOXORW, AMOANDW, AMOORW, AMOMINW, AMOMAXW, AMOMINUW, AMOMAXUW,
+			AMOSWAPD, AMOADDD, AMOXORD, AMOANDD, AMOORD, AMOMIND, AMOMAXD, AMOMINUD, AMOMAXUD:
+			if aerr := m.amo(i, ev, setX); aerr != nil {
+				return m.EndBatch(n, false, aerr)
+			}
+
+		default:
+			return m.EndBatch(n, false, fmt.Errorf("rv64: unimplemented op %s at %#x", i.Op.Name(), pc))
+		}
+
+		pc = nextPC
+	}
+	m.PCReg = pc
+	return m.EndBatch(n, false, nil)
 }
 
 func b2u(b bool) uint64 {

@@ -182,7 +182,7 @@ const deadlinePoll = 4096
 // the stepwise poll cadence, and large enough that per-batch costs
 // (dispatch, timing, channel hand-off in the fan-out engine) amortize
 // to fractions of a nanosecond per event while a batch of events
-// (~120 KiB) stays cache-resident.
+// (4096 of 56 bytes, 224 KiB) stays cache-resident.
 const stepBatch = deadlinePoll
 
 // Run drives m to completion. sink may be nil to just count. Panics

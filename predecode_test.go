@@ -1,6 +1,7 @@
 package isacmp
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -89,6 +90,29 @@ func TestPredecodeSweep(t *testing.T) {
 			}
 			if st.Fallbacks != 0 {
 				t.Fatalf("%s %s: %d fallbacks before any Step", p.Name, tgt, st.Fallbacks)
+			}
+		}
+	}
+}
+
+// TestImageReadBackIdentical checks that every compiled workload's
+// executable, on every target, reads back through the ELF parser to a
+// file that writes the same bytes: segments, their names and symbols
+// all survive.
+func TestImageReadBackIdentical(t *testing.T) {
+	for _, p := range Suite(Tiny) {
+		for _, tgt := range Targets() {
+			bin, err := Compile(p, tgt)
+			if err != nil {
+				t.Fatalf("%s %s: %v", p.Name, tgt, err)
+			}
+			img := bin.compiled.File.Write()
+			back, err := elfio.Read(img)
+			if err != nil {
+				t.Fatalf("%s %s: %v", p.Name, tgt, err)
+			}
+			if !bytes.Equal(back.Write(), img) {
+				t.Fatalf("%s %s: image read back writes different bytes", p.Name, tgt)
 			}
 		}
 	}
