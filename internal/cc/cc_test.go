@@ -146,7 +146,9 @@ func TestCopyKernelShape(t *testing.T) {
 	}
 }
 
-func TestTriadFMA(t *testing.T) {
+// triadProgram computes a[i] = b[i] + scalar*c[i], which must contract
+// to one fused multiply-add.
+func triadProgram() *ir.Program {
 	const n = 32
 	p := ir.NewProgram("triad")
 	a := p.Array("a", ir.F64, n)
@@ -157,8 +159,6 @@ func TestTriadFMA(t *testing.T) {
 		c.InitF = append(c.InitF, 2.0-float64(i)/7)
 	}
 	i := ir.NewVar("i", ir.I64)
-	// a[i] = b[i] + scalar*c[i]: must contract to one fmadd and match
-	// the interpreter exactly.
 	p.Kernel("triad").Add(&ir.Loop{
 		Var: i, Start: ir.CI(0), End: ir.CI(n),
 		Body: []ir.Stmt{
@@ -166,10 +166,16 @@ func TestTriadFMA(t *testing.T) {
 				Val: ir.AddE(ir.Ld(b, ir.V(i)), ir.MulE(ir.CF(3.0), ir.Ld(c, ir.V(i))))},
 		},
 	})
-	verifyAll(t, p)
+	return p
 }
 
-func TestNestedLoopsAndScalars(t *testing.T) {
+// TestTriadFMA: the contracted triad matches the interpreter exactly.
+func TestTriadFMA(t *testing.T) {
+	verifyAll(t, triadProgram())
+}
+
+// nestedProgram is a two-level grid loop with a row offset scalar.
+func nestedProgram() *ir.Program {
 	const nx, ny = 8, 6
 	p := ir.NewProgram("nested")
 	grid := p.Array("grid", ir.F64, nx*ny)
@@ -194,10 +200,16 @@ func TestNestedLoopsAndScalars(t *testing.T) {
 			},
 		},
 	})
-	verifyAll(t, p)
+	return p
 }
 
-func TestConditionals(t *testing.T) {
+func TestNestedLoopsAndScalars(t *testing.T) {
+	verifyAll(t, nestedProgram())
+}
+
+// condProgram branches on an FP comparison with an else arm and on an
+// integer comparison without one.
+func condProgram() *ir.Program {
 	const n = 40
 	p := ir.NewProgram("cond")
 	a := p.Array("a", ir.F64, n)
@@ -221,10 +233,15 @@ func TestConditionals(t *testing.T) {
 			},
 		},
 	})
-	verifyAll(t, p)
+	return p
 }
 
-func TestSqrtDivMinMax(t *testing.T) {
+func TestConditionals(t *testing.T) {
+	verifyAll(t, condProgram())
+}
+
+// mathopsProgram exercises sqrt, division, min and max.
+func mathopsProgram() *ir.Program {
 	const n = 16
 	p := ir.NewProgram("mathops")
 	x := p.Array("x", ir.F64, n)
@@ -242,10 +259,16 @@ func TestSqrtDivMinMax(t *testing.T) {
 					ir.CF(1))},
 		},
 	})
-	verifyAll(t, p)
+	return p
 }
 
-func TestIntArraysAndConversions(t *testing.T) {
+func TestSqrtDivMinMax(t *testing.T) {
+	verifyAll(t, mathopsProgram())
+}
+
+// intsProgram is an indirect gather through an integer index array,
+// with an integer-to-float conversion.
+func intsProgram() *ir.Program {
 	const n = 24
 	p := ir.NewProgram("ints")
 	idx := p.Array("idx", ir.I64, n)
@@ -266,10 +289,16 @@ func TestIntArraysAndConversions(t *testing.T) {
 				Val: ir.AddE(ir.Ld(val, ir.V(j)), ir.I2F(ir.V(i)))},
 		},
 	})
-	verifyAll(t, p)
+	return p
 }
 
-func TestRepeat(t *testing.T) {
+func TestIntArraysAndConversions(t *testing.T) {
+	verifyAll(t, intsProgram())
+}
+
+// repeatProgram increments an array in a kernel the program repeats
+// four times.
+func repeatProgram() *ir.Program {
 	const n = 10
 	p := ir.NewProgram("repeat")
 	p.Repeat = 4
@@ -281,6 +310,11 @@ func TestRepeat(t *testing.T) {
 			&ir.Store{Arr: acc, Index: ir.V(i), Val: ir.AddE(ir.Ld(acc, ir.V(i)), ir.CF(1))},
 		},
 	})
+	return p
+}
+
+func TestRepeat(t *testing.T) {
+	p := repeatProgram()
 	ref := ir.NewInterp(p)
 	if err := ref.Run(); err != nil {
 		t.Fatal(err)
@@ -293,7 +327,8 @@ func TestRepeat(t *testing.T) {
 	verifyAll(t, p)
 }
 
-func TestVariableBounds(t *testing.T) {
+// varboundsProgram loops from a constant to a bound loaded from memory.
+func varboundsProgram() *ir.Program {
 	const n = 12
 	p := ir.NewProgram("varbounds")
 	lenA := p.Array("len", ir.I64, 1)
@@ -310,10 +345,16 @@ func TestVariableBounds(t *testing.T) {
 			},
 		},
 	)
-	verifyAll(t, p)
+	return p
 }
 
-func TestEmptyLoopGuard(t *testing.T) {
+func TestVariableBounds(t *testing.T) {
+	verifyAll(t, varboundsProgram())
+}
+
+// emptyProgram loops up to a bound loaded from memory that is zero, so
+// only the empty-loop guard keeps the body from running.
+func emptyProgram() *ir.Program {
 	p := ir.NewProgram("empty")
 	lenA := p.Array("len", ir.I64, 1)
 	lenA.InitI = []int64{0}
@@ -329,12 +370,16 @@ func TestEmptyLoopGuard(t *testing.T) {
 			},
 		},
 	)
-	verifyAll(t, p) // out must stay zero everywhere
+	return p
 }
 
-func TestOffsetStreams(t *testing.T) {
-	// Accesses at arr[off + i] must strength-reduce on RISC-V and stay
-	// correct everywhere.
+func TestEmptyLoopGuard(t *testing.T) {
+	verifyAll(t, emptyProgram()) // out must stay zero everywhere
+}
+
+// offsetProgram accesses arr[off + i] with a constant and a variable
+// offset.
+func offsetProgram() *ir.Program {
 	const n = 20
 	p := ir.NewProgram("offset")
 	a := p.Array("a", ir.F64, 2*n)
@@ -355,7 +400,13 @@ func TestOffsetStreams(t *testing.T) {
 			},
 		},
 	)
-	verifyAll(t, p)
+	return p
+}
+
+// TestOffsetStreams: accesses at arr[off + i] must strength-reduce on
+// RISC-V and stay correct everywhere.
+func TestOffsetStreams(t *testing.T) {
+	verifyAll(t, offsetProgram())
 }
 
 func TestBackendDifferencesExist(t *testing.T) {
@@ -375,19 +426,27 @@ func TestBackendDifferencesExist(t *testing.T) {
 	}
 }
 
-func TestCompileErrors(t *testing.T) {
-	// Unvalidatable program.
+// badProgram fails validation: a program runs at least once.
+func badProgram() *ir.Program {
 	p := ir.NewProgram("bad")
 	p.Repeat = 0
-	if _, err := Compile(p, Target{isa.AArch64, GCC12}); err == nil {
+	return p
+}
+
+// rbaProgram stores a variable that is never assigned.
+func rbaProgram() *ir.Program {
+	p := ir.NewProgram("rba")
+	out := p.Array("out", ir.F64, 1)
+	v := ir.NewVar("v", ir.F64)
+	p.Kernel("k").Add(&ir.Store{Arr: out, Index: ir.CI(0), Val: ir.V(v)})
+	return p
+}
+
+func TestCompileErrors(t *testing.T) {
+	if _, err := Compile(badProgram(), Target{isa.AArch64, GCC12}); err == nil {
 		t.Error("invalid program accepted")
 	}
-
-	// Read-before-assign.
-	p2 := ir.NewProgram("rba")
-	out := p2.Array("out", ir.F64, 1)
-	v := ir.NewVar("v", ir.F64)
-	p2.Kernel("k").Add(&ir.Store{Arr: out, Index: ir.CI(0), Val: ir.V(v)})
+	p2 := rbaProgram()
 	for _, tgt := range Targets() {
 		if _, err := Compile(p2, tgt); err == nil {
 			t.Errorf("%s: read-before-assign accepted", tgt)
