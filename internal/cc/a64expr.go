@@ -1,8 +1,6 @@
 package cc
 
 import (
-	"fmt"
-
 	"isacmp/internal/a64"
 	"isacmp/internal/ir"
 )
@@ -35,22 +33,6 @@ func condFor(op ir.BinOp, fp bool) a64.Cond {
 	}
 }
 
-func (g *a64Gen) intoI(dest uint8) (uint8, bool, error) {
-	if dest != noReg {
-		return dest, false, nil
-	}
-	r, err := g.intPool.alloc()
-	return r, true, err
-}
-
-func (g *a64Gen) intoF(dest uint8) (uint8, bool, error) {
-	if dest != noReg {
-		return dest, false, nil
-	}
-	r, err := g.fpPool.alloc()
-	return r, true, err
-}
-
 // matchIntMAdd recognises a*b+c and c-a*b integer trees that lower to
 // madd/msub, an AArch64 capability RV64G lacks.
 func matchIntMAdd(e ir.Expr) (a, b, c ir.Expr, sub bool, ok bool) {
@@ -81,194 +63,91 @@ func matchIntMAdd(e ir.Expr) (a, b, c ir.Expr, sub bool, ok bool) {
 	return nil, nil, nil, false, false
 }
 
-// evalI evaluates an integer expression; see rvGen.evalI for the
-// destination-register contract.
-func (g *a64Gen) evalI(e ir.Expr, dest uint8) (reg uint8, owned bool, err error) {
-	// madd/msub contraction.
-	if a, b, c, sub, ok := matchIntMAdd(e); ok {
-		ra, aOwned, err := g.evalI(a, noReg)
-		if err != nil {
-			return 0, false, err
-		}
-		rb, bOwned, err := g.evalI(b, noReg)
-		if err != nil {
-			return 0, false, err
-		}
-		rc, cOwned, err := g.evalI(c, noReg)
-		if err != nil {
-			return 0, false, err
-		}
-		r, owned, err := g.intoI(dest)
-		if err != nil {
-			return 0, false, err
-		}
-		if sub {
-			g.asm.MSUB(r, ra, rb, rc)
-		} else {
-			g.asm.MADD(r, ra, rb, rc)
-		}
-		if aOwned {
-			g.intPool.free(ra)
-		}
-		if bOwned {
-			g.intPool.free(rb)
-		}
-		if cOwned {
-			g.intPool.free(rc)
-		}
-		return r, owned, nil
+// mulAdd contracts a*b+c and c-a*b into madd/msub.
+func (g *a64Gen) mulAdd(ex ir.Bin, dest uint8) (uint8, bool, bool, error) {
+	a, b, c, sub, ok := matchIntMAdd(ex)
+	if !ok {
+		return 0, false, false, nil
 	}
-
-	switch ex := e.(type) {
-	case ir.ConstI:
-		r, owned, err := g.intoI(dest)
-		if err != nil {
-			return 0, false, err
-		}
-		g.asm.MOV64(r, ex.V)
-		return r, owned, nil
-
-	case ir.VarRef:
-		r, ok := g.vars[ex.Var]
-		if !ok {
-			return 0, false, fmt.Errorf("a64gen: variable %q read before assignment", ex.Var.Name)
-		}
-		return r, false, nil
-
-	case ir.LoadExpr:
-		r, owned, err := g.intoI(dest)
-		if err != nil {
-			return 0, false, err
-		}
-		if err := g.access(ex.Arr, ex.Index, r, true); err != nil {
-			return 0, false, err
-		}
-		return r, owned, nil
-
-	case ir.Cvt:
-		if ex.To != ir.I64 {
-			return 0, false, fmt.Errorf("a64gen: float conversion in integer context")
-		}
-		f, fOwned, err := g.evalF(ex.A, noReg)
-		if err != nil {
-			return 0, false, err
-		}
-		r, owned, err := g.intoI(dest)
-		if err != nil {
-			return 0, false, err
-		}
-		g.asm.FCVTZS(r, f)
-		if fOwned {
-			g.fpPool.free(f)
-		}
-		return r, owned, nil
-
-	case ir.Un:
-		a, aOwned, err := g.evalI(ex.A, noReg)
-		if err != nil {
-			return 0, false, err
-		}
-		r, owned, err := g.intoI(dest)
-		if err != nil {
-			return 0, false, err
-		}
-		switch ex.Op {
-		case ir.Neg:
-			// neg r, a == sub r, xzr, a
-			g.asm.Emit(a64.Inst{Op: a64.SUBr, Sf: true, Rd: r, Rn: a64.ZR, Rm: a})
-		case ir.Abs:
-			// cmp a, #0; csneg r, a, a, ge
-			g.asm.CMPi(a, 0)
-			g.asm.Emit(a64.Inst{Op: a64.CSNEG, Sf: true, Rd: r, Rn: a, Rm: a, Cond: a64.GE})
-		default:
-			return 0, false, fmt.Errorf("a64gen: unary op %d on i64", ex.Op)
-		}
-		if aOwned {
-			g.intPool.free(a)
-		}
-		return r, owned, nil
-
-	case ir.Bin:
-		return g.evalBinI(ex, dest)
+	ra, aOwned, err := g.evalI(a, noReg)
+	if err != nil {
+		return 0, false, true, err
 	}
-	return 0, false, fmt.Errorf("a64gen: expression %T in integer context", e)
+	rb, bOwned, err := g.evalI(b, noReg)
+	if err != nil {
+		return 0, false, true, err
+	}
+	rc, cOwned, err := g.evalI(c, noReg)
+	if err != nil {
+		return 0, false, true, err
+	}
+	r, owned, err := g.intPool.into(dest)
+	if err != nil {
+		return 0, false, true, err
+	}
+	if sub {
+		g.asm.MSUB(r, ra, rb, rc)
+	} else {
+		g.asm.MADD(r, ra, rb, rc)
+	}
+	if aOwned {
+		g.intPool.free(ra)
+	}
+	if bOwned {
+		g.intPool.free(rb)
+	}
+	if cOwned {
+		g.intPool.free(rc)
+	}
+	return r, owned, true, nil
 }
 
-func (g *a64Gen) evalBinI(ex ir.Bin, dest uint8) (uint8, bool, error) {
-	if ex.Op >= ir.Lt && ex.Op <= ir.Ge {
-		// Materialised comparison: cmp/fcmp + cset, the extra
-		// flag-setting instruction RISC-V avoids.
-		if err := g.emitCompare(ex); err != nil {
-			return 0, false, err
-		}
-		r, owned, err := g.intoI(dest)
-		if err != nil {
-			return 0, false, err
-		}
-		g.asm.CSET(r, condFor(ex.Op, ex.A.Type() == ir.F64))
-		return r, owned, nil
+// compare materialises a comparison: cmp/fcmp + cset, the extra
+// flag-setting instruction RISC-V avoids.
+func (g *a64Gen) compare(ex ir.Bin, dest uint8) (uint8, bool, error) {
+	if err := g.emitCompare(ex); err != nil {
+		return 0, false, err
 	}
+	r, owned, err := g.intPool.into(dest)
+	if err != nil {
+		return 0, false, err
+	}
+	g.asm.CSET(r, condFor(ex.Op, ex.A.Type() == ir.F64))
+	return r, owned, nil
+}
 
-	// Immediate folding; commutative operators fold a constant on
-	// either side.
-	if c, ok := constFold(ex.A); ok {
-		switch ex.Op {
-		case ir.Add, ir.And, ir.Or, ir.Mul:
-			ex = ir.Bin{Op: ex.Op, A: ex.B, B: ir.ConstI{V: c}}
-		}
+// immOK accepts the 12-bit unsigned arithmetic immediates, shift
+// amounts and logical bitmask immediates.
+func (g *a64Gen) immOK(op ir.BinOp, c int64) bool {
+	switch op {
+	case ir.Add, ir.Sub:
+		return c >= 0 && c <= 4095
+	case ir.Shl, ir.Shr:
+		return c >= 0 && c < 64
+	case ir.And:
+		_, _, _, ok := a64.EncodeBitmask(uint64(c), true)
+		return ok
 	}
-	if c, ok := constFold(ex.B); ok {
-		fold := false
-		switch ex.Op {
-		case ir.Add, ir.Sub:
-			fold = c >= 0 && c <= 4095
-		case ir.Shl, ir.Shr:
-			fold = c >= 0 && c < 64
-		case ir.And:
-			_, _, _, bmOK := a64.EncodeBitmask(uint64(c), true)
-			fold = bmOK
-		}
-		if fold {
-			a, aOwned, err := g.evalI(ex.A, noReg)
-			if err != nil {
-				return 0, false, err
-			}
-			r, owned, err := g.intoI(dest)
-			if err != nil {
-				return 0, false, err
-			}
-			switch ex.Op {
-			case ir.Add:
-				g.asm.ADDi(r, a, c)
-			case ir.Sub:
-				g.asm.SUBi(r, a, c)
-			case ir.Shl:
-				g.asm.LSLi(r, a, uint8(c))
-			case ir.Shr:
-				g.asm.LSRi(r, a, uint8(c))
-			case ir.And:
-				g.asm.ANDi(r, a, uint64(c))
-			}
-			if aOwned {
-				g.intPool.free(a)
-			}
-			return r, owned, nil
-		}
-	}
+	return false
+}
 
-	a, aOwned, err := g.evalI(ex.A, noReg)
-	if err != nil {
-		return 0, false, err
+func (g *a64Gen) opImm(op ir.BinOp, r, a uint8, c int64) {
+	switch op {
+	case ir.Add:
+		g.asm.ADDi(r, a, c)
+	case ir.Sub:
+		g.asm.SUBi(r, a, c)
+	case ir.Shl:
+		g.asm.LSLi(r, a, uint8(c))
+	case ir.Shr:
+		g.asm.LSRi(r, a, uint8(c))
+	case ir.And:
+		g.asm.ANDi(r, a, uint64(c))
 	}
-	b, bOwned, err := g.evalI(ex.B, noReg)
-	if err != nil {
-		return 0, false, err
-	}
-	r, owned, err := g.intoI(dest)
-	if err != nil {
-		return 0, false, err
-	}
-	switch ex.Op {
+}
+
+func (g *a64Gen) opI(op ir.BinOp, r, a, b uint8) error {
+	switch op {
 	case ir.Add:
 		g.asm.ADD(r, a, b)
 	case ir.Sub:
@@ -281,7 +160,7 @@ func (g *a64Gen) evalBinI(ex ir.Bin, dest uint8) (uint8, bool, error) {
 		// AArch64 has no remainder: sdiv t, a, b; msub r, t, b, a.
 		t, err := g.intPool.alloc()
 		if err != nil {
-			return 0, false, err
+			return err
 		}
 		g.asm.SDIV(t, a, b)
 		g.asm.MSUB(r, t, b, a)
@@ -295,16 +174,27 @@ func (g *a64Gen) evalBinI(ex ir.Bin, dest uint8) (uint8, bool, error) {
 	case ir.Shr:
 		g.asm.Emit(a64.Inst{Op: a64.LSRV, Sf: true, Rd: r, Rn: a, Rm: b})
 	default:
-		return 0, false, fmt.Errorf("a64gen: op %d invalid on i64", ex.Op)
+		return g.errorf("op %d invalid on i64", op)
 	}
-	if aOwned {
-		g.intPool.free(a)
-	}
-	if bOwned {
-		g.intPool.free(b)
-	}
-	return r, owned, nil
+	return nil
 }
+
+func (g *a64Gen) unI(op ir.UnOp, r, a uint8) error {
+	switch op {
+	case ir.Neg:
+		// neg r, a == sub r, xzr, a
+		g.asm.Emit(a64.Inst{Op: a64.SUBr, Sf: true, Rd: r, Rn: a64.ZR, Rm: a})
+	case ir.Abs:
+		// cmp a, #0; csneg r, a, a, ge
+		g.asm.CMPi(a, 0)
+		g.asm.Emit(a64.Inst{Op: a64.CSNEG, Sf: true, Rd: r, Rn: a, Rm: a, Cond: a64.GE})
+	default:
+		return g.errorf("unary op %d on i64", op)
+	}
+	return nil
+}
+
+func (g *a64Gen) cvtI(r, f uint8) { g.asm.FCVTZS(r, f) }
 
 // emitCompare sets NZCV for a comparison expression (cmp or fcmp).
 func (g *a64Gen) emitCompare(ex ir.Bin) error {
@@ -352,191 +242,70 @@ func (g *a64Gen) emitCompare(ex ir.Bin) error {
 	return nil
 }
 
-// evalF evaluates a floating-point expression.
-func (g *a64Gen) evalF(e ir.Expr, dest uint8) (reg uint8, owned bool, err error) {
-	if a, b, c, kind := ir.MatchFMA(e); kind != ir.FMANone && !g.opts.NoFMA {
-		ra, aOwned, err := g.evalF(a, noReg)
-		if err != nil {
-			return 0, false, err
-		}
-		rb, bOwned, err := g.evalF(b, noReg)
-		if err != nil {
-			return 0, false, err
-		}
-		rc, cOwned, err := g.evalF(c, noReg)
-		if err != nil {
-			return 0, false, err
-		}
-		r, owned, err := g.intoF(dest)
-		if err != nil {
-			return 0, false, err
-		}
-		switch kind {
-		case ir.FMAAdd: // a*b + c
-			g.asm.FMADD(r, ra, rb, rc)
-		case ir.FMASub: // a*b - c: fnmsub r, a, b, c
-			g.asm.Emit(a64.Inst{Op: a64.FNMSUB, Dbl: true, Rd: r, Rn: ra, Rm: rb, Ra: rc})
-		default: // c - a*b: fmsub r, a, b, c
-			g.asm.FMSUB(r, ra, rb, rc)
-		}
-		if aOwned {
-			g.fpPool.free(ra)
-		}
-		if bOwned {
-			g.fpPool.free(rb)
-		}
-		if cOwned {
-			g.fpPool.free(rc)
-		}
-		return r, owned, nil
+func (g *a64Gen) fma(kind ir.FMAKind, r, a, b, c uint8) {
+	switch kind {
+	case ir.FMAAdd: // a*b + c
+		g.asm.FMADD(r, a, b, c)
+	case ir.FMASub: // a*b - c: fnmsub r, a, b, c
+		g.asm.Emit(a64.Inst{Op: a64.FNMSUB, Dbl: true, Rd: r, Rn: a, Rm: b, Ra: c})
+	default: // c - a*b: fmsub r, a, b, c
+		g.asm.FMSUB(r, a, b, c)
 	}
-
-	switch ex := e.(type) {
-	case ir.ConstF:
-		if r, ok := g.constFP[ex.V]; ok {
-			return r, false, nil
-		}
-		r, owned, err := g.intoF(dest)
-		if err != nil {
-			return 0, false, err
-		}
-		g.materialiseF(ex.V, r)
-		return r, owned, g.err
-
-	case ir.VarRef:
-		r, ok := g.vars[ex.Var]
-		if !ok {
-			return 0, false, fmt.Errorf("a64gen: variable %q read before assignment", ex.Var.Name)
-		}
-		return r, false, nil
-
-	case ir.LoadExpr:
-		r, owned, err := g.intoF(dest)
-		if err != nil {
-			return 0, false, err
-		}
-		if err := g.access(ex.Arr, ex.Index, r, true); err != nil {
-			return 0, false, err
-		}
-		return r, owned, nil
-
-	case ir.Cvt:
-		if ex.To != ir.F64 {
-			return 0, false, fmt.Errorf("a64gen: integer conversion in float context")
-		}
-		a, aOwned, err := g.evalI(ex.A, noReg)
-		if err != nil {
-			return 0, false, err
-		}
-		r, owned, err := g.intoF(dest)
-		if err != nil {
-			return 0, false, err
-		}
-		g.asm.SCVTF(r, a)
-		if aOwned {
-			g.intPool.free(a)
-		}
-		return r, owned, nil
-
-	case ir.Un:
-		a, aOwned, err := g.evalF(ex.A, noReg)
-		if err != nil {
-			return 0, false, err
-		}
-		r, owned, err := g.intoF(dest)
-		if err != nil {
-			return 0, false, err
-		}
-		switch ex.Op {
-		case ir.Neg:
-			g.asm.FNEG(r, a)
-		case ir.Sqrt:
-			g.asm.FSQRT(r, a)
-		case ir.Abs:
-			g.asm.FABS(r, a)
-		}
-		if aOwned {
-			g.fpPool.free(a)
-		}
-		return r, owned, nil
-
-	case ir.Bin:
-		a, aOwned, err := g.evalF(ex.A, noReg)
-		if err != nil {
-			return 0, false, err
-		}
-		b, bOwned, err := g.evalF(ex.B, noReg)
-		if err != nil {
-			return 0, false, err
-		}
-		r, owned, err := g.intoF(dest)
-		if err != nil {
-			return 0, false, err
-		}
-		switch ex.Op {
-		case ir.Add:
-			g.asm.FADD(r, a, b)
-		case ir.Sub:
-			g.asm.FSUB(r, a, b)
-		case ir.Mul:
-			g.asm.FMUL(r, a, b)
-		case ir.Div:
-			g.asm.FDIV(r, a, b)
-		case ir.Min:
-			g.asm.FMIN(r, a, b)
-		case ir.Max:
-			g.asm.FMAX(r, a, b)
-		default:
-			return 0, false, fmt.Errorf("a64gen: op %d invalid on f64", ex.Op)
-		}
-		if aOwned {
-			g.fpPool.free(a)
-		}
-		if bOwned {
-			g.fpPool.free(b)
-		}
-		return r, owned, nil
-	}
-	return 0, false, fmt.Errorf("a64gen: expression %T in float context", e)
 }
 
-// ifStmt lowers a conditional: a comparison condition becomes cmp/fcmp
-// + b.cond (two instructions — the AArch64 branching cost the paper
-// measures); any other condition uses cbz.
-func (g *a64Gen) ifStmt(st *ir.If) error {
-	elseL := g.label("else")
-	endL := g.label("endif")
-	target := elseL
-	if len(st.Else) == 0 {
-		target = endL
+func (g *a64Gen) opF(op ir.BinOp, r, a, b uint8) error {
+	switch op {
+	case ir.Add:
+		g.asm.FADD(r, a, b)
+	case ir.Sub:
+		g.asm.FSUB(r, a, b)
+	case ir.Mul:
+		g.asm.FMUL(r, a, b)
+	case ir.Div:
+		g.asm.FDIV(r, a, b)
+	case ir.Min:
+		g.asm.FMIN(r, a, b)
+	case ir.Max:
+		g.asm.FMAX(r, a, b)
+	default:
+		return g.errorf("op %d invalid on f64", op)
 	}
+	return nil
+}
 
-	if cmp, ok := st.Cond.(ir.Bin); ok && cmp.Op >= ir.Lt && cmp.Op <= ir.Ge {
+func (g *a64Gen) unF(op ir.UnOp, r, a uint8) {
+	switch op {
+	case ir.Neg:
+		g.asm.FNEG(r, a)
+	case ir.Sqrt:
+		g.asm.FSQRT(r, a)
+	case ir.Abs:
+		g.asm.FABS(r, a)
+	}
+}
+
+func (g *a64Gen) cvtF(r, a uint8) { g.asm.SCVTF(r, a) }
+
+// branchUnless: a comparison condition becomes cmp/fcmp + b.cond (two
+// instructions — the AArch64 branching cost the paper measures); any
+// other condition uses cbz.
+func (g *a64Gen) branchUnless(cond ir.Expr, target string) error {
+	if cmp, ok := cond.(ir.Bin); ok && cmp.Op >= ir.Lt && cmp.Op <= ir.Ge {
 		if err := g.emitCompare(cmp); err != nil {
 			return err
 		}
 		g.asm.Bc(condFor(cmp.Op, cmp.A.Type() == ir.F64).Invert(), target)
-	} else {
-		c, owned, err := g.evalI(st.Cond, noReg)
-		if err != nil {
-			return err
-		}
-		g.asm.CBZx(c, target)
-		if owned {
-			g.intPool.free(c)
-		}
+		return nil
 	}
-
-	if err := g.stmts(st.Then); err != nil {
+	c, owned, err := g.evalI(cond, noReg)
+	if err != nil {
 		return err
 	}
-	if len(st.Else) > 0 {
-		g.asm.B(endL)
-		g.asm.Label(elseL)
-		if err := g.stmts(st.Else); err != nil {
-			return err
-		}
+	g.asm.CBZx(c, target)
+	if owned {
+		g.intPool.free(c)
 	}
-	g.asm.Label(endL)
-	return g.err
+	return nil
 }
+
+func (g *a64Gen) jump(target string) { g.asm.B(target) }

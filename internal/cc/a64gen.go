@@ -1,35 +1,21 @@
 package cc
 
 import (
-	"fmt"
-
 	"isacmp/internal/a64"
 	"isacmp/internal/elfio"
 	"isacmp/internal/ir"
 )
 
-// a64Gen holds the state of one AArch64 compilation.
+// a64Gen is the AArch64 instruction selector.
 type a64Gen struct {
+	*gen
 	asm    *a64.Asm
 	flavor Flavor
-	lay    *dataLayout
-	opts   Options
-
-	intPool *regPool
-	fpPool  *regPool
-
-	vars    map[*ir.Var]uint8
-	arrBase map[*ir.Array]uint8
-	constFP map[float64]uint8
-
 	loops  []*a64LoopCtx
-	labelN int
-	err    error
 }
 
 type a64LoopCtx struct {
-	lv  *ir.Var
-	reg uint8
+	lv *ir.Var
 	// bases holds hoisted per-stream base registers: for an access
 	// arr[inv + lv], the register holds &arr[inv] so the access itself
 	// is a single register-offset load/store — GCC's loop-invariant
@@ -43,138 +29,57 @@ type a64LoopCtx struct {
 // comparisons against large constant bounds are generated (see the
 // package comment).
 func compileA64(p *ir.Program, flavor Flavor, lay *dataLayout, opts Options) (*elfio.File, error) {
-	g := &a64Gen{
-		asm:    a64.NewAsm(),
-		flavor: flavor,
-		lay:    lay,
-		opts:   opts,
-		// x8 is the syscall number register; x16-x18 are reserved by
-		// the platform ABI. The generated code is one leaf function
-		// with no frame, so x29/x30 join the pool as GCC's
-		// -fomit-frame-pointer leaf allocation would use them.
-		intPool: newRegPool("integer", []uint8{
+	g := &a64Gen{asm: a64.NewAsm(), flavor: flavor}
+	// x8 is the syscall number register; x16-x18 are reserved by the
+	// platform ABI. The generated code is one leaf function with no
+	// frame, so x29/x30 join the pool as GCC's -fomit-frame-pointer
+	// leaf allocation would use them.
+	g.gen = newGen(g, g.asm, "a64gen", lay, opts,
+		[]uint8{
 			9, 10, 11, 12, 13, 14, 15, 0, 1, 2, 3, 4, 5, 6, 7,
 			19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30,
-		}),
-		fpPool: newRegPool("floating-point", []uint8{
+		},
+		[]uint8{
 			0, 1, 2, 3, 4, 5, 6, 7, 16, 17, 18, 19, 20, 21, 22, 23,
 			8, 9, 10, 11, 12, 13, 14, 15, 24, 25, 26, 27, 28, 29, 30, 31,
-		}),
-		vars:    map[*ir.Var]uint8{},
-		arrBase: map[*ir.Array]uint8{},
-		constFP: map[float64]uint8{},
-	}
+		})
+	return g.program(p)
+}
 
-	g.asm.Symbol("_start")
-	if flavor == GCC9 {
-		// Model GCC 9.2's slightly chattier startup (the statically
-		// linked binaries the paper measures differ mainly here, plus
-		// the NEON register zeroing it could not eliminate).
+// prologue models GCC 9.2's slightly chattier startup (the statically
+// linked binaries the paper measures differ mainly here, plus the NEON
+// register zeroing it could not eliminate).
+func (g *a64Gen) prologue() {
+	if g.flavor == GCC9 {
 		for _, r := range []uint8{0, 1, 2} {
 			g.asm.MOV64(r, 0)
 		}
 	}
+}
 
-	for _, k := range p.Setup {
-		if err := g.kernel(k); err != nil {
-			return nil, fmt.Errorf("setup kernel %q: %w", k.Name, err)
-		}
-	}
+func (g *a64Gen) countDown(r uint8, label string) {
+	g.asm.SUBSi(r, r, 1)
+	g.asm.Bc(a64.NE, label)
+}
 
-	repeatReg := uint8(noReg)
-	if p.Repeat > 1 {
-		r, err := g.intPool.alloc()
-		if err != nil {
-			return nil, err
-		}
-		repeatReg = r
-		g.asm.MOV64(repeatReg, int64(p.Repeat))
-		g.asm.Label("repeat")
-	}
-
-	for _, k := range p.Kernels {
-		if err := g.kernel(k); err != nil {
-			return nil, fmt.Errorf("kernel %q: %w", k.Name, err)
-		}
-	}
-
-	if p.Repeat > 1 {
-		g.asm.Symbol("_loop_overhead")
-		g.asm.SUBSi(repeatReg, repeatReg, 1)
-		g.asm.Bc(a64.NE, "repeat")
-	}
-
-	g.asm.Symbol("_exit")
+func (g *a64Gen) exit() {
 	g.asm.MOV64(0, 0)
 	g.asm.MOV64(8, 93)
 	g.asm.SVC()
-
-	if g.err != nil {
-		return nil, g.err
-	}
-	return g.asm.Build(a64.Program{
-		TextBase: TextBase,
-		DataBase: DataBase,
-		Data:     lay.data,
-	})
 }
 
-func (g *a64Gen) label(prefix string) string {
-	g.labelN++
-	return fmt.Sprintf("%s%d", prefix, g.labelN)
+func (g *a64Gen) build(data []byte) (*elfio.File, error) {
+	return g.asm.Build(a64.Program{TextBase: TextBase, DataBase: DataBase, Data: data})
 }
 
-func (g *a64Gen) fail(err error) {
-	if g.err == nil {
-		g.err = err
-	}
-}
+func (g *a64Gen) movImm(r uint8, v int64) { g.asm.MOV64(r, v) }
 
-func (g *a64Gen) kernel(k *ir.Kernel) error {
-	g.asm.Symbol(k.Name)
-	var scoped []func()
-
-	for _, arr := range collectArrays(k.Body) {
-		r, err := g.intPool.alloc()
-		if err != nil {
-			return err
-		}
-		g.asm.MOV64(r, int64(g.lay.base[arr.Name]))
-		g.arrBase[arr] = r
-		arr := arr
-		scoped = append(scoped, func() { delete(g.arrBase, arr); g.intPool.free(r) })
+func (g *a64Gen) mov(fp bool, dst, src uint8) {
+	if fp {
+		g.asm.FMOV(dst, src)
+	} else {
+		g.asm.MOV(dst, src)
 	}
-	consts := collectFPConsts(k.Body)
-	if len(consts) > 10 {
-		consts = consts[:10]
-	}
-	for _, c := range consts {
-		fr, err := g.fpPool.alloc()
-		if err != nil {
-			return err
-		}
-		g.materialiseF(c, fr)
-		g.constFP[c] = fr
-		c := c
-		scoped = append(scoped, func() { delete(g.constFP, c); g.fpPool.free(fr) })
-	}
-
-	if err := g.stmts(k.Body); err != nil {
-		return err
-	}
-
-	for vr, r := range g.vars {
-		if vr.Type == ir.F64 {
-			g.fpPool.free(r)
-		} else {
-			g.intPool.free(r)
-		}
-		delete(g.vars, vr)
-	}
-	for i := len(scoped) - 1; i >= 0; i-- {
-		scoped[i]()
-	}
-	return nil
 }
 
 // materialiseF loads an FP constant into fr, preferring the FMOV
@@ -191,103 +96,6 @@ func (g *a64Gen) materialiseF(c float64, fr uint8) {
 	g.asm.MOV64(t, int64(f64bitsOf(c)))
 	g.asm.FMOVDX(fr, t)
 	g.intPool.free(t)
-}
-
-func (g *a64Gen) stmts(body []ir.Stmt) error {
-	for _, s := range body {
-		if err := g.stmt(s); err != nil {
-			return err
-		}
-	}
-	return g.err
-}
-
-func (g *a64Gen) stmt(s ir.Stmt) error {
-	switch st := s.(type) {
-	case *ir.Loop:
-		return g.loop(st)
-	case *ir.Assign:
-		return g.assign(st)
-	case *ir.Store:
-		return g.store(st)
-	case *ir.If:
-		return g.ifStmt(st)
-	}
-	return fmt.Errorf("a64gen: unknown statement %T", s)
-}
-
-// prebindVars allocates registers for every variable assigned in the
-// statement list (recursively).
-func (g *a64Gen) prebindVars(stmts []ir.Stmt) error {
-	for _, s := range stmts {
-		switch st := s.(type) {
-		case *ir.Assign:
-			if _, err := g.varReg(st.Var); err != nil {
-				return err
-			}
-		case *ir.Loop:
-			if err := g.prebindVars(st.Body); err != nil {
-				return err
-			}
-		case *ir.If:
-			if err := g.prebindVars(st.Then); err != nil {
-				return err
-			}
-			if err := g.prebindVars(st.Else); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func (g *a64Gen) varReg(v *ir.Var) (uint8, error) {
-	if r, ok := g.vars[v]; ok {
-		return r, nil
-	}
-	var r uint8
-	var err error
-	if v.Type == ir.F64 {
-		r, err = g.fpPool.alloc()
-	} else {
-		r, err = g.intPool.alloc()
-	}
-	if err != nil {
-		return 0, fmt.Errorf("variable %q: %w", v.Name, err)
-	}
-	g.vars[v] = r
-	return r, nil
-}
-
-func (g *a64Gen) assign(st *ir.Assign) error {
-	r, err := g.varReg(st.Var)
-	if err != nil {
-		return err
-	}
-	if st.Var.Type == ir.F64 {
-		got, owned, err := g.evalF(st.Val, r)
-		if err != nil {
-			return err
-		}
-		if got != r {
-			g.asm.FMOV(r, got)
-			if owned {
-				g.fpPool.free(got)
-			}
-		}
-		return nil
-	}
-	got, owned, err := g.evalI(st.Val, r)
-	if err != nil {
-		return err
-	}
-	if got != r {
-		g.asm.MOV(r, got)
-		if owned {
-			g.intPool.free(got)
-		}
-	}
-	return nil
 }
 
 // access emits a load or store of arr[idx], exploiting AArch64's
@@ -336,31 +144,19 @@ func (g *a64Gen) access(arr *ir.Array, idx ir.Expr, valReg uint8, isLoad bool) e
 	return nil
 }
 
-func (g *a64Gen) store(st *ir.Store) error {
-	if st.Arr.Elem == ir.F64 {
-		v, owned, err := g.evalF(st.Val, noReg)
-		if err != nil {
-			return err
-		}
-		if err := g.access(st.Arr, st.Index, v, false); err != nil {
-			return err
-		}
-		if owned {
-			g.fpPool.free(v)
-		}
-		return nil
-	}
-	v, owned, err := g.evalI(st.Val, noReg)
+func (g *a64Gen) loadElem(ld ir.LoadExpr, fp bool, dest uint8) (uint8, bool, error) {
+	r, owned, err := g.pool(fp).into(dest)
 	if err != nil {
-		return err
+		return 0, false, err
 	}
-	if err := g.access(st.Arr, st.Index, v, false); err != nil {
-		return err
+	if err := g.access(ld.Arr, ld.Index, r, true); err != nil {
+		return 0, false, err
 	}
-	if owned {
-		g.intPool.free(v)
-	}
-	return nil
+	return r, owned, nil
+}
+
+func (g *a64Gen) storeElem(arr *ir.Array, idx ir.Expr, v uint8) error {
+	return g.access(arr, idx, v, false)
 }
 
 // loop generates a counted loop in the AArch64 style: an element index
@@ -456,7 +252,7 @@ func (g *a64Gen) loop(l *ir.Loop) error {
 	// Hoist loop-invariant stream bases (&arr[inv]) so grid accesses
 	// like xvel[rowN + ii] stay single register-offset instructions,
 	// as GCC's invariant-address motion keeps them.
-	ctx := &a64LoopCtx{lv: l.Var, reg: idxReg, bases: map[stream]uint8{}}
+	ctx := &a64LoopCtx{lv: l.Var, bases: map[stream]uint8{}}
 	var hoisted []uint8
 	if !hasInnerLoop(l.Body) && !g.opts.NoHoisting {
 		info := analyseLoop(l.Body, l.Var)
@@ -495,7 +291,7 @@ func (g *a64Gen) loop(l *ir.Loop) error {
 		}
 	}
 
-	g.asm.Label(loopL)
+	g.text.Label(loopL)
 	g.loops = append(g.loops, ctx)
 	if err := g.stmts(l.Body); err != nil {
 		return err
@@ -518,7 +314,7 @@ func (g *a64Gen) loop(l *ir.Loop) error {
 		g.asm.CMP(idxReg, endReg)
 	}
 	g.asm.Bc(a64.NE, loopL)
-	g.asm.Label(doneL)
+	g.text.Label(doneL)
 
 	if scratch != noReg {
 		g.intPool.free(scratch)

@@ -131,12 +131,45 @@ func TestHasInnerLoop(t *testing.T) {
 
 func TestCollectFPConsts(t *testing.T) {
 	arr := &ir.Array{Name: "a", Elem: ir.F64, Len: 4}
-	consts := collectFPConsts([]ir.Stmt{
+	_, consts := collectUses([]ir.Stmt{
 		&ir.Store{Arr: arr, Index: ir.CI(0),
 			Val: ir.AddE(ir.CF(1.5), ir.MulE(ir.CF(2.5), ir.CF(1.5)))},
 	})
 	if len(consts) != 2 || consts[0] != 1.5 || consts[1] != 2.5 {
 		t.Fatalf("consts = %v", consts)
+	}
+}
+
+// TestCollectUsesOrder pins the first-use order the kernel hoists in:
+// a store's array before the arrays its index and value load, and the
+// if's condition before its arms.
+func TestCollectUsesOrder(t *testing.T) {
+	a := &ir.Array{Name: "a", Elem: ir.F64, Len: 4}
+	idx := &ir.Array{Name: "idx", Elem: ir.I64, Len: 4}
+	b := &ir.Array{Name: "b", Elem: ir.F64, Len: 4}
+	c := &ir.Array{Name: "c", Elem: ir.F64, Len: 4}
+	i := ir.NewVar("i", ir.I64)
+	arrays, consts := collectUses([]ir.Stmt{&ir.Loop{
+		Var: i, Start: ir.CI(0), End: ir.CI(4),
+		Body: []ir.Stmt{
+			&ir.Store{Arr: a, Index: ir.Ld(idx, ir.V(i)), Val: ir.MulE(ir.Ld(b, ir.V(i)), ir.CF(2))},
+			&ir.If{
+				Cond: ir.B2(ir.Lt, ir.Ld(b, ir.CI(0)), ir.CF(1)),
+				Then: []ir.Stmt{&ir.Store{Arr: c, Index: ir.V(i), Val: ir.CF(2)}},
+			},
+		},
+	}})
+	want := []*ir.Array{a, idx, b, c}
+	if len(arrays) != len(want) {
+		t.Fatalf("arrays = %d, want %d", len(arrays), len(want))
+	}
+	for k := range want {
+		if arrays[k] != want[k] {
+			t.Errorf("arrays[%d] = %s, want %s", k, arrays[k].Name, want[k].Name)
+		}
+	}
+	if len(consts) != 2 || consts[0] != 2 || consts[1] != 1 {
+		t.Errorf("consts = %v, want [2 1]", consts)
 	}
 }
 

@@ -17,6 +17,14 @@
 //     branch.
 //   - Both back ends contract a*b±c into fused multiply-add, as GCC
 //     does at -O2 with the default -ffp-contract=fast.
+//
+// One generator (gen.go) walks the IR for both ISAs: the program
+// skeleton, statements, variable and register binding, and expression
+// evaluation order. Each ISA is an instruction selector behind the
+// selector interface (a64gen.go, rv64gen.go and their *expr.go files)
+// that keeps only what differs between them: immediates, addressing,
+// the compare and branch idioms, the loop shape and its exit test, and
+// the instruction each operator becomes.
 package cc
 
 import (
@@ -352,19 +360,16 @@ func constFold(e ir.Expr) (int64, bool) {
 	return c.V, ok
 }
 
-// collectFPConsts gathers distinct FP constants used in a kernel, in
-// first-use order, for hoisting into registers.
-func collectFPConsts(body []ir.Stmt) []float64 {
-	var out []float64
-	seen := map[float64]bool{}
+// visitIR walks stmts in pre-order: stmt sees each statement and expr
+// each expression before its operands. Operands are visited in the
+// order the generator evaluates them: a store's index, then its value;
+// an assignment's value; an if's condition, then and else arms; a
+// loop's start, end and body.
+func visitIR(stmts []ir.Stmt, stmt func(ir.Stmt), expr func(ir.Expr)) {
 	var visitExpr func(e ir.Expr)
 	visitExpr = func(e ir.Expr) {
+		expr(e)
 		switch ex := e.(type) {
-		case ir.ConstF:
-			if !seen[ex.V] {
-				seen[ex.V] = true
-				out = append(out, ex.V)
-			}
 		case ir.LoadExpr:
 			visitExpr(ex.Index)
 		case ir.Bin:
@@ -379,6 +384,7 @@ func collectFPConsts(body []ir.Stmt) []float64 {
 	var visit func(stmts []ir.Stmt)
 	visit = func(stmts []ir.Stmt) {
 		for _, s := range stmts {
+			stmt(s)
 			switch st := s.(type) {
 			case *ir.Store:
 				visitExpr(st.Index)
@@ -396,59 +402,37 @@ func collectFPConsts(body []ir.Stmt) []float64 {
 			}
 		}
 	}
-	visit(body)
-	return out
+	visit(stmts)
 }
 
-// collectArrays gathers the arrays referenced by a kernel, in
-// first-use order.
-func collectArrays(body []ir.Stmt) []*ir.Array {
-	var out []*ir.Array
-	seen := map[*ir.Array]bool{}
-	add := func(a *ir.Array) {
-		if !seen[a] {
-			seen[a] = true
-			out = append(out, a)
+// collectUses gathers the arrays a kernel references and the distinct
+// FP constants it uses, each in first-use order, for hoisting into
+// registers.
+func collectUses(body []ir.Stmt) (arrays []*ir.Array, consts []float64) {
+	seenArr := map[*ir.Array]bool{}
+	addArr := func(a *ir.Array) {
+		if !seenArr[a] {
+			seenArr[a] = true
+			arrays = append(arrays, a)
 		}
 	}
-	var visitExpr func(e ir.Expr)
-	visitExpr = func(e ir.Expr) {
+	seenConst := map[float64]bool{}
+	visitIR(body, func(s ir.Stmt) {
+		if st, ok := s.(*ir.Store); ok {
+			addArr(st.Arr)
+		}
+	}, func(e ir.Expr) {
 		switch ex := e.(type) {
 		case ir.LoadExpr:
-			add(ex.Arr)
-			visitExpr(ex.Index)
-		case ir.Bin:
-			visitExpr(ex.A)
-			visitExpr(ex.B)
-		case ir.Un:
-			visitExpr(ex.A)
-		case ir.Cvt:
-			visitExpr(ex.A)
-		}
-	}
-	var visit func(stmts []ir.Stmt)
-	visit = func(stmts []ir.Stmt) {
-		for _, s := range stmts {
-			switch st := s.(type) {
-			case *ir.Store:
-				add(st.Arr)
-				visitExpr(st.Index)
-				visitExpr(st.Val)
-			case *ir.Assign:
-				visitExpr(st.Val)
-			case *ir.If:
-				visitExpr(st.Cond)
-				visit(st.Then)
-				visit(st.Else)
-			case *ir.Loop:
-				visitExpr(st.Start)
-				visitExpr(st.End)
-				visit(st.Body)
+			addArr(ex.Arr)
+		case ir.ConstF:
+			if !seenConst[ex.V] {
+				seenConst[ex.V] = true
+				consts = append(consts, ex.V)
 			}
 		}
-	}
-	visit(body)
-	return out
+	})
+	return arrays, consts
 }
 
 // regPool hands out registers from a fixed preference order.
@@ -470,6 +454,16 @@ func (p *regPool) alloc() (uint8, error) {
 		}
 	}
 	return 0, fmt.Errorf("out of %s registers", p.name)
+}
+
+// into returns dest when the caller named one, else a fresh register
+// that the caller owns.
+func (p *regPool) into(dest uint8) (r uint8, owned bool, err error) {
+	if dest != noReg {
+		return dest, false, nil
+	}
+	r, err = p.alloc()
+	return r, true, err
 }
 
 func (p *regPool) free(r uint8) {

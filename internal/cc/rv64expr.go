@@ -1,189 +1,47 @@
 package cc
 
 import (
-	"fmt"
-
 	"isacmp/internal/ir"
 	"isacmp/internal/rv64"
 )
 
-// evalI evaluates an integer expression. dest, when not noReg, is a
-// register the caller owns and would like the result in; the result
-// may still land elsewhere (e.g. a borrowed variable register), so
-// callers check the returned register. owned reports whether the
-// caller must free the returned register back to the pool.
-func (g *rvGen) evalI(e ir.Expr, dest uint8) (reg uint8, owned bool, err error) {
-	switch ex := e.(type) {
-	case ir.ConstI:
-		r, owned, err := g.intoI(dest)
-		if err != nil {
-			return 0, false, err
-		}
-		g.asm.LI(r, ex.V)
-		return r, owned, nil
+// mulAdd: RV64G has no integer multiply-add, so a*b+c stays a mul and
+// an add.
+func (g *rvGen) mulAdd(ir.Bin, uint8) (uint8, bool, bool, error) { return 0, false, false, nil }
 
-	case ir.VarRef:
-		r, ok := g.vars[ex.Var]
-		if !ok {
-			return 0, false, fmt.Errorf("rv64gen: variable %q read before assignment", ex.Var.Name)
-		}
-		return r, false, nil
-
-	case ir.LoadExpr:
-		base, off, release, err := g.addr(ex.Arr, ex.Index)
-		if err != nil {
-			return 0, false, err
-		}
-		r, owned, err := g.intoI(dest)
-		if err != nil {
-			return 0, false, err
-		}
-		g.asm.LD(r, base, off)
-		release()
-		return r, owned, nil
-
-	case ir.Cvt:
-		if ex.To != ir.I64 {
-			return 0, false, fmt.Errorf("rv64gen: float conversion in integer context")
-		}
-		f, fOwned, err := g.evalF(ex.A, noReg)
-		if err != nil {
-			return 0, false, err
-		}
-		r, owned, err := g.intoI(dest)
-		if err != nil {
-			return 0, false, err
-		}
-		g.asm.FCVTLD(r, f)
-		if fOwned {
-			g.fpPool.free(f)
-		}
-		return r, owned, nil
-
-	case ir.Un:
-		a, aOwned, err := g.evalI(ex.A, noReg)
-		if err != nil {
-			return 0, false, err
-		}
-		r, owned, err := g.intoI(dest)
-		if err != nil {
-			return 0, false, err
-		}
-		switch ex.Op {
-		case ir.Neg:
-			g.asm.SUB(r, 0, a)
-		case ir.Abs:
-			// srai t, a, 63; xor r, a, t; sub r, r, t
-			t, err := g.intPool.alloc()
-			if err != nil {
-				return 0, false, err
-			}
-			g.asm.SRAI(t, a, 63)
-			g.asm.XOR(r, a, t)
-			g.asm.SUB(r, r, t)
-			g.intPool.free(t)
-		default:
-			return 0, false, fmt.Errorf("rv64gen: unary op %d on i64", ex.Op)
-		}
-		if aOwned {
-			g.intPool.free(a)
-		}
-		return r, owned, nil
-
-	case ir.Bin:
-		return g.evalBinI(ex, dest)
+// immOK accepts the 12-bit signed I-type immediates (subtraction folds
+// as addi of the negated constant) and shift amounts.
+func (g *rvGen) immOK(op ir.BinOp, c int64) bool {
+	switch op {
+	case ir.Add, ir.And, ir.Or:
+		return c >= -2048 && c < 2048
+	case ir.Sub:
+		return -c >= -2048 && -c < 2048
+	case ir.Shl, ir.Shr:
+		return c >= 0 && c < 64
 	}
-	return 0, false, fmt.Errorf("rv64gen: expression %T in integer context", e)
+	return false
 }
 
-// intoI resolves the destination register for an integer result.
-func (g *rvGen) intoI(dest uint8) (uint8, bool, error) {
-	if dest != noReg {
-		return dest, false, nil
+func (g *rvGen) opImm(op ir.BinOp, r, a uint8, c int64) {
+	switch op {
+	case ir.Add:
+		g.asm.ADDI(r, a, c)
+	case ir.Sub:
+		g.asm.ADDI(r, a, -c)
+	case ir.And:
+		g.asm.ANDI(r, a, c)
+	case ir.Or:
+		g.asm.ORI(r, a, c)
+	case ir.Shl:
+		g.asm.SLLI(r, a, c)
+	case ir.Shr:
+		g.asm.SRLI(r, a, c)
 	}
-	r, err := g.intPool.alloc()
-	return r, true, err
 }
 
-func (g *rvGen) intoF(dest uint8) (uint8, bool, error) {
-	if dest != noReg {
-		return dest, false, nil
-	}
-	r, err := g.fpPool.alloc()
-	return r, true, err
-}
-
-// evalBinI lowers integer binary operators, folding small immediates
-// into I-type instructions.
-func (g *rvGen) evalBinI(ex ir.Bin, dest uint8) (uint8, bool, error) {
-	if ex.Op >= ir.Lt && ex.Op <= ir.Ge {
-		return g.evalCmp(ex, dest)
-	}
-
-	// Immediate folding; commutative operators fold a constant on
-	// either side.
-	if c, ok := constFold(ex.A); ok {
-		switch ex.Op {
-		case ir.Add, ir.And, ir.Or, ir.Mul:
-			ex = ir.Bin{Op: ex.Op, A: ex.B, B: ir.ConstI{V: c}}
-		}
-	}
-	if c, ok := constFold(ex.B); ok {
-		fold := false
-		var imm int64
-		switch ex.Op {
-		case ir.Add:
-			fold, imm = c >= -2048 && c < 2048, c
-		case ir.Sub:
-			fold, imm = -c >= -2048 && -c < 2048, -c
-		case ir.And:
-			fold, imm = c >= -2048 && c < 2048, c
-		case ir.Or:
-			fold, imm = c >= -2048 && c < 2048, c
-		case ir.Shl, ir.Shr:
-			fold, imm = c >= 0 && c < 64, c
-		}
-		if fold {
-			a, aOwned, err := g.evalI(ex.A, noReg)
-			if err != nil {
-				return 0, false, err
-			}
-			r, owned, err := g.intoI(dest)
-			if err != nil {
-				return 0, false, err
-			}
-			switch ex.Op {
-			case ir.Add, ir.Sub:
-				g.asm.ADDI(r, a, imm)
-			case ir.And:
-				g.asm.ANDI(r, a, imm)
-			case ir.Or:
-				g.asm.ORI(r, a, imm)
-			case ir.Shl:
-				g.asm.SLLI(r, a, imm)
-			case ir.Shr:
-				g.asm.SRLI(r, a, imm)
-			}
-			if aOwned {
-				g.intPool.free(a)
-			}
-			return r, owned, nil
-		}
-	}
-
-	a, aOwned, err := g.evalI(ex.A, noReg)
-	if err != nil {
-		return 0, false, err
-	}
-	b, bOwned, err := g.evalI(ex.B, noReg)
-	if err != nil {
-		return 0, false, err
-	}
-	r, owned, err := g.intoI(dest)
-	if err != nil {
-		return 0, false, err
-	}
-	switch ex.Op {
+func (g *rvGen) opI(op ir.BinOp, r, a, b uint8) error {
+	switch op {
 	case ir.Add:
 		g.asm.ADD(r, a, b)
 	case ir.Sub:
@@ -203,20 +61,36 @@ func (g *rvGen) evalBinI(ex ir.Bin, dest uint8) (uint8, bool, error) {
 	case ir.Shr:
 		g.asm.SRL(r, a, b)
 	default:
-		return 0, false, fmt.Errorf("rv64gen: op %d invalid on i64", ex.Op)
+		return g.errorf("op %d invalid on i64", op)
 	}
-	if aOwned {
-		g.intPool.free(a)
-	}
-	if bOwned {
-		g.intPool.free(b)
-	}
-	return r, owned, nil
+	return nil
 }
 
-// evalCmp materialises a comparison as 0/1, using slt/sltu for the
+func (g *rvGen) unI(op ir.UnOp, r, a uint8) error {
+	switch op {
+	case ir.Neg:
+		g.asm.SUB(r, 0, a)
+	case ir.Abs:
+		// srai t, a, 63; xor r, a, t; sub r, r, t
+		t, err := g.intPool.alloc()
+		if err != nil {
+			return err
+		}
+		g.asm.SRAI(t, a, 63)
+		g.asm.XOR(r, a, t)
+		g.asm.SUB(r, r, t)
+		g.intPool.free(t)
+	default:
+		return g.errorf("unary op %d on i64", op)
+	}
+	return nil
+}
+
+func (g *rvGen) cvtI(r, f uint8) { g.asm.FCVTLD(r, f) }
+
+// compare materialises a comparison as 0/1, using slt/sltu for the
 // integer orders and flt/fle/feq for FP.
-func (g *rvGen) evalCmp(ex ir.Bin, dest uint8) (uint8, bool, error) {
+func (g *rvGen) compare(ex ir.Bin, dest uint8) (uint8, bool, error) {
 	if ex.A.Type() == ir.F64 {
 		a, aOwned, err := g.evalF(ex.A, noReg)
 		if err != nil {
@@ -226,7 +100,7 @@ func (g *rvGen) evalCmp(ex ir.Bin, dest uint8) (uint8, bool, error) {
 		if err != nil {
 			return 0, false, err
 		}
-		r, owned, err := g.intoI(dest)
+		r, owned, err := g.intPool.into(dest)
 		if err != nil {
 			return 0, false, err
 		}
@@ -266,7 +140,7 @@ func (g *rvGen) evalCmp(ex ir.Bin, dest uint8) (uint8, bool, error) {
 	if err != nil {
 		return 0, false, err
 	}
-	r, owned, err := g.intoI(dest)
+	r, owned, err := g.intPool.into(dest)
 	if err != nil {
 		return 0, false, err
 	}
@@ -297,170 +171,55 @@ func (g *rvGen) evalCmp(ex ir.Bin, dest uint8) (uint8, bool, error) {
 	return r, owned, nil
 }
 
-// evalF evaluates a floating-point expression.
-func (g *rvGen) evalF(e ir.Expr, dest uint8) (reg uint8, owned bool, err error) {
-	// Fused multiply-add contraction.
-	if a, b, c, kind := ir.MatchFMA(e); kind != ir.FMANone && !g.opts.NoFMA {
-		ra, aOwned, err := g.evalF(a, noReg)
-		if err != nil {
-			return 0, false, err
-		}
-		rb, bOwned, err := g.evalF(b, noReg)
-		if err != nil {
-			return 0, false, err
-		}
-		rc, cOwned, err := g.evalF(c, noReg)
-		if err != nil {
-			return 0, false, err
-		}
-		r, owned, err := g.intoF(dest)
-		if err != nil {
-			return 0, false, err
-		}
-		switch kind {
-		case ir.FMAAdd: // a*b + c
-			g.asm.FMADDD(r, ra, rb, rc)
-		case ir.FMASub: // a*b - c
-			g.asm.FMSUBD(r, ra, rb, rc)
-		default: // c - a*b
-			g.asm.Emit(rv64.Inst{Op: rv64.FNMSUBD, Rd: r, Rs1: ra, Rs2: rb, Rs3: rc})
-		}
-		if aOwned {
-			g.fpPool.free(ra)
-		}
-		if bOwned {
-			g.fpPool.free(rb)
-		}
-		if cOwned {
-			g.fpPool.free(rc)
-		}
-		return r, owned, nil
+func (g *rvGen) fma(kind ir.FMAKind, r, a, b, c uint8) {
+	switch kind {
+	case ir.FMAAdd: // a*b + c
+		g.asm.FMADDD(r, a, b, c)
+	case ir.FMASub: // a*b - c
+		g.asm.FMSUBD(r, a, b, c)
+	default: // c - a*b
+		g.asm.Emit(rv64.Inst{Op: rv64.FNMSUBD, Rd: r, Rs1: a, Rs2: b, Rs3: c})
 	}
-
-	switch ex := e.(type) {
-	case ir.ConstF:
-		if r, ok := g.constFP[ex.V]; ok {
-			return r, false, nil
-		}
-		r, owned, err := g.intoF(dest)
-		if err != nil {
-			return 0, false, err
-		}
-		g.materialiseF(ex.V, r)
-		return r, owned, g.err
-
-	case ir.VarRef:
-		r, ok := g.vars[ex.Var]
-		if !ok {
-			return 0, false, fmt.Errorf("rv64gen: variable %q read before assignment", ex.Var.Name)
-		}
-		return r, false, nil
-
-	case ir.LoadExpr:
-		base, off, release, err := g.addr(ex.Arr, ex.Index)
-		if err != nil {
-			return 0, false, err
-		}
-		r, owned, err := g.intoF(dest)
-		if err != nil {
-			return 0, false, err
-		}
-		g.asm.FLD(r, base, off)
-		release()
-		return r, owned, nil
-
-	case ir.Cvt:
-		if ex.To != ir.F64 {
-			return 0, false, fmt.Errorf("rv64gen: integer conversion in float context")
-		}
-		a, aOwned, err := g.evalI(ex.A, noReg)
-		if err != nil {
-			return 0, false, err
-		}
-		r, owned, err := g.intoF(dest)
-		if err != nil {
-			return 0, false, err
-		}
-		g.asm.FCVTDL(r, a)
-		if aOwned {
-			g.intPool.free(a)
-		}
-		return r, owned, nil
-
-	case ir.Un:
-		a, aOwned, err := g.evalF(ex.A, noReg)
-		if err != nil {
-			return 0, false, err
-		}
-		r, owned, err := g.intoF(dest)
-		if err != nil {
-			return 0, false, err
-		}
-		switch ex.Op {
-		case ir.Neg:
-			g.asm.FNEGD(r, a)
-		case ir.Sqrt:
-			g.asm.FSQRTD(r, a)
-		case ir.Abs:
-			g.asm.FABSD(r, a)
-		}
-		if aOwned {
-			g.fpPool.free(a)
-		}
-		return r, owned, nil
-
-	case ir.Bin:
-		a, aOwned, err := g.evalF(ex.A, noReg)
-		if err != nil {
-			return 0, false, err
-		}
-		b, bOwned, err := g.evalF(ex.B, noReg)
-		if err != nil {
-			return 0, false, err
-		}
-		r, owned, err := g.intoF(dest)
-		if err != nil {
-			return 0, false, err
-		}
-		switch ex.Op {
-		case ir.Add:
-			g.asm.FADDD(r, a, b)
-		case ir.Sub:
-			g.asm.FSUBD(r, a, b)
-		case ir.Mul:
-			g.asm.FMULD(r, a, b)
-		case ir.Div:
-			g.asm.FDIVD(r, a, b)
-		case ir.Min:
-			g.asm.FMIND(r, a, b)
-		case ir.Max:
-			g.asm.FMAXD(r, a, b)
-		default:
-			return 0, false, fmt.Errorf("rv64gen: op %d invalid on f64", ex.Op)
-		}
-		if aOwned {
-			g.fpPool.free(a)
-		}
-		if bOwned {
-			g.fpPool.free(b)
-		}
-		return r, owned, nil
-	}
-	return 0, false, fmt.Errorf("rv64gen: expression %T in float context", e)
 }
 
-// ifStmt lowers a conditional, branching directly on the fused
-// compare-and-branch instructions when the condition is an integer
-// comparison — the RISC-V branching advantage the paper quantifies.
-func (g *rvGen) ifStmt(st *ir.If) error {
-	elseL := g.label("else")
-	endL := g.label("endif")
-	target := elseL
-	if len(st.Else) == 0 {
-		target = endL
+func (g *rvGen) opF(op ir.BinOp, r, a, b uint8) error {
+	switch op {
+	case ir.Add:
+		g.asm.FADDD(r, a, b)
+	case ir.Sub:
+		g.asm.FSUBD(r, a, b)
+	case ir.Mul:
+		g.asm.FMULD(r, a, b)
+	case ir.Div:
+		g.asm.FDIVD(r, a, b)
+	case ir.Min:
+		g.asm.FMIND(r, a, b)
+	case ir.Max:
+		g.asm.FMAXD(r, a, b)
+	default:
+		return g.errorf("op %d invalid on f64", op)
 	}
+	return nil
+}
 
-	if cmp, ok := st.Cond.(ir.Bin); ok && cmp.Op >= ir.Lt && cmp.Op <= ir.Ge && cmp.A.Type() == ir.I64 {
+func (g *rvGen) unF(op ir.UnOp, r, a uint8) {
+	switch op {
+	case ir.Neg:
+		g.asm.FNEGD(r, a)
+	case ir.Sqrt:
+		g.asm.FSQRTD(r, a)
+	case ir.Abs:
+		g.asm.FABSD(r, a)
+	}
+}
+
+func (g *rvGen) cvtF(r, a uint8) { g.asm.FCVTDL(r, a) }
+
+// branchUnless branches directly on the fused compare-and-branch
+// instructions when the condition is an integer comparison — the
+// RISC-V branching advantage the paper quantifies.
+func (g *rvGen) branchUnless(cond ir.Expr, target string) error {
+	if cmp, ok := cond.(ir.Bin); ok && cmp.Op >= ir.Lt && cmp.Op <= ir.Ge && cmp.A.Type() == ir.I64 {
 		// Branch on the negated condition.
 		a, aOwned, err := g.evalI(cmp.A, noReg)
 		if err != nil {
@@ -490,28 +249,18 @@ func (g *rvGen) ifStmt(st *ir.If) error {
 		if bOwned {
 			g.intPool.free(b)
 		}
-	} else {
-		// Materialise the condition and branch on zero.
-		c, owned, err := g.evalI(st.Cond, noReg)
-		if err != nil {
-			return err
-		}
-		g.asm.BEQ(c, 0, target)
-		if owned {
-			g.intPool.free(c)
-		}
+		return nil
 	}
-
-	if err := g.stmts(st.Then); err != nil {
+	// Materialise the condition and branch on zero.
+	c, owned, err := g.evalI(cond, noReg)
+	if err != nil {
 		return err
 	}
-	if len(st.Else) > 0 {
-		g.asm.J(endL)
-		g.asm.Label(elseL)
-		if err := g.stmts(st.Else); err != nil {
-			return err
-		}
+	g.asm.BEQ(c, 0, target)
+	if owned {
+		g.intPool.free(c)
 	}
-	g.asm.Label(endL)
-	return g.err
+	return nil
 }
+
+func (g *rvGen) jump(target string) { g.asm.J(target) }

@@ -1,9 +1,6 @@
 package cc
 
 import (
-	"fmt"
-	"math"
-
 	"isacmp/internal/elfio"
 	"isacmp/internal/ir"
 	"isacmp/internal/rv64"
@@ -15,26 +12,12 @@ import (
 // selection under pressure.
 const maxPointerStreams = 6
 
-// noReg marks "no destination register requested".
-const noReg = 0xff
-
-// rvGen holds the state of one RV64G compilation.
+// rvGen is the RV64G instruction selector.
 type rvGen struct {
+	*gen
 	asm    *rv64.Asm
 	flavor Flavor
-	lay    *dataLayout
-	opts   Options
-
-	intPool *regPool
-	fpPool  *regPool
-
-	vars    map[*ir.Var]uint8
-	arrBase map[*ir.Array]uint8
-	constFP map[float64]uint8
-
 	loops  []*rvLoopCtx
-	labelN int
-	err    error
 }
 
 type rvLoopCtx struct {
@@ -51,140 +34,60 @@ type rvLoopCtx struct {
 // identical between the two); the flavour only changes the prologue,
 // where GCC 9.2 re-zeroes the argument registers redundantly.
 func compileRV64(p *ir.Program, flavor Flavor, lay *dataLayout, opts Options) (*elfio.File, error) {
-	g := &rvGen{
-		asm:    rv64.NewAsm(),
-		flavor: flavor,
-		lay:    lay,
-		opts:   opts,
-		// Temporaries first, then saved registers. x2/x3/x4 are
-		// sp/gp/tp; everything else is fair game — the generated code
-		// is one leaf function, so ra (x1) and the syscall argument
-		// registers (a0/a1/a7) are free until the exit sequence
-		// overwrites them, exactly as GCC allocates in leaf code.
-		intPool: newRegPool("integer", []uint8{
+	g := &rvGen{asm: rv64.NewAsm(), flavor: flavor}
+	// Temporaries first, then saved registers. x2/x3/x4 are sp/gp/tp;
+	// everything else is fair game — the generated code is one leaf
+	// function, so ra (x1) and the syscall argument registers
+	// (a0/a1/a7) are free until the exit sequence overwrites them,
+	// exactly as GCC allocates in leaf code.
+	g.gen = newGen(g, g.asm, "rv64gen", lay, opts,
+		[]uint8{
 			5, 6, 7, 28, 29, 30, 31, 12, 13, 14, 15, 16,
 			8, 9, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27,
 			10, 11, 17, 1,
-		}),
-		fpPool: newRegPool("floating-point", []uint8{
+		},
+		[]uint8{
 			0, 1, 2, 3, 4, 5, 6, 7, 28, 29, 30, 31,
 			10, 11, 12, 13, 14, 15, 16, 17,
 			8, 9, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27,
-		}),
-		vars:    map[*ir.Var]uint8{},
-		arrBase: map[*ir.Array]uint8{},
-		constFP: map[float64]uint8{},
-	}
+		})
+	return g.program(p)
+}
 
-	// Prologue. GCC 9.2's crt0-level code is a touch more verdant;
-	// model the paper's small whole-binary deltas with a few extra
-	// register-clearing instructions.
-	g.asm.Symbol("_start")
-	if flavor == GCC9 {
+// prologue: GCC 9.2's crt0-level code is a touch more verdant; model
+// the paper's small whole-binary deltas with a few extra
+// register-clearing instructions.
+func (g *rvGen) prologue() {
+	if g.flavor == GCC9 {
 		for _, r := range []uint8{10, 11, 12} {
 			g.asm.MV(r, 0)
 		}
 	}
+}
 
-	for _, k := range p.Setup {
-		if err := g.kernel(k); err != nil {
-			return nil, fmt.Errorf("setup kernel %q: %w", k.Name, err)
-		}
-	}
+func (g *rvGen) countDown(r uint8, label string) {
+	g.asm.ADDI(r, r, -1)
+	g.asm.BNE(r, 0, label)
+}
 
-	repeatReg := uint8(noReg)
-	if p.Repeat > 1 {
-		r, err := g.intPool.alloc()
-		if err != nil {
-			return nil, err
-		}
-		repeatReg = r
-		g.asm.LI(repeatReg, int64(p.Repeat))
-		g.asm.Label("repeat")
-	}
-
-	for _, k := range p.Kernels {
-		if err := g.kernel(k); err != nil {
-			return nil, fmt.Errorf("kernel %q: %w", k.Name, err)
-		}
-	}
-
-	if p.Repeat > 1 {
-		g.asm.Symbol("_loop_overhead")
-		g.asm.ADDI(repeatReg, repeatReg, -1)
-		g.asm.BNE(repeatReg, 0, "repeat")
-	}
-
-	// Exit.
-	g.asm.Symbol("_exit")
+func (g *rvGen) exit() {
 	g.asm.LI(10, 0)
 	g.asm.LI(17, 93)
 	g.asm.ECALL()
-
-	if g.err != nil {
-		return nil, g.err
-	}
-	return g.asm.Build(rv64.Program{
-		TextBase: TextBase,
-		DataBase: DataBase,
-		Data:     lay.data,
-	})
 }
 
-func (g *rvGen) label(prefix string) string {
-	g.labelN++
-	return fmt.Sprintf("%s%d", prefix, g.labelN)
+func (g *rvGen) build(data []byte) (*elfio.File, error) {
+	return g.asm.Build(rv64.Program{TextBase: TextBase, DataBase: DataBase, Data: data})
 }
 
-// kernel emits one kernel: array bases and FP constants are hoisted
-// into registers, then the body is generated; all kernel-scoped
-// registers are released afterwards.
-func (g *rvGen) kernel(k *ir.Kernel) error {
-	g.asm.Symbol(k.Name)
-	var scoped []func()
+func (g *rvGen) movImm(r uint8, v int64) { g.asm.LI(r, v) }
 
-	for _, arr := range collectArrays(k.Body) {
-		r, err := g.intPool.alloc()
-		if err != nil {
-			return err
-		}
-		g.asm.LI(r, int64(g.lay.base[arr.Name]))
-		g.arrBase[arr] = r
-		arr := arr
-		scoped = append(scoped, func() { delete(g.arrBase, arr); g.intPool.free(r) })
+func (g *rvGen) mov(fp bool, dst, src uint8) {
+	if fp {
+		g.asm.FMVD(dst, src)
+	} else {
+		g.asm.MV(dst, src)
 	}
-	consts := collectFPConsts(k.Body)
-	if len(consts) > 10 {
-		consts = consts[:10] // the rest materialise inline at each use
-	}
-	for _, c := range consts {
-		fr, err := g.fpPool.alloc()
-		if err != nil {
-			return err
-		}
-		g.materialiseF(c, fr)
-		g.constFP[c] = fr
-		c := c
-		scoped = append(scoped, func() { delete(g.constFP, c); g.fpPool.free(fr) })
-	}
-
-	if err := g.stmts(k.Body); err != nil {
-		return err
-	}
-
-	// Release variable registers bound during this kernel.
-	for vr, r := range g.vars {
-		if vr.Type == ir.F64 {
-			g.fpPool.free(r)
-		} else {
-			g.intPool.free(r)
-		}
-		delete(g.vars, vr)
-	}
-	for i := len(scoped) - 1; i >= 0; i-- {
-		scoped[i]()
-	}
-	return nil
 }
 
 // materialiseF loads an FP constant into fr.
@@ -202,85 +105,6 @@ func (g *rvGen) materialiseF(c float64, fr uint8) {
 	g.asm.LI(t, bits)
 	g.asm.FMVDX(fr, t)
 	g.intPool.free(t)
-}
-
-func (g *rvGen) fail(err error) {
-	if g.err == nil {
-		g.err = err
-	}
-}
-
-func (g *rvGen) stmts(body []ir.Stmt) error {
-	for _, s := range body {
-		if err := g.stmt(s); err != nil {
-			return err
-		}
-	}
-	return g.err
-}
-
-func (g *rvGen) stmt(s ir.Stmt) error {
-	switch st := s.(type) {
-	case *ir.Loop:
-		return g.loop(st)
-	case *ir.Assign:
-		return g.assign(st)
-	case *ir.Store:
-		return g.store(st)
-	case *ir.If:
-		return g.ifStmt(st)
-	}
-	return fmt.Errorf("rv64gen: unknown statement %T", s)
-}
-
-// varReg returns (allocating on demand) the register pinned to v.
-func (g *rvGen) varReg(v *ir.Var) (uint8, error) {
-	if r, ok := g.vars[v]; ok {
-		return r, nil
-	}
-	var r uint8
-	var err error
-	if v.Type == ir.F64 {
-		r, err = g.fpPool.alloc()
-	} else {
-		r, err = g.intPool.alloc()
-	}
-	if err != nil {
-		return 0, fmt.Errorf("variable %q: %w", v.Name, err)
-	}
-	g.vars[v] = r
-	return r, nil
-}
-
-func (g *rvGen) assign(st *ir.Assign) error {
-	r, err := g.varReg(st.Var)
-	if err != nil {
-		return err
-	}
-	if st.Var.Type == ir.F64 {
-		got, owned, err := g.evalF(st.Val, r)
-		if err != nil {
-			return err
-		}
-		if got != r {
-			g.asm.FMVD(r, got)
-			if owned {
-				g.fpPool.free(got)
-			}
-		}
-		return nil
-	}
-	got, owned, err := g.evalI(st.Val, r)
-	if err != nil {
-		return err
-	}
-	if got != r {
-		g.asm.MV(r, got)
-		if owned {
-			g.intPool.free(got)
-		}
-	}
-	return nil
 }
 
 // addr prepares the (base register, immediate) pair for an array
@@ -335,36 +159,36 @@ func (g *rvGen) addr(arr *ir.Array, idx ir.Expr) (base uint8, off int64, release
 	return t, 0, func() { g.intPool.free(t) }, nil
 }
 
-func (g *rvGen) store(st *ir.Store) error {
-	if st.Arr.Elem == ir.F64 {
-		v, owned, err := g.evalF(st.Val, noReg)
-		if err != nil {
-			return err
-		}
-		base, off, release, err := g.addr(st.Arr, st.Index)
-		if err != nil {
-			return err
-		}
-		g.asm.FSD(v, base, off)
-		release()
-		if owned {
-			g.fpPool.free(v)
-		}
-		return nil
-	}
-	v, owned, err := g.evalI(st.Val, noReg)
+// loadElem loads through addr's (base, immediate) pair.
+func (g *rvGen) loadElem(ld ir.LoadExpr, fp bool, dest uint8) (uint8, bool, error) {
+	base, off, release, err := g.addr(ld.Arr, ld.Index)
 	if err != nil {
-		return err
+		return 0, false, err
 	}
-	base, off, release, err := g.addr(st.Arr, st.Index)
+	r, owned, err := g.pool(fp).into(dest)
 	if err != nil {
-		return err
+		return 0, false, err
 	}
-	g.asm.SD(v, base, off)
+	if fp {
+		g.asm.FLD(r, base, off)
+	} else {
+		g.asm.LD(r, base, off)
+	}
 	release()
-	if owned {
-		g.intPool.free(v)
+	return r, owned, nil
+}
+
+func (g *rvGen) storeElem(arr *ir.Array, idx ir.Expr, v uint8) error {
+	base, off, release, err := g.addr(arr, idx)
+	if err != nil {
+		return err
 	}
+	if arr.Elem == ir.F64 {
+		g.asm.FSD(v, base, off)
+	} else {
+		g.asm.SD(v, base, off)
+	}
+	release()
 	return nil
 }
 
@@ -518,7 +342,7 @@ func (g *rvGen) loop(l *ir.Loop) error {
 		g.intPool.free(startReg)
 	}
 
-	g.asm.Label(loopL)
+	g.text.Label(loopL)
 	g.loops = append(g.loops, ctx)
 	if err := g.stmts(l.Body); err != nil {
 		return err
@@ -539,7 +363,7 @@ func (g *rvGen) loop(l *ir.Loop) error {
 	} else {
 		g.asm.BNE(ctx.ptrs[streams[0]], endPtr, loopL)
 	}
-	g.asm.Label(doneL)
+	g.text.Label(doneL)
 
 	if ctx.scaledIdx != noReg {
 		g.intPool.free(ctx.scaledIdx)
@@ -556,32 +380,6 @@ func (g *rvGen) loop(l *ir.Loop) error {
 	// The loop variable register (if bound) stays allocated: it is a
 	// kernel-scoped variable and may be read after the loop.
 	return g.err
-}
-
-// prebindVars allocates registers for every variable assigned in the
-// statement list (recursively), so later pointer allocation sees the
-// true residual pressure.
-func (g *rvGen) prebindVars(stmts []ir.Stmt) error {
-	for _, s := range stmts {
-		switch st := s.(type) {
-		case *ir.Assign:
-			if _, err := g.varReg(st.Var); err != nil {
-				return err
-			}
-		case *ir.Loop:
-			if err := g.prebindVars(st.Body); err != nil {
-				return err
-			}
-		case *ir.If:
-			if err := g.prebindVars(st.Then); err != nil {
-				return err
-			}
-			if err := g.prebindVars(st.Else); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // leaStream computes ptr = arrayBase + (bound + inv)*8, where bound is
@@ -633,5 +431,3 @@ func (g *rvGen) leaStream(ptr uint8, s stream, boundReg uint8, boundC int64, bou
 		g.asm.ADD(ptr, ptr, base)
 	}
 }
-
-func f64bitsOf(v float64) uint64 { return math.Float64bits(v) }
