@@ -39,10 +39,9 @@ func (d *traceDigest) Event(ev *Event) {
 	for i := uint8(0); i < ev.NDsts; i++ {
 		d.mix(uint64(ev.Dsts[i]))
 	}
-	d.mix(ev.LoadAddr)
-	d.mix(uint64(ev.LoadSize))
-	d.mix(ev.StoreAddr)
-	d.mix(uint64(ev.StoreSize))
+	d.mixAccess(ev.LoadAddr, ev.LoadSize)
+	d.mixAccess(ev.Load2Addr, ev.Load2Size)
+	d.mixAccess(ev.StoreAddr, ev.StoreSize)
 	b := uint64(0)
 	if ev.Branch {
 		b = 1
@@ -53,9 +52,20 @@ func (d *traceDigest) Event(ev *Event) {
 	d.mix(b)
 }
 
-// finalArrays reads back every program array from the machine's memory
-// after a run.
-func finalArrays(t *testing.T, bin *Binary, prog *Program, extraSinks ...Sink) (map[string][]uint64, *traceDigest, Stats) {
+// mixAccess hashes a memory access: its size, and its address only
+// when the size is set. A reused event keeps the address of an earlier
+// access in a slot whose size is 0, and that stale value is no part of
+// the trace.
+func (d *traceDigest) mixAccess(addr uint64, size uint8) {
+	d.mix(uint64(size))
+	if size != 0 {
+		d.mix(addr)
+	}
+}
+
+// finalArrays runs bin on core and reads back every program array from
+// the machine's memory after the run.
+func finalArrays(t *testing.T, bin *Binary, prog *Program, core *simeng.EmulationCore, extraSinks ...Sink) (map[string][]uint64, *traceDigest, Stats) {
 	t.Helper()
 	mach, m, err := bin.NewMachine()
 	if err != nil {
@@ -68,7 +78,7 @@ func finalArrays(t *testing.T, bin *Binary, prog *Program, extraSinks ...Sink) (
 			s.Event(ev)
 		}
 	})
-	stats, err := (&simeng.EmulationCore{}).Run(mach, sink)
+	stats, err := core.Run(mach, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,13 +115,14 @@ func TestDifferentialCores(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				emuArr, emuDig, emuStats := finalArrays(t, bin, prog)
+				emu := &simeng.EmulationCore{}
+				emuArr, emuDig, emuStats := finalArrays(t, bin, prog, emu)
 
 				inModel := NewInOrderModel()
-				inArr, inDig, inStats := finalArrays(t, bin, prog, inModel)
+				inArr, inDig, inStats := finalArrays(t, bin, prog, emu, inModel)
 
 				oooModel := NewOoOModel()
-				oooArr, oooDig, oooStats := finalArrays(t, bin, prog, oooModel)
+				oooArr, oooDig, oooStats := finalArrays(t, bin, prog, emu, oooModel)
 
 				if emuDig.h != inDig.h || emuDig.h != oooDig.h {
 					t.Fatalf("trace digests differ: emu %#x, inorder %#x, ooo %#x",
@@ -147,6 +158,37 @@ func TestDifferentialCores(t *testing.T) {
 	}
 }
 
+// TestDifferentialStepLoop: the batched StepN loop and the per-Step
+// reference loop must retire the identical architectural trace and
+// leave identical memory. A batch reuses each event slot for a later
+// instruction while the per-Step loop reuses one event for all of them,
+// so the two differ in the stale addresses their events keep; the
+// digest ignores an address whose size is 0 and must agree.
+func TestDifferentialStepLoop(t *testing.T) {
+	prog := Workload("stream", Tiny)
+	for _, tgt := range Targets() {
+		t.Run(tgt.String(), func(t *testing.T) {
+			bin, err := Compile(prog, tgt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batchArr, batchDig, _ := finalArrays(t, bin, prog, &simeng.EmulationCore{})
+			stepArr, stepDig, _ := finalArrays(t, bin, prog, &simeng.EmulationCore{StepLoop: true})
+			if batchDig.h != stepDig.h || batchDig.n != stepDig.n {
+				t.Fatalf("trace digests differ: batched %#x over %d events, per-Step %#x over %d",
+					batchDig.h, batchDig.n, stepDig.h, stepDig.n)
+			}
+			for arr := range batchArr {
+				for i := range batchArr[arr] {
+					if batchArr[arr][i] != stepArr[arr][i] {
+						t.Fatalf("%s[%d] differs between batched and per-Step runs", arr, i)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestDifferentialISAs: both instruction sets, both compiler flavours,
 // must compute the same results — every final array bit-identical
 // across all four targets (each already verified against the host
@@ -169,7 +211,7 @@ func TestDifferentialISAs(t *testing.T) {
 				if err := bin.Verify(); err != nil {
 					t.Fatal(err)
 				}
-				arrays, _, _ := finalArrays(t, bin, prog)
+				arrays, _, _ := finalArrays(t, bin, prog, &simeng.EmulationCore{})
 				if first == nil {
 					first, firstTgt = arrays, tgt
 					continue

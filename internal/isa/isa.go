@@ -176,7 +176,9 @@ type Event struct {
 
 	// LoadAddr/LoadSize describe a memory read performed by the
 	// instruction (LoadSize==0 means no read). Pair loads report the
-	// full byte span.
+	// full byte span. Each address below is meaningful only when its
+	// size is non-zero: cores reuse events and Reset clears the sizes
+	// only, so an address whose size is 0 holds a stale value.
 	LoadAddr uint64
 	// Load2Addr/Load2Size describe a second, possibly discontiguous
 	// memory read. Cores never emit one; the macro-op fusion pass
