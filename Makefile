@@ -3,14 +3,14 @@ GO ?= go
 .PHONY: check fmt vet build test race check-run-patterns differential golden check-faults check-obs check-prof check-fusion check-durable bench-smoke bench-module fuzz-smoke clean
 
 # check is the full pre-merge gate: formatting, static checks, build,
-# the race-enabled test suite (including the differential, golden,
-# fault-injection, observability, profiler, fusion and durability
-# suites, run explicitly so a -run filter can never silently drop
-# them, and a check that every -run filter below names a test), one
-# run of every benchmark, and the vet and tests of the nested bench/
-# module, which the root ./... patterns do not reach. It writes
-# nothing into the tree.
-check: fmt vet build race check-run-patterns differential golden check-faults check-obs check-prof check-fusion check-durable bench-smoke bench-module
+# one race-enabled pass over every test, a check that every -run
+# filter below names a test, one run of every benchmark, and the vet
+# and tests of the nested bench/ module, which the root ./... patterns
+# do not reach. It writes nothing into the tree. The differential,
+# golden, fault-injection, observability, profiler, fusion and
+# durability suites run inside the race pass; their targets below run
+# one suite alone, and check-run-patterns keeps their filters honest.
+check: fmt vet build race check-run-patterns bench-smoke bench-module
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -27,8 +27,10 @@ build:
 test:
 	$(GO) test ./...
 
+# race is the gate's one race-enabled pass: every test once, never
+# served from the test cache.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -count=1 ./...
 
 # check-run-patterns fails when an alternative of a -run filter in
 # this Makefile matches no Test, Fuzz or Example function of its
@@ -39,21 +41,23 @@ check-run-patterns:
 
 # differential runs the cross-core / cross-ISA trace-equivalence
 # harness, the -parallel determinism tests, the batched run loop's
-# faults against the per-Step loop's, the diff of the critical-path
-# and path-length analyses against their naive references and the
-# sharded-against-sequential windowed CP across shard chunk seams
-# under the race detector.
+# trace digest and faults against the per-Step loop's, the diff of
+# the critical-path and path-length analyses against their naive
+# references and the sharded-against-sequential windowed CP across
+# shard chunk seams under the race detector.
 differential:
 	$(GO) test -race -count=1 -run 'TestDifferential|TestParallel|TestRunCellParallel|TestStepNFaultsMatchStepLoop' .
 	$(GO) test -race -count=1 -run 'TestOracle|FuzzWindowedCP|FuzzCritPath|TestShardedMatchesSequential|TestPathLengthMatchesReference|TestBranchProfileMatchesReference' ./internal/core
 
 # golden checks the pinned paper artifacts (Table 1/2, Figure 1/2,
-# canonical manifests of the matrix and of the run subcommand) under
-# the race detector. Regenerate after an intentional output change
-# with:
+# canonical manifests of the matrix and of the run subcommand) and the
+# SHA-256 of every compiled image under the race detector. Regenerate
+# after an intentional output change with:
 #	$(GO) test ./internal/report -run TestGolden -update
+#	$(GO) test ./internal/cc -run TestImageGolden -update
 golden:
 	$(GO) test -race -count=1 -run TestGolden ./internal/report
+	$(GO) test -race -count=1 -run TestImageGolden ./internal/cc
 
 # check-faults runs the fault-injection and shutdown-path suites under
 # the race detector: matrix survival with injected decode/memory/panic
