@@ -69,7 +69,11 @@ func (g *a64Gen) exit() {
 }
 
 func (g *a64Gen) build(data []byte) (*elfio.File, error) {
-	return g.asm.Build(a64.Program{TextBase: TextBase, DataBase: DataBase, Data: data})
+	return g.asm.Build(a64.Program{
+		TextBase: TextBase,
+		DataBase: DataBase,
+		Data:     data,
+	})
 }
 
 func (g *a64Gen) movImm(r uint8, v int64) { g.asm.MOV64(r, v) }

@@ -361,10 +361,10 @@ func constFold(e ir.Expr) (int64, bool) {
 }
 
 // visitIR walks stmts in pre-order: stmt sees each statement and expr
-// each expression before its operands. Operands are visited in the
-// order the generator evaluates them: a store's index, then its value;
-// an assignment's value; an if's condition, then and else arms; a
-// loop's start, end and body.
+// each expression before its operands. Operands are visited in a fixed
+// order, which decides the first-use order the kernel hoists in: a
+// store's index, then its value; an assignment's value; an if's
+// condition, then and else arms; a loop's start, end and body.
 func visitIR(stmts []ir.Stmt, stmt func(ir.Stmt), expr func(ir.Expr)) {
 	var visitExpr func(e ir.Expr)
 	visitExpr = func(e ir.Expr) {

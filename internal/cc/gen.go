@@ -102,6 +102,9 @@ type gen struct {
 	err    error
 }
 
+// newGen returns the shared state for the selector sel, which emits
+// into t. intRegs and fpRegs list each register file's allocatable
+// registers in preference order.
 func newGen(sel selector, t text, prefix string, lay *dataLayout, opts Options, intRegs, fpRegs []uint8) *gen {
 	return &gen{
 		sel:     sel,

@@ -45,9 +45,10 @@ type goldenProgram struct {
 // goldenPrograms lists the programs TestImageGolden compiles: the
 // workload suite at tiny and small scale, ir.RandomProgram seeds
 // 0-149, and every program the package's tests compile. Paper scale is
-// left out: compiling it takes ~16 s, almost all of it laying out the
-// data segment, and the code it emits differs from small scale only
-// in its constants.
+// left out: one compile of its suite for one target took 0.5 s on a
+// 2-vCPU Xeon VM, half of it laying out the data segment, and its
+// STREAM image alone carries 240 MB of array data to write and hash
+// for each of the 16 target and option pairs.
 func goldenPrograms() []goldenProgram {
 	var out []goldenProgram
 	for _, s := range []workloads.Scale{workloads.Tiny, workloads.Small} {

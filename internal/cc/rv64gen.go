@@ -77,7 +77,11 @@ func (g *rvGen) exit() {
 }
 
 func (g *rvGen) build(data []byte) (*elfio.File, error) {
-	return g.asm.Build(rv64.Program{TextBase: TextBase, DataBase: DataBase, Data: data})
+	return g.asm.Build(rv64.Program{
+		TextBase: TextBase,
+		DataBase: DataBase,
+		Data:     data,
+	})
 }
 
 func (g *rvGen) movImm(r uint8, v int64) { g.asm.LI(r, v) }
