@@ -18,8 +18,11 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
+# vet also checks the arm64 build, which has no lane kernel and folds
+# windowed CP in Go.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 build:
 	$(GO) build ./...
@@ -43,11 +46,12 @@ check-run-patterns:
 # harness, the -parallel determinism tests, the batched run loop's
 # trace digest and faults against the per-Step loop's, the diff of
 # the critical-path and path-length analyses against their naive
-# references and the sharded-against-sequential windowed CP across
-# shard chunk seams under the race detector.
+# references, the sharded-against-sequential windowed CP across
+# shard chunk seams and the windowed-CP lane kernel against its Go
+# reference fold under the race detector.
 differential:
 	$(GO) test -race -count=1 -run 'TestDifferential|TestParallel|TestRunCellParallel|TestStepNFaultsMatchStepLoop' .
-	$(GO) test -race -count=1 -run 'TestOracle|FuzzWindowedCP|FuzzCritPath|TestShardedMatchesSequential|TestPathLengthMatchesReference|TestBranchProfileMatchesReference' ./internal/core
+	$(GO) test -race -count=1 -run 'TestOracle|FuzzWindowedCP|FuzzCritPath|TestShardedMatchesSequential|TestPathLengthMatchesReference|TestBranchProfileMatchesReference|TestLaneKernelMatchesGoFold|TestLaneKernelRenormalises' ./internal/core
 
 # golden checks the pinned paper artifacts (Table 1/2, Figure 1/2,
 # canonical manifests of the matrix and of the run subcommand) and the

@@ -204,6 +204,24 @@ func TestRegPool(t *testing.T) {
 	p.free(3)
 }
 
+// TestRegPoolMask: the pool's mask holds registers 0 to 63, and a
+// register beyond it is refused when the pool is built.
+func TestRegPoolMask(t *testing.T) {
+	p := newRegPool("test", []uint8{63, 0})
+	if a, _ := p.alloc(); a != 63 {
+		t.Fatalf("first alloc = %d, want 63", a)
+	}
+	if b, _ := p.alloc(); b != 0 || p.inUse() != 2 {
+		t.Fatalf("second alloc = %d with %d in use, want 0 with 2", b, p.inUse())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("register 64 was accepted")
+		}
+	}()
+	newRegPool("test", []uint8{3, 64})
+}
+
 func TestTargetsOrder(t *testing.T) {
 	ts := Targets()
 	if len(ts) != 4 {

@@ -29,6 +29,7 @@ package cc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"isacmp/internal/a64"
 	"isacmp/internal/elfio"
@@ -435,21 +436,28 @@ func collectUses(body []ir.Stmt) (arrays []*ir.Array, consts []float64) {
 	return arrays, consts
 }
 
-// regPool hands out registers from a fixed preference order.
+// regPool hands out registers from a fixed preference order. used
+// has bit r set while register r is allocated; every pool register is
+// below 64.
 type regPool struct {
 	order []uint8
-	used  map[uint8]bool
+	used  uint64
 	name  string
 }
 
 func newRegPool(name string, order []uint8) *regPool {
-	return &regPool{order: order, used: map[uint8]bool{}, name: name}
+	for _, r := range order {
+		if r >= 64 {
+			panic(fmt.Sprintf("cc: %s register %d does not fit the pool's mask", name, r))
+		}
+	}
+	return &regPool{order: order, name: name}
 }
 
 func (p *regPool) alloc() (uint8, error) {
 	for _, r := range p.order {
-		if !p.used[r] {
-			p.used[r] = true
+		if p.used&(1<<r) == 0 {
+			p.used |= 1 << r
 			return r, nil
 		}
 	}
@@ -467,18 +475,10 @@ func (p *regPool) into(dest uint8) (r uint8, owned bool, err error) {
 }
 
 func (p *regPool) free(r uint8) {
-	if !p.used[r] {
+	if p.used&(1<<r) == 0 {
 		panic(fmt.Sprintf("cc: double free of %s register %d", p.name, r))
 	}
-	p.used[r] = false
+	p.used &^= 1 << r
 }
 
-func (p *regPool) inUse() int {
-	n := 0
-	for _, v := range p.used {
-		if v {
-			n++
-		}
-	}
-	return n
-}
+func (p *regPool) inUse() int { return bits.OnesCount64(p.used) }

@@ -254,31 +254,34 @@ func TestWordTableBounded(t *testing.T) {
 
 // TestWindowedEventsZeroAlloc: once the run, the word table and its
 // spare have reached their steady sizes, windowed CP allocates
-// nothing, even on a stream that keeps storing to new words.
+// nothing, even on a stream that keeps storing to new words, whether
+// the lane kernel or laneFold folds it.
 func TestWindowedEventsZeroAlloc(t *testing.T) {
-	w := NewWindowedCritPath(PaperWindowSizes())
-	evs := make([]isa.Event, 4096)
-	next := uint64(0x100000)
-	advance := func() {
-		for i := range evs {
-			if i%2 == 0 {
-				evs[i] = storeEv(next, 16)
-				next += 16
-			} else {
-				evs[i] = loadEv(next-8, 8)
+	for _, kernel := range []bool{false, laneKernelFold != nil} {
+		w := newWindowedCritPath(PaperWindowSizes(), 0, kernel)
+		evs := make([]isa.Event, 4096)
+		next := uint64(0x100000)
+		advance := func() {
+			for i := range evs {
+				if i%2 == 0 {
+					evs[i] = storeEv(next, 16)
+					next += 16
+				} else {
+					evs[i] = loadEv(next-8, 8)
+				}
 			}
 		}
-	}
-	for i := 0; i < 64; i++ { // warm up
-		advance()
-		w.Events(evs)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		advance()
-		w.Events(evs)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state Events allocates %v times per run", allocs)
+		for i := 0; i < 64; i++ { // warm up
+			advance()
+			w.Events(evs)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			advance()
+			w.Events(evs)
+		})
+		if allocs != 0 {
+			t.Fatalf("kernel %v: steady-state Events allocates %v times per run", kernel, allocs)
+		}
 	}
 }
 

@@ -242,9 +242,9 @@ func randStream(seed int64, n int) []isa.Event {
 // TestOracleRandomStreams diffs the optimised analyses against the
 // reference on seeded random streams long enough to cross several
 // shard chunks, with the paper's stride and explicit ones. The
-// sequential analyzer folds by lanes in every case but the last, whose
-// ring is over budget: odd sizes at the paper's stride and a stride
-// that divides no size leave lanes idle between windows.
+// analyzers fold by lanes in every case but the last, whose ring is
+// over budget: odd sizes at the paper's stride and a stride that
+// divides no size leave lanes idle between windows.
 func TestOracleRandomStreams(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		evs := randStream(seed, 2*shardChunk+2500)
@@ -255,8 +255,10 @@ func TestOracleRandomStreams(t *testing.T) {
 	checkOracle(t, "odd sizes", evs, []int{3, 7, 201, 1999}, 0)
 	checkOracle(t, "stride 333", evs, []int{3, 7, 200, 2000}, 333)
 	checkOracle(t, "stride 1", evs, PaperWindowSizes(), 1)
-	if NewWindowedCritPath(PaperWindowSizes()).lanes == nil || NewWindowedCritPathStride(PaperWindowSizes(), 1).lanes != nil {
-		t.Fatal("the paper's sizes must fold by lanes at stride W/2 and per window at stride 1")
+	paper, stride1 := NewWindowedCritPath(PaperWindowSizes()), NewWindowedCritPathStride(PaperWindowSizes(), 1)
+	if (paper.kernel != nil) != (laneKernelFold != nil) || paper.kernel == nil && paper.lanes == nil ||
+		stride1.kernel != nil || stride1.lanes != nil {
+		t.Fatal("the paper's sizes must fold by lanes at stride W/2, with the kernel where the CPU runs it, and per window at stride 1")
 	}
 	// A register and a word written once, then read back by a fused
 	// load pair just inside and just outside DepDistance's reach.
@@ -278,14 +280,22 @@ type collector struct{ evs []isa.Event }
 
 func (c *collector) Event(ev *isa.Event) { c.evs = append(c.evs, *ev) }
 
-// TestOracleTinyWorkloads diffs the optimised analyses against the
-// reference on every tiny-scale paper workload and target, on the
-// raw stream and on the macro-op-fused one.
-func TestOracleTinyWorkloads(t *testing.T) {
+// tinyStream is the retired stream of one tiny-scale paper workload on
+// one target, raw or macro-op-fused.
+type tinyStream struct {
+	name string
+	evs  []isa.Event
+}
+
+// tinyStreams returns the stream of every tiny-scale paper workload
+// on every target, raw and fused by every rule.
+func tinyStreams(t *testing.T) []tinyStream {
+	t.Helper()
 	both, err := fusion.ParseSpec("both")
 	if err != nil {
 		t.Fatal(err)
 	}
+	var out []tinyStream
 	for _, prog := range workloads.Suite(workloads.Tiny) {
 		for _, tgt := range cc.Targets() {
 			compiled, err := cc.Compile(prog, tgt)
@@ -311,9 +321,19 @@ func TestOracleTinyWorkloads(t *testing.T) {
 				if pass != nil {
 					pass.Flush()
 				}
-				checkOracle(t, name, c.evs, PaperWindowSizes(), 0)
+				out = append(out, tinyStream{name, c.evs})
 			}
 		}
+	}
+	return out
+}
+
+// TestOracleTinyWorkloads diffs the optimised analyses against the
+// reference on every tiny-scale paper workload and target, on the
+// raw stream and on the macro-op-fused one.
+func TestOracleTinyWorkloads(t *testing.T) {
+	for _, s := range tinyStreams(t) {
+		checkOracle(t, s.name, s.evs, PaperWindowSizes(), 0)
 	}
 }
 

@@ -26,14 +26,17 @@ import (
 // Several window sizes are evaluated simultaneously in one pass over
 // the stream. Each event's RAW producers are resolved once, on
 // arrival (see resolver), and a windowFold started at position 0
-// folds the event into every window open at it: by lanes when their
-// ring fits laneBudget, otherwise with one pass of prodRun.cp over
-// each window once it completes. Either way there is no hashing and no
-// state to reset between windows, and the two folds give every window
-// the same critical path (see laneFold).
+// folds each chunk of resolved events into every window open at them:
+// by lanes when their ring fits laneBudget, with the lane kernel where
+// the CPU runs it (see laneKernel) and with laneFold elsewhere,
+// otherwise with one pass of prodRun.cp over each window once it
+// completes. In every case there is no hashing and no state to reset
+// between windows, and the folds give every window the same critical
+// path (see laneFold).
 type WindowedCritPath struct {
 	windowFold
 	pos     uint64 // total events seen
+	folded  uint64 // events folded into results; the run holds the rest
 	results []windowAccum
 
 	res resolver
@@ -219,9 +222,9 @@ func (p *prodRun) carry(src *prodRun, n uint64) {
 // This is exact: a producer is the last writer of its value before
 // the reader, so when it precedes lo the window holds no writer of
 // that value at all, just as a window evaluated from empty state
-// would find. laneFold applies the same rule lane by lane, so a window
-// gets the same critical path whichever fold computes it, and wherever
-// that fold last restarted.
+// would find. laneFold and laneKernel apply the same rule lane by
+// lane, so a window gets the same critical path whichever fold
+// computes it, and wherever that fold last restarted.
 func (p *prodRun) cp(lo, hi uint64, dp []uint32) uint64 {
 	off, dist := p.off[lo-p.base:hi-p.base+1], p.dist
 	dp = dp[:hi-lo]
@@ -239,10 +242,11 @@ func (p *prodRun) cp(lo, hi uint64, dp []uint32) uint64 {
 	return uint64(longest)
 }
 
-// laneBudget caps the lane fold's ring in bytes. The ring grows with
-// size²/stride: the paper's sizes need 112 KiB at stride W/2 and about
-// 30 MiB at stride 1. Sizes and a stride whose ring would exceed the
-// cap keep the per-window fold, which holds no ring.
+// laneBudget caps the lane folds' ring in bytes. The ring grows with
+// size²/stride: the paper's sizes need 112 KiB at stride W/2 (128 KiB
+// in the kernel's groups of 8 lanes) and about 30 MiB at stride 1.
+// Sizes and a stride whose ring would exceed the cap keep the
+// per-window fold, which holds no ring.
 const laneBudget = 1 << 20
 
 // laneFold folds every window of every size in one pass per event.
@@ -428,19 +432,37 @@ func (f *laneFold) end(pos uint64, acc []windowAccum) {
 	}
 }
 
+// fold folds the events [from, to) of run, which follow the last event
+// folded or a restart at from, and adds each window that ends by to to
+// acc.
+func (f *laneFold) fold(run *prodRun, from, to uint64, acc []windowAccum) {
+	off, dist := run.off[from-run.base:to-run.base+1], run.dist
+	for k := from; k < to; k++ {
+		f.extend(k, dist[off[0]:off[1]])
+		off = off[1:]
+		if f.cal[(k+1)&f.calMask] >= 0 {
+			f.end(k+1, acc)
+		}
+	}
+}
+
 // windowFold is the one fold both windowed analyzers drive over a
 // prodRun: WindowedCritPath from position 0 with no upper bound, one
-// event at a time, and each ShardedWindowedCP job from a restart at
-// its first window start (see jobFold). It folds by lanes when their
-// ring fits laneBudget, and otherwise with prodRun.cp once per window,
-// at the window ends next holds.
+// chunk of resolved events at a time, and each ShardedWindowedCP job
+// from a restart at its first window start (see jobFold). It folds by
+// lanes when their ring fits laneBudget: with the lane kernel where
+// the CPU runs it and its padded ring fits, otherwise with laneFold,
+// which is also the kernel's reference. Sizes and strides whose ring
+// fits neither fold with prodRun.cp once per window, at the window
+// ends next holds.
 type windowFold struct {
 	sizes   []int
 	strides []uint64
 	maxSize uint64
-	// lanes folds the windows; when it is nil, the per-window fold
-	// does.
-	lanes *laneFold
+	// kernel folds the windows when it is set, else lanes does; when
+	// both are nil, the per-window fold does.
+	kernel *laneKernel
+	lanes  *laneFold
 	// next[i] is the position at which the next window of sizes[i]
 	// ends, so the due-check is a compare, not a modulo; due is the
 	// smallest.
@@ -449,8 +471,16 @@ type windowFold struct {
 	dp   []uint32 // depth scratch for prodRun.cp
 }
 
-func newWindowFold(sizes []int, strides []uint64, maxSize uint64) windowFold {
+// newWindowFold returns the fold of sizes at strides, started at
+// position 0. kernel allows the lane kernel, which laneKernelFold must
+// then provide.
+func newWindowFold(sizes []int, strides []uint64, maxSize uint64, kernel bool) windowFold {
 	f := windowFold{sizes: sizes, strides: strides, maxSize: maxSize, dp: make([]uint32, maxSize)}
+	if kernel {
+		if f.kernel = newLaneKernel(sizes, strides, maxSize); f.kernel != nil {
+			return f
+		}
+	}
 	if f.lanes = newLaneFold(sizes, strides, maxSize); f.lanes == nil {
 		f.next = make([]uint64, len(sizes))
 		f.restart(0)
@@ -461,18 +491,21 @@ func newWindowFold(sizes []int, strides []uint64, maxSize uint64) windowFold {
 // restart makes the fold count, from event position p on, the windows
 // that start at or after p.
 func (f *windowFold) restart(p uint64) {
-	if f.lanes != nil {
+	switch {
+	case f.kernel != nil:
+		f.kernel.restart(p)
+	case f.lanes != nil:
 		f.lanes.restart(p)
-		return
-	}
-	f.due = ^uint64(0)
-	for i, s := range f.sizes {
-		f.next[i] = ^uint64(0) // a size that is not positive is never due
-		if s > 0 {
-			st := f.strides[i]
-			f.next[i] = (p+st-1)/st*st + uint64(s)
+	default:
+		f.due = ^uint64(0)
+		for i, s := range f.sizes {
+			f.next[i] = ^uint64(0) // a size that is not positive is never due
+			if s > 0 {
+				st := f.strides[i]
+				f.next[i] = (p+st-1)/st*st + uint64(s)
+			}
+			f.due = min(f.due, f.next[i])
 		}
-		f.due = min(f.due, f.next[i])
 	}
 }
 
@@ -480,19 +513,15 @@ func (f *windowFold) restart(p uint64) {
 // folded or a restart at from, and adds each window that ends by to
 // to acc.
 func (f *windowFold) fold(run *prodRun, from, to uint64, acc []windowAccum) {
-	if l := f.lanes; l != nil {
-		off, dist := run.off[from-run.base:to-run.base+1], run.dist
-		for k := from; k < to; k++ {
-			l.extend(k, dist[off[0]:off[1]])
-			off = off[1:]
-			if l.cal[(k+1)&l.calMask] >= 0 {
-				l.end(k+1, acc)
-			}
+	switch {
+	case f.kernel != nil:
+		f.kernel.fold(run, from, to, acc)
+	case f.lanes != nil:
+		f.lanes.fold(run, from, to, acc)
+	default:
+		for f.due <= to {
+			f.windows(run, f.due, acc)
 		}
-		return
-	}
-	for f.due <= to {
-		f.windows(run, f.due, acc)
 	}
 }
 
@@ -632,12 +661,19 @@ func NewWindowedCritPath(sizes []int) *WindowedCritPath {
 // that experiment possible.
 //
 // The sizes and stride also pick the fold: lanes when their ring fits
-// laneBudget, which the paper's sizes at the paper's stride do, and the
-// per-window fold otherwise. Both give identical results.
+// laneBudget, which the paper's sizes at the paper's stride do (in AVX2
+// where the CPU has it), and the per-window fold otherwise. All folds
+// give identical results.
 func NewWindowedCritPathStride(sizes []int, stride int) *WindowedCritPath {
+	return newWindowedCritPath(sizes, stride, laneKernelFold != nil)
+}
+
+// newWindowedCritPath is NewWindowedCritPathStride with the lane
+// kernel allowed or not (see newWindowFold).
+func newWindowedCritPath(sizes []int, stride int, kernel bool) *WindowedCritPath {
 	maxSize := maxWindow(sizes)
 	return &WindowedCritPath{
-		windowFold: newWindowFold(append([]int(nil), sizes...), windowStrides(sizes, stride), maxSize),
+		windowFold: newWindowFold(append([]int(nil), sizes...), windowStrides(sizes, stride), maxSize, kernel),
 		results:    make([]windowAccum, len(sizes)),
 		res:        newResolver(maxSize),
 		run:        *newProdRun(2 * maxSize),
@@ -653,7 +689,7 @@ func maxWindow(sizes []int) uint64 {
 	return uint64(m)
 }
 
-// Events buffers a whole batch of instructions — the isa.BatchSink
+// Events resolves a whole batch of instructions — the isa.BatchSink
 // fast path.
 func (w *WindowedCritPath) Events(evs []isa.Event) {
 	for i := range evs {
@@ -661,26 +697,22 @@ func (w *WindowedCritPath) Events(evs []isa.Event) {
 	}
 }
 
-// Event resolves one instruction and folds it into the windows. The
-// lane step is windowFold.fold's, written out so the per-event path
-// makes no call it does not need.
+// Event resolves one instruction. The windows are folded a chunk at a
+// time: the events resolved since the last fold, in one fold call,
+// once the run is full and when Results is called.
 func (w *WindowedCritPath) Event(ev *isa.Event) {
 	if w.pos-w.run.base == 2*w.maxSize {
+		w.catchUp()
 		w.run.carry(&w.run, w.maxSize)
 	}
-	from := len(w.run.dist)
 	w.run.add(&w.res, ev)
 	w.pos++
-	if l := w.lanes; l != nil {
-		l.extend(w.pos-1, w.run.dist[from:])
-		if l.cal[w.pos&l.calMask] >= 0 {
-			l.end(w.pos, w.results)
-		}
-		return
-	}
-	if w.pos >= w.due {
-		w.windows(&w.run, w.pos, w.results)
-	}
+}
+
+// catchUp folds the events resolved since the last fold.
+func (w *WindowedCritPath) catchUp() {
+	w.fold(&w.run, w.folded, w.pos, w.results)
+	w.folded = w.pos
 }
 
 // tailSpan returns the absolute index range of the final window for a
@@ -707,5 +739,6 @@ func tailSpan(n, size, stride uint64) (lo, hi uint64, ok bool) {
 // the sizes were given. It may be called repeatedly; the stream can
 // keep growing between calls.
 func (w *WindowedCritPath) Results() []WindowResult {
+	w.catchUp()
 	return w.finish(&w.run, w.pos, w.results)
 }

@@ -223,24 +223,45 @@ func TestWindowStrideMatchesDefault(t *testing.T) {
 	}
 }
 
-// TestLaneRingBudget pins the edges of the lane fold's memory budget:
-// a ring of exactly laneBudget bytes folds by lanes, a larger one keeps
-// the per-window fold, and the check does not overflow for any
-// positive size.
+// TestLaneRingBudget pins the edges of the lane folds' memory budget:
+// a ring of exactly laneBudget bytes folds by lanes, a larger one does
+// not, and the check does not overflow for any positive size. The
+// kernel's ring is padded to groups of 8 lanes, so it leaves sizes
+// whose padded ring is over budget to laneFold, or to the per-window
+// fold when laneFold's is too.
 func TestLaneRingBudget(t *testing.T) {
 	for _, c := range []struct {
-		sizes  []int
-		stride int
-		lanes  bool
+		sizes          []int
+		stride         int
+		lanes, kernel  bool
+		lanesN, groups uint64
 	}{
-		{[]int{1<<18 - 1}, 1<<18 - 1, true}, // one lane of 2^18 rows: 1 MiB
-		{[]int{1 << 18}, 1 << 18, false},
-		{[]int{1 << 17, 1 << 17}, 1 << 17, false},
-		{[]int{math.MaxInt, 4}, 1, false},
+		{[]int{1<<18 - 1}, 1<<18 - 1, true, false, 1, 0}, // one lane of 2^18 rows: 1 MiB
+		{[]int{1 << 18}, 1 << 18, false, false, 0, 0},
+		{[]int{1 << 17, 1 << 17}, 1 << 17, false, false, 0, 0},
+		{[]int{math.MaxInt, 4}, 1, false, false, 0, 0},
+		{[]int{1<<15 - 1}, 1<<15 - 1, true, true, 1, 1}, // one group of 2^15 rows: 1 MiB
+		{[]int{1 << 15}, 1 << 15, true, false, 1, 0},
+		{[]int{1024}, 8, true, true, 128, 16}, // 16 groups of 2^11 rows: 1 MiB
+		{[]int{1 << 15, 1 << 14}, 1 << 14, true, false, 3, 0},
+		{[]int{1024}, 7, false, false, 0, 0},       // 147 lanes
+		{PaperWindowSizes(), 0, true, true, 14, 2}, // 128 KiB
+		{PaperWindowSizes(), 1, false, false, 0, 0},
 	} {
 		f := newLaneFold(c.sizes, windowStrides(c.sizes, c.stride), maxWindow(c.sizes))
-		if (f != nil) != c.lanes || f != nil && 4*len(f.ring) > laneBudget {
+		if (f != nil) != c.lanes || f != nil && (4*len(f.ring) > laneBudget || f.n != c.lanesN) {
 			t.Errorf("sizes %v stride %d: lanes %v, want %v", c.sizes, c.stride, f != nil, c.lanes)
+		}
+		k := newLaneKernel(c.sizes, windowStrides(c.sizes, c.stride), maxWindow(c.sizes))
+		if (k != nil) != c.kernel || k != nil && (4*len(k.ring) > laneBudget || k.groups != c.groups || k.lanes != c.lanesN) {
+			t.Errorf("sizes %v stride %d: kernel %v, want %v", c.sizes, c.stride, k != nil, c.kernel)
+		}
+		if !c.lanes {
+			continue // the per-window fold's scratch would be as long as the largest size
+		}
+		w := newWindowFold(c.sizes, windowStrides(c.sizes, c.stride), maxWindow(c.sizes), true)
+		if (w.kernel != nil) != c.kernel || (w.lanes != nil) != !c.kernel {
+			t.Errorf("sizes %v stride %d: windowFold picks kernel %v and laneFold %v", c.sizes, c.stride, w.kernel != nil, w.lanes != nil)
 		}
 	}
 }

@@ -101,7 +101,7 @@ func NewShardedWindowedCP(sizes []int, stride, shards int) *ShardedWindowedCP {
 // the shared accumulators and recycling the job's run.
 func (w *ShardedWindowedCP) shard() {
 	defer w.wg.Done()
-	f := newWindowFold(w.sizes, w.strides, w.maxSize)
+	f := newWindowFold(w.sizes, w.strides, w.maxSize, laneKernelFold != nil)
 	j := newJobFold(len(w.sizes))
 	local := make([]windowAccum, len(w.sizes))
 	for job := range w.jobs {
