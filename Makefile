@@ -45,13 +45,12 @@ check-run-patterns:
 # differential runs the cross-core / cross-ISA trace-equivalence
 # harness, the -parallel determinism tests, the batched run loop's
 # trace digest and faults against the per-Step loop's, the diff of
-# the critical-path and path-length analyses against their naive
-# references, the sharded-against-sequential windowed CP across
-# shard chunk seams and the windowed-CP lane kernel against its Go
-# reference fold under the race detector.
+# the critical-path, windowed-CP and path-length analyses against
+# their naive references and the windowed-CP lane kernel against its
+# Go reference fold under the race detector.
 differential:
 	$(GO) test -race -count=1 -run 'TestDifferential|TestParallel|TestRunCellParallel|TestStepNFaultsMatchStepLoop' .
-	$(GO) test -race -count=1 -run 'TestOracle|FuzzWindowedCP|FuzzCritPath|TestShardedMatchesSequential|TestPathLengthMatchesReference|TestBranchProfileMatchesReference|TestLaneKernelMatchesGoFold|TestLaneKernelRenormalises' ./internal/core
+	$(GO) test -race -count=1 -run 'TestOracle|FuzzWindowedCP|FuzzCritPath|TestPathLengthMatchesReference|TestBranchProfileMatchesReference|TestLaneKernelMatchesGoFold|TestLaneKernelRenormalises' ./internal/core
 
 # golden checks the pinned paper artifacts (Table 1/2, Figure 1/2,
 # canonical manifests of the matrix and of the run subcommand) and the
@@ -65,13 +64,13 @@ golden:
 
 # check-faults runs the fault-injection and shutdown-path suites under
 # the race detector: matrix survival with injected decode/memory/panic
-# faults, retry and watchdog behaviour, pool drain on cancel, failed
-# attempts stopping their windowed-CP shards, and the hardened ELF
-# reader's malformed-input tests. The armed-but-not-firing watchdog
-# byte-identity row lives in TestParallelByteIdentical (differential).
+# faults, retry and watchdog behaviour, pool drain on cancel, and the
+# hardened ELF reader's malformed-input tests. The armed-but-not-firing
+# watchdog byte-identity row lives in TestParallelByteIdentical
+# (differential).
 check-faults:
 	$(GO) test -race -count=1 ./internal/faultinject
-	$(GO) test -race -count=1 -run 'TestMatrixSurvives|TestRetry|TestHungCell|TestSlowCell|TestBudget|TestFailFast|TestValidate|TestFailedRow|TestFailedAttemptReleasesShards' ./internal/report
+	$(GO) test -race -count=1 -run 'TestMatrixSurvives|TestRetry|TestHungCell|TestSlowCell|TestBudget|TestFailFast|TestValidate|TestFailedRow' ./internal/report
 	$(GO) test -race -count=1 -run 'TestPool|TestFanout' ./internal/sched
 	$(GO) test -race -count=1 -run 'TestReject|TestTruncated' ./internal/elfio
 
@@ -88,13 +87,12 @@ check-obs:
 # check-prof runs the span-profiler suites under the race detector:
 # the prof package itself (ring/totals semantics, Chrome-trace export,
 # zero-allocation and nil-hook cost pins), worker-lane and
-# queue-wait accounting in the pool, timed fan-out, the concurrent
-# sharded-windowed-CP cells, and the matrix-level contracts — profile
-# on/off byte-identity and the <= 1% disabled-profiler overhead gate.
+# queue-wait accounting in the pool, timed fan-out, and the
+# matrix-level contracts — profile on/off byte-identity and the <= 1%
+# disabled-profiler overhead gate.
 check-prof:
 	$(GO) test -race -count=1 ./internal/prof
 	$(GO) test -race -count=1 -run 'TestPoolGoW|TestPoolStatsBlocked|TestFanoutTimed' ./internal/sched
-	$(GO) test -race -count=1 -run 'TestShardedConcurrentCells' ./internal/core
 	$(GO) test -race -count=1 -run 'TestProfiledByteIdentical|TestProfilerOffOverheadBudget' .
 
 # check-fusion runs the macro-op fusion suites under the race

@@ -2,7 +2,6 @@ package isacmp
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"isacmp/internal/core"
@@ -265,9 +264,8 @@ func BenchmarkFullMatrixSequential(b *testing.B) { benchFullMatrix(b, 1) }
 
 // BenchmarkFullMatrixParallel fans the same matrix over GOMAXPROCS
 // workers (cells over the pool, the trace fanned out to the analyses
-// inside each cell, windowed CP sharded). Results are byte-identical
-// to the sequential run; with N real cores the wall time approaches
-// 1/N.
+// inside each cell). Results are byte-identical to the sequential run;
+// with N real cores the wall time approaches 1/N.
 func BenchmarkFullMatrixParallel(b *testing.B) { benchFullMatrix(b, 0) }
 
 // BenchmarkStepVsStepN compares the per-Step interface against the
@@ -427,22 +425,14 @@ func replay(b *testing.B, evs []Event, events func([]Event), finish func()) {
 // sizes at stride W/2, which fold by lanes; stride1 runs them at
 // stride 1, whose lane ring would exceed its budget, so they keep the
 // per-window fold. Both are allocation-free in steady state
-// (TestWindowedEventsZeroAlloc asserts it exactly). sharded runs the
-// paper's sizes through a ShardedWindowedCP on GOMAXPROCS shards, its
-// final Results included.
+// (TestWindowedEventsZeroAlloc asserts it exactly).
 func BenchmarkWindowedCP(b *testing.B) {
 	_, evs := recordedCell(b)
-	run := func(b *testing.B, w interface {
-		Events([]Event)
-		Results() []core.WindowResult
-	}) {
+	run := func(b *testing.B, w *core.WindowedCritPath) {
 		replay(b, evs, w.Events, func() { w.Results() })
 	}
 	b.Run("paper", func(b *testing.B) { run(b, core.NewWindowedCritPathStride(core.PaperWindowSizes(), 0)) })
 	b.Run("stride1", func(b *testing.B) { run(b, core.NewWindowedCritPathStride(core.PaperWindowSizes(), 1)) })
-	b.Run("sharded", func(b *testing.B) {
-		run(b, core.NewShardedWindowedCP(core.PaperWindowSizes(), 0, runtime.GOMAXPROCS(0)))
-	})
 }
 
 // BenchmarkPathLength measures the path-length layer alone, in ns per

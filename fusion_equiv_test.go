@@ -246,9 +246,8 @@ func TestFusionStepLoopByteIdentical(t *testing.T) {
 
 // TestFusionParallelByteIdentical extends the -parallel determinism
 // contract to fusion-on runs: the rewritten stream must feed the
-// fan-out, and the windowed CP both inline (2 and 5 workers on the 20
-// cells) and sharded (64 workers), exactly as it feeds the sequential
-// tee.
+// fan-out's analyses on 2, 5 and 64 workers exactly as it feeds the
+// sequential tee.
 func TestFusionParallelByteIdentical(t *testing.T) {
 	ex := report.Experiment{
 		PathLength: true, CritPath: true, Scaled: true, Windowed: true,

@@ -292,7 +292,8 @@ func TestWindowedRunHoldsLargestWindow(t *testing.T) {
 	for _, sizes := range [][]int{{4}, {5}, {3, 2000}, PaperWindowSizes()} {
 		w := NewWindowedCritPath(sizes)
 		maxSize := uint64(maxWindow(sizes))
-		for i, ev := range randEvents(5, 2*shardChunk+3000) {
+		// 134,072 events: at least 66 refills of the 2·maxSize run.
+		for i, ev := range randEvents(5, 1<<17+3000) {
 			w.Event(ev)
 			held := w.pos - w.run.base
 			if held < min(w.pos, maxSize) || held > 2*maxSize || w.run.end() != w.pos {

@@ -52,9 +52,9 @@ type laneKernel struct {
 	top    uint64     // no lane's peak exceeds it
 }
 
-// newLaneKernel returns the kernel fold of sizes at strides, or nil
-// when there are no lanes or its ring, padded to groups of 8 lanes,
-// would exceed laneBudget.
+// newLaneKernel returns the kernel fold of sizes at strides, started
+// at event 0, or nil when there are no lanes or its ring, padded to
+// groups of 8 lanes, would exceed laneBudget.
 func newLaneKernel(sizes []int, strides []uint64, maxSize uint64) *laneKernel {
 	const maxRowGroups = laneBudget / 32 // 8 lanes of 4 bytes
 	if maxSize >= maxRowGroups {
@@ -77,7 +77,23 @@ func newLaneKernel(sizes []int, strides []uint64, maxSize uint64) *laneKernel {
 	}
 	f.ring = make([]uint32, rows*8*f.groups)
 	f.state = make([]uint32, kFields*8*f.groups)
-	f.restart(0)
+	for l := f.lanes; l < 8*f.groups; l++ {
+		*f.at(kEnd, l), *f.at(kStart, l), *f.at(kPeriod, l) = 1, 1, 1
+	}
+	for i := range f.size {
+		ls := &f.size[i]
+		period := ls.count * ls.stride
+		for m := uint64(0); m < ls.count; m++ {
+			l, s := ls.first+m, m*ls.stride
+			*f.at(kPeriod, l) = uint32(period)
+			*f.at(kEnd, l) = uint32(s + ls.size)
+			// The window starting at 0 needs no start: base and peak
+			// are both 0.
+			if *f.at(kStart, l) = uint32(s); s == 0 {
+				*f.at(kStart, l) = uint32(period)
+			}
+		}
+	}
 	return f
 }
 
@@ -86,37 +102,8 @@ func (f *laneKernel) at(field int, l uint64) *uint32 {
 	return &f.state[(l/8*kFields+uint64(field))*8+l%8]
 }
 
-// restart hands each size's lanes, in turn, its first windows that
-// start at or after event position p, and forgets every window in
-// flight. It clears the ring, so a producer before p holds 0, which no
-// base is below.
-func (f *laneKernel) restart(p uint64) {
-	clear(f.ring)
-	clear(f.state)
-	f.top = 0
-	for l := f.lanes; l < 8*f.groups; l++ {
-		*f.at(kEnd, l), *f.at(kStart, l), *f.at(kPeriod, l) = 1, 1, 1
-	}
-	for i := range f.size {
-		ls := &f.size[i]
-		period := ls.count * ls.stride
-		start := (p + ls.stride - 1) / ls.stride * ls.stride
-		for m := uint64(0); m < ls.count; m++ {
-			l, s := ls.first+m, start+m*ls.stride
-			*f.at(kPeriod, l) = uint32(period)
-			*f.at(kEnd, l) = uint32(s + ls.size - p)
-			// A window starting at p needs no start: base and peak are
-			// both 0.
-			if *f.at(kStart, l) = uint32(s - p); s == p {
-				*f.at(kStart, l) = uint32(period)
-			}
-		}
-	}
-}
-
 // fold folds the events [from, to) of run, which follow the last event
-// folded or a restart at from, and adds each window that ends by to to
-// acc.
+// folded, and adds each window that ends by to to acc.
 func (f *laneKernel) fold(run *prodRun, from, to uint64, acc []windowAccum) {
 	for from < to {
 		n := min(to-from, kernelChunk)

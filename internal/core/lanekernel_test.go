@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"testing"
 
@@ -27,8 +26,9 @@ func resolveAll(evs []isa.Event, sizes []int) *prodRun {
 }
 
 // checkKernel diffs the lane kernel against laneFold on evs: through a
-// WindowedCritPath, and through jobFold from restarts at random
-// positions.
+// WindowedCritPath, which folds at most 2·maxSize events per call, and
+// in one fold over the whole stream, which the kernel splits into
+// calls of 2^14 events.
 func checkKernel(t *testing.T, name string, evs []isa.Event, sizes []int, stride int) {
 	t.Helper()
 	kern, ref := newWindowedCritPath(sizes, stride, true), newWindowedCritPath(sizes, stride, false)
@@ -44,34 +44,31 @@ func checkKernel(t *testing.T, name string, evs []isa.Event, sizes []int, stride
 	run := resolveAll(evs, sizes)
 	maxSize, strides := maxWindow(sizes), windowStrides(sizes, stride)
 	kf, rf := newWindowFold(sizes, strides, maxSize, true), newWindowFold(sizes, strides, maxSize, false)
-	kj, rj := newJobFold(len(sizes)), newJobFold(len(sizes))
-	kout, rout := make([]windowAccum, len(sizes)), make([]windowAccum, len(sizes))
-	r := rand.New(rand.NewSource(int64(len(evs))))
-	for range 8 {
-		lo := uint64(r.Intn(len(evs) + 1))
-		job := windowJob{run: run, lo: lo, hi: lo + 1 + uint64(r.Intn(3*int(maxSize)))}
-		kj.fold(&kf, job, kout)
-		rj.fold(&rf, job, rout)
-		if !slices.Equal(kout, rout) {
-			t.Fatalf("%s: sizes %v stride %d, windows starting in [%d, %d): kernel %+v, laneFold %+v",
-				name, sizes, stride, job.lo, job.hi, kout, rout)
-		}
+	kacc, racc := make([]windowAccum, len(sizes)), make([]windowAccum, len(sizes))
+	kf.fold(run, 0, run.end(), kacc)
+	rf.fold(run, 0, run.end(), racc)
+	if !slices.Equal(kacc, racc) {
+		t.Fatalf("%s: sizes %v stride %d, one fold over %d events: kernel %+v, laneFold %+v",
+			name, sizes, stride, run.end(), kacc, racc)
 	}
 }
 
 // TestLaneKernelMatchesGoFold: the lane kernel gives every window the
 // critical path laneFold gives it, on random streams with multi-word
 // and fused-pair loads, on every tiny-scale paper stream raw and
-// fused, at strides that leave lanes idle between windows, with lane
-// counts that fill no whole group of 8 or a lone group after pairs,
-// and from restarts anywhere.
+// fused, at strides that leave lanes idle between windows, and with
+// lane counts that fill no whole group of 8 or a lone group after
+// pairs.
 func TestLaneKernelMatchesGoFold(t *testing.T) {
 	if laneKernelFold == nil {
 		t.Skip(noKernel)
 	}
 	t.Run("random", func(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
-			evs := randStream(seed, 3*shardChunk/2+777)
+			// 99,081 events: seven kernel calls of at most 2^14
+			// events in one fold, and 48 refills of the 2·maxSize run
+			// at the paper's sizes.
+			evs := randStream(seed, 3<<15+777)
 			checkKernel(t, fmt.Sprint("seed ", seed), evs, PaperWindowSizes(), 0)
 			checkKernel(t, fmt.Sprint("seed ", seed), evs[:5000], []int{4, 16, 64}, int(seed))
 		}
@@ -162,9 +159,9 @@ func TestLaneKernelRenormalises(t *testing.T) {
 // paper's window sizes at stride W/2 over the first 2^18 events of the
 // LBM cell on RISC-V/GCC 12.2 at Small scale, resolved before timing
 // and folded in chunks of the largest window, as WindowedCritPath
-// folds them, restarting at event 0 at the end of the run. kernel
-// folds with the lane kernel and go with laneFold; both allocate
-// nothing.
+// folds them, by a fresh fold from event 0 at the end of the run,
+// built with the timer stopped. kernel folds with the lane kernel and
+// go with laneFold; both allocate nothing.
 func BenchmarkLaneFold(b *testing.B) {
 	sizes := PaperWindowSizes()
 	maxSize, strides := maxWindow(sizes), windowStrides(sizes, 0)
@@ -186,14 +183,15 @@ func BenchmarkLaneFold(b *testing.B) {
 	if _, err := (&simeng.EmulationCore{}).Run(mach, record); err != nil {
 		b.Fatal(err)
 	}
-	bench := func(b *testing.B, f windowFold) {
-		acc := make([]windowAccum, len(sizes))
+	bench := func(b *testing.B, kernel bool) {
+		f, acc := newWindowFold(sizes, strides, maxSize, kernel), make([]windowAccum, len(sizes))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for k, n := uint64(0), 0; n < b.N; {
 			if k == run.end() {
-				f.restart(0)
-				k = 0
+				b.StopTimer()
+				f, k = newWindowFold(sizes, strides, maxSize, kernel), 0
+				b.StartTimer()
 			}
 			to := min(k+maxSize, run.end(), k+uint64(b.N-n))
 			f.fold(run, k, to, acc)
@@ -206,7 +204,7 @@ func BenchmarkLaneFold(b *testing.B) {
 		if laneKernelFold == nil {
 			b.Skip(noKernel)
 		}
-		bench(b, newWindowFold(sizes, strides, maxSize, true))
+		bench(b, true)
 	})
-	b.Run("go", func(b *testing.B) { bench(b, newWindowFold(sizes, strides, maxSize, false)) })
+	b.Run("go", func(b *testing.B) { bench(b, false) })
 }

@@ -148,22 +148,21 @@ func refWindows(evs []isa.Event, sizes []int, stride int) []WindowResult {
 }
 
 // checkOracle diffs every optimised analysis against the reference on
-// one stream.
+// one stream. Windowed CP runs twice: as NewWindowedCritPathStride
+// picks its fold, and without the lane kernel, so laneFold, the lane
+// fold of CPUs without AVX2, is diffed on every host.
 func checkOracle(t *testing.T, name string, evs []isa.Event, sizes []int, stride int) {
 	t.Helper()
 	want := refWindows(evs, sizes, stride)
-	seq := NewWindowedCritPathStride(sizes, stride)
-	seq.Events(evs)
-	analyzers := map[string]WindowAnalyzer{"sequential": seq}
-	for _, shards := range []int{1, 2, 3} {
-		s := NewShardedWindowedCP(sizes, stride, shards)
-		s.Events(evs)
-		analyzers[fmt.Sprintf("%d-shard", shards)] = s
+	analyzers := map[string]*WindowedCritPath{
+		"selected fold":      NewWindowedCritPathStride(sizes, stride),
+		"without the kernel": newWindowedCritPath(sizes, stride, false),
 	}
 	for which, a := range analyzers {
+		a.Events(evs)
 		for i, got := range a.Results() {
 			if got != want[i] {
-				t.Fatalf("%s: %s windowed CP size %d = %+v, reference %+v", name, which, sizes[i], got, want[i])
+				t.Fatalf("%s: windowed CP (%s) size %d = %+v, reference %+v", name, which, sizes[i], got, want[i])
 			}
 		}
 	}
@@ -240,14 +239,15 @@ func randStream(seed int64, n int) []isa.Event {
 }
 
 // TestOracleRandomStreams diffs the optimised analyses against the
-// reference on seeded random streams long enough to cross several
-// shard chunks, with the paper's stride and explicit ones. The
-// analyzers fold by lanes in every case but the last, whose ring is
-// over budget: odd sizes at the paper's stride and a stride that
-// divides no size leave lanes idle between windows.
+// reference on seeded random streams, with the paper's stride and
+// explicit ones. The analyzers fold by lanes in every case but the
+// last, whose ring is over budget: odd sizes at the paper's stride and
+// a stride that divides no size leave lanes idle between windows.
 func TestOracleRandomStreams(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		evs := randStream(seed, 2*shardChunk+2500)
+		// 133,572 events: 65 refills of the 2·maxSize run at the
+		// paper's sizes.
+		evs := randStream(seed, 1<<17+2500)
 		checkOracle(t, "random", evs, PaperWindowSizes(), 0)
 		checkOracle(t, "random", evs[:777], []int{1, 3, 4, 16, 64}, int(seed))
 	}
@@ -272,6 +272,20 @@ func TestOracleRandomStreams(t *testing.T) {
 			t.Fatalf("gap %d: reference bucket 15 = %d", gap, b[15])
 		}
 		checkDepDist(t, fmt.Sprintf("gap %d", gap), evs)
+	}
+}
+
+// TestOracleStrides diffs the analyses against the reference over a
+// grid of explicit strides, among them stride 1 (every position) and
+// stride == size (disjoint windows), at stream lengths that do and do
+// not leave a tail, including streams shorter than every window.
+func TestOracleStrides(t *testing.T) {
+	sizes := []int{1, 4, 16, 64}
+	for _, stride := range []int{1, 3, 4, 100} {
+		for _, n := range []int{0, 1, 3, 4, 5, 1000} {
+			name := fmt.Sprintf("stride %d, %d events", stride, n)
+			checkOracle(t, name, randStream(int64(stride*100000+n), n), sizes, stride)
+		}
 	}
 }
 
@@ -428,11 +442,10 @@ func chainSeed(kind byte) []byte {
 }
 
 // FuzzWindowedCP decodes bytes into an event stream (decodeEvents,
-// after a first byte that picks the stride) and checks that the
-// sequential and sharded windowed analyses both match the reference,
-// on two size sets that between them reach both folds. Its streams
-// never reach a shard chunk seam, so each sharded run folds one job
-// from position 0; TestShardedMatchesSequential covers the restarts.
+// after a first byte that picks the stride) and checks that windowed
+// CP matches the reference, as NewWindowedCritPathStride picks its
+// fold and without the lane kernel, on two size sets that between them
+// reach the lane and per-window folds.
 func FuzzWindowedCP(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0xff, 0x13, 1, 2, 3, 4, 5, 6, 0, 0xff, 7, 0xff, 9, 0xff, 0xe2, 0x47, 1, 2, 0x10, 0xf0, 0x33, 0x80, 0x11, 0x40})
@@ -448,13 +461,12 @@ func FuzzWindowedCP(f *testing.F) {
 		// strides 1 and 2, so it folds per window there.
 		for _, sizes := range [][]int{{1, 2, 3, 4, 7, 16, 64}, {1, 3, 600}} {
 			want := refWindows(evs, sizes, stride)
-			seq := NewWindowedCritPathStride(sizes, stride)
-			seq.Events(evs)
-			sharded := NewShardedWindowedCP(sizes, stride, 2)
-			sharded.Events(evs)
-			for i, got := range seq.Results() {
-				if shard := sharded.Results()[i]; got != want[i] || shard != want[i] {
-					t.Fatalf("sizes %v size %d: sequential %+v, sharded %+v, reference %+v", sizes, sizes[i], got, shard, want[i])
+			w, goLanes := NewWindowedCritPathStride(sizes, stride), newWindowedCritPath(sizes, stride, false)
+			w.Events(evs)
+			goLanes.Events(evs)
+			for i, got := range w.Results() {
+				if other := goLanes.Results()[i]; got != want[i] || other != want[i] {
+					t.Fatalf("sizes %v size %d: windowed %+v, without the kernel %+v, reference %+v", sizes, sizes[i], got, other, want[i])
 				}
 			}
 		}

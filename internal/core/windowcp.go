@@ -204,15 +204,15 @@ func (p *prodRun) add(r *resolver, ev *isa.Event) {
 	p.off = append(p.off, uint32(len(p.dist)))
 }
 
-// carry makes p hold the last n events of src, which may be p itself.
-func (p *prodRun) carry(src *prodRun, n uint64) {
-	from := uint64(len(src.off)-1) - n
-	off, o := src.off[from:], src.off[from]
-	p.base = src.base + from
-	p.dist = append(p.dist[:0], src.dist[o:]...)
-	p.off = p.off[:0]
-	for _, x := range off {
-		p.off = append(p.off, x-o)
+// carry drops all but the last n events of the run.
+func (p *prodRun) carry(n uint64) {
+	from := uint64(len(p.off)-1) - n
+	o := p.off[from]
+	p.base += from
+	p.dist = append(p.dist[:0], p.dist[o:]...)
+	p.off = append(p.off[:0], p.off[from:]...)
+	for i := range p.off {
+		p.off[i] -= o
 	}
 }
 
@@ -224,7 +224,7 @@ func (p *prodRun) carry(src *prodRun, n uint64) {
 // that value at all, just as a window evaluated from empty state
 // would find. laneFold and laneKernel apply the same rule lane by
 // lane, so a window gets the same critical path whichever fold
-// computes it, and wherever that fold last restarted.
+// computes it.
 func (p *prodRun) cp(lo, hi uint64, dp []uint32) uint64 {
 	off, dist := p.off[lo-p.base:hi-p.base+1], p.dist
 	dp = dp[:hi-lo]
@@ -250,7 +250,7 @@ func (p *prodRun) cp(lo, hi uint64, dp []uint32) uint64 {
 const laneBudget = 1 << 20
 
 // laneFold folds every window of every size in one pass per event.
-// Each size owns ceil(size/stride) lanes, and from a restart on the
+// Each size owns ceil(size/stride) lanes, and from event 0 on the
 // size's windows take its lanes in turn: window m+count starts
 // count*stride >= size events after window m, so a lane holds one
 // window at a time. A ring holds each lane's depth of each event in
@@ -272,15 +272,14 @@ type laneFold struct {
 	lo   []uint64   // each lane's window start
 	peak []uint32   // each lane's deepest depth since its window was handed over
 	size []laneSize // one per window size, in the caller's order
-	// cal[e&calMask] heads the list, linked through laneSize.link, of
-	// the sizes whose next window ends at event position e, or is -1.
-	// A size's first window after a restart at p ends before
-	// p+2*maxSize, and each later one at most a stride after the last,
-	// so the pending ends span fewer than 2*maxSize positions. The
-	// calendar has at least that many slots, so a slot only ever lists
-	// sizes that end at the same position.
-	cal     []int32
-	calMask uint64
+	// cal[e&mask] heads the list, linked through laneSize.link, of the
+	// sizes whose next window ends at event position e, or is -1. A
+	// size's first window ends by maxSize, and each later one a stride
+	// (at most maxSize) after the last, so the pending ends span at
+	// most maxSize positions, fewer than the calendar's slots (one per
+	// ring row): a slot only ever lists sizes that end at the same
+	// position.
+	cal []int32
 }
 
 // laneSize is one window size's share of a laneFold; a size that is
@@ -292,8 +291,8 @@ type laneSize struct {
 	link         int32  // next size in the same calendar slot, or -1
 }
 
-// newLaneFold returns the lane fold of sizes at strides, or nil when
-// its ring would exceed laneBudget.
+// newLaneFold returns the lane fold of sizes at strides, started at
+// event 0, or nil when its ring would exceed laneBudget.
 func newLaneFold(sizes []int, strides []uint64, maxSize uint64) *laneFold {
 	const maxDepths = laneBudget / 4
 	if maxSize >= maxDepths {
@@ -311,38 +310,22 @@ func newLaneFold(sizes []int, strides []uint64, maxSize uint64) *laneFold {
 		if f.n += ls.count; f.n > maxDepths/rows {
 			return nil
 		}
-	}
-	slots := uint64(1) << bits.Len64(2*maxSize-1)
-	f.cal, f.calMask = make([]int32, slots), slots-1
-	f.ring = make([]uint32, rows*f.n)
-	f.lo = make([]uint64, f.n)
-	f.peak = make([]uint32, f.n)
-	f.restart(0)
-	return f
-}
-
-// restart hands each size's lanes, in turn, its first windows that
-// start at or after event position p, and forgets every window in
-// flight. The ring needs no clearing: every lane's window now starts
-// at or after p, so extend masks every producer before p.
-func (f *laneFold) restart(p uint64) {
-	for i := range f.cal {
-		f.cal[i] = -1
-	}
-	clear(f.peak)
-	for i := range f.size {
-		ls := &f.size[i]
-		ls.link, ls.next = -1, 0
-		if ls.count == 0 {
-			continue
-		}
-		start := (p + ls.stride - 1) / ls.stride * ls.stride
 		for m := uint64(0); m < ls.count; m++ {
-			f.lo[ls.first+m] = start + m*ls.stride
+			f.lo = append(f.lo, m*ls.stride)
 		}
-		e := (start + ls.size) & f.calMask
-		ls.link, f.cal[e] = f.cal[e], int32(i)
 	}
+	f.cal = make([]int32, rows)
+	for e := range f.cal {
+		f.cal[e] = -1
+	}
+	for i := range f.size {
+		if ls := &f.size[i]; ls.count > 0 {
+			ls.link, f.cal[ls.size] = f.cal[ls.size], int32(i)
+		}
+	}
+	f.ring = make([]uint32, rows*f.n)
+	f.peak = make([]uint32, f.n)
+	return f
 }
 
 // extend computes event k's depth in every lane from its producer
@@ -411,7 +394,7 @@ func (f *laneFold) extend(k uint64, ds []uint32) {
 // end adds the peaks of the windows ending at event position pos to
 // acc and hands each of their lanes its next window.
 func (f *laneFold) end(pos uint64, acc []windowAccum) {
-	slot := pos & f.calMask
+	slot := pos & f.mask
 	i := f.cal[slot]
 	f.cal[slot] = -1
 	for i >= 0 {
@@ -426,35 +409,32 @@ func (f *laneFold) end(pos uint64, acc []windowAccum) {
 			ls.next = 0
 		}
 		next := ls.link
-		s := (pos + ls.stride) & f.calMask
+		s := (pos + ls.stride) & f.mask
 		ls.link, f.cal[s] = f.cal[s], i
 		i = next
 	}
 }
 
 // fold folds the events [from, to) of run, which follow the last event
-// folded or a restart at from, and adds each window that ends by to to
-// acc.
+// folded, and adds each window that ends by to to acc.
 func (f *laneFold) fold(run *prodRun, from, to uint64, acc []windowAccum) {
 	off, dist := run.off[from-run.base:to-run.base+1], run.dist
 	for k := from; k < to; k++ {
 		f.extend(k, dist[off[0]:off[1]])
 		off = off[1:]
-		if f.cal[(k+1)&f.calMask] >= 0 {
+		if f.cal[(k+1)&f.mask] >= 0 {
 			f.end(k+1, acc)
 		}
 	}
 }
 
-// windowFold is the one fold both windowed analyzers drive over a
-// prodRun: WindowedCritPath from position 0 with no upper bound, one
-// chunk of resolved events at a time, and each ShardedWindowedCP job
-// from a restart at its first window start (see jobFold). It folds by
-// lanes when their ring fits laneBudget: with the lane kernel where
-// the CPU runs it and its padded ring fits, otherwise with laneFold,
-// which is also the kernel's reference. Sizes and strides whose ring
-// fits neither fold with prodRun.cp once per window, at the window
-// ends next holds.
+// windowFold is WindowedCritPath's fold over its prodRun: started at
+// position 0 and driven one chunk of resolved events at a time. It
+// folds by lanes when their ring fits laneBudget: with the lane kernel
+// where the CPU runs it and its padded ring fits, otherwise with
+// laneFold, which is also the kernel's reference. Sizes and strides
+// whose ring fits neither fold with prodRun.cp once per window, at the
+// window ends next holds.
 type windowFold struct {
 	sizes   []int
 	strides []uint64
@@ -481,37 +461,22 @@ func newWindowFold(sizes []int, strides []uint64, maxSize uint64, kernel bool) w
 			return f
 		}
 	}
-	if f.lanes = newLaneFold(sizes, strides, maxSize); f.lanes == nil {
-		f.next = make([]uint64, len(sizes))
-		f.restart(0)
+	if f.lanes = newLaneFold(sizes, strides, maxSize); f.lanes != nil {
+		return f
+	}
+	f.next, f.due = make([]uint64, len(sizes)), ^uint64(0)
+	for i, s := range sizes {
+		f.next[i] = ^uint64(0) // a size that is not positive is never due
+		if s > 0 {
+			f.next[i] = uint64(s)
+		}
+		f.due = min(f.due, f.next[i])
 	}
 	return f
 }
 
-// restart makes the fold count, from event position p on, the windows
-// that start at or after p.
-func (f *windowFold) restart(p uint64) {
-	switch {
-	case f.kernel != nil:
-		f.kernel.restart(p)
-	case f.lanes != nil:
-		f.lanes.restart(p)
-	default:
-		f.due = ^uint64(0)
-		for i, s := range f.sizes {
-			f.next[i] = ^uint64(0) // a size that is not positive is never due
-			if s > 0 {
-				st := f.strides[i]
-				f.next[i] = (p+st-1)/st*st + uint64(s)
-			}
-			f.due = min(f.due, f.next[i])
-		}
-	}
-}
-
 // fold folds the events [from, to) of run, which follow the last event
-// folded or a restart at from, and adds each window that ends by to
-// to acc.
+// folded, and adds each window that ends by to to acc.
 func (f *windowFold) fold(run *prodRun, from, to uint64, acc []windowAccum) {
 	switch {
 	case f.kernel != nil:
@@ -552,7 +517,13 @@ func (f *windowFold) finish(run *prodRun, n uint64, acc []windowAccum) []WindowR
 				a.add(windowAccum{sumCP: run.cp(lo, hi, f.dp), sumLen: hi - lo, windows: 1})
 			}
 		}
-		out[i] = finishWindowResult(size, a)
+		out[i] = WindowResult{Size: size, Windows: a.windows}
+		if a.windows > 0 {
+			out[i].MeanCP = float64(a.sumCP) / float64(a.windows)
+			if out[i].MeanCP > 0 {
+				out[i].MeanILP = float64(a.sumLen) / float64(a.windows) / out[i].MeanCP
+			}
+		}
 	}
 	return out
 }
@@ -563,9 +534,7 @@ type windowAccum struct {
 	windows uint64
 }
 
-// add merges another accumulator. Sums and counts are integers, so
-// merging is exact and order-independent — the property the sharded
-// implementation relies on for determinism.
+// add merges another accumulator.
 func (a *windowAccum) add(b windowAccum) {
 	a.sumCP += b.sumCP
 	a.sumLen += b.sumLen
@@ -586,24 +555,8 @@ type WindowResult struct {
 	MeanILP float64
 }
 
-// finishWindowResult converts an accumulator into the exported result.
-// Shared by the sequential and sharded implementations so the float
-// arithmetic is identical in both.
-func finishWindowResult(size int, acc windowAccum) WindowResult {
-	wr := WindowResult{Size: size, Windows: acc.windows}
-	if acc.windows > 0 {
-		wr.MeanCP = float64(acc.sumCP) / float64(acc.windows)
-		if wr.MeanCP > 0 {
-			meanLen := float64(acc.sumLen) / float64(acc.windows)
-			wr.MeanILP = meanLen / wr.MeanCP
-		}
-	}
-	return wr
-}
-
-// WindowAnalyzer is the interface both windowed-CP implementations
-// (sequential WindowedCritPath and concurrent ShardedWindowedCP)
-// satisfy.
+// WindowAnalyzer is a windowed-CP sink with its results, which
+// WindowedCritPath is.
 type WindowAnalyzer interface {
 	isa.Sink
 	Results() []WindowResult
@@ -668,6 +621,13 @@ func NewWindowedCritPathStride(sizes []int, stride int) *WindowedCritPath {
 	return newWindowedCritPath(sizes, stride, laneKernelFold != nil)
 }
 
+// NewShardedWindowedCP returns NewWindowedCritPathStride(sizes, stride).
+//
+// Deprecated: shards is ignored; call NewWindowedCritPathStride.
+func NewShardedWindowedCP(sizes []int, stride, shards int) *WindowedCritPath {
+	return NewWindowedCritPathStride(sizes, stride)
+}
+
 // newWindowedCritPath is NewWindowedCritPathStride with the lane
 // kernel allowed or not (see newWindowFold).
 func newWindowedCritPath(sizes []int, stride int, kernel bool) *WindowedCritPath {
@@ -703,7 +663,7 @@ func (w *WindowedCritPath) Events(evs []isa.Event) {
 func (w *WindowedCritPath) Event(ev *isa.Event) {
 	if w.pos-w.run.base == 2*w.maxSize {
 		w.catchUp()
-		w.run.carry(&w.run, w.maxSize)
+		w.run.carry(w.maxSize)
 	}
 	w.run.add(&w.res, ev)
 	w.pos++

@@ -265,3 +265,139 @@ func TestLaneRingBudget(t *testing.T) {
 		}
 	}
 }
+
+// randEvents builds a deterministic stream mixing register arithmetic,
+// loads and stores — the dependence shapes the windowed analysis sees
+// from real binaries.
+func randEvents(seed int64, n int) []*isa.Event {
+	r := rand.New(rand.NewSource(seed))
+	out := make([]*isa.Event, n)
+	for i := range out {
+		switch r.Intn(4) {
+		case 0:
+			out[i] = evLoad(isa.IntReg(uint8(r.Intn(30)+1)), isa.IntReg(uint8(r.Intn(30)+1)), uint64(r.Intn(64))*8)
+		case 1:
+			out[i] = evStore(isa.IntReg(uint8(r.Intn(30)+1)), isa.IntReg(uint8(r.Intn(30)+1)), uint64(r.Intn(64))*8)
+		default:
+			ev := &isa.Event{Group: isa.GroupIntSimple}
+			for s := 0; s < r.Intn(3); s++ {
+				ev.AddSrc(isa.IntReg(uint8(r.Intn(30) + 1)))
+			}
+			ev.AddDst(isa.IntReg(uint8(r.Intn(30) + 1)))
+			out[i] = ev
+		}
+	}
+	return out
+}
+
+func wantEqualResults(t *testing.T, want, got []WindowResult) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("result lengths differ: %d vs %d", len(want), len(got))
+	}
+	for i := range want {
+		if want[i] != got[i] {
+			t.Fatalf("size %d: want %+v, got %+v", want[i].Size, want[i], got[i])
+		}
+	}
+}
+
+// TestWindowLargerThanTrace: a window size exceeding the stream length
+// yields exactly one partial window covering the whole stream, whose
+// mean length (not the nominal size) enters the ILP average.
+func TestWindowLargerThanTrace(t *testing.T) {
+	const n = 10
+	w := NewWindowedCritPath([]int{64})
+	for i := 0; i < n; i++ {
+		w.Event(evAdd(isa.IntReg(1), isa.IntReg(1))) // fully serial
+	}
+	res := w.Results()[0]
+	if res.Windows != 1 {
+		t.Fatalf("windows = %d, want 1", res.Windows)
+	}
+	if res.MeanCP != n {
+		t.Fatalf("mean CP = %v, want %d (serial chain over the whole stream)", res.MeanCP, n)
+	}
+	if res.MeanILP != 1 {
+		t.Fatalf("mean ILP = %v, want 1 (partial window averaged by true length)", res.MeanILP)
+	}
+}
+
+// TestWindowSizeOne: every instruction is its own window; CP and ILP
+// are exactly 1.
+func TestWindowSizeOne(t *testing.T) {
+	w := NewWindowedCritPath([]int{1})
+	const n = 37
+	for i := 0; i < n; i++ {
+		w.Event(evAdd(isa.IntReg(1), isa.IntReg(1)))
+	}
+	res := w.Results()[0]
+	if res.Windows != n {
+		t.Fatalf("windows = %d, want %d", res.Windows, n)
+	}
+	if res.MeanCP != 1 || res.MeanILP != 1 {
+		t.Fatalf("CP/ILP = %v/%v, want 1/1", res.MeanCP, res.MeanILP)
+	}
+}
+
+// TestWindowEmptyTrace: no events means no windows and zero means —
+// not NaN, not a panic.
+func TestWindowEmptyTrace(t *testing.T) {
+	w := NewWindowedCritPath(PaperWindowSizes())
+	for _, res := range w.Results() {
+		if res.Windows != 0 || res.MeanCP != 0 || res.MeanILP != 0 {
+			t.Fatalf("size %d: %+v, want all zero", res.Size, res)
+		}
+	}
+}
+
+// TestWindowNoSizes: an empty size list must not panic on events.
+func TestWindowNoSizes(t *testing.T) {
+	w := NewWindowedCritPath(nil)
+	w.Event(evAdd(isa.IntReg(1)))
+	if got := w.Results(); len(got) != 0 {
+		t.Fatalf("results = %+v, want empty", got)
+	}
+}
+
+// TestWindowTailPartial pins the tail-window arithmetic: 10 events,
+// size 4, stride 2 → complete windows end at 4, 6, 8, 10 and cover
+// every instruction, so no tail; 11 events leave instruction 10 and a
+// tail window [7, 11) appears.
+func TestWindowTailPartial(t *testing.T) {
+	w := NewWindowedCritPath([]int{4})
+	for i := 0; i < 10; i++ {
+		w.Event(evAdd(isa.IntReg(1), isa.IntReg(1)))
+	}
+	if got := w.Results()[0].Windows; got != 4 {
+		t.Fatalf("10 events: windows = %d, want 4 (no tail)", got)
+	}
+	w.Event(evAdd(isa.IntReg(1), isa.IntReg(1)))
+	res := w.Results()[0]
+	if res.Windows != 5 {
+		t.Fatalf("11 events: windows = %d, want 5 (tail [7,11))", res.Windows)
+	}
+	// All serial: each of the 5 windows (all full-size, the tail is
+	// snapped to the end) has CP 4.
+	if res.MeanCP != 4 || res.MeanILP != 1 {
+		t.Fatalf("11 events: CP/ILP = %v/%v, want 4/1", res.MeanCP, res.MeanILP)
+	}
+}
+
+// TestSequentialResultsStreamable: Results may be called mid-stream
+// without disturbing later windows.
+func TestSequentialResultsStreamable(t *testing.T) {
+	events := randEvents(21, 300)
+	w := NewWindowedCritPath([]int{16})
+	for i, ev := range events {
+		w.Event(ev)
+		if i == 150 {
+			w.Results() // must not perturb the accumulators
+		}
+	}
+	ref := NewWindowedCritPath([]int{16})
+	for _, ev := range events {
+		ref.Event(ev)
+	}
+	wantEqualResults(t, ref.Results(), w.Results())
+}

@@ -68,12 +68,9 @@ var analyses = []analysis{
 			if sizes == nil {
 				sizes = core.PaperWindowSizes()
 			}
-			if ex.shards > 1 {
-				return core.NewShardedWindowedCP(sizes, ex.WindowStride, ex.shards)
-			}
 			return core.NewWindowedCritPathStride(sizes, ex.WindowStride)
 		},
-		fill: func(s isa.Sink, row *Row) { row.Windows = s.(core.WindowAnalyzer).Results() },
+		fill: func(s isa.Sink, row *Row) { row.Windows = s.(*core.WindowedCritPath).Results() },
 	},
 	{
 		name: "mix",
@@ -127,7 +124,7 @@ type AnalysisSet struct {
 }
 
 // NewAnalysisSet builds the sinks of the analyses ex selects for one
-// compiled binary. Close it when the run fails before Fill.
+// compiled binary.
 func NewAnalysisSet(ex Experiment, c *cc.Compiled) *AnalysisSet {
 	a := &AnalysisSet{}
 	for _, an := range analyses {
@@ -151,15 +148,5 @@ func (a *AnalysisSet) Sinks() []isa.Sink { return a.sinks }
 func (a *AnalysisSet) Fill(row *Row) {
 	for i, fill := range a.fills {
 		fill(a.sinks[i], row)
-	}
-}
-
-// Close stops the shards of a sharded windowed CP, which a run that
-// fails leaves running: it returns before Fill reads the results.
-func (a *AnalysisSet) Close() {
-	for _, s := range a.sinks {
-		if w, ok := s.(*core.ShardedWindowedCP); ok {
-			w.Close()
-		}
 	}
 }

@@ -138,16 +138,10 @@ type Experiment struct {
 	// Parallel is the worker count of the analysis engine: (workload,
 	// target) cells are fanned out over this many pool workers, and
 	// each cell's trace is simulated once and replayed into its
-	// analyses concurrently. A cell's windowed CP is sharded only over
-	// the workers its cells leave idle: with at least two workers per
-	// cell (workers / cells, rounded down), each cell gets that many
-	// shards; otherwise the cells already keep every worker busy, and
-	// the cell folds its windows inline on its fan-out consumer, which
-	// costs less CPU per event than any sharded fold. 1 runs
-	// everything strictly sequentially; 0 selects GOMAXPROCS.
-	// Negative values are rejected by Validate. Results are
-	// byte-identical for every value (see the README's determinism
-	// contract).
+	// analyses concurrently. 1 runs everything strictly sequentially;
+	// 0 selects GOMAXPROCS. Negative values are rejected by Validate.
+	// Results are byte-identical for every value (see the README's
+	// determinism contract).
 	Parallel int
 	// StepLoop forces the core's per-Step reference loop instead of
 	// the batched StepN fast path. Results are byte-identical either
@@ -250,23 +244,6 @@ type Experiment struct {
 	// observers it is a pure pass-through: it cannot change a result
 	// byte.
 	Prof *prof.Profiler
-
-	// shards is the windowed-CP shard count of each cell, set by
-	// RunSuite (see windowShards); below 2 a cell folds its windows
-	// inline.
-	shards int
-}
-
-// windowShards is the number of shards each of cells gets for its
-// windowed CP on workers pool workers: the workers the cells leave
-// idle, when that is at least two per cell, and 0 otherwise. A cell's
-// fan-out already runs each analysis on its own goroutine, so on a
-// saturated pool shards would only add a second fold's CPU.
-func windowShards(workers, cells int) int {
-	if cells == 0 || workers/cells < 2 {
-		return 0
-	}
-	return workers / cells
 }
 
 // Validate rejects experiment configurations that would otherwise
@@ -358,7 +335,6 @@ func RunSuite(progs []*ir.Program, ex Experiment) ([][]Row, *telemetry.SchedStat
 		return nil, nil, err
 	}
 	targets := ex.Targets()
-	ex.shards = windowShards(sched.DefaultWorkers(ex.Parallel), len(progs)*len(targets))
 	all := make([][]Row, len(progs))
 	root := ex.Ctx
 	if root == nil {
@@ -616,7 +592,6 @@ func runOne(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment,
 	}
 
 	set := NewAnalysisSet(ex, compiled)
-	defer set.Close()
 
 	emu := &simeng.EmulationCore{
 		MaxInstructions: ex.MaxInstructions, Ctx: ctx, StepLoop: ex.StepLoop,
@@ -670,12 +645,11 @@ func runOne(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment,
 	}
 
 	// The cell's consumers: every analysis concurrently on the fan-out
-	// engine, which simulates the trace once and replays it into each,
-	// with the windowed-CP computation itself sharded when RunSuite
-	// found workers the cells leave idle. At -parallel 1 the only
-	// consumer is the instrumented tee, so the fan-out runs it directly
-	// on this goroutine: the strictly sequential reference path. Both
-	// produce identical analysis results.
+	// engine, which simulates the trace once and replays it into each.
+	// At -parallel 1 the only consumer is the instrumented tee, so the
+	// fan-out runs it directly on this goroutine: the strictly
+	// sequential reference path. Both produce identical analysis
+	// results.
 	consumers := append([]isa.Sink(nil), set.sinks...)
 	if rm != nil {
 		consumers = append(consumers, rm)

@@ -250,23 +250,3 @@ func TestArtifactsLatencyModel(t *testing.T) {
 		}
 	}
 }
-
-// TestWindowShards pins the sharding rule: a cell's windowed CP gets
-// the workers its cells leave idle, and only when that is at least two
-// per cell.
-func TestWindowShards(t *testing.T) {
-	for _, c := range []struct{ workers, cells, want int }{
-		{2, 20, 0}, // armed-fanout: the cells saturate the pool
-		{5, 20, 0},
-		{64, 20, 3},
-		{8, 4, 2},
-		{7, 4, 0},
-		{2, 1, 2},
-		{1, 1, 0},
-		{8, 0, 0},
-	} {
-		if got := windowShards(c.workers, c.cells); got != c.want {
-			t.Errorf("%d cells on %d workers: %d shards, want %d", c.cells, c.workers, got, c.want)
-		}
-	}
-}

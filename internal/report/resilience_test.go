@@ -2,7 +2,6 @@ package report
 
 import (
 	"encoding/json"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -385,41 +384,6 @@ func TestFailedRowRendering(t *testing.T) {
 
 	if s := Summarise("stream", rows); len(s) != 0 {
 		t.Errorf("summary must skip pairs with a failed side, got %+v", s)
-	}
-}
-
-// TestFailedAttemptReleasesShards: an attempt that fails returns
-// before its windowed CP's Results, and must still stop the shard
-// goroutines behind it. One program (four cells) on eight workers
-// shards every cell; a decode fault fails all three attempts of each.
-func TestFailedAttemptReleasesShards(t *testing.T) {
-	inj := faultinject.New(1, faultinject.Plan{Kind: faultinject.Decode, At: 5000})
-	defer inj.Close()
-	ex := Experiment{Windowed: true, Parallel: 8, Retries: 2, WrapMachine: inj.WrapMachine}
-	all, _, err := RunSuite([]*ir.Program{workloads.STREAM(2000, 2)}, ex)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fails := CollectFailures(all); len(fails) != 4 {
-		t.Fatalf("failures = %d, want 4", len(fails))
-	}
-	if n := liveShards(); n != 0 {
-		t.Fatalf("%d windowed-CP shard goroutines outlive the failed cells", n)
-	}
-}
-
-// liveShards counts the ShardedWindowedCP shard goroutines still
-// running, waiting up to two seconds for them to exit.
-func liveShards() int {
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		buf := make([]byte, 1<<20)
-		buf = buf[:runtime.Stack(buf, true)]
-		n := strings.Count(string(buf), "(*ShardedWindowedCP).shard(")
-		if n == 0 || time.Now().After(deadline) {
-			return n
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -46,9 +46,8 @@ func matrixArtifactsEx(t *testing.T, ex report.Experiment) (text, manifest []byt
 // contract: the full analysis matrix run sequentially on the batched
 // StepN hot path is the reference, and every variant below must
 // produce byte-identical report text and byte-identical canonicalized
-// manifests — a multi-worker pool (per-cell trace fan-out; windowed CP
-// inline on 2 and 5 workers, which the 20 cells saturate, and sharded
-// three ways on 64), the fusion-off per-Step reference loop, and the
+// manifests — a multi-worker pool (per-cell trace fan-out on 2, 5 and
+// 64 workers), the fusion-off per-Step reference loop, and the
 // resilience watchdogs armed but never firing.
 func TestParallelByteIdentical(t *testing.T) {
 	base := report.Experiment{PathLength: true, CritPath: true, Scaled: true, Windowed: true, Parallel: 1}
@@ -63,7 +62,7 @@ func TestParallelByteIdentical(t *testing.T) {
 	}{
 		{"parallel=2", with(func(ex *report.Experiment) { ex.Parallel = 2 })},
 		{"parallel=5", with(func(ex *report.Experiment) { ex.Parallel = 5 })},
-		{"parallel=64, sharded", with(func(ex *report.Experiment) { ex.Parallel = 64 })},
+		{"parallel=64", with(func(ex *report.Experiment) { ex.Parallel = 64 })},
 		{"steploop", with(func(ex *report.Experiment) { ex.StepLoop = true })},
 		{"watchdogs armed", with(func(ex *report.Experiment) {
 			ex.Parallel, ex.CellTimeout, ex.MaxInstructions, ex.Retries = 2, time.Hour, 1<<62, 2
@@ -107,7 +106,7 @@ func runCell(t *testing.T, prog *ir.Program, tgt Target, ex report.Experiment) (
 // TestRunCellParallelIdentical: one cell must be invariant too — the
 // same row, and a byte-identical canonicalized manifest — whether its
 // sinks run inline behind the tee or concurrently behind the fan-out
-// with windowed CP sharded four ways.
+// on four workers.
 func TestRunCellParallelIdentical(t *testing.T) {
 	prog := Workload("stream", Tiny)
 	tgt := Target{Arch: RV64, Flavor: GCC12}
