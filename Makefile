@@ -44,12 +44,12 @@ check-run-patterns:
 
 # differential runs the cross-core / cross-ISA trace-equivalence
 # harness, the -parallel determinism tests, the batched run loop's
-# trace digest and faults against the per-Step loop's, the diff of
+# trace digest and faults against an unbatched run's, the diff of
 # the critical-path, windowed-CP and path-length analyses against
 # their naive references and the windowed-CP lane kernel against its
 # Go reference fold under the race detector.
 differential:
-	$(GO) test -race -count=1 -run 'TestDifferential|TestParallel|TestRunCellParallel|TestStepNFaultsMatchStepLoop' .
+	$(GO) test -race -count=1 -run 'TestDifferential|TestParallel|TestRunCellParallel|TestStepNFaultsMatchUnbatched' .
 	$(GO) test -race -count=1 -run 'TestOracle|FuzzWindowedCP|FuzzCritPath|TestPathLengthMatchesReference|TestBranchProfileMatchesReference|TestLaneKernelMatchesGoFold|TestLaneKernelRenormalises' ./internal/core
 
 # golden checks the pinned paper artifacts (Table 1/2, Figure 1/2,
@@ -98,8 +98,8 @@ check-prof:
 # check-fusion runs the macro-op fusion suites under the race
 # detector: the rule/merge/batch-seam unit tests, the report-level
 # fusion wiring tests, and the matrix-level contracts — fusion-off
-# byte-identity, fusion-on differential equivalence and StepN-vs-Step
-# identity under fusion.
+# byte-identity, fusion-on differential equivalence and
+# batched-vs-unbatched identity under fusion.
 check-fusion:
 	$(GO) test -race -count=1 ./internal/fusion
 	$(GO) test -race -count=1 -run 'TestFusion|TestGoldenFusion' ./internal/report

@@ -209,11 +209,11 @@ func BenchmarkSimulatorRate(b *testing.B) {
 // BenchmarkTelemetryOverhead measures what observability costs: the
 // same EmulationCore run with the standard analysis set attached bare
 // (the plain isa.MultiSink fan-out Analyse uses) versus the matrix
-// runner's sequential cell, behind the instrumented telemetry tee with
-// the run-metrics counting added — the configuration every CLI run
-// uses. The runner also compiles the cell each time. The budget is
-// <= 5% extra wall time; compare the sub-benchmarks' ns/op (benchstat,
-// or by eye).
+// runner's sequential cell, behind the telemetry tee, which times
+// every batch into each analysis and into the run-metrics consumer —
+// the configuration every CLI run uses. The runner also compiles the
+// cell each time. The budget is <= 5% extra wall time; compare the
+// sub-benchmarks' ns/op (benchstat, or by eye).
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	prog := Workload("stream", benchScale)
 	tgt := Target{Arch: AArch64, Flavor: GCC12}
@@ -306,7 +306,7 @@ func BenchmarkStepVsStepN(b *testing.B) {
 		}
 	})
 	b.Run("StepN", func(b *testing.B) {
-		mach := fresh(b).(simeng.BatchMachine)
+		mach := fresh(b)
 		buf := make([]isa.Event, 4096)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -322,7 +322,7 @@ func BenchmarkStepVsStepN(b *testing.B) {
 			n += k
 			if done {
 				b.StopTimer()
-				mach = fresh(b).(simeng.BatchMachine)
+				mach = fresh(b)
 				b.StartTimer()
 			}
 		}

@@ -63,13 +63,17 @@ func (d *traceDigest) mixAccess(addr uint64, size uint8) {
 	}
 }
 
-// finalArrays runs bin on core and reads back every program array from
-// the machine's memory after the run.
-func finalArrays(t *testing.T, bin *Binary, prog *Program, core *simeng.EmulationCore, extraSinks ...Sink) (map[string][]uint64, *traceDigest, Stats) {
+// finalArrays runs bin on the emulation core, through wrap when it is
+// non-nil, and reads back every program array from the machine's
+// memory after the run.
+func finalArrays(t *testing.T, bin *Binary, prog *Program, wrap func(simeng.Machine) simeng.Machine, extraSinks ...Sink) (map[string][]uint64, *traceDigest, Stats) {
 	t.Helper()
 	mach, m, err := bin.NewMachine()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if wrap != nil {
+		mach = wrap(mach)
 	}
 	dig := newTraceDigest()
 	sinks := append([]Sink{dig}, extraSinks...)
@@ -78,7 +82,7 @@ func finalArrays(t *testing.T, bin *Binary, prog *Program, core *simeng.Emulatio
 			s.Event(ev)
 		}
 	})
-	stats, err := core.Run(mach, sink)
+	stats, err := (&simeng.EmulationCore{}).Run(mach, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,14 +119,13 @@ func TestDifferentialCores(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				emu := &simeng.EmulationCore{}
-				emuArr, emuDig, emuStats := finalArrays(t, bin, prog, emu)
+				emuArr, emuDig, emuStats := finalArrays(t, bin, prog, nil)
 
 				inModel := NewInOrderModel()
-				inArr, inDig, inStats := finalArrays(t, bin, prog, emu, inModel)
+				inArr, inDig, inStats := finalArrays(t, bin, prog, nil, inModel)
 
 				oooModel := NewOoOModel()
-				oooArr, oooDig, oooStats := finalArrays(t, bin, prog, emu, oooModel)
+				oooArr, oooDig, oooStats := finalArrays(t, bin, prog, nil, oooModel)
 
 				if emuDig.h != inDig.h || emuDig.h != oooDig.h {
 					t.Fatalf("trace digests differ: emu %#x, inorder %#x, ooo %#x",
@@ -158,13 +161,13 @@ func TestDifferentialCores(t *testing.T) {
 	}
 }
 
-// TestDifferentialStepLoop: the batched StepN loop and the per-Step
-// reference loop must retire the identical architectural trace and
-// leave identical memory. A batch reuses each event slot for a later
-// instruction while the per-Step loop reuses one event for all of them,
+// TestDifferentialUnbatched: the batched StepN loop and a run of one
+// Step per batch (oneStep) must retire the identical architectural
+// trace and leave identical memory. A batch reuses each event slot for
+// a later instruction while oneStep reuses one event for all of them,
 // so the two differ in the stale addresses their events keep; the
 // digest ignores an address whose size is 0 and must agree.
-func TestDifferentialStepLoop(t *testing.T) {
+func TestDifferentialUnbatched(t *testing.T) {
 	prog := Workload("stream", Tiny)
 	for _, tgt := range Targets() {
 		t.Run(tgt.String(), func(t *testing.T) {
@@ -172,16 +175,16 @@ func TestDifferentialStepLoop(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			batchArr, batchDig, _ := finalArrays(t, bin, prog, &simeng.EmulationCore{})
-			stepArr, stepDig, _ := finalArrays(t, bin, prog, &simeng.EmulationCore{StepLoop: true})
+			batchArr, batchDig, _ := finalArrays(t, bin, prog, nil)
+			stepArr, stepDig, _ := finalArrays(t, bin, prog, func(m simeng.Machine) simeng.Machine { return oneStep{m} })
 			if batchDig.h != stepDig.h || batchDig.n != stepDig.n {
-				t.Fatalf("trace digests differ: batched %#x over %d events, per-Step %#x over %d",
+				t.Fatalf("trace digests differ: batched %#x over %d events, unbatched %#x over %d",
 					batchDig.h, batchDig.n, stepDig.h, stepDig.n)
 			}
 			for arr := range batchArr {
 				for i := range batchArr[arr] {
 					if batchArr[arr][i] != stepArr[arr][i] {
-						t.Fatalf("%s[%d] differs between batched and per-Step runs", arr, i)
+						t.Fatalf("%s[%d] differs between batched and unbatched runs", arr, i)
 					}
 				}
 			}
@@ -211,7 +214,7 @@ func TestDifferentialISAs(t *testing.T) {
 				if err := bin.Verify(); err != nil {
 					t.Fatal(err)
 				}
-				arrays, _, _ := finalArrays(t, bin, prog, &simeng.EmulationCore{})
+				arrays, _, _ := finalArrays(t, bin, prog, nil)
 				if first == nil {
 					first, firstTgt = arrays, tgt
 					continue

@@ -223,24 +223,23 @@ func TestFusionInstrumentedWiring(t *testing.T) {
 	}
 }
 
-// TestFusionStepLoopByteIdentical: the batched StepN delivery and the
-// per-Step reference loop must produce byte-identical reports and
-// manifests with fusion live — the cross-batch carry makes the rewrite
-// batching-invariant on the real matrix, not just in unit tests.
-func TestFusionStepLoopByteIdentical(t *testing.T) {
+// TestFusionUnbatchedByteIdentical: the batched StepN delivery and an
+// unbatched run, each event passing through fusion.Pass.Event on its
+// own, must produce byte-identical reports and manifests with fusion
+// live — the cross-batch carry makes the rewrite batching-invariant on
+// the real matrix, not just in unit tests.
+func TestFusionUnbatchedByteIdentical(t *testing.T) {
 	ex := report.Experiment{
 		PathLength: true, CritPath: true, Scaled: true, Windowed: true,
 		Fusion: fusion.Config{RV64: true, A64: true, Rules: fusion.AllRules},
 	}
 	hotText, hotManifest := matrixArtifactsEx(t, ex)
-	step := ex
-	step.StepLoop = true
-	stepText, stepManifest := matrixArtifactsEx(t, step)
+	stepText, stepManifest := matrixArtifactsEx(t, unbatched(ex))
 	if !bytes.Equal(hotText, stepText) {
-		t.Fatal("fusion on: step-loop report text differs from batched")
+		t.Fatal("fusion on: unbatched report text differs from batched")
 	}
 	if !bytes.Equal(hotManifest, stepManifest) {
-		t.Fatal("fusion on: step-loop canonicalized manifest differs from batched")
+		t.Fatal("fusion on: unbatched canonicalized manifest differs from batched")
 	}
 }
 

@@ -17,11 +17,10 @@ func (m *Machine) Step(ev *isa.Event) (done bool, err error) {
 }
 
 // StepN retires up to len(evs) instructions, filling evs[:n] in
-// retirement order: the machine's one fetch–execute loop, and the
-// batched fast path of simeng.BatchMachine. done and err describe the
-// machine state after the n filled events; on an error the first n
-// events are still valid and must be delivered before the error is
-// surfaced.
+// retirement order: the machine's one fetch–execute loop, which
+// simeng.EmulationCore.Run drives. done and err describe the machine
+// state after the n filled events; on an error the first n events are
+// still valid and must be delivered before the error is surfaced.
 //
 // The PC stays in a local for the whole batch and is stored to PCReg,
 // never reloaded, at every instruction boundary, so a fault or a panic

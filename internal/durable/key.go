@@ -17,9 +17,9 @@ const EngineVersion = "isacmp-engine/9"
 // compiled ELF image — hashing the bytes the machine actually loads
 // (not the source) means a compiler change invalidates the cache
 // automatically. Analysis and Fusion are canonical spec strings
-// produced by the report layer; Parallel/StepLoop and other
-// execution-strategy knobs are deliberately excluded because the PR 2
-// byte-identity contract guarantees they cannot change the result.
+// produced by the report layer; the execution-strategy knob Parallel
+// is deliberately excluded because the byte-identity contract
+// (TestParallelByteIdentical) guarantees it cannot change the result.
 type KeyInput struct {
 	Engine   string
 	Workload string

@@ -251,9 +251,9 @@ func (f *faultMachine) Step(ev *isa.Event) (bool, error) {
 	return f.Machine.Step(ev)
 }
 
-// StepN implements simeng.BatchMachine by looping the interposed
-// Step, so injected faults fire at exactly the same retirement counts
-// through the batched run loop as through the stepwise one — the
+// StepN implements simeng.Machine's batch step by looping the
+// interposed Step, so injected faults fire at exactly the same
+// retirement count whatever batch length the run loop asks for — the
 // property the fault-surfacing equivalence tests pin.
 func (f *faultMachine) StepN(evs []isa.Event) (n int, done bool, err error) {
 	for n < len(evs) {

@@ -13,8 +13,12 @@ import (
 type nopMachine struct{ pc uint64 }
 
 func (m *nopMachine) Step(ev *isa.Event) (bool, error) { m.pc += 4; return false, nil }
-func (m *nopMachine) PC() uint64                       { return m.pc }
-func (m *nopMachine) Arch() isa.Arch                   { return isa.RV64 }
+func (m *nopMachine) StepN(evs []isa.Event) (int, bool, error) {
+	m.pc += 4 * uint64(len(evs))
+	return len(evs), false, nil
+}
+func (m *nopMachine) PC() uint64     { return m.pc }
+func (m *nopMachine) Arch() isa.Arch { return isa.RV64 }
 
 func stepN(t *testing.T, m simeng.Machine, n int) error {
 	t.Helper()

@@ -8,7 +8,6 @@ import (
 	"isacmp/internal/cc"
 	"isacmp/internal/ir"
 	"isacmp/internal/isa"
-	"isacmp/internal/simeng"
 	"isacmp/internal/workloads"
 )
 
@@ -105,11 +104,10 @@ func record(tb testing.TB, prog *ir.Program, tgt cc.Target, limit int) []isa.Eve
 	if err != nil {
 		tb.Fatal(err)
 	}
-	bm := mach.(simeng.BatchMachine)
 	var evs []isa.Event
 	buf := make([]isa.Event, 4096)
 	for limit == 0 || len(evs) < limit {
-		n, done, err := bm.StepN(buf)
+		n, done, err := mach.StepN(buf)
 		if err != nil {
 			tb.Fatal(err)
 		}

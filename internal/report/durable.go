@@ -20,9 +20,9 @@ import (
 // analysisSpec canonically serializes every experiment knob that can
 // change a cell's result: the analysis selection, the core and cache
 // models, window geometry, latency model, retirement budget, and
-// whether metrics counters are collected. Execution-strategy knobs
-// (Parallel, StepLoop) are deliberately excluded — the PR 2
-// byte-identity contract guarantees they cannot change a result — as
+// whether metrics counters are collected. The execution-strategy knob
+// Parallel is deliberately excluded — the byte-identity contract
+// (TestParallelByteIdentical) guarantees it cannot change a result — as
 // are pure observers (progress, status, profiler, flight recorder) and
 // the target columns, which the key already names. Fault-injection
 // hooks poison the spec so an injected run can never seed the cache

@@ -171,23 +171,32 @@ func TestGoldenManifest(t *testing.T) {
 // TestGoldenRunManifest pins the canonicalized manifest of the run
 // subcommand's configuration: STREAM at tiny scale on all four
 // targets, the out-of-order model with the L1D cache, mix and branch,
-// and a metrics registry whose snapshot Finish attaches.
+// and a metrics registry whose snapshot Finish attaches. The run
+// counters come from the run-metrics consumer, behind the tee at
+// -parallel 1 and on the fan-out at 2, and must match on both.
 func TestGoldenRunManifest(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	start := time.Now()
-	all, _, err := RunSuite([]*ir.Program{workloads.ByName("stream", workloads.Tiny)}, Experiment{
-		Mix: true, Core: "ooo", Cache: true, Metrics: reg, Parallel: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
+	manifest := func(parallel int) []byte {
+		reg := telemetry.NewRegistry()
+		start := time.Now()
+		all, _, err := RunSuite([]*ir.Program{workloads.ByName("stream", workloads.Tiny)}, Experiment{
+			Mix: true, Core: "ooo", Cache: true, Metrics: reg, Parallel: parallel,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := telemetry.NewManifest("run", "tiny")
+		AppendRows(m, "stream", all[0])
+		m.Finish(start, reg)
+		m.Canonicalize()
+		var buf bytes.Buffer
+		if err := m.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	m := telemetry.NewManifest("run", "tiny")
-	AppendRows(m, "stream", all[0])
-	m.Finish(start, reg)
-	m.Canonicalize()
-	var buf bytes.Buffer
-	if err := m.Encode(&buf); err != nil {
-		t.Fatal(err)
+	seq := manifest(1)
+	checkGolden(t, "manifest_run_stream_tiny.json", seq)
+	if par := manifest(2); !bytes.Equal(par, seq) {
+		t.Errorf("parallel 2 manifest differs from parallel 1:\n%s\nvs\n%s", par, seq)
 	}
-	checkGolden(t, "manifest_run_stream_tiny.json", buf.Bytes())
 }

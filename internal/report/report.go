@@ -53,9 +53,8 @@ type Row struct {
 	// Core is the uniform per-core stat block of the run.
 	Core simeng.PipelineStats
 	// WallSeconds is the wall time of this run. Sinks holds each
-	// sink's events and time, in the same fields on both paths: the
-	// tee's timing sequentially, the consumer's busy time on the
-	// fan-out.
+	// sink's events and its time inside every call, whether the tee or
+	// a fan-out consumer delivered them.
 	WallSeconds float64
 	Sinks       []telemetry.SinkStats
 	// Tracker reports the critical-path tracker's footprint when the
@@ -136,18 +135,13 @@ type Experiment struct {
 	// stderr is not a terminal so piped output is not spammed.
 	ProgressFinalOnly bool
 	// Parallel is the worker count of the analysis engine: (workload,
-	// target) cells are fanned out over this many pool workers, and
-	// each cell's trace is simulated once and replayed into its
-	// analyses concurrently. 1 runs everything strictly sequentially;
-	// 0 selects GOMAXPROCS. Negative values are rejected by Validate.
-	// Results are byte-identical for every value (see the README's
-	// determinism contract).
+	// target) cells are fanned out over this many pool workers, and a
+	// cell with two or more consumers has its trace simulated once and
+	// replayed into them concurrently. 1 runs everything strictly
+	// sequentially; 0 selects GOMAXPROCS. Negative values are rejected
+	// by Validate. Results are byte-identical for every value (see the
+	// README's determinism contract).
 	Parallel int
-	// StepLoop forces the core's per-Step reference loop instead of
-	// the batched StepN fast path. Results are byte-identical either
-	// way (pinned by TestParallelByteIdentical and the simeng
-	// equivalence tests); production runs leave it false.
-	StepLoop bool
 	// Fusion configures the macro-op fusion pass (internal/fusion):
 	// a stream rewrite interposed between the core and the analyses
 	// so path length, CP, windowed CP and ILP describe the fused
@@ -594,7 +588,7 @@ func runOne(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment,
 	set := NewAnalysisSet(ex, compiled)
 
 	emu := &simeng.EmulationCore{
-		MaxInstructions: ex.MaxInstructions, Ctx: ctx, StepLoop: ex.StepLoop,
+		MaxInstructions: ex.MaxInstructions, Ctx: ctx,
 		ProfileStages: ex.Prof.Enabled(),
 	}
 	if ex.Log != nil {
@@ -644,34 +638,22 @@ func runOne(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment,
 		set.add("progress", pg)
 	}
 
-	// The cell's consumers: every analysis concurrently on the fan-out
-	// engine, which simulates the trace once and replays it into each.
-	// At -parallel 1 the only consumer is the instrumented tee, so the
-	// fan-out runs it directly on this goroutine: the strictly
-	// sequential reference path. Both produce identical analysis
-	// results.
+	// The cell's consumers run behind the tee on this goroutine at
+	// -parallel 1 or when there is at most one of them, the strictly
+	// sequential path; otherwise each runs on its own fan-out consumer
+	// while the trace is simulated once. Both time every call into a
+	// consumer and produce identical analysis results. The run-metrics
+	// consumer, last, has no sink row.
 	consumers := append([]isa.Sink(nil), set.sinks...)
 	if rm != nil {
 		consumers = append(consumers, rm)
 	}
-	var tee *telemetry.Tee
-	if sched.DefaultWorkers(ex.Parallel) == 1 {
-		tee = telemetry.NewTee()
-		for i := range set.sinks {
-			tee.Add(set.names[i], set.sinks[i])
-		}
-		if rm != nil {
-			tee.CountRunMetrics(rm)
-		}
-		consumers = []isa.Sink{tee}
-	}
 	var stats simeng.Stats
 	var fus *fusion.Pass
-	var fs sched.FanoutStats
 	setup.End()
 	runStart := ex.Prof.Now()
 	start := time.Now()
-	n, err := sched.FanoutTimed(func(s isa.Sink) error {
+	run := func(s isa.Sink) error {
 		// The fusion pass wraps the consumers' sink, so every consumer
 		// sees the same rewritten stream and n counts fused events, the
 		// effective path length. Outside it come the sink-fault hook,
@@ -700,22 +682,29 @@ func runOne(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment,
 			fus.Flush()
 		}
 		return runErr
-	}, &fs, consumers...)
+	}
+	var n uint64
+	var busyNs []int64
+	if sched.DefaultWorkers(ex.Parallel) == 1 || len(consumers) <= 1 {
+		tee := telemetry.NewTee()
+		for _, c := range consumers {
+			tee.Add("", c)
+		}
+		err = run(tee)
+		n, busyNs = tee.EventCount(), tee.BusyNs()
+	} else {
+		var fs sched.FanoutStats
+		n, err = sched.FanoutTimed(run, &fs, consumers...)
+		busyNs = fs.SinkBusyNs
+	}
 	if err != nil {
 		return row, err
 	}
-	if tee != nil {
-		if len(set.sinks) > 0 {
-			row.Sinks = tee.Stats()
-		}
-	} else {
-		for i, name := range set.names {
-			row.Sinks = append(row.Sinks, busyStats(name, n, fs.SinkBusyNs[i]))
-		}
+	for i, name := range set.names {
+		row.Sinks = append(row.Sinks, busyStats(name, n, busyNs[i]))
 	}
 	if ex.Prof.Enabled() {
-		// Each sink's time (the tee's estimate sequentially, its busy
-		// time on the fan-out) is laid out after simulate/deliver on the
+		// Each sink's time is laid out after simulate/deliver on the
 		// cell's lane, so the timeline renders without overlap even
 		// where sinks ran concurrently. The durations, which is what
 		// attribution sums, stay exact.
@@ -761,13 +750,12 @@ func l1d(on bool) *simeng.Cache {
 	return nil
 }
 
-// busyStats fills a fan-out consumer's sink row in the fields the tee
-// fills: FanoutTimed times every batch, so every event is sampled and
-// the busy time is the sink's whole cost. A consumer that ran without
-// a broadcast (the only one) was not timed and reports zeros.
+// busyStats builds a consumer's sink row. The tee and the fan-out
+// time every call into a consumer, so every event is timed and the
+// busy time is the sink's whole cost.
 func busyStats(name string, events uint64, busyNs int64) telemetry.SinkStats {
 	s := telemetry.SinkStats{Name: name, Events: events}
-	if busyNs > 0 && events > 0 {
+	if events > 0 {
 		s.SampledEvents, s.SampledNs, s.EstOverheadNs = events, uint64(busyNs), uint64(busyNs)
 		s.MeanNsPerEvent = float64(busyNs) / float64(events)
 	}

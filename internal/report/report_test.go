@@ -61,7 +61,7 @@ func TestRunAllAnalyses(t *testing.T) {
 			}
 			// One tracker walks the events for Table 1 and Table 2, yet
 			// both keep their sink row: critpath's carries the pass's
-			// sampled time, scaledcp's counts the events and no time.
+			// time, scaledcp's counts the events and no time.
 			var names []string
 			for _, s := range r.Sinks {
 				names = append(names, s.Name)
@@ -73,9 +73,28 @@ func TestRunAllAnalyses(t *testing.T) {
 			if scaled.Events != cp.Events || scaled.SampledEvents != 0 || scaled.SampledNs != 0 {
 				t.Fatalf("parallel %d, %s: scaledcp row %+v beside critpath row %+v", parallel, r.Target, scaled, cp)
 			}
-			if parallel == 1 && cp.SampledEvents != cp.Events {
-				t.Fatalf("%s: critpath row %+v did not time the joint pass", r.Target, cp)
+			if cp.SampledEvents != cp.Events {
+				t.Fatalf("parallel %d, %s: critpath row %+v did not time the joint pass", parallel, r.Target, cp)
 			}
+		}
+	}
+}
+
+// TestLoneSinkTimed: a cell with one consumer runs it behind the tee
+// at -parallel 2 as at 1, and its sink row carries the time of every
+// event.
+func TestLoneSinkTimed(t *testing.T) {
+	rows, err := run(workloads.ByName("stream", workloads.Tiny), Experiment{Windowed: true, Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if len(r.Sinks) != 1 {
+			t.Fatalf("%s: sink rows %+v, want windowcp alone", r.Target, r.Sinks)
+		}
+		s := r.Sinks[0]
+		if s.Name != "windowcp" || s.Events != r.PathLen || s.SampledEvents != s.Events || s.SampledNs == 0 {
+			t.Fatalf("%s: lone sink row %+v over %d events is not timed", r.Target, s, r.PathLen)
 		}
 	}
 }

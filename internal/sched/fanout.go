@@ -49,9 +49,10 @@ type FanoutStats struct {
 // contract already demands. Once every consumer has returned from a
 // batch it is refilled with later events, which the same contract
 // (an event is invalid once the callback returns) allows; memory is
-// bounded at fanoutDepth+2 batches. With zero or one sink the fan-out
-// machinery is skipped entirely and gen runs with the sink attached
-// directly, untimed.
+// bounded at fanoutDepth+2 batches. Every sink runs on a goroutine of
+// its own, however many there are; a caller with one consumer can
+// instead run it behind telemetry.Tee on the generating goroutine,
+// timed the same way.
 //
 // A consumer that panics is isolated: the panic is converted into an
 // ErrPanic-kind simeng error, the dead consumer keeps draining its
@@ -66,16 +67,6 @@ func FanoutTimed(gen func(isa.Sink) error, fs *FanoutStats, sinks ...isa.Sink) (
 		}
 	}
 	fs.SinkBusyNs = make([]int64, len(live))
-	if len(live) <= 1 {
-		var sink isa.Sink
-		if len(live) == 1 {
-			sink = live[0]
-		}
-		c := &countingSink{sink: sink}
-		err := gen(c)
-		return c.n, err
-	}
-
 	b := &broadcastSink{
 		chans: make([]chan *sharedBatch, len(live)),
 		// Sized to every batch that can exist, so a release never
@@ -133,26 +124,6 @@ func FanoutTimed(gen func(isa.Sink) error, fs *FanoutStats, sinks ...isa.Sink) (
 		}
 	}
 	return b.n, err
-}
-
-// countingSink counts events on the direct (no fan-out) path.
-type countingSink struct {
-	sink isa.Sink
-	n    uint64
-}
-
-func (c *countingSink) Event(ev *isa.Event) {
-	c.n++
-	if c.sink != nil {
-		c.sink.Event(ev)
-	}
-}
-
-// Events counts and forwards a whole batch — the isa.BatchSink fast
-// path of the direct (no fan-out) engine.
-func (c *countingSink) Events(evs []isa.Event) {
-	c.n += uint64(len(evs))
-	isa.DeliverBatch(c.sink, evs)
 }
 
 // sharedBatch is one broadcast batch. refs counts the consumers that

@@ -170,8 +170,8 @@ func TestFanoutCompleteOrderedStreams(t *testing.T) {
 	}
 }
 
-// TestFanoutSingleSinkDirect: one sink bypasses the fan-out machinery
-// but still counts events.
+// TestFanoutSingleSinkDirect: one sink gets a consumer of its own and
+// sees the whole counted stream.
 func TestFanoutSingleSinkDirect(t *testing.T) {
 	s := &orderSink{}
 	count, err := FanoutTimed(genEvents(100), &FanoutStats{}, s)

@@ -34,23 +34,16 @@ type Machine interface {
 	// Step retires one instruction, filling ev; done is true after the
 	// program has exited.
 	Step(ev *isa.Event) (done bool, err error)
+	// StepN retires up to len(evs) instructions in one dynamic
+	// dispatch, filling evs[:n] in retirement order. done and err
+	// describe the state after the n filled events; on an error the
+	// first n events are valid, and EmulationCore.Run delivers them to
+	// the sink before it surfaces the error.
+	StepN(evs []isa.Event) (n int, done bool, err error)
 	// PC returns the current program counter.
 	PC() uint64
 	// Arch identifies the instruction set.
 	Arch() isa.Arch
-}
-
-// BatchMachine is the batched fast path of Machine: StepN retires up
-// to len(evs) instructions in one dynamic dispatch, filling evs[:n]
-// in retirement order. done and err describe the state after the n
-// filled events; on an error the first n events are valid and the
-// driver delivers them to the sink before surfacing the error, so
-// batched and stepwise execution are observably identical. Both
-// architectural machines implement it; EmulationCore.Run uses it
-// automatically.
-type BatchMachine interface {
-	Machine
-	StepN(evs []isa.Event) (n int, done bool, err error)
 }
 
 // Stats is the shared base every core model reports: retired
@@ -129,39 +122,30 @@ type EmulationCore struct {
 	// (dispatch == issue == retire cycle for the atomic model).
 	Observer PipelineObserver
 	// Ctx, when non-nil, is the run's wall-clock watchdog: it is
-	// polled every deadlinePoll retirements (once per batch on the
-	// batched path) and the run stops with an ErrDeadline-kind
+	// polled once per batch and the run stops with an ErrDeadline-kind
 	// SimError once it is done. A nil context costs nothing.
 	Ctx context.Context
-	// StepLoop forces the per-Step reference loop even when the
-	// machine supports batching. The batched/stepwise equivalence
-	// tests use it as the reference loop; production runs leave it
-	// false.
-	StepLoop bool
 	// Log, when set, receives one structured line per run: a debug
 	// completion record, or a warning carrying the classified failure.
 	// Nothing is logged inside the retirement loop, so the hot path is
 	// unaffected.
 	Log *slog.Logger
-	// ProfileStages, when set, splits the batched loop's wall time into
+	// ProfileStages, when set, splits the run loop's wall time into
 	// Stages: StepN dispatch (simulate) versus sink delivery (deliver).
 	// Two clock reads per stepBatch-sized batch, so the cost amortizes
-	// to fractions of a nanosecond per event. The per-Step reference
-	// loop is deliberately left unprofiled — a per-instruction clock
-	// read would distort exactly the loop the hotpath bench compares
-	// against.
+	// to fractions of a nanosecond per event.
 	ProfileStages bool
 	// Stages holds the accumulated split of the most recent Run when
 	// ProfileStages is set.
 	Stages StageNs
 
 	last Stats
-	// batch is the reused StepN buffer; allocated on first batched
-	// run, so steady-state execution performs no allocation.
+	// batch is the reused StepN buffer; allocated on the first run, so
+	// steady-state execution performs no allocation.
 	batch []isa.Event
 }
 
-// StageNs is the batched run loop's wall time split by stage, in
+// StageNs is the run loop's wall time split by stage, in
 // nanoseconds: time inside StepN (architectural simulation) versus
 // time handing events to the sink (delivery). The split is what the
 // span profiler records as "simulate" and "deliver" spans per cell.
@@ -170,25 +154,25 @@ type StageNs struct {
 	DeliverNs  int64
 }
 
-// deadlinePoll is how often (in retired instructions) the core polls
-// its watchdog context. A power of two so the check compiles to a
-// mask; at simulated rates of tens of MIPS this bounds deadline
-// overshoot to well under a millisecond while keeping the fault-free
-// overhead unmeasurable.
-const deadlinePoll = 4096
+// stepBatch is the batch size of the run loop, which polls the
+// watchdog context once per batch. At simulated rates of tens of MIPS
+// that bounds deadline overshoot to well under a millisecond, and
+// per-batch costs (dispatch, timing, channel hand-off in the fan-out
+// engine) amortize to fractions of a nanosecond per event while a
+// batch of events (4096 of 56 bytes, 224 KiB) stays cache-resident.
+const stepBatch = 4096
 
-// stepBatch is the batch size of the batched run loop. Equal to
-// deadlinePoll so hoisting the watchdog poll to once per batch keeps
-// the stepwise poll cadence, and large enough that per-batch costs
-// (dispatch, timing, channel hand-off in the fan-out engine) amortize
-// to fractions of a nanosecond per event while a batch of events
-// (4096 of 56 bytes, 224 KiB) stays cache-resident.
-const stepBatch = deadlinePoll
-
-// Run drives m to completion. sink may be nil to just count. Panics
-// escaping the machine or the sink are converted into ErrPanic-kind
-// SimErrors carrying the PC and retired count, so one bad decode or
-// analysis path cannot kill a whole matrix run.
+// Run drives m to completion. sink may be nil to just count. One
+// StepN dispatch retires up to stepBatch instructions, sinks consume
+// whole batches through isa.DeliverBatch, and the watchdog poll runs
+// once per batch. Events retired before an error are delivered first,
+// the instruction budget fires after the event that reaches it (the
+// batch length is clamped to the remaining budget), and the done-event
+// is never delivered. Panics escaping the machine or the sink are
+// converted into ErrPanic-kind SimErrors carrying the PC and retired
+// count (stats advances as events are delivered, so the count is
+// exact), so one bad decode or analysis path cannot kill a whole
+// matrix run.
 func (c *EmulationCore) Run(m Machine, sink isa.Sink) (stats Stats, err error) {
 	if log := c.Log; log != nil {
 		// Registered before the recovery defer below, so it runs after
@@ -214,73 +198,9 @@ func (c *EmulationCore) Run(m Machine, sink isa.Sink) (stats Stats, err error) {
 			}
 		}
 	}()
-	if bm, ok := m.(BatchMachine); ok && !c.StepLoop {
-		if c.ProfileStages {
-			c.Stages = StageNs{}
-		}
-		err = c.runBatched(bm, sink, &stats)
-		return stats, err
+	if c.ProfileStages {
+		c.Stages = StageNs{}
 	}
-	var ev isa.Event
-	max := c.MaxInstructions
-	obs := c.Observer
-	ctx := c.Ctx
-	for {
-		done, err := m.Step(&ev)
-		if err != nil {
-			c.last = stats
-			return stats, &SimError{
-				Kind:    Classify(err),
-				PC:      m.PC(),
-				Retired: stats.Instructions,
-				Err:     err,
-			}
-		}
-		if done {
-			stats.Cycles = stats.Instructions
-			c.last = stats
-			return stats, nil
-		}
-		stats.Instructions++
-		if sink != nil {
-			sink.Event(&ev)
-		}
-		if obs != nil {
-			obs.ObserveRetire(&ev, stats.Instructions-1, stats.Instructions-1, stats.Instructions)
-		}
-		if max != 0 && stats.Instructions >= max {
-			c.last = stats
-			return stats, &SimError{
-				Kind:    ErrBudget,
-				PC:      m.PC(),
-				Retired: stats.Instructions,
-				Err:     fmt.Errorf("instruction limit %d exceeded", max),
-			}
-		}
-		if ctx != nil && stats.Instructions%deadlinePoll == 0 {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				c.last = stats
-				return stats, &SimError{
-					Kind:    ErrDeadline,
-					PC:      m.PC(),
-					Retired: stats.Instructions,
-					Err:     ctxErr,
-				}
-			}
-		}
-	}
-}
-
-// runBatched is the batched hot loop: one StepN dispatch retires up
-// to stepBatch instructions, sinks consume whole batches through
-// isa.DeliverBatch, and the watchdog poll runs once per batch. It
-// updates *stats incrementally so the panic recovery in Run reports
-// the true retired count, and reproduces the stepwise loop's
-// semantics exactly: events retired before an error are delivered
-// first, the instruction budget fires after the event that reaches it
-// (the batch length is clamped to the remaining budget), and the
-// done-event is never delivered.
-func (c *EmulationCore) runBatched(m BatchMachine, sink isa.Sink, stats *Stats) error {
 	if c.batch == nil {
 		c.batch = make([]isa.Event, stepBatch)
 	}
@@ -314,9 +234,8 @@ func (c *EmulationCore) runBatched(m BatchMachine, sink isa.Sink, stats *Stats) 
 				stats.Instructions += uint64(n)
 				bs.Events(buf[:n])
 			case sink != nil:
-				// Per-event fallback: count before each delivery so a
-				// panicking sink reports the exact in-flight event,
-				// matching the stepwise loop.
+				// Per-event delivery: count before each event so a
+				// panicking sink reports the exact in-flight event.
 				for i := range buf[:n] {
 					stats.Instructions++
 					sink.Event(&buf[i])
@@ -335,8 +254,8 @@ func (c *EmulationCore) runBatched(m BatchMachine, sink isa.Sink, stats *Stats) 
 			}
 		}
 		if err != nil {
-			c.last = *stats
-			return &SimError{
+			c.last = stats
+			return stats, &SimError{
 				Kind:    Classify(err),
 				PC:      m.PC(),
 				Retired: stats.Instructions,
@@ -345,12 +264,12 @@ func (c *EmulationCore) runBatched(m BatchMachine, sink isa.Sink, stats *Stats) 
 		}
 		if done {
 			stats.Cycles = stats.Instructions
-			c.last = *stats
-			return nil
+			c.last = stats
+			return stats, nil
 		}
 		if max != 0 && stats.Instructions >= max {
-			c.last = *stats
-			return &SimError{
+			c.last = stats
+			return stats, &SimError{
 				Kind:    ErrBudget,
 				PC:      m.PC(),
 				Retired: stats.Instructions,
@@ -359,8 +278,8 @@ func (c *EmulationCore) runBatched(m BatchMachine, sink isa.Sink, stats *Stats) 
 		}
 		if ctx != nil {
 			if ctxErr := ctx.Err(); ctxErr != nil {
-				c.last = *stats
-				return &SimError{
+				c.last = stats
+				return stats, &SimError{
 					Kind:    ErrDeadline,
 					PC:      m.PC(),
 					Retired: stats.Instructions,

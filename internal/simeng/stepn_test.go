@@ -8,9 +8,9 @@ import (
 	"isacmp/internal/isa"
 )
 
-// scriptMachine is a BatchMachine that retires a fixed number of
-// events with recognisable payloads, optionally failing at a given
-// retirement. It lets the batched-loop tests control exactly where
+// scriptMachine is a Machine that retires a fixed number of events
+// with recognisable payloads, optionally failing at a given
+// retirement. It lets the run-loop tests control exactly where
 // done/error fall relative to batch boundaries.
 type scriptMachine struct {
 	total    uint64 // events before the done step
@@ -57,6 +57,18 @@ func (s *scriptMachine) Arch() isa.Arch  { return isa.RV64 }
 func (s *scriptMachine) Exited() bool    { return s.exited }
 func (s *scriptMachine) ExitCode() int64 { return s.exitCode }
 
+// oneStep is a Machine whose StepN retires one instruction, through
+// the wrapped machine's Step, so the run loop hands each event to the
+// sink on its own.
+type oneStep struct{ Machine }
+
+func (o oneStep) StepN(evs []isa.Event) (int, bool, error) {
+	if done, err := o.Step(&evs[0]); done || err != nil {
+		return 0, done, err
+	}
+	return 1, false, nil
+}
+
 // collectSink copies every event — the documented sink contract.
 type collectSink struct{ evs []isa.Event }
 
@@ -67,13 +79,15 @@ type batchCollectSink struct{ collectSink }
 
 func (c *batchCollectSink) Events(evs []isa.Event) { c.evs = append(c.evs, evs...) }
 
-// TestStepNMatchesStepLoop runs the same script through the per-Step
-// reference loop and the batched loop and demands identical event
-// streams and stats, for totals straddling the batch size.
-func TestStepNMatchesStepLoop(t *testing.T) {
+// TestStepNMatchesUnbatched runs the same script one Step per batch
+// into a per-event sink and in whole batches into a batch sink, and
+// demands identical event streams and stats, for totals straddling the
+// batch size.
+func TestStepNMatchesUnbatched(t *testing.T) {
 	for _, total := range []uint64{0, 1, 7, stepBatch - 1, stepBatch, stepBatch + 1, 3*stepBatch + 17} {
-		var ref, bat collectSink
-		refStats, err := (&EmulationCore{StepLoop: true}).Run(&scriptMachine{total: total}, &ref)
+		var ref collectSink
+		var bat batchCollectSink
+		refStats, err := (&EmulationCore{}).Run(oneStep{&scriptMachine{total: total}}, &ref)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,11 +99,11 @@ func TestStepNMatchesStepLoop(t *testing.T) {
 		if refStats != batStats {
 			t.Fatalf("total %d: stats %+v != %+v", total, batStats, refStats)
 		}
-		if total > 0 && sm.stepNs == 0 {
-			t.Fatalf("total %d: batched run never called StepN", total)
+		if want := int(total/stepBatch) + 1; sm.stepNs != want {
+			t.Fatalf("total %d: batched run called StepN %d times, want %d", total, sm.stepNs, want)
 		}
 		if len(ref.evs) != len(bat.evs) {
-			t.Fatalf("total %d: %d events batched, %d stepwise", total, len(bat.evs), len(ref.evs))
+			t.Fatalf("total %d: %d events batched, %d unbatched", total, len(bat.evs), len(ref.evs))
 		}
 		for i := range ref.evs {
 			if ref.evs[i] != bat.evs[i] {
@@ -118,18 +132,6 @@ func TestStepNBatchSinkPath(t *testing.T) {
 		if perEvent.evs[i] != batched.evs[i] {
 			t.Fatalf("event %d differs", i)
 		}
-	}
-}
-
-// TestStepLoopKnob verifies StepLoop forces the reference loop even
-// on a BatchMachine.
-func TestStepLoopKnob(t *testing.T) {
-	sm := &scriptMachine{total: 100}
-	if _, err := (&EmulationCore{StepLoop: true}).Run(sm, nil); err != nil {
-		t.Fatal(err)
-	}
-	if sm.stepNs != 0 {
-		t.Fatalf("StepLoop run called StepN %d times", sm.stepNs)
 	}
 }
 

@@ -185,7 +185,8 @@ type RunRecord struct {
 	// manifests byte-identical).
 	Retries int `json:"retries,omitempty"`
 
-	// Sinks is the tee's per-analysis overhead accounting.
+	// Sinks holds each analysis's events and its time inside every
+	// call, from the tee or the fan-out consumer that delivered them.
 	Sinks []SinkStats `json:"sinks,omitempty"`
 
 	// Tracker describes the critical-path tracker's memory footprint,
@@ -310,7 +311,7 @@ func (m *Manifest) Finish(start time.Time, reg *Registry) {
 
 // Canonicalize zeroes every field of the manifest that legitimately
 // varies between runs of the same logical configuration: wall-clock
-// timings, retire rates, sampled sink overheads, host/toolchain
+// timings, retire rates, per-sink times, host/toolchain
 // information, the scheduler block and all sched.* metrics. What
 // remains — analysis results, instruction counts, deterministic
 // tracker footprints, run metric counters — is the determinism

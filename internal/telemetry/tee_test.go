@@ -2,16 +2,16 @@ package telemetry
 
 import (
 	"testing"
+	"time"
 
 	"isacmp/internal/isa"
 )
 
 // TestTeeOrdering verifies the tee forwards every event to every sink
-// in attachment order, on both the timed and untimed paths.
+// in attachment order.
 func TestTeeOrdering(t *testing.T) {
 	var order []int
 	tee := NewTee()
-	tee.SamplePeriod = 2 // exercise both paths
 	for i := 0; i < 3; i++ {
 		i := i
 		tee.Add("sink", isa.SinkFunc(func(ev *isa.Event) { order = append(order, i) }))
@@ -34,65 +34,51 @@ func TestTeeOrdering(t *testing.T) {
 	}
 }
 
-// TestTeeOverheadAccounting verifies sampling counts and that the
-// overhead estimate extrapolates the sampled time to all events.
-func TestTeeOverheadAccounting(t *testing.T) {
-	tee := NewTee()
-	tee.SamplePeriod = 8
-	busy := 0
-	tee.Add("busy", isa.SinkFunc(func(ev *isa.Event) {
-		for i := 0; i < 10000; i++ {
-			busy += i
-		}
-	}))
-	var ev isa.Event
-	const events = 64
-	for i := 0; i < events; i++ {
-		tee.Event(&ev)
+// spin busy-waits for at least spinFor, so each call into a spinning
+// sink lasts at least that long.
+const spinFor = 20 * time.Microsecond
+
+func spin() {
+	for start := time.Now(); time.Since(start) < spinFor; {
 	}
-	stats := tee.Stats()
-	if len(stats) != 1 {
-		t.Fatalf("stats len = %d", len(stats))
-	}
-	s := stats[0]
-	if s.Name != "busy" || s.Events != events {
-		t.Fatalf("stats = %+v", s)
-	}
-	if want := uint64(events / 8); s.SampledEvents != want {
-		t.Fatalf("sampled %d events, want %d", s.SampledEvents, want)
-	}
-	if s.SampledNs == 0 {
-		t.Fatal("busy sink sampled 0ns")
-	}
-	if s.MeanNsPerEvent <= 0 {
-		t.Fatalf("mean ns = %v", s.MeanNsPerEvent)
-	}
-	want := uint64(s.MeanNsPerEvent * float64(events))
-	if s.EstOverheadNs != want {
-		t.Fatalf("est overhead = %d, want %d", s.EstOverheadNs, want)
-	}
-	_ = busy
 }
 
-// TestTeeInlineRunMetrics covers the inline counting path the
-// instrumented runners use: the tee feeds RunMetrics without a
-// per-event sink dispatch.
-func TestTeeInlineRunMetrics(t *testing.T) {
-	r := NewRegistry()
-	m := NewRunMetrics(r)
-	tee := NewTee().CountRunMetrics(m)
-	tee.Add("null", isa.SinkFunc(func(ev *isa.Event) {}))
-	branch := isa.Event{Branch: true, Taken: true}
-	load := isa.Event{LoadSize: 8}
-	for i := 0; i < 10; i++ {
-		tee.Event(&branch)
-		tee.Event(&load)
+// spinSink spins in every call; batched it takes whole batches.
+type spinSink struct{ calls int }
+
+func (s *spinSink) Event(*isa.Event) { s.calls++; spin() }
+
+type spinBatchSink struct{ spinSink }
+
+func (s *spinBatchSink) Events([]isa.Event) { s.calls++; spin() }
+
+// TestTeeTimesEveryCall verifies the tee times every call into every
+// sink, per event and per batch: each sink's busy time covers all of
+// its calls, each of which spins for at least spinFor.
+func TestTeeTimesEveryCall(t *testing.T) {
+	perEvent, batched := &spinSink{}, &spinBatchSink{}
+	tee := NewTee().Add("per-event", perEvent).Add("batched", batched)
+	var ev isa.Event
+	batch := make([]isa.Event, 3)
+	for i := 0; i < 5; i++ {
+		tee.Event(&ev)
 	}
-	m.Flush()
-	s := r.Snapshot()
-	if s.Counter("run.retired") != 20 || s.Counter("run.branches") != 10 ||
-		s.Counter("run.branches_taken") != 10 || s.Counter("run.loads") != 10 {
-		t.Fatalf("snapshot = %+v", s)
+	for i := 0; i < 2; i++ {
+		tee.Events(batch)
+	}
+	tee.Events(nil)
+	if got := tee.EventCount(); got != 5+2*3 {
+		t.Fatalf("events = %d, want 11", got)
+	}
+	// The per-event sink takes each batch event by event.
+	if perEvent.calls != 11 || batched.calls != 7 {
+		t.Fatalf("calls: per-event %d, want 11; batched %d, want 7", perEvent.calls, batched.calls)
+	}
+	busy := tee.BusyNs()
+	for i, calls := range []int{perEvent.calls, batched.calls} {
+		if want := int64(calls) * spinFor.Nanoseconds(); busy[i] < want {
+			t.Fatalf("sink %d: busy %d ns over %d calls, want at least %d", i, busy[i], calls, want)
+		}
 	}
 }
 

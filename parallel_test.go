@@ -47,8 +47,9 @@ func matrixArtifactsEx(t *testing.T, ex report.Experiment) (text, manifest []byt
 // StepN hot path is the reference, and every variant below must
 // produce byte-identical report text and byte-identical canonicalized
 // manifests — a multi-worker pool (per-cell trace fan-out on 2, 5 and
-// 64 workers), the fusion-off per-Step reference loop, and the
-// resilience watchdogs armed but never firing.
+// 64 workers), a fusion-off unbatched run (one Step per batch, every
+// event delivered through the tee's and each analysis's Event), and
+// the resilience watchdogs armed but never firing.
 func TestParallelByteIdentical(t *testing.T) {
 	base := report.Experiment{PathLength: true, CritPath: true, Scaled: true, Windowed: true, Parallel: 1}
 	with := func(f func(*report.Experiment)) report.Experiment {
@@ -63,7 +64,7 @@ func TestParallelByteIdentical(t *testing.T) {
 		{"parallel=2", with(func(ex *report.Experiment) { ex.Parallel = 2 })},
 		{"parallel=5", with(func(ex *report.Experiment) { ex.Parallel = 5 })},
 		{"parallel=64", with(func(ex *report.Experiment) { ex.Parallel = 64 })},
-		{"steploop", with(func(ex *report.Experiment) { ex.StepLoop = true })},
+		{"unbatched", unbatched(base)},
 		{"watchdogs armed", with(func(ex *report.Experiment) {
 			ex.Parallel, ex.CellTimeout, ex.MaxInstructions, ex.Retries = 2, time.Hour, 1<<62, 2
 		})},

@@ -9,12 +9,41 @@ import (
 	"isacmp/internal/elfio"
 	"isacmp/internal/isa"
 	"isacmp/internal/mem"
+	"isacmp/internal/report"
 	"isacmp/internal/rv64"
 	"isacmp/internal/simeng"
 )
 
 // batchLen is the length of simeng's run-loop batches.
 const batchLen = 4096
+
+// oneStep is a machine whose StepN retires one instruction, through
+// the wrapped machine's Step, so the run loop hands each event to the
+// sink on its own and reuses one event slot for the whole run.
+type oneStep struct{ simeng.Machine }
+
+func (o oneStep) StepN(evs []isa.Event) (int, bool, error) {
+	if done, err := o.Step(&evs[0]); done || err != nil {
+		return 0, done, err
+	}
+	return 1, false, nil
+}
+
+// Steps forwards the wrapped machine's retired count.
+func (o oneStep) Steps() uint64 { return o.Machine.(interface{ Steps() uint64 }).Steps() }
+
+// eventOnly hides a sink's Events method, so the run loop delivers to
+// it one event at a time and it does the same downstream.
+type eventOnly struct{ isa.Sink }
+
+// unbatched returns ex with every cell run through oneStep and
+// eventOnly: each event reaches the fusion pass, the tee or the
+// fan-out, and every analysis through its per-event Event method.
+func unbatched(ex report.Experiment) report.Experiment {
+	ex.WrapMachine = func(_, _ string, _ int, m simeng.Machine) simeng.Machine { return oneStep{m} }
+	ex.WrapSink = func(_, _ string, _ int, s isa.Sink) isa.Sink { return eventOnly{s} }
+	return ex
+}
 
 // corruptSymbolWord compiles stream at Tiny scale for tgt and, in each
 // machine fresh returns, replaces the first text word of symbol sym
@@ -122,11 +151,11 @@ func visible(ev *isa.Event) isa.Event {
 	return v
 }
 
-func runToFault(t *testing.T, mach simeng.Machine, stepLoop bool) faultRun {
+func runToFault(t *testing.T, mach simeng.Machine) faultRun {
 	t.Helper()
 	var r faultRun
 	record := SinkFunc(func(ev *isa.Event) { r.evs = append(r.evs, visible(ev)) })
-	_, err := (&simeng.EmulationCore{StepLoop: stepLoop}).Run(mach, record)
+	_, err := (&simeng.EmulationCore{}).Run(mach, record)
 	if !errors.As(err, &r.se) {
 		t.Fatalf("run did not fault with a SimError: %v", err)
 	}
@@ -135,13 +164,13 @@ func runToFault(t *testing.T, mach simeng.Machine, stepLoop bool) faultRun {
 	return r
 }
 
-// TestStepNFaultsMatchStepLoop pins the run loop's fault semantics on
-// both ISAs for faults reached after many retirements: a text word
+// TestStepNFaultsMatchUnbatched pins the run loop's fault semantics
+// on both ISAs for faults reached after many retirements: a text word
 // that failed predecode (the first word of _exit) and an out-of-range
 // load inside a batch. The batched run must fault with the same kind,
 // PC and retired count, leave the same PC and Steps, and deliver the
-// same events as the per-Step loop.
-func TestStepNFaultsMatchStepLoop(t *testing.T) {
+// same events as a run of one Step per batch (oneStep).
+func TestStepNFaultsMatchUnbatched(t *testing.T) {
 	for _, tgt := range Targets() {
 		cases := []struct {
 			name  string
@@ -152,14 +181,14 @@ func TestStepNFaultsMatchStepLoop(t *testing.T) {
 			{"bad load", loadFaultProgram(t, tgt.Arch), simeng.ErrMemFault},
 		}
 		for _, c := range cases {
-			want := runToFault(t, c.fresh(), true)
-			got := runToFault(t, c.fresh(), false)
+			want := runToFault(t, oneStep{c.fresh()})
+			got := runToFault(t, c.fresh())
 			if !errors.Is(got.se, c.kind) {
 				t.Fatalf("%s %s: fault %v, want %v", tgt, c.name, got.se, c.kind)
 			}
 			if got.se.Kind != want.se.Kind || got.se.PC != want.se.PC || got.se.Retired != want.se.Retired ||
 				got.pc != want.pc || got.steps != want.steps {
-				t.Fatalf("%s %s: batched fault %v at pc=%#x retired=%d, PC %#x, Steps %d; per-Step %v at pc=%#x retired=%d, PC %#x, Steps %d",
+				t.Fatalf("%s %s: batched fault %v at pc=%#x retired=%d, PC %#x, Steps %d; unbatched %v at pc=%#x retired=%d, PC %#x, Steps %d",
 					tgt, c.name, got.se.Kind, got.se.PC, got.se.Retired, got.pc, got.steps,
 					want.se.Kind, want.se.PC, want.se.Retired, want.pc, want.steps)
 			}
@@ -171,7 +200,7 @@ func TestStepNFaultsMatchStepLoop(t *testing.T) {
 				t.Fatalf("%s: load fault at retirement %d is not inside a batch", tgt, got.se.Retired)
 			}
 			if !slices.Equal(got.evs, want.evs) {
-				t.Fatalf("%s %s: batched run delivered %d events, per-Step %d, or they differ",
+				t.Fatalf("%s %s: batched run delivered %d events, unbatched %d, or they differ",
 					tgt, c.name, len(got.evs), len(want.evs))
 			}
 		}
@@ -191,10 +220,9 @@ func TestStepNZeroAllocMachines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bm := mach.(simeng.BatchMachine)
 		buf := make([]isa.Event, batchLen)
 		step := func() {
-			if _, done, err := bm.StepN(buf); done || err != nil {
+			if _, done, err := mach.StepN(buf); done || err != nil {
 				t.Fatalf("%s: stream ended inside the measurement: done %t, err %v", tgt, done, err)
 			}
 		}
