@@ -8,8 +8,10 @@ import (
 	"testing"
 
 	"isacmp/internal/cc"
+	"isacmp/internal/fusion"
 	"isacmp/internal/ir"
 	"isacmp/internal/simeng"
+	"isacmp/internal/telemetry"
 	"isacmp/internal/workloads"
 )
 
@@ -95,6 +97,43 @@ func TestLoneSinkTimed(t *testing.T) {
 		s := r.Sinks[0]
 		if s.Name != "windowcp" || s.Events != r.PathLen || s.SampledEvents != s.Events || s.SampledNs == 0 {
 			t.Fatalf("%s: lone sink row %+v over %d events is not timed", r.Target, s, r.PathLen)
+		}
+	}
+}
+
+// TestEmulationTrace: the emulation core's tracer sees the
+// architectural stream, fused or not, on the tee and on the fan-out,
+// and times the i-th retirement as dispatched and issued at cycle i
+// and completed at i+1.
+func TestEmulationTrace(t *testing.T) {
+	prog := workloads.ByName("stream", workloads.Tiny)
+	for _, parallel := range []int{1, 2} {
+		for _, fus := range []fusion.Config{{}, {RV64: true, A64: true, Rules: fusion.AllRules}} {
+			rows, err := run(prog, Experiment{
+				PathLength: true, Mix: true, Parallel: parallel, Fusion: fus,
+				Trace: func() *telemetry.PipelineTrace { return telemetry.NewPipelineTrace(1<<13, 1) },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range rows {
+				tr := r.Trace
+				if tr == nil || tr.Observed() != r.PathLen {
+					t.Fatalf("parallel %d, fusion %q, %s: trace %+v, want %d events observed",
+						parallel, fus.Spec(), r.Target, tr, r.PathLen)
+				}
+				spans := tr.Spans()
+				if uint64(len(spans)) != r.PathLen {
+					t.Fatalf("parallel %d, fusion %q, %s: %d spans, want %d",
+						parallel, fus.Spec(), r.Target, len(spans), r.PathLen)
+				}
+				for i, s := range spans {
+					if s.Seq != uint64(i) || s.Dispatch != s.Seq || s.Issue != s.Seq || s.Complete != s.Seq+1 {
+						t.Fatalf("parallel %d, fusion %q, %s: span %d = %+v",
+							parallel, fus.Spec(), r.Target, i, s)
+					}
+				}
+			}
 		}
 	}
 }
