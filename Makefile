@@ -50,7 +50,7 @@ check-run-patterns:
 # Go reference fold under the race detector.
 differential:
 	$(GO) test -race -count=1 -run 'TestDifferential|TestParallel|TestRunCellParallel|TestStepNFaultsMatchUnbatched' .
-	$(GO) test -race -count=1 -run 'TestOracle|FuzzWindowedCP|FuzzCritPath|TestPathLengthMatchesReference|TestBranchProfileMatchesReference|TestLaneKernelMatchesGoFold|TestLaneKernelRenormalises' ./internal/core
+	$(GO) test -race -count=1 -run 'TestOracle|FuzzWindowedCP|FuzzCritPath|TestPathLengthMatchesReference|TestLaneKernelMatchesGoFold|TestLaneKernelRenormalises' ./internal/core
 
 # golden checks the pinned paper artifacts (Table 1/2, Figure 1/2,
 # canonical manifests of the matrix and of the run subcommand) and the
@@ -77,23 +77,29 @@ check-faults:
 # check-obs runs the observability suites under the race detector:
 # Prometheus exposition goldens, status board and SSE semantics, the
 # live-matrix HTTP round trip with injected faults, the flight
-# recorder, structured logging, manifest v1 compatibility — and the
-# goroutine-leak shutdown contract (TestObsShutdown: the server follows
-# experiment-context cancellation and Close leaves nothing behind).
+# recorder, the meter and the -progress heartbeat, the byte identity
+# of a run watched by every observer at -parallel 1 and 2, structured
+# logging, the pipeline tracer (its ring and formats, and the
+# emulation core's trace through the runner), manifest v1
+# compatibility — and the goroutine-leak shutdown contract
+# (TestObsShutdown: the server follows experiment-context cancellation
+# and Close leaves nothing behind).
 check-obs:
 	$(GO) test -race -count=1 ./internal/obs/...
-	$(GO) test -race -count=1 -run 'TestReadManifest|TestCanonicalize' ./internal/telemetry
+	$(GO) test -race -count=1 -run 'TestReadManifest|TestCanonicalize|TestTrace|TestChromeTrace|TestWriteJSONL' ./internal/telemetry
+	$(GO) test -race -count=1 -run 'TestEmulationTrace' ./internal/report
 
 # check-prof runs the span-profiler suites under the race detector:
 # the prof package itself (ring/totals semantics, Chrome-trace export,
 # zero-allocation and nil-hook cost pins), worker-lane and
 # queue-wait accounting in the pool, timed fan-out, and the
-# matrix-level contracts — profile on/off byte-identity and the <= 1%
-# disabled-profiler overhead gate.
+# matrix-level contracts — profile on/off byte-identity, a cell's
+# simulate, deliver and sink spans within its wall time (no consumer
+# counted twice), and the <= 1% disabled-profiler overhead gate.
 check-prof:
 	$(GO) test -race -count=1 ./internal/prof
 	$(GO) test -race -count=1 -run 'TestPoolGoW|TestPoolStatsBlocked|TestFanoutTimed' ./internal/sched
-	$(GO) test -race -count=1 -run 'TestProfiledByteIdentical|TestProfilerOffOverheadBudget' .
+	$(GO) test -race -count=1 -run 'TestProfiledByteIdentical|TestProfileSpansWithinWall|TestProfilerOffOverheadBudget' .
 
 # check-fusion runs the macro-op fusion suites under the race
 # detector: the rule/merge/batch-seam unit tests, the report-level

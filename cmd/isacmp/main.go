@@ -19,8 +19,8 @@
 // included.
 //
 // Observability flags (every subcommand): -json writes a run manifest
-// (schema isacmp/run-manifest/v2); -progress prints a retire-rate
-// heartbeat to stderr; -cpuprofile/-memprofile write pprof profiles;
+// (schema isacmp/run-manifest/v2); -progress logs cell retire rates
+// from the status board; -cpuprofile/-memprofile write pprof profiles;
 // -serve ADDR exposes /metrics (Prometheus text), /statusz (live
 // matrix state), /events (SSE lifecycle stream), /healthz, /readyz
 // and /debug/pprof for the duration of the command; -log-level and
@@ -86,7 +86,7 @@ func main() {
 	traceCapFlag := fs.Int("trace-cap", 4096, "pipeline trace ring-buffer capacity in spans")
 	traceSampleFlag := fs.Uint64("trace-sample", 1, "record every Nth instruction in the pipeline trace")
 	parallelFlag := fs.Int("parallel", 0, "analysis workers (0 = all CPUs, 1 = sequential); results are identical for every value")
-	progressFlag := fs.Bool("progress", false, "print a retire-rate heartbeat to stderr")
+	progressFlag := fs.Bool("progress", false, "log each cell's retire rate to stderr when it finishes (and every 2s while it runs, on a terminal)")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof allocation profile to this file")
 	cellTimeoutFlag := fs.Duration("cell-timeout", 0, "per-cell wall-clock deadline; an overrunning or hung cell becomes a FAILED row (0 disables)")
@@ -231,10 +231,6 @@ func main() {
 	}
 
 	ex.Metrics, ex.Log, ex.RunID, ex.Status, ex.Prof, ex.Durable = reg, log, runID, board, profiler, drun
-	if *progressFlag {
-		ex.Progress = os.Stderr
-		ex.ProgressFinalOnly = !slogx.IsTerminal(os.Stderr)
-	}
 	if cmd == "run" && *traceFlag != "" {
 		ex.Trace = func() *telemetry.PipelineTrace {
 			return telemetry.NewPipelineTrace(*traceCapFlag, *traceSampleFlag)
@@ -261,7 +257,18 @@ func main() {
 			}
 			report.Banner(os.Stdout, what, scale.String())
 		}
+		stopProgress := func() {}
+		if *progressFlag {
+			// A heartbeat every 2 s on a terminal; piped or redirected
+			// stderr gets only each cell's final record.
+			var every time.Duration
+			if slogx.IsTerminal(os.Stderr) {
+				every = 2 * time.Second
+			}
+			stopProgress = obs.StartHeartbeat(board, log, every)
+		}
 		all, st, err := report.RunSuite(progs, ex)
+		stopProgress()
 		if err != nil {
 			fatal(err)
 		}

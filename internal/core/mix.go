@@ -1,9 +1,6 @@
 package core
 
-import (
-	"isacmp/internal/elfio"
-	"isacmp/internal/isa"
-)
+import "isacmp/internal/isa"
 
 // Mix histograms the dynamic instruction stream by latency group — the
 // "instruction mix" view behind the paper's observations about
@@ -61,26 +58,17 @@ func (m *Mix) Counts() []GroupCount {
 	return out
 }
 
-// BranchProfile measures control-flow behaviour: branch density (the
-// paper's "almost 15% of all instructions executed" for STREAM on
-// RISC-V), taken rate, and per-kernel branch counts.
+// BranchProfile measures control-flow behaviour over the whole
+// program: branch density (the paper's "almost 15% of all
+// instructions executed" for STREAM on RISC-V) and taken rate.
 type BranchProfile struct {
-	regions *PathLength // reused for attribution; nil when no symbols
-
 	total    uint64
 	branches uint64
 	taken    uint64
 }
 
-// NewBranchProfile builds the profile; syms may be nil for whole-
-// program numbers only.
-func NewBranchProfile(syms []elfio.Symbol) *BranchProfile {
-	bp := &BranchProfile{}
-	if len(syms) > 0 {
-		bp.regions = NewPathLength(syms)
-	}
-	return bp
-}
+// NewBranchProfile builds an empty profile.
+func NewBranchProfile() *BranchProfile { return &BranchProfile{} }
 
 // Events observes a whole batch — the isa.BatchSink fast path.
 func (b *BranchProfile) Events(evs []isa.Event) {
@@ -98,9 +86,6 @@ func (b *BranchProfile) Event(ev *isa.Event) {
 	b.branches++
 	if ev.Taken {
 		b.taken++
-	}
-	if b.regions != nil {
-		b.regions.Event(ev) // attribute the branch to its kernel
 	}
 }
 
@@ -124,13 +109,4 @@ func (b *BranchProfile) TakenRate() float64 {
 		return 0
 	}
 	return float64(b.taken) / float64(b.branches)
-}
-
-// RegionBranches returns per-kernel branch counts (kernels only see
-// the branches retired inside them).
-func (b *BranchProfile) RegionBranches() []RegionCount {
-	if b.regions == nil {
-		return nil
-	}
-	return b.regions.Counts()
 }

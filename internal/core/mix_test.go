@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"isacmp/internal/elfio"
 	"isacmp/internal/isa"
 )
 
@@ -52,12 +51,8 @@ func TestMixEmpty(t *testing.T) {
 }
 
 func TestBranchProfile(t *testing.T) {
-	syms := []elfio.Symbol{
-		{Name: "hot", Value: 0x1000, Size: 0x100},
-		{Name: "cold", Value: 0x1100, Size: 0x100},
-	}
-	bp := NewBranchProfile(syms)
-	// 6 plain instructions, 4 branches (3 taken), split across kernels.
+	bp := NewBranchProfile()
+	// 6 plain instructions, 4 branches (3 taken).
 	for i := 0; i < 6; i++ {
 		bp.Event(&isa.Event{PC: 0x1004, Group: isa.GroupIntSimple})
 	}
@@ -78,26 +73,18 @@ func TestBranchProfile(t *testing.T) {
 	if bp.TakenRate() != 0.75 {
 		t.Fatalf("taken rate = %v", bp.TakenRate())
 	}
-	regions := bp.RegionBranches()
-	byName := map[string]uint64{}
-	for _, rc := range regions {
-		byName[rc.Name] = rc.Count
-	}
-	if byName["hot"] != 2 || byName["cold"] != 2 {
-		t.Fatalf("region branches: %v", byName)
-	}
 }
 
+// TestBranchProfileNoSymbols: the profile needs no symbol table; one
+// taken branch is a density of 1, and an empty profile's taken rate
+// is 0.
 func TestBranchProfileNoSymbols(t *testing.T) {
-	bp := NewBranchProfile(nil)
+	bp := NewBranchProfile()
 	bp.Event(&isa.Event{Branch: true, Taken: true})
-	if bp.RegionBranches() != nil {
-		t.Fatal("expected nil region data without symbols")
-	}
 	if bp.Density() != 1 {
 		t.Fatalf("density = %v", bp.Density())
 	}
-	if NewBranchProfile(nil).TakenRate() != 0 {
+	if NewBranchProfile().TakenRate() != 0 {
 		t.Fatal("empty taken rate should be 0")
 	}
 }

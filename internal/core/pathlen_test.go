@@ -176,38 +176,6 @@ func TestPathLengthMatchesReference(t *testing.T) {
 	}
 }
 
-// TestBranchProfileMatchesReference diffs BranchProfile's per-kernel
-// branch counts against the reference search fed the branches alone.
-func TestBranchProfileMatchesReference(t *testing.T) {
-	for seed := int64(0); seed < 100; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		syms := randSymbols(r, 1+r.Intn(8), seed%5 == 4)
-		pcs := randPCs(r, syms, 1500)
-		evs := make([]isa.Event, len(pcs))
-		for i, pc := range pcs {
-			evs[i] = isa.Event{PC: pc, Branch: r.Intn(3) == 0, Taken: r.Intn(2) == 0}
-		}
-		ref := newRefPathLength(syms)
-		bp := NewBranchProfile(syms)
-		for at := 0; at < len(evs); {
-			n := min(1+r.Intn(300), len(evs)-at)
-			for i := range evs[at : at+n] {
-				if evs[at+i].Branch {
-					ref.Event(&evs[at+i])
-				}
-			}
-			bp.Events(evs[at : at+n])
-			at += n
-			if got, want := bp.RegionBranches(), ref.Counts(); !slices.Equal(got, want) {
-				t.Fatalf("seed %d, %d events: RegionBranches %v, want %v", seed, at, got, want)
-			}
-		}
-		if bp.Branches() != ref.total {
-			t.Fatalf("seed %d: %d branches, reference saw %d", seed, bp.Branches(), ref.total)
-		}
-	}
-}
-
 // TestPathLengthEventsZeroAlloc pins the batch path's steady state at
 // zero allocations.
 func TestPathLengthEventsZeroAlloc(t *testing.T) {

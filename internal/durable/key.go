@@ -11,7 +11,7 @@ import (
 // any change that can alter a cell's canonical result bytes
 // (analysis semantics, fusion rules, counter definitions, row
 // schema).
-const EngineVersion = "isacmp-engine/9"
+const EngineVersion = "isacmp-engine/10"
 
 // KeyInput is everything a cell's result depends on. Code is the
 // compiled ELF image — hashing the bytes the machine actually loads

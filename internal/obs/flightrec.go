@@ -70,8 +70,9 @@ type Postmortem struct {
 }
 
 // Recorder is a per-cell flight recorder: a bounded ring of the last N
-// retired events plus running architectural tallies, wrapped around
-// the cell's analysis sink. It is written and dumped by the one
+// retired events plus running architectural tallies. It is a sink the
+// runner places before the cell's consumers, so the ring holds the
+// event a faulty consumer died on. It is written and dumped by the one
 // goroutine that runs the attempt — never shared — so it needs no
 // locking and adds only a few stores per event to the hot path.
 type Recorder struct {
@@ -89,9 +90,6 @@ type Recorder struct {
 	attempt  int
 	reg      *telemetry.Registry
 	start    telemetry.Snapshot
-
-	inner isa.Sink
-	batch isa.BatchSink
 }
 
 // NewRecorder builds a recorder for one attempt of one cell. n is the
@@ -116,17 +114,8 @@ func NewRecorder(n int, runID, workload, target string, attempt int, reg *teleme
 	return r
 }
 
-// Wrap interposes the recorder in front of inner and returns the
-// combined sink. The batched path is preserved.
-func (r *Recorder) Wrap(inner isa.Sink) isa.Sink {
-	r.inner = inner
-	if bs, ok := inner.(isa.BatchSink); ok {
-		r.batch = bs
-	}
-	return r
-}
-
-func (r *Recorder) record(ev *isa.Event) {
+// Event records one retired instruction.
+func (r *Recorder) Event(ev *isa.Event) {
 	fe := FlightEvent{
 		Seq:       r.total,
 		PC:        ev.PC,
@@ -163,25 +152,10 @@ func (r *Recorder) record(ev *isa.Event) {
 	}
 }
 
-// Event observes one retired instruction.
-func (r *Recorder) Event(ev *isa.Event) {
-	r.record(ev)
-	if r.inner != nil {
-		r.inner.Event(ev)
-	}
-}
-
-// Events observes a batch of retired instructions.
+// Events records a batch of retired instructions.
 func (r *Recorder) Events(evs []isa.Event) {
 	for i := range evs {
-		r.record(&evs[i])
-	}
-	if r.batch != nil {
-		r.batch.Events(evs)
-	} else if r.inner != nil {
-		for i := range evs {
-			r.inner.Event(&evs[i])
-		}
+		r.Event(&evs[i])
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -13,16 +14,23 @@ import (
 	"isacmp/internal/telemetry"
 )
 
-// feed pushes n events with distinguishable PCs through the recorder.
+// testEvent is the i-th of a stream of events with distinguishable PCs
+// and a mix of loads, stores and branches.
+func testEvent(i int) isa.Event {
+	ev := isa.Event{PC: uint64(0x1000 + 4*i), Branch: i%4 == 0, Taken: i%8 == 0}
+	if i%3 == 0 {
+		ev.LoadSize = 8
+	}
+	if i%5 == 0 {
+		ev.StoreSize = 8
+	}
+	return ev
+}
+
+// feed pushes the first n test events through the recorder.
 func feed(r *Recorder, n int) {
 	for i := 0; i < n; i++ {
-		ev := isa.Event{PC: uint64(0x1000 + 4*i), Branch: i%4 == 0, Taken: i%8 == 0}
-		if i%3 == 0 {
-			ev.LoadSize = 8
-		}
-		if i%5 == 0 {
-			ev.StoreSize = 8
-		}
+		ev := testEvent(i)
 		r.Event(&ev)
 	}
 }
@@ -54,20 +62,25 @@ func TestRecorderRing(t *testing.T) {
 	}
 }
 
-// TestRecorderWrapPassThrough: interposing the recorder must not
-// change what the inner sink observes, on both delivery paths.
-func TestRecorderWrapPassThrough(t *testing.T) {
-	inner := &batchSink{}
-	r := NewRecorder(4, "run", "w", "t", 1, nil)
-	sink := r.Wrap(inner)
-	var ev isa.Event
-	sink.Event(&ev)
-	r.Events(make([]isa.Event, 5))
-	if inner.n != 6 || inner.batches != 1 {
-		t.Errorf("inner saw %d events / %d batches, want 6/1", inner.n, inner.batches)
+// TestRecorderEvents: a batch is recorded as its events one by one,
+// so both delivery paths fill the ring and the tallies alike.
+func TestRecorderEvents(t *testing.T) {
+	one, batch := NewRecorder(4, "run", "w", "t", 1, nil), NewRecorder(4, "run", "w", "t", 1, nil)
+	feed(one, 6)
+	evs := make([]isa.Event, 6)
+	for i := range evs {
+		evs[i] = testEvent(i)
 	}
-	if r.total != 6 {
-		t.Errorf("recorder total = %d, want 6", r.total)
+	batch.Events(evs[:2])
+	batch.Events(evs[2:])
+	if batch.total != 6 || batch.loads != one.loads || batch.stores != one.stores ||
+		batch.branches != one.branches || batch.taken != one.taken {
+		t.Errorf("batched tallies %d/%d/%d/%d/%d, want %d/%d/%d/%d/%d",
+			batch.total, batch.loads, batch.stores, batch.branches, batch.taken,
+			one.total, one.loads, one.stores, one.branches, one.taken)
+	}
+	if got, want := batch.lastEvents(), one.lastEvents(); !reflect.DeepEqual(got, want) {
+		t.Errorf("batched ring = %+v, want %+v", got, want)
 	}
 }
 

@@ -4,9 +4,10 @@
 // probes (/healthz, /readyz), a live matrix status view (/statusz), a
 // server-sent-event stream of cell lifecycle transitions (/events)
 // and the stdlib pprof handlers (/debug/pprof); a status Board that
-// the report runner drives through cell transitions; a bounded
-// flight recorder producing post-mortem JSON artifacts for cells that
-// die with a SimError.
+// the report runner drives through cell transitions, and the
+// -progress heartbeat that logs from it; a bounded flight recorder
+// producing post-mortem JSON artifacts for cells that die with a
+// SimError.
 //
 // Layering: telemetry stays passive (counters you read after the run);
 // obs makes the same registry queryable while the matrix is running.

@@ -2,8 +2,10 @@ package obs_test
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"os"
 	"strings"
@@ -274,11 +276,12 @@ func TestPanickingCellPostmortem(t *testing.T) {
 	}
 }
 
-// TestObsByteIdentity: the full control plane (board, meter, flight
-// recorder) interposed on a fault-free run must not change a single
-// result byte relative to a bare run — the observability layer is a
-// pure observer. Both runs carry a metrics registry, because each run
-// record carries the counters the registry collects.
+// TestObsByteIdentity: every observer — the board and its meter, the
+// flight recorder, the emulation core's tracer and the -progress
+// heartbeat — attached to a fault-free run must not change a single
+// result byte relative to a bare run, on the tee and on the fan-out.
+// Both runs carry a metrics registry, because each run record carries
+// the counters the registry collects.
 func TestObsByteIdentity(t *testing.T) {
 	progs := tinyStream(t)
 	canon := func(ex report.Experiment) string {
@@ -296,27 +299,37 @@ func TestObsByteIdentity(t *testing.T) {
 		return string(data)
 	}
 
-	bare := canon(report.Experiment{PathLength: true, CritPath: true, Parallel: 2, Metrics: telemetry.NewRegistry()})
+	for _, parallel := range []int{1, 2} {
+		bare := canon(report.Experiment{PathLength: true, CritPath: true, Parallel: parallel, Metrics: telemetry.NewRegistry()})
 
-	reg := telemetry.NewRegistry()
-	board := obs.NewBoard("run-id", reg)
-	observed := canon(report.Experiment{
-		PathLength: true, CritPath: true, Parallel: 2,
-		Metrics: reg, RunID: "run-id", Status: board,
-		FlightDir: t.TempDir(), FlightEvents: 64,
-	})
-	if observed != bare {
-		t.Errorf("observed run drifted from bare run:\n got %s\nwant %s", observed, bare)
-	}
+		reg := telemetry.NewRegistry()
+		board := obs.NewBoard("run-id", reg)
+		var progress bytes.Buffer
+		stop := obs.StartHeartbeat(board, slog.New(slog.NewJSONHandler(&progress, nil)), time.Millisecond)
+		observed := canon(report.Experiment{
+			PathLength: true, CritPath: true, Parallel: parallel,
+			Metrics: reg, RunID: "run-id", Status: board,
+			FlightDir: t.TempDir(), FlightEvents: 64,
+			Trace: func() *telemetry.PipelineTrace { return telemetry.NewPipelineTrace(64, 1) },
+		})
+		stop()
+		if observed != bare {
+			t.Errorf("parallel %d: observed run drifted from bare run:\n got %s\nwant %s", parallel, observed, bare)
+		}
 
-	// And the board saw every cell complete.
-	doc := board.Status()
-	if doc.States["done"] != 4 {
-		t.Errorf("board states = %+v, want 4 done", doc.States)
-	}
-	for _, c := range doc.Cells {
-		if c.Retired == 0 {
-			t.Errorf("cell %s/%s retired count never reached the board", c.Workload, c.Target)
+		// The board saw every cell complete, and the heartbeat logged
+		// each one's final record.
+		doc := board.Status()
+		if doc.States["done"] != 4 {
+			t.Errorf("parallel %d: board states = %+v, want 4 done", parallel, doc.States)
+		}
+		for _, c := range doc.Cells {
+			if c.Retired == 0 {
+				t.Errorf("parallel %d: cell %s/%s retired count never reached the board", parallel, c.Workload, c.Target)
+			}
+		}
+		if n := strings.Count(progress.String(), `"state":"done"`); n != 4 {
+			t.Errorf("parallel %d: heartbeat logged %d final records, want 4:\n%s", parallel, n, progress.String())
 		}
 	}
 }

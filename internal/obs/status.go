@@ -314,9 +314,8 @@ func (b *Board) Served(workload, target, source string, failed bool, reason stri
 	}
 }
 
-// Progress updates a running cell's retired-instruction count. Called
-// from the hot path via Meter in large strides; it takes the lock but
-// broadcasts nothing.
+// Progress updates a running cell's retired-instruction count. A Meter
+// calls it in large strides; it takes the lock but broadcasts nothing.
 func (b *Board) Progress(workload, target string, retired uint64) {
 	if b == nil {
 		return
@@ -431,58 +430,35 @@ func (b *Board) Status() StatusDoc {
 // progress reporting to one mutex acquisition per ~65k instructions.
 const meterStride = 1 << 16
 
-// Meter wraps an analysis sink so the board sees a cell's retired
-// count advance while it runs. It forwards the batched path when the
-// inner sink supports it and obeys the event lifetime contract. A
-// pure pass-through otherwise: it must never change what the inner
-// sink observes (the byte-identity contract).
+// Meter is a sink that counts a cell's retired events so the board
+// sees the count advance while the cell runs. The runner places it
+// after the cell's consumers, so it counts only delivered events.
 type Meter struct {
 	board    *Board
 	workload string
 	target   string
-	inner    isa.Sink
-	batch    isa.BatchSink // non-nil when inner is batched
-	local    uint64        // events since last flush
+	local    uint64 // events since last flush
 	total    uint64
 }
 
-// NewMeter builds a meter feeding b for the given cell, wrapping
-// inner (which may be nil — a run with no analyses still meters). A
-// nil board returns nil so unserved runs pay nothing; callers only
-// interpose the meter when it is non-nil.
-func NewMeter(b *Board, workload, target string, inner isa.Sink) *Meter {
+// NewMeter builds a meter feeding b for the given cell. A nil board
+// returns nil so unserved runs pay nothing; callers only attach the
+// meter when it is non-nil.
+func NewMeter(b *Board, workload, target string) *Meter {
 	if b == nil {
 		return nil
 	}
-	m := &Meter{board: b, workload: workload, target: target, inner: inner}
-	if bs, ok := inner.(isa.BatchSink); ok {
-		m.batch = bs
-	}
-	return m
+	return &Meter{board: b, workload: workload, target: target}
 }
 
-// Event observes one retired instruction.
-func (m *Meter) Event(ev *isa.Event) {
-	if m.inner != nil {
-		m.inner.Event(ev)
-	}
-	m.local++
-	if m.local >= meterStride {
-		m.flush()
-	}
-}
+// Event counts one retired instruction.
+func (m *Meter) Event(*isa.Event) { m.add(1) }
 
-// Events observes a batch of retired instructions.
-func (m *Meter) Events(evs []isa.Event) {
-	switch {
-	case m.batch != nil:
-		m.batch.Events(evs)
-	case m.inner != nil:
-		for i := range evs {
-			m.inner.Event(&evs[i])
-		}
-	}
-	m.local += uint64(len(evs))
+// Events counts a batch of retired instructions.
+func (m *Meter) Events(evs []isa.Event) { m.add(uint64(len(evs))) }
+
+func (m *Meter) add(n uint64) {
+	m.local += n
 	if m.local >= meterStride {
 		m.flush()
 	}

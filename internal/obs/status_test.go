@@ -185,66 +185,34 @@ func TestNilBoard(t *testing.T) {
 	if doc.Schema != StatusSchema || len(doc.Cells) != 0 {
 		t.Errorf("nil board status = %+v", doc)
 	}
-	m := NewMeter(nil, "w", "t", nil)
+	m := NewMeter(nil, "w", "t")
 	if m != nil {
 		t.Fatal("NewMeter(nil board) must return nil")
 	}
 	m.Flush() // must not panic
 }
 
-// countSink counts events through the single-event interface.
-type countSink struct{ n int }
-
-func (s *countSink) Event(*isa.Event) { s.n++ }
-
-// batchSink additionally counts batched deliveries.
-type batchSink struct {
-	countSink
-	batches int
-}
-
-func (s *batchSink) Events(evs []isa.Event) {
-	s.batches++
-	s.n += len(evs)
-}
-
-// TestMeterPassThrough: the meter forwards every event to the inner
-// sink (preserving the batched path when available) and reports the
-// exact retired count to the board after Flush.
-func TestMeterPassThrough(t *testing.T) {
+// TestMeterCounts: the meter counts events on both delivery paths and
+// reports the exact retired count to the board after Flush, and on its
+// own once a stride of events has passed.
+func TestMeterCounts(t *testing.T) {
 	b := NewBoard("run-m", nil)
 	b.Register("w", "t")
 
-	inner := &batchSink{}
-	m := NewMeter(b, "w", "t", inner)
+	m := NewMeter(b, "w", "t")
 	var ev isa.Event
 	m.Event(&ev)
 	m.Events(make([]isa.Event, 7))
+	if got := b.Status().Cells[0].Retired; got != 0 {
+		t.Errorf("board retired = %d before Flush, want 0", got)
+	}
 	m.Flush()
-
-	if inner.n != 8 {
-		t.Errorf("inner sink saw %d events, want 8", inner.n)
-	}
-	if inner.batches != 1 {
-		t.Errorf("batched path not preserved: %d batch calls, want 1", inner.batches)
-	}
-	doc := b.Status()
-	if doc.Cells[0].Retired != 8 {
-		t.Errorf("board retired = %d, want 8", doc.Cells[0].Retired)
+	if got := b.Status().Cells[0].Retired; got != 8 {
+		t.Errorf("board retired = %d, want 8", got)
 	}
 
-	// An un-batched inner sink gets per-event delivery for batches.
-	plain := &countSink{}
-	m2 := NewMeter(b, "w", "t", plain)
-	m2.Events(make([]isa.Event, 3))
-	if plain.n != 3 {
-		t.Errorf("plain sink saw %d events, want 3", plain.n)
-	}
-
-	// The stride flush happens without an explicit Flush once enough
-	// events pass.
-	m3 := NewMeter(b, "w", "t", nil)
-	m3.Events(make([]isa.Event, meterStride))
+	m2 := NewMeter(b, "w", "t")
+	m2.Events(make([]isa.Event, meterStride))
 	if got := b.Status().Cells[0].Retired; got != meterStride {
 		t.Errorf("stride flush: retired = %d, want %d", got, meterStride)
 	}

@@ -81,7 +81,7 @@ var analyses = []analysis{
 	{
 		name: "branch",
 		on:   func(ex *Experiment) bool { return ex.Mix },
-		new:  func(*Experiment, *cc.Compiled) isa.Sink { return core.NewBranchProfile(nil) },
+		new:  func(*Experiment, *cc.Compiled) isa.Sink { return core.NewBranchProfile() },
 		fill: func(s isa.Sink, row *Row) {
 			br := s.(*core.BranchProfile)
 			row.Branches, row.BranchDensity, row.BranchTaken = br.Branches(), br.Density(), br.TakenRate()
@@ -115,8 +115,8 @@ func trackerStats(cp *core.CritPath) *telemetry.TrackerStats {
 }
 
 // AnalysisSet is the named sinks one cell attaches: the selected
-// analyses in table order, then the timing model and the progress
-// heartbeat when a run asks for them.
+// analyses in table order, then the timing model when a run asks for
+// one.
 type AnalysisSet struct {
 	names []string
 	sinks []isa.Sink

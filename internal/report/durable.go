@@ -23,8 +23,8 @@ import (
 // whether metrics counters are collected. The execution-strategy knob
 // Parallel is deliberately excluded — the byte-identity contract
 // (TestParallelByteIdentical) guarantees it cannot change a result — as
-// are pure observers (progress, status, profiler, flight recorder) and
-// the target columns, which the key already names. Fault-injection
+// are the observers (status board, profiler, flight recorder) and the
+// target columns, which the key already names. Fault-injection
 // hooks poison the spec so an injected run can never seed the cache
 // for a clean one.
 func analysisSpec(ex Experiment) string {

@@ -109,10 +109,10 @@ type Experiment struct {
 	// Cache attaches a default L1D model to the inorder and ooo cores.
 	Cache bool
 	// Trace, when non-nil, gives each cell attempt a pipeline tracer:
-	// the emulation core's observer, or the timing model's. The
-	// successful attempt's tracer comes back in Row.Trace. A traced
-	// cell is never served from or journaled to Durable, because a
-	// trace cannot be replayed.
+	// an observer of the emulation core's stream, or the timing
+	// model's tracer. The successful attempt's tracer comes back in
+	// Row.Trace. A traced cell is never served from or journaled to
+	// Durable, because a trace cannot be replayed.
 	Trace func() *telemetry.PipelineTrace
 	// WindowSizes overrides the paper's window sizes.
 	WindowSizes []int
@@ -125,15 +125,6 @@ type Experiment struct {
 	// (retired, branches, loads, stores) from every run. The registry
 	// is safe for the concurrent per-target runs.
 	Metrics *telemetry.Registry
-	// Progress, when non-nil, receives per-run heartbeat lines
-	// (typically os.Stderr on -progress). When Log is also set the
-	// heartbeat is routed through the logger as info-level records
-	// instead, so -log-level=error silences it.
-	Progress io.Writer
-	// ProgressFinalOnly suppresses the periodic heartbeat lines and
-	// keeps only the final per-run summary — the CLIs set it when
-	// stderr is not a terminal so piped output is not spammed.
-	ProgressFinalOnly bool
 	// Parallel is the worker count of the analysis engine: (workload,
 	// target) cells are fanned out over this many pool workers, and a
 	// cell with two or more consumers has its trace simulated once and
@@ -205,8 +196,9 @@ type Experiment struct {
 	WrapSink func(workload, target string, attempt int, s isa.Sink) isa.Sink
 
 	// Observability (see internal/obs). All default to off; none of
-	// them can change a result byte — the board and flight recorder
-	// are pass-through observers and everything they record is
+	// them can change a result byte — the flight recorder, the board's
+	// meter and the emulation core's tracer are sinks beside the
+	// consumers, outside the fusion pass, and everything they record is
 	// stripped by manifest canonicalization.
 
 	// Log, when non-nil, receives structured lifecycle lines for
@@ -216,8 +208,8 @@ type Experiment struct {
 	// RunID tags flight-recorder artifacts; usually obs.NewRunID().
 	RunID string
 	// Status, when non-nil, is driven through per-cell lifecycle
-	// transitions and live retired counts — the /statusz and /events
-	// source.
+	// transitions and live retired counts — the /statusz, /events and
+	// -progress source.
 	Status *obs.Board
 	// FlightDir, when non-empty, arms the flight recorder: every cell
 	// attempt records its last FlightEvents retired events, and an
@@ -595,14 +587,15 @@ func runOne(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment,
 		emu.Log = slogx.WithCell(ex.Log, prog.Name, tgt.String(), attempt)
 	}
 	// The timing model is one more sink after the analyses, and the
-	// source of the row's core stats; the tracer observes whichever
-	// core sets the timing.
+	// source of the row's core stats. The tracer is the model's, or on
+	// the emulation core an observer after the consumers.
 	var trace *telemetry.PipelineTrace
 	var tracer simeng.PipelineObserver
 	if ex.Trace != nil {
 		trace = ex.Trace()
 		tracer = trace
 	}
+	var after []isa.Sink // the observers that follow the consumers
 	var source simeng.StatsSource = emu
 	switch ex.Core {
 	case "inorder":
@@ -616,7 +609,13 @@ func runOne(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment,
 		set.add("ooo-model", model)
 		source = model
 	default:
-		emu.Observer = tracer
+		if trace != nil {
+			after = append(after, trace)
+		}
+	}
+	if meter := obs.NewMeter(ex.Status, prog.Name, tgt.String()); meter != nil {
+		after = append(after, meter)
+		defer meter.Flush()
 	}
 
 	var rm *telemetry.RunMetrics
@@ -627,15 +626,6 @@ func runOne(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment,
 		// contributes exactly zero and a journal replay re-applies the
 		// same delta the original computation did.
 		rm = telemetry.NewCellMetrics()
-	}
-	var pg *telemetry.Progress
-	if ex.Progress != nil {
-		pg = telemetry.NewProgress(ex.Progress, prog.Name+" "+tgt.String(), 0)
-		if ex.Log != nil {
-			pg.Log = slogx.WithCell(ex.Log, prog.Name, tgt.String(), attempt)
-		}
-		pg.FinalOnly = ex.ProgressFinalOnly
-		set.add("progress", pg)
 	}
 
 	// The cell's consumers run behind the tee on this goroutine at
@@ -656,10 +646,12 @@ func runOne(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment,
 	run := func(s isa.Sink) error {
 		// The fusion pass wraps the consumers' sink, so every consumer
 		// sees the same rewritten stream and n counts fused events, the
-		// effective path length. Outside it come the sink-fault hook,
-		// then the pass-through observers: the flight recorder (so its
-		// ring holds exactly what the sinks saw, including the event a
-		// faulty sink died on) and the status-board meter.
+		// effective path length. Outside it comes the sink-fault hook.
+		// The observers sit outside both, on one list with the
+		// consumers, so they see the stream the core retired: the
+		// flight recorder first, so its ring holds the event a faulty
+		// sink died on, then the tracer and the meter, which count only
+		// delivered events.
 		if ex.Fusion.Active(tgt.Arch) {
 			fus = fusion.NewPass(ex.Fusion, tgt.Arch, s)
 			s = fus
@@ -667,12 +659,12 @@ func runOne(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment,
 		if ex.WrapSink != nil {
 			s = ex.WrapSink(prog.Name, tgt.String(), attempt, s)
 		}
+		list := isa.MultiSink{s}
 		if rec != nil {
-			s = rec.Wrap(s)
+			list = isa.MultiSink{rec, s}
 		}
-		if meter := obs.NewMeter(ex.Status, prog.Name, tgt.String(), s); meter != nil {
-			s = meter
-			defer meter.Flush()
+		if list = append(list, after...); len(list) > 1 {
+			s = list
 		}
 		var runErr error
 		stats, runErr = emu.Run(mach, s)
@@ -685,6 +677,9 @@ func runOne(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment,
 	}
 	var n uint64
 	var busyNs []int64
+	// inlineNs is the consumers' time inside the run loop's deliver
+	// stage: all of it on the tee, none on the fan-out.
+	var inlineNs int64
 	if sched.DefaultWorkers(ex.Parallel) == 1 || len(consumers) <= 1 {
 		tee := telemetry.NewTee()
 		for _, c := range consumers {
@@ -692,6 +687,9 @@ func runOne(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment,
 		}
 		err = run(tee)
 		n, busyNs = tee.EventCount(), tee.BusyNs()
+		for _, ns := range busyNs {
+			inlineNs += ns
+		}
 	} else {
 		var fs sched.FanoutStats
 		n, err = sched.FanoutTimed(run, &fs, consumers...)
@@ -706,9 +704,12 @@ func runOne(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment,
 	if ex.Prof.Enabled() {
 		// Each sink's time is laid out after simulate/deliver on the
 		// cell's lane, so the timeline renders without overlap even
-		// where sinks ran concurrently. The durations, which is what
+		// where sinks ran concurrently, and deliver is the hand-off
+		// alone on both paths. The durations, which is what
 		// attribution sums, stay exact.
-		cursor := recordStageSpans(ex.Prof, lane, cell, runStart, emu.Stages)
+		stages := emu.Stages
+		stages.DeliverNs -= inlineNs
+		cursor := recordStageSpans(ex.Prof, lane, cell, runStart, stages)
 		for _, ss := range row.Sinks {
 			est := int64(ss.EstOverheadNs)
 			ex.Prof.Record(lane, prof.StageSink, ss.Name, cell, cursor, cursor+est)
@@ -733,9 +734,6 @@ func runOne(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment,
 		}
 	}
 	telemetry.ApplyCounters(ex.Metrics, row.Counters)
-	if pg != nil {
-		pg.Finish()
-	}
 	row.PathLen = stats.Instructions
 	set.Fill(&row)
 	row.Trace = trace

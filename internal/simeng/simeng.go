@@ -105,9 +105,10 @@ type StatsSource interface {
 }
 
 // PipelineObserver receives per-instruction pipeline timing from a
-// core model: the cycle the instruction entered the pipe (dispatch),
+// timing model: the cycle the instruction entered the pipe (dispatch),
 // the cycle it began executing (issue) and the cycle its result was
-// ready (complete). telemetry.PipelineTrace implements it.
+// ready (complete). telemetry.PipelineTrace implements it, and is also
+// a sink for the emulation core's stream.
 type PipelineObserver interface {
 	ObserveRetire(ev *isa.Event, dispatch, issue, complete uint64)
 }
@@ -118,9 +119,6 @@ type PipelineObserver interface {
 type EmulationCore struct {
 	// MaxInstructions aborts the run when exceeded; 0 means unlimited.
 	MaxInstructions uint64
-	// Observer, when non-nil, receives per-instruction timing
-	// (dispatch == issue == retire cycle for the atomic model).
-	Observer PipelineObserver
 	// Ctx, when non-nil, is the run's wall-clock watchdog: it is
 	// polled once per batch and the run stops with an ErrDeadline-kind
 	// SimError once it is done. A nil context costs nothing.
@@ -205,7 +203,6 @@ func (c *EmulationCore) Run(m Machine, sink isa.Sink) (stats Stats, err error) {
 		c.batch = make([]isa.Event, stepBatch)
 	}
 	max := c.MaxInstructions
-	obs := c.Observer
 	ctx := c.Ctx
 	bs, batched := sink.(isa.BatchSink)
 	prof := c.ProfileStages
@@ -225,7 +222,6 @@ func (c *EmulationCore) Run(m Machine, sink isa.Sink) (stats Stats, err error) {
 			c.Stages.SimulateNs += time.Since(stageClock).Nanoseconds()
 		}
 		if n > 0 {
-			base := stats.Instructions
 			if prof {
 				stageClock = time.Now()
 			}
@@ -245,12 +241,6 @@ func (c *EmulationCore) Run(m Machine, sink isa.Sink) (stats Stats, err error) {
 			}
 			if prof {
 				c.Stages.DeliverNs += time.Since(stageClock).Nanoseconds()
-			}
-			if obs != nil {
-				for i := range buf[:n] {
-					k := base + uint64(i)
-					obs.ObserveRetire(&buf[i], k, k, k+1)
-				}
 			}
 		}
 		if err != nil {

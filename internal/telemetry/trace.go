@@ -24,11 +24,12 @@ type PipelineSpan struct {
 }
 
 // PipelineTrace is a sampled, bounded recorder of per-instruction
-// pipeline timing. It implements simeng.PipelineObserver: attach it to
-// a core model's Tracer/Observer field. Every Sample-th instruction is
-// recorded into a ring buffer of Cap spans; once the ring wraps, the
-// oldest spans are overwritten (Dropped counts them), so tracing a
-// billion-instruction run costs a fixed amount of memory.
+// pipeline timing. It implements simeng.PipelineObserver, for a timing
+// model's Tracer field, and isa.BatchSink, for the emulation core's
+// retirement stream. Every Sample-th instruction is recorded into a
+// ring buffer of Cap spans; once the ring wraps, the oldest spans are
+// overwritten (Dropped counts them), so tracing a billion-instruction
+// run costs a fixed amount of memory.
 type PipelineTrace struct {
 	// Sample records every Sample-th instruction; 0 or 1 records all.
 	Sample uint64
@@ -42,7 +43,10 @@ type PipelineTrace struct {
 	dropped uint64 // spans overwritten after the ring wrapped
 }
 
-var _ simeng.PipelineObserver = (*PipelineTrace)(nil)
+var (
+	_ simeng.PipelineObserver = (*PipelineTrace)(nil)
+	_ isa.BatchSink           = (*PipelineTrace)(nil)
+)
 
 // NewPipelineTrace returns a tracer holding at most cap spans,
 // recording every sample-th instruction.
@@ -74,6 +78,20 @@ func (t *PipelineTrace) ObserveRetire(ev *isa.Event, dispatch, issue, complete u
 		t.dropped++
 	}
 	t.kept++
+}
+
+// Event records one instruction retired by the emulation core, which
+// takes one cycle per instruction: the i-th retirement is dispatched
+// and issued at cycle i and completes at cycle i+1.
+func (t *PipelineTrace) Event(ev *isa.Event) {
+	t.ObserveRetire(ev, t.seq, t.seq, t.seq+1)
+}
+
+// Events records a batch of emulation-core retirements.
+func (t *PipelineTrace) Events(evs []isa.Event) {
+	for i := range evs {
+		t.Event(&evs[i])
+	}
 }
 
 // Observed returns the number of instructions seen (sampled or not).

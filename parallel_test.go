@@ -239,3 +239,39 @@ func TestProfiledByteIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestProfileSpansWithinWall: on the tee, deliver is the run loop's
+// hand-off alone and each consumer's time is one sink span, so no
+// consumer is counted twice and a cell's simulate, deliver and sink
+// spans sum to no more than its wall time.
+func TestProfileSpansWithinWall(t *testing.T) {
+	progs := Suite(Tiny)
+	p := prof.New(1, 0)
+	rows, _, err := report.RunSuite(progs, report.Experiment{
+		PathLength: true, CritPath: true, Scaled: true, Windowed: true, Mix: true,
+		Parallel: 1, Prof: p,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Dropped() != 0 {
+		t.Fatalf("profiler dropped %d spans", p.Dropped())
+	}
+	spanNs := map[string]int64{}
+	for _, s := range p.Spans() {
+		switch s.Stage {
+		case prof.StageSimulate, prof.StageDeliver, prof.StageSink:
+			spanNs[s.Cell] += s.Dur
+		}
+	}
+	for i, pr := range progs {
+		for _, r := range rows[i] {
+			cell := pr.Name + "/" + r.Target.String()
+			wallNs := int64(r.WallSeconds * 1e9)
+			if spanNs[cell] == 0 || spanNs[cell] > wallNs {
+				t.Errorf("%s: simulate, deliver and sink spans sum to %d ns, want 1 to %d (the cell's wall time)",
+					cell, spanNs[cell], wallNs)
+			}
+		}
+	}
+}
