@@ -333,3 +333,48 @@ func TestObsByteIdentity(t *testing.T) {
 		}
 	}
 }
+
+// TestObsFailureIdentity: watching a run changes no failure record
+// either. A sink panic injected at event 200 of a tiny STREAM cell must
+// report the same reason, PC and retired count with and without the
+// observers (board, flight recorder, tracer), on the tee and on the
+// fan-out.
+func TestObsFailureIdentity(t *testing.T) {
+	progs := tinyStream(t)
+	failures := func(ex report.Experiment) string {
+		inj := faultinject.New(1, faultinject.Plan{
+			Workload: "stream", Target: "RISC-V/GCC 12.2",
+			Kind: faultinject.SinkPanic, At: 200,
+		})
+		defer inj.Close()
+		ex.WrapSink = inj.WrapSink
+		all, _, err := report.RunSuite(progs, ex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := telemetry.NewManifest("obs-test", "tiny")
+		report.AppendRows(m, "stream", all[0])
+		m.Canonicalize()
+		if len(m.Failures) != 1 || m.Failures[0].Reason != "panic" {
+			t.Fatalf("failures = %+v, want the one injected sink panic", m.Failures)
+		}
+		data, err := json.Marshal(m.Failures)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+
+	for _, parallel := range []int{1, 2} {
+		bare := failures(report.Experiment{PathLength: true, CritPath: true, Parallel: parallel})
+		watched := failures(report.Experiment{
+			PathLength: true, CritPath: true, Parallel: parallel,
+			RunID: "run-id", Status: obs.NewBoard("run-id", nil),
+			FlightDir: t.TempDir(), FlightEvents: 64,
+			Trace: func() *telemetry.PipelineTrace { return telemetry.NewPipelineTrace(64, 1) },
+		})
+		if watched != bare {
+			t.Errorf("parallel %d: watched run's failure drifted from bare run's:\n got %s\nwant %s", parallel, watched, bare)
+		}
+	}
+}

@@ -168,9 +168,10 @@ const stepBatch = 4096
 // batch length is clamped to the remaining budget), and the done-event
 // is never delivered. Panics escaping the machine or the sink are
 // converted into ErrPanic-kind SimErrors carrying the PC and retired
-// count (stats advances as events are delivered, so the count is
-// exact), so one bad decode or analysis path cannot kill a whole
-// matrix run.
+// count, so one bad decode or analysis path cannot kill a whole
+// matrix run. Each batch is counted before it is delivered, so a sink
+// that panics reports the machine's state when delivery stopped: the
+// batch's end and the PC after it, for every kind of sink.
 func (c *EmulationCore) Run(m Machine, sink isa.Sink) (stats Stats, err error) {
 	if log := c.Log; log != nil {
 		// Registered before the recovery defer below, so it runs after
@@ -204,7 +205,6 @@ func (c *EmulationCore) Run(m Machine, sink isa.Sink) (stats Stats, err error) {
 	}
 	max := c.MaxInstructions
 	ctx := c.Ctx
-	bs, batched := sink.(isa.BatchSink)
 	prof := c.ProfileStages
 	var stageClock time.Time
 	for {
@@ -225,20 +225,11 @@ func (c *EmulationCore) Run(m Machine, sink isa.Sink) (stats Stats, err error) {
 			if prof {
 				stageClock = time.Now()
 			}
-			switch {
-			case batched:
-				stats.Instructions += uint64(n)
-				bs.Events(buf[:n])
-			case sink != nil:
-				// Per-event delivery: count before each event so a
-				// panicking sink reports the exact in-flight event.
-				for i := range buf[:n] {
-					stats.Instructions++
-					sink.Event(&buf[i])
-				}
-			default:
-				stats.Instructions += uint64(n)
-			}
+			// Count the batch, then deliver it: a sink that panics
+			// mid-batch reports the machine's state when delivery
+			// stopped, whatever kind of sink it is.
+			stats.Instructions += uint64(n)
+			isa.DeliverBatch(sink, buf[:n])
 			if prof {
 				c.Stages.DeliverNs += time.Since(stageClock).Nanoseconds()
 			}

@@ -67,7 +67,10 @@ func TestEmulationCoreDeadlineNoFalsePositive(t *testing.T) {
 }
 
 // TestEmulationCoreSinkPanicRecovered: a panicking analysis sink is
-// converted to an ErrPanic-kind error, not a process death.
+// converted to an ErrPanic-kind error, not a process death. The error
+// reports the machine's state when delivery stopped: the program's
+// 2,004 instructions retire in one batch, which is counted before a
+// per-event sink sees its 50th event, and the PC is the machine's.
 func TestEmulationCoreSinkPanicRecovered(t *testing.T) {
 	m := rvLoop(t, 1000)
 	n := 0
@@ -85,7 +88,7 @@ func TestEmulationCoreSinkPanicRecovered(t *testing.T) {
 	if !errors.As(err, &se) {
 		t.Fatalf("err %T is not a SimError", err)
 	}
-	if se.Retired != 50 {
-		t.Fatalf("retired = %d, want 50", se.Retired)
+	if se.Retired != 2004 || se.PC != m.PC() {
+		t.Fatalf("retired = %d at pc %#x, want the batch end 2004 at the machine's pc %#x", se.Retired, se.PC, m.PC())
 	}
 }
