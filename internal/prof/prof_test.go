@@ -161,18 +161,23 @@ func TestRecordPathDoesNotAllocate(t *testing.T) {
 // TestNilHookCost pins the profiler-off price of one instrumentation
 // point: a Start/End pair on a nil profiler must stay in the
 // nanosecond range (two nil checks), so the handful of hooks per
-// matrix cell is far below 1% of any cell's wall time.
+// matrix cell is far below 1% of any cell's wall time. It times five
+// repetitions of 200k pairs and tests the fastest, so one preemption
+// cannot fail it while a real regression fails all five.
 func TestNilHookCost(t *testing.T) {
 	var p *Profiler
-	const n = 1_000_000
-	begin := time.Now()
-	for i := 0; i < n; i++ {
-		h := p.Start(0, StageSimulate, "", "c")
-		h.End()
+	const reps, n = 5, 200_000
+	fastest := time.Duration(1<<63 - 1)
+	for r := 0; r < reps; r++ {
+		begin := time.Now()
+		for i := 0; i < n; i++ {
+			h := p.Start(0, StageSimulate, "", "c")
+			h.End()
+		}
+		fastest = min(fastest, time.Since(begin))
 	}
-	perPair := time.Since(begin) / n
-	if perPair > 200*time.Nanosecond {
-		t.Fatalf("nil Start/End pair costs %v, want nanosecond-scale", perPair)
+	if perPair := fastest / n; perPair > 200*time.Nanosecond {
+		t.Fatalf("nil Start/End pair costs %v in the fastest of %d runs, want nanosecond-scale", perPair, reps)
 	}
 }
 
