@@ -78,7 +78,8 @@ check-faults:
 # Prometheus exposition goldens, status board and SSE semantics, the
 # live-matrix HTTP round trip with injected faults, the flight
 # recorder, the meter and the -progress heartbeat, the byte identity
-# of a run watched by every observer at -parallel 1 and 2, structured
+# of a run watched by every observer at -parallel 1 and 2 (its
+# results and a sink panic's failure record), structured
 # logging, the pipeline tracer (its ring and formats, and the
 # emulation core's trace through the runner), manifest v1
 # compatibility — and the goroutine-leak shutdown contract
@@ -112,17 +113,17 @@ check-fusion:
 	$(GO) test -race -count=1 -run 'TestFusion' .
 
 # check-durable runs the crash-safety suites under the race detector:
-# the durable package itself (journal append/replay, torn-tail and
-# corruption semantics, content cache, atomic writes), the disk-fault
-# injection tests, and the report-level contracts — resume after a
-# truncated journal, warm-cache zero-recompute, hash-mismatch re-run,
-# no serving across core or cache models and no journaling of traced
-# cells, failure replay, drain journaling rules, backoff interruption,
-# and the SIGKILL chaos test (kill a live matrix at a randomized
-# point, resume, diff byte-for-byte against the uninterrupted run).
+# the durable package itself (content cache, survived cache-write
+# errors, atomic writes), and the report-level contracts — a rerun
+# after lost cache entries, warm-cache zero-recompute, a spec change
+# missing the cache, no serving across core or cache models and no
+# caching of traced cells, failures recomputed rather than cached,
+# drained cells rerun, backoff interruption, and the SIGKILL chaos
+# test (kill a live matrix at a randomized point, check that every
+# cache entry left is a whole row, rerun, diff byte-for-byte against
+# the uninterrupted run).
 check-durable:
 	$(GO) test -race -count=1 ./internal/durable
-	$(GO) test -race -count=1 -run 'TestDiskFault|TestTearJournalTail' ./internal/faultinject
 	$(GO) test -race -count=1 -run 'TestDurable|TestDrainInterruptsRetryBackoff|TestChaos' ./internal/report
 
 # fuzz-smoke runs each native fuzz target briefly. Longer campaigns:
@@ -132,7 +133,6 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzDecodeRV64 -fuzztime 5s ./internal/rv64
 	$(GO) test -fuzz FuzzELF -fuzztime 5s ./internal/elfio
 	$(GO) test -fuzz FuzzFusionStream -fuzztime 5s ./internal/fusion
-	$(GO) test -fuzz FuzzJournalReplay -fuzztime 5s ./internal/durable
 	$(GO) test -fuzz FuzzWindowedCP -fuzztime 5s ./internal/core
 	$(GO) test -fuzz FuzzCritPath -fuzztime 5s ./internal/core
 

@@ -101,8 +101,8 @@ func main() {
 	flightEventsFlag := fs.Int("flight-events", 0, "flight-recorder ring capacity in retired events (0 = default)")
 	profileFlag := fs.Bool("profile", false, "record per-stage spans (setup/simulate/deliver/sink/retry-backoff/manifest-write) on per-worker timelines; served on /profilez and summarized on /statusz")
 	profileTraceFlag := fs.String("profile-trace", "", "write the -profile span timelines as Chrome-trace JSON to this file at exit (implies -profile)")
-	durableDirFlag := fs.String("durable-dir", "", "arm crash-safe running: a write-ahead cell journal plus content-addressed result cache in this directory")
-	resumeFlag := fs.String("resume", "", "resume an interrupted run from this durability directory: replay the journal, verify hashes, recompute only unfinished cells")
+	durableDirFlag := fs.String("durable-dir", "", "arm crash-safe running: file every finished cell in a content-addressed result cache in this directory, and serve the cells it already holds")
+	resumeFlag := fs.String("resume", "", "alias of -durable-dir that wins when both are set: rerun an interrupted run over this directory, computing only the cells its cache lacks")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(report.ExitUsage)
 	}
@@ -219,15 +219,12 @@ func main() {
 		log.Info("observability server listening", "addr", srv.Addr())
 	}
 
-	// Crash-safety layer: -durable-dir arms a fresh journal (the
-	// content cache persists across runs), -resume replays an existing
-	// one so already-retired cells are served instead of recomputed.
+	// Crash-safety layer: -durable-dir (or its alias -resume) opens
+	// the directory's content cache, so cells an earlier run finished
+	// are served instead of recomputed.
 	drun, err := report.ArmDurability(*durableDirFlag, *resumeFlag, log)
 	if err != nil {
 		fatal(err)
-	}
-	if drun != nil {
-		defer drun.Close()
 	}
 
 	ex.Metrics, ex.Log, ex.RunID, ex.Status, ex.Prof, ex.Durable = reg, log, runID, board, profiler, drun
@@ -245,10 +242,10 @@ func main() {
 	if matrix {
 		// Two-stage interrupt contract for long matrix runs: the first
 		// SIGINT/SIGTERM drains (no new cells start; in-flight cells
-		// finish and journal; a valid partial manifest is written; exit
-		// 3), the second hard-cancels in-flight cells, a third falls
-		// back to the default signal disposition. Other subcommands keep
-		// the default disposition throughout.
+		// finish and are cached; a valid partial manifest is written;
+		// exit 3), the second hard-cancels in-flight cells, a third
+		// falls back to the default signal disposition. Other
+		// subcommands keep the default disposition throughout.
 		ex.Ctx, ex.Drain = report.InstallDrainHandler(log)
 		if text && cmd != "run" && cmd != "artifacts" {
 			what := "isacmp"
@@ -698,11 +695,12 @@ resilience: -cell-timeout <d>  -max-instructions <n>  -retries <n>
   -retry-backoff <d>  -fail-fast
   exit codes: 0 ok, 1 fatal, 2 usage, 3 partial (FAILED cells)
 
-durability: -durable-dir <dir> (write-ahead cell journal + content-
-  addressed result cache; SIGINT/SIGTERM drains gracefully, a second
-  aborts)  -resume <dir> (replay the journal, verify hashes, recompute
-  only unfinished cells; the manifest is byte-identical after
-  canonicalization to an uninterrupted run)
+durability: -durable-dir <dir> (content-addressed result cache: each
+  finished cell is filed as it retires and served to any later run
+  over <dir>; failed cells are recomputed; SIGINT/SIGTERM drains
+  gracefully, a second aborts)  -resume <dir> (alias of -durable-dir;
+  the rerun's manifest is byte-identical after canonicalization to an
+  uninterrupted run)
 
 observability: -json <f> (run manifest; "-" = stdout)  -progress
   -cpuprofile <f>  -memprofile <f>

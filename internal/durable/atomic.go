@@ -1,11 +1,12 @@
-// Package durable makes experiment runs crash-safe: a write-ahead
-// cell journal (append-only JSONL, fsync'd per record), a
-// content-addressed result cache keyed by a canonical hash of the
-// cell's inputs, and a resume path that replays the journal and
-// re-enqueues only unfinished cells. The package is payload-agnostic
-// — result payloads travel as canonical JSON (json.RawMessage) so the
-// report layer above owns the row schema and durable owns only
-// ordering, integrity and identity.
+// Package durable makes experiment runs crash-safe with one store: a
+// content-addressed result cache keyed by a canonical hash of each
+// cell's inputs. A finished cell's row is filed as it retires, each
+// entry written whole by WriteFileAtomic, so a run killed at any point
+// leaves whole entries or none, and a rerun over the same directory
+// serves every entry it finds and computes only the rest. The package
+// is payload-agnostic: result payloads travel as canonical JSON, so
+// the report layer above owns the row schema and durable owns only
+// identity and atomicity.
 package durable
 
 import (
@@ -21,8 +22,8 @@ import (
 // and are renamed over the target; the directory is fsync'd last so
 // the rename itself is durable. A reader can observe the old file or
 // the new file but never a torn mixture — the property the manifest
-// writer, flight recorder, BENCH_*.json writers and journal
-// compaction all rely on.
+// writer, flight recorder, benchmark documents and cache entries all
+// rely on.
 func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")

@@ -1,217 +1,114 @@
 package durable
 
-import (
-	"encoding/json"
-	"sync"
-)
+import "sync"
 
-// Stats summarizes what durability did for a run; the manifest and
-// /statusz surface it so a resumed run shows resumed-vs-computed
+// Stats summarizes what durability did for a run; the manifest's
+// durable block carries it, so a rerun shows cached-vs-computed
 // counts.
 type Stats struct {
-	// Dir is the run directory holding journal and cache.
+	// Dir is the run directory holding the cache.
 	Dir string `json:"dir"`
-	// Resumed counts cells served verbatim from the replayed journal.
-	Resumed int `json:"resumed_cells"`
-	// Cached counts cells served from the content-addressed cache.
+	// Cached counts cells served from the content cache.
 	Cached int `json:"cached_cells"`
-	// Computed counts cells actually simulated this run.
+	// Computed counts cells simulated this run and handed to the
+	// cache. Failed cells are neither filed nor counted.
 	Computed int `json:"computed_cells"`
-	// FailedReplayed counts journaled terminal failures replayed
-	// verbatim (included in Resumed).
-	FailedReplayed int `json:"failed_replayed,omitempty"`
-	// Records is the number of valid journal records replayed at
-	// open.
-	Records int `json:"journal_records"`
-	// TornTail is true when resume tolerated a torn final journal
-	// record.
-	TornTail bool `json:"torn_tail,omitempty"`
-	// HashMismatches counts journal records whose content hash no
-	// longer matched the cell's inputs (cell re-ran).
-	HashMismatches int `json:"hash_mismatches,omitempty"`
-	// IOErrors counts journal/cache write failures that were survived
+	// IOErrors counts cache writes that failed and were survived
 	// (result kept, durability lost).
 	IOErrors int `json:"io_errors,omitempty"`
 }
 
-// Hit is a durable lookup result.
-type Hit struct {
-	// Payload is the canonical result bytes (row JSON for finished
-	// cells, attempt-history JSON for failed ones).
-	Payload json.RawMessage
-	// Source is "journal" or "cache".
-	Source string
-	// Failed marks a journaled terminal failure replayed verbatim.
-	Failed bool
-}
-
-// Run is a durable run handle: one journal, one cache, one stats
-// block. All methods are safe for concurrent use by pool workers.
+// Run is a durable run handle: the run directory's content cache and
+// its counters. All methods are safe for concurrent use by pool
+// workers.
 type Run struct {
-	mu      sync.Mutex
-	dir     string
-	journal *Journal
-	cache   *Cache
-	replay  *Replay
-	stats   Stats
-	// Warn receives non-fatal durability diagnostics (hash
-	// mismatches, survived I/O errors). Nil means silent.
+	cache *Cache
+	mu    sync.Mutex
+	stats Stats
+	// Warn receives survived cache-write failures. Nil means silent.
 	Warn func(format string, args ...any)
 }
 
-// Open creates (or reuses) a run directory for a fresh run: the
-// journal starts empty — an existing journal is compacted away by
-// truncation — but the content cache persists, so identical cells
-// are served from cache even on a non-resumed run.
-func Open(dir string, opts *Options) (*Run, error) {
+// Options configures nothing.
+//
+// Deprecated: kept so that bench/e2e.go's and bench/trace.go's
+// durable.Open(dir, nil) and durable.Resume(dir, nil) still compile.
+// ROADMAP item 5 deletes it with those call sites.
+type Options struct{}
+
+// Open opens (creating if needed) the content cache in dir. Every
+// cell that an earlier run in dir finished is served from it.
+func Open(dir string, _ *Options) (*Run, error) {
 	cache, err := OpenCache(CachePath(dir))
 	if err != nil {
 		return nil, err
 	}
-	if err := WriteFileAtomic(JournalPath(dir), nil, 0o644); err != nil {
-		return nil, err
-	}
-	j, err := OpenJournal(dir, 0, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Run{dir: dir, journal: j, cache: cache, stats: Stats{Dir: dir}}, nil
+	return &Run{cache: cache, stats: Stats{Dir: dir}}, nil
 }
 
-// Resume replays an existing run directory's journal (tolerating a
-// torn tail), compacts it in place, and returns a handle that serves
-// replayed cells from the journal and appends new records after it.
-func Resume(dir string, opts *Options) (*Run, error) {
-	rp, err := ReplayJournal(dir)
-	if err != nil {
-		return nil, err
-	}
-	next, err := Compact(dir, rp)
-	if err != nil {
-		return nil, err
-	}
-	cache, err := OpenCache(CachePath(dir))
-	if err != nil {
-		return nil, err
-	}
-	j, err := OpenJournal(dir, next, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Run{dir: dir, journal: j, cache: cache, replay: rp,
-		stats: Stats{Dir: dir, Records: rp.Records, TornTail: rp.TornTail}}, nil
-}
+// Resume is Open.
+//
+// Deprecated: use Open. bench/trace.go times it as durable.resume_ms;
+// ROADMAP item 5 deletes it with that row.
+func Resume(dir string, opts *Options) (*Run, error) { return Open(dir, opts) }
 
-// Dir returns the run directory.
-func (r *Run) Dir() string { return r.dir }
-
-// Resumed reports whether this handle replayed a prior journal.
-func (r *Run) Resumed() bool { return r.replay != nil }
-
-func (r *Run) warnf(format string, args ...any) {
-	if r.Warn != nil {
-		r.Warn(format, args...)
-	}
-}
-
-// Lookup serves a cell without simulation if it can: first from the
-// replayed journal (verifying the stored content hash still matches
-// the cell's inputs — a mismatch means the workload, spec or engine
-// changed, so the record is discarded with a warning and the cell
-// re-runs), then from the content cache. Returns nil when the cell
-// must be computed.
-func (r *Run) Lookup(workload, target, hash string) *Hit {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.replay != nil {
-		if rec := r.replay.Lookup(workload, target); rec != nil {
-			if rec.Hash == hash {
-				r.stats.Resumed++
-				failed := rec.Type == RecFailed
-				if failed {
-					r.stats.FailedReplayed++
-				}
-				return &Hit{Payload: rec.Payload, Source: "journal", Failed: failed}
-			}
-			r.stats.HashMismatches++
-			r.warnf("durable: %s/%s: journal hash %.12s does not match inputs %.12s — re-running cell",
-				workload, target, rec.Hash, hash)
-		}
-	}
-	if payload, ok := r.cache.Get(hash); ok {
-		r.stats.Cached++
-		return &Hit{Payload: payload, Source: "cache"}
-	}
-	return nil
-}
-
-// CellStarted journals that a worker picked up the cell. A journal
-// that ends after a cell-started with no terminal record is exactly
-// what resume re-enqueues.
-func (r *Run) CellStarted(workload, target, hash string) {
-	r.append(Record{Type: RecStarted, Workload: workload, Target: target, Hash: hash})
-}
-
-// CellFinished journals the cell's canonical result and files it in
-// the content cache. fromCache marks a cell served by Lookup from the
-// cache (journaled so a resume of this run replays it, but not
-// re-Put, and counted as cached rather than computed).
-func (r *Run) CellFinished(workload, target, hash string, payload []byte, fromCache bool) {
-	r.append(Record{Type: RecFinished, Workload: workload, Target: target, Hash: hash, Payload: payload})
-	if !fromCache {
-		if err := r.cache.Put(hash, payload); err != nil {
-			r.ioError("durable: %s/%s: cache put: %v", workload, target, err)
-		}
+// Lookup returns the cached payload of the cell whose inputs hash to
+// hash, or nil when the cell must be computed. workload and target
+// name the cell; the hash alone addresses its entry.
+func (r *Run) Lookup(workload, target, hash string) []byte {
+	payload, ok := r.cache.Get(hash)
+	if !ok {
+		return nil
 	}
 	r.mu.Lock()
-	if fromCache {
-		// already counted by Lookup
-	} else {
-		r.stats.Computed++
-	}
+	r.stats.Cached++
 	r.mu.Unlock()
+	return payload
 }
 
-// CellFailed journals a terminal (non-cancelled) cell failure with
-// its attempt history so a resume reproduces the FAILED row
-// byte-identically instead of re-running a cell that deterministically
-// dies.
-func (r *Run) CellFailed(workload, target, hash string, attempts []byte) {
-	r.append(Record{Type: RecFailed, Workload: workload, Target: target, Hash: hash, Payload: attempts})
+// CellFinished files a computed cell's canonical row in the cache and
+// counts it in Computed. A failed put is survived: the result stays in
+// memory, the cell counts in IOErrors, and Warn says why. fromCache
+// marks a cell that Lookup served, which is filed and counted
+// already, so the call does nothing; only bench/trace.go passes true,
+// and ROADMAP item 5 drops the parameter.
+func (r *Run) CellFinished(workload, target, hash string, payload []byte, fromCache bool) {
+	if fromCache {
+		return
+	}
+	err := r.cache.Put(hash, payload)
 	r.mu.Lock()
 	r.stats.Computed++
+	if err != nil {
+		r.stats.IOErrors++
+	}
 	r.mu.Unlock()
-}
-
-// RunComplete journals the run's natural end.
-func (r *Run) RunComplete() {
-	r.append(Record{Type: RecComplete})
-}
-
-// append writes one record, surviving I/O failure: the error is
-// counted and warned, never propagated, because losing durability
-// must not lose the in-memory result.
-func (r *Run) append(rec Record) {
-	if err := r.journal.Append(rec); err != nil {
-		r.ioError("durable: journal %s %s/%s: %v", rec.Type, rec.Workload, rec.Target, err)
+	if err != nil && r.Warn != nil {
+		r.Warn("%s/%s: cache put: %v", workload, target, err)
 	}
 }
 
-func (r *Run) ioError(format string, args ...any) {
-	r.mu.Lock()
-	r.stats.IOErrors++
-	r.mu.Unlock()
-	r.warnf(format, args...)
-}
+// CellStarted does nothing: the cache files a cell when it finishes.
+//
+// Deprecated: only bench/trace.go calls it (durable.journal_append_ms);
+// ROADMAP item 5 deletes it with that row.
+func (r *Run) CellStarted(workload, target, hash string) {}
+
+// RunComplete does nothing.
+//
+// Deprecated: only bench/trace.go calls it; ROADMAP item 5 deletes
+// it.
+func (r *Run) RunComplete() {}
+
+// Close does nothing: a Run holds no open file.
+//
+// Deprecated: only bench/e2e.go and bench/trace.go call it; ROADMAP
+// item 5 deletes it.
+func (r *Run) Close() error { return nil }
 
 // Stats returns a snapshot of the durability counters.
 func (r *Run) Stats() Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.stats
-}
-
-// Close closes the journal.
-func (r *Run) Close() error {
-	return r.journal.Close()
 }

@@ -52,7 +52,7 @@ func (l *recordLog) records(state CellState) []map[string]any {
 // failed cells, and running cells, log nothing.
 func TestHeartbeatFinalOnly(t *testing.T) {
 	b := NewBoard("run-hb", nil)
-	for _, tgt := range []string{"computed", "retried", "journal", "cache", "failed"} {
+	for _, tgt := range []string{"computed", "retried", "cache", "failed"} {
 		b.Register("w", tgt)
 	}
 	watch := b.Subscribe()
@@ -68,8 +68,7 @@ func TestHeartbeatFinalOnly(t *testing.T) {
 	b.Retrying("w", "retried", 1, "panic")
 	b.Running("w", "retried", 2)
 	b.Done("w", "retried", 0.01, 4_000)
-	b.Served("w", "journal", "journal", false, "", 999)
-	b.Served("w", "cache", "cache", false, "", 999)
+	b.Served("w", "cache", 999)
 	b.Failed("w", "failed", 1, "decode")
 	stop()
 

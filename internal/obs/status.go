@@ -35,8 +35,8 @@ type Event struct {
 	Attempt  int       `json:"attempt,omitempty"`
 	Retired  uint64    `json:"retired,omitempty"`
 	Reason   string    `json:"reason,omitempty"`
-	// Source marks a cell served without simulation: "journal" (resume
-	// replay) or "cache" (content-cache hit). Empty for computed cells.
+	// Source marks a cell served from the content cache without
+	// simulation ("cache"). Empty for computed cells.
 	Source string `json:"source,omitempty"`
 }
 
@@ -49,7 +49,7 @@ type CellStatus struct {
 	Retired  uint64    `json:"retired,omitempty"`
 	Seconds  float64   `json:"seconds,omitempty"`
 	Reason   string    `json:"reason,omitempty"`
-	// Source marks a served cell's origin ("journal" or "cache").
+	// Source marks a cell served from the content cache ("cache").
 	Source string `json:"source,omitempty"`
 }
 
@@ -63,13 +63,13 @@ type StatusDoc struct {
 	UptimeSeconds float64        `json:"uptime_seconds"`
 	Workers       int            `json:"workers,omitempty"`
 	States        map[string]int `json:"states"`
-	// Served counts terminal cells by durability source ("journal",
-	// "cache") — the resumed-vs-computed split; computed cells are the
+	// Served counts terminal cells by durability source (only
+	// "cache") — the served-vs-computed split; computed cells are the
 	// done/failed counts in States minus these.
 	Served map[string]int `json:"served,omitempty"`
 	// ServedPerSecond is the resume throughput: served cells per second
 	// of uptime. It is reported separately from the EWMAs on purpose —
-	// a replayed cell costs microseconds, so folding it into the
+	// a served cell costs microseconds, so folding it into the
 	// throughput estimator would make the ETA wildly optimistic for the
 	// cells that still have to be computed.
 	ServedPerSecond float64            `json:"served_per_second,omitempty"`
@@ -288,12 +288,11 @@ func (b *Board) Failed(workload, target string, attempt int, reason string) {
 	b.transition(workload, target, CellFailed, attempt, 0, 0, reason)
 }
 
-// Served marks a cell terminal without simulation: its result was
-// replayed from the durability journal (source "journal") or the
-// content cache (source "cache"). Served cells do not feed the
+// Served marks a cell done without simulation: its result came from
+// the content cache (source "cache"). Served cells do not feed the
 // throughput EWMAs — their original wall time says nothing about this
 // run's pace — so the ETA stays honest for the cells that remain.
-func (b *Board) Served(workload, target, source string, failed bool, reason string, retired uint64) {
+func (b *Board) Served(workload, target string, retired uint64) {
 	if b == nil {
 		return
 	}
@@ -305,13 +304,9 @@ func (b *Board) Served(workload, target, source string, failed bool, reason stri
 		b.cells = append(b.cells, c)
 		b.index[k] = c
 	}
-	c.source = source
+	c.source = "cache"
 	b.mu.Unlock()
-	if failed {
-		b.transition(workload, target, CellFailed, 0, 0, 0, reason)
-	} else {
-		b.transition(workload, target, CellDone, 0, retired, 0, "")
-	}
+	b.transition(workload, target, CellDone, 0, retired, 0, "")
 }
 
 // Progress updates a running cell's retired-instruction count. A Meter

@@ -115,10 +115,10 @@ func TestBoardEvents(t *testing.T) {
 }
 
 // TestServedCellsExcludedFromETA pins the -resume ETA contract: cells
-// served from the journal or content cache never feed the throughput
-// EWMAs (their replay takes microseconds and says nothing about how
-// fast the remaining cells will compute), and they surface instead as
-// the separate served counts + served_per_second resumed rate.
+// served from the content cache never feed the throughput EWMAs
+// (serving one takes microseconds and says nothing about how fast the
+// remaining cells will compute), and they surface instead as the
+// separate served counts + served_per_second rate.
 func TestServedCellsExcludedFromETA(t *testing.T) {
 	b := NewBoard("run-resume", nil)
 	b.SetWorkers(1)
@@ -127,9 +127,9 @@ func TestServedCellsExcludedFromETA(t *testing.T) {
 	b.Register("lbm", "rv64")
 	b.Register("lbm", "a64")
 
-	// Two cells replay instantly from the durability layer...
-	b.Served("stream", "rv64", "journal", false, "", 1_000_000)
-	b.Served("stream", "a64", "cache", false, "", 1_000_000)
+	// Two cells are served instantly from the cache...
+	b.Served("stream", "rv64", 1_000_000)
+	b.Served("stream", "a64", 1_000_000)
 	doc := b.Status()
 	if doc.EWMACellSeconds != 0 || doc.EWMAMIPS != 0 {
 		t.Fatalf("served cells fed the EWMAs: secs=%v mips=%v", doc.EWMACellSeconds, doc.EWMAMIPS)
@@ -137,11 +137,16 @@ func TestServedCellsExcludedFromETA(t *testing.T) {
 	if doc.ETASeconds != 0 {
 		t.Fatalf("ETA from served cells alone = %v, want 0 (no throughput evidence yet)", doc.ETASeconds)
 	}
-	if doc.Served["journal"] != 1 || doc.Served["cache"] != 1 {
-		t.Fatalf("served split = %+v", doc.Served)
+	if len(doc.Served) != 1 || doc.Served["cache"] != 2 {
+		t.Fatalf("served split = %+v, want 2 from the cache", doc.Served)
+	}
+	for _, c := range doc.Cells[:2] {
+		if c.Source != "cache" || c.State != CellDone {
+			t.Fatalf("served cell = %+v, want done from the cache", c)
+		}
 	}
 	if doc.ServedPerSecond <= 0 {
-		t.Fatalf("served_per_second = %v, want > 0 once cells were replayed", doc.ServedPerSecond)
+		t.Fatalf("served_per_second = %v, want > 0 once cells were served", doc.ServedPerSecond)
 	}
 
 	// ...then one real cell computes in 4s: the ETA for the last
@@ -157,7 +162,7 @@ func TestServedCellsExcludedFromETA(t *testing.T) {
 		t.Fatalf("eta = %v, want 4.0 (1 remaining cell / 1 worker at computed pace)", doc.ETASeconds)
 	}
 
-	// A board with no served cells reports no resumed rate at all.
+	// A board with no served cells reports no served rate at all.
 	fresh := NewBoard("run-fresh", nil)
 	fresh.Register("w", "t")
 	if doc := fresh.Status(); doc.ServedPerSecond != 0 {

@@ -14,8 +14,8 @@ import (
 
 // This file is the report layer's side of the durability contract:
 // how a cell is content-addressed, how its canonical result payload
-// (the Row, counters included) is journaled, and how a journal or
-// cache hit is replayed back into a live matrix byte-identically.
+// (the Row, counters included) is filed in the content cache, and how
+// a cache hit is served back into a live matrix byte-identically.
 
 // analysisSpec canonically serializes every experiment knob that can
 // change a cell's result: the analysis selection, the core and cache
@@ -67,66 +67,40 @@ func cellHash(prog *ir.Program, tgt cc.Target, ex Experiment) (string, error) {
 	}.Hash(), nil
 }
 
-// journalFinished journals a retired cell's canonical Row (and files
-// it in the content cache). Journal I/O failure is survived inside
-// durable; an unmarshalable row is a programming error surfaced in
-// the log.
-func journalFinished(ex Experiment, workload, target, hash string, row *Row, fromCache bool, clog *slog.Logger) {
+// fileRow files a computed cell's canonical Row in the content cache.
+// A failed cache write is survived inside durable; an unmarshalable
+// row is a programming error surfaced in the log.
+func fileRow(ex Experiment, workload, target, hash string, row *Row, clog *slog.Logger) {
 	if ex.Durable == nil || hash == "" {
 		return
 	}
 	data, err := json.Marshal(row)
 	if err != nil {
-		clog.Warn("durable: row encode failed — cell not journaled", "err", err)
+		clog.Warn("durable: row encode failed — cell not cached", "err", err)
 		return
 	}
-	ex.Durable.CellFinished(workload, target, hash, data, fromCache)
+	ex.Durable.CellFinished(workload, target, hash, data, false)
 }
 
-// journalFailed journals a terminal cell failure. Cancellation-caused
-// failures (matrix cancelled, drain in progress) are never journaled:
-// they must re-run on resume.
-func journalFailed(ex Experiment, workload, target, hash string, row *Row, clog *slog.Logger) {
-	if ex.Durable == nil || hash == "" {
-		return
-	}
-	data, err := json.Marshal(row)
-	if err != nil {
-		clog.Warn("durable: failed-row encode failed — cell not journaled", "err", err)
-		return
-	}
-	ex.Durable.CellFailed(workload, target, hash, data)
-}
-
-// replayRow reconstructs a cell's Row from a durable hit: the payload
-// unmarshals back into the exact Row the original run computed, its
-// counter delta is re-applied to the registry, the status board is
-// driven through the same terminal transition, and a cache hit is
-// journaled into this run's journal so a resume of *this* run replays
-// it too. Returns ok=false when the payload is unusable (the cell
-// then recomputes).
-func replayRow(hit *durable.Hit, hash string, prog *ir.Program, tgt cc.Target, ex Experiment, clog *slog.Logger) (Row, bool) {
+// replayRow reconstructs a cell's Row from its cache payload: the
+// payload unmarshals back into the exact Row the original run
+// computed, its counter delta is re-applied to the registry, and the
+// status board marks the cell served. Returns ok=false when the
+// payload is unusable (it does not parse, names another target, or
+// holds a failure); the cell then recomputes.
+func replayRow(payload []byte, prog *ir.Program, tgt cc.Target, ex Experiment, clog *slog.Logger) (Row, bool) {
 	var row Row
-	if err := json.Unmarshal(hit.Payload, &row); err != nil {
-		clog.Warn("durable: replay payload rejected — re-running cell",
-			"source", hit.Source, "err", err)
+	if err := json.Unmarshal(payload, &row); err != nil {
+		clog.Warn("durable: cache payload rejected — re-running cell", "err", err)
 		return Row{}, false
 	}
-	if row.Target != tgt || row.Failed() != hit.Failed {
-		clog.Warn("durable: replay payload inconsistent — re-running cell",
-			"source", hit.Source, "payload_target", row.Target.String())
+	if row.Target != tgt || row.Failed() {
+		clog.Warn("durable: cache payload inconsistent — re-running cell",
+			"payload_target", row.Target.String(), "failed", row.Failed())
 		return Row{}, false
 	}
 	telemetry.ApplyCounters(ex.Metrics, row.Counters)
-	if hit.Source == "cache" {
-		journalFinished(ex, prog.Name, tgt.String(), hash, &row, true, clog)
-	}
-	if f := row.Failure; f != nil {
-		ex.Status.Served(prog.Name, tgt.String(), hit.Source, true, f.Reason, 0)
-		clog.Info("cell failure replayed", "source", hit.Source, "reason", f.Reason)
-	} else {
-		ex.Status.Served(prog.Name, tgt.String(), hit.Source, false, "", row.Core.Instructions)
-		clog.Debug("cell served", "source", hit.Source, "retired", row.Core.Instructions)
-	}
+	ex.Status.Served(prog.Name, tgt.String(), row.Core.Instructions)
+	clog.Debug("cell served from cache", "retired", row.Core.Instructions)
 	return row, true
 }

@@ -3,11 +3,11 @@ package report
 import (
 	"bytes"
 	"context"
-	"fmt"
+	"encoding/json"
 	"math/rand"
 	"os"
 	"os/exec"
-	"strings"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -19,10 +19,10 @@ import (
 )
 
 // The acceptance tests for the durability layer: a run interrupted at
-// any point — a truncated journal, a SIGKILLed process — must resume
-// to a manifest and report text byte-identical to the uninterrupted
-// run, a warm cache must recompute zero cells, and the drain signal
-// must interrupt a pending retry backoff immediately.
+// any point — lost cache entries, a SIGKILLed process — must rerun to
+// a manifest and report text byte-identical to the uninterrupted run,
+// a warm cache must recompute zero cells, and the drain signal must
+// interrupt a pending retry backoff immediately.
 
 // durableEx is the reference experiment for the identity tests:
 // sequential (so registry counter creation order is deterministic and
@@ -56,12 +56,17 @@ func canonManifest(t *testing.T, progs []*ir.Program, all [][]Row) (string, stri
 	return buf.String(), text.String()
 }
 
+// withDurable returns ex with drun attached.
+func withDurable(ex Experiment, drun *durable.Run) Experiment {
+	ex.Durable = drun
+	return ex
+}
+
 // runDurable runs the suite with a durable handle attached and returns
 // the canonical manifest, report text and durability stats.
 func runDurable(t *testing.T, progs []*ir.Program, ex Experiment, drun *durable.Run) (string, string, durable.Stats) {
 	t.Helper()
-	ex.Durable = drun
-	all, _, err := RunSuite(progs, ex)
+	all, _, err := RunSuite(progs, withDurable(ex, drun))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +74,22 @@ func runDurable(t *testing.T, progs []*ir.Program, ex Experiment, drun *durable.
 	return manifest, text, drun.Stats()
 }
 
-// TestDurableResumeAfterTruncatedJournal simulates a crash by chopping
-// the journal mid-file and deleting the cache, then resumes: the
-// replayed-plus-recomputed run must be byte-identical to the
-// uninterrupted one, manifest and report text both.
-func TestDurableResumeAfterTruncatedJournal(t *testing.T) {
+// cacheEntries lists the cache entries a run directory holds, in
+// path order.
+func cacheEntries(t *testing.T, dir string) []string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(durable.CachePath(dir), "*", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return paths
+}
+
+// TestDurableResumeAfterLostEntries loses every other cache entry of a
+// finished run, then reruns over the directory: the served-plus-
+// recomputed run must be byte-identical to the uninterrupted one,
+// manifest and report text both.
+func TestDurableResumeAfterLostEntries(t *testing.T) {
 	progs := resilienceProgs(t)
 	clean, _, err := RunSuite(progs, durableEx())
 	if err != nil {
@@ -89,52 +105,35 @@ func TestDurableResumeAfterTruncatedJournal(t *testing.T) {
 	if _, _, st := runDurable(t, progs, durableEx(), drun); st.Computed != 8 {
 		t.Fatalf("first run computed %d cells, want 8", st.Computed)
 	}
-	if err := drun.Close(); err != nil {
-		t.Fatal(err)
+	entries := cacheEntries(t, dir)
+	if len(entries) != 8 {
+		t.Fatalf("cache holds %d entries, want 8", len(entries))
+	}
+	for i := 0; i < len(entries); i += 2 {
+		if err := os.Remove(entries[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	// Crash: keep roughly half the journal (cutting at a record
-	// boundary) and wipe the cache so the lost cells must recompute
-	// rather than come back as cache hits.
-	data, err := os.ReadFile(durable.JournalPath(dir))
+	rerun, err := durable.Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := bytes.SplitAfter(data, []byte("\n"))
-	if err := os.WriteFile(durable.JournalPath(dir), bytes.Join(lines[:len(lines)/2], nil), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.RemoveAll(durable.CachePath(dir)); err != nil {
-		t.Fatal(err)
-	}
-
-	res, err := durable.Resume(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Close()
-	if !res.Resumed() {
-		t.Fatal("Resume handle must report Resumed")
-	}
-	gotManifest, gotText, st := runDurable(t, progs, durableEx(), res)
-	if st.Resumed == 0 || st.Computed == 0 {
-		t.Fatalf("stats = %+v, want both replayed and recomputed cells after truncation", st)
-	}
-	if st.Resumed+st.Computed != 8 {
-		t.Fatalf("stats = %+v, want resumed+computed == 8", st)
+	gotManifest, gotText, st := runDurable(t, progs, durableEx(), rerun)
+	if st.Cached != 4 || st.Computed != 4 {
+		t.Fatalf("stats = %+v, want 4 cells served and 4 recomputed", st)
 	}
 	if gotManifest != wantManifest {
-		t.Errorf("resumed manifest drifted from uninterrupted run:\n got %s\nwant %s", gotManifest, wantManifest)
+		t.Errorf("rerun manifest drifted from uninterrupted run:\n got %s\nwant %s", gotManifest, wantManifest)
 	}
 	if gotText != wantText {
-		t.Errorf("resumed report text drifted from uninterrupted run:\n got %s\nwant %s", gotText, wantText)
+		t.Errorf("rerun report text drifted from uninterrupted run:\n got %s\nwant %s", gotText, wantText)
 	}
 }
 
 // TestDurableWarmCacheZeroRecompute pins the content-cache contract: a
-// second Open of the same directory (fresh journal, persisted cache)
-// serves every cell from cache, recomputes zero, and still produces
-// byte-identical output.
+// second Open of the same directory serves every cell from cache,
+// recomputes zero, and still produces byte-identical output.
 func TestDurableWarmCacheZeroRecompute(t *testing.T) {
 	progs := resilienceProgs(t)
 	dir := t.TempDir()
@@ -143,13 +142,11 @@ func TestDurableWarmCacheZeroRecompute(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantManifest, wantText, _ := runDurable(t, progs, durableEx(), drun)
-	drun.Close()
 
 	warm, err := durable.Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer warm.Close()
 	gotManifest, gotText, st := runDurable(t, progs, durableEx(), warm)
 	if st.Computed != 0 {
 		t.Errorf("warm-cache run computed %d cells, want 0", st.Computed)
@@ -166,7 +163,7 @@ func TestDurableWarmCacheZeroRecompute(t *testing.T) {
 // a cell's content address. A warm cache left by an emulation run must
 // not serve a run on the out-of-order model, nor an uncached ooo run
 // one with the L1D attached; and a traced run, whose trace cannot be
-// replayed, is neither served nor journaled.
+// replayed, is neither served nor cached.
 func TestDurableCoreModelNotServed(t *testing.T) {
 	progs := resilienceProgs(t)
 	dir := t.TempDir()
@@ -175,7 +172,6 @@ func TestDurableCoreModelNotServed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer drun.Close()
 		ex.Mix, ex.Parallel, ex.Durable = true, 1, drun
 		all, _, err := RunSuite(progs, ex)
 		if err != nil {
@@ -198,7 +194,7 @@ func TestDurableCoreModelNotServed(t *testing.T) {
 	traced := Experiment{Core: "ooo", Trace: func() *telemetry.PipelineTrace { return telemetry.NewPipelineTrace(16, 1) }}
 	all, st := run(traced)
 	if st.Cached != 0 || st.Computed != 0 {
-		t.Errorf("traced run: stats %+v, want no cell served or journaled", st)
+		t.Errorf("traced run: stats %+v, want no cell served or cached", st)
 	}
 	if all[0][0].Trace == nil {
 		t.Error("traced run returned no trace")
@@ -206,7 +202,7 @@ func TestDurableCoreModelNotServed(t *testing.T) {
 }
 
 // TestDurableOffIdentity pins that arming durability changes no output
-// byte relative to a plain run — the journal-off byte-identity
+// byte relative to a plain run — the durability-off byte-identity
 // contract.
 func TestDurableOffIdentity(t *testing.T) {
 	progs := resilienceProgs(t)
@@ -220,17 +216,16 @@ func TestDurableOffIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer drun.Close()
 	gotManifest, gotText, _ := runDurable(t, progs, durableEx(), drun)
 	if gotManifest != wantManifest || gotText != wantText {
 		t.Error("durable run output drifted from plain run")
 	}
 }
 
-// TestDurableHashMismatchReruns changes the analysis spec between run
-// and resume: every journal record's content hash goes stale, the run
-// warns and recomputes every cell, and the stats record the
-// mismatches.
+// TestDurableHashMismatchReruns changes the analysis spec between two
+// runs over one directory: the spec is part of every cell's content
+// address, so every cell misses the cache and is recomputed, and its
+// output equals a plain run of the changed spec.
 func TestDurableHashMismatchReruns(t *testing.T) {
 	progs := resilienceProgs(t)
 	dir := t.TempDir()
@@ -239,36 +234,37 @@ func TestDurableHashMismatchReruns(t *testing.T) {
 		t.Fatal(err)
 	}
 	runDurable(t, progs, durableEx(), drun)
-	drun.Close()
 
-	res, err := durable.Resume(dir, nil)
+	ex := durableEx()
+	ex.Windowed = true // spec change: every content address moves
+	plain, _, err := RunSuite(progs, ex)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer res.Close()
-	var warnings []string
-	res.Warn = func(format string, args ...any) {
-		warnings = append(warnings, fmt.Sprintf(format, args...))
+	wantManifest, wantText := canonManifest(t, progs, plain)
+	rerun, err := durable.Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ex := durableEx()
-	ex.Windowed = true // spec change: journal hashes no longer match
-	_, _, st := runDurable(t, progs, ex, res)
-	if st.HashMismatches != 8 {
-		t.Errorf("hash mismatches = %d, want 8", st.HashMismatches)
-	}
-	if st.Resumed != 0 || st.Computed != 8 {
+	ex = durableEx()
+	ex.Windowed = true
+	gotManifest, gotText, st := runDurable(t, progs, ex, rerun)
+	if st.Cached != 0 || st.Computed != 8 {
 		t.Errorf("stats = %+v, want every cell recomputed", st)
 	}
-	if len(warnings) != 8 || !strings.Contains(warnings[0], "does not match inputs") {
-		t.Errorf("warnings = %v, want 8 hash-mismatch warnings", warnings)
+	if n := len(cacheEntries(t, dir)); n != 16 {
+		t.Errorf("cache holds %d entries, want 16 (8 per spec)", n)
+	}
+	if gotManifest != wantManifest || gotText != wantText {
+		t.Error("changed-spec run output drifted from a plain run of that spec")
 	}
 }
 
-// TestDurableFailureReplay pins that a journaled terminal failure is
-// replayed verbatim on resume — a cell that deterministically dies is
-// not re-run, and its FAILED row keeps the original reason and attempt
-// history.
-func TestDurableFailureReplay(t *testing.T) {
+// TestDurableFailureRecomputes pins that failures are never cached: a
+// cell that dies with an injected decode fault is not filed, and a
+// rerun serves the other seven, recomputes that one (which fails the
+// same way again), and prints the original output.
+func TestDurableFailureRecomputes(t *testing.T) {
 	progs := resilienceProgs(t)
 	inj := faultinject.New(1,
 		faultinject.Plan{Workload: "stream", Target: "RISC-V/GCC 9.2", Kind: faultinject.Decode, At: 100})
@@ -283,31 +279,37 @@ func TestDurableFailureReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantManifest, wantText, st := runDurable(t, progs, ex, drun)
-	drun.Close()
-	if st.Computed != 8 {
-		t.Fatalf("first run computed %d cells (failures count as computed), want 8", st.Computed)
+	if st.Computed != 7 {
+		t.Fatalf("first run filed %d cells, want the 7 that finished", st.Computed)
+	}
+	if n := len(cacheEntries(t, dir)); n != 7 {
+		t.Fatalf("cache holds %d entries, want 7 (no failure)", n)
 	}
 
-	res, err := durable.Resume(dir, nil)
+	rerun, err := durable.Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer res.Close()
-	gotManifest, gotText, st := runDurable(t, progs, ex, res)
-	if st.Resumed != 8 || st.Computed != 0 {
-		t.Errorf("stats = %+v, want every cell (the failure included) replayed", st)
+	all, _, err := RunSuite(progs, withDurable(ex, rerun))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.FailedReplayed != 1 {
-		t.Errorf("failed replayed = %d, want 1", st.FailedReplayed)
+	if st := rerun.Stats(); st.Cached != 7 || st.Computed != 0 {
+		t.Errorf("stats = %+v, want 7 cells served and the failure recomputed, not filed", st)
 	}
+	fails := CollectFailures(all)
+	if len(fails) != 1 || fails[0].Reason != "decode" || fails[0].Target != "RISC-V/GCC 9.2" {
+		t.Fatalf("rerun failures = %+v, want the recomputed decode fault", fails)
+	}
+	gotManifest, gotText := canonManifest(t, progs, all)
 	if gotManifest != wantManifest || gotText != wantText {
-		t.Error("failure-replay output drifted from original run")
+		t.Error("rerun output drifted from the original run")
 	}
 }
 
-// TestDurableDrainedCellsRerun pins the drain journaling rule: cells
-// that never started because the matrix was draining are not
-// journaled, so a resume recomputes exactly those cells.
+// TestDurableDrainedCellsRerun pins the drain rule: cells that never
+// started because the matrix was draining are not cached, so a rerun
+// recomputes exactly those cells.
 func TestDurableDrainedCellsRerun(t *testing.T) {
 	progs := resilienceProgs(t)
 	dir := t.TempDir()
@@ -319,12 +321,10 @@ func TestDurableDrainedCellsRerun(t *testing.T) {
 	cancel() // draining before the first cell starts
 	ex := durableEx()
 	ex.Drain = drain
-	ex.Durable = drun
-	all, _, err := RunSuite(progs, ex)
+	all, _, err := RunSuite(progs, withDurable(ex, drun))
 	if err != nil {
 		t.Fatal(err)
 	}
-	drun.Close()
 	if n := CountFailures(all); n != 8 {
 		t.Fatalf("drained run failures = %d, want all 8 cells", n)
 	}
@@ -334,14 +334,13 @@ func TestDurableDrainedCellsRerun(t *testing.T) {
 		}
 	}
 
-	res, err := durable.Resume(dir, nil)
+	rerun, err := durable.Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer res.Close()
-	_, _, st := runDurable(t, progs, durableEx(), res)
-	if st.Resumed != 0 || st.Computed != 8 {
-		t.Errorf("stats after drained run = %+v, want every cell recomputed (drained cells must not be journaled)", st)
+	_, _, st := runDurable(t, progs, durableEx(), rerun)
+	if st.Cached != 0 || st.Computed != 8 {
+		t.Errorf("stats after drained run = %+v, want every cell recomputed (drained cells must not be cached)", st)
 	}
 }
 
@@ -382,11 +381,12 @@ func TestDrainInterruptsRetryBackoff(t *testing.T) {
 }
 
 // TestChaosKillResume is the crash-safety acceptance test: a child
-// process running the matrix with a journal armed is SIGKILLed at a
-// randomized point, the parent resumes the directory, and the combined
-// replayed-plus-recomputed output must be byte-identical to an
-// uninterrupted run — manifest and report text both. Whatever the kill
-// hits (before the first record, mid-journal, after completion), the
+// process running the matrix with durability armed is SIGKILLed at a
+// randomized point. Every cache entry it left must be a whole row, the
+// rerun over the directory must serve exactly those entries and
+// compute the rest, and its output must be byte-identical to an
+// uninterrupted run — manifest and report text both. Whatever the
+// kill hits (before the first entry, mid-run, after completion), the
 // contract is the same.
 func TestChaosKillResume(t *testing.T) {
 	progs := resilienceProgs(t)
@@ -404,36 +404,42 @@ func TestChaosKillResume(t *testing.T) {
 	}
 	delay := time.Duration(rand.Int63n(int64(150 * time.Millisecond)))
 	time.Sleep(delay)
-	cmd.Process.Kill() // SIGKILL: no deferred cleanup, no journal close
+	cmd.Process.Kill() // SIGKILL: no deferred cleanup
 	cmd.Wait()
-	t.Logf("killed chaos child after %v", delay)
 
-	res, err := durable.Resume(dir, nil)
-	if err != nil {
-		// Killed before the child even created the journal: resume has
-		// nothing to replay and the run starts fresh — still a valid
-		// crash point.
-		if res, err = durable.Open(dir, nil); err != nil {
+	entries := cacheEntries(t, dir)
+	t.Logf("killed chaos child after %v; it left %d cache entries", delay, len(entries))
+	for _, p := range entries {
+		data, err := os.ReadFile(p)
+		if err != nil {
 			t.Fatal(err)
 		}
+		var row Row
+		if err := json.Unmarshal(data, &row); err != nil || row.Failed() || row.Core.Instructions == 0 {
+			t.Errorf("cache entry %s is not a whole row (err %v): %.80s", filepath.Base(p), err, data)
+		}
 	}
-	defer res.Close()
-	gotManifest, gotText, st := runDurable(t, progs, durableEx(), res)
-	t.Logf("resume stats: %+v", st)
-	if st.Resumed+st.Cached+st.Computed != 8 {
-		t.Errorf("stats = %+v, want resumed+cached+computed == 8", st)
+
+	rerun, err := durable.Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotManifest, gotText, st := runDurable(t, progs, durableEx(), rerun)
+	t.Logf("rerun stats: %+v", st)
+	if st.Cached != len(entries) || st.Cached+st.Computed != 8 {
+		t.Errorf("stats = %+v, want %d cells served and cached+computed == 8", st, len(entries))
 	}
 	if gotManifest != wantManifest {
-		t.Errorf("post-kill resumed manifest drifted from uninterrupted run:\n got %s\nwant %s", gotManifest, wantManifest)
+		t.Errorf("post-kill rerun manifest drifted from uninterrupted run:\n got %s\nwant %s", gotManifest, wantManifest)
 	}
 	if gotText != wantText {
-		t.Errorf("post-kill resumed report text drifted from uninterrupted run:\n got %s\nwant %s", gotText, wantText)
+		t.Errorf("post-kill rerun report text drifted from uninterrupted run:\n got %s\nwant %s", gotText, wantText)
 	}
 }
 
 // TestChaosChildProcess is the helper body TestChaosKillResume
-// re-executes and SIGKILLs; it runs the reference matrix with a
-// journal armed and is skipped in a normal test run.
+// re-executes and SIGKILLs; it runs the reference matrix with
+// durability armed and is skipped in a normal test run.
 func TestChaosChildProcess(t *testing.T) {
 	dir := os.Getenv("ISACMP_CHAOS_DIR")
 	if dir == "" {
@@ -443,10 +449,7 @@ func TestChaosChildProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := durableEx()
-	ex.Durable = drun
-	if _, _, err := RunSuite(resilienceProgs(t), ex); err != nil {
+	if _, _, err := RunSuite(resilienceProgs(t), withDurable(durableEx(), drun)); err != nil {
 		t.Fatal(err)
 	}
-	drun.Close()
 }

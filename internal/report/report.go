@@ -67,10 +67,10 @@ type Row struct {
 	// Counters is the cell's transactional metrics delta (run.*,
 	// predecode.*, fusion.* counters), accumulated locally during the
 	// run and applied to the registry only when the cell retires.
-	// Journaled with the row, so a resumed or cache-served cell
-	// re-applies exactly the delta the original computation produced —
-	// the property that keeps canonical metrics byte-identical across
-	// a kill. Nil when the experiment carries no registry.
+	// Cached with the row, so a cache-served cell re-applies exactly
+	// the delta the original computation produced — the property that
+	// keeps canonical metrics byte-identical across a kill. Nil when
+	// the experiment carries no registry.
 	Counters map[string]uint64
 
 	// Attempts is how many attempts this cell took (1 = first try).
@@ -111,7 +111,7 @@ type Experiment struct {
 	// Trace, when non-nil, gives each cell attempt a pipeline tracer:
 	// an observer of the emulation core's stream, or the timing
 	// model's tracer. The successful attempt's tracer comes back in
-	// Row.Trace. A traced cell is never served from or journaled to
+	// Row.Trace. A traced cell is never served from or filed in
 	// Durable, because a trace cannot be replayed.
 	Trace func() *telemetry.PipelineTrace
 	// WindowSizes overrides the paper's window sizes.
@@ -175,16 +175,17 @@ type Experiment struct {
 	Ctx context.Context
 	// Drain, when non-nil, is the graceful-shutdown signal: once
 	// cancelled, no new cell or attempt starts, but in-flight attempts
-	// run to completion and are journaled, so a SIGINT'd run keeps
+	// run to completion and are cached, so a SIGINT'd run keeps
 	// every result it paid for. Drained (never-started) cells come
-	// back as FAILED(deadline) rows and are not journaled — they
-	// re-run on resume — and the caller still gets a valid partial
-	// manifest and the partial-failure exit code.
+	// back as FAILED(deadline) rows and are not cached — they run on
+	// the next run over the directory — and the caller still gets a
+	// valid partial manifest and the partial-failure exit code.
 	Drain context.Context
 	// Durable, when non-nil, is the crash-safety layer: every cell is
-	// content-addressed and looked up in the write-ahead journal
-	// (resume) and result cache before simulating, and journaled as it
-	// retires. See durable.Open / durable.Resume.
+	// content-addressed and looked up in the result cache before
+	// simulating, and a computed cell is filed there as it retires.
+	// Failed, drained, cancelled and traced cells are never filed, so
+	// a rerun recomputes them. See durable.Open.
 	Durable *durable.Run
 
 	// WrapMachine, when non-nil, wraps each cell's machine before the
@@ -371,11 +372,6 @@ func RunSuite(progs []*ir.Program, ex Experiment) ([][]Row, *telemetry.SchedStat
 		return nil, &st, fmt.Errorf("report: %s/%s failed (%s): %s",
 			f.Workload, f.Target, f.Reason, f.Message)
 	}
-	if ex.Durable != nil && ctx.Err() == nil && !ex.drained() {
-		// Natural end: journal run-complete so a resume of this
-		// directory replays every cell and recomputes nothing.
-		ex.Durable.RunComplete()
-	}
 	return all, &st, nil
 }
 
@@ -393,20 +389,18 @@ func runCell(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment
 	cell := prog.Name + "/" + tgt.String()
 	clog := slogx.OrNop(ex.Log).With(
 		slogx.KeyWorkload, prog.Name, slogx.KeyTarget, tgt.String())
-	// Durability: content-address the cell and try to serve it without
-	// simulating — from the replayed journal on a resume, or from the
-	// content cache on any run. A computed cell journals cell-started
-	// here and its terminal record as it retires.
+	// Durability: content-address the cell and serve it from the
+	// content cache without simulating when an earlier run in the
+	// directory finished it. A computed cell is filed as it retires.
 	var dhash string
 	if ex.Durable != nil && ex.Trace == nil && ctx.Err() == nil && !ex.drained() {
 		if h, err := cellHash(prog, tgt, ex); err == nil {
 			dhash = h
-			if hit := ex.Durable.Lookup(prog.Name, tgt.String(), dhash); hit != nil {
-				if row, ok := replayRow(hit, dhash, prog, tgt, ex, clog); ok {
+			if payload := ex.Durable.Lookup(prog.Name, tgt.String(), dhash); payload != nil {
+				if row, ok := replayRow(payload, prog, tgt, ex, clog); ok {
 					return row
 				}
 			}
-			ex.Durable.CellStarted(prog.Name, tgt.String(), dhash)
 		}
 		// A cell whose compile fails gets no hash and no durability:
 		// the attempt loop below reproduces the failure as ErrSetup.
@@ -449,7 +443,7 @@ func runCell(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment
 		row, pm, err := runAttempt(ctx, prog, tgt, ex, attempt, lane)
 		if err == nil {
 			row.Attempts = attempt
-			journalFinished(ex, prog.Name, tgt.String(), dhash, &row, false, clog)
+			fileRow(ex, prog.Name, tgt.String(), dhash, &row, clog)
 			ex.Status.Done(prog.Name, tgt.String(), row.WallSeconds, row.Core.Instructions)
 			clog.Debug("cell done", slogx.KeyAttempt, attempt,
 				"retired", row.Core.Instructions, "wall_seconds", row.WallSeconds)
@@ -476,7 +470,7 @@ func runCell(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment
 	ex.Status.Failed(prog.Name, tgt.String(), len(history), simeng.Reason(last))
 	clog.Error("cell failed", "reason", simeng.Reason(last),
 		"attempts", len(history), "postmortem", postmortem)
-	failed := Row{
+	return Row{
 		Target:   tgt,
 		Attempts: len(history),
 		Failure: &telemetry.FailureRecord{
@@ -491,13 +485,6 @@ func runCell(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment
 			Postmortem: postmortem,
 		},
 	}
-	// Journal the terminal failure with its attempt history — but only
-	// when it is the cell's own fault: a failure observed while the
-	// matrix is cancelled or draining must re-run on resume.
-	if ctx.Err() == nil && !ex.drained() {
-		journalFailed(ex, prog.Name, tgt.String(), dhash, &failed, clog)
-	}
-	return failed
 }
 
 // runAttempt executes one attempt of a cell under the panic guard and,
@@ -623,8 +610,8 @@ func runOne(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment,
 		// Transactional cell mode: counts accumulate locally and reach
 		// the registry only in the applyCounters call below, once the
 		// attempt has succeeded — so a failed or abandoned attempt
-		// contributes exactly zero and a journal replay re-applies the
-		// same delta the original computation did.
+		// contributes exactly zero and a cache hit re-applies the same
+		// delta the original computation did.
 		rm = telemetry.NewCellMetrics()
 	}
 

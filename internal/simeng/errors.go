@@ -33,10 +33,11 @@ var (
 	// load errors); setup failures are cell failures too, so the rest
 	// of a matrix can keep going.
 	ErrSetup = errors.New("setup error")
-	// ErrIO marks a durability-layer disk failure (short journal
-	// write, ENOSPC, fsync error, torn cache file). I/O failures are
-	// reported and survive-able: a cell whose journal append fails
-	// still returns its computed result; only its durability is lost.
+	// ErrIO marks a durability-layer disk failure (a cache entry or
+	// manifest that cannot be written: ENOSPC, fsync error, a path
+	// that is not a directory). I/O failures are reported and
+	// survive-able: a cell whose cache write fails still returns its
+	// computed result; only its durability is lost.
 	ErrIO = errors.New("i/o error")
 )
 

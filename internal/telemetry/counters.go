@@ -9,11 +9,11 @@ import (
 // Per-cell counter deltas are the durability layer's view of the
 // metrics registry: a cell accumulates its counts locally
 // (NewCellMetrics), folds in the predecode and fusion counters, and
-// the finished map is journaled with the result and applied to the
+// the finished map is cached with the result and applied to the
 // shared registry as one transaction. Sorted application keeps the
 // registry's creation order — and therefore the manifest metrics
-// snapshot — byte-identical whether a cell was computed, replayed
-// from the journal, or served from the content cache.
+// snapshot — byte-identical whether a cell was computed or served
+// from the content cache.
 
 // ApplyCounters adds a cell's counter delta to the registry in sorted
 // name order (nil registry or empty delta is a no-op).

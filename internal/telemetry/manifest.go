@@ -61,11 +61,10 @@ type Manifest struct {
 	Obs *ObsConfig `json:"obs,omitempty"`
 
 	// Durable summarises the crash-safety layer when one was armed:
-	// where the journal lives and how many cells were served from the
-	// replayed journal or content cache versus computed. Stripped by
-	// Canonicalize — it records provenance, not computation, and a
-	// resumed run must canonicalize byte-identical to an uninterrupted
-	// one. Schema v2.
+	// where the content cache lives and how many cells were served
+	// from it versus computed. Stripped by Canonicalize — it records
+	// provenance, not computation, and a rerun must canonicalize
+	// byte-identical to an uninterrupted run. Schema v2.
 	Durable *durable.Stats `json:"durable,omitempty"`
 
 	// Metrics is the final registry snapshot for the invocation.
@@ -200,9 +199,9 @@ type RunRecord struct {
 	Fusion *FusionStats `json:"fusion,omitempty"`
 
 	// Counters is the run's transactional metrics delta keyed by
-	// registry name (run.*, predecode.*, fusion.*), journaled with the
-	// record so a resumed or cache-served run re-applies exactly the
-	// delta the original computation produced. Deterministic, so
+	// registry name (run.*, predecode.*, fusion.*), cached with the
+	// record so a cache-served run re-applies exactly the delta the
+	// original computation produced. Deterministic, so
 	// Canonicalize keeps it. Absent when no registry was attached.
 	Counters map[string]uint64 `json:"counters,omitempty"`
 

@@ -129,13 +129,13 @@ func NewRunMetrics(r *Registry) *RunMetrics {
 
 // NewCellMetrics returns a RunMetrics in transactional cell mode: it
 // touches no registry; the accumulated counts are read back with
-// Counters once the cell retires and applied (or journaled) as one
+// Counters once the cell retires and applied (or cached) as one
 // atomic delta.
 func NewCellMetrics() *RunMetrics { return &RunMetrics{} }
 
 // Counters flushes and returns the standard counter map keyed by
-// registry name — the per-cell counter delta the durability journal
-// records and replay re-applies. Only meaningful in cell mode.
+// registry name — the per-cell counter delta the content cache
+// records and a cache hit re-applies. Only meaningful in cell mode.
 func (m *RunMetrics) Counters() map[string]uint64 {
 	m.Flush()
 	return map[string]uint64{
