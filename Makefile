@@ -45,9 +45,11 @@ check-run-patterns:
 # differential runs the cross-core / cross-ISA trace-equivalence
 # harness, the -parallel determinism tests, the batched run loop's
 # trace digest and faults against an unbatched run's, the diff of
-# the critical-path, windowed-CP and path-length analyses against
-# their naive references and the windowed-CP lane kernel against its
-# Go reference fold under the race detector.
+# the critical-path, windowed-CP and path-length analyses and of the
+# merged critical-path and windowed-CP walk (TestOracle*, FuzzCritPath
+# and FuzzWindowedCP) against their naive references, and the
+# windowed-CP lane kernel against its Go reference fold under the
+# race detector.
 differential:
 	$(GO) test -race -count=1 -run 'TestDifferential|TestParallel|TestRunCellParallel|TestStepNFaultsMatchUnbatched' .
 	$(GO) test -race -count=1 -run 'TestOracle|FuzzWindowedCP|FuzzCritPath|TestPathLengthMatchesReference|TestLaneKernelMatchesGoFold|TestLaneKernelRenormalises' ./internal/core

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"isacmp/internal/cc"
 	"isacmp/internal/core"
 	"isacmp/internal/ir"
 	"isacmp/internal/isa"
@@ -424,15 +425,26 @@ func replay(b *testing.B, evs []Event, events func([]Event), finish func()) {
 // event, over the recorded cell (recordedCell). paper runs the paper's
 // sizes at stride W/2, which fold by lanes; stride1 runs them at
 // stride 1, whose lane ring would exceed its budget, so they keep the
-// per-window fold. Both are allocation-free in steady state
-// (TestWindowedEventsZeroAlloc asserts it exactly).
+// per-window fold. merged runs the paper's sizes at stride W/2 in the
+// walk of a joint critical-path tracker over the cell's dense range
+// (CritPath.MergeWindowed), so it times Tables 1 and 2 and Figure 2
+// together, as a run with all of them attaches them. All three are
+// allocation-free in steady state (TestWindowedEventsZeroAlloc and
+// TestCritPathEventsZeroAlloc assert it exactly).
 func BenchmarkWindowedCP(b *testing.B) {
-	_, evs := recordedCell(b)
+	bin, evs := recordedCell(b)
 	run := func(b *testing.B, w *core.WindowedCritPath) {
 		replay(b, evs, w.Events, func() { w.Results() })
 	}
 	b.Run("paper", func(b *testing.B) { run(b, core.NewWindowedCritPathStride(core.PaperWindowSizes(), 0)) })
 	b.Run("stride1", func(b *testing.B) { run(b, core.NewWindowedCritPathStride(core.PaperWindowSizes(), 1)) })
+	b.Run("merged", func(b *testing.B) {
+		w := core.NewWindowedCritPathStride(core.PaperWindowSizes(), 0)
+		cp := core.NewJointCritPath(simeng.TX2Latencies())
+		cp.SetDenseRange(cc.TextBase, bin.compiled.MemSize)
+		cp.MergeWindowed(w)
+		replay(b, evs, cp.Events, func() { w.Results() })
+	})
 }
 
 // BenchmarkPathLength measures the path-length layer alone, in ns per

@@ -32,25 +32,31 @@ const ClockHz = 2e9
 // and differ only in weights, so NewJointCritPath follows both in one
 // walk over the events: each register and memory word keeps the unit
 // length and the scaled length side by side in one 16-byte slot,
-// where a one-chain tracker keeps 8 bytes.
+// where a one-chain tracker keeps 8 bytes. MergeWindowed adds the
+// Figure 2 analysis to the same walk, in a 24-byte slot that also
+// keeps the word's last writer.
 type CritPath struct {
 	// Latencies is the model the scaled chain is weighted by, nil for
 	// a tracker of the unit chain alone. The constructors copy its
 	// weights into the tracker.
 	Latencies *simeng.LatencyModel
 
-	// joint is set on a tracker of both chains, whose slots hold the
-	// unit length (lane 0) then the scaled one (lane 1); see slot.
-	joint bool
+	// words is the number of words in each register's and memory
+	// word's slot: 1, 2 on a tracker of both chains, 3 on a tracker
+	// merged with windowed CP; see slot.
+	words uint64
 	// weight is each group's weight, per lane.
 	weight [isa.NumGroups][2]uint64
+	// win is the windowed analyzer a merged tracker resolves the
+	// producers of, nil otherwise.
+	win *WindowedCritPath
 
 	reg []uint64 // isa.NumRegs slots
-	// mem and mem2 are the map fallback for words outside the dense
-	// range, keyed by word address: a one-chain tracker keeps one
-	// length per word in mem, a joint tracker both lengths in mem2.
-	mem  map[uint64]uint64
-	mem2 map[uint64][2]uint64
+	// mem is the map fallback for words outside the dense range, keyed
+	// by word address. Whatever the slot's size, it holds lane 0, lane
+	// 1 (lane 0 again on a one-chain tracker) and the last writer (0
+	// unless merged).
+	mem map[uint64][3]uint64
 	// pages is a two-level page table over the configured span
 	// [pageBase, pageBase+8*spanWords): a directory of lazily
 	// allocated fixed-size pages. The data segment of a paper-scale
@@ -67,9 +73,9 @@ type CritPath struct {
 
 // cpPageWords is the number of words one page of the memory chain
 // table covers: 4096 words = one 32 KiB allocation for one chain (64
-// KiB for two), small enough that sparse access stays cheap and large
-// enough that the directory of a multi-gigabyte span fits in a few
-// megabytes.
+// KiB for two, 96 KiB merged), small enough that sparse access stays
+// cheap and large enough that the directory of a multi-gigabyte span
+// fits in a few megabytes.
 const (
 	cpPageBits  = 12
 	cpPageWords = 1 << cpPageBits
@@ -94,7 +100,7 @@ func NewJointCritPath(l *simeng.LatencyModel) *CritPath {
 }
 
 func newCritPath(l *simeng.LatencyModel, joint bool) *CritPath {
-	c := &CritPath{Latencies: l}
+	c := &CritPath{Latencies: l, words: 1, mem: make(map[uint64][3]uint64)}
 	for g := range c.weight {
 		w := uint64(1)
 		if l != nil && isa.Group(g) != isa.GroupLoad && isa.Group(g) != isa.GroupStore {
@@ -106,14 +112,22 @@ func newCritPath(l *simeng.LatencyModel, joint bool) *CritPath {
 		}
 	}
 	if joint {
-		c.joint = true
-		c.reg = make([]uint64, 2*isa.NumRegs)
-		c.mem2 = make(map[uint64][2]uint64, 1<<12)
-	} else {
-		c.reg = make([]uint64, isa.NumRegs)
-		c.mem = make(map[uint64]uint64, 1<<12)
+		c.words = 2
 	}
+	c.reg = make([]uint64, c.words*isa.NumRegs)
 	return c
+}
+
+// MergeWindowed makes the tracker's walk resolve w's events as well,
+// so that one walk serves Tables 1 and 2 and Figure 2: each register
+// and memory word also keeps the event that last wrote it, and each
+// event hands w the distances back to its producers, deduplicated and
+// within w's largest window, as w's own resolver would. Attach the
+// tracker in place of w; w's Results reads the windows as before.
+// Call before the first event.
+func (c *CritPath) MergeWindowed(w *WindowedCritPath) {
+	c.win, c.words = w, 3
+	c.reg = make([]uint64, c.words*isa.NumRegs)
 }
 
 // SetDenseRange switches memory-chain tracking for [base, base+size)
@@ -128,87 +142,99 @@ func (c *CritPath) SetDenseRange(base, size uint64) {
 }
 
 // slot names the record kept per register and per memory word by its
-// number of lanes: [1]uint64 holds one chain's length, [2]uint64 the
-// unit chain's then the scaled chain's. The hot path is generic over
-// it, so the compiler builds one copy per lane count with the count a
-// constant, and a one-chain tracker pays nothing for a second lane.
-type slot interface{ [1]uint64 | [2]uint64 }
+// number of words: [1]uint64 holds one chain's length, [2]uint64 the
+// unit chain's then the scaled chain's, and [3]uint64 those two then
+// the event that last wrote it, on a tracker merged with windowed CP.
+// The hot path is generic over it, so the compiler builds one copy per
+// shape with the word count a constant, and a tracker pays nothing for
+// words it does not keep.
+type slot interface {
+	[1]uint64 | [2]uint64 | [3]uint64
+}
 
-// laneShift returns log2 of S's lane count: the shift from a register
-// or word index to its slot, and the index of lane 1 within the slot.
-// For a one-chain slot that is lane 0, so the hot path reads and
-// writes the one chain as both lanes, with the same weight in each.
-func laneShift[S slot]() uint64 {
+// slotWords returns S's word count: the stride from one register's or
+// memory word's slot to the next.
+func slotWords[S slot]() uint64 {
 	var v S
-	return uint64(len(v) - 1)
-}
-
-// wildGet returns the lengths recorded at a word outside the dense
-// range, lane 0 then lane 1.
-func (c *CritPath) wildGet(w uint64) (uint64, uint64) {
-	if !c.joint {
-		v := c.mem[w]
-		return v, v
-	}
-	v := c.mem2[w]
-	return v[0], v[1]
-}
-
-// wildSet records the lengths u (lane 0) and s (lane 1) at a word
-// outside the dense range.
-func (c *CritPath) wildSet(w, u, s uint64) {
-	if !c.joint {
-		c.mem[w] = s
-	} else {
-		c.mem2[w] = [2]uint64{u, s}
-	}
+	return uint64(len(v))
 }
 
 // Events extends dependency chains with a whole batch of retired
 // instructions — the isa.BatchSink fast path.
 func (c *CritPath) Events(evs []isa.Event) {
-	if c.joint {
+	switch c.words {
+	case 3:
+		for i := range evs {
+			step[[3]uint64](c, &evs[i])
+		}
+	case 2:
 		for i := range evs {
 			step[[2]uint64](c, &evs[i])
 		}
-		return
-	}
-	for i := range evs {
-		step[[1]uint64](c, &evs[i])
+	default:
+		for i := range evs {
+			step[[1]uint64](c, &evs[i])
+		}
 	}
 }
 
 // Event extends dependency chains with one retired instruction.
 func (c *CritPath) Event(ev *isa.Event) {
-	if c.joint {
+	switch c.words {
+	case 3:
+		step[[3]uint64](c, ev)
+	case 2:
 		step[[2]uint64](c, ev)
-	} else {
+	default:
 		step[[1]uint64](c, ev)
 	}
 }
 
 // step extends the chains with one event: u follows lane 0 and s lane
-// 1, which on a one-chain tracker are the same chain. The dense-range
-// lookups are written out in each access loop: a helper is too large
-// for the compiler to inline, and a call per word is a measurable
-// share of the hot path.
+// 1, which on a one-chain tracker are the same chain. On a merged
+// tracker it also numbers the event k as the windowed resolver does,
+// appends the distances back to the last writers of its sources and
+// load words to the windowed analyzer's run, and records k as the last
+// writer of its destinations. The dense-range lookups are written out
+// in each access loop: a helper is too large for the compiler to
+// inline, and a call per word is a measurable share of the hot path.
 func step[S slot](c *CritPath, ev *isa.Event) {
-	sh := laneShift[S]()
+	n := slotWords[S]()
+	l1 := min(n-1, 1) // lane 1's word: lane 0's in a one-chain slot
+	const wr = 2      // the last writer's word in a merged slot
+	merged := n == 3
 	c.insts++
 	var u, s uint64
-	for k := uint8(0); k < ev.NSrcs; k++ {
-		r := uint64(ev.Srcs[k]) << sh
-		u, s = max(u, c.reg[r]), max(s, c.reg[r|sh])
+	var k, reach uint64
+	var dist []uint32 // dist[start:] lists this event's producers
+	var start int
+	if merged {
+		reach = c.win.maxSize
+		k, dist = c.win.pos+reach, c.win.run.dist
+		start = len(dist)
+	}
+	for i := uint8(0); i < ev.NSrcs; i++ {
+		r := uint64(ev.Srcs[i]) * n
+		u, s = max(u, c.reg[r]), max(s, c.reg[r+l1])
+		if merged {
+			dist = producer(dist, start, k-c.reg[r+wr], reach)
+		}
 	}
 	if ev.LoadSize != 0 {
 		first, last := wordSpan(ev.LoadAddr, ev.LoadSize)
 		for w := first; w <= last; w += 8 {
 			if i := (w - c.pageBase) / 8; i >= c.spanWords {
-				a, b := c.wildGet(w)
-				u, s = max(u, a), max(s, b)
+				v := c.mem[w]
+				u, s = max(u, v[0]), max(s, v[1])
+				if merged {
+					dist = producer(dist, start, k-v[wr], reach)
+				}
 			} else if p := c.pages[i>>cpPageBits]; p != nil {
-				j := (i & cpPageMask) << sh
-				u, s = max(u, p[j]), max(s, p[j|sh])
+				j := (i & cpPageMask) * n
+				u, s = max(u, p[j]), max(s, p[j+l1])
+				if merged {
+					dist = producer(dist, start, k-p[j+wr], reach)
+				}
 			}
 		}
 	}
@@ -216,39 +242,54 @@ func step[S slot](c *CritPath, ev *isa.Event) {
 		first, last := wordSpan(ev.Load2Addr, ev.Load2Size)
 		for w := first; w <= last; w += 8 {
 			if i := (w - c.pageBase) / 8; i >= c.spanWords {
-				a, b := c.wildGet(w)
-				u, s = max(u, a), max(s, b)
+				v := c.mem[w]
+				u, s = max(u, v[0]), max(s, v[1])
+				if merged {
+					dist = producer(dist, start, k-v[wr], reach)
+				}
 			} else if p := c.pages[i>>cpPageBits]; p != nil {
-				j := (i & cpPageMask) << sh
-				u, s = max(u, p[j]), max(s, p[j|sh])
+				j := (i & cpPageMask) * n
+				u, s = max(u, p[j]), max(s, p[j+l1])
+				if merged {
+					dist = producer(dist, start, k-p[j+wr], reach)
+				}
 			}
 		}
 	}
 	w := &c.weight[ev.Group]
 	u, s = u+w[0], s+w[1]
 
-	for k := uint8(0); k < ev.NDsts; k++ {
-		r := uint64(ev.Dsts[k]) << sh
-		c.reg[r], c.reg[r|sh] = u, s
+	for i := uint8(0); i < ev.NDsts; i++ {
+		r := uint64(ev.Dsts[i]) * n
+		c.reg[r], c.reg[r+l1] = u, s
+		if merged {
+			c.reg[r+wr] = k
+		}
 	}
 	if ev.StoreSize != 0 {
 		first, last := wordSpan(ev.StoreAddr, ev.StoreSize)
 		for w := first; w <= last; w += 8 {
 			i := (w - c.pageBase) / 8
 			if i >= c.spanWords {
-				c.wildSet(w, u, s)
+				c.mem[w] = [3]uint64{u, s, k}
 				continue
 			}
 			p := c.pages[i>>cpPageBits]
 			if p == nil {
-				p = make([]uint64, cpPageWords<<sh)
+				p = make([]uint64, cpPageWords*n)
 				c.pages[i>>cpPageBits] = p
 			}
-			j := (i & cpPageMask) << sh
-			p[j], p[j|sh] = u, s
+			j := (i & cpPageMask) * n
+			p[j], p[j+l1] = u, s
+			if merged {
+				p[j+wr] = k
+			}
 		}
 	}
 	c.max[0], c.max[1] = max(c.max[0], u), max(c.max[1], s)
+	if merged {
+		c.win.resolved(dist)
+	}
 }
 
 // CP returns the length of the critical path observed so far: the
@@ -305,7 +346,7 @@ type TrackerStats struct {
 
 // TrackerStats reports the tracker's current memory footprint.
 func (c *CritPath) TrackerStats() TrackerStats {
-	return TrackerStats{MapEntries: len(c.mem) + len(c.mem2), DenseWords: int(c.spanWords)}
+	return TrackerStats{MapEntries: len(c.mem), DenseWords: int(c.spanWords)}
 }
 
 // wordSpan returns the first and last 8-byte-aligned words covered by

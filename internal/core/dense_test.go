@@ -127,8 +127,9 @@ func TestCritPathUnalignedSpan(t *testing.T) {
 }
 
 // TestCritPathEventsZeroAlloc proves the batch path of the tracker is
-// allocation-free once the touched pages exist, with one chain and
-// with both.
+// allocation-free once the touched pages exist, with one chain, with
+// both, and merged with windowed CP, whose run it then also fills and
+// folds.
 func TestCritPathEventsZeroAlloc(t *testing.T) {
 	const base = 0x1000
 	evs := make([]isa.Event, 256)
@@ -140,19 +141,22 @@ func TestCritPathEventsZeroAlloc(t *testing.T) {
 			evs[i] = loadEv(a, 8)
 		}
 	}
-	for _, c := range []*CritPath{NewCritPath(), NewJointCritPath(simeng.TX2Latencies())} {
+	merged := NewJointCritPath(simeng.TX2Latencies())
+	merged.MergeWindowed(NewWindowedCritPath(PaperWindowSizes()))
+	for _, c := range []*CritPath{NewCritPath(), NewJointCritPath(simeng.TX2Latencies()), merged} {
 		c.SetDenseRange(base, 1<<20)
 		c.Events(evs) // warm up: materializes the touched pages
 		allocs := testing.AllocsPerRun(100, func() { c.Events(evs) })
 		if allocs != 0 {
-			t.Fatalf("steady-state Events (joint %v) allocates %v times per run", c.joint, allocs)
+			t.Fatalf("steady-state Events (%d-word slots) allocates %v times per run", c.words, allocs)
 		}
 	}
 }
 
 // TestCritPathPageBytes: materialising a page of the dense table
-// allocates 8 bytes per word (32 KiB) for a one-chain tracker and 16
-// (64 KiB) for a joint one, and nothing else. TotalAlloc also counts
+// allocates 8 bytes per word (32 KiB) for a one-chain tracker, 16 (64
+// KiB) for a joint one and 24 (96 KiB) for one merged with windowed
+// CP, and nothing else. TotalAlloc also counts
 // what other goroutines allocate meanwhile (those an earlier test left
 // finishing), which only adds, so the least of a few fresh trackers'
 // deltas is the page's.
@@ -166,6 +170,11 @@ func TestCritPathPageBytes(t *testing.T) {
 		{"unit", NewCritPath, 32 << 10},
 		{"scaled", func() *CritPath { return NewScaledCritPath(lat) }, 32 << 10},
 		{"joint", func() *CritPath { return NewJointCritPath(lat) }, 64 << 10},
+		{"merged", func() *CritPath {
+			c := NewJointCritPath(lat)
+			c.MergeWindowed(NewWindowedCritPath(PaperWindowSizes()))
+			return c
+		}, 96 << 10},
 	} {
 		least := ^uint64(0)
 		for try := 0; try < 5; try++ {

@@ -20,7 +20,7 @@ const noKernel = "the CPU has no AVX2 with OS-enabled YMM state, so the lane ker
 func resolveAll(evs []isa.Event, sizes []int) *prodRun {
 	r, run := newResolver(maxWindow(sizes)), newProdRun(uint64(len(evs)))
 	for i := range evs {
-		run.add(&r, &evs[i])
+		run.push(r.resolve(&evs[i], run.dist))
 	}
 	return run
 }
@@ -177,7 +177,7 @@ func BenchmarkLaneFold(b *testing.B) {
 	res, run := newResolver(maxSize), newProdRun(1<<18)
 	record := isa.SinkFunc(func(ev *isa.Event) {
 		if run.end() < 1<<18 {
-			run.add(&res, ev)
+			run.push(res.resolve(ev, run.dist))
 		}
 	})
 	if _, err := (&simeng.EmulationCore{}).Run(mach, record); err != nil {

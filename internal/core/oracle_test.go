@@ -150,7 +150,9 @@ func refWindows(evs []isa.Event, sizes []int, stride int) []WindowResult {
 // checkOracle diffs every optimised analysis against the reference on
 // one stream. Windowed CP runs twice: as NewWindowedCritPathStride
 // picks its fold, and without the lane kernel, so laneFold, the lane
-// fold of CPUs without AVX2, is diffed on every host.
+// fold of CPUs without AVX2, is diffed on every host. So does the
+// merged walk (checkMerged), over the same split dense range as the
+// paged joint tracker.
 func checkOracle(t *testing.T, name string, evs []isa.Event, sizes []int, stride int) {
 	t.Helper()
 	want := refWindows(evs, sizes, stride)
@@ -185,7 +187,44 @@ func checkOracle(t *testing.T, name string, evs []isa.Event, sizes []int, stride
 			t.Fatalf("%s: %s CP %d / scaled %d, reference %d / %d", name, which, j.CP(), j.ScaledCP(), wantCP, wantScaled)
 		}
 	}
+	checkMerged(t, name, evs, sizes, stride, want, lo, (hi-lo)/2)
 	checkDepDist(t, name, evs)
+}
+
+// checkMerged diffs the merged walk against the reference on one
+// stream: a joint tracker merged with windowed CP (MergeWindowed), as
+// NewWindowedCritPathStride picks its fold and without the lane
+// kernel, over the dense range [base, base+size), which callers place
+// so that both the page table and the map fallback are hit. Its chains
+// and every window must equal the reference's (want is refWindows of
+// evs at sizes and stride), and its footprint that of a joint tracker
+// over the same range.
+func checkMerged(t *testing.T, name string, evs []isa.Event, sizes []int, stride int, want []WindowResult, base, size uint64) {
+	t.Helper()
+	lat := simeng.TX2Latencies()
+	wantCP, wantScaled := refCP(evs, lat)
+	joint := NewJointCritPath(lat)
+	joint.SetDenseRange(base, size)
+	joint.Events(evs)
+	for which, w := range map[string]*WindowedCritPath{
+		"selected fold":      NewWindowedCritPathStride(sizes, stride),
+		"without the kernel": newWindowedCritPath(sizes, stride, false),
+	} {
+		m := NewJointCritPath(lat)
+		m.SetDenseRange(base, size)
+		m.MergeWindowed(w)
+		m.Events(evs)
+		if m.CP() != wantCP || m.ScaledCP() != wantScaled || m.TrackerStats() != joint.TrackerStats() {
+			t.Fatalf("%s: merged walk (%s) CP %d / scaled %d, footprint %+v; reference %d / %d, joint footprint %+v",
+				name, which, m.CP(), m.ScaledCP(), m.TrackerStats(), wantCP, wantScaled, joint.TrackerStats())
+		}
+		for i, got := range w.Results() {
+			if got != want[i] {
+				t.Fatalf("%s: merged walk (%s) sizes %v stride %d, size %d = %+v, reference %+v",
+					name, which, sizes, stride, sizes[i], got, want[i])
+			}
+		}
+	}
 }
 
 // addrSpan returns the lowest and one past the highest byte address
@@ -444,8 +483,9 @@ func chainSeed(kind byte) []byte {
 // FuzzWindowedCP decodes bytes into an event stream (decodeEvents,
 // after a first byte that picks the stride) and checks that windowed
 // CP matches the reference, as NewWindowedCritPathStride picks its
-// fold and without the lane kernel, on two size sets that between them
-// reach the lane and per-window folds.
+// fold and without the lane kernel, alone and in the merged walk
+// (checkMerged) over FuzzCritPath's dense range, on two size sets that
+// between them reach the lane and per-window folds.
 func FuzzWindowedCP(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0xff, 0x13, 1, 2, 3, 4, 5, 6, 0, 0xff, 7, 0xff, 9, 0xff, 0xe2, 0x47, 1, 2, 0x10, 0xf0, 0x33, 0x80, 0x11, 0x40})
@@ -469,6 +509,7 @@ func FuzzWindowedCP(f *testing.F) {
 					t.Fatalf("sizes %v size %d: windowed %+v, without the kernel %+v, reference %+v", sizes, sizes[i], got, other, want[i])
 				}
 			}
+			checkMerged(t, "fuzz", evs, sizes, stride, want, fuzzBase, fuzzDenseEnd-fuzzBase)
 		}
 	})
 }
@@ -478,6 +519,10 @@ func FuzzWindowedCP(f *testing.F) {
 // one-chain trackers and a joint one over the dense range, whose seam
 // and end the placement bits reach, and a joint one on the map alone.
 // The paged joint tracker must also report the one-chain footprint.
+// The merged walk (checkMerged) runs over the same dense range at
+// strides 0, 1 and 3 with sizes that fold by lanes (by the kernel
+// where the CPU runs it, and by laneFold), and at stride 1 with sizes
+// whose ring is over the lane budget, so they fold per window.
 func FuzzCritPath(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0x13, 1, 2, 3, 4, 5, 6, 0, 0xff, 7, 0xff, 9, 0xff, 0xe2, 0x47, 1, 2, 0x10, 0xf0, 0x33, 0x80, 0x11, 0x40})
@@ -513,6 +558,12 @@ func FuzzCritPath(f *testing.F) {
 		}
 		if joint.TrackerStats() != unit.TrackerStats() {
 			t.Fatalf("joint footprint %+v, one-chain %+v", joint.TrackerStats(), unit.TrackerStats())
+		}
+		for _, w := range []struct {
+			sizes  []int
+			stride int
+		}{{[]int{1, 2, 3, 4, 7, 16, 64}, 0}, {[]int{1, 2, 3, 4, 7, 16, 64}, 1}, {[]int{1, 2, 3, 4, 7, 16, 64}, 3}, {[]int{1, 3, 600}, 1}} {
+			checkMerged(t, "fuzz", evs, w.sizes, w.stride, refWindows(evs, w.sizes, w.stride), fuzzBase, fuzzDenseEnd-fuzzBase)
 		}
 	})
 }

@@ -25,7 +25,8 @@ import (
 //
 // Several window sizes are evaluated simultaneously in one pass over
 // the stream. Each event's RAW producers are resolved once, on
-// arrival (see resolver), and a windowFold started at position 0
+// arrival, by its resolver or by the walk of a CritPath merged with it
+// (see CritPath.MergeWindowed), and a windowFold started at position 0
 // folds each chunk of resolved events into every window open at them:
 // by lanes when their ring fits laneBudget, with the lane kernel where
 // the CPU runs it (see laneKernel) and with laneFold elsewhere,
@@ -39,8 +40,8 @@ type WindowedCritPath struct {
 	folded  uint64 // events folded into results; the run holds the rest
 	results []windowAccum
 
-	res resolver
-	run prodRun // events [run.base, pos): the last maxSize to 2*maxSize
+	res resolver // idle while a merged CritPath resolves the events
+	run prodRun  // events [run.base, pos): the last maxSize to 2*maxSize
 }
 
 // resolver turns each event's register sources and load words (both
@@ -69,18 +70,18 @@ func newResolver(maxDist uint64) resolver {
 func (r *resolver) resolve(ev *isa.Event, dist []uint32) []uint32 {
 	k, start := r.n+1, len(dist)
 	for i := uint8(0); i < ev.NSrcs; i++ {
-		dist = r.producer(dist, start, k-r.reg[ev.Srcs[i]])
+		dist = producer(dist, start, k-r.reg[ev.Srcs[i]], r.maxDist)
 	}
 	if ev.LoadSize != 0 {
 		first, last := wordSpan(ev.LoadAddr, ev.LoadSize)
 		for a := first; a <= last; a += 8 {
-			dist = r.producer(dist, start, k-r.mem.get(a))
+			dist = producer(dist, start, k-r.mem.get(a), r.maxDist)
 		}
 	}
 	if ev.Load2Size != 0 { // second access of a fused load pair
 		first, last := wordSpan(ev.Load2Addr, ev.Load2Size)
 		for a := first; a <= last; a += 8 {
-			dist = r.producer(dist, start, k-r.mem.get(a))
+			dist = producer(dist, start, k-r.mem.get(a), r.maxDist)
 		}
 	}
 	r.n = k
@@ -99,9 +100,9 @@ func (r *resolver) resolve(ev *isa.Event, dist []uint32) []uint32 {
 }
 
 // producer appends distance d to the list dist[start:] unless it is
-// out of reach or already listed.
-func (r *resolver) producer(dist []uint32, start int, d uint64) []uint32 {
-	if d >= r.maxDist {
+// out of reach, reach or more events back, or already listed.
+func producer(dist []uint32, start int, d, reach uint64) []uint32 {
+	if d >= reach {
 		return dist
 	}
 	for _, x := range dist[start:] {
@@ -198,10 +199,11 @@ func newProdRun(n uint64) *prodRun {
 
 func (p *prodRun) end() uint64 { return p.base + uint64(len(p.off)-1) }
 
-// add resolves ev and appends it to the run.
-func (p *prodRun) add(r *resolver, ev *isa.Event) {
-	p.dist = r.resolve(ev, p.dist)
-	p.off = append(p.off, uint32(len(p.dist)))
+// push appends the next event to the run. dist is the run's producer
+// list with that event's producer distances appended.
+func (p *prodRun) push(dist []uint32) {
+	p.dist = dist
+	p.off = append(p.off, uint32(len(dist)))
 }
 
 // carry drops all but the last n events of the run.
@@ -657,16 +659,22 @@ func (w *WindowedCritPath) Events(evs []isa.Event) {
 	}
 }
 
-// Event resolves one instruction. The windows are folded a chunk at a
-// time: the events resolved since the last fold, in one fold call,
-// once the run is full and when Results is called.
+// Event resolves one instruction.
 func (w *WindowedCritPath) Event(ev *isa.Event) {
-	if w.pos-w.run.base == 2*w.maxSize {
+	w.resolved(w.res.resolve(ev, w.run.dist))
+}
+
+// resolved appends the next event to the run. dist is the run's
+// producer list with that event's producer distances appended, by the
+// analyzer's resolver or by a merged CritPath's walk. The windows are
+// folded a chunk at a time: the events resolved since the last fold,
+// in one fold call, once the run is full and when Results is called.
+func (w *WindowedCritPath) resolved(dist []uint32) {
+	w.run.push(dist)
+	if w.pos++; w.pos-w.run.base == 2*w.maxSize {
 		w.catchUp()
 		w.run.carry(w.maxSize)
 	}
-	w.run.add(&w.res, ev)
-	w.pos++
 }
 
 // catchUp folds the events resolved since the last fold.

@@ -76,7 +76,8 @@ func TestKeyHashInjective(t *testing.T) {
 
 // TestRunOpenResumeLookup pins the run handle over one directory: a
 // computed cell is filed and counted, and any later handle on the
-// directory, Resume's alias included, serves it from the cache.
+// directory, Resume's alias included, serves it from the cache. A hit
+// counts as cached once the caller reports it Served, not at Lookup.
 func TestRunOpenResumeLookup(t *testing.T) {
 	dir := t.TempDir()
 	r, err := Open(dir, nil)
@@ -105,6 +106,10 @@ func TestRunOpenResumeLookup(t *testing.T) {
 		if got := r2.Lookup("lbm", "rv64", hash); string(got) != `{"a":1}` {
 			t.Fatalf("cache hit = %q", got)
 		}
+		if st := r2.Stats(); st.Cached != 0 {
+			t.Fatalf("stats = %+v before the hit was served", st)
+		}
+		r2.Served()
 		if st := r2.Stats(); st.Cached != 1 || st.Computed != 0 {
 			t.Fatalf("stats = %+v", st)
 		}

@@ -8,7 +8,8 @@ import "sync"
 type Stats struct {
 	// Dir is the run directory holding the cache.
 	Dir string `json:"dir"`
-	// Cached counts cells served from the content cache.
+	// Cached counts cells served from the content cache: entries the
+	// caller accepted and reported Served.
 	Cached int `json:"cached_cells"`
 	// Computed counts cells simulated this run and handed to the
 	// cache. Failed cells are neither filed nor counted.
@@ -54,24 +55,30 @@ func Resume(dir string, opts *Options) (*Run, error) { return Open(dir, opts) }
 
 // Lookup returns the cached payload of the cell whose inputs hash to
 // hash, or nil when the cell must be computed. workload and target
-// name the cell; the hash alone addresses its entry.
+// name the cell; the hash alone addresses its entry. A payload the
+// caller serves is counted by Served; one it rejects is not, and the
+// cell it recomputes counts in Computed instead.
 func (r *Run) Lookup(workload, target, hash string) []byte {
 	payload, ok := r.cache.Get(hash)
 	if !ok {
 		return nil
 	}
+	return payload
+}
+
+// Served counts a cell served from a payload Lookup returned.
+func (r *Run) Served() {
 	r.mu.Lock()
 	r.stats.Cached++
 	r.mu.Unlock()
-	return payload
 }
 
 // CellFinished files a computed cell's canonical row in the cache and
 // counts it in Computed. A failed put is survived: the result stays in
 // memory, the cell counts in IOErrors, and Warn says why. fromCache
-// marks a cell that Lookup served, which is filed and counted
-// already, so the call does nothing; only bench/trace.go passes true,
-// and ROADMAP item 5 drops the parameter.
+// marks a cell served from the cache, which is filed already, so the
+// call does nothing; only bench/trace.go passes true, and ROADMAP item
+// 5 drops the parameter.
 func (r *Run) CellFinished(workload, target, hash string, payload []byte, fromCache bool) {
 	if fromCache {
 		return

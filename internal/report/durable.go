@@ -85,9 +85,10 @@ func fileRow(ex Experiment, workload, target, hash string, row *Row, clog *slog.
 // replayRow reconstructs a cell's Row from its cache payload: the
 // payload unmarshals back into the exact Row the original run
 // computed, its counter delta is re-applied to the registry, and the
-// status board marks the cell served. Returns ok=false when the
-// payload is unusable (it does not parse, names another target, or
-// holds a failure); the cell then recomputes.
+// durable run and the status board count the cell served. Returns
+// ok=false when the payload is unusable (it does not parse, names
+// another target, or holds a failure); the cell then recomputes, and
+// counts as computed alone.
 func replayRow(payload []byte, prog *ir.Program, tgt cc.Target, ex Experiment, clog *slog.Logger) (Row, bool) {
 	var row Row
 	if err := json.Unmarshal(payload, &row); err != nil {
@@ -100,6 +101,7 @@ func replayRow(payload []byte, prog *ir.Program, tgt cc.Target, ex Experiment, c
 		return Row{}, false
 	}
 	telemetry.ApplyCounters(ex.Metrics, row.Counters)
+	ex.Durable.Served()
 	ex.Status.Served(prog.Name, tgt.String(), row.Core.Instructions)
 	clog.Debug("cell served from cache", "retired", row.Core.Instructions)
 	return row, true

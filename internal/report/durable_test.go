@@ -131,6 +131,39 @@ func TestDurableResumeAfterLostEntries(t *testing.T) {
 	}
 }
 
+// TestDurableRejectedEntryCountedOnce overwrites one entry of a 4-cell
+// run with a payload that parses but names another target: the rerun
+// rejects it and recomputes that cell, so it counts as computed alone,
+// and the stats add up to the 4 cells served or filed.
+func TestDurableRejectedEntryCountedOnce(t *testing.T) {
+	progs := resilienceProgs(t)[:1]
+	dir := t.TempDir()
+	drun, err := durable.Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantManifest, wantText, _ := runDurable(t, progs, durableEx(), drun)
+	entries := cacheEntries(t, dir)
+	if len(entries) != 4 {
+		t.Fatalf("cache holds %d entries, want 4", len(entries))
+	}
+	if err := os.WriteFile(entries[0], []byte(`{"target":"nonsense"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rerun, err := durable.Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotManifest, gotText, st := runDurable(t, progs, durableEx(), rerun)
+	if st.Cached != 3 || st.Computed != 1 {
+		t.Fatalf("stats = %+v, want 3 cells served and 1 recomputed", st)
+	}
+	if gotManifest != wantManifest || gotText != wantText {
+		t.Error("rerun output drifted from the original run")
+	}
+}
+
 // TestDurableWarmCacheZeroRecompute pins the content-cache contract: a
 // second Open of the same directory serves every cell from cache,
 // recomputes zero, and still produces byte-identical output.

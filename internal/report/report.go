@@ -685,9 +685,7 @@ func runOne(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment,
 	if err != nil {
 		return row, err
 	}
-	for i, name := range set.names {
-		row.Sinks = append(row.Sinks, busyStats(name, n, busyNs[i]))
-	}
+	row.Sinks = set.rows(n, busyNs)
 	if ex.Prof.Enabled() {
 		// Each sink's time is laid out after simulate/deliver on the
 		// cell's lane, so the timeline renders without overlap even
@@ -697,14 +695,14 @@ func runOne(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment,
 		stages := emu.Stages
 		stages.DeliverNs -= inlineNs
 		cursor := recordStageSpans(ex.Prof, lane, cell, runStart, stages)
-		for _, ss := range row.Sinks {
+		for i, ss := range row.Sinks {
+			if set.carried[i] {
+				continue // no time of its own
+			}
 			est := int64(ss.EstOverheadNs)
 			ex.Prof.Record(lane, prof.StageSink, ss.Name, cell, cursor, cursor+est)
 			cursor += est
 		}
-	}
-	if ex.joint() {
-		row.Sinks = telemetry.AddCarriedRow(row.Sinks, "critpath", "scaledcp")
 	}
 	row.WallSeconds = time.Since(start).Seconds()
 	row.Core = source.PipelineStats()
@@ -733,6 +731,22 @@ func l1d(on bool) *simeng.Cache {
 		return simeng.NewL1D()
 	}
 	return nil
+}
+
+// rows builds the set's sink rows over events events, given each
+// attached sink's busy time in attachment order. A carried row counts
+// the events and no time.
+func (a *AnalysisSet) rows(events uint64, busyNs []int64) []telemetry.SinkStats {
+	out := make([]telemetry.SinkStats, 0, len(a.names))
+	for i, name := range a.names {
+		if a.carried[i] {
+			out = append(out, telemetry.SinkStats{Name: name, Events: events})
+			continue
+		}
+		out = append(out, busyStats(name, events, busyNs[0]))
+		busyNs = busyNs[1:]
+	}
+	return out
 }
 
 // busyStats builds a consumer's sink row. The tee and the fan-out

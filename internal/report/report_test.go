@@ -61,9 +61,10 @@ func TestRunAllAnalyses(t *testing.T) {
 			if r.BranchDensity <= 0 || r.BranchDensity >= 1 {
 				t.Fatalf("%s: branch density %v", r.Target, r.BranchDensity)
 			}
-			// One tracker walks the events for Table 1 and Table 2, yet
-			// both keep their sink row: critpath's carries the pass's
-			// time, scaledcp's counts the events and no time.
+			// One tracker walks the events for Table 1, Table 2 and
+			// Figure 2, yet each keeps its sink row: critpath's carries
+			// the pass's time, scaledcp's and windowcp's count the
+			// events and no time.
 			var names []string
 			for _, s := range r.Sinks {
 				names = append(names, s.Name)
@@ -71,9 +72,11 @@ func TestRunAllAnalyses(t *testing.T) {
 			if got := strings.Join(names, ","); got != "pathlen,critpath,scaledcp,windowcp,mix,branch" {
 				t.Fatalf("parallel %d, %s: sink rows %s", parallel, r.Target, got)
 			}
-			cp, scaled := r.Sinks[1], r.Sinks[2]
-			if scaled.Events != cp.Events || scaled.SampledEvents != 0 || scaled.SampledNs != 0 {
-				t.Fatalf("parallel %d, %s: scaledcp row %+v beside critpath row %+v", parallel, r.Target, scaled, cp)
+			cp := r.Sinks[1]
+			for _, carried := range r.Sinks[2:4] {
+				if carried.Events != cp.Events || carried.SampledEvents != 0 || carried.SampledNs != 0 {
+					t.Fatalf("parallel %d, %s: %s row %+v beside critpath row %+v", parallel, r.Target, carried.Name, carried, cp)
+				}
 			}
 			if cp.SampledEvents != cp.Events {
 				t.Fatalf("parallel %d, %s: critpath row %+v did not time the joint pass", parallel, r.Target, cp)

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"slices"
 	"time"
 
 	"isacmp/internal/isa"
@@ -79,19 +78,6 @@ type SinkStats struct {
 	EstOverheadNs uint64 `json:"est_overhead_ns"`
 	// MeanNsPerEvent is the mean cost of one event.
 	MeanNsPerEvent float64 `json:"mean_ns_per_event"`
-}
-
-// AddCarriedRow inserts a row named name after the row named host, for
-// an analysis the host's sink computes in the same pass. The new row
-// counts the host's events and carries no time: the host's row holds
-// the time of the whole pass.
-func AddCarriedRow(rows []SinkStats, host, name string) []SinkStats {
-	for i, r := range rows {
-		if r.Name == host {
-			return slices.Insert(rows, i+1, SinkStats{Name: name, Events: r.Events})
-		}
-	}
-	return rows
 }
 
 // RunMetrics is the standard event-stream instrumentation: a sink

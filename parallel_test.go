@@ -159,7 +159,9 @@ func TestRunCellParallelWithModel(t *testing.T) {
 // plausible timeline: spans for every stage on valid lanes, and setup
 // and simulate spans for every cell. It covers the paper's four
 // analyses and the run subcommand's configuration (the out-of-order
-// model with mix and branch).
+// model with mix and branch). A carried sink row has no time of its
+// own, so it has no span: with all four analyses, the critical-path
+// tracker's walk carries the scaled and the windowed analyses.
 func TestProfiledByteIdentical(t *testing.T) {
 	progs := Suite(Tiny)
 	run := func(ex report.Experiment, parallel int, p *prof.Profiler) (text, manifest []byte) {
@@ -187,14 +189,14 @@ func TestProfiledByteIdentical(t *testing.T) {
 	}
 
 	for _, c := range []struct {
-		name  string
-		ex    report.Experiment
-		sinks []string
+		name           string
+		ex             report.Experiment
+		sinks, carried []string
 	}{
 		{"matrix", report.Experiment{PathLength: true, CritPath: true, Scaled: true, Windowed: true},
-			[]string{"sink:pathlen", "sink:windowcp"}},
+			[]string{"sink:pathlen", "sink:critpath"}, []string{"sink:scaledcp", "sink:windowcp"}},
 		{"run", report.Experiment{Core: "ooo", Mix: true},
-			[]string{"sink:mix", "sink:branch", "sink:ooo-model"}},
+			[]string{"sink:mix", "sink:branch", "sink:ooo-model"}, nil},
 	} {
 		baseText, baseManifest := run(c.ex, 1, nil)
 		for _, workers := range []int{1, 3} {
@@ -225,6 +227,11 @@ func TestProfiledByteIdentical(t *testing.T) {
 			for _, want := range append([]string{"setup", "simulate", "deliver"}, c.sinks...) {
 				if !stages[want] {
 					t.Errorf("%s, parallel=%d: no %q spans captured (got %v)", c.name, workers, want, stages)
+				}
+			}
+			for _, carried := range c.carried {
+				if stages[carried] {
+					t.Errorf("%s, parallel=%d: a carried row has %q spans (got %v)", c.name, workers, carried, stages)
 				}
 			}
 			for _, pr := range progs {
