@@ -287,8 +287,8 @@ func step[S slot](c *CritPath, ev *isa.Event) {
 		}
 	}
 	c.max[0], c.max[1] = max(c.max[0], u), max(c.max[1], s)
-	if merged {
-		c.win.resolved(dist)
+	if merged && c.win.resolved(dist) {
+		c.win.carry()
 	}
 }
 

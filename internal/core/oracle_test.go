@@ -536,6 +536,15 @@ func FuzzCritPath(f *testing.F) {
 		0xa9, 0x47, 2, 3, 0x10, 8, 0xff, 0x90, // x3 = f(x2, near load); store x3 across both
 		0x69, 0x39, 3, 4, 0xf8, 0x10, 0xf0, 0xa0, // x4 = f(x3, fused pair across both)
 	})
+	// A load whose words past the range's end, in the map fallback,
+	// were last written by a deeper store than its words inside it, so
+	// the map's last writer alone decides the load's deepest producer.
+	f.Add([]byte{
+		0x09, 0x02, 1, 1, 0x09, 0x02, 1, 1, 0x09, 0x02, 1, 1, // x1 = f(x1), three times
+		0x81, 0x42, 1, 0xf8, 0xa0, // store x1 from the seam to past the end
+		0x80, 0x42, 0xf8, 0x88, // store nothing up to the end
+		0x28, 0x12, 2, 0xf8, 0xa0, // x2 = load of the first store's span
+	})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		evs := decodeEvents(data)

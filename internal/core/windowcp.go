@@ -661,20 +661,30 @@ func (w *WindowedCritPath) Events(evs []isa.Event) {
 
 // Event resolves one instruction.
 func (w *WindowedCritPath) Event(ev *isa.Event) {
-	w.resolved(w.res.resolve(ev, w.run.dist))
+	if w.resolved(w.res.resolve(ev, w.run.dist)) {
+		w.carry()
+	}
 }
 
 // resolved appends the next event to the run. dist is the run's
 // producer list with that event's producer distances appended, by the
-// analyzer's resolver or by a merged CritPath's walk. The windows are
-// folded a chunk at a time: the events resolved since the last fold,
-// in one fold call, once the run is full and when Results is called.
-func (w *WindowedCritPath) resolved(dist []uint32) {
+// analyzer's resolver or by a merged CritPath's walk. It reports
+// whether the run is full, and the caller must then call carry before
+// the next event; it stays small enough for the compiler to inline
+// into the per-event loops.
+func (w *WindowedCritPath) resolved(dist []uint32) (full bool) {
 	w.run.push(dist)
-	if w.pos++; w.pos-w.run.base == 2*w.maxSize {
-		w.catchUp()
-		w.run.carry(w.maxSize)
-	}
+	w.pos++
+	return w.pos-w.run.base == 2*w.maxSize
+}
+
+// carry folds the full run a chunk at a time, the events resolved
+// since the last fold in one fold call, and keeps the last maxSize
+// events, which hold every later event's producers and every tail
+// window. Results folds the rest.
+func (w *WindowedCritPath) carry() {
+	w.catchUp()
+	w.run.carry(w.maxSize)
 }
 
 // catchUp folds the events resolved since the last fold.
