@@ -55,14 +55,22 @@ differential:
 	$(GO) test -race -count=1 -run 'TestOracle|FuzzWindowedCP|FuzzCritPath|TestPathLengthMatchesReference|TestLaneKernelMatchesGoFold|TestLaneKernelRenormalises' ./internal/core
 
 # golden checks the pinned paper artifacts (Table 1/2, Figure 1/2,
-# canonical manifests of the matrix and of the run subcommand) and the
-# SHA-256 of every compiled image under the race detector. Regenerate
+# canonical manifests of the matrix and of the run subcommand), the
+# SHA-256 of every compiled image, the retirement stream of every Tiny
+# suite cell (trace digest and event count) and each operation's
+# execution record on both ISAs under the race detector. Regenerate
 # after an intentional output change with:
 #	$(GO) test ./internal/report -run TestGolden -update
 #	$(GO) test ./internal/cc -run TestImageGolden -update
+#	$(GO) test . -run TestTraceGolden -update
+#	$(GO) test ./internal/a64 -run TestOperandGolden -update
+#	$(GO) test ./internal/rv64 -run TestOperandGolden -update
 golden:
 	$(GO) test -race -count=1 -run TestGolden ./internal/report
 	$(GO) test -race -count=1 -run TestImageGolden ./internal/cc
+	$(GO) test -race -count=1 -run TestTraceGolden .
+	$(GO) test -race -count=1 -run TestOperandGolden ./internal/a64
+	$(GO) test -race -count=1 -run TestOperandGolden ./internal/rv64
 
 # check-faults runs the fault-injection and shutdown-path suites under
 # the race detector: matrix survival with injected decode/memory/panic
