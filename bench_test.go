@@ -271,63 +271,66 @@ func BenchmarkFullMatrixParallel(b *testing.B) { benchFullMatrix(b, 0) }
 
 // BenchmarkStepVsStepN compares the per-Step interface against the
 // batched StepN fast path on the same machine, in ns per retired
-// instruction. Step is StepN over one event, so the difference is
-// what a batch saves: a call, the halt check and the loads and stores
-// of the PC and retired count per instruction. Both paths are
-// allocation-free in steady state (allocs/op rounds to 0;
-// TestStepNZeroAllocMachines asserts it exactly).
+// instruction, for STREAM on each ISA's fetch–execute loop. Step is
+// StepN over one event, so the difference is what a batch saves: a
+// call, the halt check and the loads and stores of the PC and retired
+// count per instruction. Both paths are allocation-free in steady
+// state (allocs/op rounds to 0; TestStepNZeroAllocMachines asserts it
+// exactly).
 func BenchmarkStepVsStepN(b *testing.B) {
 	prog := Workload("stream", benchScale)
-	bin, err := Compile(prog, Target{Arch: AArch64, Flavor: GCC12})
-	if err != nil {
-		b.Fatal(err)
-	}
-	fresh := func(b *testing.B) simeng.Machine {
-		m, _, err := bin.NewMachine()
+	for _, arch := range []Arch{AArch64, RV64} {
+		bin, err := Compile(prog, Target{Arch: arch, Flavor: GCC12})
 		if err != nil {
 			b.Fatal(err)
 		}
-		return m
+		fresh := func(b *testing.B) simeng.Machine {
+			m, _, err := bin.NewMachine()
+			if err != nil {
+				b.Fatal(err)
+			}
+			return m
+		}
+		b.Run(arch.String()+"/Step", func(b *testing.B) {
+			mach := fresh(b)
+			var ev isa.Event
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				done, err := mach.Step(&ev)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if done {
+					b.StopTimer()
+					mach = fresh(b)
+					b.StartTimer()
+				}
+			}
+		})
+		b.Run(arch.String()+"/StepN", func(b *testing.B) {
+			mach := fresh(b)
+			buf := make([]isa.Event, 4096)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; {
+				take := b.N - n
+				if take > len(buf) {
+					take = len(buf)
+				}
+				k, done, err := mach.StepN(buf[:take])
+				if err != nil {
+					b.Fatal(err)
+				}
+				n += k
+				if done {
+					b.StopTimer()
+					mach = fresh(b)
+					b.StartTimer()
+				}
+			}
+		})
 	}
-	b.Run("Step", func(b *testing.B) {
-		mach := fresh(b)
-		var ev isa.Event
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			done, err := mach.Step(&ev)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if done {
-				b.StopTimer()
-				mach = fresh(b)
-				b.StartTimer()
-			}
-		}
-	})
-	b.Run("StepN", func(b *testing.B) {
-		mach := fresh(b)
-		buf := make([]isa.Event, 4096)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for n := 0; n < b.N; {
-			take := b.N - n
-			if take > len(buf) {
-				take = len(buf)
-			}
-			k, done, err := mach.StepN(buf[:take])
-			if err != nil {
-				b.Fatal(err)
-			}
-			n += k
-			if done {
-				b.StopTimer()
-				mach = fresh(b)
-				b.StartTimer()
-			}
-		}
-	})
 }
 
 // BenchmarkCritPathDenseVsMap compares the memory dependency tracker

@@ -45,17 +45,13 @@ func (m *Machine) StepN(evs []isa.Event) (n int, done bool, err error) {
 		}
 
 		ev := &evs[n]
-		ev.Reset()
-		ev.PC = pc
-		ev.Word = m.Words[idx]
-		ev.Group = m.Groups[idx]
+		*ev = m.Tmpl[idx]
 
 		nextPC := pc + 4
 
 		switch i.Op {
 		case ADDi, SUBi:
 			// SP-context for both Rn and Rd (this form moves to/from SP).
-			addSPSrc(ev, i.Rn)
 			imm := uint64(i.Imm)
 			if i.ShiftHi {
 				imm <<= 12
@@ -68,10 +64,8 @@ func (m *Machine) StepN(evs []isa.Event) (n int, done bool, err error) {
 				v = uint64(uint32(v))
 			}
 			m.X[i.Rd] = v
-			addSPDst(ev, i.Rd)
 
 		case ADDSi, SUBSi:
-			addSPSrc(ev, i.Rn)
 			imm := uint64(i.Imm)
 			if i.ShiftHi {
 				imm <<= 12
@@ -84,11 +78,8 @@ func (m *Machine) StepN(evs []isa.Event) (n int, done bool, err error) {
 				v = m.addWithFlags(a, ^imm, 1, i.Sf)
 			}
 			m.setX(i.Rd, v, i.Sf)
-			addDst(ev, i.Rd)
-			ev.AddDst(isa.RegNZCV)
 
 		case ANDi, ORRi, EORi, ANDSi:
-			addSrc(ev, i.Rn)
 			a := m.xr(i.Rn)
 			b := uint64(i.Imm)
 			var v uint64
@@ -105,47 +96,34 @@ func (m *Machine) StepN(evs []isa.Event) (n int, done bool, err error) {
 			}
 			if i.Op == ANDSi {
 				m.logicFlags(v, i.Sf)
-				ev.AddDst(isa.RegNZCV)
 			}
 			m.setX(i.Rd, v, i.Sf)
-			addDst(ev, i.Rd)
 
 		case MOVZ:
 			m.setX(i.Rd, uint64(i.Imm)<<(16*uint(i.Hw)), i.Sf)
-			addDst(ev, i.Rd)
 		case MOVN:
 			m.setX(i.Rd, ^(uint64(i.Imm) << (16 * uint(i.Hw))), i.Sf)
-			addDst(ev, i.Rd)
 		case MOVK:
-			addSrc(ev, i.Rd) // movk merges into the destination
 			sh := 16 * uint(i.Hw)
 			v := m.xr(i.Rd)&^(0xffff<<sh) | uint64(i.Imm)<<sh
 			m.setX(i.Rd, v, i.Sf)
-			addDst(ev, i.Rd)
 
 		case SBFM, UBFM:
-			addSrc(ev, i.Rn)
 			regsize := uint(32)
 			if i.Sf {
 				regsize = 64
 			}
 			m.setX(i.Rd, bfm(m.xr(i.Rn), i.ImmR, i.ImmS, regsize, i.Op == SBFM), i.Sf)
-			addDst(ev, i.Rd)
 
 		case ADDr, SUBr:
-			addSrc(ev, i.Rn)
-			addSrc(ev, i.Rm)
 			b := shiftedOperand(m.xr(i.Rm), i.ShiftKind, i.ShiftAmt, i.Sf)
 			v := m.xr(i.Rn) + b
 			if i.Op == SUBr {
 				v = m.xr(i.Rn) - b
 			}
 			m.setX(i.Rd, v, i.Sf)
-			addDst(ev, i.Rd)
 
 		case ADDSr, SUBSr:
-			addSrc(ev, i.Rn)
-			addSrc(ev, i.Rm)
 			b := shiftedOperand(m.xr(i.Rm), i.ShiftKind, i.ShiftAmt, i.Sf)
 			var v uint64
 			if i.Op == ADDSr {
@@ -154,12 +132,8 @@ func (m *Machine) StepN(evs []isa.Event) (n int, done bool, err error) {
 				v = m.addWithFlags(m.xr(i.Rn), ^b, 1, i.Sf)
 			}
 			m.setX(i.Rd, v, i.Sf)
-			addDst(ev, i.Rd)
-			ev.AddDst(isa.RegNZCV)
 
 		case ANDr, ORRr, EORr, ANDSr, BICr:
-			addSrc(ev, i.Rn)
-			addSrc(ev, i.Rm)
 			b := shiftedOperand(m.xr(i.Rm), i.ShiftKind, i.ShiftAmt, i.Sf)
 			a := m.xr(i.Rn)
 			var v uint64
@@ -178,15 +152,10 @@ func (m *Machine) StepN(evs []isa.Event) (n int, done bool, err error) {
 			}
 			if i.Op == ANDSr {
 				m.logicFlags(v, i.Sf)
-				ev.AddDst(isa.RegNZCV)
 			}
 			m.setX(i.Rd, v, i.Sf)
-			addDst(ev, i.Rd)
 
 		case MADD, MSUB:
-			addSrc(ev, i.Rn)
-			addSrc(ev, i.Rm)
-			addSrc(ev, i.Ra)
 			p := m.xr(i.Rn) * m.xr(i.Rm)
 			var v uint64
 			if i.Op == MADD {
@@ -195,17 +164,11 @@ func (m *Machine) StepN(evs []isa.Event) (n int, done bool, err error) {
 				v = m.xr(i.Ra) - p
 			}
 			m.setX(i.Rd, v, i.Sf)
-			addDst(ev, i.Rd)
 
 		case SDIV, UDIV:
-			addSrc(ev, i.Rn)
-			addSrc(ev, i.Rm)
 			m.setX(i.Rd, divide(i.Op == SDIV, m.xr(i.Rn), m.xr(i.Rm), i.Sf), i.Sf)
-			addDst(ev, i.Rd)
 
 		case LSLV, LSRV, ASRV:
-			addSrc(ev, i.Rn)
-			addSrc(ev, i.Rm)
 			bits := uint64(63)
 			if !i.Sf {
 				bits = 31
@@ -229,12 +192,8 @@ func (m *Machine) StepN(evs []isa.Event) (n int, done bool, err error) {
 				}
 			}
 			m.setX(i.Rd, v, i.Sf)
-			addDst(ev, i.Rd)
 
 		case CSEL, CSINC, CSINV, CSNEG:
-			addSrc(ev, i.Rn)
-			addSrc(ev, i.Rm)
-			ev.AddSrc(isa.RegNZCV)
 			var v uint64
 			if m.condHolds(i.Cond) {
 				v = m.xr(i.Rn)
@@ -252,26 +211,18 @@ func (m *Machine) StepN(evs []isa.Event) (n int, done bool, err error) {
 				}
 			}
 			m.setX(i.Rd, v, i.Sf)
-			addDst(ev, i.Rd)
 
 		case B:
-			ev.Branch, ev.Taken = true, true
 			nextPC = pc + uint64(i.Imm)
 		case BL:
-			ev.Branch, ev.Taken = true, true
 			m.X[30] = pc + 4
-			ev.AddDst(isa.IntReg(30))
 			nextPC = pc + uint64(i.Imm)
 		case Bcond:
-			ev.Branch = true
-			ev.AddSrc(isa.RegNZCV)
 			if m.condHolds(i.Cond) {
 				ev.Taken = true
 				nextPC = pc + uint64(i.Imm)
 			}
 		case CBZ, CBNZ:
-			ev.Branch = true
-			addSrc(ev, i.Rd)
 			v := m.xr(i.Rd)
 			if !i.Sf {
 				v = uint64(uint32(v))
@@ -281,14 +232,9 @@ func (m *Machine) StepN(evs []isa.Event) (n int, done bool, err error) {
 				nextPC = pc + uint64(i.Imm)
 			}
 		case BR, RET:
-			ev.Branch, ev.Taken = true, true
-			addSrc(ev, i.Rn)
 			nextPC = m.xr(i.Rn)
 		case BLR:
-			ev.Branch, ev.Taken = true, true
-			addSrc(ev, i.Rn)
 			m.X[30] = pc + 4
-			ev.AddDst(isa.IntReg(30))
 			nextPC = m.xr(i.Rn)
 		case SVC:
 			done, err = m.Syscall(m.X[regX8], &m.X[regX0], m.X[regX1], m.X[regX2])
@@ -308,17 +254,10 @@ func (m *Machine) StepN(evs []isa.Event) (n int, done bool, err error) {
 			}
 
 		case FADD, FSUB, FMUL, FDIV, FNMUL, FMAX, FMIN:
-			addFSrc(ev, i.Rn)
-			addFSrc(ev, i.Rm)
 			m.fpBin(i)
-			addFDst(ev, i.Rd)
 		case FMOVr, FABS, FNEG, FSQRT, FCVTsd, FCVTds:
-			addFSrc(ev, i.Rn)
 			m.fpUn(i)
-			addFDst(ev, i.Rd)
 		case FCMP, FCMPE:
-			addFSrc(ev, i.Rn)
-			addFSrc(ev, i.Rm)
 			a, b := m.fr(i.Rn, i.Dbl), m.fr(i.Rm, i.Dbl)
 			switch {
 			case math.IsNaN(a) || math.IsNaN(b):
@@ -330,11 +269,7 @@ func (m *Machine) StepN(evs []isa.Event) (n int, done bool, err error) {
 			default:
 				m.setFlags(0b0010)
 			}
-			ev.AddDst(isa.RegNZCV)
 		case FCSEL:
-			addFSrc(ev, i.Rn)
-			addFSrc(ev, i.Rm)
-			ev.AddSrc(isa.RegNZCV)
 			if m.condHolds(i.Cond) {
 				m.F[i.Rd] = m.F[i.Rn]
 			} else {
@@ -343,9 +278,7 @@ func (m *Machine) StepN(evs []isa.Event) (n int, done bool, err error) {
 			if !i.Dbl {
 				m.F[i.Rd] = uint64(uint32(m.F[i.Rd]))
 			}
-			addFDst(ev, i.Rd)
 		case SCVTF, UCVTF:
-			addSrc(ev, i.Rn)
 			v := m.xr(i.Rn)
 			var f float64
 			if i.Op == SCVTF {
@@ -362,9 +295,7 @@ func (m *Machine) StepN(evs []isa.Event) (n int, done bool, err error) {
 				}
 			}
 			m.setF(i.Rd, f, i.Dbl)
-			addFDst(ev, i.Rd)
 		case FCVTZS, FCVTZU:
-			addFSrc(ev, i.Rn)
 			f := math.Trunc(m.fr(i.Rn, i.Dbl))
 			var v uint64
 			if i.Op == FCVTZS {
@@ -381,30 +312,21 @@ func (m *Machine) StepN(evs []isa.Event) (n int, done bool, err error) {
 				}
 			}
 			m.setX(i.Rd, v, i.Sf)
-			addDst(ev, i.Rd)
 		case FMOVxf:
-			addFSrc(ev, i.Rn)
 			v := m.F[i.Rn]
 			if !i.Sf {
 				v = uint64(uint32(v))
 			}
 			m.setX(i.Rd, v, i.Sf)
-			addDst(ev, i.Rd)
 		case FMOVfx:
-			addSrc(ev, i.Rn)
 			v := m.xr(i.Rn)
 			if !i.Dbl {
 				v = uint64(uint32(v))
 			}
 			m.F[i.Rd] = v
-			addFDst(ev, i.Rd)
 		case FMOVi:
 			m.setF(i.Rd, math.Float64frombits(uint64(i.Imm)), i.Dbl)
-			addFDst(ev, i.Rd)
 		case FMADD, FMSUB, FNMADD, FNMSUB:
-			addFSrc(ev, i.Rn)
-			addFSrc(ev, i.Rm)
-			addFSrc(ev, i.Ra)
 			a, b, c := m.fr(i.Rn, i.Dbl), m.fr(i.Rm, i.Dbl), m.fr(i.Ra, i.Dbl)
 			var r float64
 			switch i.Op {
@@ -418,7 +340,6 @@ func (m *Machine) StepN(evs []isa.Event) (n int, done bool, err error) {
 				r = math.FMA(a, b, -c)
 			}
 			m.setF(i.Rd, r, i.Dbl)
-			addFDst(ev, i.Rd)
 
 		default:
 			return m.EndBatch(n, false, fmt.Errorf("a64: unimplemented op %s at %#x", i.Op.Name(), pc))
@@ -700,36 +621,30 @@ func satU64(v float64) uint64 {
 }
 
 // loadStore executes single-register loads and stores in every
-// addressing mode.
+// addressing mode and records the access address in ev.
 func (m *Machine) loadStore(i *Inst, ev *isa.Event) error {
 	var addr uint64
-	addSPSrc(ev, i.Rn)
 	switch i.Mode {
 	case ModeUImm:
 		addr = m.X[i.Rn] + uint64(i.Imm)
 	case ModePost:
 		addr = m.X[i.Rn]
 		m.X[i.Rn] += uint64(i.Imm)
-		addSPDst(ev, i.Rn)
 	case ModePre:
 		addr = m.X[i.Rn] + uint64(i.Imm)
 		m.X[i.Rn] = addr
-		addSPDst(ev, i.Rn)
 	case ModeReg:
-		addSrc(ev, i.Rm)
 		addr = m.X[i.Rn] + m.xr(i.Rm)<<i.ShiftAmt
 	}
 
 	if i.Op == STR {
-		ev.StoreAddr, ev.StoreSize = addr, i.Size
+		ev.StoreAddr = addr
 		if i.FP {
-			addFSrc(ev, i.Rd)
 			if i.Size == 8 {
 				return m.Mem.Write64(addr, m.F[i.Rd])
 			}
 			return m.Mem.Write32(addr, uint32(m.F[i.Rd]))
 		}
-		addSrc(ev, i.Rd)
 		v := m.xr(i.Rd)
 		switch i.Size {
 		case 1:
@@ -743,7 +658,7 @@ func (m *Machine) loadStore(i *Inst, ev *isa.Event) error {
 		}
 	}
 
-	ev.LoadAddr, ev.LoadSize = addr, i.Size
+	ev.LoadAddr = addr
 	if i.FP {
 		if i.Size == 8 {
 			v, err := m.Mem.Read64(addr)
@@ -758,7 +673,6 @@ func (m *Machine) loadStore(i *Inst, ev *isa.Event) error {
 			}
 			m.F[i.Rd] = uint64(v)
 		}
-		addFDst(ev, i.Rd)
 		return nil
 	}
 	var v uint64
@@ -789,41 +703,35 @@ func (m *Machine) loadStore(i *Inst, ev *isa.Event) error {
 	if i.Rd != ZR {
 		m.X[i.Rd] = v
 	}
-	addDst(ev, i.Rd)
 	return nil
 }
 
-// loadStorePair executes LDP/STP. The event reports the full two-
-// register span as a single access.
+// loadStorePair executes LDP/STP and records the address of the two
+// registers' span in ev.
 func (m *Machine) loadStorePair(i *Inst, ev *isa.Event) error {
 	var addr uint64
-	addSPSrc(ev, i.Rn)
 	switch i.Mode {
 	case ModeUImm:
 		addr = m.X[i.Rn] + uint64(i.Imm)
 	case ModePost:
 		addr = m.X[i.Rn]
 		m.X[i.Rn] += uint64(i.Imm)
-		addSPDst(ev, i.Rn)
 	case ModePre:
 		addr = m.X[i.Rn] + uint64(i.Imm)
 		m.X[i.Rn] = addr
-		addSPDst(ev, i.Rn)
 	default:
 		return fmt.Errorf("a64: pair with register offset")
 	}
 	sz := uint64(i.Size)
 	if i.Op == STP {
-		ev.StoreAddr, ev.StoreSize = addr, i.Size*2
+		ev.StoreAddr = addr
 		write := func(off uint64, r uint8) error {
 			if i.FP {
-				addFSrc(ev, r)
 				if i.Size == 8 {
 					return m.Mem.Write64(addr+off, m.F[r])
 				}
 				return m.Mem.Write32(addr+off, uint32(m.F[r]))
 			}
-			addSrc(ev, r)
 			if i.Size == 8 {
 				return m.Mem.Write64(addr+off, m.xr(r))
 			}
@@ -834,7 +742,7 @@ func (m *Machine) loadStorePair(i *Inst, ev *isa.Event) error {
 		}
 		return write(sz, i.Rt2)
 	}
-	ev.LoadAddr, ev.LoadSize = addr, i.Size*2
+	ev.LoadAddr = addr
 	read := func(off uint64, r uint8) error {
 		if i.FP {
 			if i.Size == 8 {
@@ -850,7 +758,6 @@ func (m *Machine) loadStorePair(i *Inst, ev *isa.Event) error {
 				}
 				m.F[r] = uint64(v)
 			}
-			addFDst(ev, r)
 			return nil
 		}
 		if i.Size == 8 {
@@ -870,7 +777,6 @@ func (m *Machine) loadStorePair(i *Inst, ev *isa.Event) error {
 				m.X[r] = uint64(v)
 			}
 		}
-		addDst(ev, r)
 		return nil
 	}
 	if err := read(0, i.Rd); err != nil {

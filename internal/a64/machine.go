@@ -42,13 +42,6 @@ func NewMachine(f *elfio.File, m *mem.Memory) (*Machine, error) {
 	return mach, nil
 }
 
-// predecode decodes one text word and its latency group for
-// isa.Process.Load.
-func predecode(w uint32) (Inst, isa.Group, error) {
-	inst, err := Decode(w)
-	return inst, OpGroup(&inst), err
-}
-
 // Arch returns isa.AArch64.
 func (m *Machine) Arch() isa.Arch { return isa.AArch64 }
 
@@ -120,26 +113,3 @@ func (m *Machine) condHolds(c Cond) bool {
 	}
 	return r
 }
-
-// gpr-source helpers for event recording: the zero register is never
-// reported, matching the paper's chain-breaking rule.
-func addSrc(ev *isa.Event, r uint8) {
-	if r != ZR {
-		ev.AddSrc(isa.IntReg(r))
-	}
-}
-
-func addDst(ev *isa.Event, r uint8) {
-	if r != ZR {
-		ev.AddDst(isa.IntReg(r))
-	}
-}
-
-// addSPSrc records r as a source in an SP context (SP is a real
-// dependency, unlike the zero register).
-func addSPSrc(ev *isa.Event, r uint8) { ev.AddSrc(isa.IntReg(r)) }
-
-func addSPDst(ev *isa.Event, r uint8) { ev.AddDst(isa.IntReg(r)) }
-
-func addFSrc(ev *isa.Event, r uint8) { ev.AddSrc(isa.FPReg(r)) }
-func addFDst(ev *isa.Event, r uint8) { ev.AddDst(isa.FPReg(r)) }

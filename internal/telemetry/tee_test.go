@@ -107,4 +107,39 @@ func TestRunMetricsFlush(t *testing.T) {
 	if got := post.Counter("run.retired"); got != 100 {
 		t.Fatalf("double flush retired = %d, want 100", got)
 	}
+
+	// A batch below flushPeriod stays local; a batch that straddles it
+	// is flushed whole once its last event is counted. The totals match
+	// per-event delivery of the same stream.
+	kinds := []isa.Event{{Branch: true}, {Branch: true, Taken: true}, {LoadSize: 4}, {StoreSize: 8}}
+	batch := make([]isa.Event, flushPeriod/2+10)
+	for i := range batch {
+		batch[i] = kinds[i%len(kinds)]
+	}
+	m.Events(batch)
+	mid := r.Snapshot()
+	if got := mid.Counter("run.retired"); got != 100 {
+		t.Fatalf("retired after a batch below flushPeriod = %d, want 100", got)
+	}
+	m.Events(batch)
+	perEvent := NewRegistry()
+	pm := NewRunMetrics(perEvent)
+	for i := 0; i < 100; i++ {
+		pm.Event(&ev)
+	}
+	for range 2 {
+		for i := range batch {
+			pm.Event(&batch[i])
+		}
+	}
+	pm.Flush()
+	got, want := r.Snapshot(), perEvent.Snapshot()
+	if n := got.Counter("run.retired"); n != 100+2*uint64(len(batch)) {
+		t.Fatalf("retired after a straddling batch = %d, want %d", n, 100+2*len(batch))
+	}
+	for _, name := range []string{"run.retired", "run.branches", "run.branches_taken", "run.loads", "run.stores"} {
+		if got.Counter(name) != want.Counter(name) {
+			t.Errorf("%s: batched %d, per-event %d", name, got.Counter(name), want.Counter(name))
+		}
+	}
 }

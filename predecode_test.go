@@ -26,8 +26,9 @@ func textSegmentOf(t *testing.T, f *elfio.File) *elfio.Segment {
 // TestPredecodeSweep is the exhaustive predecode equality check: for
 // every compiled workload on every target, every word of the text
 // segment must predecode to exactly what a fresh Decode of the raw
-// word produces — the predecode cache can never serve a stale or
-// wrong instruction because the text is immutable (see DESIGN.md).
+// word produces, and its event template must carry its PC and word —
+// the predecode cache can never serve a stale or wrong instruction
+// because the text is immutable (see DESIGN.md).
 func TestPredecodeSweep(t *testing.T) {
 	for _, p := range Suite(Tiny) {
 		for _, tgt := range Targets() {
@@ -51,6 +52,10 @@ func TestPredecodeSweep(t *testing.T) {
 					if !ok {
 						t.Fatalf("%s %s: pc %#x not in predecode cache", p.Name, tgt, pc)
 					}
+					if tm := m.Tmpl[i]; tm.PC != pc || tm.Word != w {
+						t.Fatalf("%s %s: pc %#x word %#x: template holds pc %#x word %#x",
+							p.Name, tgt, pc, w, tm.PC, tm.Word)
+					}
 					want, derr := a64.Decode(w)
 					if derr != nil {
 						bad++
@@ -65,6 +70,10 @@ func TestPredecodeSweep(t *testing.T) {
 					got, ok := m.InstAt(pc)
 					if !ok {
 						t.Fatalf("%s %s: pc %#x not in predecode cache", p.Name, tgt, pc)
+					}
+					if tm := m.Tmpl[i]; tm.PC != pc || tm.Word != w {
+						t.Fatalf("%s %s: pc %#x word %#x: template holds pc %#x word %#x",
+							p.Name, tgt, pc, w, tm.PC, tm.Word)
 					}
 					want, derr := rv64.Decode(w)
 					if derr != nil {
