@@ -130,8 +130,8 @@ type faultRun struct {
 }
 
 // visible returns the fields of ev a sink may read: the operands up to
-// their counts and the accesses whose size is set. A reused event keeps
-// stale values in the rest.
+// their counts and the accesses whose size is set. The rest is no part
+// of the record.
 func visible(ev *isa.Event) isa.Event {
 	v := isa.Event{
 		PC: ev.PC, Word: ev.Word, Group: ev.Group, NSrcs: ev.NSrcs, NDsts: ev.NDsts,
