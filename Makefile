@@ -44,7 +44,8 @@ check-run-patterns:
 
 # differential runs the cross-core / cross-ISA trace-equivalence
 # harness, the -parallel determinism tests, the batched run loop's
-# trace digest and faults against an unbatched run's, the diff of
+# trace digest and faults against a run of one-event batches, the
+# one-event batches of every runner sink and timing model, the diff of
 # the critical-path, windowed-CP and path-length analyses and of the
 # merged critical-path and windowed-CP walk (TestOracle*, FuzzCritPath
 # and FuzzWindowedCP) against their naive references, and the
@@ -115,8 +116,8 @@ check-prof:
 # check-fusion runs the macro-op fusion suites under the race
 # detector: the rule/merge/batch-seam unit tests, the report-level
 # fusion wiring tests, and the matrix-level contracts — fusion-off
-# byte-identity, fusion-on differential equivalence and
-# batched-vs-unbatched identity under fusion.
+# byte-identity, fusion-on differential equivalence and identity
+# between whole and one-event batches under fusion.
 check-fusion:
 	$(GO) test -race -count=1 ./internal/fusion
 	$(GO) test -race -count=1 -run 'TestFusion|TestGoldenFusion' ./internal/report

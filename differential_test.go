@@ -29,6 +29,12 @@ func (d *traceDigest) mix(v uint64) {
 	}
 }
 
+func (d *traceDigest) Events(evs []Event) {
+	for i := range evs {
+		d.Event(&evs[i])
+	}
+}
+
 func (d *traceDigest) Event(ev *Event) {
 	d.n++
 	d.mix(ev.PC)

@@ -14,7 +14,8 @@ import (
 // Event a sink receives is only valid for the duration of the call.
 type eventCollector struct{ evs []isa.Event }
 
-func (c *eventCollector) Event(ev *isa.Event) { c.evs = append(c.evs, *ev) }
+func (c *eventCollector) Event(ev *isa.Event)    { c.Events(isa.One(ev)) }
+func (c *eventCollector) Events(evs []isa.Event) { c.evs = append(c.evs, evs...) }
 
 // memBytes builds the multiset of (address, count) touched bytes for
 // one side of the memory traffic — the architectural footprint a
@@ -224,10 +225,10 @@ func TestFusionInstrumentedWiring(t *testing.T) {
 }
 
 // TestFusionUnbatchedByteIdentical: the batched StepN delivery and an
-// unbatched run, each event passing through fusion.Pass.Event on its
-// own, must produce byte-identical reports and manifests with fusion
-// live — the cross-batch carry makes the rewrite batching-invariant on
-// the real matrix, not just in unit tests.
+// unbatched run, each event reaching fusion.Pass in a batch of its own,
+// must produce byte-identical reports and manifests with fusion live —
+// the cross-batch carry makes the rewrite batching-invariant on the
+// real matrix, not just in unit tests.
 func TestFusionUnbatchedByteIdentical(t *testing.T) {
 	ex := report.Experiment{
 		PathLength: true, CritPath: true, Scaled: true, Windowed: true,

@@ -116,9 +116,6 @@ func (a *Asm) AND(rd, rn, rm uint8) { a.Emit(Inst{Op: ANDr, Sf: true, Rd: rd, Rn
 // ORR emits orr xd, xn, xm.
 func (a *Asm) ORR(rd, rn, rm uint8) { a.Emit(Inst{Op: ORRr, Sf: true, Rd: rd, Rn: rn, Rm: rm}) }
 
-// EOR emits eor xd, xn, xm.
-func (a *Asm) EOR(rd, rn, rm uint8) { a.Emit(Inst{Op: EORr, Sf: true, Rd: rd, Rn: rn, Rm: rm}) }
-
 // ANDi emits and xd, xn, #bimm.
 func (a *Asm) ANDi(rd, rn uint8, imm uint64) {
 	a.Emit(Inst{Op: ANDi, Sf: true, Rd: rd, Rn: rn, Imm: int64(imm)})
@@ -126,9 +123,6 @@ func (a *Asm) ANDi(rd, rn uint8, imm uint64) {
 
 // MOV emits mov xd, xm (orr xd, xzr, xm).
 func (a *Asm) MOV(rd, rm uint8) { a.Emit(Inst{Op: ORRr, Sf: true, Rd: rd, Rn: ZR, Rm: rm}) }
-
-// MOVSP emits mov xd, sp / mov sp, xn (add #0).
-func (a *Asm) MOVSP(rd, rn uint8) { a.Emit(Inst{Op: ADDi, Sf: true, Rd: rd, Rn: rn}) }
 
 // LSLi emits lsl xd, xn, #sh (ubfm alias).
 func (a *Asm) LSLi(rd, rn uint8, sh uint8) {
@@ -162,24 +156,9 @@ func (a *Asm) LDRx(rt, rn uint8, imm int64) {
 	a.Emit(Inst{Op: LDR, Size: 8, Rd: rt, Rn: rn, Imm: imm})
 }
 
-// STRx emits str xt, [xn, #imm].
-func (a *Asm) STRx(rt, rn uint8, imm int64) {
-	a.Emit(Inst{Op: STR, Size: 8, Rd: rt, Rn: rn, Imm: imm})
-}
-
 // LDRro emits ldr xt, [xn, xm, lsl #3].
 func (a *Asm) LDRro(rt, rn, rm uint8, shift uint8) {
 	a.Emit(Inst{Op: LDR, Size: 8, Rd: rt, Rn: rn, Rm: rm, Mode: ModeReg, ShiftAmt: shift})
-}
-
-// LDRD emits ldr dt, [xn, #imm].
-func (a *Asm) LDRD(rt, rn uint8, imm int64) {
-	a.Emit(Inst{Op: LDR, Size: 8, FP: true, Rd: rt, Rn: rn, Imm: imm})
-}
-
-// STRD emits str dt, [xn, #imm].
-func (a *Asm) STRD(rt, rn uint8, imm int64) {
-	a.Emit(Inst{Op: STR, Size: 8, FP: true, Rd: rt, Rn: rn, Imm: imm})
 }
 
 // LDRDro emits ldr dt, [xn, xm, lsl #3].
@@ -190,16 +169,6 @@ func (a *Asm) LDRDro(rt, rn, rm uint8, shift uint8) {
 // STRDro emits str dt, [xn, xm, lsl #3].
 func (a *Asm) STRDro(rt, rn, rm uint8, shift uint8) {
 	a.Emit(Inst{Op: STR, Size: 8, FP: true, Rd: rt, Rn: rn, Rm: rm, Mode: ModeReg, ShiftAmt: shift})
-}
-
-// LDRDpost emits ldr dt, [xn], #imm.
-func (a *Asm) LDRDpost(rt, rn uint8, imm int64) {
-	a.Emit(Inst{Op: LDR, Size: 8, FP: true, Rd: rt, Rn: rn, Imm: imm, Mode: ModePost})
-}
-
-// STRDpost emits str dt, [xn], #imm.
-func (a *Asm) STRDpost(rt, rn uint8, imm int64) {
-	a.Emit(Inst{Op: STR, Size: 8, FP: true, Rd: rt, Rn: rn, Imm: imm, Mode: ModePost})
 }
 
 // LDPx emits ldp xt, xt2, [xn, #imm].
@@ -265,9 +234,6 @@ func (a *Asm) FCVTZS(rd, rn uint8) { a.Emit(Inst{Op: FCVTZS, Sf: true, Dbl: true
 
 // FMOVDX emits fmov dd, xn.
 func (a *Asm) FMOVDX(rd, rn uint8) { a.Emit(Inst{Op: FMOVfx, Sf: true, Dbl: true, Rd: rd, Rn: rn}) }
-
-// FMOVXD emits fmov xd, dn.
-func (a *Asm) FMOVXD(rd, rn uint8) { a.Emit(Inst{Op: FMOVxf, Sf: true, Dbl: true, Rd: rd, Rn: rn}) }
 
 // Control flow.
 

@@ -3,7 +3,6 @@ package a64
 import (
 	"fmt"
 	"math"
-	"unsafe"
 
 	"isacmp/internal/isa"
 )
@@ -12,7 +11,7 @@ import (
 // filling ev with the execution record: StepN over one event. It
 // returns done=true once the program has exited.
 func (m *Machine) Step(ev *isa.Event) (done bool, err error) {
-	_, done, err = m.StepN(unsafe.Slice(ev, 1))
+	_, done, err = m.StepN(isa.One(ev))
 	return done, err
 }
 

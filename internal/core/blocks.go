@@ -46,6 +46,13 @@ func NewBlockProfile() *BlockProfile {
 	return &BlockProfile{counts: make(map[uint64]*blockInfo, 1<<10)}
 }
 
+// Events observes a whole batch, one event at a time.
+func (b *BlockProfile) Events(evs []isa.Event) {
+	for i := range evs {
+		b.Event(&evs[i])
+	}
+}
+
 // Event observes one retired instruction.
 func (b *BlockProfile) Event(ev *isa.Event) {
 	b.total++

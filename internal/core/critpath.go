@@ -160,7 +160,7 @@ func slotWords[S slot]() uint64 {
 }
 
 // Events extends dependency chains with a whole batch of retired
-// instructions — the isa.BatchSink fast path.
+// instructions.
 func (c *CritPath) Events(evs []isa.Event) {
 	switch c.words {
 	case 3:
@@ -179,16 +179,7 @@ func (c *CritPath) Events(evs []isa.Event) {
 }
 
 // Event extends dependency chains with one retired instruction.
-func (c *CritPath) Event(ev *isa.Event) {
-	switch c.words {
-	case 3:
-		step[[3]uint64](c, ev)
-	case 2:
-		step[[2]uint64](c, ev)
-	default:
-		step[[1]uint64](c, ev)
-	}
-}
+func (c *CritPath) Event(ev *isa.Event) { c.Events(isa.One(ev)) }
 
 // step extends the chains with one event: u follows lane 0 and s lane
 // 1, which on a one-chain tracker are the same chain. On a merged

@@ -34,7 +34,7 @@ func NewDepDistance() *DepDistance {
 	return &DepDistance{res: newResolver(1 << depReachBits)}
 }
 
-// Events observes a whole batch — the isa.BatchSink fast path.
+// Events observes a whole batch, one event at a time.
 func (d *DepDistance) Events(evs []isa.Event) {
 	for i := range evs {
 		d.Event(&evs[i])

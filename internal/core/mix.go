@@ -15,12 +15,9 @@ type Mix struct {
 func NewMix() *Mix { return &Mix{} }
 
 // Event counts one retired instruction.
-func (m *Mix) Event(ev *isa.Event) {
-	m.counts[ev.Group]++
-	m.total++
-}
+func (m *Mix) Event(ev *isa.Event) { m.Events(isa.One(ev)) }
 
-// Events counts a whole batch — the isa.BatchSink fast path.
+// Events counts a whole batch.
 func (m *Mix) Events(evs []isa.Event) {
 	for i := range evs {
 		m.counts[evs[i].Group]++
@@ -70,7 +67,7 @@ type BranchProfile struct {
 // NewBranchProfile builds an empty profile.
 func NewBranchProfile() *BranchProfile { return &BranchProfile{} }
 
-// Events observes a whole batch — the isa.BatchSink fast path.
+// Events observes a whole batch, one event at a time.
 func (b *BranchProfile) Events(evs []isa.Event) {
 	for i := range evs {
 		b.Event(&evs[i])

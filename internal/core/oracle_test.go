@@ -331,7 +331,8 @@ func TestOracleStrides(t *testing.T) {
 // collector keeps a copy of every event it receives.
 type collector struct{ evs []isa.Event }
 
-func (c *collector) Event(ev *isa.Event) { c.evs = append(c.evs, *ev) }
+func (c *collector) Event(ev *isa.Event)    { c.Events(isa.One(ev)) }
+func (c *collector) Events(evs []isa.Event) { c.evs = append(c.evs, evs...) }
 
 // tinyStream is the retired stream of one tiny-scale paper workload on
 // one target, raw or macro-op-fused.

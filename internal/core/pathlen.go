@@ -85,8 +85,7 @@ func NewPathLength(syms []elfio.Symbol) *PathLength {
 	return p
 }
 
-// Events attributes a whole batch of retired instructions — the
-// isa.BatchSink fast path.
+// Events attributes a whole batch of retired instructions.
 func (p *PathLength) Events(evs []isa.Event) {
 	p.total += uint64(len(evs))
 	slots, base := p.slots, p.base
@@ -103,14 +102,7 @@ func (p *PathLength) Events(evs []isa.Event) {
 }
 
 // Event attributes one retired instruction.
-func (p *PathLength) Event(ev *isa.Event) {
-	p.total++
-	if k := bits.RotateLeft64(ev.PC-p.base, -2); k < uint64(len(p.slots)) {
-		p.slots[k]++
-	} else {
-		p.stray(ev.PC)
-	}
-}
+func (p *PathLength) Event(ev *isa.Event) { p.Events(isa.One(ev)) }
 
 // stray counts a retirement at a PC no slot holds.
 func (p *PathLength) stray(pc uint64) {

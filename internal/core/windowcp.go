@@ -651,8 +651,7 @@ func maxWindow(sizes []int) uint64 {
 	return uint64(m)
 }
 
-// Events resolves a whole batch of instructions — the isa.BatchSink
-// fast path.
+// Events resolves a whole batch of instructions, one at a time.
 func (w *WindowedCritPath) Events(evs []isa.Event) {
 	for i := range evs {
 		w.Event(&evs[i])

@@ -274,12 +274,21 @@ type faultSink struct {
 	n     uint64
 }
 
-func (f *faultSink) Event(ev *isa.Event) {
-	f.n++
-	if f.n == f.at {
-		panic(fmt.Sprintf("faultinject: injected sink panic at event %d", f.n))
+func (f *faultSink) Event(ev *isa.Event) { f.Events(isa.One(ev)) }
+
+// Events forwards the batch. A batch that holds the firing event is
+// forwarded up to that event, and then the sink panics.
+func (f *faultSink) Events(evs []isa.Event) {
+	fire := f.n < f.at && f.at-f.n <= uint64(len(evs))
+	if fire {
+		evs = evs[:f.at-f.n-1]
 	}
+	f.n += uint64(len(evs))
 	if f.inner != nil {
-		f.inner.Event(ev)
+		f.inner.Events(evs)
+	}
+	if fire {
+		f.n++
+		panic(fmt.Sprintf("faultinject: injected sink panic at event %d", f.n))
 	}
 }

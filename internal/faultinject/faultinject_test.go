@@ -2,6 +2,7 @@ package faultinject
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"isacmp/internal/isa"
@@ -124,24 +125,41 @@ func TestSeededFiringPointIsDeterministic(t *testing.T) {
 }
 
 // TestSinkPanicFiresAtEvent: the wrapped sink panics at the chosen
-// event count and forwards everything before it.
+// event count and forwards everything before it, wherever the firing
+// event falls in a batch.
 func TestSinkPanicFiresAtEvent(t *testing.T) {
-	inj := New(7, Plan{Kind: SinkPanic, At: 5})
-	defer inj.Close()
-	seen := 0
-	s := inj.WrapSink("w", "t", 1, isa.SinkFunc(func(*isa.Event) { seen++ }))
-	err := simeng.Guard(func() error {
-		var ev isa.Event
-		for i := 0; i < 10; i++ {
-			s.Event(&ev)
+	const at = 5
+	for _, c := range []struct {
+		name    string
+		batches []int // the lengths of the batches delivered, in order
+	}{
+		{"one-event batches", []int{1, 1, 1, 1, 1, 1, 1}},
+		{"first in a batch", []int{4, 6}},
+		{"middle of a batch", []int{3, 5, 2}},
+		{"last in a batch", []int{2, 3, 5}},
+	} {
+		inj := New(7, Plan{Kind: SinkPanic, At: at})
+		seen := 0
+		s := inj.WrapSink("w", "t", 1, isa.SinkFunc(func(*isa.Event) { seen++ }))
+		err := simeng.Guard(func() error {
+			var evs [10]isa.Event
+			rest := evs[:]
+			for _, n := range c.batches {
+				s.Events(rest[:n])
+				rest = rest[n:]
+			}
+			return nil
+		})
+		inj.Close()
+		if !errors.Is(simeng.Classify(err), simeng.ErrPanic) {
+			t.Fatalf("%s: err = %v, want panic classification", c.name, err)
 		}
-		return nil
-	})
-	if !errors.Is(simeng.Classify(err), simeng.ErrPanic) {
-		t.Fatalf("err = %v, want panic classification", err)
-	}
-	if seen != 4 {
-		t.Fatalf("inner sink saw %d events, want 4", seen)
+		if !strings.Contains(err.Error(), "injected sink panic at event 5") {
+			t.Fatalf("%s: err = %v, want the firing event's count", c.name, err)
+		}
+		if seen != at-1 {
+			t.Fatalf("%s: inner sink saw %d events, want %d", c.name, seen, at-1)
+		}
 	}
 }
 

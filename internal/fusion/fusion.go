@@ -1,7 +1,7 @@
 // Package fusion implements macro-op fusion as a stream-rewriting
-// pass over the retired event stream: a configurable isa.BatchSink
-// adapter that sits between a core's (batched) retirement delivery and
-// the analysis sinks, recognizes adjacent fusible instruction pairs,
+// pass over the retired event stream: a configurable isa.Sink adapter
+// that sits between a core's batched retirement delivery and the
+// analysis sinks, recognizes adjacent fusible instruction pairs,
 // and replaces each pair with a single fused event carrying the merged
 // register and memory dependency sets. Path length, critical path,
 // windowed CP and ILP computed downstream then describe the fused
@@ -230,10 +230,10 @@ func (s Stats) Pairs() uint64 {
 	return n
 }
 
-// Pass is the stream-rewriting adapter. It implements isa.Sink and
-// isa.BatchSink; wire it between the core and the analysis sinks and
-// call Flush once simulation has finished so the final carried event
-// is delivered. A Pass is single-goroutine, like any sink.
+// Pass is the stream-rewriting adapter, an isa.Sink. Wire it between
+// the core and the analysis sinks and call Flush once simulation has
+// finished so the final carried event is delivered. A Pass is
+// single-goroutine, like any sink.
 type Pass struct {
 	// byGroup[g] is the enabled rules whose first event must be in
 	// group g (see firstGroup). It is indexed by a uint8 Group, so any
@@ -245,10 +245,8 @@ type Pass struct {
 	hasPending bool
 	// buf holds a batch's rewritten prefix; it always has room for the
 	// carried event plus the whole batch.
-	buf []isa.Event
-	// single is the event Event delivers.
-	single isa.Event
-	stats  Stats
+	buf   []isa.Event
+	stats Stats
 }
 
 // firstGroup is the group each rule requires of a pair's first event.
@@ -281,31 +279,14 @@ func NewPass(cfg Config, arch isa.Arch, down isa.Sink) *Pass {
 // Stats returns the pass counters accumulated so far.
 func (p *Pass) Stats() Stats { return p.stats }
 
-// Event observes one retired instruction — the unbatched path. It
-// pairs with the same matcher as Events, so the output is identical
-// in any batching, and delivers downstream one event at a time.
-func (p *Pass) Event(ev *isa.Event) {
-	p.stats.EventsIn++
-	if !p.hasPending {
-		p.pending = *ev // value copy: ev dies when we return
-		p.hasPending = true
-		return
-	}
-	if p.fuse(&p.single, &p.pending, ev) {
-		p.hasPending = false
-	} else {
-		p.single = p.pending
-		p.pending = *ev
-	}
-	p.stats.EventsOut++
-	p.down.Event(&p.single)
-}
+// Event observes one retired instruction.
+func (p *Pass) Event(ev *isa.Event) { p.Events(isa.One(ev)) }
 
-// Events observes a batch of retired instructions — the isa.BatchSink
-// fast path. It pairs greedily left to right in one pass and builds
-// each fused event in the output slot it will occupy. At most one
-// trailing event is carried to the next batch, so a fusible pair
-// straddling a StepN buffer seam fuses exactly as it would unbatched.
+// Events observes a batch of retired instructions. It pairs greedily
+// left to right in one pass and builds each fused event in the output
+// slot it will occupy. At most one trailing event is carried to the
+// next batch, so a fusible pair straddling a batch seam fuses exactly
+// as it would within one batch.
 func (p *Pass) Events(evs []isa.Event) {
 	if len(evs) == 0 {
 		return
@@ -346,10 +327,10 @@ func (p *Pass) Events(evs []isa.Event) {
 	}
 	p.stats.EventsOut += uint64(n + end - from)
 	if n > 0 {
-		isa.DeliverBatch(p.down, out[:n])
+		p.down.Events(out[:n])
 	}
 	if end > from {
-		isa.DeliverBatch(p.down, evs[from:end])
+		p.down.Events(evs[from:end])
 	}
 }
 
@@ -360,9 +341,8 @@ func (p *Pass) Flush() {
 		return
 	}
 	p.hasPending = false
-	out := p.pending
 	p.stats.EventsOut++
-	p.down.Event(&out)
+	p.down.Events(isa.One(&p.pending))
 }
 
 // fuse reports whether the adjacent pair (a, b) fuses under the

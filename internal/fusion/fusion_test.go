@@ -13,13 +13,9 @@ import (
 type capture struct {
 	evs     []isa.Event
 	batches []int
-	singles int
 }
 
-func (c *capture) Event(ev *isa.Event) {
-	c.evs = append(c.evs, *ev)
-	c.singles++
-}
+func (c *capture) Event(ev *isa.Event) { c.Events(isa.One(ev)) }
 
 func (c *capture) Events(evs []isa.Event) {
 	c.evs = append(c.evs, evs...)
@@ -368,10 +364,10 @@ func TestRuleMaskRestricts(t *testing.T) {
 }
 
 // TestBatchSplitEquivalence delivers the same stream (a) as one batch,
-// (b) split at every possible seam, (c) per-event through Event — the
+// (b) split at every possible seam, (c) in one-event batches — the
 // output and stats must be identical regardless. This pins the
 // cross-batch carry: a fusible pair straddling a StepN buffer boundary
-// fuses exactly as it would unbatched.
+// fuses exactly as it would within one batch.
 func TestBatchSplitEquivalence(t *testing.T) {
 	in := []isa.Event{
 		evLoad(0x100, isa.IntReg(5), isa.IntReg(10), 0x8000, 8),
@@ -407,19 +403,12 @@ func TestBatchSplitEquivalence(t *testing.T) {
 		}
 	}
 
-	// Per-event path.
-	var c capture
-	q := NewPass(allRV, isa.RV64, &c)
-	for i := range in {
-		ev := in[i]
-		q.Event(&ev)
+	one, oneStats := fuseSplit(allRV, isa.RV64, in, func() int { return 1 })
+	if !reflect.DeepEqual(one, ref.evs) {
+		t.Fatalf("one-event batches diverge:\n got %+v\nwant %+v", one, ref.evs)
 	}
-	q.Flush()
-	if !reflect.DeepEqual(c.evs, ref.evs) {
-		t.Fatalf("per-event path diverges:\n got %+v\nwant %+v", c.evs, ref.evs)
-	}
-	if q.Stats() != refStats {
-		t.Fatalf("per-event stats diverge: %+v vs %+v", q.Stats(), refStats)
+	if oneStats != refStats {
+		t.Fatalf("one-event batch stats diverge: %+v vs %+v", oneStats, refStats)
 	}
 }
 
@@ -512,8 +501,8 @@ func TestRulesForArchGating(t *testing.T) {
 	}
 }
 
-// TestDownstreamBatchDelivery pins that the pass uses the downstream
-// batched path when available and never delivers empty batches.
+// TestDownstreamBatchDelivery pins that the pass delivers downstream in
+// batches and never delivers an empty one.
 func TestDownstreamBatchDelivery(t *testing.T) {
 	var c capture
 	p := NewPass(allRV, isa.RV64, &c)
@@ -522,8 +511,8 @@ func TestDownstreamBatchDelivery(t *testing.T) {
 		evLoad(0x104, isa.IntReg(6), isa.IntReg(10), 0x9000, 8),
 		evLoad(0x108, isa.IntReg(7), isa.IntReg(10), 0xa000, 4),
 	})
-	if len(c.batches) != 1 || c.batches[0] != 1 || c.singles != 0 {
-		t.Fatalf("batch delivery: batches=%v singles=%d", c.batches, c.singles)
+	if len(c.batches) != 1 || c.batches[0] != 1 {
+		t.Fatalf("batch delivery: batches=%v", c.batches)
 	}
 	// A batch that fuses entirely into the carry delivers nothing.
 	var c2 capture

@@ -8,9 +8,9 @@ import (
 )
 
 // FuzzFusionStream feeds the pass pseudo-random but well-formed event
-// streams, chopped into pseudo-random batches, and requires the output
-// and Stats, batched and per event, to equal refFuse's exactly. It
-// also checks the rule-independent invariants:
+// streams, chopped into pseudo-random batches and into one-event
+// batches, and requires the output and Stats of both to equal
+// refFuse's exactly. It also checks the rule-independent invariants:
 //
 //   - the event count never increases, and stats agree with it;
 //   - every unfused output event is byte-identical to its input;
@@ -30,39 +30,25 @@ func FuzzFusionStream(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := synthesize(data)
 
-		var c capture
-		p := NewPass(allRV, isa.RV64, &c)
 		// Chop the stream into batches whose lengths are driven by the
-		// fuzz input, so seams land everywhere, then flush.
-		i, k := 0, 0
-		for i < len(in) {
-			n := 1
-			if len(data) > 0 {
-				n = int(data[k%len(data)])%5 + 1
-				k++
+		// fuzz input, so seams land everywhere.
+		k := 0
+		out, st := fuseSplit(allRV, isa.RV64, in, func() int {
+			if len(data) == 0 {
+				return 1
 			}
-			if i+n > len(in) {
-				n = len(in) - i
-			}
-			p.Events(in[i : i+n])
-			i += n
-		}
-		p.Flush()
-		out, st := c.evs, p.Stats()
+			n := int(data[k%len(data)])%5 + 1
+			k++
+			return n
+		})
 
 		want, wantSt := refFuse(allRV, isa.RV64, in)
 		if !slices.Equal(out, want) || st != wantSt {
 			t.Fatalf("batched output or stats differ from the reference: %+v vs %+v", st, wantSt)
 		}
-		var one capture
-		q := NewPass(allRV, isa.RV64, &one)
-		for i := range in {
-			ev := in[i]
-			q.Event(&ev)
-		}
-		q.Flush()
-		if !slices.Equal(one.evs, want) || q.Stats() != wantSt {
-			t.Fatalf("per-event output or stats differ from the reference: %+v vs %+v", q.Stats(), wantSt)
+		one, oneSt := fuseSplit(allRV, isa.RV64, in, func() int { return 1 })
+		if !slices.Equal(one, want) || oneSt != wantSt {
+			t.Fatalf("one-event batches' output or stats differ from the reference: %+v vs %+v", oneSt, wantSt)
 		}
 
 		if len(out) > len(in) {

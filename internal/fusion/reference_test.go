@@ -2,6 +2,7 @@ package fusion
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -53,43 +54,47 @@ func refPair(rules RuleSet, evs []isa.Event) (isa.Event, Rule, bool) {
 	return isa.Event{}, 0, false
 }
 
+// fuseSplit runs in through a fresh pass in batches whose lengths next
+// returns (the last one cut to what is left), flushes it, and returns
+// what the pass delivered and its Stats.
+func fuseSplit(cfg Config, arch isa.Arch, in []isa.Event, next func() int) ([]isa.Event, Stats) {
+	var c capture
+	p := NewPass(cfg, arch, &c)
+	for i := 0; i < len(in); {
+		n := min(next(), len(in)-i)
+		p.Events(in[i : i+n])
+		i += n
+	}
+	p.Flush()
+	return c.evs, p.Stats()
+}
+
 // checkAgainstRef runs in through fresh passes in batches of each size
-// and per event, and requires the output and Stats of every run to
-// equal refFuse's exactly.
+// and in batches of pseudo-random lengths from 1 to 64, and requires
+// the output and Stats of every run to equal refFuse's exactly.
 func checkAgainstRef(t *testing.T, name string, cfg Config, arch isa.Arch, in []isa.Event, sizes []int) {
 	t.Helper()
 	want, wantSt := refFuse(cfg, arch, in)
-	check := func(how string, feed func(p *Pass)) {
+	check := func(how string, next func() int) {
 		t.Helper()
-		var c capture
-		p := NewPass(cfg, arch, &c)
-		feed(p)
-		p.Flush()
-		if !slices.Equal(c.evs, want) {
+		got, st := fuseSplit(cfg, arch, in, next)
+		if !slices.Equal(got, want) {
 			i := 0
-			for i < min(len(c.evs), len(want)) && c.evs[i] == want[i] {
+			for i < min(len(got), len(want)) && got[i] == want[i] {
 				i++
 			}
 			t.Fatalf("%s %s: output diverges from the reference at event %d (%d events, want %d)",
-				name, how, i, len(c.evs), len(want))
+				name, how, i, len(got), len(want))
 		}
-		if p.Stats() != wantSt {
-			t.Fatalf("%s %s: stats %+v, reference %+v", name, how, p.Stats(), wantSt)
+		if st != wantSt {
+			t.Fatalf("%s %s: stats %+v, reference %+v", name, how, st, wantSt)
 		}
 	}
 	for _, size := range sizes {
-		check(fmt.Sprintf("batch %d", size), func(p *Pass) {
-			for i := 0; i < len(in); i += size {
-				p.Events(in[i:min(i+size, len(in))])
-			}
-		})
+		check(fmt.Sprintf("batch %d", size), func() int { return size })
 	}
-	check("per event", func(p *Pass) {
-		for i := range in {
-			ev := in[i]
-			p.Event(&ev)
-		}
-	})
+	rng := rand.New(rand.NewSource(int64(len(in))))
+	check("random batches", func() int { return 1 + rng.Intn(64) })
 }
 
 // record compiles prog for tgt and returns the first limit events its
@@ -125,8 +130,8 @@ func record(tb testing.TB, prog *ir.Program, tgt cc.Target, limit int) []isa.Eve
 // TestPassMatchesReference diffs the pass against refFuse on every
 // tiny workload × target, under rule sets that enable all rules, one
 // RV64 word rule, and an A64 rule with a neutral one (inert on the
-// other architecture), batched at sizes that put seams everywhere and
-// per event.
+// other architecture), in one-event batches and at other sizes and
+// random splits that put seams everywhere.
 func TestPassMatchesReference(t *testing.T) {
 	var cfgs []Config
 	for _, spec := range []string{"both", "rv64:slliadd", "a64:cmpbranch,loadpair"} {

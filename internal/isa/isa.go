@@ -20,7 +20,10 @@
 // in the paper's critical-path method (section 4.1).
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // Arch identifies one of the two instruction sets under study.
 type Arch uint8
@@ -236,72 +239,64 @@ func (e *Event) AddDst(r Reg) {
 }
 
 // Sink consumes the per-instruction event stream produced by a core.
-// Analyses, timing models and tracers implement Sink.
+// Analyses, timing models and tracers implement Sink. The stream
+// arrives in batches, each in one Events call: the run loop's StepN
+// batches, the fusion pass's rewritten ones, and the same batches
+// forwarded by the tee, MultiSink and the fan-out. A sink keeps one
+// body: Event is Events over a batch of One, or, for a sink that works
+// one event at a time, Events loops over Event.
 //
-// Event lifetime contract: cores reuse one Event allocation (or one
-// batch buffer) across the whole run, so the pointed-to Event is
-// invalid the moment Event returns — the next retirement overwrites
-// it. A sink that needs the record later must copy the struct (it is
-// a plain value; assignment suffices). Retaining the pointer is a
-// bug even on the single-goroutine path, and under the fan-out
-// engine it is additionally a data race.
+// Event lifetime contract: cores reuse one batch buffer across the
+// whole run, so the slice and its events are invalid the moment Events
+// returns — the next batch overwrites them. They are shared read-only
+// with other consumers: a sink must not mutate them, and one that
+// needs a record later must copy the struct (it is a plain value;
+// assignment suffices). Retaining a pointer is a bug even on the
+// single-goroutine path, and under the fan-out engine it is
+// additionally a data race.
 type Sink interface {
-	// Event observes one retired instruction. The pointed-to Event is
-	// only valid for the duration of the call.
-	Event(ev *Event)
-}
-
-// BatchSink is the batched fast path of Sink: a consumer that also
-// implements BatchSink receives whole batches of retirements in one
-// call, amortizing the per-event dynamic dispatch. The slice and its
-// events obey the Sink lifetime contract — valid only for the
-// duration of the call, shared read-only with other consumers, never
-// to be mutated or retained. Events(evs) must be observably
-// equivalent to calling Event(&evs[i]) for each i in order.
-type BatchSink interface {
-	Sink
 	// Events observes a batch of retired instructions in retirement
 	// order.
 	Events(evs []Event)
+	// Event observes one retired instruction: Events over a batch of
+	// one. The pointed-to Event is only valid for the duration of the
+	// call.
+	Event(ev *Event)
 }
 
-// DeliverBatch hands a batch to s, using the batched path when s
-// implements BatchSink and per-event delivery otherwise. A nil s is
-// a no-op.
+// One returns ev as a one-event batch, without copying it.
+func One(ev *Event) []Event { return unsafe.Slice(ev, 1) }
+
+// DeliverBatch hands a batch to s. A nil s is a no-op.
 func DeliverBatch(s Sink, evs []Event) {
-	if s == nil {
-		return
-	}
-	if bs, ok := s.(BatchSink); ok {
-		bs.Events(evs)
-		return
-	}
-	for i := range evs {
-		s.Event(&evs[i])
+	if s != nil {
+		s.Events(evs)
 	}
 }
 
-// SinkFunc adapts a function to the Sink interface.
+// SinkFunc adapts a per-event function to the Sink interface.
 type SinkFunc func(ev *Event)
 
 // Event calls f(ev).
 func (f SinkFunc) Event(ev *Event) { f(ev) }
 
+// Events calls f on each event in order.
+func (f SinkFunc) Events(evs []Event) {
+	for i := range evs {
+		f(&evs[i])
+	}
+}
+
 // MultiSink fans one event stream out to several sinks in order.
 type MultiSink []Sink
 
 // Event forwards ev to every sink in the slice.
-func (m MultiSink) Event(ev *Event) {
-	for _, s := range m {
-		s.Event(ev)
-	}
-}
+func (m MultiSink) Event(ev *Event) { m.Events(One(ev)) }
 
-// Events forwards the batch to every sink in the slice, using each
-// sink's batched path when it has one.
+// Events forwards the batch to every sink in the slice.
 func (m MultiSink) Events(evs []Event) {
 	for _, s := range m {
-		DeliverBatch(s, evs)
+		s.Events(evs)
 	}
 }
 

@@ -570,9 +570,6 @@ func runOne(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment,
 		MaxInstructions: ex.MaxInstructions, Ctx: ctx,
 		ProfileStages: ex.Prof.Enabled(),
 	}
-	if ex.Log != nil {
-		emu.Log = slogx.WithCell(ex.Log, prog.Name, tgt.String(), attempt)
-	}
 	// The timing model is one more sink after the analyses, and the
 	// source of the row's core stats. The tracer is the model's, or on
 	// the emulation core an observer after the consumers.

@@ -250,12 +250,6 @@ func (a *Asm) J(label string) {
 	a.Emit(Inst{Op: JAL, Rd: 0})
 }
 
-// CALL emits jal ra, label.
-func (a *Asm) CALL(label string) {
-	a.fixups = append(a.fixups, fixup{index: len(a.insts), label: label, kind: fixJAL})
-	a.Emit(Inst{Op: JAL, Rd: 1})
-}
-
 // RET emits jalr x0, 0(ra).
 func (a *Asm) RET() { a.Emit(Inst{Op: JALR, Rd: 0, Rs1: 1}) }
 

@@ -44,15 +44,16 @@ type FanoutStats struct {
 // (fanoutBatch events), so the overhead is fractions of a nanosecond
 // per event.
 //
-// Batches are shared read-only between consumers — sinks must treat
-// the *isa.Event they receive as immutable, which the isa.Sink
-// contract already demands. Once every consumer has returned from a
-// batch it is refilled with later events, which the same contract
-// (an event is invalid once the callback returns) allows; memory is
-// bounded at fanoutDepth+2 batches. Every sink runs on a goroutine of
-// its own, however many there are; a caller with one consumer can
-// instead run it behind telemetry.Tee on the generating goroutine,
-// timed the same way.
+// Each consumer takes every batch in one Events call. Batches are
+// shared read-only between consumers — sinks must treat the events
+// they receive as immutable, which the isa.Sink contract already
+// demands. Once every consumer has returned from a batch it is
+// refilled with later events, which the same contract (a batch is
+// invalid once the call returns) allows; memory is bounded at
+// fanoutDepth+2 batches. Every sink runs on a goroutine of its own,
+// however many there are; a caller with one consumer can instead run
+// it behind telemetry.Tee on the generating goroutine, timed the same
+// way.
 //
 // A consumer that panics is isolated: the panic is converted into an
 // ErrPanic-kind simeng error, the dead consumer keeps draining its
@@ -84,21 +85,12 @@ func FanoutTimed(gen func(isa.Sink) error, fs *FanoutStats, sinks ...isa.Sink) (
 			// exit; the caller reads it after wg.Wait, so no atomics.
 			var busy int64
 			defer func() { *busySlot = busy }()
-			// A batch-capable sink consumes each shared batch in one
-			// call; the slice is read-only between consumers either way.
-			bs, batched := s.(isa.BatchSink)
 			for sb := range ch {
 				// A dead consumer only drains, but still releases.
 				if *errSlot == nil {
 					t0 := time.Now()
 					*errSlot = simeng.Guard(func() error {
-						if batched {
-							bs.Events(sb.evs)
-							return nil
-						}
-						for j := range sb.evs {
-							s.Event(&sb.evs[j])
-						}
+						s.Events(sb.evs)
 						return nil
 					})
 					busy += time.Since(t0).Nanoseconds()
@@ -134,11 +126,10 @@ type sharedBatch struct {
 }
 
 // broadcastSink buffers events into batches and sends each full batch
-// to every consumer channel. Cores reuse one Event value, so the
-// batch append copies it; consumers receive pointers into the shared
-// batch and must not mutate them. The last consumer to release a
-// batch puts it on free, where the generator takes it before
-// allocating a new one.
+// to every consumer channel. The core reuses its batch buffer, so the
+// append copies the events; consumers receive the shared batch and
+// must not mutate it. The last consumer to release a batch puts it on
+// free, where the generator takes it before allocating a new one.
 type broadcastSink struct {
 	chans []chan *sharedBatch
 	free  chan *sharedBatch
@@ -149,20 +140,10 @@ type broadcastSink struct {
 	deliverNs int64
 }
 
-func (b *broadcastSink) Event(ev *isa.Event) {
-	if b.cur == nil {
-		b.cur = b.get()
-	}
-	b.cur.evs = append(b.cur.evs, *ev)
-	b.n++
-	if len(b.cur.evs) == fanoutBatch {
-		b.send()
-	}
-}
+func (b *broadcastSink) Event(ev *isa.Event) { b.Events(isa.One(ev)) }
 
-// Events copies a whole batch from the core into the broadcast
-// buffer — the isa.BatchSink fast path; one memmove replaces
-// per-event appends.
+// Events copies a batch from the core into the broadcast buffer, one
+// memmove per batch it fills.
 func (b *broadcastSink) Events(evs []isa.Event) {
 	for len(evs) > 0 {
 		if b.cur == nil {

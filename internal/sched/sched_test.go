@@ -133,7 +133,13 @@ func TestDefaultWorkers(t *testing.T) {
 // orderSink records the PC of every event it sees.
 type orderSink struct{ pcs []uint64 }
 
-func (o *orderSink) Event(ev *isa.Event) { o.pcs = append(o.pcs, ev.PC) }
+func (o *orderSink) Event(ev *isa.Event) { o.Events(isa.One(ev)) }
+
+func (o *orderSink) Events(evs []isa.Event) {
+	for i := range evs {
+		o.pcs = append(o.pcs, evs[i].PC)
+	}
+}
 
 // genEvents returns a generator streaming n events with PC = index.
 func genEvents(n int) func(isa.Sink) error {
@@ -320,11 +326,13 @@ func TestFanoutTimedStats(t *testing.T) {
 // even when a loaded host deschedules the fast consumer.
 type slowSink struct{ pcs []uint64 }
 
-func (s *slowSink) Event(ev *isa.Event) {
-	if len(s.pcs)%fanoutBatch == 0 {
-		time.Sleep(2 * time.Millisecond)
+func (s *slowSink) Event(ev *isa.Event) { s.Events(isa.One(ev)) }
+
+func (s *slowSink) Events(evs []isa.Event) {
+	time.Sleep(2 * time.Millisecond)
+	for i := range evs {
+		s.pcs = append(s.pcs, evs[i].PC)
 	}
-	s.pcs = append(s.pcs, ev.PC)
 }
 
 // richEvent is event i of a stream in which every field that varies
@@ -355,28 +363,17 @@ func genRich(n int) func(isa.Sink) error {
 }
 
 // checkSink verifies, event for event and without allocating, that it
-// sees exactly the genRich stream. pause runs before each batch (or,
-// per event, every fanoutBatch events) to set the consumer's speed.
+// sees exactly the genRich stream. pause runs before each batch to set
+// the consumer's speed.
 type checkSink struct {
 	n     int
 	pause func()
 	err   error
 }
 
-func (c *checkSink) Event(ev *isa.Event) {
-	if c.pause != nil && c.n%fanoutBatch == 0 {
-		c.pause()
-	}
-	if c.err == nil && *ev != richEvent(c.n) {
-		c.err = fmt.Errorf("event %d: got %+v, want %+v", c.n, *ev, richEvent(c.n))
-	}
-	c.n++
-}
+func (c *checkSink) Event(ev *isa.Event) { c.Events(isa.One(ev)) }
 
-// batchCheckSink is checkSink on the batched path.
-type batchCheckSink struct{ checkSink }
-
-func (c *batchCheckSink) Events(evs []isa.Event) {
+func (c *checkSink) Events(evs []isa.Event) {
 	if c.pause != nil {
 		c.pause()
 	}
@@ -408,9 +405,9 @@ func batchesAllocated(f func()) uint64 {
 func TestFanoutRecyclesBatches(t *testing.T) {
 	for _, batches := range []int{16, 64} {
 		n := batches*fanoutBatch + 17
-		fast := &batchCheckSink{}
+		fast := &checkSink{}
 		medium := &checkSink{pause: func() { time.Sleep(50 * time.Microsecond) }}
-		slow := &batchCheckSink{checkSink{pause: func() { time.Sleep(200 * time.Microsecond) }}}
+		slow := &checkSink{pause: func() { time.Sleep(200 * time.Microsecond) }}
 		var count uint64
 		var err error
 		allocs := batchesAllocated(func() {
@@ -422,7 +419,7 @@ func TestFanoutRecyclesBatches(t *testing.T) {
 		if count != uint64(n) {
 			t.Fatalf("%d batches: broadcast %d of %d events", batches, count, n)
 		}
-		for name, c := range map[string]*checkSink{"fast": &fast.checkSink, "medium": medium, "slow": &slow.checkSink} {
+		for name, c := range map[string]*checkSink{"fast": fast, "medium": medium, "slow": slow} {
 			if c.err != nil {
 				t.Fatalf("%d batches: %s consumer: %v", batches, name, c.err)
 			}
@@ -436,7 +433,7 @@ func TestFanoutRecyclesBatches(t *testing.T) {
 	}
 }
 
-// nopSink is a batch-capable consumer that does nothing.
+// nopSink is a consumer that does nothing.
 type nopSink struct{}
 
 func (nopSink) Event(*isa.Event)   {}

@@ -155,6 +155,12 @@ type panicSink struct {
 	n, at uint64
 }
 
+func (s *panicSink) Events(evs []isa.Event) {
+	for i := range evs {
+		s.Event(&evs[i])
+	}
+}
+
 func (s *panicSink) Event(*isa.Event) {
 	s.n++
 	if s.n == s.at {
@@ -195,4 +201,5 @@ func TestFanoutPanickedConsumerDrains(t *testing.T) {
 
 type countOnlySink struct{ n uint64 }
 
-func (s *countOnlySink) Event(*isa.Event) { s.n++ }
+func (s *countOnlySink) Event(*isa.Event)       { s.n++ }
+func (s *countOnlySink) Events(evs []isa.Event) { s.n += uint64(len(evs)) }

@@ -38,6 +38,13 @@ func NewInOrderModel() *InOrderModel {
 	return &InOrderModel{Width: 2, Latencies: A55Latencies(), BranchPenalty: 7}
 }
 
+// Events accounts a whole batch, one instruction at a time.
+func (m *InOrderModel) Events(evs []isa.Event) {
+	for i := range evs {
+		m.Event(&evs[i])
+	}
+}
+
 // Event accounts one retired instruction.
 func (m *InOrderModel) Event(ev *isa.Event) {
 	m.insts++

@@ -55,6 +55,13 @@ func NewOoOModel() *OoOModel {
 	return &OoOModel{Width: 4, ROBSize: 128, Latencies: TX2Latencies(), TrackMemory: true}
 }
 
+// Events accounts a whole batch, one instruction at a time.
+func (m *OoOModel) Events(evs []isa.Event) {
+	for i := range evs {
+		m.Event(&evs[i])
+	}
+}
+
 // Event accounts one retired instruction.
 func (m *OoOModel) Event(ev *isa.Event) {
 	if m.retire == nil {

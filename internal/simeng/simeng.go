@@ -22,7 +22,6 @@ package simeng
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"time"
 
 	"isacmp/internal/isa"
@@ -123,11 +122,6 @@ type EmulationCore struct {
 	// polled once per batch and the run stops with an ErrDeadline-kind
 	// SimError once it is done. A nil context costs nothing.
 	Ctx context.Context
-	// Log, when set, receives one structured line per run: a debug
-	// completion record, or a warning carrying the classified failure.
-	// Nothing is logged inside the retirement loop, so the hot path is
-	// unaffected.
-	Log *slog.Logger
 	// ProfileStages, when set, splits the run loop's wall time into
 	// Stages: StepN dispatch (simulate) versus sink delivery (deliver).
 	// Two clock reads per stepBatch-sized batch, so the cost amortizes
@@ -161,8 +155,8 @@ type StageNs struct {
 const stepBatch = 4096
 
 // Run drives m to completion. sink may be nil to just count. One
-// StepN dispatch retires up to stepBatch instructions, sinks consume
-// whole batches through isa.DeliverBatch, and the watchdog poll runs
+// StepN dispatch retires up to stepBatch instructions, the sink
+// consumes each batch in one Events call, and the watchdog poll runs
 // once per batch. Events retired before an error are delivered first,
 // the instruction budget fires after the event that reaches it (the
 // batch length is clamped to the remaining budget), and the done-event
@@ -171,21 +165,8 @@ const stepBatch = 4096
 // count, so one bad decode or analysis path cannot kill a whole
 // matrix run. Each batch is counted before it is delivered, so a sink
 // that panics reports the machine's state when delivery stopped: the
-// batch's end and the PC after it, for every kind of sink.
+// batch's end and the PC after it.
 func (c *EmulationCore) Run(m Machine, sink isa.Sink) (stats Stats, err error) {
-	if log := c.Log; log != nil {
-		// Registered before the recovery defer below, so it runs after
-		// it and observes the panic already converted into err.
-		defer func() {
-			if err == nil {
-				log.Debug("simeng: run complete", "retired", stats.Instructions)
-				return
-			}
-			se := AsSimError(err)
-			log.Warn("simeng: run failed",
-				"reason", Reason(se.Kind), "pc", se.PC, "retired", se.Retired)
-		}()
-	}
 	defer func() {
 		if r := recover(); r != nil {
 			c.last = stats
@@ -227,7 +208,7 @@ func (c *EmulationCore) Run(m Machine, sink isa.Sink) (stats Stats, err error) {
 			}
 			// Count the batch, then deliver it: a sink that panics
 			// mid-batch reports the machine's state when delivery
-			// stopped, whatever kind of sink it is.
+			// stopped.
 			stats.Instructions += uint64(n)
 			isa.DeliverBatch(sink, buf[:n])
 			if prof {

@@ -72,21 +72,15 @@ func (o oneStep) StepN(evs []isa.Event) (int, bool, error) {
 // collectSink copies every event — the documented sink contract.
 type collectSink struct{ evs []isa.Event }
 
-func (c *collectSink) Event(ev *isa.Event) { c.evs = append(c.evs, *ev) }
-
-// batchCollectSink additionally takes the BatchSink fast path.
-type batchCollectSink struct{ collectSink }
-
-func (c *batchCollectSink) Events(evs []isa.Event) { c.evs = append(c.evs, evs...) }
+func (c *collectSink) Event(ev *isa.Event)    { c.Events(isa.One(ev)) }
+func (c *collectSink) Events(evs []isa.Event) { c.evs = append(c.evs, evs...) }
 
 // TestStepNMatchesUnbatched runs the same script one Step per batch
-// into a per-event sink and in whole batches into a batch sink, and
-// demands identical event streams and stats, for totals straddling the
-// batch size.
+// and in whole batches, and demands identical event streams and stats,
+// for totals straddling the batch size.
 func TestStepNMatchesUnbatched(t *testing.T) {
 	for _, total := range []uint64{0, 1, 7, stepBatch - 1, stepBatch, stepBatch + 1, 3*stepBatch + 17} {
-		var ref collectSink
-		var bat batchCollectSink
+		var ref, bat collectSink
 		refStats, err := (&EmulationCore{}).Run(oneStep{&scriptMachine{total: total}}, &ref)
 		if err != nil {
 			t.Fatal(err)
@@ -109,28 +103,6 @@ func TestStepNMatchesUnbatched(t *testing.T) {
 			if ref.evs[i] != bat.evs[i] {
 				t.Fatalf("total %d: event %d differs: %+v != %+v", total, i, bat.evs[i], ref.evs[i])
 			}
-		}
-	}
-}
-
-// TestStepNBatchSinkPath checks the BatchSink delivery path produces
-// the same stream as per-event delivery.
-func TestStepNBatchSinkPath(t *testing.T) {
-	const total = 2*stepBatch + 31
-	var perEvent collectSink
-	var batched batchCollectSink
-	if _, err := (&EmulationCore{}).Run(&scriptMachine{total: total}, &perEvent); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := (&EmulationCore{}).Run(&scriptMachine{total: total}, &batched); err != nil {
-		t.Fatal(err)
-	}
-	if len(perEvent.evs) != total || len(batched.evs) != total {
-		t.Fatalf("event counts: per-event %d, batched %d, want %d", len(perEvent.evs), len(batched.evs), total)
-	}
-	for i := range perEvent.evs {
-		if perEvent.evs[i] != batched.evs[i] {
-			t.Fatalf("event %d differs", i)
 		}
 	}
 }

@@ -8,9 +8,8 @@ import (
 
 // Tee delivers the per-retired-instruction event stream to several
 // sinks in order, like isa.MultiSink, and times every call into every
-// sink, per event or per batch, the way a fan-out consumer times its
-// batches. On the batched path that is two clock reads per sink per
-// batch; a per-event caller pays two per sink per event.
+// sink the way a fan-out consumer times its batches: two clock reads
+// per sink per batch.
 type Tee struct {
 	sinks  []isa.Sink
 	busyNs []int64
@@ -31,17 +30,9 @@ func (t *Tee) Add(name string, s isa.Sink) *Tee {
 }
 
 // Event forwards ev to every attached sink in order.
-func (t *Tee) Event(ev *isa.Event) {
-	t.n++
-	for i, s := range t.sinks {
-		start := time.Now()
-		s.Event(ev)
-		t.busyNs[i] += time.Since(start).Nanoseconds()
-	}
-}
+func (t *Tee) Event(ev *isa.Event) { t.Events(isa.One(ev)) }
 
-// Events forwards a whole batch to every attached sink in order —
-// the isa.BatchSink fast path.
+// Events forwards a whole batch to every attached sink in order.
 func (t *Tee) Events(evs []isa.Event) {
 	if len(evs) == 0 {
 		return
@@ -49,7 +40,7 @@ func (t *Tee) Events(evs []isa.Event) {
 	t.n += uint64(len(evs))
 	for i, s := range t.sinks {
 		start := time.Now()
-		isa.DeliverBatch(s, evs)
+		s.Events(evs)
 		t.busyNs[i] += time.Since(start).Nanoseconds()
 	}
 }
@@ -82,80 +73,34 @@ type SinkStats struct {
 
 // RunMetrics is the standard event-stream instrumentation: a sink
 // that counts retired instructions, branches, taken branches, loads
-// and stores. Counts accumulate in plain local fields — the event
-// stream is single-goroutine — and flush either into a shared
-// Registry (NewRunMetrics) or into local totals (NewCellMetrics, the
-// transactional per-cell mode: nothing reaches any registry until the
-// cell's counter map is applied, so a failed or replayed attempt
-// contributes exactly zero).
+// and stores. It touches no registry: the counts are read back with
+// Counters once the cell retires and applied (or cached) as one
+// atomic delta, so a failed or replayed attempt contributes exactly
+// zero.
 type RunMetrics struct {
 	retired, branches, taken, loads, stores uint64
-	sinceFlush                              uint64
-
-	// Registry mode: flush targets. All nil in cell mode.
-	cRetired, cBranches, cTaken, cLoads, cStores *Counter
-	// Cell mode: flushed totals.
-	tRetired, tBranches, tTaken, tLoads, tStores uint64
 }
 
-const flushPeriod = 1 << 16
-
-// NewRunMetrics registers the standard run counters ("run.retired",
-// "run.branches", "run.branches_taken", "run.loads", "run.stores") in
-// r and returns the feeding sink.
-func NewRunMetrics(r *Registry) *RunMetrics {
-	return &RunMetrics{
-		cRetired:  r.Counter("run.retired"),
-		cBranches: r.Counter("run.branches"),
-		cTaken:    r.Counter("run.branches_taken"),
-		cLoads:    r.Counter("run.loads"),
-		cStores:   r.Counter("run.stores"),
-	}
-}
-
-// NewCellMetrics returns a RunMetrics in transactional cell mode: it
-// touches no registry; the accumulated counts are read back with
-// Counters once the cell retires and applied (or cached) as one
-// atomic delta.
+// NewCellMetrics returns an empty RunMetrics.
 func NewCellMetrics() *RunMetrics { return &RunMetrics{} }
 
-// Counters flushes and returns the standard counter map keyed by
-// registry name — the per-cell counter delta the content cache
-// records and a cache hit re-applies. Only meaningful in cell mode.
+// Counters returns the standard counter map keyed by registry name —
+// the per-cell counter delta the content cache records and a cache hit
+// re-applies.
 func (m *RunMetrics) Counters() map[string]uint64 {
-	m.Flush()
 	return map[string]uint64{
-		"run.retired":        m.tRetired,
-		"run.branches":       m.tBranches,
-		"run.branches_taken": m.tTaken,
-		"run.loads":          m.tLoads,
-		"run.stores":         m.tStores,
+		"run.retired":        m.retired,
+		"run.branches":       m.branches,
+		"run.branches_taken": m.taken,
+		"run.loads":          m.loads,
+		"run.stores":         m.stores,
 	}
 }
 
 // Event accumulates one retired instruction.
-func (m *RunMetrics) Event(ev *isa.Event) {
-	m.retired++
-	if ev.Branch {
-		m.branches++
-		if ev.Taken {
-			m.taken++
-		}
-	}
-	if ev.LoadSize != 0 {
-		m.loads++
-	}
-	if ev.StoreSize != 0 {
-		m.stores++
-	}
-	if m.sinceFlush++; m.sinceFlush >= flushPeriod {
-		m.Flush()
-	}
-}
+func (m *RunMetrics) Event(ev *isa.Event) { m.Events(isa.One(ev)) }
 
-// Events accumulates a whole batch — the isa.BatchSink fast path. It
-// counts the batch in locals and checks the flush threshold once, so a
-// batch that crosses it is flushed whole.
+// Events accumulates a whole batch, counting it in locals.
 func (m *RunMetrics) Events(evs []isa.Event) {
 	var branches, taken, loads, stores uint64
 	for i := range evs {
@@ -173,34 +118,9 @@ func (m *RunMetrics) Events(evs []isa.Event) {
 			stores++
 		}
 	}
-	n := uint64(len(evs))
-	m.retired += n
+	m.retired += uint64(len(evs))
 	m.branches += branches
 	m.taken += taken
 	m.loads += loads
 	m.stores += stores
-	if m.sinceFlush += n; m.sinceFlush >= flushPeriod {
-		m.Flush()
-	}
-}
-
-// Flush publishes the locally accumulated counts — to the registry in
-// registry mode, to the local totals in cell mode. Call after the run
-// completes (snapshots only see flushed counts).
-func (m *RunMetrics) Flush() {
-	if m.cRetired != nil {
-		m.cRetired.Add(m.retired)
-		m.cBranches.Add(m.branches)
-		m.cTaken.Add(m.taken)
-		m.cLoads.Add(m.loads)
-		m.cStores.Add(m.stores)
-	} else {
-		m.tRetired += m.retired
-		m.tBranches += m.branches
-		m.tTaken += m.taken
-		m.tLoads += m.loads
-		m.tStores += m.stores
-	}
-	m.retired, m.branches, m.taken, m.loads, m.stores = 0, 0, 0, 0, 0
-	m.sinceFlush = 0
 }

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"maps"
 	"testing"
 	"time"
 
@@ -43,21 +44,19 @@ func spin() {
 	}
 }
 
-// spinSink spins in every call; batched it takes whole batches.
+// spinSink spins in every call.
 type spinSink struct{ calls int }
 
-func (s *spinSink) Event(*isa.Event) { s.calls++; spin() }
-
-type spinBatchSink struct{ spinSink }
-
-func (s *spinBatchSink) Events([]isa.Event) { s.calls++; spin() }
+func (s *spinSink) Event(ev *isa.Event) { s.Events(isa.One(ev)) }
+func (s *spinSink) Events([]isa.Event)  { s.calls++; spin() }
 
 // TestTeeTimesEveryCall verifies the tee times every call into every
-// sink, per event and per batch: each sink's busy time covers all of
-// its calls, each of which spins for at least spinFor.
+// sink: each sink's busy time covers all of its calls, each of which
+// spins for at least spinFor. A single event is a call of its own, and
+// an empty batch reaches no sink.
 func TestTeeTimesEveryCall(t *testing.T) {
-	perEvent, batched := &spinSink{}, &spinBatchSink{}
-	tee := NewTee().Add("per-event", perEvent).Add("batched", batched)
+	a, b := &spinSink{}, &spinSink{}
+	tee := NewTee().Add("a", a).Add("b", b)
 	var ev isa.Event
 	batch := make([]isa.Event, 3)
 	for i := 0; i < 5; i++ {
@@ -70,76 +69,41 @@ func TestTeeTimesEveryCall(t *testing.T) {
 	if got := tee.EventCount(); got != 5+2*3 {
 		t.Fatalf("events = %d, want 11", got)
 	}
-	// The per-event sink takes each batch event by event.
-	if perEvent.calls != 11 || batched.calls != 7 {
-		t.Fatalf("calls: per-event %d, want 11; batched %d, want 7", perEvent.calls, batched.calls)
-	}
 	busy := tee.BusyNs()
-	for i, calls := range []int{perEvent.calls, batched.calls} {
-		if want := int64(calls) * spinFor.Nanoseconds(); busy[i] < want {
-			t.Fatalf("sink %d: busy %d ns over %d calls, want at least %d", i, busy[i], calls, want)
+	for i, s := range []*spinSink{a, b} {
+		if s.calls != 7 {
+			t.Fatalf("sink %d: %d calls, want 7", i, s.calls)
+		}
+		if want := int64(s.calls) * spinFor.Nanoseconds(); busy[i] < want {
+			t.Fatalf("sink %d: busy %d ns over %d calls, want at least %d", i, busy[i], s.calls, want)
 		}
 	}
 }
 
-func TestRunMetricsFlush(t *testing.T) {
-	r := NewRegistry()
-	m := NewRunMetrics(r)
-	ev := isa.Event{Branch: true, Taken: true, LoadSize: 8}
-	for i := 0; i < 100; i++ {
-		m.Event(&ev)
+// TestRunMetricsBatchSplit verifies that RunMetrics counts one large
+// batch exactly as it counts the same events delivered one at a time.
+func TestRunMetricsBatchSplit(t *testing.T) {
+	kinds := []isa.Event{
+		{}, {Branch: true}, {Branch: true, Taken: true},
+		{LoadSize: 4}, {StoreSize: 8}, {LoadSize: 8, StoreSize: 8},
 	}
-	// Before Flush the registry only sees full batches (none here).
-	pre := r.Snapshot()
-	if got := pre.Counter("run.retired"); got != 0 {
-		t.Fatalf("unflushed retired = %d, want 0", got)
-	}
-	m.Flush()
-	s := r.Snapshot()
-	if s.Counter("run.retired") != 100 || s.Counter("run.branches") != 100 ||
-		s.Counter("run.branches_taken") != 100 || s.Counter("run.loads") != 100 ||
-		s.Counter("run.stores") != 0 {
-		t.Fatalf("snapshot = %+v", s)
-	}
-	// Flush is idempotent: locals were zeroed.
-	m.Flush()
-	post := r.Snapshot()
-	if got := post.Counter("run.retired"); got != 100 {
-		t.Fatalf("double flush retired = %d, want 100", got)
-	}
-
-	// A batch below flushPeriod stays local; a batch that straddles it
-	// is flushed whole once its last event is counted. The totals match
-	// per-event delivery of the same stream.
-	kinds := []isa.Event{{Branch: true}, {Branch: true, Taken: true}, {LoadSize: 4}, {StoreSize: 8}}
-	batch := make([]isa.Event, flushPeriod/2+10)
+	const reps = 1 << 14
+	batch := make([]isa.Event, len(kinds)*reps)
 	for i := range batch {
 		batch[i] = kinds[i%len(kinds)]
 	}
-	m.Events(batch)
-	mid := r.Snapshot()
-	if got := mid.Counter("run.retired"); got != 100 {
-		t.Fatalf("retired after a batch below flushPeriod = %d, want 100", got)
+	whole, single := NewCellMetrics(), NewCellMetrics()
+	whole.Events(batch)
+	for i := range batch {
+		single.Event(&batch[i])
 	}
-	m.Events(batch)
-	perEvent := NewRegistry()
-	pm := NewRunMetrics(perEvent)
-	for i := 0; i < 100; i++ {
-		pm.Event(&ev)
+	want := map[string]uint64{
+		"run.retired": 6 * reps, "run.branches": 2 * reps, "run.branches_taken": reps,
+		"run.loads": 2 * reps, "run.stores": 2 * reps,
 	}
-	for range 2 {
-		for i := range batch {
-			pm.Event(&batch[i])
-		}
-	}
-	pm.Flush()
-	got, want := r.Snapshot(), perEvent.Snapshot()
-	if n := got.Counter("run.retired"); n != 100+2*uint64(len(batch)) {
-		t.Fatalf("retired after a straddling batch = %d, want %d", n, 100+2*len(batch))
-	}
-	for _, name := range []string{"run.retired", "run.branches", "run.branches_taken", "run.loads", "run.stores"} {
-		if got.Counter(name) != want.Counter(name) {
-			t.Errorf("%s: batched %d, per-event %d", name, got.Counter(name), want.Counter(name))
+	for name, m := range map[string]*RunMetrics{"one batch": whole, "one at a time": single} {
+		if got := m.Counters(); !maps.Equal(got, want) {
+			t.Errorf("%s: counters %v, want %v", name, got, want)
 		}
 	}
 }

@@ -25,7 +25,7 @@ type PipelineSpan struct {
 
 // PipelineTrace is a sampled, bounded recorder of per-instruction
 // pipeline timing. It implements simeng.PipelineObserver, for a timing
-// model's Tracer field, and isa.BatchSink, for the emulation core's
+// model's Tracer field, and isa.Sink, for the emulation core's
 // retirement stream. Every Sample-th instruction is recorded into a
 // ring buffer of Cap spans; once the ring wraps, the oldest spans are
 // overwritten (Dropped counts them), so tracing a billion-instruction
@@ -45,7 +45,7 @@ type PipelineTrace struct {
 
 var (
 	_ simeng.PipelineObserver = (*PipelineTrace)(nil)
-	_ isa.BatchSink           = (*PipelineTrace)(nil)
+	_ isa.Sink                = (*PipelineTrace)(nil)
 )
 
 // NewPipelineTrace returns a tracer holding at most cap spans,

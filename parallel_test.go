@@ -47,9 +47,9 @@ func matrixArtifactsEx(t *testing.T, ex report.Experiment) (text, manifest []byt
 // StepN hot path is the reference, and every variant below must
 // produce byte-identical report text and byte-identical canonicalized
 // manifests — a multi-worker pool (per-cell trace fan-out on 2, 5 and
-// 64 workers), a fusion-off unbatched run (one Step per batch, every
-// event delivered through the tee's and each analysis's Event), and
-// the resilience watchdogs armed but never firing.
+// 64 workers), a fusion-off unbatched run (one Step per batch, so every
+// sink takes one-event batches), and the resilience watchdogs armed
+// but never firing.
 func TestParallelByteIdentical(t *testing.T) {
 	base := report.Experiment{PathLength: true, CritPath: true, Scaled: true, Windowed: true, Parallel: 1}
 	with := func(f func(*report.Experiment)) report.Experiment {
@@ -106,15 +106,15 @@ func runCell(t *testing.T, prog *ir.Program, tgt Target, ex report.Experiment) (
 
 // TestRunCellParallelIdentical: one cell must be invariant too — the
 // same row, and a byte-identical canonicalized manifest — whether its
-// sinks run inline behind the tee or concurrently behind the fan-out
-// on four workers.
+// sinks run inline behind the tee, concurrently behind the fan-out on
+// four workers, or behind the tee in one-event batches (unbatched),
+// which reaches every analysis's batch body with batches of one.
 func TestRunCellParallelIdentical(t *testing.T) {
 	prog := Workload("stream", Tiny)
 	tgt := Target{Arch: RV64, Flavor: GCC12}
-	ex := report.Experiment{PathLength: true, CritPath: true, Scaled: true, Windowed: true, Mix: true}
+	ex := report.Experiment{PathLength: true, CritPath: true, Scaled: true, Windowed: true, Mix: true, Parallel: 1}
 
-	run := func(parallel int) (report.Row, []byte) {
-		ex.Parallel = parallel
+	run := func(ex report.Experiment) (report.Row, []byte) {
 		row, manifest := runCell(t, prog, tgt, ex)
 		// Wall time and sink timings vary run to run; the manifest
 		// comparison covers the sink names and event counts.
@@ -122,32 +122,41 @@ func TestRunCellParallelIdentical(t *testing.T) {
 		return row, manifest
 	}
 
-	seqRow, seqManifest := run(1)
-	parRow, parManifest := run(4)
-	if !reflect.DeepEqual(seqRow, parRow) {
-		t.Fatalf("rows differ:\nsequential %+v\nparallel   %+v", seqRow, parRow)
-	}
-	if !bytes.Equal(seqManifest, parManifest) {
-		t.Fatalf("canonicalized manifests differ:\n%s\nvs\n%s", seqManifest, parManifest)
+	seqRow, seqManifest := run(ex)
+	par := ex
+	par.Parallel = 4
+	for name, v := range map[string]report.Experiment{"parallel": par, "unbatched": unbatched(ex)} {
+		row, manifest := run(v)
+		if !reflect.DeepEqual(seqRow, row) {
+			t.Fatalf("%s: rows differ:\nsequential %+v\n%s %+v", name, seqRow, name, row)
+		}
+		if !bytes.Equal(seqManifest, manifest) {
+			t.Fatalf("%s: canonicalized manifests differ:\n%s\nvs\n%s", name, seqManifest, manifest)
+		}
 	}
 }
 
-// TestRunCellParallelWithModel: the fan-out path must feed trace-driven
-// timing models the complete stream — cycle counts match the
-// sequential tee run exactly.
+// TestRunCellParallelWithModel: the fan-out path and one-event batches
+// (unbatched) must feed trace-driven timing models the complete stream
+// — cycle counts match the sequential tee run exactly.
 func TestRunCellParallelWithModel(t *testing.T) {
 	prog := Workload("stream", Tiny)
 	tgt := Target{Arch: AArch64, Flavor: GCC12}
 	for _, core := range []string{"inorder", "ooo"} {
-		seq, _ := runCell(t, prog, tgt, report.Experiment{Core: core, Parallel: 1})
-		par, _ := runCell(t, prog, tgt, report.Experiment{Core: core, Parallel: 4})
+		ex := report.Experiment{Core: core, Parallel: 1}
+		seq, _ := runCell(t, prog, tgt, ex)
 		if seq.Core.Model != core || seq.Core.Cycles == 0 {
 			t.Fatalf("%s: core block %+v does not come from the model", core, seq.Core)
 		}
-		if seq.Core.Instructions != par.Core.Instructions || seq.Core.Cycles != par.Core.Cycles {
-			t.Fatalf("%s: sequential %d insts/%d cycles, parallel %d insts/%d cycles",
-				core, seq.Core.Instructions, seq.Core.Cycles,
-				par.Core.Instructions, par.Core.Cycles)
+		par := ex
+		par.Parallel = 4
+		for name, v := range map[string]report.Experiment{"parallel": par, "unbatched": unbatched(ex)} {
+			row, _ := runCell(t, prog, tgt, v)
+			if seq.Core.Instructions != row.Core.Instructions || seq.Core.Cycles != row.Core.Cycles {
+				t.Fatalf("%s: sequential %d insts/%d cycles, %s %d insts/%d cycles",
+					core, seq.Core.Instructions, seq.Core.Cycles,
+					name, row.Core.Instructions, row.Core.Cycles)
+			}
 		}
 	}
 }

@@ -32,16 +32,11 @@ func (o oneStep) StepN(evs []isa.Event) (int, bool, error) {
 // Steps forwards the wrapped machine's retired count.
 func (o oneStep) Steps() uint64 { return o.Machine.(interface{ Steps() uint64 }).Steps() }
 
-// eventOnly hides a sink's Events method, so the run loop delivers to
-// it one event at a time and it does the same downstream.
-type eventOnly struct{ isa.Sink }
-
-// unbatched returns ex with every cell run through oneStep and
-// eventOnly: each event reaches the fusion pass, the tee or the
-// fan-out, and every analysis through its per-event Event method.
+// unbatched returns ex with every cell run through oneStep: each event
+// reaches the fusion pass, the tee or the fan-out, and every sink
+// behind them, in a batch of its own.
 func unbatched(ex report.Experiment) report.Experiment {
 	ex.WrapMachine = func(_, _ string, _ int, m simeng.Machine) simeng.Machine { return oneStep{m} }
-	ex.WrapSink = func(_, _ string, _ int, s isa.Sink) isa.Sink { return eventOnly{s} }
 	return ex
 }
 
