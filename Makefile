@@ -75,15 +75,13 @@ golden:
 
 # check-faults runs the fault-injection and shutdown-path suites under
 # the race detector: matrix survival with injected decode/memory/panic
-# faults, retry and watchdog behaviour, pool drain on cancel, and the
-# hardened ELF reader's malformed-input tests. The armed-but-not-firing
-# watchdog byte-identity row lives in TestParallelByteIdentical
-# (differential).
+# faults, retry and watchdog behaviour, and pool drain on cancel. The
+# armed-but-not-firing watchdog byte-identity row lives in
+# TestParallelByteIdentical (differential).
 check-faults:
 	$(GO) test -race -count=1 ./internal/faultinject
 	$(GO) test -race -count=1 -run 'TestMatrixSurvives|TestRetry|TestHungCell|TestSlowCell|TestBudget|TestFailFast|TestValidate|TestFailedRow' ./internal/report
 	$(GO) test -race -count=1 -run 'TestPool|TestFanout' ./internal/sched
-	$(GO) test -race -count=1 -run 'TestReject|TestTruncated' ./internal/elfio
 
 # check-obs runs the observability suites under the race detector:
 # Prometheus exposition goldens, status board and SSE semantics, the
@@ -92,13 +90,13 @@ check-faults:
 # of a run watched by every observer at -parallel 1 and 2 (its
 # results and a sink panic's failure record), structured
 # logging, the pipeline tracer (its ring and formats, and the
-# emulation core's trace through the runner), manifest v1
-# compatibility — and the goroutine-leak shutdown contract
+# emulation core's trace through the runner), manifest
+# canonicalization — and the goroutine-leak shutdown contract
 # (TestObsShutdown: the server follows experiment-context cancellation
 # and Close leaves nothing behind).
 check-obs:
 	$(GO) test -race -count=1 ./internal/obs/...
-	$(GO) test -race -count=1 -run 'TestReadManifest|TestCanonicalize|TestTrace|TestChromeTrace|TestWriteJSONL' ./internal/telemetry
+	$(GO) test -race -count=1 -run 'TestCanonicalize|TestTrace|TestChromeTrace|TestWriteJSONL' ./internal/telemetry
 	$(GO) test -race -count=1 -run 'TestEmulationTrace' ./internal/report
 
 # check-prof runs the span-profiler suites under the race detector:
@@ -142,7 +140,6 @@ check-durable:
 fuzz-smoke:
 	$(GO) test -fuzz FuzzDecodeA64 -fuzztime 5s ./internal/a64
 	$(GO) test -fuzz FuzzDecodeRV64 -fuzztime 5s ./internal/rv64
-	$(GO) test -fuzz FuzzELF -fuzztime 5s ./internal/elfio
 	$(GO) test -fuzz FuzzFusionStream -fuzztime 5s ./internal/fusion
 	$(GO) test -fuzz FuzzWindowedCP -fuzztime 5s ./internal/core
 	$(GO) test -fuzz FuzzCritPath -fuzztime 5s ./internal/core

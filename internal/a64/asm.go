@@ -243,12 +243,6 @@ func (a *Asm) B(label string) {
 	a.Emit(Inst{Op: B})
 }
 
-// BL emits a branch-and-link to a label.
-func (a *Asm) BL(label string) {
-	a.fixups = append(a.fixups, fixup{index: len(a.insts), label: label})
-	a.Emit(Inst{Op: BL})
-}
-
 // Bc emits b.cond to a label.
 func (a *Asm) Bc(c Cond, label string) {
 	a.fixups = append(a.fixups, fixup{index: len(a.insts), label: label})

@@ -15,7 +15,7 @@ import (
 // target, runs them on the simulators and demands bit-identical array
 // contents against the host interpreter — a whole-stack differential
 // test covering the IR, both compilers, both encoders/decoders, both
-// executors and the ELF round trip.
+// executors and the loader.
 func TestDifferentialFuzz(t *testing.T) {
 	iterations := 150
 	if testing.Short() {

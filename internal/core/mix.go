@@ -4,11 +4,14 @@ import "isacmp/internal/isa"
 
 // Mix histograms the dynamic instruction stream by latency group — the
 // "instruction mix" view behind the paper's observations about
-// computationally dense critical paths and the 15% branch fraction of
-// STREAM on RISC-V (section 3.3's branch accounting).
+// computationally dense critical paths — and profiles its control
+// flow in the same walk: branch density (section 3.3's "almost 15% of
+// all instructions executed" for STREAM on RISC-V) and taken rate.
 type Mix struct {
-	counts [isa.NumGroups]uint64
-	total  uint64
+	counts   [isa.NumGroups]uint64
+	total    uint64
+	branches uint64
+	taken    uint64
 }
 
 // NewMix returns an empty histogram.
@@ -20,7 +23,14 @@ func (m *Mix) Event(ev *isa.Event) { m.Events(isa.One(ev)) }
 // Events counts a whole batch.
 func (m *Mix) Events(evs []isa.Event) {
 	for i := range evs {
-		m.counts[evs[i].Group]++
+		ev := &evs[i]
+		m.counts[ev.Group]++
+		if ev.Branch {
+			m.branches++
+			if ev.Taken {
+				m.taken++
+			}
+		}
 	}
 	m.total += uint64(len(evs))
 }
@@ -55,55 +65,21 @@ func (m *Mix) Counts() []GroupCount {
 	return out
 }
 
-// BranchProfile measures control-flow behaviour over the whole
-// program: branch density (the paper's "almost 15% of all
-// instructions executed" for STREAM on RISC-V) and taken rate.
-type BranchProfile struct {
-	total    uint64
-	branches uint64
-	taken    uint64
-}
-
-// NewBranchProfile builds an empty profile.
-func NewBranchProfile() *BranchProfile { return &BranchProfile{} }
-
-// Events observes a whole batch, one event at a time.
-func (b *BranchProfile) Events(evs []isa.Event) {
-	for i := range evs {
-		b.Event(&evs[i])
-	}
-}
-
-// Event observes one retired instruction.
-func (b *BranchProfile) Event(ev *isa.Event) {
-	b.total++
-	if !ev.Branch {
-		return
-	}
-	b.branches++
-	if ev.Taken {
-		b.taken++
-	}
-}
-
-// Total returns all retired instructions observed.
-func (b *BranchProfile) Total() uint64 { return b.total }
-
 // Branches returns the dynamic branch count.
-func (b *BranchProfile) Branches() uint64 { return b.branches }
+func (m *Mix) Branches() uint64 { return m.branches }
 
 // Density returns branches / instructions.
-func (b *BranchProfile) Density() float64 {
-	if b.total == 0 {
+func (m *Mix) Density() float64 {
+	if m.total == 0 {
 		return 0
 	}
-	return float64(b.branches) / float64(b.total)
+	return float64(m.branches) / float64(m.total)
 }
 
 // TakenRate returns taken branches / all branches.
-func (b *BranchProfile) TakenRate() float64 {
-	if b.branches == 0 {
+func (m *Mix) TakenRate() float64 {
+	if m.branches == 0 {
 		return 0
 	}
-	return float64(b.taken) / float64(b.branches)
+	return float64(m.taken) / float64(m.branches)
 }

@@ -50,41 +50,43 @@ func TestMixEmpty(t *testing.T) {
 	}
 }
 
+// TestBranchProfile: the mix counts branches and taken branches in
+// its histogram's walk.
 func TestBranchProfile(t *testing.T) {
-	bp := NewBranchProfile()
+	m := NewMix()
 	// 6 plain instructions, 4 branches (3 taken).
 	for i := 0; i < 6; i++ {
-		bp.Event(&isa.Event{PC: 0x1004, Group: isa.GroupIntSimple})
+		m.Event(&isa.Event{PC: 0x1004, Group: isa.GroupIntSimple})
 	}
-	bp.Event(&isa.Event{PC: 0x1008, Branch: true, Taken: true})
-	bp.Event(&isa.Event{PC: 0x1008, Branch: true, Taken: true})
-	bp.Event(&isa.Event{PC: 0x1108, Branch: true, Taken: true})
-	bp.Event(&isa.Event{PC: 0x1108, Branch: true, Taken: false})
+	m.Event(&isa.Event{PC: 0x1008, Branch: true, Taken: true})
+	m.Event(&isa.Event{PC: 0x1008, Branch: true, Taken: true})
+	m.Event(&isa.Event{PC: 0x1108, Branch: true, Taken: true})
+	m.Event(&isa.Event{PC: 0x1108, Branch: true, Taken: false})
 
-	if bp.Total() != 10 {
-		t.Fatalf("total = %d", bp.Total())
+	if m.Total() != 10 {
+		t.Fatalf("total = %d", m.Total())
 	}
-	if bp.Branches() != 4 {
-		t.Fatalf("branches = %d", bp.Branches())
+	if m.Branches() != 4 {
+		t.Fatalf("branches = %d", m.Branches())
 	}
-	if bp.Density() != 0.4 {
-		t.Fatalf("density = %v", bp.Density())
+	if m.Density() != 0.4 {
+		t.Fatalf("density = %v", m.Density())
 	}
-	if bp.TakenRate() != 0.75 {
-		t.Fatalf("taken rate = %v", bp.TakenRate())
+	if m.TakenRate() != 0.75 {
+		t.Fatalf("taken rate = %v", m.TakenRate())
 	}
 }
 
-// TestBranchProfileNoSymbols: the profile needs no symbol table; one
-// taken branch is a density of 1, and an empty profile's taken rate
-// is 0.
+// TestBranchProfileNoSymbols: the branch profile needs no symbol
+// table; one taken branch is a density of 1, and an empty mix's taken
+// rate is 0.
 func TestBranchProfileNoSymbols(t *testing.T) {
-	bp := NewBranchProfile()
-	bp.Event(&isa.Event{Branch: true, Taken: true})
-	if bp.Density() != 1 {
-		t.Fatalf("density = %v", bp.Density())
+	m := NewMix()
+	m.Event(&isa.Event{Branch: true, Taken: true})
+	if m.Density() != 1 {
+		t.Fatalf("density = %v", m.Density())
 	}
-	if NewBranchProfile().TakenRate() != 0 {
+	if NewMix().TakenRate() != 0 {
 		t.Fatal("empty taken rate should be 0")
 	}
 }

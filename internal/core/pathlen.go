@@ -46,8 +46,8 @@ type RegionCount struct {
 	Count uint64
 }
 
-// NewPathLength builds the analysis from ELF symbols (already sorted
-// by address by elfio.Read). Symbols with zero size extend to the next
+// NewPathLength builds the analysis from ELF symbols in any order; it
+// sorts a copy by address. Symbols with zero size extend to the next
 // symbol, and the last one to the top of the address space. Where
 // symbols overlap, a PC counts toward the one with the greatest start
 // at or below it, if the PC lies before that symbol's end.

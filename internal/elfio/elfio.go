@@ -1,17 +1,18 @@
-// Package elfio implements the minimal subset of ELF64 needed to make
-// the simulated toolchain honest: the assembler writes real statically
-// linked executables (program headers, sections, a symbol table) and
-// the simulator loads them back through a real parser. Only what a
-// static freestanding binary needs is supported: ET_EXEC files with
-// PT_LOAD segments and an optional .symtab used for kernel-region
-// attribution in the path-length analysis.
+// Package elfio implements the minimal subset of ELF64 the simulated
+// toolchain emits. The assembler builds a File (loadable segments, an
+// entry point, a symbol table), the machines map that File into
+// simulated memory directly, and Write serialises it as a real
+// statically linked executable: the image golden and the durable
+// cache key hash those bytes. Only what a static freestanding binary
+// needs is supported: ET_EXEC files with PT_LOAD segments and a
+// .symtab used for kernel-region attribution in the path-length
+// analysis.
 package elfio
 
 import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sort"
 )
 
 // ELF machine numbers for the two architectures under study.
@@ -235,148 +236,6 @@ func (f *File) Write() []byte {
 	writeShdr(shstrName, 3 /*SHT_STRTAB*/, 0, 0, shstrOff, uint64(shstr.Len()), 0, 0)
 
 	return buf.Bytes()
-}
-
-// view returns b[off:off+size] after overflow-safe bounds checks: the
-// naive off+size > len comparison wraps around for attacker-chosen
-// 64-bit offsets, so the check is phrased to stay in range instead.
-func view(b []byte, off, size uint64, what string) ([]byte, error) {
-	n := uint64(len(b))
-	if off > n || size > n-off {
-		return nil, fmt.Errorf("elfio: %s out of range (off=%#x size=%#x file=%#x)", what, off, size, n)
-	}
-	return b[off : off+size], nil
-}
-
-// Read parses an ELF64 little-endian executable produced by Write (or
-// any static binary using the same minimal feature set). Malformed
-// input — truncated headers, offsets or sizes that overflow or point
-// past the file, overlapping load segments — returns an error, never a
-// panic or a silently corrupt image.
-func Read(b []byte) (*File, error) {
-	le := binary.LittleEndian
-	if len(b) < ehsize || string(b[:4]) != "\x7fELF" {
-		return nil, fmt.Errorf("elfio: bad magic")
-	}
-	if b[4] != 2 || b[5] != 1 {
-		return nil, fmt.Errorf("elfio: only ELF64 little-endian supported")
-	}
-	f := &File{
-		Machine: le.Uint16(b[18:]),
-		Entry:   le.Uint64(b[24:]),
-	}
-	phoff := le.Uint64(b[32:])
-	shoff := le.Uint64(b[40:])
-	phnum := uint64(le.Uint16(b[56:]))
-	shnum := uint64(le.Uint16(b[60:]))
-
-	// All program headers must fit before any is parsed; phnum is
-	// bounded (uint16), so phnum*phentsize cannot overflow.
-	phdrs, err := view(b, phoff, phnum*phentsize, "program header table")
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < phnum; i++ {
-		ph := phdrs[i*phentsize : (i+1)*phentsize]
-		if le.Uint32(ph[0:]) != 1 { // PT_LOAD
-			continue
-		}
-		off := le.Uint64(ph[8:])
-		filesz := le.Uint64(ph[32:])
-		data, err := view(b, off, filesz, fmt.Sprintf("segment %d data", i))
-		if err != nil {
-			return nil, err
-		}
-		seg := Segment{
-			Vaddr: le.Uint64(ph[16:]),
-			Flags: le.Uint32(ph[4:]),
-			Data:  append([]byte(nil), data...),
-		}
-		if seg.Vaddr+filesz < seg.Vaddr {
-			return nil, fmt.Errorf("elfio: segment %d wraps the address space (vaddr=%#x size=%#x)", i, seg.Vaddr, filesz)
-		}
-		for j, prev := range f.Segments {
-			// Empty ranges cannot overlap anything.
-			if filesz > 0 && seg.Vaddr < prev.Vaddr+uint64(len(prev.Data)) && prev.Vaddr < seg.Vaddr+filesz {
-				return nil, fmt.Errorf("elfio: segments %d and %d overlap at vaddr %#x", j, i, seg.Vaddr)
-			}
-		}
-		f.Segments = append(f.Segments, seg)
-	}
-
-	// Locate .symtab and its string table.
-	shdrs, err := view(b, shoff, shnum*shentsize, "section header table")
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < shnum; i++ {
-		sh := shdrs[i*shentsize : (i+1)*shentsize]
-		if le.Uint32(sh[4:]) != 2 { // SHT_SYMTAB
-			continue
-		}
-		symOff := le.Uint64(sh[24:])
-		symSize := le.Uint64(sh[32:])
-		link := uint64(le.Uint32(sh[40:]))
-		if link >= shnum {
-			return nil, fmt.Errorf("elfio: symtab links to section %d of %d", link, shnum)
-		}
-		strsh := shdrs[link*shentsize : (link+1)*shentsize]
-		strOff := le.Uint64(strsh[24:])
-		strSize := le.Uint64(strsh[32:])
-		strs, err := view(b, strOff, strSize, "symtab string table")
-		if err != nil {
-			return nil, err
-		}
-		syms, err := view(b, symOff, symSize, "symtab data")
-		if err != nil {
-			return nil, err
-		}
-		for o := uint64(0); o+symsize <= uint64(len(syms)); o += symsize {
-			sym := syms[o : o+symsize]
-			nameOff := le.Uint32(sym[0:])
-			val := le.Uint64(sym[8:])
-			size := le.Uint64(sym[16:])
-			name := cstr(strs, nameOff)
-			if name == "" {
-				continue
-			}
-			f.Symbols = append(f.Symbols, Symbol{Name: name, Value: val, Size: size})
-		}
-	}
-	// Name each loaded segment after the first PROGBITS section at its
-	// address and size, through the section name table; a name table
-	// out of range leaves the names empty.
-	var shstr []byte
-	if shstrndx := uint64(le.Uint16(b[62:])); shstrndx < shnum {
-		sh := shdrs[shstrndx*shentsize : (shstrndx+1)*shentsize]
-		shstr, _ = view(b, le.Uint64(sh[24:]), le.Uint64(sh[32:]), "section name table")
-	}
-	for i := uint64(0); i < shnum; i++ {
-		sh := shdrs[i*shentsize : (i+1)*shentsize]
-		if le.Uint32(sh[4:]) != 1 { // SHT_PROGBITS
-			continue
-		}
-		for j := range f.Segments {
-			s := &f.Segments[j]
-			if s.Name == "" && s.Vaddr == le.Uint64(sh[16:]) && uint64(len(s.Data)) == le.Uint64(sh[32:]) {
-				s.Name = cstr(shstr, le.Uint32(sh[0:]))
-				break
-			}
-		}
-	}
-	sort.Slice(f.Symbols, func(i, j int) bool { return f.Symbols[i].Value < f.Symbols[j].Value })
-	return f, nil
-}
-
-func cstr(b []byte, off uint32) string {
-	if uint64(off) >= uint64(len(b)) {
-		return ""
-	}
-	end := off
-	for end < uint32(len(b)) && b[end] != 0 {
-		end++
-	}
-	return string(b[off:end])
 }
 
 func align(v, a uint64) uint64 { return (v + a - 1) &^ (a - 1) }

@@ -97,12 +97,15 @@ var analyses = []analysis{
 		fill: func(s isa.Sink, row *Row) { row.MixCounts = s.(*core.Mix).Counts() },
 	},
 	{
-		name: "branch",
-		on:   func(ex *Experiment) bool { return ex.Mix },
-		new:  func(*Experiment, *cc.Compiled, isa.Sink) isa.Sink { return core.NewBranchProfile() },
+		// The mix's walk counts branches and taken branches too.
+		name:    "branch",
+		on:      func(ex *Experiment) bool { return ex.Mix },
+		host:    "mix",
+		carried: func(ex *Experiment) bool { return ex.Mix },
+		new:     func(_ *Experiment, _ *cc.Compiled, host isa.Sink) isa.Sink { return host },
 		fill: func(s isa.Sink, row *Row) {
-			br := s.(*core.BranchProfile)
-			row.Branches, row.BranchDensity, row.BranchTaken = br.Branches(), br.Density(), br.TakenRate()
+			m := s.(*core.Mix)
+			row.Branches, row.BranchDensity, row.BranchTaken = m.Branches(), m.Density(), m.TakenRate()
 		},
 	},
 }

@@ -17,7 +17,9 @@ import (
 // TestPoolDrainsOnCancel models the fail-fast shutdown path: the first
 // failing cell cancels a shared context and every remaining cell must
 // still be dispatched (observing the cancel and returning early) so
-// Close never deadlocks on abandoned tasks.
+// Close never deadlocks on abandoned tasks. The cells after the
+// failing one wait for the cancel before they check, so whichever way
+// the workers are scheduled, at least those n-4 cells observe it.
 func TestPoolDrainsOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -27,6 +29,9 @@ func TestPoolDrainsOnCancel(t *testing.T) {
 	for i := 0; i < n; i++ {
 		i := i
 		p.Go(func() {
+			if i > 3 {
+				<-ctx.Done()
+			}
 			if ctx.Err() != nil {
 				cancelled.Add(1)
 				return
@@ -47,8 +52,8 @@ func TestPoolDrainsOnCancel(t *testing.T) {
 	if got := ran.Load() + cancelled.Load(); got != n {
 		t.Fatalf("dispatched %d of %d tasks", got, n)
 	}
-	if cancelled.Load() == 0 {
-		t.Fatal("no task observed the cancellation")
+	if got := cancelled.Load(); got < n-4 {
+		t.Fatalf("%d of %d tasks observed the cancellation, want at least %d", got, n, n-4)
 	}
 }
 

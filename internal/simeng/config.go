@@ -60,14 +60,3 @@ func ParseLatencyConfig(r io.Reader, base *LatencyModel) (*LatencyModel, error) 
 	}
 	return model, nil
 }
-
-// WriteLatencyConfig serialises a latency model in the format
-// ParseLatencyConfig reads.
-func WriteLatencyConfig(w io.Writer, m *LatencyModel) error {
-	for g := isa.Group(0); g < isa.NumGroups; g++ {
-		if _, err := fmt.Fprintf(w, "%s: %d\n", g, m[g]); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"os"
 	"runtime"
@@ -17,13 +16,8 @@ import (
 // ManifestSchema identifies the manifest document layout; bump on
 // incompatible change. Trajectory tooling (BENCH_*.json diffing)
 // matches on it. v2 added the optional `obs` block and per-failure
-// `postmortem` paths; v1 documents remain readable (ReadManifest).
+// `postmortem` paths to v1.
 const ManifestSchema = "isacmp/run-manifest/v2"
-
-// ManifestSchemaV1 is the previous layout, a strict subset of v2:
-// every v1 document parses as a v2 manifest with no obs block and no
-// postmortem paths.
-const ManifestSchemaV1 = "isacmp/run-manifest/v1"
 
 // Manifest is the machine-readable record of one CLI invocation: what
 // ran, how long it took, what the simulator observed about the
@@ -391,32 +385,6 @@ func (m *Manifest) WriteFile(path string) error {
 		return err
 	}
 	return durable.WriteFileAtomic(path, buf.Bytes(), 0o644)
-}
-
-// ReadManifest parses a manifest document, accepting the current
-// schema and v1 (whose layout is a strict subset: no obs block, no
-// postmortem paths). Any other schema is an error — the caller should
-// not silently misread a future layout.
-func ReadManifest(data []byte) (*Manifest, error) {
-	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, err
-	}
-	switch m.Schema {
-	case ManifestSchema, ManifestSchemaV1:
-		return &m, nil
-	}
-	return nil, fmt.Errorf("telemetry: unsupported manifest schema %q (want %q or %q)",
-		m.Schema, ManifestSchema, ManifestSchemaV1)
-}
-
-// ReadManifestFile reads and parses a manifest from path.
-func ReadManifestFile(path string) (*Manifest, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return ReadManifest(data)
 }
 
 // RateMIPS converts an instruction count and duration to millions of

@@ -124,3 +124,35 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 		t.Fatalf("round trip lost data: %s", b)
 	}
 }
+
+// TestCanonicalizeStripsObs: everything the observability layer adds
+// to a manifest — the obs block, obs.* metrics and postmortem paths —
+// is deployment detail, not computation, and must vanish under
+// canonicalization so golden comparisons ignore how a run was watched.
+func TestCanonicalizeStripsObs(t *testing.T) {
+	m := NewManifest("test", "tiny")
+	m.Obs = &ObsConfig{
+		ServeAddr: "127.0.0.1:9", RunID: "r", LogLevel: "debug", LogFormat: "json",
+		FlightRecorder: &FlightRecorderConfig{Events: 256, Dir: "/tmp/fl"},
+	}
+	m.Failures = []FailureRecord{{Workload: "w", Target: "t", Reason: "panic", Postmortem: "/tmp/fl/pm.json"}}
+	m.Metrics = &Snapshot{
+		Counters: []CounterPoint{
+			{Name: "sim.retired", Value: 10},
+			{Name: "obs.events.dropped", Value: 3},
+		},
+	}
+	m.Canonicalize()
+	if m.Obs != nil {
+		t.Error("obs block survived canonicalization")
+	}
+	if m.Failures[0].Postmortem != "" {
+		t.Error("postmortem path survived canonicalization")
+	}
+	if n := len(m.Metrics.Counters); n != 1 || m.Metrics.Counters[0].Name != "sim.retired" {
+		t.Errorf("obs.* metrics must be stripped, kept %+v", m.Metrics.Counters)
+	}
+	if m.Failures[0].Reason != "panic" {
+		t.Error("canonicalization must keep the failure substance")
+	}
+}

@@ -151,7 +151,8 @@ func CompileWithOptions(p *Program, t Target, opts CompilerOptions) (*Binary, er
 // Target reports what the binary was compiled for.
 func (b *Binary) Target() Target { return b.compiled.Target }
 
-// ELF returns the ELF image bytes (writable to disk and re-loadable).
+// ELF returns the ELF image bytes, a statically linked executable that
+// can be written to disk and read by standard ELF tools.
 func (b *Binary) ELF() []byte { return b.compiled.File.Write() }
 
 // Symbols returns the kernel-region symbols of the binary.

@@ -170,7 +170,8 @@ func TestRunCellParallelWithModel(t *testing.T) {
 // analyses and the run subcommand's configuration (the out-of-order
 // model with mix and branch). A carried sink row has no time of its
 // own, so it has no span: with all four analyses, the critical-path
-// tracker's walk carries the scaled and the windowed analyses.
+// tracker's walk carries the scaled and the windowed analyses, and
+// the mix's walk carries the branch profile.
 func TestProfiledByteIdentical(t *testing.T) {
 	progs := Suite(Tiny)
 	run := func(ex report.Experiment, parallel int, p *prof.Profiler) (text, manifest []byte) {
@@ -205,7 +206,7 @@ func TestProfiledByteIdentical(t *testing.T) {
 		{"matrix", report.Experiment{PathLength: true, CritPath: true, Scaled: true, Windowed: true},
 			[]string{"sink:pathlen", "sink:critpath"}, []string{"sink:scaledcp", "sink:windowcp"}},
 		{"run", report.Experiment{Core: "ooo", Mix: true},
-			[]string{"sink:mix", "sink:branch", "sink:ooo-model"}, nil},
+			[]string{"sink:mix", "sink:ooo-model"}, []string{"sink:branch"}},
 	} {
 		baseText, baseManifest := run(c.ex, 1, nil)
 		for _, workers := range []int{1, 3} {
